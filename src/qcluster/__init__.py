@@ -122,7 +122,6 @@ from .torus import (
     check_compatible,
     cluster_monomial,
     div_exact_right,
-    torus_div_exact,
     torus_mul,
     torus_pow,
 )

@@ -10,9 +10,10 @@ independent of the worker count.
 from __future__ import annotations
 
 import json
-import os
 import re
+import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 import click
 
@@ -102,11 +103,13 @@ def _element_json(element) -> list:
 
 
 def _emit(data, fmt: str, text_lines) -> None:
+    # Pass the stream: click.echo's default-stream cache would keep every
+    # stream that replaced sys.stdout, and its contents, alive for good.
     if fmt == "structured":
-        click.echo(json.dumps(data, indent=2, sort_keys=True))
+        click.echo(json.dumps(data, indent=2, sort_keys=True), file=sys.stdout)
     else:
         for line in text_lines:
-            click.echo(line)
+            click.echo(line, file=sys.stdout)
 
 
 surface_option = click.option(
@@ -394,27 +397,7 @@ def skein_multiply(surface, v_text, w_text, fmt):
 # -- verify ------------------------------------------------------------
 
 
-def _word_key(word: StringWord):
-    return (
-        tuple(word.vertices),
-        tuple((l.arrow.name, l.direct) for l in word.letters),
-    )
-
-
-def _word_from_key(key, quiver) -> StringWord:
-    vertices, letters = key
-    return StringWord(
-        tuple(vertices),
-        tuple(Letter(quiver.arrow_named(name), direct) for name, direct in letters),
-    )
-
-
-def _verify_word(args):
-    surface, key = args
-    t = load_surface(surface)
-    quiver = build_quiver(t)
-    word = _word_from_key(key, quiver)
-    seed = initial_seed(pair_from_surface(t))
+def _verify_word(t, seed, word):
     checks = []
 
     def run(name, fn):
@@ -460,7 +443,8 @@ def _check_expansion(word, t, seed):
 @click.option(
     "--jobs",
     type=int,
-    default=lambda: int(os.environ.get("QCLUSTER_JOBS", "1")),
+    envvar="QCLUSTER_JOBS",
+    default=1,
     help="worker processes (default $QCLUSTER_JOBS or 1)",
 )
 @format_option
@@ -480,14 +464,12 @@ def verify(surface, max_length, jobs, fmt):
     except QClusterError as exc:
         raise click.ClickException(str(exc))
 
-    tasks = sorted(
-        ((surface, _word_key(word)) for word in words), key=lambda task: task[1]
-    )
+    check_word = partial(_verify_word, t, seed)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_verify_word, tasks))
+            results = list(pool.map(check_word, words))
     else:
-        results = [_verify_word(task) for task in tasks]
+        results = [check_word(word) for word in words]
 
     failures = 0
     lines = [f"seed: compatible, d={list(pair.d)}; mutations involutive"]

@@ -18,6 +18,11 @@ Conventions (fixed once, checked by the test suite):
 * Within each side pair the exit triangle's flank takes the south/east
   slot and the entry triangle's flank the north/west slot, except where
   a gluing pins a flank to the shared side.
+
+The glue sides of every tile and the edge table (each tile's four edge
+ids, each edge's (tile, side) pairs) are fixed when the graph is built.
+Every geometry query reads them; nothing else re-derives them from the
+shape.
 """
 
 from __future__ import annotations
@@ -82,6 +87,18 @@ class SnakeGraph:
         self.tiles = tiles
         self._matchings: list | None = None
         self._minimal: frozenset | None = None
+        # The edge table, read by every geometry query: each tile's side ->
+        # edge id, and each edge id -> its (tile, side) pairs in tile order.
+        self._tile_edges: list = []
+        incidence: dict = {}
+        for j, tile in enumerate(tiles, start=1):
+            ids = {s: (j, s) for s in _SIDES}
+            if tile.in_glue_side is not None:
+                ids[tile.in_glue_side] = (j - 1, tiles[j - 2].out_glue_side)
+            for side, e in ids.items():
+                incidence.setdefault(e, []).append((j, side))
+            self._tile_edges.append(ids)
+        self._edge_sides = {e: tuple(incidence[e]) for e in sorted(incidence)}
 
     @property
     def d(self) -> int:
@@ -97,21 +114,17 @@ class SnakeGraph:
 
         Glue edges are named after the lower-indexed tile.
         """
-        if j > 1:
-            prev = self.shape[j - 2]
-            if (prev == "R" and side == "W") or (prev == "U" and side == "S"):
-                return self.edge_id(j - 1, "E" if prev == "R" else "N")
-        return (j, side)
+        return self._tile_edges[j - 1][side]
 
     def tile_edges(self, j: int) -> list:
-        return [(self.edge_id(j, s), s) for s in _SIDES]
+        return [(e, s) for s, e in self._tile_edges[j - 1].items()]
 
     def all_edges(self) -> list:
-        seen = set()
-        for j in range(1, self.d + 1):
-            for e, _ in self.tile_edges(j):
-                seen.add(e)
-        return sorted(seen)
+        return list(self._edge_sides)
+
+    def edge_sides(self, e) -> tuple:
+        """The (tile, side) pairs that edge e occupies, by tile."""
+        return self._edge_sides[e]
 
     def edge_label(self, e) -> int:
         j, side = e
@@ -119,14 +132,11 @@ class SnakeGraph:
 
     def glue_label(self, j: int) -> int:
         """Label of the edge shared by tiles j and j+1."""
-        side = "E" if self.shape[j - 1] == "R" else "N"
-        return self.tile(j).labels[side]
+        t = self.tile(j)
+        return t.labels[t.out_glue_side]
 
     def is_glue(self, e) -> bool:
-        j, side = e
-        if j >= self.d:
-            return False
-        return side == ("E" if self.shape[j - 1] == "R" else "N")
+        return len(self._edge_sides[e]) == 2
 
     def edge_endpoints(self, e) -> tuple:
         j, side = e
@@ -153,28 +163,18 @@ class SnakeGraph:
 
     def side_in_tile(self, e, j: int) -> str:
         """The side that edge e occupies within tile j."""
-        for eid, side in self.tile_edges(j):
-            if eid == e:
+        for tile, side in self._edge_sides[e]:
+            if tile == j:
                 return side
         raise KeyError(f"edge {e} not on tile {j}")
 
     def tiles_of_edge(self, e) -> list:
-        out = []
-        for j in range(1, self.d + 1):
-            if any(eid == e for eid, _ in self.tile_edges(j)):
-                out.append(j)
-        return out
+        return [tile for tile, _ in self._edge_sides[e]]
 
     def ccw_pair(self, j: int) -> frozenset:
         t = self.tile(j)
         return frozenset(
-            self.edge_id(j, s) for s in _SIDES if t.flank_class[s] == "ccw"
-        )
-
-    def cw_pair(self, j: int) -> frozenset:
-        t = self.tile(j)
-        return frozenset(
-            self.edge_id(j, s) for s in _SIDES if t.flank_class[s] == "cw"
+            e for s, e in self._tile_edges[j - 1].items() if t.flank_class[s] == "ccw"
         )
 
 
@@ -312,12 +312,9 @@ def label_snake(w: StringWord, t: Triangulation) -> SnakeGraph:
 
 def _check_glue_coherence(g: SnakeGraph) -> None:
     for j in range(1, g.d):
-        upper = "E" if g.shape[j - 1] == "R" else "N"
-        lower = "W" if g.shape[j - 1] == "R" else "S"
-        shared = g.triangulation.third_side(
-            g.tile(j).tri_out, g.tile(j).diagonal, g.tile(j + 1).diagonal
-        )
-        if g.tile(j).labels[upper] != shared or g.tile(j + 1).labels[lower] != shared:
+        low, high = g.tile(j), g.tile(j + 1)
+        shared = g.triangulation.third_side(low.tri_out, low.diagonal, high.diagonal)
+        if low.labels[low.out_glue_side] != shared or high.labels[high.in_glue_side] != shared:
             raise InvalidSurface(
                 f"glue edge between tiles {j} and {j + 1} mislabeled"
             )
@@ -371,9 +368,7 @@ def _boundary_matchings(g: SnakeGraph) -> list:
 
 def _class_uniform(g: SnakeGraph, m: frozenset, cls: str) -> bool:
     return all(
-        g.tile(j).flank_class[g.side_in_tile(e, j)] == cls
-        for e in m
-        for j in g.tiles_of_edge(e)
+        g.tile(j).flank_class[side] == cls for e in m for j, side in g.edge_sides(e)
     )
 
 

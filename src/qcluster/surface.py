@@ -107,9 +107,6 @@ class Triangulation:
             raise InvalidSurface(f"triangle {tri} does not have distinct sides {x}, {y} plus one more")
         return rest[0]
 
-    def shared_triangle(self, x: int, y: int) -> list[int]:
-        return [i for i, t in enumerate(self.triangles) if x in t and y in t]
-
     # -- validation ---------------------------------------------------
 
     def _validate(self) -> None:

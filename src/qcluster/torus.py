@@ -37,7 +37,6 @@ __all__ = [
     "check_compatible",
     "torus_mul",
     "torus_pow",
-    "torus_div_exact",
     "div_exact_right",
     "bar",
     "bar_normalize",
@@ -428,17 +427,6 @@ def torus_pow(a: TorusElement, k: int, pair: CompatiblePair) -> TorusElement:
     for _ in range(k):
         result = torus_mul(result, a, pair)
     return result
-
-
-def torus_div_exact(a: TorusElement, g: Sequence[int], pair: CompatiblePair) -> TorusElement:
-    """Solve ``b * X^g = a``.  Always exact: monomials are invertible."""
-    g = tuple(g)
-    out: dict[tuple, QCoefficient] = {}
-    for h, ch in a.terms.items():
-        key = tuple(x - y for x, y in zip(h, g))
-        # b-term coefficient gamma satisfies gamma * q^(L(key, g)/2) = ch.
-        out[key] = ch.shifted(-pair.lambda_of(key, g))
-    return TorusElement(a.rank, out)
 
 
 _DIV_ITERATION_CAP = 10000

@@ -18,7 +18,6 @@ Two routes to the same integer:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from .errors import (
     CannotTwist,
@@ -61,18 +60,6 @@ def m_pm(g: SnakeGraph, s: int, tau: int) -> tuple:
     return before, after
 
 
-def _region_edges(g: SnakeGraph, s: int) -> tuple:
-    minus = set()
-    for j in range(1, s):
-        for eid, _ in g.tile_edges(j):
-            minus.add(eid)
-    plus = set()
-    for j in range(s + 1, g.d + 1):
-        for eid, _ in g.tile_edges(j):
-            plus.add(eid)
-    return minus, plus
-
-
 def n_pm(g: SnakeGraph, s: int, P: frozenset, tau: int) -> tuple:
     """Matched tau-labeled edges strictly on either side of tile s.
 
@@ -81,9 +68,9 @@ def n_pm(g: SnakeGraph, s: int, P: frozenset, tau: int) -> tuple:
     """
     if not can_twist(g, P, s):
         raise CannotTwist(f"matching does not cover tile {s} by an opposite pair")
-    minus, plus = _region_edges(g, s)
-    n_minus = sum(1 for e in P if e in minus and g.edge_label(e) == tau)
-    n_plus = sum(1 for e in P if e in plus and g.edge_label(e) == tau)
+    tiles = [g.tiles_of_edge(e) for e in P if g.edge_label(e) == tau]
+    n_minus = sum(1 for js in tiles if js[0] < s)
+    n_plus = sum(1 for js in tiles if js[-1] > s)
     return n_minus, n_plus
 
 
@@ -136,26 +123,6 @@ def valuation_v(g: SnakeGraph) -> dict:
 # -- module side -------------------------------------------------------
 
 
-@dataclass
-class _WordContext:
-    word: StringWord
-    graph: SnakeGraph
-
-    @property
-    def d(self) -> int:
-        return self.word.d
-
-    def arc(self, i: int) -> int:
-        return self.word.vertices[i - 1]
-
-    def direct(self, p: int) -> bool:
-        return self.word.letters[p - 1].direct
-
-
-def _context(w: StringWord, t: Triangulation, graph: SnakeGraph | None) -> _WordContext:
-    return _WordContext(w, graph if graph is not None else label_snake(w, t))
-
-
 def n_module(
     w: StringWord,
     t: Triangulation,
@@ -171,18 +138,18 @@ def n_module(
     the unsigned contributions collect glued edges and the free sides
     of the end tiles.  All contributions accumulate.
     """
-    ctx = _context(w, t, graph)
+    g = graph if graph is not None else label_snake(w, t)
     indices = frozenset(indices)
-    d = ctx.d
+    arcs, letters, d = w.vertices, w.letters, w.d
     if not 1 <= j <= d:
         raise UnmatchedCase(f"position {j} outside 1..{d}")
     n_plus = n_minus = 0
     plain = 0
     inside = lambda i: i in indices
 
-    if ctx.arc(j) == k:
+    if arcs[j - 1] == k:
         if 2 <= j <= d - 1:
-            prev_direct, next_direct = ctx.direct(j - 1), ctx.direct(j)
+            prev_direct, next_direct = letters[j - 2].direct, letters[j - 1].direct
             if not prev_direct and not next_direct:
                 n_plus = 1 if inside(j + 1) else 0
                 n_minus = 0 if inside(j - 1) else 1
@@ -196,23 +163,22 @@ def n_module(
                 n_plus = 1 if inside(j + 1) else 0
                 n_minus = 1 if inside(j - 1) else 0
         elif j == 1 and d >= 2:
-            if ctx.direct(1):
+            if letters[0].direct:
                 n_plus = 0 if inside(2) else 1
             else:
                 n_plus = 1 if inside(2) else 0
         elif j == d and d >= 2:
-            if ctx.direct(d - 1):
+            if letters[d - 2].direct:
                 n_minus = 1 if inside(d - 1) else 0
             else:
                 n_minus = 0 if inside(d - 1) else 1
 
-    g = ctx.graph
     if j <= d - 1 and g.glue_label(j) == k:
         if inside(j) != inside(j + 1):
             plain += 1
     if j == 1:
         tri = t.triangles[g.tile(1).tri_in]
-        diag = ctx.arc(1)
+        diag = arcs[0]
         if k in tri and k != diag:
             if t.ccw_flank(g.tile(1).tri_in, diag) == k:
                 plain += 1 if inside(1) else 0
@@ -220,7 +186,7 @@ def n_module(
                 plain += 0 if inside(1) else 1
     if j == d:
         tri = t.triangles[g.tile(d).tri_out]
-        diag = ctx.arc(d)
+        diag = arcs[d - 1]
         if k in tri and k != diag:
             if t.ccw_flank(g.tile(d).tri_out, diag) == k:
                 plain += 1 if inside(d) else 0
@@ -245,18 +211,18 @@ def big_counts(
     the N-counts add the anchored signed parts to the plain totals of
     the other positions on each side.
     """
-    ctx = _context(w, t, graph)
-    if ctx.arc(j) != k:
-        raise UnmatchedCase(f"position {j} crosses {ctx.arc(j)}, not {k}")
-    d = ctx.d
-    m_minus = sum(1 for i in range(1, j) if ctx.arc(i) == k)
-    m_plus = sum(1 for i in range(j + 1, d + 1) if ctx.arc(i) == k)
-    _, n_plus_here, n_minus_here = n_module(w, t, k, j, indices, graph=ctx.graph)
+    g = graph if graph is not None else label_snake(w, t)
+    arcs, d = w.vertices, w.d
+    if arcs[j - 1] != k:
+        raise UnmatchedCase(f"position {j} crosses {arcs[j - 1]}, not {k}")
+    m_minus = arcs[: j - 1].count(k)
+    m_plus = arcs[j:].count(k)
+    _, n_plus_here, n_minus_here = n_module(w, t, k, j, indices, graph=g)
     n_minus = n_minus_here + sum(
-        n_module(w, t, k, i, indices, graph=ctx.graph)[0] for i in range(1, j)
+        n_module(w, t, k, i, indices, graph=g)[0] for i in range(1, j)
     )
     n_plus = n_plus_here + sum(
-        n_module(w, t, k, i, indices, graph=ctx.graph)[0] for i in range(j + 1, d + 1)
+        n_module(w, t, k, i, indices, graph=g)[0] for i in range(j + 1, d + 1)
     )
     return m_minus, m_plus, n_minus, n_plus
 
@@ -270,10 +236,9 @@ def omega_prime(
     graph: SnakeGraph | None = None,
 ) -> int:
     """Word-side form of the twist increment at position j."""
-    ctx = _context(w, t, graph)
     indices = frozenset(indices)
-    k = ctx.arc(j)
-    m_minus, m_plus, n_minus, n_plus = big_counts(w, t, k, j, indices, graph=ctx.graph)
+    k = w.vertices[j - 1]
+    m_minus, m_plus, n_minus, n_plus = big_counts(w, t, k, j, indices, graph=graph)
     sign = 1 if j in indices else -1
     return sign * (n_plus - m_plus - n_minus + m_minus)
 
@@ -290,8 +255,8 @@ def valuation_v_gamma(
     one position, using omega_prime for the step, starting from the
     empty set at 0; every step is checked from both endpoints.
     """
-    ctx = _context(w, t, graph)
-    d = ctx.d
+    g = graph if graph is not None else label_snake(w, t)
+    d = w.d
     submods = [s.indices for s in enumerate_canonical_submodules(w)]
     values = {frozenset(): 0}
     queue = deque([frozenset()])
@@ -306,8 +271,8 @@ def valuation_v_gamma(
             if bigger not in canonical or smaller not in canonical:
                 continue
             # value step, computed from the smaller side
-            step = omega_prime(w, t, j, smaller, graph=ctx.graph)
-            back = omega_prime(w, t, j, bigger, graph=ctx.graph)
+            step = omega_prime(w, t, j, smaller, graph=g)
+            back = omega_prime(w, t, j, bigger, graph=g)
             if step != -back:
                 raise InconsistentValuation(
                     f"asymmetric step at position {j}: {step} vs -({back})"

@@ -1,9 +1,15 @@
 """Command line entry points."""
 from __future__ import annotations
 
+import gc
+import io
+import weakref
+from contextlib import redirect_stdout
+
 import pytest
 from click.testing import CliRunner
 
+from qcluster import cli
 from qcluster.cli import main, parse_string
 from qcluster.strings import trivial_word
 
@@ -102,10 +108,15 @@ def test_skein_multiply_command(runner):
     assert "lambda (half-units) = 1/2" in res.output
 
 
-def test_verify_command_reports_all_checks(runner):
+def test_verify_command_reports_all_checks(runner, monkeypatch):
+    calls = []
+    real = cli.pair_from_surface
+    monkeypatch.setattr(cli, "pair_from_surface", lambda t: calls.append(t) or real(t))
     res = runner.invoke(main, ["verify", "-s", "pentagon", "--max-length", "4"])
     assert res.exit_code == 0
     assert "3 strings, 12 checks, 0 failures" in res.output
+    # the surface context is built once and shared by every word
+    assert len(calls) == 1
 
 
 def test_verify_output_is_reproducible(runner):
@@ -116,8 +127,29 @@ def test_verify_output_is_reproducible(runner):
 
 
 def test_verify_parallel_output_matches_serial(runner):
-    serial = runner.invoke(main, ["verify", "-s", "annulus", "--max-length", "4"])
-    parallel = runner.invoke(
-        main, ["verify", "-s", "annulus", "--max-length", "4", "--jobs", "2"]
-    )
+    args = ["verify", "-s", "annulus", "--max-length", "4"]
+    serial = runner.invoke(main, args)
+    parallel = runner.invoke(main, args + ["--jobs", "2"])
     assert serial.output == parallel.output
+    # --jobs 0 runs serially; $QCLUSTER_JOBS sets the default
+    assert runner.invoke(main, args + ["--jobs", "0"]).output == serial.output
+    assert runner.invoke(main, args, env={"QCLUSTER_JOBS": "2"}).output == serial.output
+
+
+def test_verify_rejects_a_malformed_worker_count_as_a_usage_error(runner):
+    res = runner.invoke(
+        main, ["verify", "-s", "pentagon"], env={"QCLUSTER_JOBS": "x"}
+    )
+    assert res.exit_code == 2
+    assert "Invalid value for '--jobs'" in res.output
+
+
+def test_a_command_keeps_no_reference_to_its_output_stream():
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        main.main(args=["validate", "-s", "square"], standalone_mode=False)
+    assert buf.getvalue().endswith("ok\n")
+    ref = weakref.ref(buf)
+    del buf
+    gc.collect()
+    assert ref() is None

@@ -82,6 +82,27 @@ def test_glued_sides_share_one_canonical_edge_id(g1_graph):
     ]
 
 
+@pytest.mark.parametrize("name", ["annulus", "pentagon", "hexagon", "square"])
+def test_edge_table_glues_consecutive_tiles_only(quivers, surfaces, name):
+    for w in enumerate_strings(quivers[name], 6):
+        g = label_snake(w, surfaces[name])
+        assert len(g.all_edges()) == 3 * g.d + 1
+        for e in g.all_edges():
+            sides = g.edge_sides(e)
+            if len(sides) == 2:
+                (j, low), (k, high) = sides
+                assert k == j + 1
+                assert (low, high) == (g.tile(j).out_glue_side, g.tile(k).in_glue_side)
+            else:
+                assert len(sides) == 1
+            assert g.is_glue(e) == (len(sides) == 2)
+            assert {g.edge_endpoints((j, side)) for j, side in sides} == {
+                g.edge_endpoints(e)
+            }
+            for j, side in sides:
+                assert g.edge_id(j, side) == e
+
+
 def test_vertical_snake_of_the_pentagon(pentagon, quivers):
     w = make_word(quivers["pentagon"], (1, 2), [("a", False)])
     g = label_snake(w, pentagon)
