@@ -12,6 +12,7 @@ __all__ = [
     "NotCompatible",
     "NonPositiveD",
     "NonExactDivision",
+    "InvalidMutation",
     "NotNormalizable",
     "NoCompatibleLambda",
     "InvalidSurface",
@@ -49,6 +50,10 @@ class NonPositiveD(QClusterError):
 
 class NonExactDivision(QClusterError):
     """Right division left a nonzero remainder (Laurent property violated)."""
+
+
+class InvalidMutation(QClusterError, ValueError):
+    """A mutation direction is out of range, or a sequence exceeds its limit."""
 
 
 class NotNormalizable(QClusterError):

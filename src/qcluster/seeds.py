@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .errors import NonExactDivision, NotCompatible
+from .errors import InvalidMutation, NonExactDivision, NotCompatible
 from .torus import (
     CompatiblePair,
     TorusElement,
@@ -72,7 +72,7 @@ def mutate_matrix(b: list, k: int) -> list:
     m, n = len(b), len(b[0])
     kk = k - 1
     if not 0 <= kk < n:
-        raise ValueError(f"direction {k} outside 1..{n}")
+        raise InvalidMutation(f"direction {k} outside 1..{n}")
     out = [[0] * n for _ in range(m)]
     for i in range(m):
         for j in range(n):
@@ -125,7 +125,7 @@ def _exchange_term(seed: QuantumSeed, k: int, exponents: list) -> TorusElement:
 def mutate_seed(seed: QuantumSeed, k: int) -> QuantumSeed:
     """Mutate in direction k (1-based); involutive, diagonal-preserving."""
     if not 1 <= k <= seed.n:
-        raise ValueError(f"direction {k} outside 1..{seed.n}")
+        raise InvalidMutation(f"direction {k} outside 1..{seed.n}")
     b = [list(row) for row in seed.pair.b_tilde]
     kk = k - 1
     plus = [_pos(b[i][kk]) for i in range(seed.m)]
@@ -154,9 +154,10 @@ def mutate_seed(seed: QuantumSeed, k: int) -> QuantumSeed:
 
 
 def mutation_sequence(seed: QuantumSeed, ks, *, limit: int = 12) -> QuantumSeed:
+    """Mutate along ``ks`` in order; refuse sequences longer than ``limit``."""
     ks = list(ks)
     if len(ks) > limit:
-        raise ValueError(f"sequence of {len(ks)} mutations exceeds limit {limit}")
+        raise InvalidMutation(f"sequence of {len(ks)} mutations exceeds limit {limit}")
     for k in ks:
         seed = mutate_seed(seed, k)
     return seed

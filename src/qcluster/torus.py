@@ -12,12 +12,31 @@ sight is a plain Python ``int`` and no floats ever appear.
 
 A :class:`CompatiblePair` packages the skew matrix together with an
 extended exchange matrix whose columns it must pair into ``-[D; 0]``.
+
+Coefficient products use Kronecker substitution.  A factor with one term
+is a shift and a scaling.  Otherwise q^(1/2) is mapped to ``2^bits``:
+each factor becomes one Python int whose base-``2^bits`` digits are its
+coefficients, read at the gcd of its exponent gaps (the stride), so the
+product of the two ints carries every coefficient of the product.  No
+product coefficient exceeds max|a| * max|b| * (fewer terms) in absolute
+value, so ``bits`` is that bound's bit length plus a sign bit, rounded up
+to whole bytes.  Adding ``2^(bits-1)`` to each digit of the product makes
+all digits nonnegative; ``to_bytes`` then cuts them apart exactly.
+
+Right division by an element ``c`` eliminates the leading term of the
+remainder in lex order, updating the remainder in place.  Since the
+torus is a domain, every exponent of an exact quotient lies in the box
+``[min_i(a) - min_i(c), max_i(a) - max_i(c)]`` per coordinate; a step
+outside it proves the division inexact, and the strictly decreasing
+quotient exponents inside the finite box bound the number of steps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -90,6 +109,44 @@ def _q_power_str(twice: int) -> str:
     return f"q^{{{twice}/2}}"
 
 
+def _pack(coeffs: Mapping[int, int], lo: int, stride: int, length: int, bits: int) -> int:
+    """Evaluate sum c * x^((t - lo) / stride) at x = 2^bits; digits may be negative."""
+    dense = [0] * length
+    for t, c in coeffs.items():
+        dense[(t - lo) // stride] = c
+    packed = 0
+    for c in reversed(dense):
+        packed = (packed << bits) + c
+    return packed
+
+
+def _kronecker_product(a: Mapping[int, int], b: Mapping[int, int]) -> dict[int, int]:
+    """The product of two q-polynomials of at least two terms each.
+
+    Both are packed into one integer each (see the module docstring), so
+    a single big-int multiplication does the whole convolution.
+    """
+    lo_a, lo_b = min(a), min(b)
+    # Exponents that share a residue class only need every stride-th digit.
+    stride = gcd(*[t - lo_a for t in a], *[t - lo_b for t in b])
+    len_a = (max(a) - lo_a) // stride + 1
+    len_b = (max(b) - lo_b) // stride + 1
+    n = len_a + len_b - 1
+    # No product coefficient exceeds bound in absolute value; one more bit holds the sign.
+    bound = max(map(abs, a.values())) * max(map(abs, b.values())) * min(len(a), len(b))
+    width = bound.bit_length() // 8 + 1
+    bits = 8 * width
+    half = 1 << (bits - 1)
+    product = _pack(a, lo_a, stride, len_a, bits) * _pack(b, lo_b, stride, len_b, bits)
+    # Adding half to every digit makes each one nonnegative, so digits never borrow.
+    biased = product + int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
+    raw = biased.to_bytes(n * width, "little")
+    from_bytes = int.from_bytes
+    digits = [from_bytes(raw[i : i + width], "little") for i in range(0, n * width, width)]
+    lo = lo_a + lo_b
+    return {t: d - half for t, d in zip(range(lo, lo + stride * n, stride), digits) if d != half}
+
+
 class QCoefficient:
     """Integer Laurent polynomial in q^(1/2), exponents in twice units."""
 
@@ -137,16 +194,26 @@ class QCoefficient:
         return self + (-other)
 
     def __mul__(self, other: "QCoefficient") -> "QCoefficient":
-        out: dict[int, int] = {}
-        for t1, c1 in self.coeffs.items():
-            for t2, c2 in other.coeffs.items():
-                t = t1 + t2
-                out[t] = out.get(t, 0) + c1 * c2
-        return QCoefficient(out)
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
+            return QCoefficient()
+        if len(a) == 1:
+            a, b = b, a
+        if len(b) == 1:
+            ((t0, c0),) = b.items()
+            return QCoefficient._wrap({t + t0: c * c0 for t, c in a.items()})
+        return QCoefficient._wrap(_kronecker_product(a, b))
+
+    @staticmethod
+    def _wrap(coeffs: dict) -> "QCoefficient":
+        """Adopt a dict that already holds no zero coefficient, without copying."""
+        out = object.__new__(QCoefficient)
+        out.coeffs = coeffs
+        return out
 
     def shifted(self, twice: int) -> "QCoefficient":
         """Multiply by q^(twice/2)."""
-        return QCoefficient({t + twice: c for t, c in self.coeffs.items()})
+        return QCoefficient._wrap({t + twice: c for t, c in self.coeffs.items()})
 
     def bar(self) -> "QCoefficient":
         return QCoefficient({-t: c for t, c in self.coeffs.items()})
@@ -164,7 +231,11 @@ class QCoefficient:
         return all(c >= 0 for c in self.coeffs.values())
 
     def divide_exact(self, other: "QCoefficient") -> "QCoefficient | None":
-        """Return self/other when the quotient is again integral, else None."""
+        """Return self/other when the quotient is again integral, else None.
+
+        Long division over the integers: the first quotient coefficient
+        that the leading coefficient of ``other`` does not divide ends it.
+        """
         if other.is_zero():
             raise ZeroDivisionError("division of q-coefficients by zero")
         if self.is_zero():
@@ -174,22 +245,22 @@ class QCoefficient:
         deg_q = (hi_n - lo_n) - (hi_d - lo_d)
         if deg_q < 0:
             return None
-        num = [Fraction(self.coeffs.get(lo_n + i, 0)) for i in range(hi_n - lo_n + 1)]
-        den = [Fraction(other.coeffs.get(lo_d + i, 0)) for i in range(hi_d - lo_d + 1)]
-        quo = [Fraction(0)] * (deg_q + 1)
+        num = [self.coeffs.get(lo_n + i, 0) for i in range(hi_n - lo_n + 1)]
+        den = [other.coeffs.get(lo_d + i, 0) for i in range(hi_d - lo_d + 1)]
+        quo = [0] * (deg_q + 1)
         lead = den[-1]
         for i in range(deg_q, -1, -1):
-            c = num[i + len(den) - 1] / lead
+            c, r = divmod(num[i + len(den) - 1], lead)
+            if r:
+                return None
             quo[i] = c
             if c:
                 for j, dcoef in enumerate(den):
                     num[i + j] -= c * dcoef
         if any(num):
             return None
-        if any(c.denominator != 1 for c in quo):
-            return None
         offset = lo_n - lo_d
-        return QCoefficient({offset + i: int(c) for i, c in enumerate(quo) if c})
+        return QCoefficient({offset + i: c for i, c in enumerate(quo)})
 
     def __str__(self) -> str:
         if not self.coeffs:
@@ -398,26 +469,36 @@ class CompatiblePair:
     def n(self) -> int:
         return len(self.b_tilde[0])
 
-    def lambda_of(self, g: Sequence[int], h: Sequence[int]) -> int:
-        """The skew form L(g, h) = g . lam . h."""
-        total = 0
-        for i, gi in enumerate(g):
+    def twist_row(self, g: Sequence[int]) -> list[int]:
+        """The row vector g . lam; its dot product with h is the skew form L(g, h)."""
+        row = [0] * len(self.lam)
+        for gi, lam_row in zip(g, self.lam):
             if gi:
-                row = self.lam[i]
-                total += gi * sum(row[j] * hj for j, hj in enumerate(h) if hj)
-        return total
+                row = [r + gi * x for r, x in zip(row, lam_row)]
+        return row
+
+
+def _add_shifted(acc: dict[int, int], coeffs: Mapping[int, int], twice: int) -> None:
+    """Add q^(twice/2) * coeffs into acc in place, leaving no zero entry."""
+    for t, c in coeffs.items():
+        t += twice
+        c += acc.get(t, 0)
+        if c:
+            acc[t] = c
+        else:
+            del acc[t]
 
 
 def torus_mul(a: TorusElement, b: TorusElement, pair: CompatiblePair) -> TorusElement:
     """Product in the quantum torus twisted by ``pair.lam``."""
     a._check_rank(b)
-    out: dict[tuple, QCoefficient] = {}
+    out: dict[tuple, dict[int, int]] = {}
     for g, cg in a.terms.items():
+        row = pair.twist_row(g)
         for h, ch in b.terms.items():
-            key = vec_add(g, h)
-            contrib = (cg * ch).shifted(pair.lambda_of(g, h))
-            out[key] = out.get(key, QCoefficient.zero()) + contrib
-    return TorusElement(a.rank, out)
+            acc = out.setdefault(vec_add(g, h), {})
+            _add_shifted(acc, (cg * ch).coeffs, sum(map(mul, row, h)))
+    return TorusElement(a.rank, {key: QCoefficient._wrap(acc) for key, acc in out.items()})
 
 
 def torus_pow(a: TorusElement, k: int, pair: CompatiblePair) -> TorusElement:
@@ -429,42 +510,56 @@ def torus_pow(a: TorusElement, k: int, pair: CompatiblePair) -> TorusElement:
     return result
 
 
-_DIV_ITERATION_CAP = 10000
-
-
 def div_exact_right(a: TorusElement, c: TorusElement, pair: CompatiblePair) -> TorusElement:
     """Solve ``b * c = a`` by leading-term elimination in lex order.
 
-    Raises :class:`NonExactDivision` if no exact quotient exists.  Lex
-    order is translation invariant, so the product of leading (resp.
-    trailing) terms is the leading (resp. trailing) term of the product;
-    both ends give cheap impossibility checks.
+    Raises :class:`NonExactDivision` if no exact quotient exists.  The
+    torus is a domain, so the coordinatewise extremes of a product are the
+    sums of those of its factors: if ``a = b * c``, coordinate i of every
+    exponent of ``b`` lies in ``[min_i(a) - min_i(c), max_i(a) - max_i(c)]``.
+    A quotient exponent outside that box proves that no quotient exists.
+    Each step removes the leading term of the remainder and adds only
+    terms below it, so the quotient exponents strictly decrease in lex
+    order.  The box holds finitely many vectors, so the loop ends.
     """
     if c.is_zero():
         raise ZeroDivisionError("division by the zero element")
     if a.is_zero():
         return TorusElement.zero(a.rank)
     a._check_rank(c)
+    box = [
+        (min(xs_a) - min(xs_c), max(xs_a) - max(xs_c))
+        for xs_a, xs_c in zip(zip(*a.terms), zip(*c.terms))
+    ]
     g_c = c.leading_vector()
     gamma_c = c.terms[g_c]
-    floor = tuple(x - y for x, y in zip(a.trailing_vector(), c.trailing_vector()))
-    remainder = a
+    remainder = {g: dict(coeff.coeffs) for g, coeff in a.terms.items()}
     quotient: dict[tuple, QCoefficient] = {}
-    for _ in range(_DIV_ITERATION_CAP):
-        if remainder.is_zero():
-            return TorusElement(a.rank, quotient)
-        g_a = remainder.leading_vector()
+    while remainder:
+        g_a = max(remainder)
         g_b = tuple(x - y for x, y in zip(g_a, g_c))
-        if g_b < floor:
-            raise NonExactDivision(f"no quotient term can reach {g_a}")
+        for i, (x, (lo, hi)) in enumerate(zip(g_b, box)):
+            if not lo <= x <= hi:
+                raise NonExactDivision(
+                    f"quotient exponent {g_b} needed for {g_a} has coordinate {i} = {x} "
+                    f"outside [{lo}, {hi}]"
+                )
+        row = pair.twist_row(g_b)
         # (gamma_b X^g_b)(gamma_c X^g_c) must produce the current lead.
-        gamma_b = remainder.terms[g_a].shifted(-pair.lambda_of(g_b, g_c)).divide_exact(gamma_c)
+        gamma_b = QCoefficient._wrap(remainder[g_a]).shifted(-sum(map(mul, row, g_c)))
+        gamma_b = gamma_b.divide_exact(gamma_c)
         if gamma_b is None:
             raise NonExactDivision(f"coefficient at {g_a} is not divisible")
         quotient[g_b] = gamma_b
-        piece = TorusElement(a.rank, {g_b: gamma_b})
-        remainder = remainder - torus_mul(piece, c, pair)
-    raise NonExactDivision("iteration cap exceeded")
+        # remainder -= (gamma_b X^g_b) * c, term by term and in place.
+        minus_b = -gamma_b
+        for h, ch in c.terms.items():
+            key = vec_add(g_b, h)
+            acc = remainder.setdefault(key, {})
+            _add_shifted(acc, (minus_b * ch).coeffs, sum(map(mul, row, h)))
+            if not acc:
+                del remainder[key]
+    return TorusElement(a.rank, quotient)
 
 
 def bar(a: TorusElement) -> TorusElement:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import io
 import weakref
 from contextlib import redirect_stdout
@@ -88,6 +89,23 @@ def test_mutate_command(runner):
     res = runner.invoke(main, ["mutate", "-s", "annulus", "--seq", "1,2"])
     assert res.exit_code == 0
     assert "X[1] = X[(-1,2,0,0)] + X[(-1,0,1,1)]" in res.output
+
+
+# sha256 of the output of `mutate -s annulus --seq 1,2,1,2,1,2,1,2`, frozen
+# before the quantum-torus arithmetic was rewritten.
+FROZEN_MUTATE_SHA256 = {
+    "text": "2df6a9e846f534bdccc4f8390ae80b06dfa1f2727d345d0a9534b993c1bb527d",
+    "structured": "18c59725e7a9256ec9fd5d778d8252d3bc38ac5cd9ef7fc2a34b2b32ee944f96",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(FROZEN_MUTATE_SHA256))
+def test_eight_step_mutation_output_is_frozen(runner, fmt):
+    res = runner.invoke(
+        main, ["mutate", "-s", "annulus", "--seq", "1,2,1,2,1,2,1,2", "--format", fmt]
+    )
+    assert res.exit_code == 0
+    assert hashlib.sha256(res.output.encode()).hexdigest() == FROZEN_MUTATE_SHA256[fmt]
 
 
 def test_kronecker_command(runner):

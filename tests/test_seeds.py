@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import pytest
 
+from qcluster.errors import InvalidMutation, QClusterError
 from qcluster.seeds import (
     classical_initial_seed,
     classical_mutation_sequence,
@@ -140,3 +141,14 @@ def test_annulus_mutation_matches_its_own_arc_variable(seeds):
     assert s1.cluster[0] == element(
         4, [((-1, 2, 0, 0), {0: 1}), ((-1, 0, 1, 1), {0: 1})]
     )
+
+
+def test_invalid_mutations_raise_a_typed_error(kron_seed):
+    with pytest.raises(InvalidMutation, match=r"^direction 3 outside 1\.\.2$"):
+        mutate_seed(kron_seed, 3)
+    with pytest.raises(InvalidMutation, match=r"^direction 0 outside 1\.\.2$"):
+        mutate_matrix([[0, 2], [-2, 0]], 0)
+    with pytest.raises(InvalidMutation, match=r"^sequence of 13 mutations exceeds limit 12$") as info:
+        mutation_sequence(kron_seed, [1, 2] * 6 + [1])
+    # still a ValueError for callers that caught the untyped error
+    assert isinstance(info.value, QClusterError) and isinstance(info.value, ValueError)

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from qcluster.errors import (
@@ -108,11 +108,24 @@ def test_div_exact_right_recovers_the_left_factor():
     assert div_exact_right(prod, c, PAIR3) == a
 
 
-def test_div_exact_right_raises_when_quotient_would_not_be_laurent():
+def test_div_exact_right_raises_when_quotient_would_not_be_laurent(monkeypatch):
     a = mono((2, 0))
     c = mono((1, 0)) + mono((0, 1))
-    with pytest.raises(NonExactDivision):
+    divisions = []
+    real = QCoefficient.divide_exact
+    monkeypatch.setattr(
+        QCoefficient, "divide_exact", lambda self, other: divisions.append(1) or real(self, other)
+    )
+    # The first quotient exponent (1, 0) already leaves the box [2, 1] x [0, -1].
+    with pytest.raises(NonExactDivision, match=r"coordinate 0 = 1 outside \[2, 1\]"):
         div_exact_right(a, c, KRON_PAIR)
+    assert divisions == []
+
+
+def test_divide_exact_rejects_a_non_integral_quotient():
+    assert QCoefficient({0: 2, 4: 6}).divide_exact(QCoefficient({0: 2})) == QCoefficient({0: 1, 4: 3})
+    assert QCoefficient({0: 1, 4: 3}).divide_exact(QCoefficient({0: 2})) is None
+    assert QCoefficient({0: 1, 2: 1}).divide_exact(QCoefficient({0: 1, 4: 1})) is None
 
 
 def test_torus_pow_matches_repeated_multiplication():
@@ -204,3 +217,105 @@ def test_bar_is_an_anti_automorphism_on_random_terms(g, h, s, t):
     b = mono(h, twice=t) + mono(g)
     assert bar(torus_mul(a, b, PAIR3)) == torus_mul(bar(b), bar(a), PAIR3)
     assert bar(bar(b)) == b
+
+
+# -- exact q-arithmetic against schoolbook references --------------------
+
+
+def schoolbook(a, b):
+    out = {}
+    for t1, c1 in a.coeffs.items():
+        for t2, c2 in b.coeffs.items():
+            out[t1 + t2] = out.get(t1 + t2, 0) + c1 * c2
+    return {t: c for t, c in out.items() if c}
+
+
+def term_by_term(a, b, lam=LAM3):
+    out = TorusElement.zero(a.rank)
+    for g, cg in a.terms.items():
+        for h, ch in b.terms.items():
+            key = tuple(x + y for x, y in zip(g, h))
+            twist = lam_pairing(g, h, lam)
+            coeff = QCoefficient({t + twist: c for t, c in schoolbook(cg, ch).items()})
+            out = out + TorusElement(a.rank, {key: coeff})
+    return out
+
+
+# Signed values, some far above 2^64; exponents of both parities.
+values = st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    st.integers(min_value=2**64, max_value=2**70).map(lambda x: x * (-1) ** (x % 3)),
+)
+sparse = st.dictionaries(st.integers(min_value=-30, max_value=30), values, max_size=8).map(QCoefficient)
+# Exponents in one residue class mod k: the product reads every k-th digit.
+strided = st.builds(
+    lambda c, k, r: QCoefficient({k * t + r: v for t, v in c.coeffs.items()}),
+    sparse,
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=-3, max_value=3),
+)
+# Equal coefficients of one sign: the middle of a product of two of them
+# reaches the bound that sizes the packed digits.
+flat = st.builds(
+    lambda n, j, sign: QCoefficient({2 * t: sign * 2**j for t in range(n)}),
+    st.integers(min_value=2, max_value=6),
+    st.integers(min_value=0, max_value=70),
+    st.sampled_from((1, -1)),
+)
+coefficients = st.one_of(sparse, strided, flat)
+nonzero_coefficients = coefficients.filter(lambda c: not c.is_zero())
+
+
+@given(coefficients, coefficients)
+def test_coefficient_product_matches_schoolbook(a, b):
+    product = a * b
+    assert product.coeffs == schoolbook(a, b)
+    assert 0 not in product.coeffs.values()
+
+
+@pytest.mark.parametrize("k", range(1, 10))
+def test_coefficient_product_fills_its_digits_to_the_sign_bit(k):
+    # 2 * x^2 = 2^(8k-1) sits exactly at the top of k-byte digits
+    x = 2 ** (4 * k - 1)
+    square = QCoefficient({0: x, 2: x}) * QCoefficient({0: x, 2: x})
+    assert square == QCoefficient({0: x * x, 2: 2 * x * x, 4: x * x})
+
+
+@given(coefficients, coefficients)
+def test_coefficient_products_cancel_exactly(a, b):
+    # the cross terms of (a + b)(a - b) cancel, and vanish entirely when a == b
+    assert (a + b) * (a - b) == a * a - b * b
+    assert ((a + b) * (a - b)).coeffs == schoolbook(a + b, a - b)
+    assert ((a - a) * b).is_zero()
+
+
+@given(coefficients, nonzero_coefficients)
+def test_coefficient_division_inverts_the_product(a, b):
+    assert (a * b).divide_exact(b) == a
+
+
+term_coefficients = st.dictionaries(
+    st.integers(min_value=-6, max_value=6), values, min_size=1, max_size=3
+).map(QCoefficient).filter(lambda c: not c.is_zero())
+elements = st.dictionaries(vectors, term_coefficients, min_size=1, max_size=3).map(
+    lambda terms: TorusElement(3, terms)
+)
+
+
+@given(elements, elements)
+def test_torus_product_matches_the_term_by_term_sum(a, b):
+    assert torus_mul(a, b, PAIR3) == term_by_term(a, b)
+
+
+@given(elements, elements)
+def test_right_division_recovers_the_left_factor(a, c):
+    assert div_exact_right(torus_mul(a, c, PAIR3), c, PAIR3) == a
+
+
+@given(elements, elements, vectors, twists)
+def test_right_division_rejects_a_perturbed_product(a, c, g, t):
+    # a monomial is a right multiple only of a monomial, so c needs two terms
+    assume(len(c.terms) > 1)
+    perturbed = torus_mul(a, c, PAIR3) + mono(g, twice=t)
+    with pytest.raises(NonExactDivision):
+        div_exact_right(perturbed, c, PAIR3)
