@@ -26,6 +26,7 @@ __all__ = [
     "BijectionViolation",
     "InconsistentValuation",
     "UnreachableSubmodule",
+    "NonCanonicalSubmodule",
     "UnmatchedCase",
     "NoSolution",
     "AmbiguousSolution",
@@ -106,6 +107,10 @@ class InconsistentValuation(QClusterError):
 
 class UnreachableSubmodule(QClusterError):
     """The one-index-step graph on canonical submodules is disconnected."""
+
+
+class NonCanonicalSubmodule(QClusterError):
+    """A generated submodule index set fails the run conditions."""
 
 
 class UnmatchedCase(QClusterError):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InconsistentValuation, NotCompatible
+from .errors import InconsistentValuation, InvalidMutation, NotCompatible
 from .seeds import QuantumSeed, mutation_sequence
 from .snake import SnakeGraph, enumerate_matchings, label_snake, matching_to_submodule, minimal_matching
 from .strings import StringWord, dimension_vector
@@ -93,13 +93,14 @@ def quantum_expansion(w: StringWord, t: Triangulation, seed: QuantumSeed) -> Exp
     g = label_snake(w, t)
     v_match = valuation_v(g)
     v_word = valuation_v_gamma(w, t, graph=g)
+    cross = crossing_exponent(w, t)
     base_x = x_of_matching(g, minimal_matching(g))
     b_rows = seed.pair.b_tilde
 
     by_matching = TorusElement.zero(t.m)
     terms = []
     for P in enumerate_matchings(g):
-        xp = x_of_matching(g, P)
+        xp = tuple(a - b for a, b in zip(weight_exponent(g, P), cross))
         indices = matching_to_submodule(g, P)
         dim = dimension_vector(w, indices, n=t.n)
         xs = tuple(a + c for a, c in zip(base_x, _b_times_dim(b_rows, dim)))
@@ -127,7 +128,7 @@ def quantum_expansion(w: StringWord, t: Triangulation, seed: QuantumSeed) -> Exp
         word=w,
         element=by_matching,
         terms=tuple(terms),
-        denominator=crossing_exponent(w, t),
+        denominator=cross,
     )
 
 
@@ -164,7 +165,7 @@ def oracle_compare(w: StringWord, t: Triangulation, seed: QuantumSeed, sequence)
     """
     sequence = list(sequence)
     if not sequence:
-        raise ValueError("need at least one mutation step")
+        raise InvalidMutation("need at least one mutation step")
     mutated_seed = mutation_sequence(seed, sequence)
     mutated = mutated_seed.cluster[sequence[-1] - 1]
     expansion = quantum_expansion(w, t, seed).element

@@ -22,7 +22,9 @@ Conventions (fixed once, checked by the test suite):
 The glue sides of every tile and the edge table (each tile's four edge
 ids, each edge's (tile, side) pairs) are fixed when the graph is built.
 Every geometry query reads them; nothing else re-derives them from the
-shape.
+shape.  So are the twist tables: each edge's (label, first tile, last
+tile), and each tile's ccw pair and two opposite pairs of edge ids, so
+that testing and performing a twist are subset operations on a matching.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ __all__ = [
 ]
 
 _SIDES = ("S", "E", "N", "W")
-_OPPOSITE_PAIRS = (frozenset(("S", "N")), frozenset(("E", "W")))
+_OPPOSITE_SIDES = (("S", "N"), ("E", "W"))
 
 
 def snake_shape(w: StringWord) -> tuple:
@@ -99,6 +101,24 @@ class SnakeGraph:
                 incidence.setdefault(e, []).append((j, side))
             self._tile_edges.append(ids)
         self._edge_sides = {e: tuple(incidence[e]) for e in sorted(incidence)}
+        # Twist tables: each edge's (label, first tile, last tile), and each
+        # tile's ccw pair and its two opposite pairs (S/N, then E/W) of edge ids.
+        self.edge_spans = {
+            e: (self.edge_label(e), sides[0][0], sides[-1][0])
+            for e, sides in self._edge_sides.items()
+        }
+        self._ccw_pairs = [
+            frozenset(e for s, e in ids.items() if tile.flank_class[s] == "ccw")
+            for tile, ids in zip(tiles, self._tile_edges)
+        ]
+        self._opposite_pairs = [
+            tuple(frozenset(ids[s] for s in pair) for pair in _OPPOSITE_SIDES)
+            for ids in self._tile_edges
+        ]
+        # Valuation tables, built by `valuation` on first use.
+        self._tile_m: list | None = None
+        self._window_counts: dict | None = None
+        self._omega_prime_rows: dict = {}
 
     @property
     def d(self) -> int:
@@ -172,10 +192,7 @@ class SnakeGraph:
         return [tile for tile, _ in self._edge_sides[e]]
 
     def ccw_pair(self, j: int) -> frozenset:
-        t = self.tile(j)
-        return frozenset(
-            e for s, e in self._tile_edges[j - 1].items() if t.flank_class[s] == "ccw"
-        )
+        return self._ccw_pairs[j - 1]
 
 
 def _entry_exit_triangles(w: StringWord, t: Triangulation, j: int) -> tuple:
@@ -395,19 +412,29 @@ def _tile_sides_in(g: SnakeGraph, P: frozenset, j: int) -> frozenset:
     return frozenset(side for eid, side in g.tile_edges(j) if eid in P)
 
 
+def _twist_pairs(g: SnakeGraph, P: frozenset, j: int) -> tuple | None:
+    """(pair in P, other pair) when P meets tile j in exactly one opposite pair."""
+    first, second = g._opposite_pairs[j - 1]
+    if first <= P and second.isdisjoint(P):
+        return first, second
+    if second <= P and first.isdisjoint(P):
+        return second, first
+    return None
+
+
 def can_twist(g: SnakeGraph, P: frozenset, j: int) -> bool:
-    return _tile_sides_in(g, P, j) in _OPPOSITE_PAIRS
+    return _twist_pairs(g, P, j) is not None
 
 
 def twist(g: SnakeGraph, P: frozenset, j: int) -> frozenset:
     """Flip the matching on tile j between its two opposite side pairs."""
-    sides = _tile_sides_in(g, P, j)
-    if sides not in _OPPOSITE_PAIRS:
-        raise CannotTwist(f"matching meets tile {j} in sides {sorted(sides)}")
-    other = _OPPOSITE_PAIRS[1] if sides == _OPPOSITE_PAIRS[0] else _OPPOSITE_PAIRS[0]
-    removed = {g.edge_id(j, s) for s in sides}
-    added = {g.edge_id(j, s) for s in other}
-    return frozenset((set(P) - removed) | added)
+    pairs = _twist_pairs(g, P, j)
+    if pairs is None:
+        raise CannotTwist(
+            f"matching meets tile {j} in sides {sorted(_tile_sides_in(g, P, j))}"
+        )
+    held, other = pairs
+    return frozenset(P) - held | other
 
 
 def enclosed_tiles(g: SnakeGraph, P: frozenset) -> frozenset:

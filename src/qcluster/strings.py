@@ -15,12 +15,13 @@ leaving it on the right (or j = d).
 
 from __future__ import annotations
 
-import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import (
     AmbiguousConnector,
     InvalidString,
+    NonCanonicalSubmodule,
     NotComposable,
     NotReduced,
     RelationViolated,
@@ -200,13 +201,42 @@ def is_canonical_submodule(w: StringWord, indices) -> bool:
     return True
 
 
-def enumerate_canonical_submodules(w: StringWord) -> list:
-    """All submodule index sets, smallest first, each sorted internally."""
+def _canonical_index_sets(w: StringWord) -> list:
+    """Every index set whose runs satisfy the run conditions, as sorted tuples.
+
+    A run may open at p when p = 1 or letter p-1 is direct, and close at
+    p when p = d or letter p is inverse; the next run opens two or more
+    positions after the close.  Each set is built once, run by run.
+    """
+    d = w.d
+    opens = [p for p in range(1, d + 1) if p == 1 or w.letters[p - 2].direct]
+    closes = [p for p in range(1, d + 1) if p == d or not w.letters[p - 1].direct]
     found = []
-    for r in range(w.d + 1):
-        for combo in itertools.combinations(range(1, w.d + 1), r):
-            if is_canonical_submodule(w, combo):
-                found.append(CanonicalSubmodule(w, frozenset(combo)))
+    stack = [((), 1)]
+    while stack:
+        prefix, start = stack.pop()
+        found.append(prefix)
+        for a in opens[bisect_left(opens, start) :]:
+            for b in closes[bisect_left(closes, a) :]:
+                stack.append((prefix + tuple(range(a, b + 1)), b + 2))
+    return found
+
+
+def enumerate_canonical_submodules(w: StringWord) -> list:
+    """All submodule index sets, smallest first, each sorted internally.
+
+    The sets come straight from the run conditions, so the work grows
+    with the output, not with 2^d.  They are ordered by (size, sorted
+    tuple), the order of a scan over itertools.combinations, and each
+    one is checked by is_canonical_submodule.
+    """
+    found = []
+    for combo in sorted(_canonical_index_sets(w), key=lambda c: (len(c), c)):
+        if not is_canonical_submodule(w, combo):
+            raise NonCanonicalSubmodule(
+                f"generated index set {list(combo)} breaks the run conditions of {w}"
+            )
+        found.append(CanonicalSubmodule(w, frozenset(combo)))
     return found
 
 

@@ -6,13 +6,24 @@ Two routes to the same integer:
   of matched edges carrying the tile's arc on either side of the tile,
   corrected by how often the arc reappears as a diagonal.  Breadth-first
   propagation from the minimal matching (valuation 0) assigns every
-  matching a value; every twist relation is re-checked.
+  matching a value; every twist relation is re-checked.  omega reads
+  the graph's twist tables: each tile's (m_minus, m_plus), computed once
+  by m_pm, and each edge's label and tile span.
 
 * On the module side the same quantities are computed from the word
   alone: each arc contributes through a small case analysis at every
   position (interior double letters, the two word ends, glued edge
   pairs, and the free sides of the end tiles), and adding or removing
   one index changes the valuation by the resulting signed count.
+  n_module reads an index set only at positions j-1, j and j+1, so each
+  graph tabulates it once per word arc, position and window pattern
+  (8 patterns).  For one index set, omega_prime takes prefix sums of
+  the tabulated totals in one pass over the positions, with the
+  diagonal counts kept as running counts, and keeps the row of values
+  for every position.
+
+m_pm, n_pm, n_module and big_counts stay as the reference forms the
+tables are checked against.
 """
 
 from __future__ import annotations
@@ -74,11 +85,26 @@ def n_pm(g: SnakeGraph, s: int, P: frozenset, tau: int) -> tuple:
     return n_minus, n_plus
 
 
+def _tile_m(g: SnakeGraph) -> list:
+    """Each tile's (m_minus, m_plus) for its own diagonal, by tile."""
+    if g._tile_m is None:
+        g._tile_m = [m_pm(g, s, g.tile(s).diagonal) for s in range(1, g.d + 1)]
+    return g._tile_m
+
+
 def omega(g: SnakeGraph, s: int, P: frozenset) -> int:
     """Valuation drop across the twist at tile s."""
+    if not can_twist(g, P, s):
+        raise CannotTwist(f"matching does not cover tile {s} by an opposite pair")
     tau = g.tile(s).diagonal
-    m_minus, m_plus = m_pm(g, s, tau)
-    n_minus, n_plus = n_pm(g, s, P, tau)
+    m_minus, m_plus = _tile_m(g)[s - 1]
+    n_minus = n_plus = 0
+    spans = g.edge_spans
+    for e in P:
+        label, first, last = spans[e]
+        if label == tau:
+            n_minus += first < s
+            n_plus += last > s
     sign = 1 if g.ccw_pair(s) <= P else -1
     return sign * (n_plus - m_plus - n_minus + m_minus)
 
@@ -227,6 +253,57 @@ def big_counts(
     return m_minus, m_plus, n_minus, n_plus
 
 
+def _window(j: int, pattern: int) -> frozenset:
+    """The positions among j-1, j, j+1 that the bits of pattern select."""
+    return frozenset(j - 1 + b for b in range(3) if pattern >> b & 1)
+
+
+def _window_counts(w: StringWord, t: Triangulation, g: SnakeGraph) -> dict:
+    """n_module per word arc, position and window pattern, built once per graph."""
+    if g._window_counts is None:
+        g._window_counts = {
+            k: [
+                tuple(
+                    n_module(w, t, k, j, _window(j, pattern), graph=g)
+                    for pattern in range(8)
+                )
+                for j in range(1, w.d + 1)
+            ]
+            for k in dict.fromkeys(w.vertices)
+        }
+    return g._window_counts
+
+
+def _omega_prime_row(
+    w: StringWord, t: Triangulation, g: SnakeGraph, indices: frozenset
+) -> tuple:
+    """omega_prime at every position for one index set, kept on the graph."""
+    row = g._omega_prime_rows.get(indices)
+    if row is not None:
+        return row
+    arcs, d = w.vertices, w.d
+    inside = [i in indices for i in range(d + 2)]
+    patterns = [inside[j - 1] | inside[j] << 1 | inside[j + 1] << 2 for j in range(1, d + 1)]
+    values = [0] * d
+    for k, table in _window_counts(w, t, g).items():
+        cells = [table[p][patterns[p]] for p in range(d)]
+        total = sum(n for n, _, _ in cells)
+        occurrences = arcs.count(k)
+        # plain totals and occurrences of k at the positions before p
+        before = seen = 0
+        for p, (n, n_plus, n_minus) in enumerate(cells):
+            if arcs[p] == k:
+                big_minus = n_minus + before
+                big_plus = n_plus + total - before - n
+                m_minus, m_plus = seen, occurrences - seen - 1
+                sign = 1 if inside[p + 1] else -1
+                values[p] = sign * (big_plus - m_plus - big_minus + m_minus)
+                seen += 1
+            before += n
+    row = g._omega_prime_rows[indices] = tuple(values)
+    return row
+
+
 def omega_prime(
     w: StringWord,
     t: Triangulation,
@@ -235,12 +312,15 @@ def omega_prime(
     *,
     graph: SnakeGraph | None = None,
 ) -> int:
-    """Word-side form of the twist increment at position j."""
-    indices = frozenset(indices)
-    k = w.vertices[j - 1]
-    m_minus, m_plus, n_minus, n_plus = big_counts(w, t, k, j, indices, graph=graph)
-    sign = 1 if j in indices else -1
-    return sign * (n_plus - m_plus - n_minus + m_minus)
+    """Word-side form of the twist increment at position j.
+
+    Equals sign * (N_plus - M_plus - N_minus + M_minus) with the counts
+    of big_counts for the arc crossed at j.
+    """
+    if not 1 <= j <= w.d:
+        raise UnmatchedCase(f"position {j} outside 1..{w.d}")
+    g = graph if graph is not None else label_snake(w, t)
+    return _omega_prime_row(w, t, g, frozenset(indices))[j - 1]
 
 
 def valuation_v_gamma(

@@ -4,6 +4,7 @@ from __future__ import annotations
 import gc
 import hashlib
 import io
+import json
 import weakref
 from contextlib import redirect_stdout
 
@@ -106,6 +107,72 @@ def test_eight_step_mutation_output_is_frozen(runner, fmt):
     )
     assert res.exit_code == 0
     assert hashlib.sha256(res.output.encode()).hexdigest() == FROZEN_MUTATE_SHA256[fmt]
+
+
+# A triangulated octagon: vertices 0..7 counterclockwise, diagonals 02, 27,
+# 26, 36, 35 as arcs 1-5, each triangle's sides counterclockwise.  Its
+# string "1 >a> 3 >c> 2 <b< 5 >d> 4" has five vertices; no string on the
+# bundled hexagon has more than three.
+OCTAGON = {
+    "name": "octagon",
+    "arcs": [{"id": i, "kind": "internal"} for i in range(1, 6)]
+    + [{"id": i, "kind": "boundary"} for i in range(6, 14)],
+    "triangles": [[6, 7, 1], [1, 3, 13], [8, 5, 2], [2, 12, 3], [9, 10, 4], [4, 11, 5]],
+}
+
+G5 = " ".join(["1 >a> 2 <b<"] * 5) + " 1"
+H5 = " ".join(["1 >a> 2 <b<"] * 4) + " 1 >a> 2"
+
+# sha256 of the output of `<command> -s <surface> --string <word> --format
+# <format>`, frozen before the valuations were read from tabulated windows.
+FROZEN_WORD_SHA256 = {
+    ("annulus", G5): {
+        ("expand", "text"): "9de5f4812dffae8ffb0a24fadd1b831d3d5846bba05beb66d96a1e7ef897c840",
+        ("expand", "structured"): "d46e2dcddc7198aa8bf4d0bb235ed27dc16fdb82db3c24405d49035aaaa4fd5e",
+        ("matchings", "text"): "d4cf1462a951395a5ed5d92ddfcbb5da9950e02519469a1438893245922b1850",
+        ("matchings", "structured"): "971410755d396e00eee987b3f978af2fc668072e50193d4b675e47dc9e11af15",
+        ("submodules", "text"): "46b43ad7d0c05ee37ed088428ecb86b7cf7786e50a1468b0b5527cacf6b00ef3",
+        ("submodules", "structured"): "1fd4912c56c5b4c1c8b2a91512bfafd6359f249697a26d642bc2c92be5621591",
+    },
+    ("annulus", H5): {
+        ("expand", "text"): "ec8592e538b3e25732ec968cc526572f5acbae845f5976a85edf071c8fff5ff0",
+        ("expand", "structured"): "1f6747eb8af7bf2000296f30855af2a658145dd22e2b52d973e97e669378cf68",
+        ("matchings", "text"): "724658796785f14e35c06e108b73a4028948738d5a96658a819804c268a9056e",
+        ("matchings", "structured"): "240903464e39ced59015db846b37d7f71bead8797895bebec0467fcb1dc87d32",
+        ("submodules", "text"): "87c1e2f6977a26fd7540b938d29d71b8d67863ea965fd595986f5462f898128b",
+        ("submodules", "structured"): "43aa24250c636be65716fbe50fe633938ae71fce8df403b58a5d69499768416b",
+    },
+    ("hexagon", "1 >a> 2 <b< 3"): {
+        ("expand", "text"): "5a18d6665f5a46cbf8b6ab8165042a7c4cd201ecd1e81945453d02e05f5ac9b9",
+        ("expand", "structured"): "0b98cc26a45d9816c92729edf52d183520a6bfca2fdee18f2ab88581f9f102de",
+        ("matchings", "text"): "d4e9529820d2c349d297b2cf19d7ec4e1b0a288b64c59036155e9e4e32abae15",
+        ("matchings", "structured"): "fd60aa33c5e77dc6b08658949ec8bc408b9dc0d0e67a50e71270d40194b243da",
+        ("submodules", "text"): "689a0e84d690ef2023eb62c4aebe17430fd71a5c43ce2a1a09a446095c5055f6",
+        ("submodules", "structured"): "1d348c72e83e06e427db73d20476ef0e5364118324b8776451a877daccb38881",
+    },
+    ("octagon", "1 >a> 3 >c> 2 <b< 5 >d> 4"): {
+        ("expand", "text"): "266a536c5e0249dba88325680787c6ce92abb8838971de448fdcd59b7638ab93",
+        ("expand", "structured"): "9b7dc08ad3a681f4e3d612ebf3eddbbd302b839d10852eb5155425febbbf6603",
+        ("matchings", "text"): "0651e6e924cbcdcdfc38fa44d238584783d2aa56e58f69087bcc0ed12b8c700c",
+        ("matchings", "structured"): "dde537dd2d7188041a5c92bff60f12cd860838182352f698daf685fc15927c93",
+        ("submodules", "text"): "7c74ffedeced4ff14f1ecd1c208d5c89e8aa9131347d2efd89085814b3bddb68",
+        ("submodules", "structured"): "c5d1039b7f7a07c48d9f6caf6dd122ae4d372a9419dfd2882f36599cf5aa309b",
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "surface, word, command, fmt",
+    [key + case for key, cases in FROZEN_WORD_SHA256.items() for case in cases],
+)
+def test_word_command_output_is_frozen(runner, tmp_path, surface, word, command, fmt):
+    expected = FROZEN_WORD_SHA256[(surface, word)][(command, fmt)]
+    if surface == "octagon":
+        surface = tmp_path / "octagon.json"
+        surface.write_text(json.dumps(OCTAGON))
+    res = runner.invoke(main, [command, "-s", str(surface), "--string", word, "--format", fmt])
+    assert res.exit_code == 0, res.output
+    assert hashlib.sha256(res.output.encode()).hexdigest() == expected
 
 
 def test_kronecker_command(runner):

@@ -12,7 +12,7 @@ from qcluster.expansion import (
     weight_exponent,
     x_of_matching,
 )
-from qcluster.errors import NotCompatible
+from qcluster.errors import InvalidMutation, NotCompatible
 from qcluster.seeds import initial_seed
 from qcluster.snake import (
     enumerate_matchings,
@@ -146,6 +146,14 @@ def test_oracle_compare_flags_the_wrong_sequence(annulus, seeds, g1_word):
     report = oracle_compare(g1_word, annulus, seeds["annulus"], [2, 1])
     assert not report.matches
     assert "differs" in report.message
+
+
+def test_oracle_compare_rejects_an_empty_sequence(annulus, seeds, g1_word):
+    with pytest.raises(InvalidMutation, match="need at least one mutation step"):
+        oracle_compare(g1_word, annulus, seeds["annulus"], [])
+    # InvalidMutation is a ValueError, so older callers still catch it
+    with pytest.raises(ValueError):
+        oracle_compare(g1_word, annulus, seeds["annulus"], ())
 
 
 def test_pentagon_word_matches_both_mutation_orders(pentagon, seeds, quivers):

@@ -1,9 +1,13 @@
 """String words, canonical index sets, truncations and extensions."""
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
+from qcluster import strings
 from qcluster.errors import (
+    NonCanonicalSubmodule,
     NotComposable,
     NotReduced,
     RelationViolated,
@@ -22,9 +26,10 @@ from qcluster.strings import (
     truncations,
     validate_string,
 )
+from qcluster.kronecker import family_word
 from qcluster.surface import build_quiver, load_surface
 
-from conftest import WHEEL3, make_word
+from conftest import SURFACES, WHEEL3, make_word
 
 
 def test_trivial_word_is_a_lone_vertex():
@@ -128,6 +133,44 @@ def test_canonical_sets_agree_with_the_closure_oracle(quivers):
         for w in enumerate_strings(quivers[name], 6):
             got = {cs.indices for cs in enumerate_canonical_submodules(w)}
             assert got == closure_oracle(w), w.vertices
+
+
+def scan_canonical_submodules(w):
+    """The 2^d scan over itertools.combinations that the generator replaced."""
+    found = []
+    for r in range(w.d + 1):
+        for combo in itertools.combinations(range(1, w.d + 1), r):
+            if is_canonical_submodule(w, combo):
+                found.append(strings.CanonicalSubmodule(w, frozenset(combo)))
+    return found
+
+
+def test_generated_submodules_equal_the_subset_scan_in_order(surfaces, quivers):
+    words = [w for name in SURFACES for w in enumerate_strings(quivers[name], 7)]
+    annulus = surfaces["annulus"]
+    words += [family_word(annulus, s, "G") for s in range(0, 8)]
+    words += [family_word(annulus, s, "H") for s in range(1, 8)]
+    for w in words:
+        assert enumerate_canonical_submodules(w) == scan_canonical_submodules(w), str(w)
+
+
+def test_a_generated_set_that_breaks_the_run_conditions_is_an_error(monkeypatch, g1_word):
+    # letter 2 is inverse, so a run may not open at position 3
+    monkeypatch.setattr(strings, "_canonical_index_sets", lambda w: [(), (3,)])
+    with pytest.raises(NonCanonicalSubmodule, match=r"\[3\]"):
+        enumerate_canonical_submodules(g1_word)
+
+
+def test_each_generated_set_is_checked_once(monkeypatch, surfaces):
+    calls = []
+    real = strings.is_canonical_submodule
+    monkeypatch.setattr(
+        strings, "is_canonical_submodule", lambda w, s: calls.append(s) or real(w, s)
+    )
+    for s in range(1, 8):
+        calls.clear()
+        found = enumerate_canonical_submodules(family_word(surfaces["annulus"], s, "G"))
+        assert len(calls) == len(found)
 
 
 def test_is_canonical_submodule_matches_the_enumeration(g1_word):

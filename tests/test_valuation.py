@@ -2,7 +2,12 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from qcluster import valuation
+from qcluster.errors import UnmatchedCase
+from qcluster.expansion import quantum_expansion
 from qcluster.kronecker import family_word
 from qcluster.snake import (
     can_twist,
@@ -26,6 +31,13 @@ from qcluster.valuation import (
     valuation_v,
     valuation_v_gamma,
 )
+
+from conftest import SURFACES
+
+@pytest.fixture(scope="module")
+def short_words(quivers):
+    """(surface, word) for every string of at most 7 vertices on the bundled surfaces."""
+    return [(name, w) for name in SURFACES for w in enumerate_strings(quivers[name], 7)]
 
 
 @pytest.fixture(scope="module")
@@ -163,3 +175,53 @@ def test_big_counts_frozen_sample(annulus, g1_word, g1_graph):
     assert m_pm(g1_graph, 1, 1) == (0, 1)
     P = submodule_to_matching(g1_graph, frozenset({2}))
     assert n_pm(g1_graph, 1, P, 1) == (0, 0)
+
+
+@given(data=st.data())
+def test_n_module_reads_an_index_set_only_in_its_window(short_words, surfaces, data):
+    name, w = data.draw(st.sampled_from(short_words))
+    t = surfaces[name]
+    g = label_snake(w, t)
+    k = data.draw(st.sampled_from(sorted(set(w.vertices))))
+    j = data.draw(st.integers(1, w.d))
+    positions = range(1, w.d + 1)
+    window = {j - 1, j, j + 1}
+    first = data.draw(st.sets(st.sampled_from(positions)))
+    outside = data.draw(st.sets(st.sampled_from(positions)))
+    second = (first & window) | (outside - window)
+    assert n_module(w, t, k, j, first, graph=g) == n_module(w, t, k, j, second, graph=g)
+
+
+def test_omega_prime_equals_the_big_counts_at_every_position(short_words, surfaces):
+    checked = 0
+    for name, w in short_words:
+        t = surfaces[name]
+        g = label_snake(w, t)
+        for cs in enumerate_canonical_submodules(w):
+            for j in range(1, w.d + 1):
+                k = w.vertices[j - 1]
+                m_minus, m_plus, n_minus, n_plus = big_counts(w, t, k, j, cs.indices, graph=g)
+                sign = 1 if j in cs.indices else -1
+                assert omega_prime(w, t, j, cs.indices, graph=g) == sign * (
+                    n_plus - m_plus - n_minus + m_minus
+                ), (str(w), sorted(cs.indices), j)
+                checked += 1
+    assert checked > 500
+
+
+def test_omega_prime_rejects_a_position_outside_the_word(annulus, g1_word):
+    for j in (0, 4):
+        with pytest.raises(UnmatchedCase, match=f"position {j} outside 1..3"):
+            omega_prime(g1_word, annulus, j, frozenset({2}))
+
+
+def test_the_g7_expansion_tabulates_each_window_once(monkeypatch, annulus, seeds):
+    # at most 8 window patterns per word arc and position, for the one graph
+    calls = []
+    real = valuation.n_module
+    monkeypatch.setattr(
+        valuation, "n_module", lambda *args, **kw: calls.append(args) or real(*args, **kw)
+    )
+    w = family_word(annulus, 7, "G")
+    quantum_expansion(w, annulus, seeds["annulus"])
+    assert 0 < len(calls) <= 8 * w.d * len(set(w.vertices))
