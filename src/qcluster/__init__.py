@@ -33,6 +33,7 @@ from .expansion import (
     ExpansionTerm,
     classical_specialization,
     crossing_exponent,
+    graph_expansion,
     oracle_compare,
     quantum_expansion,
     uniform_d,

@@ -18,7 +18,7 @@ from functools import partial
 import click
 
 from .errors import QClusterError
-from .expansion import classical_specialization, quantum_expansion
+from .expansion import classical_specialization, graph_expansion, quantum_expansion
 from .kronecker import build_weighted, equality_check, r_s, recursion_checks
 from .seeds import initial_seed, mutate_seed, mutation_sequence
 from .skein_mult import multiply_and_certify, relative_exponent_check
@@ -33,7 +33,6 @@ from .strings import (
     StringWord,
     enumerate_canonical_submodules,
     enumerate_strings,
-    trivial_word,
     validate_string,
 )
 from .surface import build_quiver, check_gentle, load_surface, pair_from_surface
@@ -257,7 +256,7 @@ def submodules(surface, text, fmt):
         t = load_surface(surface)
         quiver = build_quiver(t)
         word = parse_string(text, quiver)
-        vals = valuation_v_gamma(word, t)
+        vals = valuation_v_gamma(label_snake(word, t))
     except QClusterError as exc:
         raise click.ClickException(str(exc))
     subs = enumerate_canonical_submodules(word)
@@ -416,8 +415,8 @@ def _verify_word(t, seed, word):
         ),
     )
     run("bijection", lambda: check_bijection(g))
-    run("valuations", lambda: compare_valuations(word, t))
-    run("expansion", lambda: _check_expansion(word, t, seed))
+    run("valuations", lambda: compare_valuations(g))
+    run("expansion", lambda: _check_expansion(g, seed))
     return (str(word), checks)
 
 
@@ -426,10 +425,10 @@ def _expect(ok: bool, message: str) -> None:
         raise AssertionError(message)
 
 
-def _check_expansion(word, t, seed):
+def _check_expansion(g, seed):
     from .torus import bar
 
-    result = quantum_expansion(word, t, seed)
+    result = graph_expansion(g, seed)
     _expect(bar(result.element) == result.element, "expansion is not bar-invariant")
     _expect(
         result.element.coefficients_nonnegative(),

@@ -21,7 +21,7 @@ from .snake import SnakeGraph, enumerate_matchings, label_snake, matching_to_sub
 from .strings import StringWord, dimension_vector
 from .surface import Triangulation
 from .torus import TorusElement
-from .valuation import valuation_v, valuation_v_gamma
+from .valuation import compare_valuations
 
 __all__ = [
     "ExpansionTerm",
@@ -30,6 +30,7 @@ __all__ = [
     "weight_exponent",
     "x_of_matching",
     "quantum_expansion",
+    "graph_expansion",
     "classical_specialization",
     "oracle_compare",
 ]
@@ -89,10 +90,18 @@ def quantum_expansion(w: StringWord, t: Triangulation, seed: QuantumSeed) -> Exp
     matrix the surface's own); mutated seeds have their own tori and
     are compared through mutation, not through this formula.
     """
+    return graph_expansion(label_snake(w, t), seed)
+
+
+def graph_expansion(g: SnakeGraph, seed: QuantumSeed) -> ExpansionResult:
+    """quantum_expansion of the snake graph's word, reading its tables.
+
+    The q-powers come from the valuation table both routes agreed on
+    (compare_valuations), so each route runs once per graph.
+    """
     d = uniform_d(seed)
-    g = label_snake(w, t)
-    v_match = valuation_v(g)
-    v_word = valuation_v_gamma(w, t, graph=g)
+    w, t = g.word, g.triangulation
+    values = compare_valuations(g)
     cross = crossing_exponent(w, t)
     base_x = x_of_matching(g, minimal_matching(g))
     b_rows = seed.pair.b_tilde
@@ -109,17 +118,12 @@ def quantum_expansion(w: StringWord, t: Triangulation, seed: QuantumSeed) -> Exp
                 f"exponent mismatch on {sorted(indices)}: weights give {xp}, "
                 f"dimension vector gives {xs}"
             )
-        if v_word[indices] != v_match[P]:
-            raise InconsistentValuation(
-                f"valuation mismatch on {sorted(indices)}: "
-                f"{v_match[P]} vs {v_word[indices]}"
-            )
-        by_matching = by_matching + TorusElement.monomial(xp, q_twice=d * v_match[P])
+        by_matching = by_matching + TorusElement.monomial(xp, q_twice=d * values[indices])
         terms.append(
             ExpansionTerm(
                 indices=tuple(sorted(indices)),
                 dim=dim,
-                valuation=v_match[P],
+                valuation=values[indices],
                 exponent=xp,
             )
         )

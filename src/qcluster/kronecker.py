@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BijectionViolation, UnmatchedCase
-from .expansion import quantum_expansion, uniform_d, x_of_matching
+from .expansion import uniform_d, x_of_matching
 from .seeds import QuantumSeed
 from .snake import SnakeGraph, enumerate_matchings, label_snake, matching_to_submodule
 from .strings import Letter, StringWord

@@ -87,8 +87,14 @@ class SnakeGraph:
         self.triangulation = t
         self.shape = shape
         self.tiles = tiles
+        # Matching-side caches: the matchings, the minimal matching, the
+        # bijection image (matching -> enclosed tiles) and its inverse, and
+        # the valuation table both routes agreed on.
         self._matchings: list | None = None
         self._minimal: frozenset | None = None
+        self._image: dict | None = None
+        self._preimage: dict | None = None
+        self._compared: dict | None = None
         # The edge table, read by every geometry query: each tile's side ->
         # edge id, and each edge id -> its (tile, side) pairs in tile order.
         self._tile_edges: list = []
@@ -169,9 +175,6 @@ class SnakeGraph:
         if side == "W":
             return ((x, y), (x, y + 1))
         return ((x + 1, y), (x + 1, y + 1))
-
-    def is_vertical(self, e) -> bool:
-        return e[1] in ("E", "W")
 
     def vertices(self) -> list:
         pts = set()
@@ -441,56 +444,63 @@ def enclosed_tiles(g: SnakeGraph, P: frozenset) -> frozenset:
     """Tiles inside the symmetric difference of P with the minimal matching.
 
     A tile is enclosed when a leftward ray from it crosses the
-    difference cycle an odd number of times.
+    difference cycle an odd number of times.  The vertical edges such a
+    ray meets are the west edges of the tiles up to it in its row, so a
+    walk along each row toggles at every west edge in the difference.
     """
     diff = P ^ minimal_matching(g)
-    verticals = [
-        (g.edge_endpoints(e)[0][0], g.edge_endpoints(e)[0][1])
-        for e in diff
-        if g.is_vertical(e)
-    ]
-    out = set()
-    for tile in g.tiles:
-        crossings = sum(
-            1 for (xe, ye) in verticals if ye == tile.y and xe <= tile.x
-        )
-        if crossings % 2 == 1:
-            out.add(tile.index)
+    out = []
+    row, inside = None, False
+    for tile, ids in zip(g.tiles, g._tile_edges):
+        if tile.y != row:
+            row, inside = tile.y, False
+        inside ^= ids["W"] in diff
+        if inside:
+            out.append(tile.index)
     return frozenset(out)
 
 
+def _bijection_image(g: SnakeGraph) -> dict:
+    """Each matching's enclosed tiles, checked canonical; built once per graph."""
+    if g._image is None:
+        image = {}
+        for P in enumerate_matchings(g):
+            indices = enclosed_tiles(g, P)
+            if not is_canonical_submodule(g.word, indices):
+                raise BijectionViolation(
+                    f"enclosed tiles {sorted(indices)} are not a submodule index set"
+                )
+            image[P] = indices
+        g._preimage = {indices: P for P, indices in image.items()}
+        g._image = image
+    return g._image
+
+
 def matching_to_submodule(g: SnakeGraph, P: frozenset) -> frozenset:
-    indices = enclosed_tiles(g, P)
-    if not is_canonical_submodule(g.word, indices):
-        raise BijectionViolation(
-            f"enclosed tiles {sorted(indices)} are not a submodule index set"
-        )
+    indices = _bijection_image(g).get(frozenset(P))
+    if indices is None:
+        raise BijectionViolation(f"{sorted(P)} is not a perfect matching of the graph")
     return indices
 
 
 def submodule_to_matching(g: SnakeGraph, indices: frozenset) -> frozenset:
-    """Inverse of matching_to_submodule, by exhaustion over matchings."""
-    indices = frozenset(indices)
-    hits = [
-        P for P in enumerate_matchings(g) if enclosed_tiles(g, P) == indices
-    ]
-    if len(hits) != 1:
+    """Inverse of matching_to_submodule, read from the bijection image."""
+    image = _bijection_image(g)
+    P = g._preimage.get(frozenset(indices))
+    if P is None or len(g._preimage) != len(image):
         raise BijectionViolation(
-            f"index set {sorted(indices)} matched {len(hits)} matchings"
+            f"index set {sorted(indices)} does not match exactly one matching"
         )
-    return hits[0]
+    return P
 
 
 def check_bijection(g: SnakeGraph) -> dict:
     """Verify matchings <-> canonical index sets; return the dictionary."""
-    matchings = enumerate_matchings(g)
     submods = enumerate_canonical_submodules(g.word)
-    if len(matchings) != len(set(matchings)):
+    image = _bijection_image(g)
+    if len(image) != len(enumerate_matchings(g)):
         raise BijectionViolation("duplicate matchings")
-    image = {}
-    for P in matchings:
-        image[P] = matching_to_submodule(g, P)
-    if len(set(image.values())) != len(matchings):
+    if len(set(image.values())) != len(image):
         raise BijectionViolation("matching-to-submodule map is not injective")
     targets = {s.indices for s in submods}
     if set(image.values()) != targets:
@@ -498,4 +508,4 @@ def check_bijection(g: SnakeGraph) -> dict:
             f"image has {len(set(image.values()))} sets, "
             f"submodule count is {len(targets)}"
         )
-    return image
+    return dict(image)

@@ -49,7 +49,6 @@ from .errors import (
 
 __all__ = [
     "HalfInteger",
-    "LatticeVector",
     "QCoefficient",
     "TorusElement",
     "CompatiblePair",
@@ -62,15 +61,9 @@ __all__ = [
     "cluster_monomial",
 ]
 
-LatticeVector = tuple  # tuple[int, ...]; kept loose so literals stay light
-
 
 def vec_add(g: Sequence[int], h: Sequence[int]) -> tuple:
     return tuple(a + b for a, b in zip(g, h, strict=True))
-
-
-def vec_neg(g: Sequence[int]) -> tuple:
-    return tuple(-a for a in g)
 
 
 @dataclass(frozen=True, order=True)
@@ -87,10 +80,6 @@ class HalfInteger:
 
     def __neg__(self) -> "HalfInteger":
         return HalfInteger(-self.twice)
-
-    @property
-    def is_integer(self) -> bool:
-        return self.twice % 2 == 0
 
     def __str__(self) -> str:
         if self.twice % 2 == 0:
@@ -313,9 +302,6 @@ class TorusElement:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TorusElement):
             return NotImplemented
@@ -341,9 +327,6 @@ class TorusElement:
         """Multiply by the central scalar q^(twice/2)."""
         return TorusElement(self.rank, {g: c.shifted(twice) for g, c in self.terms.items()})
 
-    def scaled(self, k: int) -> "TorusElement":
-        return TorusElement(self.rank, {g: c * QCoefficient({0: k}) for g, c in self.terms.items()})
-
     def _check_rank(self, other: "TorusElement") -> None:
         if self.rank != other.rank:
             raise ValueError(f"rank mismatch: {self.rank} vs {other.rank}")
@@ -356,11 +339,6 @@ class TorusElement:
         if self.is_zero():
             raise ValueError("zero element has no leading term")
         return max(self.terms)
-
-    def trailing_vector(self) -> tuple:
-        if self.is_zero():
-            raise ValueError("zero element has no trailing term")
-        return min(self.terms)
 
     def coefficients_nonnegative(self) -> bool:
         return all(c.is_nonnegative() for c in self.terms.values())

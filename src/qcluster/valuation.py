@@ -1,6 +1,8 @@
 """Power-of-q valuations of matchings and of submodule index sets.
 
-Two routes to the same integer:
+Every function here takes the word's snake graph, the one per-word
+context: it carries the word and the triangulation, and the tables
+below live on it as long as it does.  Two routes to the same integer:
 
 * On the snake graph, twisting a tile changes the valuation by a count
   of matched edges carrying the tile's arc on either side of the tile,
@@ -20,8 +22,12 @@ Two routes to the same integer:
   (8 patterns).  For one index set, omega_prime takes prefix sums of
   the tabulated totals in one pass over the positions, with the
   diagonal counts kept as running counts, and keeps the row of values
-  for every position.
+  for every position.  This route reads the word, the triangulation and
+  the tiles' labels and triangles, never a matching or a table the
+  matching route built.
 
+compare_valuations matches the two routes through the bijection and
+keeps the agreed table on the graph, where the expansion reads it.
 m_pm, n_pm, n_module and big_counts stay as the reference forms the
 tables are checked against.
 """
@@ -40,14 +46,12 @@ from .snake import (
     SnakeGraph,
     can_twist,
     enumerate_matchings,
-    label_snake,
     matching_to_submodule,
     maximal_matching,
     minimal_matching,
     twist,
 )
-from .strings import StringWord, enumerate_canonical_submodules, is_canonical_submodule
-from .surface import Triangulation
+from .strings import enumerate_canonical_submodules
 
 __all__ = [
     "m_pm",
@@ -149,22 +153,14 @@ def valuation_v(g: SnakeGraph) -> dict:
 # -- module side -------------------------------------------------------
 
 
-def n_module(
-    w: StringWord,
-    t: Triangulation,
-    k: int,
-    j: int,
-    indices,
-    *,
-    graph: SnakeGraph | None = None,
-) -> tuple:
+def n_module(g: SnakeGraph, k: int, j: int, indices) -> tuple:
     """Counts (n, n_plus, n_minus) of arc k at position j for an index set.
 
     The signed parts appear only when position j crosses arc k itself;
     the unsigned contributions collect glued edges and the free sides
     of the end tiles.  All contributions accumulate.
     """
-    g = graph if graph is not None else label_snake(w, t)
+    w, t = g.word, g.triangulation
     indices = frozenset(indices)
     arcs, letters, d = w.vertices, w.letters, w.d
     if not 1 <= j <= d:
@@ -222,34 +218,21 @@ def n_module(
     return n_plus + n_minus + plain, n_plus, n_minus
 
 
-def big_counts(
-    w: StringWord,
-    t: Triangulation,
-    k: int,
-    j: int,
-    indices,
-    *,
-    graph: SnakeGraph | None = None,
-) -> tuple:
+def big_counts(g: SnakeGraph, k: int, j: int, indices) -> tuple:
     """(M_minus, M_plus, N_minus, N_plus) for arc k anchored at position j.
 
     Position j must cross arc k.  The M-counts repeat m_pm on the word;
     the N-counts add the anchored signed parts to the plain totals of
     the other positions on each side.
     """
-    g = graph if graph is not None else label_snake(w, t)
-    arcs, d = w.vertices, w.d
+    arcs, d = g.word.vertices, g.d
     if arcs[j - 1] != k:
         raise UnmatchedCase(f"position {j} crosses {arcs[j - 1]}, not {k}")
     m_minus = arcs[: j - 1].count(k)
     m_plus = arcs[j:].count(k)
-    _, n_plus_here, n_minus_here = n_module(w, t, k, j, indices, graph=g)
-    n_minus = n_minus_here + sum(
-        n_module(w, t, k, i, indices, graph=g)[0] for i in range(1, j)
-    )
-    n_plus = n_plus_here + sum(
-        n_module(w, t, k, i, indices, graph=g)[0] for i in range(j + 1, d + 1)
-    )
+    _, n_plus_here, n_minus_here = n_module(g, k, j, indices)
+    n_minus = n_minus_here + sum(n_module(g, k, i, indices)[0] for i in range(1, j))
+    n_plus = n_plus_here + sum(n_module(g, k, i, indices)[0] for i in range(j + 1, d + 1))
     return m_minus, m_plus, n_minus, n_plus
 
 
@@ -258,34 +241,29 @@ def _window(j: int, pattern: int) -> frozenset:
     return frozenset(j - 1 + b for b in range(3) if pattern >> b & 1)
 
 
-def _window_counts(w: StringWord, t: Triangulation, g: SnakeGraph) -> dict:
+def _window_counts(g: SnakeGraph) -> dict:
     """n_module per word arc, position and window pattern, built once per graph."""
     if g._window_counts is None:
         g._window_counts = {
             k: [
-                tuple(
-                    n_module(w, t, k, j, _window(j, pattern), graph=g)
-                    for pattern in range(8)
-                )
-                for j in range(1, w.d + 1)
+                tuple(n_module(g, k, j, _window(j, pattern)) for pattern in range(8))
+                for j in range(1, g.d + 1)
             ]
-            for k in dict.fromkeys(w.vertices)
+            for k in dict.fromkeys(g.word.vertices)
         }
     return g._window_counts
 
 
-def _omega_prime_row(
-    w: StringWord, t: Triangulation, g: SnakeGraph, indices: frozenset
-) -> tuple:
+def _omega_prime_row(g: SnakeGraph, indices: frozenset) -> tuple:
     """omega_prime at every position for one index set, kept on the graph."""
     row = g._omega_prime_rows.get(indices)
     if row is not None:
         return row
-    arcs, d = w.vertices, w.d
+    arcs, d = g.word.vertices, g.d
     inside = [i in indices for i in range(d + 2)]
     patterns = [inside[j - 1] | inside[j] << 1 | inside[j + 1] << 2 for j in range(1, d + 1)]
     values = [0] * d
-    for k, table in _window_counts(w, t, g).items():
+    for k, table in _window_counts(g).items():
         cells = [table[p][patterns[p]] for p in range(d)]
         total = sum(n for n, _, _ in cells)
         occurrences = arcs.count(k)
@@ -304,40 +282,26 @@ def _omega_prime_row(
     return row
 
 
-def omega_prime(
-    w: StringWord,
-    t: Triangulation,
-    j: int,
-    indices,
-    *,
-    graph: SnakeGraph | None = None,
-) -> int:
+def omega_prime(g: SnakeGraph, j: int, indices) -> int:
     """Word-side form of the twist increment at position j.
 
     Equals sign * (N_plus - M_plus - N_minus + M_minus) with the counts
     of big_counts for the arc crossed at j.
     """
-    if not 1 <= j <= w.d:
-        raise UnmatchedCase(f"position {j} outside 1..{w.d}")
-    g = graph if graph is not None else label_snake(w, t)
-    return _omega_prime_row(w, t, g, frozenset(indices))[j - 1]
+    if not 1 <= j <= g.d:
+        raise UnmatchedCase(f"position {j} outside 1..{g.d}")
+    return _omega_prime_row(g, frozenset(indices))[j - 1]
 
 
-def valuation_v_gamma(
-    w: StringWord,
-    t: Triangulation,
-    *,
-    graph: SnakeGraph | None = None,
-) -> dict:
+def valuation_v_gamma(g: SnakeGraph) -> dict:
     """Valuation of every submodule index set, from the word alone.
 
     Walks the containment graph of canonical index sets differing by
     one position, using omega_prime for the step, starting from the
     empty set at 0; every step is checked from both endpoints.
     """
-    g = graph if graph is not None else label_snake(w, t)
-    d = w.d
-    submods = [s.indices for s in enumerate_canonical_submodules(w)]
+    d = g.d
+    submods = [s.indices for s in enumerate_canonical_submodules(g.word)]
     values = {frozenset(): 0}
     queue = deque([frozenset()])
     canonical = set(submods)
@@ -351,8 +315,8 @@ def valuation_v_gamma(
             if bigger not in canonical or smaller not in canonical:
                 continue
             # value step, computed from the smaller side
-            step = omega_prime(w, t, j, smaller, graph=g)
-            back = omega_prime(w, t, j, bigger, graph=g)
+            step = omega_prime(g, j, smaller)
+            back = omega_prime(g, j, bigger)
             if step != -back:
                 raise InconsistentValuation(
                     f"asymmetric step at position {j}: {step} vs -({back})"
@@ -379,17 +343,22 @@ def valuation_v_gamma(
     return values
 
 
-def compare_valuations(w: StringWord, t: Triangulation) -> dict:
-    """v on matchings vs the word-side valuation, matched through the bijection."""
-    g = label_snake(w, t)
-    v_match = valuation_v(g)
-    v_word = valuation_v_gamma(w, t, graph=g)
-    table = {}
-    for P, val in v_match.items():
-        indices = matching_to_submodule(g, P)
-        if v_word[indices] != val:
-            raise InconsistentValuation(
-                f"valuations disagree on {sorted(indices)}: {val} vs {v_word[indices]}"
-            )
-        table[indices] = val
-    return table
+def compare_valuations(g: SnakeGraph) -> dict:
+    """v on matchings vs the word-side valuation, matched through the bijection.
+
+    The agreed table (index set -> valuation) is kept on the graph; a
+    disagreement raises and keeps nothing.
+    """
+    if g._compared is None:
+        v_match = valuation_v(g)
+        v_word = valuation_v_gamma(g)
+        table = {}
+        for P, val in v_match.items():
+            indices = matching_to_submodule(g, P)
+            if v_word[indices] != val:
+                raise InconsistentValuation(
+                    f"valuations disagree on {sorted(indices)}: {val} vs {v_word[indices]}"
+                )
+            table[indices] = val
+        g._compared = table
+    return g._compared

@@ -187,8 +187,7 @@ def test_criterion_04_counting_forms_agree_everywhere(quivers, surfaces):
                 P = submodule_to_matching(g, cs.indices)
                 for k in internal[name]:
                     assert sum(
-                        n_module(w, t, k, j, cs.indices, graph=g)[0]
-                        for j in range(1, g.d + 1)
+                        n_module(g, k, j, cs.indices)[0] for j in range(1, g.d + 1)
                     ) == sum(1 for e in P if g.edge_label(e) == k)
                 for s in range(1, g.d + 1):
                     if not can_twist(g, P, s):
@@ -196,15 +195,13 @@ def test_criterion_04_counting_forms_agree_everywhere(quivers, surfaces):
                     diag = w.vertices[s - 1]
                     m_lo, m_hi = m_pm(g, s, diag)
                     n_lo, n_hi = n_pm(g, s, P, diag)
-                    assert big_counts(w, t, diag, s, cs.indices, graph=g) == (
+                    assert big_counts(g, diag, s, cs.indices) == (
                         m_lo,
                         m_hi,
                         n_lo,
                         n_hi,
                     )
-                    assert omega(g, s, P) == omega_prime(
-                        w, t, s, cs.indices, graph=g
-                    )
+                    assert omega(g, s, P) == omega_prime(g, s, cs.indices)
 
 
 def test_criterion_05_valuations_well_defined_and_cross_checked(
@@ -217,7 +214,7 @@ def test_criterion_05_valuations_well_defined_and_cross_checked(
             v = valuation_v(g)  # raises if any twist path disagrees
             assert v[minimal_matching(g)] == 0
             assert v[maximal_matching(g)] == 0
-            vg = valuation_v_gamma(w, t, graph=g)
+            vg = valuation_v_gamma(g)
             assert {
                 matching_to_submodule(g, P): val for P, val in v.items()
             } == vg
@@ -278,10 +275,10 @@ def test_criterion_08_weighted_matching_series_of_the_annulus_families(
             assert equality_check(annulus, s, family)
         assert recursion_checks(annulus, s) == []
     for s in (1, 2, 3):
-        vg = valuation_v_gamma(family_word(annulus, s, "G"), annulus)
+        vg = valuation_v_gamma(label_snake(family_word(annulus, s, "G"), annulus))
         assert vg[frozenset({2 * s, 2 * s + 1})] == 1
     for s in (2, 3, 4):
-        vh = valuation_v_gamma(family_word(annulus, s, "H"), annulus)
+        vh = valuation_v_gamma(label_snake(family_word(annulus, s, "H"), annulus))
         assert vh[frozenset({2 * s})] == s - 1
     for s in range(1, 5):
         for family in ("G", "H"):

@@ -5,15 +5,18 @@ import gc
 import hashlib
 import io
 import json
+import sys
 import weakref
+from collections import Counter
 from contextlib import redirect_stdout
 
 import pytest
 from click.testing import CliRunner
 
-from qcluster import cli
+from qcluster import cli, snake, valuation
 from qcluster.cli import main, parse_string
-from qcluster.strings import trivial_word
+from qcluster.snake import enumerate_matchings, label_snake
+from qcluster.strings import enumerate_strings, trivial_word
 
 
 @pytest.fixture()
@@ -202,6 +205,37 @@ def test_verify_command_reports_all_checks(runner, monkeypatch):
     assert "3 strings, 12 checks, 0 failures" in res.output
     # the surface context is built once and shared by every word
     assert len(calls) == 1
+
+
+def test_verify_builds_one_graph_and_one_table_pair_per_word(runner, monkeypatch, annulus, quivers):
+    words = enumerate_strings(quivers["annulus"], 8)
+    matchings = sum(len(enumerate_matchings(label_snake(w, annulus))) for w in words)
+    calls = Counter()
+    for module, name in (
+        (snake, "label_snake"),
+        (snake, "enclosed_tiles"),
+        (valuation, "valuation_v"),
+        (valuation, "valuation_v_gamma"),
+    ):
+        real = getattr(module, name)
+
+        def counted(*args, real=real, name=name, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        # every qcluster module that imported the function holds its own binding
+        for key, namespace in list(sys.modules.items()):
+            if key.startswith("qcluster") and getattr(namespace, name, None) is real:
+                monkeypatch.setattr(namespace, name, counted)
+    res = runner.invoke(main, ["verify", "-s", "annulus", "--max-length", "8"])
+    assert res.exit_code == 0
+    assert f"{len(words)} strings, {4 * len(words)} checks, 0 failures" in res.output
+    assert calls == {
+        "label_snake": len(words),
+        "valuation_v": len(words),
+        "valuation_v_gamma": len(words),
+        "enclosed_tiles": matchings,
+    }
 
 
 def test_verify_output_is_reproducible(runner):

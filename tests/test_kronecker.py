@@ -14,6 +14,7 @@ from qcluster.kronecker import (
     r_s,
     recursion_checks,
 )
+from qcluster.snake import label_snake
 from qcluster.strings import trivial_word
 from qcluster.torus import QCoefficient, TorusElement
 from qcluster.valuation import valuation_v_gamma
@@ -74,11 +75,11 @@ def test_recursions_reject_level_zero(annulus):
 def test_anchor_valuations(annulus):
     # the final two tiles of the odd family always carry valuation one
     for s in (1, 2, 3):
-        vg = valuation_v_gamma(family_word(annulus, s, "G"), annulus)
+        vg = valuation_v_gamma(label_snake(family_word(annulus, s, "G"), annulus))
         assert vg[frozenset({2 * s, 2 * s + 1})] == 1
     # the last tile of the even family carries one less than the level
     for s in (2, 3, 4):
-        vh = valuation_v_gamma(family_word(annulus, s, "H"), annulus)
+        vh = valuation_v_gamma(label_snake(family_word(annulus, s, "H"), annulus))
         assert vh[frozenset({2 * s})] == s - 1
 
 

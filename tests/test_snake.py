@@ -5,7 +5,8 @@ from itertools import combinations
 
 import pytest
 
-from qcluster.errors import CannotTwist, NotCrossingSequence
+from qcluster.errors import BijectionViolation, CannotTwist, NotCrossingSequence
+from qcluster.kronecker import family_word
 from qcluster.snake import (
     can_twist,
     check_bijection,
@@ -201,6 +202,45 @@ def test_enclosed_tiles_of_the_double_crossing(g1_graph):
     }
     for matching, tiles in expected.items():
         assert enclosed_tiles(g1_graph, matching) == tiles
+
+
+def ray_cast_enclosed_tiles(g, P):
+    """The ray-casting form enclosed_tiles had before the row walk: the reference."""
+    diff = P ^ minimal_matching(g)
+    verticals = [
+        (g.edge_endpoints(e)[0][0], g.edge_endpoints(e)[0][1])
+        for e in diff
+        if e[1] in ("E", "W")
+    ]
+    out = set()
+    for tile in g.tiles:
+        crossings = sum(1 for (xe, ye) in verticals if ye == tile.y and xe <= tile.x)
+        if crossings % 2 == 1:
+            out.add(tile.index)
+    return frozenset(out)
+
+
+def test_the_row_walk_encloses_the_tiles_the_rays_do(quivers, surfaces, annulus):
+    graphs = [
+        label_snake(w, surfaces[name])
+        for name in ("annulus", "pentagon", "hexagon", "square")
+        for w in enumerate_strings(quivers[name], 7)
+    ]
+    graphs += [label_snake(family_word(annulus, s, "G"), annulus) for s in range(8)]
+    graphs += [label_snake(family_word(annulus, s, "H"), annulus) for s in range(1, 8)]
+    checked = 0
+    for g in graphs:
+        for P in enumerate_matchings(g):
+            assert enclosed_tiles(g, P) == ray_cast_enclosed_tiles(g, P)
+            checked += 1
+    assert checked > 4000
+
+
+def test_a_set_that_is_not_a_perfect_matching_has_no_submodule(g1_graph):
+    pmin = minimal_matching(g1_graph)
+    for P in (frozenset(), pmin - {(1, "W")}, pmin | {(1, "N")}):
+        with pytest.raises(BijectionViolation, match="not a perfect matching"):
+            matching_to_submodule(g1_graph, P)
 
 
 def test_bijection_table_of_the_double_crossing(g1_graph):

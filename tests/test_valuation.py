@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qcluster import valuation
-from qcluster.errors import UnmatchedCase
+from qcluster.errors import InconsistentValuation, UnmatchedCase
 from qcluster.expansion import quantum_expansion
 from qcluster.kronecker import family_word
 from qcluster.snake import (
@@ -54,8 +54,8 @@ def test_valuation_table_of_the_double_crossing(g1_graph):
     assert v[frozenset({(1, "N"), (1, "S"), (3, "N"), (3, "S")})] == 0
 
 
-def test_module_side_valuation_of_the_double_crossing(annulus, g1_word):
-    vg = valuation_v_gamma(g1_word, annulus)
+def test_module_side_valuation_of_the_double_crossing(g1_graph):
+    vg = valuation_v_gamma(g1_graph)
     assert vg == {
         frozenset(): 0,
         frozenset({2}): 0,
@@ -66,7 +66,7 @@ def test_module_side_valuation_of_the_double_crossing(annulus, g1_word):
 
 
 def test_module_side_valuation_of_the_longer_family_word(annulus):
-    vg = valuation_v_gamma(family_word(annulus, 2, "H"), annulus)
+    vg = valuation_v_gamma(label_snake(family_word(annulus, 2, "H"), annulus))
     assert vg == {
         frozenset(): 0,
         frozenset({2}): -1,
@@ -93,9 +93,9 @@ def test_both_valuations_agree_under_the_bijection(quivers, surfaces):
         for w in enumerate_strings(quivers[name], 6):
             g = label_snake(w, surfaces[name])
             v = valuation_v(g)
-            vg = valuation_v_gamma(w, surfaces[name], graph=g)
+            vg = valuation_v_gamma(g)
             assert {matching_to_submodule(g, P): val for P, val in v.items()} == vg
-            assert compare_valuations(w, surfaces[name]) == vg
+            assert compare_valuations(label_snake(w, surfaces[name])) == vg
 
 
 def test_twisting_subtracts_the_local_exponent(quivers, surfaces):
@@ -119,9 +119,7 @@ def test_omega_agrees_with_its_module_side_form(quivers, surfaces):
                 P = submodule_to_matching(g, cs.indices)
                 for s in range(1, g.d + 1):
                     if can_twist(g, P, s):
-                        assert omega(g, s, P) == omega_prime(
-                            w, t, s, cs.indices, graph=g
-                        )
+                        assert omega(g, s, P) == omega_prime(g, s, cs.indices)
                         checked += 1
     assert checked > 100
 
@@ -138,8 +136,7 @@ def test_case_split_counts_sum_to_plain_edge_counts(quivers, surfaces):
                 P = submodule_to_matching(g, cs.indices)
                 for k in internal[name]:
                     total = sum(
-                        n_module(w, t, k, j, cs.indices, graph=g)[0]
-                        for j in range(1, g.d + 1)
+                        n_module(g, k, j, cs.indices)[0] for j in range(1, g.d + 1)
                     )
                     assert total == sum(1 for e in P if g.edge_label(e) == k)
 
@@ -157,7 +154,7 @@ def test_big_counts_match_the_edge_scans_at_the_diagonal(quivers, surfaces):
                     k = w.vertices[s - 1]
                     m_lo, m_hi = m_pm(g, s, k)
                     n_lo, n_hi = n_pm(g, s, P, k)
-                    assert big_counts(w, t, k, s, cs.indices, graph=g) == (
+                    assert big_counts(g, k, s, cs.indices) == (
                         m_lo,
                         m_hi,
                         n_lo,
@@ -166,7 +163,7 @@ def test_big_counts_match_the_edge_scans_at_the_diagonal(quivers, surfaces):
 
 
 def test_big_counts_frozen_sample(annulus, g1_word, g1_graph):
-    assert big_counts(g1_word, annulus, 1, 1, frozenset({2}), graph=g1_graph) == (
+    assert big_counts(g1_graph, 1, 1, frozenset({2})) == (
         0,
         1,
         0,
@@ -189,7 +186,7 @@ def test_n_module_reads_an_index_set_only_in_its_window(short_words, surfaces, d
     first = data.draw(st.sets(st.sampled_from(positions)))
     outside = data.draw(st.sets(st.sampled_from(positions)))
     second = (first & window) | (outside - window)
-    assert n_module(w, t, k, j, first, graph=g) == n_module(w, t, k, j, second, graph=g)
+    assert n_module(g, k, j, first) == n_module(g, k, j, second)
 
 
 def test_omega_prime_equals_the_big_counts_at_every_position(short_words, surfaces):
@@ -200,19 +197,19 @@ def test_omega_prime_equals_the_big_counts_at_every_position(short_words, surfac
         for cs in enumerate_canonical_submodules(w):
             for j in range(1, w.d + 1):
                 k = w.vertices[j - 1]
-                m_minus, m_plus, n_minus, n_plus = big_counts(w, t, k, j, cs.indices, graph=g)
+                m_minus, m_plus, n_minus, n_plus = big_counts(g, k, j, cs.indices)
                 sign = 1 if j in cs.indices else -1
-                assert omega_prime(w, t, j, cs.indices, graph=g) == sign * (
+                assert omega_prime(g, j, cs.indices) == sign * (
                     n_plus - m_plus - n_minus + m_minus
                 ), (str(w), sorted(cs.indices), j)
                 checked += 1
     assert checked > 500
 
 
-def test_omega_prime_rejects_a_position_outside_the_word(annulus, g1_word):
+def test_omega_prime_rejects_a_position_outside_the_word(g1_graph):
     for j in (0, 4):
         with pytest.raises(UnmatchedCase, match=f"position {j} outside 1..3"):
-            omega_prime(g1_word, annulus, j, frozenset({2}))
+            omega_prime(g1_graph, j, frozenset({2}))
 
 
 def test_the_g7_expansion_tabulates_each_window_once(monkeypatch, annulus, seeds):
@@ -225,3 +222,37 @@ def test_the_g7_expansion_tabulates_each_window_once(monkeypatch, annulus, seeds
     w = family_word(annulus, 7, "G")
     quantum_expansion(w, annulus, seeds["annulus"])
     assert 0 < len(calls) <= 8 * w.d * len(set(w.vertices))
+
+
+class Untouchable:
+    """Stands in for a cache that must not be read: any use raises."""
+
+    def _refuse(self, *args, **kwargs):
+        raise AssertionError("a matching-side cache was read")
+
+    __getattr__ = __iter__ = __len__ = __contains__ = __getitem__ = _refuse
+    __bool__ = __eq__ = __hash__ = _refuse
+
+
+def test_the_word_route_reads_no_matching_side_cache(annulus):
+    w = family_word(annulus, 3, "G")
+    expected = valuation_v_gamma(label_snake(w, annulus))
+    g = label_snake(w, annulus)
+    for cache in ("_matchings", "_minimal", "_image", "_preimage", "_compared"):
+        setattr(g, cache, Untouchable())
+    assert valuation_v_gamma(g) == expected
+
+
+def test_a_failed_comparison_keeps_no_table(monkeypatch, annulus):
+    g = label_snake(family_word(annulus, 3, "G"), annulus)
+    real = valuation.valuation_v
+
+    def one_wrong_value(graph):
+        values = dict(real(graph))
+        values[maximal_matching(graph)] += 1
+        return values
+
+    monkeypatch.setattr(valuation, "valuation_v", one_wrong_value)
+    for _ in range(3):
+        with pytest.raises(InconsistentValuation, match="valuations disagree"):
+            compare_valuations(g)
