@@ -17,14 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .errors import InvalidMutation, NonExactDivision, NotCompatible
-from .torus import (
-    CompatiblePair,
-    TorusElement,
-    bar,
-    div_exact_right,
-    torus_mul,
-    torus_pow,
-)
+from .torus import CompatiblePair, TorusElement, bar, cluster_monomial, div_exact_right
 
 __all__ = [
     "QuantumSeed",
@@ -98,28 +91,15 @@ def mutate_lambda(lam: list, b: list, k: int) -> list:
 
 
 def _exchange_term(seed: QuantumSeed, k: int, exponents: list) -> TorusElement:
-    """q^{beta/2} times the ordered cluster product for one exchange side.
+    """The cluster monomial of one exchange side, shifted for the old variable.
 
-    ``exponents`` has a zero in slot k; beta accounts for normalizing
+    ``exponents`` has a zero in slot k; the shift accounts for normalizing
     the monomial with the old variable's inverse appended, using the
     current commutation matrix.
     """
-    lam = seed.pair.lam
-    kk = k - 1
-    beta_twice = 0
-    for i in range(seed.m):
-        for j in range(i + 1, seed.m):
-            beta_twice -= exponents[i] * exponents[j] * lam[i][j]
-    for i in range(seed.m):
-        if i != kk:
-            beta_twice += exponents[i] * lam[i][kk]
-    product = TorusElement.unit(seed.m)
-    for i in range(seed.m):
-        if exponents[i]:
-            product = torus_mul(
-                product, torus_pow(seed.cluster[i], exponents[i], seed.base_pair), seed.base_pair
-            )
-    return product.shifted(beta_twice)
+    lam_k = sum(e * row[k - 1] for e, row in zip(exponents, seed.pair.lam))
+    monomial = cluster_monomial(exponents, seed.cluster, seed.pair, base_pair=seed.base_pair)
+    return monomial.shifted(lam_k)
 
 
 def mutate_seed(seed: QuantumSeed, k: int) -> QuantumSeed:

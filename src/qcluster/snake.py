@@ -20,11 +20,12 @@ Conventions (fixed once, checked by the test suite):
   a gluing pins a flank to the shared side.
 
 The glue sides of every tile and the edge table (each tile's four edge
-ids, each edge's (tile, side) pairs) are fixed when the graph is built.
-Every geometry query reads them; nothing else re-derives them from the
-shape.  So are the twist tables: each edge's (label, first tile, last
-tile), and each tile's ccw pair and two opposite pairs of edge ids, so
-that testing and performing a twist are subset operations on a matching.
+ids, each edge's (tile, side) pairs, each lattice point's edges) are
+fixed when the graph is built.  Every geometry query reads them.  So are
+the twist tables (each edge's label and tile span, each tile's ccw pair
+and two opposite pairs), so that a twist is a subset operation on a
+matching, and the extremal matchings: the glue-free edges of the cw
+(minimal) or ccw (maximal) flank class, checked to be perfect matchings.
 """
 
 from __future__ import annotations
@@ -87,16 +88,15 @@ class SnakeGraph:
         self.triangulation = t
         self.shape = shape
         self.tiles = tiles
-        # Matching-side caches: the matchings, the minimal matching, the
-        # bijection image (matching -> enclosed tiles) and its inverse, and
-        # the valuation table both routes agreed on.
+        # Matching-side caches: the matchings, the bijection image
+        # (matching -> enclosed tiles) and the valuation table both routes
+        # agreed on.
         self._matchings: list | None = None
-        self._minimal: frozenset | None = None
         self._image: dict | None = None
-        self._preimage: dict | None = None
         self._compared: dict | None = None
         # The edge table, read by every geometry query: each tile's side ->
-        # edge id, and each edge id -> its (tile, side) pairs in tile order.
+        # edge id, each edge id -> its (tile, side) pairs in tile order, and
+        # each lattice point -> the edges ending there.
         self._tile_edges: list = []
         incidence: dict = {}
         for j, tile in enumerate(tiles, start=1):
@@ -107,6 +107,19 @@ class SnakeGraph:
                 incidence.setdefault(e, []).append((j, side))
             self._tile_edges.append(ids)
         self._edge_sides = {e: tuple(incidence[e]) for e in sorted(incidence)}
+        self._point_edges: dict = {}
+        for e in self._edge_sides:
+            for p in self.edge_endpoints(e):
+                self._point_edges.setdefault(p, []).append(e)
+        # The extremal matchings: the glue-free edges of flank class cw
+        # (minimal) and ccw (maximal); label_snake checks both are perfect.
+        glue_free = [
+            (e, tiles[j - 1].flank_class[side])
+            for e, ((j, side), *glued) in self._edge_sides.items()
+            if not glued
+        ]
+        self._minimal = frozenset(e for e, cls in glue_free if cls == "cw")
+        self._maximal = frozenset(e for e, cls in glue_free if cls == "ccw")
         # Twist tables: each edge's (label, first tile, last tile), and each
         # tile's ccw pair and its two opposite pairs (S/N, then E/W) of edge ids.
         self.edge_spans = {
@@ -177,12 +190,7 @@ class SnakeGraph:
         return ((x + 1, y), (x + 1, y + 1))
 
     def vertices(self) -> list:
-        pts = set()
-        for e in self.all_edges():
-            a, b = self.edge_endpoints(e)
-            pts.add(a)
-            pts.add(b)
-        return sorted(pts)
+        return sorted(self._point_edges)
 
     def side_in_tile(self, e, j: int) -> str:
         """The side that edge e occupies within tile j."""
@@ -327,6 +335,7 @@ def label_snake(w: StringWord, t: Triangulation) -> SnakeGraph:
                 y += 1
     g = SnakeGraph(w, t, shape, tiles)
     _check_glue_coherence(g)
+    _check_extremal_matchings(g)
     return g
 
 
@@ -338,6 +347,13 @@ def _check_glue_coherence(g: SnakeGraph) -> None:
             raise InvalidSurface(
                 f"glue edge between tiles {j} and {j + 1} mislabeled"
             )
+
+
+def _check_extremal_matchings(g: SnakeGraph) -> None:
+    points = g.vertices()
+    for name, m in (("minimal", g._minimal), ("maximal", g._maximal)):
+        if sorted(p for e in m for p in g.edge_endpoints(e)) != points:
+            raise BijectionViolation(f"the {name} matching misses or repeats a lattice point")
 
 
 # -- matchings ---------------------------------------------------------
@@ -352,12 +368,7 @@ def enumerate_matchings(g: SnakeGraph) -> list:
     """
     if g._matchings is not None:
         return g._matchings
-    edges = g.all_edges()
-    incident: dict = {}
-    for e in edges:
-        for p in g.edge_endpoints(e):
-            incident.setdefault(p, []).append(e)
-    points = sorted(incident)
+    points = g.vertices()
     results = []
 
     def grow(covered: set, chosen: tuple):
@@ -366,7 +377,7 @@ def enumerate_matchings(g: SnakeGraph) -> list:
             results.append(frozenset(chosen))
             return
         p = uncovered[0]
-        for e in incident[p]:
+        for e in g._point_edges[p]:
             a, b = g.edge_endpoints(e)
             if a in covered or b in covered:
                 continue
@@ -377,38 +388,14 @@ def enumerate_matchings(g: SnakeGraph) -> list:
     return g._matchings
 
 
-def _boundary_matchings(g: SnakeGraph) -> list:
-    out = [m for m in enumerate_matchings(g) if not any(g.is_glue(e) for e in m)]
-    if len(out) != 2:
-        raise BijectionViolation(
-            f"expected exactly two glue-free matchings, found {len(out)}"
-        )
-    return out
-
-
-def _class_uniform(g: SnakeGraph, m: frozenset, cls: str) -> bool:
-    return all(
-        g.tile(j).flank_class[side] == cls for e in m for j, side in g.edge_sides(e)
-    )
-
-
 def minimal_matching(g: SnakeGraph) -> frozenset:
     """The glue-free matching made of clockwise-flank edges only."""
-    if g._minimal is not None:
-        return g._minimal
-    low = [m for m in _boundary_matchings(g) if _class_uniform(g, m, "cw")]
-    if len(low) != 1:
-        raise BijectionViolation("could not single out the minimal matching")
-    g._minimal = low[0]
-    return low[0]
+    return g._minimal
 
 
 def maximal_matching(g: SnakeGraph) -> frozenset:
     """The glue-free matching made of counterclockwise-flank edges only."""
-    high = [m for m in _boundary_matchings(g) if _class_uniform(g, m, "ccw")]
-    if len(high) != 1:
-        raise BijectionViolation("could not single out the maximal matching")
-    return high[0]
+    return g._maximal
 
 
 def _tile_sides_in(g: SnakeGraph, P: frozenset, j: int) -> frozenset:
@@ -471,7 +458,6 @@ def _bijection_image(g: SnakeGraph) -> dict:
                     f"enclosed tiles {sorted(indices)} are not a submodule index set"
                 )
             image[P] = indices
-        g._preimage = {indices: P for P, indices in image.items()}
         g._image = image
     return g._image
 
@@ -484,14 +470,14 @@ def matching_to_submodule(g: SnakeGraph, P: frozenset) -> frozenset:
 
 
 def submodule_to_matching(g: SnakeGraph, indices: frozenset) -> frozenset:
-    """Inverse of matching_to_submodule, read from the bijection image."""
-    image = _bijection_image(g)
-    P = g._preimage.get(frozenset(indices))
-    if P is None or len(g._preimage) != len(image):
+    """Inverse of matching_to_submodule, searched in the bijection image."""
+    indices = frozenset(indices)
+    found = [P for P, image in _bijection_image(g).items() if image == indices]
+    if len(found) != 1:
         raise BijectionViolation(
             f"index set {sorted(indices)} does not match exactly one matching"
         )
-    return P
+    return found[0]
 
 
 def check_bijection(g: SnakeGraph) -> dict:

@@ -259,65 +259,24 @@ def dimension_vector(w: StringWord, indices=None, n: int | None = None) -> tuple
 # -- truncations ------------------------------------------------------
 
 
-def _first_direct(w: StringWord) -> int | None:
-    for p, letter in enumerate(w.letters, start=1):
-        if letter.direct:
-            return p
-    return None
+# Each truncation as (which end moves, direction of the letter cut at).
+_CUTS = {
+    "head_after_direct": ("head", True),
+    "head_after_inverse": ("head", False),
+    "tail_before_inverse": ("tail", False),
+    "tail_before_direct": ("tail", True),
+}
 
 
-def _first_inverse(w: StringWord) -> int | None:
-    for p, letter in enumerate(w.letters, start=1):
-        if not letter.direct:
-            return p
-    return None
-
-
-def _last_direct(w: StringWord) -> int | None:
-    for p in range(len(w.letters), 0, -1):
-        if w.letters[p - 1].direct:
-            return p
-    return None
-
-
-def _last_inverse(w: StringWord) -> int | None:
-    for p in range(len(w.letters), 0, -1):
-        if not w.letters[p - 1].direct:
-            return p
-    return None
-
-
-def drop_head_through_first_direct(w: StringWord) -> StringWord:
-    """Remove the inverse prefix and the first direct letter.
-
-    When the word has no direct letter at all the result collapses to
-    the trivial word at the final vertex.
-    """
-    p = _first_direct(w)
-    if p is None:
-        return trivial_word(w.vertices[-1])
-    return w.sub(p + 1, w.d)
-
-
-def drop_head_through_first_inverse(w: StringWord) -> StringWord:
-    p = _first_inverse(w)
-    if p is None:
-        return trivial_word(w.vertices[-1])
-    return w.sub(p + 1, w.d)
-
-
-def drop_tail_from_last_inverse(w: StringWord) -> StringWord:
-    p = _last_inverse(w)
-    if p is None:
-        return trivial_word(w.vertices[0])
-    return w.sub(1, p)
-
-
-def drop_tail_from_last_direct(w: StringWord) -> StringWord:
-    p = _last_direct(w)
-    if p is None:
-        return trivial_word(w.vertices[0])
-    return w.sub(1, p)
+def _truncate(w: StringWord, which: str) -> StringWord:
+    """Drop the head through the first letter of a direction, or keep the
+    word up to the last such letter; with none, keep the vertex at the
+    end that stays."""
+    end, direct = _CUTS[which]
+    cuts = [p for p, letter in enumerate(w.letters, start=1) if letter.direct == direct]
+    if end == "head":
+        return w.sub(cuts[0] + 1, w.d) if cuts else trivial_word(w.vertices[-1])
+    return w.sub(1, cuts[-1]) if cuts else trivial_word(w.vertices[0])
 
 
 def truncations(w: StringWord) -> dict:
@@ -328,12 +287,7 @@ def truncations(w: StringWord) -> dict:
     ``tail_before_inverse`` keep up to the last inverse letter
     ``tail_before_direct``  keep up to the last direct letter
     """
-    return {
-        "head_after_direct": drop_head_through_first_direct(w),
-        "head_after_inverse": drop_head_through_first_inverse(w),
-        "tail_before_inverse": drop_tail_from_last_inverse(w),
-        "tail_before_direct": drop_tail_from_last_direct(w),
-    }
+    return {which: _truncate(w, which) for which in _CUTS}
 
 
 # -- extensions and smoothing factors ---------------------------------
@@ -433,8 +387,8 @@ def arrow_extensions(v: StringWord, w: StringWord, q: QuiverWithRelations) -> li
             SmoothingFactor.unit(),
         )
         if not v.is_trivial:
-            u3 = _string_factor_or_open(drop_head_through_first_inverse(v))
-            u4 = _string_factor_or_open(drop_tail_from_last_inverse(v))
+            u3 = _string_factor_or_open(_truncate(v, "head_after_inverse"))
+            u4 = _string_factor_or_open(_truncate(v, "tail_before_inverse"))
         elif w.is_trivial:
             u3 = _flank_factor_other_triangle(q, a.source, a.triangle, ccw=True)
             u4 = _flank_factor_other_triangle(q, a.target, a.triangle, ccw=False)
@@ -484,17 +438,9 @@ def _string_factor_or_open(w: StringWord) -> SmoothingFactor:
 
 def _truncation_factor(piece: StringWord | None, which: str) -> SmoothingFactor:
     """Truncation factor for a one-sided overlap; open when degenerate."""
-    if piece is None or piece.is_trivial:
+    if piece is None:
         return SmoothingFactor.open_slot()
-    if which == "head_after_direct":
-        return _string_factor_or_open(drop_head_through_first_direct(piece))
-    if which == "head_after_inverse":
-        return _string_factor_or_open(drop_head_through_first_inverse(piece))
-    if which == "tail_before_inverse":
-        return _string_factor_or_open(drop_tail_from_last_inverse(piece))
-    if which == "tail_before_direct":
-        return _string_factor_or_open(drop_tail_from_last_direct(piece))
-    raise ValueError(which)
+    return _string_factor_or_open(_truncate(piece, which))
 
 
 def overlap_extensions(v: StringWord, w: StringWord, q: QuiverWithRelations) -> list:

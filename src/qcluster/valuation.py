@@ -51,7 +51,7 @@ from .snake import (
     minimal_matching,
     twist,
 )
-from .strings import enumerate_canonical_submodules
+from .strings import StringWord, enumerate_canonical_submodules
 
 __all__ = [
     "m_pm",
@@ -293,6 +293,23 @@ def omega_prime(g: SnakeGraph, j: int, indices) -> int:
     return _omega_prime_row(g, frozenset(indices))[j - 1]
 
 
+def _toggle_keeps_canonical(w: StringWord, N: frozenset, j: int) -> bool:
+    """Whether the canonical set N with position j toggled is canonical.
+
+    Only the runs next to j change.  Removing j must close a run at j-1
+    (letter j-1 inverse) if j-1 is in N and open one at j+1 (letter j
+    direct) if j+1 is in N; adding j must open a run at j (j = 1 or letter
+    j-1 direct) unless j-1 is in N and close one at j (j = d or letter j
+    inverse) unless j+1 is in N.
+    """
+    letters, left, right = w.letters, j - 1 in N, j + 1 in N
+    if j in N:
+        return not (left and letters[j - 2].direct or right and not letters[j - 1].direct)
+    return (left or j == 1 or letters[j - 2].direct) and (
+        right or j == w.d or not letters[j - 1].direct
+    )
+
+
 def valuation_v_gamma(g: SnakeGraph) -> dict:
     """Valuation of every submodule index set, from the word alone.
 
@@ -301,19 +318,17 @@ def valuation_v_gamma(g: SnakeGraph) -> dict:
     empty set at 0; every step is checked from both endpoints.
     """
     d = g.d
-    submods = [s.indices for s in enumerate_canonical_submodules(g.word)]
     values = {frozenset(): 0}
     queue = deque([frozenset()])
-    canonical = set(submods)
     while queue:
         N = queue.popleft()
         for j in range(1, d + 1):
+            if not _toggle_keeps_canonical(g.word, N, j):
+                continue
             if j in N:
                 bigger, smaller = N, N - {j}
             else:
                 bigger, smaller = N | {j}, N
-            if bigger not in canonical or smaller not in canonical:
-                continue
             # value step, computed from the smaller side
             step = omega_prime(g, j, smaller)
             back = omega_prime(g, j, bigger)
@@ -331,6 +346,7 @@ def valuation_v_gamma(g: SnakeGraph) -> dict:
             else:
                 values[other] = val
                 queue.append(other)
+    canonical = {s.indices for s in enumerate_canonical_submodules(g.word)}
     if set(values) != canonical:
         raise UnreachableSubmodule(
             f"single-index steps reach {len(values)} of {len(canonical)} index sets"

@@ -6,10 +6,12 @@ from qcluster import (
     Letter,
     StringWord,
     build_quiver,
+    enumerate_strings,
     initial_seed,
     load_surface,
     pair_from_surface,
 )
+from qcluster.kronecker import family_word
 
 SURFACES = ("annulus", "pentagon", "hexagon", "square")
 
@@ -69,3 +71,30 @@ def make_word(quiver, vertices, letter_pairs):
 def g1_word(quivers):
     # the annulus arc crossing 1, 2, 1
     return make_word(quivers["annulus"], (1, 2, 1), [("a", True), ("b", False)])
+
+
+# The annulus with 2 + 1 marked points: its arcs cross one another in
+# more ways than those of the bundled annulus.
+ANNULUS_21 = {
+    "name": "annulus21",
+    "arcs": [{"id": i, "kind": "internal"} for i in (1, 2, 3)]
+    + [{"id": i, "kind": "boundary"} for i in (4, 5, 6)],
+    "triangles": [[4, 2, 1], [5, 1, 3], [3, 6, 2]],
+}
+
+
+@pytest.fixture(scope="session")
+def corpus_words(surfaces, quivers):
+    """(triangulation, word) pairs of the cross-check corpus.
+
+    Every string of at most 7 vertices on the bundled surfaces, the
+    annulus families G_0..G_8 and H_1..H_8, and every string of at
+    most 9 vertices on ANNULUS_21.
+    """
+    annulus = surfaces["annulus"]
+    out = [(surfaces[name], w) for name in SURFACES for w in enumerate_strings(quivers[name], 7)]
+    out += [(annulus, family_word(annulus, s, "G")) for s in range(9)]
+    out += [(annulus, family_word(annulus, s, "H")) for s in range(1, 9)]
+    t = load_surface(ANNULUS_21)
+    out += [(t, w) for w in enumerate_strings(build_quiver(t), 9)]
+    return out

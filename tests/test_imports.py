@@ -1,4 +1,4 @@
-"""Every name a qcluster module imports is used by that module."""
+"""Every name a qcluster module imports is used, and every definition is reachable."""
 from __future__ import annotations
 
 import ast
@@ -42,3 +42,69 @@ def test_module_uses_every_name_it_imports(path):
 def test_the_check_sees_an_unused_import():
     source = "from .strings import trivial_word, validate_string\n\nvalidate_string(None, None)\n"
     assert unused_imports(source) == [(1, "trivial_word")]
+
+
+def _names_in(node) -> set:
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+    return out
+
+
+def _is_click_command(node) -> bool:
+    return any(
+        isinstance(dec, ast.Call)
+        and isinstance(dec.func, ast.Attribute)
+        and dec.func.attr == "command"
+        for dec in node.decorator_list
+    )
+
+
+def orphaned_definitions(sources: dict) -> list:
+    """Module-level defs and classes nothing exports, reads or registers.
+
+    ``sources`` maps a module name to its source.  A definition passes
+    when its module's __all__ lists it, when a top-level statement other
+    than itself in some module names it, or when it is a click command.
+    """
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    statements = [
+        (name, node, _names_in(node)) for name, tree in trees.items() for node in tree.body
+    ]
+    found = []
+    for module, node, _ in statements:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or _is_click_command(node):
+            continue
+        referenced = any(
+            node.name in names
+            for _, other, names in statements
+            if other is not node
+        )
+        exported = any(
+            isinstance(other, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in other.targets)
+            and node.name in ast.literal_eval(other.value)
+            for name, other, _ in statements
+            if name == module
+        )
+        if not (referenced or exported):
+            found.append(f"{module}.{node.name}")
+    return found
+
+
+def test_every_definition_is_exported_read_or_a_command():
+    package = Path(qcluster.__file__).parent
+    sources = {path.stem: path.read_text() for path in sorted(package.glob("*.py"))}
+    assert orphaned_definitions(sources) == []
+
+
+def test_the_check_sees_an_orphaned_definition():
+    sources = {
+        "a": "__all__ = ['kept']\n\ndef kept():\n    return _used()\n\n"
+        "def _used():\n    return 1\n\ndef _left_behind():\n    return _left_behind()\n",
+        "b": "import click\n\n@main.command()\ndef cmd():\n    pass\n",
+    }
+    assert orphaned_definitions(sources) == ["a._left_behind"]

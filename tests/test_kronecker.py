@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import pytest
 
+from qcluster import kronecker
 from qcluster.errors import UnmatchedCase
 from qcluster.expansion import quantum_expansion
 from qcluster.kronecker import (
@@ -14,10 +15,10 @@ from qcluster.kronecker import (
     r_s,
     recursion_checks,
 )
-from qcluster.snake import label_snake
+from qcluster.snake import enumerate_matchings, label_snake, maximal_matching, minimal_matching
 from qcluster.strings import trivial_word
 from qcluster.torus import QCoefficient, TorusElement
-from qcluster.valuation import valuation_v_gamma
+from qcluster.valuation import valuation_v, valuation_v_gamma
 
 
 def element(rank, rows):
@@ -70,6 +71,21 @@ def test_recursions_close_at_low_levels(annulus):
 def test_recursions_reject_level_zero(annulus):
     with pytest.raises(UnmatchedCase):
         recursion_checks(annulus, 0)
+
+
+def test_the_checks_see_one_wrong_valuation(monkeypatch, annulus):
+    def one_wrong_value(graph):
+        values = dict(valuation_v(graph))
+        extremal = (minimal_matching(graph), maximal_matching(graph))
+        inner = next(P for P in enumerate_matchings(graph) if P not in extremal)
+        values[inner] += 1
+        return values
+
+    monkeypatch.setattr(kronecker, "valuation_v", one_wrong_value)
+    failures = recursion_checks(annulus, 2)
+    assert any("valuation recursion" in failure for failure in failures)
+    assert not equality_check(annulus, 2, "G")
+    assert not equality_check(annulus, 2, "H")
 
 
 def test_anchor_valuations(annulus):

@@ -5,7 +5,9 @@ from itertools import combinations
 
 import pytest
 
+from qcluster import snake
 from qcluster.errors import BijectionViolation, CannotTwist, NotCrossingSequence
+from qcluster.expansion import x_of_matching
 from qcluster.kronecker import family_word
 from qcluster.snake import (
     can_twist,
@@ -168,6 +170,58 @@ def test_extreme_matchings_use_one_flank_class(quivers, surfaces):
                 for e in m:
                     for j in g.tiles_of_edge(e):
                         assert g.tile(j).flank_class[g.side_in_tile(e, j)] == cls
+
+
+def enumerated_extremal_matchings(g):
+    """The enumerate-and-filter form of the extremal matchings: the reference.
+
+    Of the two glue-free matchings, the one made of clockwise-flank
+    edges only is minimal and the counterclockwise one maximal.
+    """
+    glue_free = [m for m in enumerate_matchings(g) if not any(g.is_glue(e) for e in m)]
+    assert len(glue_free) == 2
+
+    def uniform(m, cls):
+        return all(g.tile(j).flank_class[side] == cls for e in m for j, side in g.edge_sides(e))
+
+    (low,) = [m for m in glue_free if uniform(m, "cw")]
+    (high,) = [m for m in glue_free if uniform(m, "ccw")]
+    return low, high
+
+
+def test_the_flank_classes_give_the_enumerated_extremal_matchings(corpus_words):
+    matchings = 0
+    for t, w in corpus_words:
+        g = label_snake(w, t)
+        assert (minimal_matching(g), maximal_matching(g)) == enumerated_extremal_matchings(g)
+        matchings += len(enumerate_matchings(g))
+    assert (len(corpus_words), matchings) == (50, 11265)
+
+
+def test_extremal_matchings_of_a_long_word_need_no_enumeration(monkeypatch, annulus):
+    def refuse(g):
+        raise AssertionError("enumerate_matchings was called")
+
+    monkeypatch.setattr(snake, "enumerate_matchings", refuse)
+    g = label_snake(family_word(annulus, 20, "G"), annulus)
+    low, high = minimal_matching(g), maximal_matching(g)
+    assert len(low) == len(high) == 42
+    assert low.isdisjoint(high)
+    assert x_of_matching(g, low) == (19, -20, 1, 1)
+
+
+def test_a_doctored_flank_class_breaks_the_extremal_matchings(monkeypatch, annulus):
+    real_tile = snake.Tile
+
+    def doctored(**fields):
+        if fields["index"] == 2:
+            swap = {"cw": "ccw", "ccw": "cw"}
+            fields["flank_class"] = {s: swap[c] for s, c in fields["flank_class"].items()}
+        return real_tile(**fields)
+
+    monkeypatch.setattr(snake, "Tile", doctored)
+    with pytest.raises(BijectionViolation, match="minimal matching"):
+        label_snake(family_word(annulus, 1, "G"), annulus)
 
 
 def test_minimal_matching_avoids_glue_edges(quivers, surfaces):

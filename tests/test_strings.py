@@ -194,6 +194,55 @@ def test_truncations_of_the_double_crossing(g1_word):
     assert cuts["tail_before_direct"] == trivial_word(1)
 
 
+# The four drop functions the truncations were before the one cut rule:
+# the reference.
+
+
+def _first(w, direct):
+    for p, letter in enumerate(w.letters, start=1):
+        if letter.direct == direct:
+            return p
+    return None
+
+
+def _last(w, direct):
+    for p in range(len(w.letters), 0, -1):
+        if w.letters[p - 1].direct == direct:
+            return p
+    return None
+
+
+def drop_head_through_first_direct(w):
+    p = _first(w, True)
+    return trivial_word(w.vertices[-1]) if p is None else w.sub(p + 1, w.d)
+
+
+def drop_head_through_first_inverse(w):
+    p = _first(w, False)
+    return trivial_word(w.vertices[-1]) if p is None else w.sub(p + 1, w.d)
+
+
+def drop_tail_from_last_inverse(w):
+    p = _last(w, False)
+    return trivial_word(w.vertices[0]) if p is None else w.sub(1, p)
+
+
+def drop_tail_from_last_direct(w):
+    p = _last(w, True)
+    return trivial_word(w.vertices[0]) if p is None else w.sub(1, p)
+
+
+def test_the_cut_rule_gives_the_four_drop_functions(corpus_words):
+    for _, w in corpus_words:
+        for word in (w, w.inverse()):
+            assert truncations(word) == {
+                "head_after_direct": drop_head_through_first_direct(word),
+                "head_after_inverse": drop_head_through_first_inverse(word),
+                "tail_before_inverse": drop_tail_from_last_inverse(word),
+                "tail_before_direct": drop_tail_from_last_direct(word),
+            }
+
+
 def test_dimension_vector_counts_vertex_visits(g1_word):
     assert dimension_vector(g1_word) == (2, 1)
     assert dimension_vector(g1_word, frozenset({2})) == (0, 1)

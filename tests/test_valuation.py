@@ -19,7 +19,11 @@ from qcluster.snake import (
     submodule_to_matching,
     twist,
 )
-from qcluster.strings import enumerate_canonical_submodules, enumerate_strings
+from qcluster.strings import (
+    enumerate_canonical_submodules,
+    enumerate_strings,
+    is_canonical_submodule,
+)
 from qcluster.valuation import (
     big_counts,
     compare_valuations,
@@ -238,7 +242,7 @@ def test_the_word_route_reads_no_matching_side_cache(annulus):
     w = family_word(annulus, 3, "G")
     expected = valuation_v_gamma(label_snake(w, annulus))
     g = label_snake(w, annulus)
-    for cache in ("_matchings", "_minimal", "_image", "_preimage", "_compared"):
+    for cache in ("_matchings", "_minimal", "_maximal", "_image", "_compared"):
         setattr(g, cache, Untouchable())
     assert valuation_v_gamma(g) == expected
 
@@ -256,3 +260,15 @@ def test_a_failed_comparison_keeps_no_table(monkeypatch, annulus):
     for _ in range(3):
         with pytest.raises(InconsistentValuation, match="valuations disagree"):
             compare_valuations(g)
+
+
+def test_the_toggle_rule_agrees_with_the_run_conditions(corpus_words):
+    steps = 0
+    for _, w in corpus_words:
+        for cs in enumerate_canonical_submodules(w):
+            for j in range(1, w.d + 1):
+                toggled = cs.indices ^ {j}
+                keeps = valuation._toggle_keeps_canonical(w, cs.indices, j)
+                assert keeps == is_canonical_submodule(w, toggled)
+                steps += keeps
+    assert steps > 10000
