@@ -49,6 +49,7 @@ from .kronecker import (
     family_word,
     r_s,
     recursion_checks,
+    weighted_series,
 )
 from .seeds import (
     ClassicalSeed,

@@ -19,7 +19,7 @@ import click
 
 from .errors import QClusterError
 from .expansion import classical_specialization, graph_expansion, quantum_expansion
-from .kronecker import build_weighted, equality_check, r_s, recursion_checks
+from .kronecker import build_weighted, equality_check, recursion_checks, weighted_series
 from .seeds import initial_seed, mutate_seed, mutation_sequence
 from .skein_mult import multiply_and_certify, relative_exponent_check
 from .snake import (
@@ -312,13 +312,13 @@ def kronecker(surface, level, family, check, fmt):
         t = load_surface(surface)
         seed = initial_seed(pair_from_surface(t))
         ws = build_weighted(t, level, family)
-        series = r_s(t, level, seed, family)
-        equal = equality_check(t, level, family)
-        failures = recursion_checks(t, level) if check and level >= 1 else []
+        series = weighted_series(ws, seed)
+        equal = equality_check(ws)
+        failures = recursion_checks(ws) if check else []
     except QClusterError as exc:
         raise click.ClickException(str(exc))
     lines = [
-        f"{family}_{level}: {ws.word}",
+        f"{family}_{level}: {ws.graph.word}",
         f"alpha weights: {list(ws.alphas)}",
         f"series: {series}",
         f"per-dimension alpha/valuation agreement: {'ok' if equal else 'FAIL'}",
@@ -331,7 +331,7 @@ def kronecker(surface, level, family, check, fmt):
         {
             "family": family,
             "s": level,
-            "word": str(ws.word),
+            "word": str(ws.graph.word),
             "alphas": list(ws.alphas),
             "series": _element_json(series),
             "equality": equal,
@@ -438,7 +438,7 @@ def _check_expansion(g, seed):
 
 @main.command()
 @surface_option
-@click.option("--max-length", type=int, default=6, show_default=True)
+@click.option("--max-length", type=click.IntRange(min=1), default=6, show_default=True)
 @click.option(
     "--jobs",
     type=int,

@@ -13,12 +13,13 @@ expansion of the (2s+1)-tile string.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from .errors import BijectionViolation, UnmatchedCase
+from .errors import UnmatchedCase
 from .expansion import uniform_d, x_of_matching
 from .seeds import QuantumSeed
 from .snake import SnakeGraph, enumerate_matchings, label_snake, matching_to_submodule
-from .strings import Letter, StringWord
+from .strings import Letter, StringWord, dimension_vector
 from .surface import Triangulation, build_quiver
 from .torus import TorusElement
 from .valuation import valuation_v
@@ -30,6 +31,7 @@ __all__ = [
     "alpha_of_set",
     "alpha_table",
     "r_s",
+    "weighted_series",
     "equality_check",
     "recursion_checks",
 ]
@@ -39,10 +41,22 @@ __all__ = [
 class WeightedSnake:
     family: str  # "G" | "H"
     s: int
-    word: StringWord
     graph: SnakeGraph
     alphas: tuple  # per-tile weight, 1-based via index j-1
-    weights: tuple  # 1 or 2 per tile: which arc is the diagonal
+
+    @cached_property
+    def tables(self) -> tuple:
+        """(alpha table, valuation table), each index set -> integer.
+
+        Read once per weighted snake from the graph's bijection image.
+        """
+        v = valuation_v(self.graph)
+        alpha_by_set, v_by_set = {}, {}
+        for P in enumerate_matchings(self.graph):
+            indices = matching_to_submodule(self.graph, P)
+            alpha_by_set[indices] = alpha_of_set(self, indices)
+            v_by_set[indices] = v[P]
+        return alpha_by_set, v_by_set
 
 
 def family_word(t: Triangulation, s: int, family: str = "G") -> StringWord:
@@ -69,16 +83,14 @@ def family_word(t: Triangulation, s: int, family: str = "G") -> StringWord:
 
 def build_weighted(t: Triangulation, s: int, family: str = "G") -> WeightedSnake:
     word = family_word(t, s, family)
-    graph = label_snake(word, t)
-    weights = tuple(word.vertices)
     alphas = []
-    for j in range(1, word.d + 1):
+    for j, arc in enumerate(word.vertices, start=1):
         offset = j - s - 1
         if family == "G":
-            alphas.append(offset if weights[j - 1] == 1 else -offset)
+            alphas.append(offset if arc == 1 else -offset)
         else:
-            alphas.append(offset + 1 if weights[j - 1] == 1 else -offset)
-    return WeightedSnake(family, s, word, graph, tuple(alphas), weights)
+            alphas.append(offset + 1 if arc == 1 else -offset)
+    return WeightedSnake(family, s, label_snake(word, t), tuple(alphas))
 
 
 def alpha_of_set(ws: WeightedSnake, indices) -> int:
@@ -87,18 +99,18 @@ def alpha_of_set(ws: WeightedSnake, indices) -> int:
 
 def alpha_table(ws: WeightedSnake) -> dict:
     """Index set -> alpha, over all matchings of the snake."""
-    out = {}
-    for P in enumerate_matchings(ws.graph):
-        indices = matching_to_submodule(ws.graph, P)
-        out[indices] = alpha_of_set(ws, indices)
-    return out
+    return ws.tables[0]
 
 
 def r_s(t: Triangulation, s: int, seed: QuantumSeed, family: str = "G") -> TorusElement:
     """Matching sum with alpha-weights in place of valuations."""
-    ws = build_weighted(t, s, family)
+    return weighted_series(build_weighted(t, s, family), seed)
+
+
+def weighted_series(ws: WeightedSnake, seed: QuantumSeed) -> TorusElement:
+    """r_s of the weighted snake's own graph."""
     d = uniform_d(seed)
-    total = TorusElement.zero(t.m)
+    total = TorusElement.zero(ws.graph.triangulation.m)
     for P in enumerate_matchings(ws.graph):
         indices = matching_to_submodule(ws.graph, P)
         total = total + TorusElement.monomial(
@@ -107,30 +119,13 @@ def r_s(t: Triangulation, s: int, seed: QuantumSeed, family: str = "G") -> Torus
     return total
 
 
-def _dim_counts(ws: WeightedSnake, indices) -> tuple:
-    ones = sum(1 for j in indices if ws.weights[j - 1] == 1)
-    twos = sum(1 for j in indices if ws.weights[j - 1] == 2)
-    return ones, twos
-
-
-def _value_table(ws: WeightedSnake) -> dict:
-    vals = valuation_v(ws.graph)
-    return {
-        matching_to_submodule(ws.graph, P): v for P, v in vals.items()
-    }
-
-
-def equality_check(t: Triangulation, s: int, family: str = "G") -> bool:
+def equality_check(ws: WeightedSnake) -> bool:
     """Per-dimension multisets of alpha and of the valuation must agree."""
-    ws = build_weighted(t, s, family)
-    alphas = alpha_table(ws)
-    values = _value_table(ws)
-    if set(alphas) != set(values):
-        raise BijectionViolation("alpha and valuation tables key differently")
+    alphas, values = ws.tables
     by_dim_alpha: dict = {}
     by_dim_value: dict = {}
     for indices, a in alphas.items():
-        dim = _dim_counts(ws, indices)
+        dim = dimension_vector(ws.graph.word, indices, n=2)
         by_dim_alpha.setdefault(dim, []).append(a)
         by_dim_value.setdefault(dim, []).append(values[indices])
     return all(
@@ -139,25 +134,28 @@ def equality_check(t: Triangulation, s: int, family: str = "G") -> bool:
     )
 
 
-def recursion_checks(t: Triangulation, s: int) -> list:
-    """Check the four twist-set recursions at level s; return failures."""
+def recursion_checks(ws: WeightedSnake) -> list:
+    """Check the four twist-set recursions at the level of ws; return failures.
+
+    ws is G_s or H_s.  The other levels the recursions read (H_s or G_s,
+    G_{s-1}, and H_{s-1} from s = 2 on) are built here.
+    """
+    s = ws.s
     if s < 1:
         raise UnmatchedCase("recursions start at s = 1")
+    t = ws.graph.triangulation
+    other = build_weighted(t, s, "H" if ws.family == "G" else "G")
+    g_s, h_s = (ws, other) if ws.family == "G" else (other, ws)
+    a_gs, v_gs = g_s.tables
+    a_hs, v_hs = h_s.tables
+    a_gp, v_gp = build_weighted(t, s - 1, "G").tables
+    if s >= 2:
+        a_hp, v_hp = build_weighted(t, s - 1, "H").tables
     failures = []
-    g_s = build_weighted(t, s, "G")
-    h_s = build_weighted(t, s, "H")
-    g_prev = build_weighted(t, s - 1, "G")
-    h_prev = build_weighted(t, s - 1, "H") if s >= 2 else None
-
-    a_gs, v_gs = alpha_table(g_s), _value_table(g_s)
-    a_hs, v_hs = alpha_table(h_s), _value_table(h_s)
-    a_gp, v_gp = alpha_table(g_prev), _value_table(g_prev)
-    if h_prev is not None:
-        a_hp, v_hp = alpha_table(h_prev), _value_table(h_prev)
 
     last_g = 2 * s + 1
     for indices in a_gs:
-        u, w_count = _dim_counts(g_s, indices)
+        u, w_count = dimension_vector(g_s.graph.word, indices, n=2)
         if last_g not in indices:
             # same set inside the one-tile-shorter family
             if indices not in a_hs:
@@ -185,7 +183,7 @@ def recursion_checks(t: Triangulation, s: int) -> list:
 
     last_h = 2 * s
     for indices in a_hs:
-        u, w_count = _dim_counts(h_s, indices)
+        u, w_count = dimension_vector(h_s.graph.word, indices, n=2)
         if last_h in indices:
             smaller = frozenset(indices - {last_h})
             if smaller not in a_gp:
@@ -201,7 +199,7 @@ def recursion_checks(t: Triangulation, s: int) -> list:
                     f"H{s} set {sorted(indices)} contains {last_h - 1} without {last_h}"
                 )
                 continue
-            if h_prev is None:
+            if s == 1:
                 if indices:
                     failures.append(f"H1 set {sorted(indices)} should be empty without tile 2")
                 continue

@@ -32,6 +32,8 @@ __all__ = [
     "classical_mutation_sequence",
 ]
 
+_MUTATION_LIMIT = 12  # longest sequence mutation_sequence accepts
+
 
 def _pos(x: int) -> int:
     return x if x > 0 else 0
@@ -133,11 +135,11 @@ def mutate_seed(seed: QuantumSeed, k: int) -> QuantumSeed:
     return replace(seed, pair=new_pair, cluster=tuple(cluster))
 
 
-def mutation_sequence(seed: QuantumSeed, ks, *, limit: int = 12) -> QuantumSeed:
-    """Mutate along ``ks`` in order; refuse sequences longer than ``limit``."""
+def mutation_sequence(seed: QuantumSeed, ks) -> QuantumSeed:
+    """Mutate along ``ks`` in order; refuse sequences longer than _MUTATION_LIMIT."""
     ks = list(ks)
-    if len(ks) > limit:
-        raise InvalidMutation(f"sequence of {len(ks)} mutations exceeds limit {limit}")
+    if len(ks) > _MUTATION_LIMIT:
+        raise InvalidMutation(f"sequence of {len(ks)} mutations exceeds limit {_MUTATION_LIMIT}")
     for k in ks:
         seed = mutate_seed(seed, k)
     return seed

@@ -13,17 +13,22 @@ Conventions (fixed once, checked by the test suite):
   letters point the same way.  Equivalently: the first step is right
   iff letter 1 is direct, and step j repeats step j-1 iff letters j-1
   and j have opposite directions.
-* Odd tiles put counterclockwise flanks on the south and north sides,
-  even tiles on east and west (even tiles are drawn mirrored).
-* Within each side pair the exit triangle's flank takes the south/east
-  slot and the entry triangle's flank the north/west slot, except where
-  a gluing pins a flank to the shared side.
+* Each flank class owns one opposite side pair: odd tiles put the
+  counterclockwise flanks on south/north and the clockwise ones on
+  east/west, even tiles the other way round (even tiles are drawn
+  mirrored).
+* Within its pair a class's exit flank takes the south/east slot and
+  its entry flank the other, except that the exit flank takes N when a
+  gluing sits at S (in-glue) or at N (out-glue).  In-glues sit at W or
+  S and out-glues at E or N, so the rule puts every glued flank on the
+  shared side; a glued flank whose class does not own that side means an
+  incoherently oriented triangulation.
 
 The glue sides of every tile and the edge table (each tile's four edge
 ids, each edge's (tile, side) pairs, each lattice point's edges) are
 fixed when the graph is built.  Every geometry query reads them.  So are
-the twist tables (each edge's label and tile span, each tile's ccw pair
-and two opposite pairs), so that a twist is a subset operation on a
+the twist tables (each edge's label and tile span, each tile's ccw and
+cw opposite pairs), so that a twist is a subset operation on a
 matching, and the extremal matchings: the glue-free edges of the cw
 (minimal) or ccw (maximal) flank class, checked to be perfect matchings.
 """
@@ -52,7 +57,6 @@ __all__ = [
 ]
 
 _SIDES = ("S", "E", "N", "W")
-_OPPOSITE_SIDES = (("S", "N"), ("E", "W"))
 
 
 def snake_shape(w: StringWord) -> tuple:
@@ -121,18 +125,17 @@ class SnakeGraph:
         self._minimal = frozenset(e for e, cls in glue_free if cls == "cw")
         self._maximal = frozenset(e for e, cls in glue_free if cls == "ccw")
         # Twist tables: each edge's (label, first tile, last tile), and each
-        # tile's ccw pair and its two opposite pairs (S/N, then E/W) of edge ids.
+        # tile's two opposite pairs of edge ids: its ccw flanks, then its cw.
         self.edge_spans = {
             e: (self.edge_label(e), sides[0][0], sides[-1][0])
             for e, sides in self._edge_sides.items()
         }
-        self._ccw_pairs = [
-            frozenset(e for s, e in ids.items() if tile.flank_class[s] == "ccw")
-            for tile, ids in zip(tiles, self._tile_edges)
-        ]
         self._opposite_pairs = [
-            tuple(frozenset(ids[s] for s in pair) for pair in _OPPOSITE_SIDES)
-            for ids in self._tile_edges
+            tuple(
+                frozenset(e for s, e in ids.items() if tile.flank_class[s] == cls)
+                for cls in ("ccw", "cw")
+            )
+            for tile, ids in zip(tiles, self._tile_edges)
         ]
         # Valuation tables, built by `valuation` on first use.
         self._tile_m: list | None = None
@@ -202,9 +205,6 @@ class SnakeGraph:
     def tiles_of_edge(self, e) -> list:
         return [tile for tile, _ in self._edge_sides[e]]
 
-    def ccw_pair(self, j: int) -> frozenset:
-        return self._ccw_pairs[j - 1]
-
 
 def _entry_exit_triangles(w: StringWord, t: Triangulation, j: int) -> tuple:
     """(entry triangle, exit triangle) indices for tile j."""
@@ -245,75 +245,41 @@ def label_snake(w: StringWord, t: Triangulation) -> SnakeGraph:
     for j in range(1, w.d + 1):
         diag = w.vertices[j - 1]
         tri_in, tri_out = _entry_exit_triangles(w, t, j)
-        alpha = t.ccw_flank(tri_in, diag)
-        beta = t.cw_flank(tri_in, diag)
-        gamma = t.ccw_flank(tri_out, diag)
-        delta = t.cw_flank(tri_out, diag)
-
-        odd = j % 2 == 1
-        slot_pair = {
-            "ccw": ("S", "N") if odd else ("E", "W"),
-            "cw": ("E", "W") if odd else ("S", "N"),
+        # each class's (entry flank, exit flank) and (south/east, north/west) pair
+        flanks = {
+            "ccw": (t.ccw_flank(tri_in, diag), t.ccw_flank(tri_out, diag)),
+            "cw": (t.cw_flank(tri_in, diag), t.cw_flank(tri_out, diag)),
         }
-        # preferred slots: exit flanks toward S/E, entry flanks toward N/W
-        preferred = {}
-        for cls in ("ccw", "cw"):
-            a_slot, b_slot = slot_pair[cls]
-            south_east = a_slot if a_slot in ("S", "E") else b_slot
-            north_west = b_slot if south_east == a_slot else a_slot
-            preferred[cls] = (south_east, north_west)
-
-        flanks = [
-            ("in", "ccw", alpha),
-            ("in", "cw", beta),
-            ("out", "ccw", gamma),
-            ("out", "cw", delta),
-        ]
-        placement: dict = {}
-        placed: set = set()
-
-        def place(which_flank, slot, j=j):
-            origin, cls, label = which_flank
-            if slot not in slot_pair[cls]:
-                raise InvalidSurface(
-                    f"tile {j}: {cls} flank {label} forced onto slot {slot}; "
-                    "the triangulation is not coherently oriented"
-                )
-            if slot in placement:
-                raise InvalidSurface(f"tile {j}: slot {slot} assigned twice")
-            placement[slot] = (label, cls)
-            placed.add(id(which_flank))
-
+        sn, ew = ("S", "N"), ("E", "W")
+        slot_pair = {"ccw": sn, "cw": ew} if j % 2 == 1 else {"ccw": ew, "cw": sn}
+        glued = []  # (class, label, side) of the flanks a gluing pins
         in_glue_side = out_glue_side = None
         if j > 1:
-            want = "W" if shape[j - 2] == "R" else "S"
-            in_glue_side = want
+            in_glue_side = "W" if shape[j - 2] == "R" else "S"
             prev_diag = w.vertices[j - 2]
-            flank = flanks[0] if alpha != prev_diag else flanks[1]
-            if flank[2] == prev_diag:
+            cls = "ccw" if flanks["ccw"][0] != prev_diag else "cw"
+            if flanks[cls][0] == prev_diag:
                 raise NotCrossingSequence(
                     f"tile {j}: both entry flanks equal the previous arc {prev_diag}"
                 )
-            place(flank, want)
+            glued.append((cls, flanks[cls][0], in_glue_side))
         if j < w.d:
-            want = "E" if shape[j - 1] == "R" else "N"
-            out_glue_side = want
-            next_diag = w.vertices[j]
-            flank = flanks[2] if gamma != next_diag else flanks[3]
-            place(flank, want)
-
-        for which_flank in flanks:
-            if id(which_flank) in placed:
-                continue
-            origin, cls, label = which_flank
-            south_east, north_west = preferred[cls]
-            slot = south_east if origin == "out" else north_west
-            if slot in placement:
-                slot = north_west if slot == south_east else south_east
-            place(which_flank, slot)
-
-        labels = {s: placement[s][0] for s in _SIDES}
-        classes = {s: placement[s][1] for s in _SIDES}
+            out_glue_side = "E" if shape[j - 1] == "R" else "N"
+            cls = "ccw" if flanks["ccw"][1] != w.vertices[j] else "cw"
+            glued.append((cls, flanks[cls][1], out_glue_side))
+        for cls, label, side in glued:
+            if side not in slot_pair[cls]:
+                raise InvalidSurface(
+                    f"tile {j}: {cls} flank {label} forced onto slot {side}; "
+                    "the triangulation is not coherently oriented"
+                )
+        # the exit flank takes south/east, or N when a gluing pins S or N
+        labels, classes = {}, {}
+        for cls, (exit_slot, entry_slot) in slot_pair.items():
+            if exit_slot == "S" and (in_glue_side == "S" or out_glue_side == "N"):
+                exit_slot, entry_slot = entry_slot, exit_slot
+            labels[entry_slot], labels[exit_slot] = flanks[cls]
+            classes[entry_slot] = classes[exit_slot] = cls
         tiles.append(
             Tile(
                 index=j,

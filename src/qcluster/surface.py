@@ -38,6 +38,9 @@ __all__ = [
 ]
 
 _ARROW_NAMES = "abcdefghijklmnopqrstuvwxyz"
+# find_lambda tries uniform d = 1.._LAMBDA_D_MAX, entries within _LAMBDA_BOUND
+_LAMBDA_BOUND = 8
+_LAMBDA_D_MAX = 8
 
 
 @dataclass(frozen=True)
@@ -387,12 +390,12 @@ def _size_reduce(x: list[int], kernel: list[list[int]]) -> list[int]:
     return x
 
 
-def find_lambda(b_tilde: list[list[int]], *, bound: int = 8, d_max: int = 8) -> list[list[int]]:
+def find_lambda(b_tilde: list[list[int]]) -> list[list[int]]:
     """Integer skew Lambda with Lambda . b_tilde = -[d I; 0], smallest uniform d.
 
-    Searches d = 1, 2, ..., d_max; for each d solves the linear system
-    exactly and size-reduces against its solution lattice.  Accepts the
-    first d whose reduced solution stays within ``bound``; raises
+    Searches d = 1, 2, ..., _LAMBDA_D_MAX; for each d solves the linear
+    system exactly and size-reduces against its solution lattice.  Accepts
+    the first d whose reduced solution stays within _LAMBDA_BOUND; raises
     :class:`NoCompatibleLambda` otherwise.
     """
     m = len(b_tilde)
@@ -417,7 +420,7 @@ def find_lambda(b_tilde: list[list[int]], *, bound: int = 8, d_max: int = 8) -> 
                 else:
                     a_cols[index[(l, i)]][row] -= coeff
 
-    for d in range(1, d_max + 1):
+    for d in range(1, _LAMBDA_D_MAX + 1):
         rhs = [0] * (m * n)
         for j in range(n):
             rhs[j * n + j] = -d
@@ -426,7 +429,7 @@ def find_lambda(b_tilde: list[list[int]], *, bound: int = 8, d_max: int = 8) -> 
             continue
         x, kernel = solved
         x = _size_reduce(x, kernel)
-        if max((abs(v) for v in x), default=0) > bound:
+        if max((abs(v) for v in x), default=0) > _LAMBDA_BOUND:
             continue
         lam = [[0] * m for _ in range(m)]
         for (i, j), k in index.items():
@@ -435,12 +438,12 @@ def find_lambda(b_tilde: list[list[int]], *, bound: int = 8, d_max: int = 8) -> 
         check_compatible(b_tilde, lam)
         return lam
     raise NoCompatibleLambda(
-        f"no integer skew lambda with uniform d <= {d_max} and entries within {bound}"
+        f"no integer skew lambda with uniform d <= {_LAMBDA_D_MAX} and entries within {_LAMBDA_BOUND}"
     )
 
 
-def pair_from_surface(t: Triangulation, *, bound: int = 8, d_max: int = 8) -> CompatiblePair:
+def pair_from_surface(t: Triangulation) -> CompatiblePair:
     """Compatible pair for a surface: file-supplied lambda or a found one."""
     b = b_matrix(t)
-    lam = t.lam if t.lam is not None else find_lambda(b, bound=bound, d_max=d_max)
+    lam = t.lam if t.lam is not None else find_lambda(b)
     return CompatiblePair.create(b, lam)

@@ -44,12 +44,12 @@ from .errors import (
 )
 from .snake import (
     SnakeGraph,
+    _twist_pairs,
     can_twist,
     enumerate_matchings,
     matching_to_submodule,
     maximal_matching,
     minimal_matching,
-    twist,
 )
 from .strings import StringWord, enumerate_canonical_submodules
 
@@ -109,7 +109,7 @@ def omega(g: SnakeGraph, s: int, P: frozenset) -> int:
         if label == tau:
             n_minus += first < s
             n_plus += last > s
-    sign = 1 if g.ccw_pair(s) <= P else -1
+    sign = 1 if g._opposite_pairs[s - 1][0] <= P else -1
     return sign * (n_plus - m_plus - n_minus + m_minus)
 
 
@@ -126,9 +126,11 @@ def valuation_v(g: SnakeGraph) -> dict:
     while queue:
         P = queue.popleft()
         for s in range(1, g.d + 1):
-            if not can_twist(g, P, s):
+            pairs = _twist_pairs(g, P, s)
+            if pairs is None:
                 continue
-            Q = twist(g, P, s)
+            held, other = pairs
+            Q = P - held | other
             val = values[P] - omega(g, s, P)
             if Q in values:
                 if values[Q] != val:

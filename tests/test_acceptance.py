@@ -18,6 +18,7 @@ from qcluster.expansion import (
     x_of_matching,
 )
 from qcluster.kronecker import (
+    build_weighted,
     equality_check,
     family_word,
     r_s,
@@ -272,8 +273,8 @@ def test_criterion_08_weighted_matching_series_of_the_annulus_families(
 ):
     for s in range(1, 7):
         for family in ("G", "H"):
-            assert equality_check(annulus, s, family)
-        assert recursion_checks(annulus, s) == []
+            assert equality_check(build_weighted(annulus, s, family))
+        assert recursion_checks(build_weighted(annulus, s, "G")) == []
     for s in (1, 2, 3):
         vg = valuation_v_gamma(label_snake(family_word(annulus, s, "G"), annulus))
         assert vg[frozenset({2 * s, 2 * s + 1})] == 1

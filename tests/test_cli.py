@@ -178,6 +178,120 @@ def test_word_command_output_is_frozen(runner, tmp_path, surface, word, command,
     assert hashlib.sha256(res.output.encode()).hexdigest() == expected
 
 
+# sha256 of the output of `kronecker -s annulus --s <s> --family <family>
+# [--check] --format <format>`, frozen before each family graph was built
+# once per call.
+FROZEN_KRONECKER_SHA256 = {
+    ("G", 1): {
+        (False, "text"): "f063ad0e4d06e98dad60ab3aecb6c07fc7f0fa313d316ab569b894267b1495a9",
+        (False, "structured"): "f55b626389e821750c84c8958e102e7f5d7c87eec102175d578b24520544bf63",
+        (True, "text"): "3db77282c39fe0cc0dad8f67e6b9f889e94ab432d568d19bf94b9696a7188578",
+        (True, "structured"): "f55b626389e821750c84c8958e102e7f5d7c87eec102175d578b24520544bf63",
+    },
+    ("G", 2): {
+        (False, "text"): "888efdc5568674b018a015fddede76c2820999d42825d371ab45ef86f290d3f3",
+        (False, "structured"): "60dd94f4a36f42b466ecdf3a3db3478915838062a6db53cab65ec2ace0aa3fc8",
+        (True, "text"): "f2ee836cc34326df5b4a5299ccaa2a97fcd4dcc6aa550753de7a2424b600965f",
+        (True, "structured"): "60dd94f4a36f42b466ecdf3a3db3478915838062a6db53cab65ec2ace0aa3fc8",
+    },
+    ("G", 3): {
+        (False, "text"): "dec8ede2dcde95fef525b6e7032df46bcec202b4c4edb961b2b72bc9d24e60e0",
+        (False, "structured"): "08dfa55c336c6af15398707af0ef8b966b00f17ba07fdc3aee7d702295ce3a9a",
+        (True, "text"): "a1a9c23697ec21c6af56f3223349560222b787f2e71e6727ca6f8074862eff8c",
+        (True, "structured"): "08dfa55c336c6af15398707af0ef8b966b00f17ba07fdc3aee7d702295ce3a9a",
+    },
+    ("G", 4): {
+        (False, "text"): "b3e3e8b61cd7d70d8a59316639740022575daa1edab7786325e7ae752e942e5e",
+        (False, "structured"): "ff11a82766cf059f2596a03cf19f188b810075bca1d62b3b9c163115954a04aa",
+        (True, "text"): "80b3493d43b2e938f1e0b50fe882b6c8ace9a6bb8cd599abe2b602a80c169d0c",
+        (True, "structured"): "ff11a82766cf059f2596a03cf19f188b810075bca1d62b3b9c163115954a04aa",
+    },
+    ("G", 5): {
+        (False, "text"): "cca1be1b287599dbcd42d242bed3b76f0db095152e5a5adbac775dcf1c5d81c4",
+        (False, "structured"): "98e94edb40c9901c563bd10ddd17295e520a6ce4f450191f1ed0ce3278d737a3",
+        (True, "text"): "64d3e1d9a4474895ef016880e40b20b3968d17db408d4371c4ee4c5244a4cb8a",
+        (True, "structured"): "98e94edb40c9901c563bd10ddd17295e520a6ce4f450191f1ed0ce3278d737a3",
+    },
+    ("H", 1): {
+        (False, "text"): "d9cc53b8e043e16e5db6268bb30bf1e2ff6c021265d39be99f2ceedc7696363c",
+        (False, "structured"): "dd39d452ee0e759e1ba82f6ba122a366e26b50cbab5a3c21a63bd77afcabdc5c",
+        (True, "text"): "ec7e2d81126aeed494bd4208e58128e8b410d54b14e42037ee57763696cddfb6",
+        (True, "structured"): "dd39d452ee0e759e1ba82f6ba122a366e26b50cbab5a3c21a63bd77afcabdc5c",
+    },
+    ("H", 2): {
+        (False, "text"): "a5fa68759134fee28710faa2ca6fb03e452975dcf81522302dfc1d07d72b944f",
+        (False, "structured"): "8ee3b43dc06280f95b1e3f6804f0325a0ce03389ceccac407013bca817cfbc6a",
+        (True, "text"): "e4e94e4c110968a9983cbfd6540c2e67e0b93f2a1f138d36d7148da983d4246b",
+        (True, "structured"): "8ee3b43dc06280f95b1e3f6804f0325a0ce03389ceccac407013bca817cfbc6a",
+    },
+    ("H", 3): {
+        (False, "text"): "f028a138425e5c7ca2e9da43edf8c3f21d1a17e35242d6989a5f640c63df6441",
+        (False, "structured"): "9da61265480886660e9e8398fee6d9e0a6e698dafa4b057e6fb92b1d0094e6d1",
+        (True, "text"): "756e6553132567be1b39ef2ce4a29053c07203b94b70f67b56187396d44bac2b",
+        (True, "structured"): "9da61265480886660e9e8398fee6d9e0a6e698dafa4b057e6fb92b1d0094e6d1",
+    },
+    ("H", 4): {
+        (False, "text"): "0898778555769ed32e10d66a18e7355f5e17e66584c200c719d61b2b68ba8096",
+        (False, "structured"): "349a46bbb9ac4a7ed0c7d30210c1731e826374fb02c6c64ba2186a9fcdf5e270",
+        (True, "text"): "d78118f09929b4f5310aca58a619b2bc9ba7056fb597a6b4ec0dab83973ed710",
+        (True, "structured"): "349a46bbb9ac4a7ed0c7d30210c1731e826374fb02c6c64ba2186a9fcdf5e270",
+    },
+    ("H", 5): {
+        (False, "text"): "696244edd452d917da03bfbaf95b9ddf9889ae2da922c73bb26478c0a988a84e",
+        (False, "structured"): "e43cc897976e4b1bd4b440f578d00b58e273589594fc1193447c3766fa0d574d",
+        (True, "text"): "5ead47ad97c87eecbdf2addc35e6988f228a0ab6d41f92bed9b66dad4c8f94e8",
+        (True, "structured"): "e43cc897976e4b1bd4b440f578d00b58e273589594fc1193447c3766fa0d574d",
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "family, level, check, fmt",
+    [key + case for key, cases in FROZEN_KRONECKER_SHA256.items() for case in cases],
+)
+def test_kronecker_output_is_frozen(runner, family, level, check, fmt):
+    args = ["kronecker", "-s", "annulus", "--s", str(level), "--family", family, "--format", fmt]
+    res = runner.invoke(main, args + ["--check"] * check)
+    assert res.exit_code == 0, res.output
+    expected = FROZEN_KRONECKER_SHA256[(family, level)][(check, fmt)]
+    assert hashlib.sha256(res.output.encode()).hexdigest() == expected
+
+
+def test_kronecker_builds_each_family_graph_once(runner, monkeypatch):
+    built = []
+    real = snake.label_snake
+
+    def counted(w, t):
+        built.append(str(w))
+        return real(w, t)
+
+    for key, namespace in list(sys.modules.items()):
+        if key.startswith("qcluster") and getattr(namespace, "label_snake", None) is real:
+            monkeypatch.setattr(namespace, "label_snake", counted)
+    # --check adds the three other levels of the recursions: H_5 or G_5, G_4, H_4
+    for family, check, graphs in (("G", True, 4), ("H", True, 4), ("G", False, 1), ("H", False, 1)):
+        built.clear()
+        args = ["kronecker", "-s", "annulus", "--s", "5", "--family", family]
+        res = runner.invoke(main, args + ["--check"] * check)
+        assert res.exit_code == 0, res.output
+        assert len(built) == len(set(built)) == graphs
+
+
+def test_kronecker_level_zero_runs_no_recursion(runner):
+    args = ["kronecker", "-s", "annulus", "--s", "0"]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 0
+    assert res.output == (
+        "G_0: 1\n"
+        "alpha weights: [0]\n"
+        "series: X[(-1,2,0,0)] + X[(-1,0,1,1)]\n"
+        "per-dimension alpha/valuation agreement: ok\n"
+    )
+    res = runner.invoke(main, args + ["--check"])
+    assert res.exit_code == 1
+    assert res.output == "Error: recursions start at s = 1\n"
+
+
 def test_kronecker_command(runner):
     res = runner.invoke(
         main, ["kronecker", "-s", "annulus", "--s", "2", "--family", "H", "--check"]
@@ -253,6 +367,13 @@ def test_verify_parallel_output_matches_serial(runner):
     # --jobs 0 runs serially; $QCLUSTER_JOBS sets the default
     assert runner.invoke(main, args + ["--jobs", "0"]).output == serial.output
     assert runner.invoke(main, args, env={"QCLUSTER_JOBS": "2"}).output == serial.output
+
+
+@pytest.mark.parametrize("length", ["0", "-3"])
+def test_verify_rejects_a_max_length_below_one_as_a_usage_error(runner, length):
+    res = runner.invoke(main, ["verify", "-s", "annulus", "--max-length", length])
+    assert res.exit_code == 2
+    assert "Invalid value for '--max-length'" in res.output
 
 
 def test_verify_rejects_a_malformed_worker_count_as_a_usage_error(runner):

@@ -60,17 +60,17 @@ def test_alpha_table_of_the_even_family(annulus):
 def test_alpha_matches_valuation_per_dimension(annulus):
     for s in (1, 2, 3, 4):
         for family in ("G", "H"):
-            assert equality_check(annulus, s, family)
+            assert equality_check(build_weighted(annulus, s, family))
 
 
 def test_recursions_close_at_low_levels(annulus):
     for s in (1, 2, 3, 4):
-        assert recursion_checks(annulus, s) == []
+        assert recursion_checks(build_weighted(annulus, s, "G")) == []
 
 
 def test_recursions_reject_level_zero(annulus):
     with pytest.raises(UnmatchedCase):
-        recursion_checks(annulus, 0)
+        recursion_checks(build_weighted(annulus, 0, "G"))
 
 
 def test_the_checks_see_one_wrong_valuation(monkeypatch, annulus):
@@ -82,10 +82,10 @@ def test_the_checks_see_one_wrong_valuation(monkeypatch, annulus):
         return values
 
     monkeypatch.setattr(kronecker, "valuation_v", one_wrong_value)
-    failures = recursion_checks(annulus, 2)
+    failures = recursion_checks(build_weighted(annulus, 2, "G"))
     assert any("valuation recursion" in failure for failure in failures)
-    assert not equality_check(annulus, 2, "G")
-    assert not equality_check(annulus, 2, "H")
+    assert not equality_check(build_weighted(annulus, 2, "G"))
+    assert not equality_check(build_weighted(annulus, 2, "H"))
 
 
 def test_anchor_valuations(annulus):

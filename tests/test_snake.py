@@ -1,12 +1,19 @@
 """Snake graphs: tile placement, perfect matchings, twists and the bijection."""
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations
 
 import pytest
 
 from qcluster import snake
-from qcluster.errors import BijectionViolation, CannotTwist, NotCrossingSequence
+from qcluster.errors import (
+    BijectionViolation,
+    CannotTwist,
+    InvalidSurface,
+    NotCrossingSequence,
+    QClusterError,
+)
 from qcluster.expansion import x_of_matching
 from qcluster.kronecker import family_word
 from qcluster.snake import (
@@ -30,7 +37,9 @@ from qcluster.strings import (
     trivial_word,
 )
 
-from conftest import make_word
+from qcluster.surface import Triangulation, build_quiver, load_surface
+
+from conftest import ANNULUS_21, WHEEL3, make_word
 
 
 @pytest.fixture(scope="module")
@@ -130,6 +139,134 @@ def test_label_snake_rejects_non_crossing_words(hexagon, quivers):
     bad = StringWord((1, 3), (Letter(q.arrow_named("b"), True),))
     with pytest.raises(NotCrossingSequence):
         label_snake(bad, hexagon)
+
+
+def slot_by_slot_tiles(w, t):
+    """The slot-by-slot flank placement that the class rule replaced: the reference.
+
+    Glued flanks are placed first, then each remaining flank takes its
+    class's south/east (exit) or north/west (entry) slot, or the other
+    one when that is taken.  Returns the tiles.
+    """
+    shape = snake_shape(w)
+    tiles = []
+    x = y = 0
+    for j in range(1, w.d + 1):
+        diag = w.vertices[j - 1]
+        tri_in, tri_out = snake._entry_exit_triangles(w, t, j)
+        alpha = t.ccw_flank(tri_in, diag)
+        beta = t.cw_flank(tri_in, diag)
+        gamma = t.ccw_flank(tri_out, diag)
+        delta = t.cw_flank(tri_out, diag)
+        odd = j % 2 == 1
+        slot_pair = {"ccw": ("S", "N") if odd else ("E", "W"), "cw": ("E", "W") if odd else ("S", "N")}
+        preferred = {}
+        for cls in ("ccw", "cw"):
+            a_slot, b_slot = slot_pair[cls]
+            south_east = a_slot if a_slot in ("S", "E") else b_slot
+            north_west = b_slot if south_east == a_slot else a_slot
+            preferred[cls] = (south_east, north_west)
+        flanks = [("in", "ccw", alpha), ("in", "cw", beta), ("out", "ccw", gamma), ("out", "cw", delta)]
+        placement = {}
+        placed = set()
+
+        def place(which_flank, slot, j=j):
+            origin, cls, label = which_flank
+            if slot not in slot_pair[cls]:
+                raise InvalidSurface(
+                    f"tile {j}: {cls} flank {label} forced onto slot {slot}; "
+                    "the triangulation is not coherently oriented"
+                )
+            if slot in placement:
+                raise InvalidSurface(f"tile {j}: slot {slot} assigned twice")
+            placement[slot] = (label, cls)
+            placed.add(id(which_flank))
+
+        in_glue_side = out_glue_side = None
+        if j > 1:
+            want = "W" if shape[j - 2] == "R" else "S"
+            in_glue_side = want
+            prev_diag = w.vertices[j - 2]
+            flank = flanks[0] if alpha != prev_diag else flanks[1]
+            if flank[2] == prev_diag:
+                raise NotCrossingSequence(
+                    f"tile {j}: both entry flanks equal the previous arc {prev_diag}"
+                )
+            place(flank, want)
+        if j < w.d:
+            want = "E" if shape[j - 1] == "R" else "N"
+            out_glue_side = want
+            next_diag = w.vertices[j]
+            flank = flanks[2] if gamma != next_diag else flanks[3]
+            place(flank, want)
+        for which_flank in flanks:
+            if id(which_flank) in placed:
+                continue
+            origin, cls, label = which_flank
+            south_east, north_west = preferred[cls]
+            slot = south_east if origin == "out" else north_west
+            if slot in placement:
+                slot = north_west if slot == south_east else south_east
+            place(which_flank, slot)
+        tiles.append(
+            snake.Tile(
+                index=j,
+                diagonal=diag,
+                x=x,
+                y=y,
+                tri_in=tri_in,
+                tri_out=tri_out,
+                labels={s: placement[s][0] for s in "SENW"},
+                flank_class={s: placement[s][1] for s in "SENW"},
+                in_glue_side=in_glue_side,
+                out_glue_side=out_glue_side,
+            )
+        )
+        if j < w.d:
+            if shape[j - 1] == "R":
+                x += 1
+            else:
+                y += 1
+    return tiles
+
+
+def placement_outcome(build):
+    """The tiles build() places, or the type and message of what it raises."""
+    try:
+        return build()
+    except QClusterError as exc:
+        return type(exc), str(exc)
+
+
+def reference_outcome(w, t):
+    """slot_by_slot_tiles, then the graph checks label_snake runs."""
+
+    def build():
+        g = snake.SnakeGraph(w, t, snake_shape(w), slot_by_slot_tiles(w, t))
+        snake._check_glue_coherence(g)
+        snake._check_extremal_matchings(g)
+        return g.tiles
+
+    return placement_outcome(build)
+
+
+def test_the_class_rule_places_every_flank_where_the_slot_rule_did(corpus_words, surfaces):
+    wheel = load_surface(WHEEL3)
+    cases = list(corpus_words) + [(wheel, w) for w in enumerate_strings(build_quiver(wheel), 7)]
+    # each surface with all its triangles, or one of them, turned the
+    # other way round, under its own strings and under the original ones
+    for t in [*surfaces.values(), load_surface(ANNULUS_21), wheel]:
+        words = enumerate_strings(build_quiver(t), 7)
+        for turned in [None, *range(len(t.triangles))]:
+            triangles = [tri[::-1] if turned in (None, k) else tri for k, tri in enumerate(t.triangles)]
+            f = Triangulation(t.arcs, triangles, None, t.name)
+            cases += [(f, w) for w in words + enumerate_strings(build_quiver(f), 7)]
+    kinds = Counter()
+    for t, w in cases:
+        got = placement_outcome(lambda: label_snake(w, t).tiles)
+        assert got == reference_outcome(w, t), (t.triangles, str(w))
+        kinds[got[0].__name__ if isinstance(got, tuple) else "tiles"] += 1
+    assert kinds == {"tiles": 294, "InvalidSurface": 62}
 
 
 def test_matchings_of_the_double_crossing_are_frozen(g1_graph):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qcluster import valuation
+from qcluster import snake, valuation
 from qcluster.errors import InconsistentValuation, UnmatchedCase
 from qcluster.expansion import quantum_expansion
 from qcluster.kronecker import family_word
@@ -111,6 +111,22 @@ def test_twisting_subtracts_the_local_exponent(quivers, surfaces):
                 for s in range(1, g.d + 1):
                     if can_twist(g, P, s):
                         assert v[twist(g, P, s)] == v[P] - omega(g, s, P)
+
+
+def test_valuation_v_looks_up_each_twist_once(monkeypatch, annulus):
+    g = label_snake(family_word(annulus, 7, "G"), annulus)
+    calls = []
+    real = snake._twist_pairs
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(snake, "_twist_pairs", counted)
+    monkeypatch.setattr(valuation, "_twist_pairs", counted)
+    valuation_v(g)
+    # one lookup per (matching, tile), 15 * 1,597, and one per twist in omega
+    assert len(calls) == 15 * 1597 + 13730
 
 
 def test_omega_agrees_with_its_module_side_form(quivers, surfaces):
