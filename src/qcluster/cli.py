@@ -119,7 +119,17 @@ format_option = click.option(
 )
 
 
-@click.group()
+class _Main(click.Group):
+    """The one error boundary: a QClusterError exits 1 with its message."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except QClusterError as exc:
+            raise click.ClickException(str(exc)) from exc
+
+
+@click.group(cls=_Main)
 def main() -> None:
     """Quantum expansions of arc variables on triangulated surfaces."""
 
@@ -129,13 +139,10 @@ def main() -> None:
 @format_option
 def validate(surface, fmt):
     """Validate a surface file and its derived quiver and pair."""
-    try:
-        t = load_surface(surface)
-        quiver = build_quiver(t)
-        check_gentle(quiver)
-        pair = pair_from_surface(t)
-    except QClusterError as exc:
-        raise click.ClickException(str(exc))
+    t = load_surface(surface)
+    quiver = build_quiver(t)
+    check_gentle(quiver)
+    pair = pair_from_surface(t)
     data = {
         "surface": t.name,
         "arcs": t.m,
@@ -167,14 +174,11 @@ def validate(surface, fmt):
 @format_option
 def expand(surface, text, q1, fmt):
     """Quantum expansion of the arc variable of a string."""
-    try:
-        t = load_surface(surface)
-        quiver = build_quiver(t)
-        word = parse_string(text, quiver)
-        seed = initial_seed(pair_from_surface(t))
-        result = quantum_expansion(word, t, seed)
-    except QClusterError as exc:
-        raise click.ClickException(str(exc))
+    t = load_surface(surface)
+    quiver = build_quiver(t)
+    word = parse_string(text, quiver)
+    seed = initial_seed(pair_from_surface(t))
+    result = quantum_expansion(word, t, seed)
     lines = [f"string: {word}", f"element: {result.element}"]
     if q1:
         classical = classical_specialization(result.element, n=t.n)
@@ -218,14 +222,11 @@ def _classical_str(classical: dict) -> str:
 @format_option
 def matchings(surface, text, fmt):
     """Perfect matchings of the string's snake graph."""
-    try:
-        t = load_surface(surface)
-        quiver = build_quiver(t)
-        word = parse_string(text, quiver)
-        g = label_snake(word, t)
-        vals = valuation_v(g)
-    except QClusterError as exc:
-        raise click.ClickException(str(exc))
+    t = load_surface(surface)
+    quiver = build_quiver(t)
+    word = parse_string(text, quiver)
+    g = label_snake(word, t)
+    vals = valuation_v(g)
     rows = []
     for P in enumerate_matchings(g):
         rows.append(
@@ -252,13 +253,10 @@ def matchings(surface, text, fmt):
 @format_option
 def submodules(surface, text, fmt):
     """Canonical index sets of the string module, with valuations."""
-    try:
-        t = load_surface(surface)
-        quiver = build_quiver(t)
-        word = parse_string(text, quiver)
-        vals = valuation_v_gamma(label_snake(word, t))
-    except QClusterError as exc:
-        raise click.ClickException(str(exc))
+    t = load_surface(surface)
+    quiver = build_quiver(t)
+    word = parse_string(text, quiver)
+    vals = valuation_v_gamma(label_snake(word, t))
     subs = enumerate_canonical_submodules(word)
     rows = [
         {"indices": list(s.sorted_indices), "valuation": vals[s.indices]}
@@ -283,7 +281,7 @@ def mutate(surface, seq, fmt):
         seed = initial_seed(pair_from_surface(t))
         directions = [int(x) for x in seq.split(",") if x.strip()]
         seed = mutation_sequence(seed, directions)
-    except (QClusterError, ValueError) as exc:
+    except ValueError as exc:
         raise click.ClickException(str(exc))
     lines = [f"after {directions}:"]
     for i in range(seed.n):
@@ -308,38 +306,32 @@ def mutate(surface, seq, fmt):
 @format_option
 def kronecker(surface, level, family, check, fmt):
     """Alpha-weighted matching sums of the annulus families."""
-    try:
-        t = load_surface(surface)
-        seed = initial_seed(pair_from_surface(t))
-        ws = build_weighted(t, level, family)
-        series = weighted_series(ws, seed)
-        equal = equality_check(ws)
-        failures = recursion_checks(ws) if check else []
-    except QClusterError as exc:
-        raise click.ClickException(str(exc))
+    t = load_surface(surface)
+    seed = initial_seed(pair_from_surface(t))
+    ws = build_weighted(t, level, family)
+    series = weighted_series(ws, seed)
+    equal = equality_check(ws)
+    failures = recursion_checks(ws) if check else []
     lines = [
         f"{family}_{level}: {ws.graph.word}",
         f"alpha weights: {list(ws.alphas)}",
         f"series: {series}",
         f"per-dimension alpha/valuation agreement: {'ok' if equal else 'FAIL'}",
     ]
+    data = {
+        "family": family,
+        "s": level,
+        "word": str(ws.graph.word),
+        "alphas": list(ws.alphas),
+        "series": _element_json(series),
+        "equality": equal,
+    }
     if check:
         lines.append(
             "recursions: ok" if not failures else "recursions: " + "; ".join(failures)
         )
-    _emit(
-        {
-            "family": family,
-            "s": level,
-            "word": str(ws.graph.word),
-            "alphas": list(ws.alphas),
-            "series": _element_json(series),
-            "equality": equal,
-            "recursion_failures": failures,
-        },
-        fmt,
-        lines,
-    )
+        data["recursion_failures"] = failures
+    _emit(data, fmt, lines)
     if not equal or failures:
         raise SystemExit(1)
 
@@ -351,16 +343,13 @@ def kronecker(surface, level, family, check, fmt):
 @format_option
 def skein_multiply(surface, v_text, w_text, fmt):
     """Resolve a product of two arc variables into two terms."""
-    try:
-        t = load_surface(surface)
-        quiver = build_quiver(t)
-        v = parse_string(v_text, quiver)
-        w = parse_string(w_text, quiver)
-        seed = initial_seed(pair_from_surface(t))
-        cert = multiply_and_certify(v, w, t, seed)
-        gap_ok = relative_exponent_check(cert)
-    except QClusterError as exc:
-        raise click.ClickException(str(exc))
+    t = load_surface(surface)
+    quiver = build_quiver(t)
+    v = parse_string(v_text, quiver)
+    w = parse_string(w_text, quiver)
+    seed = initial_seed(pair_from_surface(t))
+    cert = multiply_and_certify(v, w, t, seed)
+    gap_ok = relative_exponent_check(cert)
     lines = [
         f"extension: {cert.extension.kind} ({cert.extension.detail})",
         f"u1 = {cert.extension.u1}",
@@ -441,7 +430,7 @@ def _check_expansion(g, seed):
 @click.option("--max-length", type=click.IntRange(min=1), default=6, show_default=True)
 @click.option(
     "--jobs",
-    type=int,
+    type=click.IntRange(min=0),
     envvar="QCLUSTER_JOBS",
     default=1,
     help="worker processes (default $QCLUSTER_JOBS or 1)",
@@ -449,19 +438,16 @@ def _check_expansion(g, seed):
 @format_option
 def verify(surface, max_length, jobs, fmt):
     """Cross-check matchings, submodules, valuations and expansions."""
-    try:
-        t = load_surface(surface)
-        quiver = build_quiver(t)
-        check_gentle(quiver)
-        pair = pair_from_surface(t)
-        seed = initial_seed(pair)
-        for k in range(1, t.n + 1):
-            twice = mutate_seed(mutate_seed(seed, k), k)
-            if twice.cluster != seed.cluster or twice.pair != seed.pair:
-                raise click.ClickException(f"mutation at {k} is not an involution")
-        words = enumerate_strings(quiver, max_length)
-    except QClusterError as exc:
-        raise click.ClickException(str(exc))
+    t = load_surface(surface)
+    quiver = build_quiver(t)
+    check_gentle(quiver)
+    pair = pair_from_surface(t)
+    seed = initial_seed(pair)
+    for k in range(1, t.n + 1):
+        twice = mutate_seed(mutate_seed(seed, k), k)
+        if twice.cluster != seed.cluster or twice.pair != seed.pair:
+            raise click.ClickException(f"mutation at {k} is not an involution")
+    words = enumerate_strings(quiver, max_length)
 
     check_word = partial(_verify_word, t, seed)
     if jobs > 1:

@@ -179,21 +179,29 @@ def _poly_mul(p: dict, q: dict) -> dict:
 
 
 def _poly_div_exact(p: dict, q: dict) -> dict:
-    """Exact division of Laurent polynomial dictionaries, lex order."""
+    """Exact division of Laurent polynomial dictionaries, lex order.
+
+    If ``p = r * q``, coordinate i of every exponent of ``r`` lies in
+    ``[min_i(p) - min_i(q), max_i(p) - max_i(q)]``; a quotient exponent
+    outside that box proves the division inexact.  Quotient exponents
+    strictly decrease in lex order inside the finite box, so the loop ends.
+    """
     out: dict = {}
     rem = dict(p)
     lead_q = max(q)
-    rounds = 0
+    box = [(min(xs_p) - min(xs_q), max(xs_p) - max(xs_q)) for xs_p, xs_q in zip(zip(*p), zip(*q))]
     while rem:
-        rounds += 1
-        if rounds > 10000:
-            raise NonExactDivision("division did not terminate; not an exact quotient")
         lead_r = max(rem)
         key = tuple(a - b for a, b in zip(lead_r, lead_q))
+        for i, (x, (lo, hi)) in enumerate(zip(key, box)):
+            if not lo <= x <= hi:
+                raise NonExactDivision(
+                    f"quotient exponent {key} has coordinate {i} = {x} outside [{lo}, {hi}]"
+                )
         coeff, check = divmod(rem[lead_r], q[lead_q])
         if check:
             raise NonExactDivision(f"leading coefficient {rem[lead_r]} not divisible")
-        out[key] = out.get(key, 0) + coeff
+        out[key] = coeff
         for h, ch in q.items():
             kk = tuple(a + b for a, b in zip(key, h))
             val = rem.get(kk, 0) - coeff * ch
@@ -206,10 +214,8 @@ def _poly_div_exact(p: dict, q: dict) -> dict:
 
 def classical_mutate(seed: ClassicalSeed, k: int) -> ClassicalSeed:
     m = len(seed.b)
-    n = len(seed.b[0])
     kk = k - 1
-    if not 0 <= kk < n:
-        raise ValueError(f"direction {k} outside 1..{n}")
+    new_b = mutate_matrix([list(r) for r in seed.b], k)  # rejects a direction outside 1..n
     term_plus: dict = {tuple(0 for _ in range(m)): 1}
     term_minus: dict = {tuple(0 for _ in range(m)): 1}
     for i in range(m):
@@ -228,7 +234,6 @@ def classical_mutate(seed: ClassicalSeed, k: int) -> ClassicalSeed:
         else:
             del numerator[g]
     new_var = _poly_div_exact(numerator, seed.cluster[kk])
-    new_b = mutate_matrix([list(r) for r in seed.b], k)
     cluster = list(seed.cluster)
     cluster[kk] = new_var
     return ClassicalSeed(

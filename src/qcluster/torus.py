@@ -34,7 +34,6 @@ quotient exponents inside the finite box bound the number of steps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 from operator import mul
 from typing import Iterable, Mapping, Sequence
@@ -369,34 +368,19 @@ def _as_rows(mat: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(int(x) for x in row) for row in mat)
 
 
-def _rank_of(mat: Sequence[Sequence[int]]) -> int:
-    """Rank over Q by fraction-exact Gaussian elimination."""
-    rows = [[Fraction(x) for x in row] for row in mat]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = rows[rank][col]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                factor = rows[r][col] / pv
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
-
-
 def check_compatible(b_tilde: Sequence[Sequence[int]], lam: Sequence[Sequence[int]]) -> tuple:
     """Verify the pair and return the positive diagonal ``d`` as a tuple.
 
     ``b_tilde`` is m x n (rows indexed by all arcs, columns by mutable
     arcs, which occupy the first ``n`` rows); ``lam`` is the m x m skew
     matrix.  The product ``lam @ b_tilde`` must equal ``-[diag(d); 0]``.
+
+    The equation alone is the test (Berenstein-Zelevinsky, *Quantum
+    cluster algebras*, 2005): for 0 < n <= m, rank(lam b_tilde) <=
+    rank(b_tilde) <= n and ``-[diag(d); 0]`` has rank n, so a ``b_tilde``
+    without full column rank fails the equation.
     """
-    b = _as_rows(b_tilde)
-    l = _as_rows(lam)
+    b, l = _as_rows(b_tilde), _as_rows(lam)
     m = len(l)
     if any(len(row) != m for row in l):
         raise NotSkew("lambda matrix is not square")
@@ -409,7 +393,7 @@ def check_compatible(b_tilde: Sequence[Sequence[int]], lam: Sequence[Sequence[in
     n = len(b[0]) if b else 0
     if any(len(row) != n for row in b):
         raise NotCompatible("ragged b_tilde")
-    if n == 0 or _rank_of(b) != n:
+    if not 0 < n <= m:
         raise NotCompatible("b_tilde does not have full column rank")
     d = []
     for j in range(n):
@@ -434,10 +418,8 @@ class CompatiblePair:
 
     @staticmethod
     def create(b_tilde: Sequence[Sequence[int]], lam: Sequence[Sequence[int]]) -> "CompatiblePair":
-        b = _as_rows(b_tilde)
-        l = _as_rows(lam)
-        d = check_compatible(b, l)
-        return CompatiblePair(b, l, d)
+        b, l = _as_rows(b_tilde), _as_rows(lam)
+        return CompatiblePair(b, l, check_compatible(b, l))
 
     @property
     def m(self) -> int:

@@ -15,6 +15,7 @@ from click.testing import CliRunner
 
 from qcluster import cli, snake, valuation
 from qcluster.cli import main, parse_string
+from qcluster.errors import UnreachableSubmodule
 from qcluster.snake import enumerate_matchings, label_snake
 from qcluster.strings import enumerate_strings, trivial_word
 
@@ -180,65 +181,66 @@ def test_word_command_output_is_frozen(runner, tmp_path, surface, word, command,
 
 # sha256 of the output of `kronecker -s annulus --s <s> --family <family>
 # [--check] --format <format>`, frozen before each family graph was built
-# once per call.
+# once per call.  The structured digests without --check were pinned again
+# when those outputs stopped printing an empty "recursion_failures".
 FROZEN_KRONECKER_SHA256 = {
     ("G", 1): {
         (False, "text"): "f063ad0e4d06e98dad60ab3aecb6c07fc7f0fa313d316ab569b894267b1495a9",
-        (False, "structured"): "f55b626389e821750c84c8958e102e7f5d7c87eec102175d578b24520544bf63",
+        (False, "structured"): "71468cbadea566a6bf73b7825f98ff388d1dcab77ac5ef8c831cccc1ca7f2198",
         (True, "text"): "3db77282c39fe0cc0dad8f67e6b9f889e94ab432d568d19bf94b9696a7188578",
         (True, "structured"): "f55b626389e821750c84c8958e102e7f5d7c87eec102175d578b24520544bf63",
     },
     ("G", 2): {
         (False, "text"): "888efdc5568674b018a015fddede76c2820999d42825d371ab45ef86f290d3f3",
-        (False, "structured"): "60dd94f4a36f42b466ecdf3a3db3478915838062a6db53cab65ec2ace0aa3fc8",
+        (False, "structured"): "80e03226f61c5ae4ee3b9550aae3e3e215c7ce4866b7566f3297a76c6ac5e98c",
         (True, "text"): "f2ee836cc34326df5b4a5299ccaa2a97fcd4dcc6aa550753de7a2424b600965f",
         (True, "structured"): "60dd94f4a36f42b466ecdf3a3db3478915838062a6db53cab65ec2ace0aa3fc8",
     },
     ("G", 3): {
         (False, "text"): "dec8ede2dcde95fef525b6e7032df46bcec202b4c4edb961b2b72bc9d24e60e0",
-        (False, "structured"): "08dfa55c336c6af15398707af0ef8b966b00f17ba07fdc3aee7d702295ce3a9a",
+        (False, "structured"): "385a6f4b210265718f2597a39fb15f78c466a7d2506ad1683bf56b823f2bec9e",
         (True, "text"): "a1a9c23697ec21c6af56f3223349560222b787f2e71e6727ca6f8074862eff8c",
         (True, "structured"): "08dfa55c336c6af15398707af0ef8b966b00f17ba07fdc3aee7d702295ce3a9a",
     },
     ("G", 4): {
         (False, "text"): "b3e3e8b61cd7d70d8a59316639740022575daa1edab7786325e7ae752e942e5e",
-        (False, "structured"): "ff11a82766cf059f2596a03cf19f188b810075bca1d62b3b9c163115954a04aa",
+        (False, "structured"): "30a4a6ccdbfd42692cf7d144f80b69d9940f24ba8e5dba1c42380b0132a3da2b",
         (True, "text"): "80b3493d43b2e938f1e0b50fe882b6c8ace9a6bb8cd599abe2b602a80c169d0c",
         (True, "structured"): "ff11a82766cf059f2596a03cf19f188b810075bca1d62b3b9c163115954a04aa",
     },
     ("G", 5): {
         (False, "text"): "cca1be1b287599dbcd42d242bed3b76f0db095152e5a5adbac775dcf1c5d81c4",
-        (False, "structured"): "98e94edb40c9901c563bd10ddd17295e520a6ce4f450191f1ed0ce3278d737a3",
+        (False, "structured"): "b9db328bd0bae1d07dbebd9924a9313affe75bdbb3e50d45e2d45763df446c3c",
         (True, "text"): "64d3e1d9a4474895ef016880e40b20b3968d17db408d4371c4ee4c5244a4cb8a",
         (True, "structured"): "98e94edb40c9901c563bd10ddd17295e520a6ce4f450191f1ed0ce3278d737a3",
     },
     ("H", 1): {
         (False, "text"): "d9cc53b8e043e16e5db6268bb30bf1e2ff6c021265d39be99f2ceedc7696363c",
-        (False, "structured"): "dd39d452ee0e759e1ba82f6ba122a366e26b50cbab5a3c21a63bd77afcabdc5c",
+        (False, "structured"): "e05bddf3a1b2844610e0817339e8c2d09bee8e18cb3b963f41e0949c56f31a1d",
         (True, "text"): "ec7e2d81126aeed494bd4208e58128e8b410d54b14e42037ee57763696cddfb6",
         (True, "structured"): "dd39d452ee0e759e1ba82f6ba122a366e26b50cbab5a3c21a63bd77afcabdc5c",
     },
     ("H", 2): {
         (False, "text"): "a5fa68759134fee28710faa2ca6fb03e452975dcf81522302dfc1d07d72b944f",
-        (False, "structured"): "8ee3b43dc06280f95b1e3f6804f0325a0ce03389ceccac407013bca817cfbc6a",
+        (False, "structured"): "66df5beaaf62a1b3651b1acb9b9b912b1028810f0c47893a60d89b7dae411ef3",
         (True, "text"): "e4e94e4c110968a9983cbfd6540c2e67e0b93f2a1f138d36d7148da983d4246b",
         (True, "structured"): "8ee3b43dc06280f95b1e3f6804f0325a0ce03389ceccac407013bca817cfbc6a",
     },
     ("H", 3): {
         (False, "text"): "f028a138425e5c7ca2e9da43edf8c3f21d1a17e35242d6989a5f640c63df6441",
-        (False, "structured"): "9da61265480886660e9e8398fee6d9e0a6e698dafa4b057e6fb92b1d0094e6d1",
+        (False, "structured"): "a6c421ea404efe2a72dbfc5e0f6474bcafda1965ae5746fe52cc80fbc8157f5a",
         (True, "text"): "756e6553132567be1b39ef2ce4a29053c07203b94b70f67b56187396d44bac2b",
         (True, "structured"): "9da61265480886660e9e8398fee6d9e0a6e698dafa4b057e6fb92b1d0094e6d1",
     },
     ("H", 4): {
         (False, "text"): "0898778555769ed32e10d66a18e7355f5e17e66584c200c719d61b2b68ba8096",
-        (False, "structured"): "349a46bbb9ac4a7ed0c7d30210c1731e826374fb02c6c64ba2186a9fcdf5e270",
+        (False, "structured"): "26deecf4ce317b928b9a43778682abce43a60eaa08bc0672c0cf8e12e7f95d4f",
         (True, "text"): "d78118f09929b4f5310aca58a619b2bc9ba7056fb597a6b4ec0dab83973ed710",
         (True, "structured"): "349a46bbb9ac4a7ed0c7d30210c1731e826374fb02c6c64ba2186a9fcdf5e270",
     },
     ("H", 5): {
         (False, "text"): "696244edd452d917da03bfbaf95b9ddf9889ae2da922c73bb26478c0a988a84e",
-        (False, "structured"): "e43cc897976e4b1bd4b440f578d00b58e273589594fc1193447c3766fa0d574d",
+        (False, "structured"): "4af9e83593b48f41f4599d87bfe10cd9f1a6c846a2ef6b7fc962b8c0b67b4465",
         (True, "text"): "5ead47ad97c87eecbdf2addc35e6988f228a0ab6d41f92bed9b66dad4c8f94e8",
         (True, "structured"): "e43cc897976e4b1bd4b440f578d00b58e273589594fc1193447c3766fa0d574d",
     },
@@ -290,6 +292,12 @@ def test_kronecker_level_zero_runs_no_recursion(runner):
     res = runner.invoke(main, args + ["--check"])
     assert res.exit_code == 1
     assert res.output == "Error: recursions start at s = 1\n"
+
+
+def test_kronecker_structured_output_names_recursion_failures_only_under_check(runner):
+    args = ["kronecker", "-s", "annulus", "--s", "2", "--format", "structured"]
+    assert "recursion_failures" not in json.loads(runner.invoke(main, args).output)
+    assert json.loads(runner.invoke(main, args + ["--check"]).output)["recursion_failures"] == []
 
 
 def test_kronecker_command(runner):
@@ -382,6 +390,55 @@ def test_verify_rejects_a_malformed_worker_count_as_a_usage_error(runner):
     )
     assert res.exit_code == 2
     assert "Invalid value for '--jobs'" in res.output
+
+
+@pytest.mark.parametrize("jobs", ["-3", "-1"])
+def test_verify_rejects_a_negative_worker_count_as_a_usage_error(runner, jobs):
+    args = ["verify", "-s", "pentagon", "--max-length", "2"]
+    for res in (
+        runner.invoke(main, args + ["--jobs", jobs]),
+        runner.invoke(main, args, env={"QCLUSTER_JOBS": jobs}),
+    ):
+        assert res.exit_code == 2
+        assert "Invalid value for '--jobs'" in res.output
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["validate"],
+        ["expand", "--string", "1"],
+        ["matchings", "--string", "1"],
+        ["submodules", "--string", "1"],
+        ["mutate", "--seq", "1"],
+        ["kronecker", "--s", "1"],
+        ["skein-multiply", "--v", "1", "--w", "2"],
+        ["verify"],
+    ],
+)
+def test_every_command_reports_a_package_error_as_one_line(runner, args):
+    res = runner.invoke(main, args + ["-s", "no-such-surface"])
+    assert res.exit_code == 1
+    assert res.output == (
+        "Error: no such surface file or bundled name: 'no-such-surface' "
+        "(bundled: annulus, hexagon, pentagon, square)\n"
+    )
+
+
+def test_a_package_error_after_parsing_exits_with_its_message(runner, monkeypatch):
+    def broken(word):
+        raise UnreachableSubmodule("no canonical submodules")
+
+    monkeypatch.setattr(cli, "enumerate_canonical_submodules", broken)
+    res = runner.invoke(main, ["submodules", "-s", "annulus", "--string", "1"])
+    assert res.exit_code == 1
+    assert res.output == "Error: no canonical submodules\n"
+
+
+def test_mutate_reports_a_non_integer_direction(runner):
+    res = runner.invoke(main, ["mutate", "-s", "annulus", "--seq", "1,x"])
+    assert res.exit_code == 1
+    assert res.output == "Error: invalid literal for int() with base 10: 'x'\n"
 
 
 def test_a_command_keeps_no_reference_to_its_output_stream():

@@ -2,10 +2,15 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from qcluster.errors import InvalidMutation, QClusterError
+from qcluster.errors import InvalidMutation, NonExactDivision, QClusterError
 from qcluster.seeds import (
+    _poly_div_exact,
+    _poly_mul,
     classical_initial_seed,
+    classical_mutate,
     classical_mutation_sequence,
     initial_seed,
     mutate_lambda,
@@ -152,3 +157,43 @@ def test_invalid_mutations_raise_a_typed_error(kron_seed):
         mutation_sequence(kron_seed, [1, 2] * 6 + [1])
     # still a ValueError for callers that caught the untyped error
     assert isinstance(info.value, QClusterError) and isinstance(info.value, ValueError)
+    with pytest.raises(InvalidMutation, match=r"^direction 3 outside 1\.\.2$"):
+        classical_mutate(classical_initial_seed([[0, 2], [-2, 0]]), 3)
+
+
+class CountingDict(dict):
+    """A divisor that counts the elimination rounds (one items() call each)."""
+
+    rounds = 0
+
+    def items(self):
+        self.rounds += 1
+        return super().items()
+
+
+@pytest.mark.parametrize(
+    "p, q",
+    [
+        ({(1,): 1}, {(1,): 1, (0,): 1}),  # x / (x + 1)
+        ({(3, 0): 1, (0, 1): 1}, {(1, 0): 1, (0, 1): 1}),  # (x^3 + y) / (x + y)
+        ({(2, 0): 1, (0, 0): 2}, {(1, 0): 1, (0, 0): 1}),  # (x^2 + 2) / (x + 1)
+    ],
+)
+def test_inexact_classical_division_stops_at_the_exponent_box(p, q):
+    q = CountingDict(q)
+    with pytest.raises(NonExactDivision, match=r"has coordinate \d+ = -?\d+ outside \["):
+        _poly_div_exact(p, q)
+    assert q.rounds < 10
+
+
+laurent = st.dictionaries(
+    st.tuples(*[st.integers(min_value=-2, max_value=2)] * 2),
+    st.integers(min_value=-3, max_value=3).filter(bool),
+    min_size=1,
+    max_size=4,
+)
+
+
+@given(laurent, laurent)
+def test_classical_division_recovers_the_left_factor(r, q):
+    assert _poly_div_exact(_poly_mul(r, q), q) == r

@@ -1,6 +1,8 @@
 """Exact arithmetic in the based quantum torus."""
 from __future__ import annotations
 
+import fractions
+
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
@@ -11,7 +13,10 @@ from qcluster.errors import (
     NotCompatible,
     NotNormalizable,
     NotSkew,
+    QClusterError,
 )
+from qcluster.seeds import mutate_lambda, mutate_matrix
+from qcluster.surface import load_surface, pair_from_surface
 from qcluster.torus import (
     CompatiblePair,
     HalfInteger,
@@ -173,6 +178,157 @@ def test_check_compatible_rejects_nonzero_boundary_rows():
     lam = ((0, 1, 1), (-1, 0, 0), (-1, 0, 0))
     with pytest.raises(NotCompatible):
         check_compatible(b_tilde, lam)
+
+
+def _rank_of(mat):
+    """Rank over Q by fraction-exact Gaussian elimination."""
+    rows = [[fractions.Fraction(x) for x in row] for row in mat]
+    rank = 0
+    ncols = len(rows[0]) if rows else 0
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        pv = rows[rank][col]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col] != 0:
+                factor = rows[r][col] / pv
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def check_compatible_with_rank(b_tilde, lam):
+    """The former check: full column rank by elimination, then the equation."""
+    b = tuple(tuple(int(x) for x in row) for row in b_tilde)
+    l = tuple(tuple(int(x) for x in row) for row in lam)
+    m = len(l)
+    if any(len(row) != m for row in l):
+        raise NotSkew("lambda matrix is not square")
+    for i in range(m):
+        for j in range(m):
+            if l[i][j] != -l[j][i]:
+                raise NotSkew(f"lambda[{i}][{j}] != -lambda[{j}][{i}]")
+    if len(b) != m:
+        raise NotCompatible(f"b_tilde has {len(b)} rows, lambda is {m} x {m}")
+    n = len(b[0]) if b else 0
+    if any(len(row) != n for row in b):
+        raise NotCompatible("ragged b_tilde")
+    if n == 0 or _rank_of(b) != n:
+        raise NotCompatible("b_tilde does not have full column rank")
+    d = []
+    for j in range(n):
+        for i in range(m):
+            entry = sum(l[i][k] * b[k][j] for k in range(m))
+            if i == j:
+                if entry >= 0:
+                    raise NonPositiveD(f"diagonal entry {-entry} at column {j} is not positive")
+                d.append(-entry)
+            elif entry != 0:
+                raise NotCompatible(f"(lambda b_tilde)[{i}][{j}] = {entry} != 0")
+    return tuple(d)
+
+
+def _outcome(check, b_tilde, lam):
+    try:
+        return check(b_tilde, lam)
+    except QClusterError:
+        return QClusterError
+
+
+def _force_dependent_column(draw, b):
+    """Overwrite one column with -1, 0 or 1 times another (0: a zero column)."""
+    n = len(b[0])
+    j = draw(st.integers(min_value=0, max_value=n - 1))
+    k = draw(st.integers(min_value=0, max_value=n - 1).filter(lambda k: k != j))
+    c = draw(st.integers(min_value=-1, max_value=1))
+    return [row[:j] + [c * row[k]] + row[j + 1 :] for row in b]
+
+
+@st.composite
+def integer_pairs(draw):
+    """Small integer b_tilde (possibly wider than tall) and skew lambda."""
+    m = draw(st.integers(min_value=1, max_value=5))
+    n = draw(st.integers(min_value=1, max_value=m + 1))
+    entries = st.integers(min_value=-2, max_value=2)
+    b = [[draw(entries) for _ in range(n)] for _ in range(m)]
+    if n > 1 and draw(st.booleans()):
+        b = _force_dependent_column(draw, b)
+    lam = [[0] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i + 1, m):
+            lam[i][j] = draw(entries)
+            lam[j][i] = -lam[i][j]
+    return b, lam
+
+
+SURFACE_PAIRS = [pair_from_surface(load_surface(name)) for name in ("square", "pentagon", "hexagon", "annulus")]
+
+
+@st.composite
+def surface_pairs(draw):
+    """Mutated bundled pairs, kept compatible or spoiled in one place."""
+    pair = draw(st.sampled_from(SURFACE_PAIRS))
+    b, lam = [list(r) for r in pair.b_tilde], [list(r) for r in pair.lam]
+    for k in draw(st.lists(st.integers(min_value=1, max_value=pair.n), max_size=3)):
+        b, lam = mutate_matrix(b, k), mutate_lambda(lam, b, k)
+    spoil = draw(st.sampled_from(("none", "dependent", "lambda")))
+    if spoil == "dependent" and pair.n > 1:
+        b = _force_dependent_column(draw, b)
+    elif spoil == "lambda":
+        i = draw(st.integers(min_value=0, max_value=pair.m - 2))
+        j = draw(st.integers(min_value=i + 1, max_value=pair.m - 1))
+        lam[i][j] += 1
+        lam[j][i] -= 1
+    return b, lam
+
+
+@given(st.one_of(integer_pairs(), surface_pairs()))
+def test_the_equation_accepts_exactly_the_pairs_the_rank_test_did(pair):
+    b_tilde, lam = pair
+    expected = _outcome(check_compatible_with_rank, b_tilde, lam)
+    assert _outcome(check_compatible, b_tilde, lam) == expected
+
+
+@pytest.mark.parametrize(
+    "b_tilde, lam",
+    [
+        (((0, 0), (-2, 0)), KRON_LAM),  # a zero column
+        (((0, 0), (-2, -2)), KRON_LAM),  # two equal columns
+        (((0, 2, 0), (-2, 0, 0), (0, 0, 0)), ((0, 1, 0), (-1, 0, 0), (0, 0, 0))),
+        # wider than tall: lambda b_tilde = [-I | 0] but has no n x n block
+        (((0, 1, 0), (-1, 0, 0)), KRON_LAM),
+    ],
+)
+def test_check_compatible_rejects_rank_deficient_b_tilde(b_tilde, lam):
+    with pytest.raises(QClusterError):
+        check_compatible_with_rank(b_tilde, lam)
+    with pytest.raises(QClusterError):
+        check_compatible(b_tilde, lam)
+
+
+def fan_polygon(n):
+    """The n-gon triangulated by the diagonals from vertex 0, as surface JSON."""
+    diagonals = [(0, k) for k in range(2, n - 1)]
+    sides = [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
+    ids = {e: k + 1 for k, e in enumerate(diagonals + sides)}
+    return {
+        "name": f"fan{n}",
+        "arcs": [{"id": ids[e], "kind": "internal"} for e in diagonals]
+        + [{"id": ids[e], "kind": "boundary"} for e in sides],
+        "triangles": [[ids[(0, k)], ids[(k, k + 1)], ids[(0, k + 1)]] for k in range(1, n - 1)],
+    }
+
+
+def test_check_compatible_builds_no_fraction(monkeypatch):
+    pair = pair_from_surface(load_surface(fan_polygon(14)))
+
+    def no_fraction(*args, **kwargs):
+        raise AssertionError("check_compatible built a Fraction")
+
+    monkeypatch.setattr(fractions.Fraction, "__new__", no_fraction)
+    assert check_compatible(pair.b_tilde, pair.lam) == pair.d
 
 
 def test_half_integer_formatting_and_arithmetic():
