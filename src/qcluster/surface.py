@@ -191,34 +191,41 @@ def bundled_surface_names() -> list[str]:
 
 def load_surface(source: str | Path | dict) -> Triangulation:
     """Load a surface from a JSON file, a bundled name, or a dict."""
+    where = ""  # names the file in error messages
     if isinstance(source, dict):
         data = source
         name = data.get("name", "")
     else:
         path = Path(source)
         if path.suffix == ".json" and path.exists():
-            data = json.loads(path.read_text())
-            name = data.get("name", path.stem)
+            text, where, name = path.read_text(), f" in {path}", path.stem
         else:
             from importlib import resources
 
             ref = resources.files(__package__).joinpath(f"surfaces/{source}.json")
             try:
-                data = json.loads(ref.read_text())
+                text = ref.read_text()
             except FileNotFoundError:
                 raise InvalidSurface(
                     f"no such surface file or bundled name: {source!r} "
                     f"(bundled: {', '.join(bundled_surface_names())})"
                 ) from None
-            name = data.get("name", str(source))
+            name = str(source)
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise InvalidSurface(f"not JSON{where}: {exc}") from None
+        if not isinstance(data, dict):
+            raise InvalidSurface(f"no JSON object{where}")
+        name = data.get("name", name)
     try:
         arcs = [Arc(int(a["id"]), str(a["kind"])) for a in data["arcs"]]
         triangles = [tuple(int(x) for x in t) for t in data["triangles"]]
-    except (KeyError, TypeError) as exc:
-        raise InvalidSurface(f"malformed surface data: {exc}") from exc
-    lam = data.get("lambda")
-    if lam is not None:
-        lam = [[int(x) for x in row] for row in lam]
+        lam = data.get("lambda")
+        if lam is not None:
+            lam = [[int(x) for x in row] for row in lam]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidSurface(f"malformed surface data{where}: {exc}") from exc
     return Triangulation(arcs, triangles, lam, name)
 
 
@@ -316,28 +323,31 @@ def neighborhood(t: Triangulation, k: int) -> ArcNeighborhood:
 # -- integer linear algebra for find_lambda ---------------------------
 
 
-def _solve_integer_system(a_cols: list[list[int]], rhs: list[int]) -> tuple[list[int], list[list[int]]] | None:
-    """Solve A x = rhs over the integers.
+def _reduce_columns(a_cols: list[dict[int, int]], nrows: int) -> tuple:
+    """Column-reduce A to echelon form with a tracked unimodular transform.
 
-    ``a_cols`` holds the columns of A.  Returns (particular solution,
-    nullspace basis) or None when no integer solution exists.  Works by
-    column reduction to echelon form with a tracked unimodular
-    transform.
+    ``a_cols`` holds the columns of A as sparse ``{row: value}`` dicts; the
+    transform starts as the identity, also as sparse columns, and takes every
+    column operation.  Returns (echelon columns, transform columns, pivots),
+    ``pivots`` being the (row, column) pairs in order.  The echelon columns
+    past the pivots are zero, so those transform columns span the kernel.
     """
     ncols = len(a_cols)
-    nrows = len(rhs)
-    work = [list(col) for col in a_cols]
-    transform = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
+    work = [dict(col) for col in a_cols]
+    transform = [{j: 1} for j in range(ncols)]
 
     def col_sub(dst: int, src: int, factor: int) -> None:
-        if factor:
-            work[dst] = [a - factor * b for a, b in zip(work[dst], work[src])]
-            transform[dst] = [a - factor * b for a, b in zip(transform[dst], transform[src])]
+        for cols in (work, transform):
+            target = cols[dst]
+            for k, v in cols[src].items():
+                target[k] = target.get(k, 0) - factor * v
+                if not target[k]:
+                    del target[k]
 
     lead = 0
-    pivots: list[tuple[int, int]] = []  # (row, column) pairs
+    pivots: list[tuple[int, int]] = []
     for row in range(nrows):
-        live = [j for j in range(lead, ncols) if work[j][row] != 0]
+        live = [j for j in range(lead, ncols) if row in work[j]]
         if not live:
             continue
         while len(live) > 1:
@@ -345,7 +355,7 @@ def _solve_integer_system(a_cols: list[list[int]], rhs: list[int]) -> tuple[list
             piv = live[0]
             for j in live[1:]:
                 col_sub(j, piv, work[j][row] // work[piv][row])
-            live = [j for j in live if work[j][row] != 0]
+            live = [j for j in live if row in work[j]]
         piv = live[0]
         if piv != lead:
             work[piv], work[lead] = work[lead], work[piv]
@@ -354,36 +364,43 @@ def _solve_integer_system(a_cols: list[list[int]], rhs: list[int]) -> tuple[list
         lead += 1
         if lead == ncols:
             break
+    return work, transform, pivots
 
-    y = [0] * ncols
+
+def _solve_integer_system(a_cols: list[dict[int, int]], reduced: tuple, rhs: list[int]) -> list[int] | None:
+    """Solve A x = rhs over the integers from A's :func:`_reduce_columns` result.
+
+    Back-substitutes rhs, then certifies A x = rhs; None if no integer x exists.
+    """
+    work, transform, pivots = reduced
+    residual = list(rhs)
+    x = [0] * len(a_cols)
     for row, col in pivots:
-        residual = rhs[row] - sum(work[j][row] * y[j] for j in range(col))
-        pivot_val = work[col][row]
-        if residual % pivot_val != 0:
+        quotient, remainder = divmod(residual[row], work[col][row])
+        if remainder:
             return None
-        y[col] = residual // pivot_val
-    x = [sum(transform[j][i] * y[j] for j in range(ncols)) for i in range(ncols)]
-    for row in range(nrows):
-        if sum(a_cols[j][row] * x[j] for j in range(ncols)) != rhs[row]:
-            return None
-    # Columns past the pivots map to zero; their transform columns span the kernel.
-    kernel = [list(transform[j]) for j in range(lead, ncols)]
-    return x, kernel
+        for r, v in work[col].items():
+            residual[r] -= quotient * v
+        for i, v in transform[col].items():
+            x[i] += v * quotient
+    image = [0] * len(rhs)
+    for col, xj in zip(a_cols, x):
+        for row, v in col.items():
+            image[row] += v * xj
+    return x if image == rhs else None
 
 
-def _size_reduce(x: list[int], kernel: list[list[int]]) -> list[int]:
-    """Greedy lattice reduction of x modulo the kernel, minimizing norm."""
+def _size_reduce(x: list[int], kernel: list[dict[int, int]]) -> list[int]:
+    """Greedy lattice reduction of x modulo the kernel (sparse, nonzero vectors), minimizing norm."""
     x = list(x)
+    norms = [(v, sum(a * a for a in v.values())) for v in kernel]
     for _ in range(200):
         changed = False
-        for v in kernel:
-            vv = sum(a * a for a in v)
-            if vv == 0:
-                continue
-            num = sum(a * b for a, b in zip(x, v))
-            t = (2 * num + vv) // (2 * vv)
+        for v, vv in norms:
+            t = (2 * sum(x[i] * a for i, a in v.items()) + vv) // (2 * vv)
             if t:
-                x = [a - t * b for a, b in zip(x, v)]
+                for i, a in v.items():
+                    x[i] -= t * a
                 changed = True
         if not changed:
             break
@@ -393,10 +410,11 @@ def _size_reduce(x: list[int], kernel: list[list[int]]) -> list[int]:
 def find_lambda(b_tilde: list[list[int]]) -> list[list[int]]:
     """Integer skew Lambda with Lambda . b_tilde = -[d I; 0], smallest uniform d.
 
-    Searches d = 1, 2, ..., _LAMBDA_D_MAX; for each d solves the linear
-    system exactly and size-reduces against its solution lattice.  Accepts
-    the first d whose reduced solution stays within _LAMBDA_BOUND; raises
-    :class:`NoCompatibleLambda` otherwise.
+    The entries above the diagonal solve A x = rhs_d, where A depends on
+    ``b_tilde`` alone: A is column-reduced once, in sparse form, and each
+    d = 1, 2, ..., _LAMBDA_D_MAX only back-substitutes and size-reduces
+    against the kernel.  Accepts the first d whose solution stays within
+    _LAMBDA_BOUND; raises :class:`NoCompatibleLambda` otherwise.
     """
     m = len(b_tilde)
     n = len(b_tilde[0]) if m else 0
@@ -405,29 +423,29 @@ def find_lambda(b_tilde: list[list[int]]) -> list[list[int]]:
     positions = [(i, j) for i in range(m) for j in range(i + 1, m)]
     index = {p: k for k, p in enumerate(positions)}
 
-    a_cols: list[list[int]] = [[0] * (m * n) for _ in positions]
+    # Row i * n + j of A is entry (i, j) of Lambda . b_tilde.
+    a_cols: list[dict[int, int]] = [{} for _ in positions]
     for i in range(m):
         for col_j in range(n):
             row = i * n + col_j
             for l in range(m):
-                if l == i:
-                    continue
                 coeff = b_tilde[l][col_j]
-                if coeff == 0:
+                if l == i or coeff == 0:
                     continue
                 if i < l:
-                    a_cols[index[(i, l)]][row] += coeff
+                    a_cols[index[(i, l)]][row] = coeff
                 else:
-                    a_cols[index[(l, i)]][row] -= coeff
+                    a_cols[index[(l, i)]][row] = -coeff
 
+    reduced = _reduce_columns(a_cols, m * n)
+    kernel = reduced[1][len(reduced[2]):]
     for d in range(1, _LAMBDA_D_MAX + 1):
         rhs = [0] * (m * n)
         for j in range(n):
             rhs[j * n + j] = -d
-        solved = _solve_integer_system(a_cols, rhs)
-        if solved is None:
+        x = _solve_integer_system(a_cols, reduced, rhs)
+        if x is None:
             continue
-        x, kernel = solved
         x = _size_reduce(x, kernel)
         if max((abs(v) for v in x), default=0) > _LAMBDA_BOUND:
             continue

@@ -397,8 +397,9 @@ def check_compatible(b_tilde: Sequence[Sequence[int]], lam: Sequence[Sequence[in
         raise NotCompatible("b_tilde does not have full column rank")
     d = []
     for j in range(n):
+        column = [(k, b[k][j]) for k in range(m) if b[k][j]]  # a few nonzeros
         for i in range(m):
-            entry = sum(l[i][k] * b[k][j] for k in range(m))
+            entry = sum(l[i][k] * v for k, v in column)
             if i == j:
                 if entry >= 0:
                     raise NonPositiveD(f"diagonal entry {-entry} at column {j} is not positive")

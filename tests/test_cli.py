@@ -403,19 +403,19 @@ def test_verify_rejects_a_negative_worker_count_as_a_usage_error(runner, jobs):
         assert "Invalid value for '--jobs'" in res.output
 
 
-@pytest.mark.parametrize(
-    "args",
-    [
-        ["validate"],
-        ["expand", "--string", "1"],
-        ["matchings", "--string", "1"],
-        ["submodules", "--string", "1"],
-        ["mutate", "--seq", "1"],
-        ["kronecker", "--s", "1"],
-        ["skein-multiply", "--v", "1", "--w", "2"],
-        ["verify"],
-    ],
-)
+EVERY_COMMAND = [
+    ["validate"],
+    ["expand", "--string", "1"],
+    ["matchings", "--string", "1"],
+    ["submodules", "--string", "1"],
+    ["mutate", "--seq", "1"],
+    ["kronecker", "--s", "1"],
+    ["skein-multiply", "--v", "1", "--w", "2"],
+    ["verify"],
+]
+
+
+@pytest.mark.parametrize("args", EVERY_COMMAND)
 def test_every_command_reports_a_package_error_as_one_line(runner, args):
     res = runner.invoke(main, args + ["-s", "no-such-surface"])
     assert res.exit_code == 1
@@ -423,6 +423,32 @@ def test_every_command_reports_a_package_error_as_one_line(runner, args):
         "Error: no such surface file or bundled name: 'no-such-surface' "
         "(bundled: annulus, hexagon, pentagon, square)\n"
     )
+
+
+MALFORMED_SURFACE_FILES = {
+    "not JSON": "{bad",
+    "not an object": "[1, 2]",
+    "non-integer arc id": '{"arcs": [{"id": "x", "kind": "internal"}], "triangles": [[1, 2, 3]]}',
+    "non-integer lambda entry": json.dumps(
+        {
+            "arcs": [{"id": 1, "kind": "internal"}] + [{"id": i, "kind": "boundary"} for i in (2, 3, 4, 5)],
+            "triangles": [[1, 2, 3], [1, 4, 5]],
+            "lambda": [["z"]],
+        }
+    ),
+}
+
+
+@pytest.mark.parametrize("args", EVERY_COMMAND)
+@pytest.mark.parametrize("label", MALFORMED_SURFACE_FILES)
+def test_every_command_reports_a_malformed_surface_file_as_one_line(runner, tmp_path, label, args):
+    path = tmp_path / "bad.json"
+    path.write_text(MALFORMED_SURFACE_FILES[label])
+    res = runner.invoke(main, args + ["-s", str(path)])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert res.output.startswith("Error: ") and res.output.count("\n") == 1
+    assert str(path) in res.output
 
 
 def test_a_package_error_after_parsing_exits_with_its_message(runner, monkeypatch):

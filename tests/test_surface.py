@@ -1,8 +1,12 @@
 """Triangulated surfaces, their quivers, and compatible commutation matrices."""
 from __future__ import annotations
 
+import json
+import random
+
 import pytest
 
+from qcluster import surface
 from qcluster.errors import InvalidSurface, NoCompatibleLambda
 from qcluster.surface import (
     b_matrix,
@@ -16,7 +20,7 @@ from qcluster.surface import (
 )
 from qcluster.torus import check_compatible
 
-from conftest import WHEEL3
+from conftest import ANNULUS_21, SURFACES, WHEEL3
 
 
 def test_bundled_names_cover_the_corpus():
@@ -209,3 +213,190 @@ def test_load_surface_rejects_internal_arc_on_one_triangle():
                 "triangles": [[1, 2, 3]],
             }
         )
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("{bad", "not JSON in {path}: Expecting property name"),
+        ("[1, 2]", "no JSON object in {path}"),
+        ('{"arcs": [{"id": "x", "kind": "internal"}], "triangles": []}', "malformed surface data in {path}: "),
+        ('{"arcs": [{"id": 1, "kind": "internal"}], "triangles": [[1, "y", 3]]}', "malformed surface data in {path}: "),
+        ('{"arcs": [], "triangles": [], "lambda": [["z"]]}', "malformed surface data in {path}: "),
+        ('{"triangles": []}', "malformed surface data in {path}: 'arcs'"),
+    ],
+)
+def test_load_surface_names_the_file_of_malformed_data(tmp_path, text, message):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with pytest.raises(InvalidSurface) as info:
+        load_surface(str(path))
+    assert str(info.value).startswith(message.format(path=path))
+
+
+# -- find_lambda against the dense column reduction it replaced ---------
+
+
+def dense_solve_integer_system(a_cols, rhs):
+    """The former solver: dense columns, one full reduction per right-hand side."""
+    ncols = len(a_cols)
+    nrows = len(rhs)
+    work = [list(col) for col in a_cols]
+    transform = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
+
+    def col_sub(dst, src, factor):
+        if factor:
+            work[dst] = [a - factor * b for a, b in zip(work[dst], work[src])]
+            transform[dst] = [a - factor * b for a, b in zip(transform[dst], transform[src])]
+
+    lead = 0
+    pivots = []
+    for row in range(nrows):
+        live = [j for j in range(lead, ncols) if work[j][row] != 0]
+        if not live:
+            continue
+        while len(live) > 1:
+            live.sort(key=lambda j: (abs(work[j][row]), j))
+            piv = live[0]
+            for j in live[1:]:
+                col_sub(j, piv, work[j][row] // work[piv][row])
+            live = [j for j in live if work[j][row] != 0]
+        piv = live[0]
+        if piv != lead:
+            work[piv], work[lead] = work[lead], work[piv]
+            transform[piv], transform[lead] = transform[lead], transform[piv]
+        pivots.append((row, lead))
+        lead += 1
+        if lead == ncols:
+            break
+
+    y = [0] * ncols
+    for row, col in pivots:
+        residual = rhs[row] - sum(work[j][row] * y[j] for j in range(col))
+        pivot_val = work[col][row]
+        if residual % pivot_val != 0:
+            return None
+        y[col] = residual // pivot_val
+    x = [sum(transform[j][i] * y[j] for j in range(ncols)) for i in range(ncols)]
+    for row in range(nrows):
+        if sum(a_cols[j][row] * x[j] for j in range(ncols)) != rhs[row]:
+            return None
+    kernel = [list(transform[j]) for j in range(lead, ncols)]
+    return x, kernel
+
+
+def dense_size_reduce(x, kernel):
+    x = list(x)
+    for _ in range(200):
+        changed = False
+        for v in kernel:
+            vv = sum(a * a for a in v)
+            if vv == 0:
+                continue
+            num = sum(a * b for a, b in zip(x, v))
+            t = (2 * num + vv) // (2 * vv)
+            if t:
+                x = [a - t * b for a, b in zip(x, v)]
+                changed = True
+        if not changed:
+            break
+    return x
+
+
+def dense_find_lambda(b_tilde):
+    """The former find_lambda, reducing the dense system again for each d."""
+    m = len(b_tilde)
+    n = len(b_tilde[0]) if m else 0
+    if n == 0:
+        raise NoCompatibleLambda("empty exchange matrix")
+    positions = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    index = {p: k for k, p in enumerate(positions)}
+    a_cols = [[0] * (m * n) for _ in positions]
+    for i in range(m):
+        for col_j in range(n):
+            row = i * n + col_j
+            for l in range(m):
+                if l == i:
+                    continue
+                coeff = b_tilde[l][col_j]
+                if coeff == 0:
+                    continue
+                if i < l:
+                    a_cols[index[(i, l)]][row] += coeff
+                else:
+                    a_cols[index[(l, i)]][row] -= coeff
+    for d in range(1, surface._LAMBDA_D_MAX + 1):
+        rhs = [0] * (m * n)
+        for j in range(n):
+            rhs[j * n + j] = -d
+        solved = dense_solve_integer_system(a_cols, rhs)
+        if solved is None:
+            continue
+        x = dense_size_reduce(*solved)
+        if max((abs(v) for v in x), default=0) > surface._LAMBDA_BOUND:
+            continue
+        lam = [[0] * m for _ in range(m)]
+        for (i, j), k in index.items():
+            lam[i][j] = x[k]
+            lam[j][i] = -x[k]
+        check_compatible(b_tilde, lam)
+        return lam
+    raise NoCompatibleLambda("no lambda")
+
+
+def random_polygon(n, rng):
+    """A triangulated n-gon cut ear by ear at random vertices, as surface JSON.
+
+    Vertices 0..n-1 run counterclockwise; the diagonals are the internal
+    arcs, in sorted vertex order, and the sides follow.
+    """
+    cycle, triangles = list(range(n)), []
+    while len(cycle) > 3:
+        k = rng.randrange(len(cycle))
+        triangles.append(sorted((cycle[k - 1], cycle[k], cycle[(k + 1) % len(cycle)])))
+        del cycle[k]
+    triangles.append(cycle)
+    sides = [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
+    diagonals = sorted({e for a, b, c in triangles for e in ((a, b), (b, c), (a, c))} - set(sides))
+    ids = {e: k + 1 for k, e in enumerate(diagonals + sides)}
+    return {
+        "arcs": [{"id": ids[e], "kind": "internal"} for e in diagonals]
+        + [{"id": ids[e], "kind": "boundary"} for e in sides],
+        # a < b < c run counterclockwise: sides ab, bc, then ca
+        "triangles": [[ids[(a, b)], ids[(b, c)], ids[(a, c)]] for a, b, c in triangles],
+    }
+
+
+_RNG = random.Random(10)
+POLYGON_DRAWS = [random_polygon(_RNG.randint(5, 12), _RNG) for _ in range(60)]
+POLYGON_DRAWS += [random_polygon(14, random.Random(seed)) for seed in (1, 2)]
+
+
+@pytest.mark.parametrize("data", [*SURFACES, ANNULUS_21, WHEEL3])
+def test_find_lambda_equals_the_dense_reduction_on_fixed_surfaces(data):
+    b = b_matrix(load_surface(data))
+    assert find_lambda(b) == dense_find_lambda(b)
+
+
+def test_find_lambda_equals_the_dense_reduction_on_random_polygons():
+    for data in POLYGON_DRAWS:
+        b = b_matrix(load_surface(data))
+        assert find_lambda(b) == dense_find_lambda(b), json.dumps(data)
+
+
+def test_find_lambda_reduces_once_and_back_substitutes_per_d(annulus, monkeypatch):
+    calls = {"reduce": 0, "solve": 0}
+    reduce, solve = surface._reduce_columns, surface._solve_integer_system
+
+    def counted_reduce(*args):
+        calls["reduce"] += 1
+        return reduce(*args)
+
+    def counted_solve(*args):
+        calls["solve"] += 1
+        return solve(*args)
+
+    monkeypatch.setattr(surface, "_reduce_columns", counted_reduce)
+    monkeypatch.setattr(surface, "_solve_integer_system", counted_solve)
+    assert pair_from_surface(annulus).d == (2, 2)
+    assert calls == {"reduce": 1, "solve": 2}

@@ -291,6 +291,51 @@ def test_the_equation_accepts_exactly_the_pairs_the_rank_test_did(pair):
     assert _outcome(check_compatible, b_tilde, lam) == expected
 
 
+def dense_check_compatible(b_tilde, lam):
+    """The former check: each entry of lambda b_tilde summed over all m rows."""
+    b = tuple(tuple(int(x) for x in row) for row in b_tilde)
+    l = tuple(tuple(int(x) for x in row) for row in lam)
+    m = len(l)
+    if any(len(row) != m for row in l):
+        raise NotSkew("lambda matrix is not square")
+    for i in range(m):
+        for j in range(m):
+            if l[i][j] != -l[j][i]:
+                raise NotSkew(f"lambda[{i}][{j}] != -lambda[{j}][{i}]")
+    if len(b) != m:
+        raise NotCompatible(f"b_tilde has {len(b)} rows, lambda is {m} x {m}")
+    n = len(b[0]) if b else 0
+    if any(len(row) != n for row in b):
+        raise NotCompatible("ragged b_tilde")
+    if not 0 < n <= m:
+        raise NotCompatible("b_tilde does not have full column rank")
+    d = []
+    for j in range(n):
+        for i in range(m):
+            entry = sum(l[i][k] * b[k][j] for k in range(m))
+            if i == j:
+                if entry >= 0:
+                    raise NonPositiveD(f"diagonal entry {-entry} at column {j} is not positive")
+                d.append(-entry)
+            elif entry != 0:
+                raise NotCompatible(f"(lambda b_tilde)[{i}][{j}] = {entry} != 0")
+    return tuple(d)
+
+
+def _outcome_with_message(check, b_tilde, lam):
+    try:
+        return check(b_tilde, lam)
+    except QClusterError as exc:
+        return type(exc), str(exc)
+
+
+@given(st.one_of(integer_pairs(), surface_pairs()))
+def test_the_sparse_check_matches_the_dense_loop(pair):
+    b_tilde, lam = pair
+    expected = _outcome_with_message(dense_check_compatible, b_tilde, lam)
+    assert _outcome_with_message(check_compatible, b_tilde, lam) == expected
+
+
 @pytest.mark.parametrize(
     "b_tilde, lam",
     [
