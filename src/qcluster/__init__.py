@@ -128,7 +128,6 @@ from .torus import (
     torus_pow,
 )
 from .valuation import (
-    big_counts,
     compare_valuations,
     n_module,
     omega,

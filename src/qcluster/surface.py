@@ -189,6 +189,13 @@ def bundled_surface_names() -> list[str]:
     return sorted(names)
 
 
+def _integer(x) -> int:
+    """A JSON integer; a bool or a non-integral number is malformed surface data."""
+    if type(x) is not int:
+        raise TypeError(f"{x!r} is not an integer")
+    return x
+
+
 def load_surface(source: str | Path | dict) -> Triangulation:
     """Load a surface from a JSON file, a bundled name, or a dict."""
     where = ""  # names the file in error messages
@@ -219,11 +226,11 @@ def load_surface(source: str | Path | dict) -> Triangulation:
             raise InvalidSurface(f"no JSON object{where}")
         name = data.get("name", name)
     try:
-        arcs = [Arc(int(a["id"]), str(a["kind"])) for a in data["arcs"]]
-        triangles = [tuple(int(x) for x in t) for t in data["triangles"]]
+        arcs = [Arc(_integer(a["id"]), str(a["kind"])) for a in data["arcs"]]
+        triangles = [tuple(_integer(x) for x in t) for t in data["triangles"]]
         lam = data.get("lambda")
         if lam is not None:
-            lam = [[int(x) for x in row] for row in lam]
+            lam = [[_integer(x) for x in row] for row in lam]
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidSurface(f"malformed surface data{where}: {exc}") from exc
     return Triangulation(arcs, triangles, lam, name)

@@ -14,28 +14,49 @@ A :class:`CompatiblePair` packages the skew matrix together with an
 extended exchange matrix whose columns it must pair into ``-[D; 0]``.
 
 Coefficient products use Kronecker substitution.  A factor with one term
-is a shift and a scaling.  Otherwise q^(1/2) is mapped to ``2^bits``:
-each factor becomes one Python int whose base-``2^bits`` digits are its
-coefficients, read at the gcd of its exponent gaps (the stride), so the
-product of the two ints carries every coefficient of the product.  No
-product coefficient exceeds max|a| * max|b| * (fewer terms) in absolute
-value, so ``bits`` is that bound's bit length plus a sign bit, rounded up
-to whole bytes.  Adding ``2^(bits-1)`` to each digit of the product makes
-all digits nonnegative; ``to_bytes`` then cuts them apart exactly.
+is a shift and a scaling.  Otherwise q^(1/2) is mapped to ``2^bits``: a
+coefficient becomes one Python int whose base-``2^bits`` digits are its
+coefficients, read at a common stride (a divisor of every exponent gap),
+so the product of two such ints carries every coefficient of the product.
+Packing writes each digit, biased by ``2^(bits-1)``, into one byte string
+that is read as an int once.  Unpacking adds the same bias to every digit,
+so no digit borrows and ``to_bytes`` cuts them apart exactly; that needs
+every digit to lie strictly between -2^(bits-1) and 2^(bits-1).
+
+A torus product packs each coefficient once per call.  A first pass reads
+only exponents: the key ``g + h`` of each term pair, the lowest and highest
+q-exponent landing on each key, and one stride for the call, the gcd of
+every gap inside a coefficient and of every difference between the offsets
+``lo_g + lo_h + L(g,h)`` of the pairs that share a key.  At most
+min(|a|, |b|) pairs share a key, so no output coefficient exceeds
+max|a| * max|b| * (fewer q-terms) * min(|a|, |b|) in absolute value, and
+``bits`` is that bound's bit length plus a sign bit, in whole bytes.  The
+second pass adds each pair's packed product, shifted to its offset, into
+its key's int, and unpacks each key once; a zero int drops the key.  When
+one factor has a single term, each pair is multiplied on its own instead.
 
 Right division by an element ``c`` eliminates the leading term of the
-remainder in lex order, updating the remainder in place.  Since the
-torus is a domain, every exponent of an exact quotient lies in the box
-``[min_i(a) - min_i(c), max_i(a) - max_i(c)]`` per coordinate; a step
-outside it proves the division inexact, and the strictly decreasing
-quotient exponents inside the finite box bound the number of steps.
+remainder in lex order.  Since the torus is a domain, every exponent of an
+exact quotient lies in the box ``[min_i(a) - min_i(c), max_i(a) - max_i(c)]``
+per coordinate; a step outside it proves the division inexact, and the
+strictly decreasing quotient exponents inside the finite box bound the
+number of steps.  The remainder stays packed, as (lowest exponent, int)
+per key, and ``c`` is packed once per layout.  Each step unpacks only the
+leading coefficient, divides it, packs the quotient coefficient and
+subtracts its packed product with each term of ``c``; a key whose lowest
+exponent drops is re-based by a shift.  A running bound on the remainder's
+coefficients, max|a| plus max|gamma| * max|c| * (fewer q-terms) per step,
+keeps every digit in range, so ``int == 0`` is an exact zero test.  When
+the bound reaches the sign bit, or a quotient coefficient leaves the
+stride or a key's residue class, the remainder is laid out again with
+wider digits or a finer stride.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from operator import mul
+from operator import add, mul
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -62,7 +83,7 @@ __all__ = [
 
 
 def vec_add(g: Sequence[int], h: Sequence[int]) -> tuple:
-    return tuple(a + b for a, b in zip(g, h, strict=True))
+    return tuple(map(add, g, h))
 
 
 @dataclass(frozen=True, order=True)
@@ -97,42 +118,44 @@ def _q_power_str(twice: int) -> str:
     return f"q^{{{twice}/2}}"
 
 
-def _pack(coeffs: Mapping[int, int], lo: int, stride: int, length: int, bits: int) -> int:
-    """Evaluate sum c * x^((t - lo) / stride) at x = 2^bits; digits may be negative."""
-    dense = [0] * length
-    for t, c in coeffs.items():
-        dense[(t - lo) // stride] = c
-    packed = 0
-    for c in reversed(dense):
-        packed = (packed << bits) + c
-    return packed
+def _digit_bits(bound: int) -> int:
+    """Digit width for digits of absolute value at most ``bound``: its bits, a sign bit, whole bytes."""
+    return 8 * (bound.bit_length() // 8 + 1)
 
 
-def _kronecker_product(a: Mapping[int, int], b: Mapping[int, int]) -> dict[int, int]:
-    """The product of two q-polynomials of at least two terms each.
+def _bias(bits: int, length: int) -> int:
+    """The int whose ``length`` base-2^bits digits are each 2^(bits-1)."""
+    return int.from_bytes((bytes(bits // 8 - 1) + b"\x80") * length, "little")
 
-    Both are packed into one integer each (see the module docstring), so
-    a single big-int multiplication does the whole convolution.
-    """
-    lo_a, lo_b = min(a), min(b)
-    # Exponents that share a residue class only need every stride-th digit.
-    stride = gcd(*[t - lo_a for t in a], *[t - lo_b for t in b])
-    len_a = (max(a) - lo_a) // stride + 1
-    len_b = (max(b) - lo_b) // stride + 1
-    n = len_a + len_b - 1
-    # No product coefficient exceeds bound in absolute value; one more bit holds the sign.
-    bound = max(map(abs, a.values())) * max(map(abs, b.values())) * min(len(a), len(b))
-    width = bound.bit_length() // 8 + 1
-    bits = 8 * width
+
+def _common_stride(*polys: Mapping[int, int]) -> int:
+    """The gcd of every exponent gap inside each polynomial; 0 when all are monomials."""
+    stride = 0
+    for p in polys:
+        lo = min(p)
+        stride = gcd(stride, *[t - lo for t in p])
+    return stride
+
+
+def _pack(coeffs: Mapping[int, int], lo: int, stride: int, bits: int) -> int:
+    """Evaluate sum c * x^((t - lo) / stride) at x = 2^bits from biased bytes, in linear time."""
+    width = bits // 8
     half = 1 << (bits - 1)
-    product = _pack(a, lo_a, stride, len_a, bits) * _pack(b, lo_b, stride, len_b, bits)
-    # Adding half to every digit makes each one nonnegative, so digits never borrow.
-    biased = product + int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
-    raw = biased.to_bytes(n * width, "little")
+    length = (max(coeffs) - lo) // stride + 1
+    raw = [half.to_bytes(width, "little")] * length
+    for t, c in coeffs.items():
+        raw[(t - lo) // stride] = (c + half).to_bytes(width, "little")
+    return int.from_bytes(b"".join(raw), "little") - _bias(bits, length)
+
+
+def _unpack(value: int, lo: int, stride: int, bits: int, length: int) -> dict[int, int]:
+    """Invert :func:`_pack` without its zeros; every digit must lie in (-2^(bits-1), 2^(bits-1))."""
+    width = bits // 8
+    half = 1 << (bits - 1)
+    raw = (value + _bias(bits, length)).to_bytes(length * width, "little")
     from_bytes = int.from_bytes
-    digits = [from_bytes(raw[i : i + width], "little") for i in range(0, n * width, width)]
-    lo = lo_a + lo_b
-    return {t: d - half for t, d in zip(range(lo, lo + stride * n, stride), digits) if d != half}
+    digits = [from_bytes(raw[i : i + width], "little") for i in range(0, length * width, width)]
+    return {t: d - half for t, d in zip(range(lo, lo + stride * length, stride), digits) if d != half}
 
 
 class QCoefficient:
@@ -190,7 +213,13 @@ class QCoefficient:
         if len(b) == 1:
             ((t0, c0),) = b.items()
             return QCoefficient._wrap({t + t0: c * c0 for t, c in a.items()})
-        return QCoefficient._wrap(_kronecker_product(a, b))
+        lo_a, lo_b = min(a), min(b)
+        # Exponents that share a residue class only need every stride-th digit.
+        stride = _common_stride(a, b)
+        bits = _digit_bits(max(map(abs, a.values())) * max(map(abs, b.values())) * min(len(a), len(b)))
+        product = _pack(a, lo_a, stride, bits) * _pack(b, lo_b, stride, bits)
+        length = (max(a) - lo_a + max(b) - lo_b) // stride + 1
+        return QCoefficient._wrap(_unpack(product, lo_a + lo_b, stride, bits, length))
 
     @staticmethod
     def _wrap(coeffs: dict) -> "QCoefficient":
@@ -439,27 +468,56 @@ class CompatiblePair:
         return row
 
 
-def _add_shifted(acc: dict[int, int], coeffs: Mapping[int, int], twice: int) -> None:
-    """Add q^(twice/2) * coeffs into acc in place, leaving no zero entry."""
-    for t, c in coeffs.items():
-        t += twice
-        c += acc.get(t, 0)
-        if c:
-            acc[t] = c
-        else:
-            del acc[t]
-
-
 def torus_mul(a: TorusElement, b: TorusElement, pair: CompatiblePair) -> TorusElement:
     """Product in the quantum torus twisted by ``pair.lam``."""
     a._check_rank(b)
-    out: dict[tuple, dict[int, int]] = {}
-    for g, cg in a.terms.items():
+    if len(a.terms) <= 1 or len(b.terms) <= 1:
+        # Every pair lands on its own key; a monomial factor shifts and scales.
+        out = {}
+        for g, cg in a.terms.items():
+            row = pair.twist_row(g)
+            for h, ch in b.terms.items():
+                out[vec_add(g, h)] = (cg * ch).shifted(sum(map(mul, row, h)))
+        return TorusElement(a.rank, out)
+    coeffs_a = [cg.coeffs for cg in a.terms.values()]
+    coeffs_b = [ch.coeffs for ch in b.terms.values()]
+    lows_a, lows_b = [min(x) for x in coeffs_a], [min(x) for x in coeffs_b]
+    spans_b = [max(x) - lo for x, lo in zip(coeffs_b, lows_b)]
+    stride = _common_stride(*coeffs_a, *coeffs_b)
+    # Pass 1, exponents only: each key's lowest and highest exponent and its pairs.
+    keys: dict[tuple, list] = {}
+    for i, (g, x) in enumerate(zip(a.terms, coeffs_a)):
         row = pair.twist_row(g)
-        for h, ch in b.terms.items():
-            acc = out.setdefault(vec_add(g, h), {})
-            _add_shifted(acc, (cg * ch).coeffs, sum(map(mul, row, h)))
-    return TorusElement(a.rank, {key: QCoefficient._wrap(acc) for key, acc in out.items()})
+        base, span_g = lows_a[i], max(x) - lows_a[i]
+        for j, h in enumerate(b.terms):
+            offset = base + lows_b[j] + sum(map(mul, row, h))
+            top = offset + span_g + spans_b[j]
+            entry = keys.get(key := vec_add(g, h))
+            if entry is None:
+                keys[key] = [offset, top, [(i, j, offset)]]
+                continue
+            stride = gcd(stride, offset - entry[0])
+            if offset < entry[0]:
+                entry[0] = offset
+            if top > entry[1]:
+                entry[1] = top
+            entry[2].append((i, j, offset))
+    stride = stride or 1
+    # At most min(|a|, |b|) pairs land on one key.
+    bound = max(max(map(abs, x.values())) for x in coeffs_a) * max(max(map(abs, x.values())) for x in coeffs_b)
+    bound *= min(max(map(len, coeffs_a)), max(map(len, coeffs_b))) * min(len(coeffs_a), len(coeffs_b))
+    bits = _digit_bits(bound)
+    # Pass 2: pack each coefficient once, sum packed products per key, unpack each key once.
+    packed_a = [_pack(x, lo, stride, bits) for x, lo in zip(coeffs_a, lows_a)]
+    packed_b = [_pack(x, lo, stride, bits) for x, lo in zip(coeffs_b, lows_b)]
+    out = {}
+    for key, (lo, hi, pairs) in keys.items():
+        acc = 0
+        for i, j, offset in pairs:
+            acc += packed_a[i] * packed_b[j] << bits * ((offset - lo) // stride)
+        if acc:
+            out[key] = QCoefficient._wrap(_unpack(acc, lo, stride, bits, (hi - lo) // stride + 1))
+    return TorusElement(a.rank, out)
 
 
 def torus_pow(a: TorusElement, k: int, pair: CompatiblePair) -> TorusElement:
@@ -494,7 +552,15 @@ def div_exact_right(a: TorusElement, c: TorusElement, pair: CompatiblePair) -> T
     ]
     g_c = c.leading_vector()
     gamma_c = c.terms[g_c]
-    remainder = {g: dict(coeff.coeffs) for g, coeff in a.terms.items()}
+    lows_c = {h: min(ch.coeffs) for h, ch in c.terms.items()}
+    top_c = max(max(map(abs, ch.coeffs.values())) for ch in c.terms.values())
+    len_c = max(len(ch.coeffs) for ch in c.terms.values())
+    stride = _common_stride(*[x.coeffs for x in a.terms.values()], *[x.coeffs for x in c.terms.values()]) or 1
+    # A running bound on every remainder coefficient keeps each packed digit exact.
+    bound = max(top_c, *[max(map(abs, x.coeffs.values())) for x in a.terms.values()])
+    bits = _digit_bits(bound)
+    remainder = {g: (lo := min(x.coeffs), _pack(x.coeffs, lo, stride, bits)) for g, x in a.terms.items()}
+    packed_c = {h: _pack(ch.coeffs, lows_c[h], stride, bits) for h, ch in c.terms.items()}
     quotient: dict[tuple, QCoefficient] = {}
     while remainder:
         g_a = max(remainder)
@@ -506,21 +572,52 @@ def div_exact_right(a: TorusElement, c: TorusElement, pair: CompatiblePair) -> T
                     f"outside [{lo}, {hi}]"
                 )
         row = pair.twist_row(g_b)
+        lo, packed = remainder[g_a]
+        lead = _unpack(packed, lo, stride, bits, packed.bit_length() // bits + 1)
         # (gamma_b X^g_b)(gamma_c X^g_c) must produce the current lead.
-        gamma_b = QCoefficient._wrap(remainder[g_a]).shifted(-sum(map(mul, row, g_c)))
+        gamma_b = QCoefficient._wrap(lead).shifted(-sum(map(mul, row, g_c)))
         gamma_b = gamma_b.divide_exact(gamma_c)
         if gamma_b is None:
             raise NonExactDivision(f"coefficient at {g_a} is not divisible")
         quotient[g_b] = gamma_b
-        # remainder -= (gamma_b X^g_b) * c, term by term and in place.
-        minus_b = -gamma_b
-        for h, ch in c.terms.items():
-            key = vec_add(g_b, h)
-            acc = remainder.setdefault(key, {})
-            _add_shifted(acc, (minus_b * ch).coeffs, sum(map(mul, row, h)))
-            if not acc:
+        # remainder -= (gamma_b X^g_b) * c, one packed product per term of c.
+        coeffs = gamma_b.coeffs
+        lo_b = min(coeffs)
+        offsets = {vec_add(g_b, h): lo_b + lows_c[h] + sum(map(mul, row, h)) for h in c.terms}
+        new_stride = gcd(
+            stride,
+            *[t - lo_b for t in coeffs],
+            *[offset - remainder[key][0] for key, offset in offsets.items() if key in remainder],
+        )
+        bound += max(map(abs, coeffs.values())) * top_c * min(len(coeffs), len_c)
+        new_bits = bits if bound < 1 << (bits - 1) else max(2 * bits, _digit_bits(bound))
+        if (new_stride, new_bits) != (stride, bits):
+            _relayout(remainder, (stride, bits), (new_stride, new_bits))
+            stride, bits = new_stride, new_bits
+            packed_c = {h: _pack(ch.coeffs, lows_c[h], stride, bits) for h, ch in c.terms.items()}
+        packed_b = _pack(coeffs, lo_b, stride, bits)
+        for (key, offset), pc in zip(offsets.items(), packed_c.values()):
+            if key not in remainder:
+                remainder[key] = (offset, -(packed_b * pc))
+                continue
+            lo, packed = remainder[key]
+            if offset < lo:  # re-base the key at its new lowest exponent
+                packed, lo = packed << bits * ((lo - offset) // stride), offset
+            packed -= packed_b * pc << bits * ((offset - lo) // stride)
+            if packed:
+                remainder[key] = (lo, packed)
+            else:
                 del remainder[key]
     return TorusElement(a.rank, quotient)
+
+
+def _relayout(remainder: dict, old: tuple[int, int], new: tuple[int, int]) -> None:
+    """Repack every remainder coefficient from layout ``old`` to ``new`` (stride, bits), in place."""
+    (stride, bits), (new_stride, new_bits) = old, new
+    for key, (lo, packed) in remainder.items():
+        coeffs = _unpack(packed, lo, stride, bits, packed.bit_length() // bits + 1)
+        lo = min(coeffs)
+        remainder[key] = (lo, _pack(coeffs, lo, new_stride, new_bits))
 
 
 def bar(a: TorusElement) -> TorusElement:

@@ -28,8 +28,9 @@ below live on it as long as it does.  Two routes to the same integer:
 
 compare_valuations matches the two routes through the bijection and
 keeps the agreed table on the graph, where the expansion reads it.
-m_pm, n_pm, n_module and big_counts stay as the reference forms the
-tables are checked against.
+m_pm and n_module are the per-position counts the tables are built
+from; the tests check the tables against an edge scan and a sum over
+positions of n_module.
 """
 
 from __future__ import annotations
@@ -55,11 +56,9 @@ from .strings import StringWord, enumerate_canonical_submodules
 
 __all__ = [
     "m_pm",
-    "n_pm",
     "omega",
     "valuation_v",
     "n_module",
-    "big_counts",
     "omega_prime",
     "valuation_v_gamma",
 ]
@@ -73,20 +72,6 @@ def m_pm(g: SnakeGraph, s: int, tau: int) -> tuple:
     before = sum(1 for j in range(1, s) if g.tile(j).diagonal == tau)
     after = sum(1 for j in range(s + 1, g.d + 1) if g.tile(j).diagonal == tau)
     return before, after
-
-
-def n_pm(g: SnakeGraph, s: int, P: frozenset, tau: int) -> tuple:
-    """Matched tau-labeled edges strictly on either side of tile s.
-
-    The side regions include the edges gluing them to tile s.  Only
-    defined at twistable tiles.
-    """
-    if not can_twist(g, P, s):
-        raise CannotTwist(f"matching does not cover tile {s} by an opposite pair")
-    tiles = [g.tiles_of_edge(e) for e in P if g.edge_label(e) == tau]
-    n_minus = sum(1 for js in tiles if js[0] < s)
-    n_plus = sum(1 for js in tiles if js[-1] > s)
-    return n_minus, n_plus
 
 
 def _tile_m(g: SnakeGraph) -> list:
@@ -220,24 +205,6 @@ def n_module(g: SnakeGraph, k: int, j: int, indices) -> tuple:
     return n_plus + n_minus + plain, n_plus, n_minus
 
 
-def big_counts(g: SnakeGraph, k: int, j: int, indices) -> tuple:
-    """(M_minus, M_plus, N_minus, N_plus) for arc k anchored at position j.
-
-    Position j must cross arc k.  The M-counts repeat m_pm on the word;
-    the N-counts add the anchored signed parts to the plain totals of
-    the other positions on each side.
-    """
-    arcs, d = g.word.vertices, g.d
-    if arcs[j - 1] != k:
-        raise UnmatchedCase(f"position {j} crosses {arcs[j - 1]}, not {k}")
-    m_minus = arcs[: j - 1].count(k)
-    m_plus = arcs[j:].count(k)
-    _, n_plus_here, n_minus_here = n_module(g, k, j, indices)
-    n_minus = n_minus_here + sum(n_module(g, k, i, indices)[0] for i in range(1, j))
-    n_plus = n_plus_here + sum(n_module(g, k, i, indices)[0] for i in range(j + 1, d + 1))
-    return m_minus, m_plus, n_minus, n_plus
-
-
 def _window(j: int, pattern: int) -> frozenset:
     """The positions among j-1, j, j+1 that the bits of pattern select."""
     return frozenset(j - 1 + b for b in range(3) if pattern >> b & 1)
@@ -287,8 +254,10 @@ def _omega_prime_row(g: SnakeGraph, indices: frozenset) -> tuple:
 def omega_prime(g: SnakeGraph, j: int, indices) -> int:
     """Word-side form of the twist increment at position j.
 
-    Equals sign * (N_plus - M_plus - N_minus + M_minus) with the counts
-    of big_counts for the arc crossed at j.
+    Equals sign * (N_plus - M_plus - N_minus + M_minus) for the arc k
+    crossed at j: M_minus and M_plus count the other positions crossing k
+    before and after j, and N_minus and N_plus add the signed parts that
+    n_module anchors at j to its plain totals at the positions on each side.
     """
     if not 1 <= j <= g.d:
         raise UnmatchedCase(f"position {j} outside 1..{g.d}")

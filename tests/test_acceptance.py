@@ -54,10 +54,8 @@ from qcluster.torus import (
     torus_mul,
 )
 from qcluster.valuation import (
-    big_counts,
     m_pm,
     n_module,
-    n_pm,
     omega,
     omega_prime,
     valuation_v,
@@ -65,6 +63,7 @@ from qcluster.valuation import (
 )
 
 from conftest import make_word
+from test_valuation import big_counts, n_pm
 
 KRON_PAIR = CompatiblePair(((0, 2), (-2, 0)), ((0, 1), (-1, 0)), (2, 2))
 

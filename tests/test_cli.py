@@ -429,6 +429,18 @@ MALFORMED_SURFACE_FILES = {
     "not JSON": "{bad",
     "not an object": "[1, 2]",
     "non-integer arc id": '{"arcs": [{"id": "x", "kind": "internal"}], "triangles": [[1, 2, 3]]}',
+    "fractional arc id": json.dumps(
+        {"arcs": [{"id": 1.7, "kind": "internal"}] + [{"id": i, "kind": "boundary"} for i in (2, 3, 4, 5)],
+         "triangles": [[2, 3, 1], [1, 4, 5]]}
+    ),
+    "fractional triangle side": json.dumps(
+        {"arcs": [{"id": 1, "kind": "internal"}] + [{"id": i, "kind": "boundary"} for i in (2, 3, 4, 5)],
+         "triangles": [[2.4, 3.4, 1.4], [1, 4, 5]]}
+    ),
+    "boolean arc id": json.dumps(
+        {"arcs": [{"id": True, "kind": "internal"}] + [{"id": i, "kind": "boundary"} for i in (2, 3, 4, 5)],
+         "triangles": [[2, 3, 1], [1, 4, 5]]}
+    ),
     "non-integer lambda entry": json.dumps(
         {
             "arcs": [{"id": 1, "kind": "internal"}] + [{"id": i, "kind": "boundary"} for i in (2, 3, 4, 5)],

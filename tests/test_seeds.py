@@ -148,6 +148,19 @@ def test_annulus_mutation_matches_its_own_arc_variable(seeds):
     )
 
 
+@pytest.mark.parametrize("start", (1, 2))
+def test_mutation_past_the_cli_cap_equals_the_classical_oracle(seeds, start):
+    # mutation_sequence stops at 12 steps; mutate_seed itself has no cap.
+    ks = [start if i % 2 == 0 else 3 - start for i in range(14)]
+    seed = seeds["annulus"]
+    initial = classical = classical_initial_seed([list(row) for row in seed.pair.b_tilde])
+    for k in ks:
+        seed = mutate_seed(seed, k)
+        classical = classical_mutate(classical, k)
+        assert [classical_specialization(x) for x in seed.cluster] == list(classical.cluster)
+    assert list(classical_mutation_sequence(initial, ks).cluster) == list(classical.cluster)
+
+
 def test_invalid_mutations_raise_a_typed_error(kron_seed):
     with pytest.raises(InvalidMutation, match=r"^direction 3 outside 1\.\.2$"):
         mutate_seed(kron_seed, 3)

@@ -234,6 +234,44 @@ def test_load_surface_names_the_file_of_malformed_data(tmp_path, text, message):
     assert str(info.value).startswith(message.format(path=path))
 
 
+def _square_with(spoil):
+    data = {
+        "arcs": [{"id": 1, "kind": "internal"}] + [{"id": i, "kind": "boundary"} for i in (2, 3, 4, 5)],
+        "triangles": [[2, 3, 1], [1, 4, 5]],
+        "lambda": [[0, 1, 0, 0, 0], [-1, 0, 0, 0, 0], [0] * 5, [0] * 5, [0] * 5],
+    }
+    spoil(data)
+    return data
+
+
+# int() would read each of these as a different, valid square.
+NON_INTEGRAL = {
+    "fractional arc id": (lambda d: d["arcs"][0].update(id=1.7), "1.7 is not an integer"),
+    "fractional triangle side": (lambda d: d["triangles"].__setitem__(0, [2.4, 3.4, 1.4]), "2.4 is not an integer"),
+    "boolean arc id": (lambda d: d["arcs"][0].update(id=True), "True is not an integer"),
+    "float lambda entry": (lambda d: d["lambda"][0].__setitem__(1, 1.0), "1.0 is not an integer"),
+}
+
+
+@pytest.mark.parametrize("label", NON_INTEGRAL)
+def test_load_surface_rejects_numbers_that_are_not_integers(tmp_path, label):
+    spoil, reason = NON_INTEGRAL[label]
+    assert load_surface(_square_with(lambda d: None)).m == 5
+    with pytest.raises(InvalidSurface) as info:
+        load_surface(_square_with(spoil))
+    assert str(info.value) == f"malformed surface data: {reason}"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_square_with(spoil)))
+    with pytest.raises(InvalidSurface) as info:
+        load_surface(str(path))
+    assert str(info.value) == f"malformed surface data in {path}: {reason}"
+
+
+def test_every_bundled_and_drawn_surface_still_loads():
+    for source in (*SURFACES, ANNULUS_21, WHEEL3, *POLYGON_DRAWS):
+        assert load_surface(source).m > 0
+
+
 # -- find_lambda against the dense column reduction it replaced ---------
 
 

@@ -2,9 +2,12 @@
 from __future__ import annotations
 
 import fractions
+import random
+from math import gcd
+from operator import mul
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qcluster.errors import (
@@ -16,6 +19,7 @@ from qcluster.errors import (
     QClusterError,
 )
 from qcluster.seeds import mutate_lambda, mutate_matrix
+from qcluster import torus
 from qcluster.surface import load_surface, pair_from_surface
 from qcluster.torus import (
     CompatiblePair,
@@ -520,3 +524,249 @@ def test_right_division_rejects_a_perturbed_product(a, c, g, t):
     perturbed = torus_mul(a, c, PAIR3) + mono(g, twice=t)
     with pytest.raises(NonExactDivision):
         div_exact_right(perturbed, c, PAIR3)
+
+
+# -- packed products and division against the per-pair forms they replace --
+
+
+def reference_pack(coeffs, lo, stride, length, bits):
+    """Evaluate sum c * x^((t - lo) / stride) at x = 2^bits; digits may be negative."""
+    dense = [0] * length
+    for t, c in coeffs.items():
+        dense[(t - lo) // stride] = c
+    packed = 0
+    for c in reversed(dense):
+        packed = (packed << bits) + c
+    return packed
+
+
+def reference_kronecker_product(a, b):
+    """The product of two q-polynomials of at least two terms each, packed per call."""
+    lo_a, lo_b = min(a), min(b)
+    stride = gcd(*[t - lo_a for t in a], *[t - lo_b for t in b])
+    len_a = (max(a) - lo_a) // stride + 1
+    len_b = (max(b) - lo_b) // stride + 1
+    n = len_a + len_b - 1
+    bound = max(map(abs, a.values())) * max(map(abs, b.values())) * min(len(a), len(b))
+    width = bound.bit_length() // 8 + 1
+    bits = 8 * width
+    half = 1 << (bits - 1)
+    product = reference_pack(a, lo_a, stride, len_a, bits) * reference_pack(b, lo_b, stride, len_b, bits)
+    biased = product + int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
+    raw = biased.to_bytes(n * width, "little")
+    digits = [int.from_bytes(raw[i : i + width], "little") for i in range(0, n * width, width)]
+    lo = lo_a + lo_b
+    return {t: d - half for t, d in zip(range(lo, lo + stride * n, stride), digits) if d != half}
+
+
+def reference_coefficient_product(a, b):
+    """The q-coefficient product on dicts: shift and scale by a monomial, else pack this pair."""
+    if not a or not b:
+        return {}
+    if len(a) == 1:
+        a, b = b, a
+    if len(b) == 1:
+        ((t0, c0),) = b.items()
+        return {t + t0: c * c0 for t, c in a.items()}
+    return reference_kronecker_product(a, b)
+
+
+def reference_add_shifted(acc, coeffs, twice):
+    """Add q^(twice/2) * coeffs into acc in place, leaving no zero entry."""
+    for t, c in coeffs.items():
+        t += twice
+        c += acc.get(t, 0)
+        if c:
+            acc[t] = c
+        else:
+            del acc[t]
+
+
+def reference_torus_mul(a, b, pair):
+    """The torus product with one coefficient product and one dict fold per term pair."""
+    a._check_rank(b)
+    out = {}
+    for g, cg in a.terms.items():
+        row = pair.twist_row(g)
+        for h, ch in b.terms.items():
+            acc = out.setdefault(tuple(x + y for x, y in zip(g, h)), {})
+            reference_add_shifted(acc, reference_coefficient_product(cg.coeffs, ch.coeffs), sum(map(mul, row, h)))
+    return TorusElement(a.rank, {key: QCoefficient(acc) for key, acc in out.items()})
+
+
+def reference_div_exact_right(a, c, pair):
+    """Right division with the remainder held as plain dicts, updated one q-term at a time."""
+    if c.is_zero():
+        raise ZeroDivisionError("division by the zero element")
+    if a.is_zero():
+        return TorusElement.zero(a.rank)
+    a._check_rank(c)
+    box = [
+        (min(xs_a) - min(xs_c), max(xs_a) - max(xs_c))
+        for xs_a, xs_c in zip(zip(*a.terms), zip(*c.terms))
+    ]
+    g_c = c.leading_vector()
+    gamma_c = c.terms[g_c]
+    remainder = {g: dict(coeff.coeffs) for g, coeff in a.terms.items()}
+    quotient = {}
+    while remainder:
+        g_a = max(remainder)
+        g_b = tuple(x - y for x, y in zip(g_a, g_c))
+        for i, (x, (lo, hi)) in enumerate(zip(g_b, box)):
+            if not lo <= x <= hi:
+                raise NonExactDivision(
+                    f"quotient exponent {g_b} needed for {g_a} has coordinate {i} = {x} "
+                    f"outside [{lo}, {hi}]"
+                )
+        row = pair.twist_row(g_b)
+        gamma_b = QCoefficient(remainder[g_a]).shifted(-sum(map(mul, row, g_c)))
+        gamma_b = gamma_b.divide_exact(gamma_c)
+        if gamma_b is None:
+            raise NonExactDivision(f"coefficient at {g_a} is not divisible")
+        quotient[g_b] = gamma_b
+        minus_b = {t: -x for t, x in gamma_b.coeffs.items()}
+        for h, ch in c.terms.items():
+            key = tuple(x + y for x, y in zip(g_b, h))
+            acc = remainder.setdefault(key, {})
+            reference_add_shifted(acc, reference_coefficient_product(minus_b, ch.coeffs), sum(map(mul, row, h)))
+            if not acc:
+                del remainder[key]
+    return TorusElement(a.rank, quotient)
+
+
+def _same(x, y):
+    """Equal elements, with their terms in the same order."""
+    return x == y and list(x.terms) == list(y.terms)
+
+
+def _division_outcome(divide, a, c, pair):
+    try:
+        quotient = divide(a, c, pair)
+    except QClusterError as exc:
+        return type(exc), str(exc)
+    return [(g, coeff.coeffs) for g, coeff in quotient.terms.items()]
+
+
+ANNULUS_PAIR = SURFACE_PAIRS[3]  # rank 4, lambda of rank 2
+PACKED_PAIRS = {"rank 3": (PAIR3, 3), "annulus": (ANNULUS_PAIR, 4)}
+@st.composite
+def packed_elements(draw, rank):
+    """1 to 12 terms on a small box of vectors, so that many term pairs share a key.
+
+    Hypothesis draws the shape: the number of terms, up to 8 q-terms per
+    coefficient, whether residues mod 4 mix inside a coefficient and
+    whether entries may lie far above 2^64.  A generator seeded by the
+    draw fills in vectors, exponents and signed entries.
+    """
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    n_terms, q_terms = draw(st.integers(min_value=1, max_value=12)), draw(st.integers(min_value=1, max_value=8))
+    mixed, big = draw(st.booleans()), draw(st.booleans())
+
+    def entry():
+        if big and rng.random() < 0.3:
+            return rng.choice((1, -1)) * rng.randint(2**70, 2**72)
+        return rng.choice((-3, -2, -1, 1, 2, 3))
+
+    terms = {}
+    for _ in range(n_terms):
+        vector = tuple(rng.randint(-1, 1) for _ in range(rank))
+        residue = rng.randrange(4)
+        slots = rng.sample(range(-4, 5), rng.randint(1, q_terms))
+        terms[vector] = QCoefficient(
+            {4 * s + (rng.randrange(4) if mixed and rng.random() < 0.3 else residue): entry() for s in slots}
+        )
+    return TorusElement(rank, terms)
+
+
+@pytest.mark.parametrize("name", PACKED_PAIRS)
+@settings(deadline=None)
+@given(data=st.data())
+def test_packed_product_equals_the_per_pair_product(name, data):
+    pair, rank = PACKED_PAIRS[name]
+    a, b = data.draw(packed_elements(rank)), data.draw(packed_elements(rank))
+    assert _same(torus_mul(a, b, pair), reference_torus_mul(a, b, pair))
+
+
+@pytest.mark.parametrize("name", PACKED_PAIRS)
+@settings(deadline=None)
+@given(data=st.data())
+def test_packed_division_equals_the_per_pair_division(name, data):
+    pair, rank = PACKED_PAIRS[name]
+    a, c = data.draw(packed_elements(rank)), data.draw(packed_elements(rank))
+    product = reference_torus_mul(a, c, pair)
+    quotient = div_exact_right(product, c, pair)
+    assert _same(quotient, reference_div_exact_right(product, c, pair))
+    assert quotient == a
+
+
+@pytest.mark.parametrize("name", PACKED_PAIRS)
+@settings(deadline=None)
+@given(data=st.data())
+def test_packed_division_fails_like_the_per_pair_division(name, data):
+    pair, rank = PACKED_PAIRS[name]
+    a, c = data.draw(packed_elements(rank)), data.draw(packed_elements(rank))
+    extra = data.draw(packed_elements(rank))
+    perturbed = reference_torus_mul(a, c, pair) + extra
+    assert _division_outcome(div_exact_right, perturbed, c, pair) == _division_outcome(
+        reference_div_exact_right, perturbed, c, pair
+    )
+
+
+FLAT2 = CompatiblePair(b_tilde=(), lam=((0, 0), (0, 0)), d=())
+
+
+def flat(rows):
+    return TorusElement(2, {g: QCoefficient(coeffs) for g, coeffs in rows.items()})
+
+
+def _recording_relayout(monkeypatch):
+    layouts = []
+    real = torus._relayout
+
+    def record(remainder, old, new):
+        layouts.append((old, new))
+        return real(remainder, old, new)
+
+    monkeypatch.setattr(torus, "_relayout", record)
+    return layouts
+
+
+def test_division_refines_the_stride_when_a_residue_does_not_fit(monkeypatch):
+    layouts = _recording_relayout(monkeypatch)
+    # Every coefficient of a and c has gaps of 4, so the remainder starts at
+    # stride 4.  At X^(1,1) the products by X^(1,1) and X^(1,0) cancel, but
+    # the first of them lands on the residue 0 while a holds q^(1/2) + q^(5/2).
+    b = flat({(1, 1): {0: 1}, (1, 0): {0: -1}, (0, 1): {1: 1}})
+    c = flat({(0, 0): {0: 1}, (0, 1): {0: 1}, (1, 0): {0: 1, 4: 1}})
+    a = torus_mul(b, c, FLAT2)
+    assert a.terms[(1, 1)] == QCoefficient({1: 1, 5: 1})
+    assert _same(div_exact_right(a, c, FLAT2), reference_div_exact_right(a, c, FLAT2))
+    assert div_exact_right(a, c, FLAT2) == b
+    assert layouts[0] == ((4, 8), (1, 8))
+
+
+def test_division_widens_the_digits_when_the_bound_reaches_the_sign_bit(monkeypatch):
+    layouts = _recording_relayout(monkeypatch)
+    # max|a| = 2^70 gets 72-bit digits; the first step adds 2^68 * 4 to the
+    # bound, which then reaches 2^71.
+    b = flat({(1, 0): {0: 2**68}})
+    c = flat({(1, 0): {0: 1}, (0, 0): {0: 4}})
+    a = torus_mul(b, c, FLAT2)
+    assert _same(div_exact_right(a, c, FLAT2), reference_div_exact_right(a, c, FLAT2))
+    assert div_exact_right(a, c, FLAT2) == b
+    assert layouts[0] == ((1, 72), (1, 144))
+
+
+def test_each_coefficient_is_packed_once_per_product(monkeypatch):
+    # Ten terms along a line: 100 term pairs land on 19 keys.
+    a = TorusElement(3, {(i, 0, 0): QCoefficient({0: i + 1, 2: -1, 6: 2**66}) for i in range(10)})
+    b = TorusElement(3, {(i, 1, 0): QCoefficient({-2: 3, 0: 1 - i, 4: 5}) for i in range(10)})
+    packs, unpacks = [], []
+    real_pack, real_unpack = torus._pack, torus._unpack
+    monkeypatch.setattr(torus, "_pack", lambda *args: packs.append(args) or real_pack(*args))
+    monkeypatch.setattr(torus, "_unpack", lambda *args: unpacks.append(args) or real_unpack(*args))
+    product = torus_mul(a, b, PAIR3)
+    # the per-pair form packed 2 * 10 * 10 = 200 times
+    assert len(packs) <= len(a.terms) + len(b.terms)
+    assert len(unpacks) <= len(product.terms) == 19
+    assert _same(product, reference_torus_mul(a, b, PAIR3))

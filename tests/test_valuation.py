@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qcluster import snake, valuation
-from qcluster.errors import InconsistentValuation, UnmatchedCase
+from qcluster.errors import CannotTwist, InconsistentValuation, UnmatchedCase
 from qcluster.expansion import quantum_expansion
 from qcluster.kronecker import family_word
 from qcluster.snake import (
@@ -25,11 +25,9 @@ from qcluster.strings import (
     is_canonical_submodule,
 )
 from qcluster.valuation import (
-    big_counts,
     compare_valuations,
     m_pm,
     n_module,
-    n_pm,
     omega,
     omega_prime,
     valuation_v,
@@ -37,6 +35,41 @@ from qcluster.valuation import (
 )
 
 from conftest import SURFACES
+
+
+# -- reference forms the per-graph tables are checked against ------------
+
+
+def n_pm(g, s, P, tau):
+    """Matched tau-labeled edges strictly on either side of tile s.
+
+    The side regions include the edges gluing them to tile s.  Only
+    defined at twistable tiles.
+    """
+    if not can_twist(g, P, s):
+        raise CannotTwist(f"matching does not cover tile {s} by an opposite pair")
+    tiles = [g.tiles_of_edge(e) for e in P if g.edge_label(e) == tau]
+    n_minus = sum(1 for js in tiles if js[0] < s)
+    n_plus = sum(1 for js in tiles if js[-1] > s)
+    return n_minus, n_plus
+
+
+def big_counts(g, k, j, indices):
+    """(M_minus, M_plus, N_minus, N_plus) for arc k anchored at position j.
+
+    Position j must cross arc k.  The M-counts repeat m_pm on the word;
+    the N-counts add the anchored signed parts to the plain totals of
+    the other positions on each side.
+    """
+    arcs, d = g.word.vertices, g.d
+    if arcs[j - 1] != k:
+        raise UnmatchedCase(f"position {j} crosses {arcs[j - 1]}, not {k}")
+    m_minus = arcs[: j - 1].count(k)
+    m_plus = arcs[j:].count(k)
+    _, n_plus_here, n_minus_here = n_module(g, k, j, indices)
+    n_minus = n_minus_here + sum(n_module(g, k, i, indices)[0] for i in range(1, j))
+    n_plus = n_plus_here + sum(n_module(g, k, i, indices)[0] for i in range(j + 1, d + 1))
+    return m_minus, m_plus, n_minus, n_plus
 
 @pytest.fixture(scope="module")
 def short_words(quivers):
