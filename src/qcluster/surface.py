@@ -190,7 +190,7 @@ def bundled_surface_names() -> list[str]:
 
 
 def _integer(x) -> int:
-    """A JSON integer; a bool or a non-integral number is malformed surface data."""
+    """A JSON integer; a bool, a float or a string is malformed surface data."""
     if type(x) is not int:
         raise TypeError(f"{x!r} is not an integer")
     return x
