@@ -6,134 +6,41 @@ sets of a string module — plus seed mutation and two-term skein
 products, all in exact integer arithmetic over the quantum torus.
 """
 
-from .errors import (
-    AmbiguousConnector,
-    AmbiguousSolution,
-    BijectionViolation,
-    CannotTwist,
-    InconsistentValuation,
-    InvalidString,
-    InvalidSurface,
-    NoCompatibleLambda,
-    NonExactDivision,
-    NoSolution,
-    NotCompatible,
-    NotComposable,
-    NotCrossingSequence,
-    NotNormalizable,
-    NotReduced,
-    NotSkew,
-    QClusterError,
-    RelationViolated,
-    UnmatchedCase,
-    UnreachableSubmodule,
+from . import (
+    errors,
+    expansion,
+    kronecker,
+    seeds,
+    skein_mult,
+    snake,
+    strings,
+    surface,
+    torus,
+    valuation,
 )
-from .expansion import (
-    ExpansionResult,
-    ExpansionTerm,
-    classical_specialization,
-    crossing_exponent,
-    graph_expansion,
-    oracle_compare,
-    quantum_expansion,
-    uniform_d,
-    weight_exponent,
-    x_of_matching,
-)
-from .kronecker import (
-    WeightedSnake,
-    alpha_of_set,
-    alpha_table,
-    build_weighted,
-    equality_check,
-    family_word,
-    r_s,
-    recursion_checks,
-    weighted_series,
-)
-from .seeds import (
-    ClassicalSeed,
-    QuantumSeed,
-    classical_initial_seed,
-    classical_mutate,
-    classical_mutation_sequence,
-    initial_seed,
-    mutate_lambda,
-    mutate_matrix,
-    mutate_seed,
-    mutation_sequence,
-)
-from .skein_mult import (
-    MultiplicationCertificate,
-    count_extensions,
-    multiply_and_certify,
-    relative_exponent_check,
-)
-from .snake import (
-    SnakeGraph,
-    Tile,
-    check_bijection,
-    enclosed_tiles,
-    enumerate_matchings,
-    label_snake,
-    matching_to_submodule,
-    maximal_matching,
-    minimal_matching,
-    snake_shape,
-    submodule_to_matching,
-    twist,
-)
-from .strings import (
-    CanonicalSubmodule,
-    Extension,
-    Letter,
-    SmoothingFactor,
-    StringWord,
-    all_extensions,
-    arrow_extensions,
-    dimension_vector,
-    enumerate_canonical_submodules,
-    enumerate_strings,
-    is_canonical_submodule,
-    is_valid_string,
-    overlap_extensions,
-    trivial_word,
-    truncations,
-    validate_string,
-)
-from .surface import (
-    Arrow,
-    QuiverWithRelations,
-    Triangulation,
-    b_matrix,
-    build_quiver,
-    bundled_surface_names,
-    check_gentle,
-    find_lambda,
-    load_surface,
-    neighborhood,
-    pair_from_surface,
-)
-from .torus import (
-    CompatiblePair,
-    HalfInteger,
-    QCoefficient,
-    TorusElement,
-    bar,
-    bar_normalize,
-    check_compatible,
-    cluster_monomial,
-    div_exact_right,
-    torus_mul,
-    torus_pow,
-)
-from .valuation import (
-    compare_valuations,
-    n_module,
-    omega,
-    omega_prime,
-    valuation_v,
-    valuation_v_gamma,
-)
+from .errors import *  # noqa: F403
+from .expansion import *  # noqa: F403
+from .kronecker import *  # noqa: F403
+from .seeds import *  # noqa: F403
+from .skein_mult import *  # noqa: F403
+from .snake import *  # noqa: F403
+from .strings import *  # noqa: F403
+from .surface import *  # noqa: F403
+from .torus import *  # noqa: F403
+from .valuation import *  # noqa: F403
+
+# The package exports exactly what its modules list.
+__all__ = [
+    *errors.__all__,
+    *expansion.__all__,
+    *kronecker.__all__,
+    *seeds.__all__,
+    *skein_mult.__all__,
+    *snake.__all__,
+    *strings.__all__,
+    *surface.__all__,
+    *torus.__all__,
+    *valuation.__all__,
+]
 
 __version__ = "0.1.0"

@@ -26,6 +26,7 @@ from .valuation import compare_valuations
 __all__ = [
     "ExpansionTerm",
     "ExpansionResult",
+    "uniform_d",
     "crossing_exponent",
     "weight_exponent",
     "x_of_matching",

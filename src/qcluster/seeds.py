@@ -5,8 +5,15 @@ variable expressed in the ambient quantum torus of the initial seed.
 Mutation in direction k follows the usual exchange pattern: the two
 exchange products are formed from the columns of the exchange matrix,
 bar-normalized against the current commutation matrix, and the old
-variable is divided out on the right.  Matrix and commutation-matrix
-mutations keep the pair compatible with an unchanged diagonal.
+variable is divided out on the right.
+
+Compatibility is proved once per surface, by ``check_compatible`` inside
+``pair_from_surface``.  Mutation then carries d forward: mutating a
+compatible pair gives a compatible pair with the same d
+(Berenstein-Zelevinsky, *Quantum cluster algebras*, 2005), so
+``mutate_seed`` builds the next pair without re-checking it.
+``test_mutation_keeps_the_pair_compatible_with_the_same_d`` in
+tests/test_seeds.py holds that guarantee.
 
 A commutative (q = 1) mutation oracle on plain Laurent-polynomial
 dictionaries lives alongside, sharing no code with the quantum route.
@@ -105,10 +112,15 @@ def _exchange_term(seed: QuantumSeed, k: int, exponents: list) -> TorusElement:
 
 
 def mutate_seed(seed: QuantumSeed, k: int) -> QuantumSeed:
-    """Mutate in direction k (1-based); involutive, diagonal-preserving."""
+    """Mutate in direction k (1-based); involutive, diagonal-preserving.
+
+    The new pair keeps ``seed.pair.d`` unchecked: mutation preserves
+    compatibility with the same d (Berenstein-Zelevinsky 2005), which
+    ``test_mutation_keeps_the_pair_compatible_with_the_same_d`` tests.
+    """
     if not 1 <= k <= seed.n:
         raise InvalidMutation(f"direction {k} outside 1..{seed.n}")
-    b = [list(row) for row in seed.pair.b_tilde]
+    b, lam = seed.pair.b_tilde, seed.pair.lam
     kk = k - 1
     plus = [_pos(b[i][kk]) for i in range(seed.m)]
     minus = [_pos(-b[i][kk]) for i in range(seed.m)]
@@ -123,16 +135,12 @@ def mutate_seed(seed: QuantumSeed, k: int) -> QuantumSeed:
     if bar(new_var) != new_var:
         raise NotCompatible(f"mutated variable {k} is not bar-invariant")
 
-    new_b = mutate_matrix(b, k)
-    new_lam = mutate_lambda([list(r) for r in seed.pair.lam], b, k)
-    new_pair = CompatiblePair.create(new_b, new_lam)
-    if new_pair.d != seed.pair.d:
-        raise NotCompatible(
-            f"mutation changed the diagonal from {seed.pair.d} to {new_pair.d}"
-        )
+    new_b = tuple(map(tuple, mutate_matrix(b, k)))
+    new_lam = tuple(map(tuple, mutate_lambda(lam, b, k)))
     cluster = list(seed.cluster)
     cluster[kk] = new_var
-    return replace(seed, pair=new_pair, cluster=tuple(cluster))
+    pair = CompatiblePair(new_b, new_lam, seed.pair.d)
+    return replace(seed, pair=pair, cluster=tuple(cluster))
 
 
 def mutation_sequence(seed: QuantumSeed, ks) -> QuantumSeed:
@@ -215,7 +223,7 @@ def _poly_div_exact(p: dict, q: dict) -> dict:
 def classical_mutate(seed: ClassicalSeed, k: int) -> ClassicalSeed:
     m = len(seed.b)
     kk = k - 1
-    new_b = mutate_matrix([list(r) for r in seed.b], k)  # rejects a direction outside 1..n
+    new_b = mutate_matrix(seed.b, k)  # rejects a direction outside 1..n
     term_plus: dict = {tuple(0 for _ in range(m)): 1}
     term_minus: dict = {tuple(0 for _ in range(m)): 1}
     for i in range(m):

@@ -54,6 +54,7 @@ __all__ = [
     "enclosed_tiles",
     "matching_to_submodule",
     "submodule_to_matching",
+    "check_bijection",
 ]
 
 _SIDES = ("S", "E", "N", "W")

@@ -36,6 +36,7 @@ __all__ = [
     "Extension",
     "trivial_word",
     "validate_string",
+    "is_valid_string",
     "interval_decomposition",
     "is_canonical_submodule",
     "enumerate_canonical_submodules",

@@ -204,15 +204,22 @@ def load_surface(source: str | Path | dict) -> Triangulation:
         name = data.get("name", "")
     else:
         path = Path(source)
-        if path.suffix == ".json" and path.exists():
-            text, where, name = path.read_text(), f" in {path}", path.stem
+        try:
+            text = path.read_text(encoding="utf-8") if path.suffix == ".json" else None
+        except (FileNotFoundError, NotADirectoryError):
+            text = None  # no such file: try the bundled names
+        except (OSError, UnicodeDecodeError) as exc:
+            reason = getattr(exc, "strerror", None) or exc
+            raise InvalidSurface(f"cannot read surface data in {path}: {reason}") from None
+        if text is not None:
+            where, name = f" in {path}", path.stem
         else:
             from importlib import resources
 
             ref = resources.files(__package__).joinpath(f"surfaces/{source}.json")
             try:
                 text = ref.read_text()
-            except FileNotFoundError:
+            except OSError:  # no such name, or one too long for a file name
                 raise InvalidSurface(
                     f"no such surface file or bundled name: {source!r} "
                     f"(bundled: {', '.join(bundled_surface_names())})"

@@ -61,6 +61,7 @@ __all__ = [
     "n_module",
     "omega_prime",
     "valuation_v_gamma",
+    "compare_valuations",
 ]
 
 

@@ -59,6 +59,16 @@ def square(surfaces):
     return surfaces["square"]
 
 
+def write_malformed(path, content):
+    """Put ``content`` at ``path``: text, raw bytes, or (None) a directory."""
+    if content is None:
+        path.mkdir()
+    elif isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
+
+
 def make_word(quiver, vertices, letter_pairs):
     """Build a StringWord from (arrow_name, direct) pairs."""
     letters = tuple(

@@ -19,6 +19,8 @@ from qcluster.errors import UnreachableSubmodule
 from qcluster.snake import enumerate_matchings, label_snake
 from qcluster.strings import enumerate_strings, trivial_word
 
+from conftest import write_malformed
+
 
 @pytest.fixture()
 def runner():
@@ -448,6 +450,8 @@ MALFORMED_SURFACE_FILES = {
             "lambda": [["z"]],
         }
     ),
+    "not UTF-8": b'\xff\xfe{"arcs": [], "triangles": []}',
+    "a directory": None,
 }
 
 
@@ -455,7 +459,7 @@ MALFORMED_SURFACE_FILES = {
 @pytest.mark.parametrize("label", MALFORMED_SURFACE_FILES)
 def test_every_command_reports_a_malformed_surface_file_as_one_line(runner, tmp_path, label, args):
     path = tmp_path / "bad.json"
-    path.write_text(MALFORMED_SURFACE_FILES[label])
+    write_malformed(path, MALFORMED_SURFACE_FILES[label])
     res = runner.invoke(main, args + ["-s", str(path)])
     assert res.exit_code == 1
     assert isinstance(res.exception, SystemExit)

@@ -108,3 +108,17 @@ def test_the_check_sees_an_orphaned_definition():
         "b": "import click\n\n@main.command()\ndef cmd():\n    pass\n",
     }
     assert orphaned_definitions(sources) == ["a._left_behind"]
+
+
+def test_the_package_exports_exactly_the_module_export_lists():
+    listed = set()
+    for path in MODULES:
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+            ):
+                listed.update(ast.literal_eval(node.value))
+    assert sorted(qcluster.__all__) == sorted(listed)  # no name listed twice
+    modules = {path.stem for path in MODULES}
+    public = {name for name in vars(qcluster) if not name.startswith("_")} - modules
+    assert public == listed

@@ -1,10 +1,17 @@
 """Quantum seed mutation and its commutative shadow."""
 from __future__ import annotations
 
+import json
+import random
+import sys
+
 import pytest
-from hypothesis import given
+from click.testing import CliRunner
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcluster import surface, torus
+from qcluster.cli import main
 from qcluster.errors import InvalidMutation, NonExactDivision, QClusterError
 from qcluster.seeds import (
     _poly_div_exact,
@@ -19,6 +26,7 @@ from qcluster.seeds import (
     mutation_sequence,
 )
 from qcluster.expansion import classical_specialization
+from qcluster.surface import load_surface, pair_from_surface
 from qcluster.torus import (
     CompatiblePair,
     QCoefficient,
@@ -26,6 +34,9 @@ from qcluster.torus import (
     bar,
     check_compatible,
 )
+
+from conftest import ANNULUS_21, SURFACES, WHEEL3
+from test_surface import random_polygon
 
 KRON_PAIR = CompatiblePair(((0, 2), (-2, 0)), ((0, 1), (-1, 0)), (2, 2))
 
@@ -98,6 +109,71 @@ def test_mutation_preserves_the_diagonal(kron_seed):
     for k in (1, 2, 1, 2, 1):
         seed = mutate_seed(seed, k)
         assert check_compatible(seed.pair.b_tilde, seed.pair.lam) == (2, 2)
+
+
+surface_pairs = st.one_of(
+    st.sampled_from([*SURFACES, ANNULUS_21, WHEEL3]),
+    st.builds(random_polygon, st.integers(min_value=6, max_value=14), st.randoms(use_true_random=False)),
+).map(lambda data: pair_from_surface(load_surface(data)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(surface_pairs, st.data())
+def test_mutation_keeps_the_pair_compatible_with_the_same_d(pair, data):
+    """Matrix and lambda mutation alone keep lambda b_tilde = -[diag(d); 0].
+
+    mutate_seed relies on this and does not re-check the pair it builds.
+    """
+    ks = data.draw(st.lists(st.integers(min_value=1, max_value=pair.n), max_size=10))
+    b, lam = pair.b_tilde, pair.lam
+    for k in ks:
+        b, lam = mutate_matrix(b, k), mutate_lambda(lam, b, k)
+        assert check_compatible(b, lam) == pair.d
+
+
+def test_mutate_seed_builds_the_pair_that_create_validates(kron_seed, seeds):
+    def validated(seed, k):
+        b, lam = seed.pair.b_tilde, seed.pair.lam
+        return CompatiblePair.create(mutate_matrix(b, k), mutate_lambda(lam, b, k))
+
+    for start in (kron_seed, *seeds.values()):
+        for first in range(1, start.n + 1):
+            once = mutate_seed(start, first)
+            assert once.pair == validated(start, first)
+            for k in range(1, start.n + 1):
+                assert mutate_seed(once, k).pair == validated(once, k)
+
+
+def check_compatible_callers(monkeypatch):
+    """Record, for each check_compatible call, whether pair_from_surface is on the stack."""
+    calls, check = [], torus.check_compatible
+
+    def counted(*args):
+        frame, names = sys._getframe(1), set()
+        while frame is not None:
+            names.add(frame.f_code.co_name)
+            frame = frame.f_back
+        calls.append("pair_from_surface" in names)
+        return check(*args)
+
+    for module in (torus, surface):
+        monkeypatch.setattr(module, "check_compatible", counted)
+    return calls
+
+
+def test_mutate_seed_does_not_check_compatibility(kron_seed, monkeypatch):
+    calls = check_compatible_callers(monkeypatch)
+    mutation_sequence(kron_seed, [1, 2, 1, 2])
+    assert calls == []
+
+
+def test_verify_checks_compatibility_only_while_loading_the_surface(tmp_path, monkeypatch):
+    path = tmp_path / "polygon14.json"
+    path.write_text(json.dumps(random_polygon(14, random.Random(1))))
+    calls = check_compatible_callers(monkeypatch)
+    res = CliRunner().invoke(main, ["verify", "-s", str(path), "--max-length", "2", "--jobs", "1"])
+    assert res.exit_code == 0, res.output
+    assert calls and all(calls)
 
 
 def test_mutated_variables_stay_bar_invariant_and_nonnegative(kron_seed):

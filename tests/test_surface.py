@@ -20,7 +20,7 @@ from qcluster.surface import (
 )
 from qcluster.torus import check_compatible
 
-from conftest import ANNULUS_21, SURFACES, WHEEL3
+from conftest import ANNULUS_21, SURFACES, WHEEL3, write_malformed
 
 
 def test_bundled_names_cover_the_corpus():
@@ -224,14 +224,25 @@ def test_load_surface_rejects_internal_arc_on_one_triangle():
         ('{"arcs": [{"id": 1, "kind": "internal"}], "triangles": [[1, "y", 3]]}', "malformed surface data in {path}: "),
         ('{"arcs": [], "triangles": [], "lambda": [["z"]]}', "malformed surface data in {path}: "),
         ('{"triangles": []}', "malformed surface data in {path}: 'arcs'"),
+        (b"\xff\xfe{}", "cannot read surface data in {path}: 'utf-8' codec can't decode byte 0xff"),
+        (None, "cannot read surface data in {path}: Is a directory"),
     ],
 )
 def test_load_surface_names_the_file_of_malformed_data(tmp_path, text, message):
     path = tmp_path / "bad.json"
-    path.write_text(text)
+    write_malformed(path, text)
     with pytest.raises(InvalidSurface) as info:
         load_surface(str(path))
     assert str(info.value).startswith(message.format(path=path))
+
+
+def test_load_surface_reports_a_name_too_long_for_a_file(tmp_path):
+    with pytest.raises(InvalidSurface, match="^no such surface file or bundled name: 'aaa"):
+        load_surface("a" * 300)
+    path = tmp_path / ("a" * 300 + ".json")
+    with pytest.raises(InvalidSurface) as info:
+        load_surface(str(path))
+    assert str(info.value) == f"cannot read surface data in {path}: File name too long"
 
 
 def _square_with(spoil):
