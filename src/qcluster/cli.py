@@ -231,7 +231,7 @@ def matchings(surface, text, fmt):
     for P in enumerate_matchings(g):
         rows.append(
             {
-                "edges": sorted([list(e) for e in P]),
+                "edges": sorted([list(e) for e in g.edges(P)]),
                 "enclosed": sorted(matching_to_submodule(g, P)),
                 "valuation": vals[P],
             }

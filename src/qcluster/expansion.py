@@ -67,14 +67,12 @@ def crossing_exponent(w: StringWord, t: Triangulation) -> tuple:
     return tuple(counts)
 
 
-def weight_exponent(g: SnakeGraph, P: frozenset) -> tuple:
-    counts = [0] * g.triangulation.m
-    for e in P:
-        counts[g.edge_label(e) - 1] += 1
-    return tuple(counts)
+def weight_exponent(g: SnakeGraph, P: int) -> tuple:
+    """Matched edges per label: one popcount per label mask."""
+    return tuple((P & mask).bit_count() for mask in g._label_masks)
 
 
-def x_of_matching(g: SnakeGraph, P: frozenset) -> tuple:
+def x_of_matching(g: SnakeGraph, P: int) -> tuple:
     cross = crossing_exponent(g.word, g.triangulation)
     weight = weight_exponent(g, P)
     return tuple(a - b for a, b in zip(weight, cross))

@@ -25,12 +25,17 @@ Conventions (fixed once, checked by the test suite):
   incoherently oriented triangulation.
 
 The glue sides of every tile and the edge table (each tile's four edge
-ids, each edge's (tile, side) pairs, each lattice point's edges) are
-fixed when the graph is built.  Every geometry query reads them.  So are
-the twist tables (each edge's label and tile span, each tile's ccw and
-cw opposite pairs), so that a twist is a subset operation on a
-matching, and the extremal matchings: the glue-free edges of the cw
-(minimal) or ccw (maximal) flank class, checked to be perfect matchings.
+ids, each edge's (tile, side) pairs, the sorted lattice points) are
+fixed when the graph is built.  Every geometry query reads them.
+
+A matching is an int mask over the graph's sorted edge ids (bit i: the
+i-th edge id is matched); ``g.edges(P)`` gives the edge ids of mask P.
+The mask tables (each lattice point's edges, one mask per label, each
+tile's opposite pairs, diagonal-labeled edges before and after it and
+west edge) are built with the edge table, so a twist is an XOR and a
+label count a popcount.  So are the extremal matchings: the glue-free
+edges of the cw (minimal) or ccw (maximal) flank class, checked to be
+perfect matchings.
 """
 
 from __future__ import annotations
@@ -101,7 +106,7 @@ class SnakeGraph:
         self._compared: dict | None = None
         # The edge table, read by every geometry query: each tile's side ->
         # edge id, each edge id -> its (tile, side) pairs in tile order, and
-        # each lattice point -> the edges ending there.
+        # the sorted lattice points.  Bit i of a matching is edge id i.
         self._tile_edges: list = []
         incidence: dict = {}
         for j, tile in enumerate(tiles, start=1):
@@ -112,32 +117,48 @@ class SnakeGraph:
                 incidence.setdefault(e, []).append((j, side))
             self._tile_edges.append(ids)
         self._edge_sides = {e: tuple(incidence[e]) for e in sorted(incidence)}
-        self._point_edges: dict = {}
-        for e in self._edge_sides:
-            for p in self.edge_endpoints(e):
-                self._point_edges.setdefault(p, []).append(e)
-        # The extremal matchings: the glue-free edges of flank class cw
-        # (minimal) and ccw (maximal); label_snake checks both are perfect.
-        glue_free = [
-            (e, tiles[j - 1].flank_class[side])
-            for e, ((j, side), *glued) in self._edge_sides.items()
-            if not glued
-        ]
-        self._minimal = frozenset(e for e, cls in glue_free if cls == "cw")
-        self._maximal = frozenset(e for e, cls in glue_free if cls == "ccw")
-        # Twist tables: each edge's (label, first tile, last tile), and each
-        # tile's two opposite pairs of edge ids: its ccw flanks, then its cw.
-        self.edge_spans = {
-            e: (self.edge_label(e), sides[0][0], sides[-1][0])
-            for e, sides in self._edge_sides.items()
-        }
+        self._edges = tuple(self._edge_sides)
+        bit = {e: 1 << i for i, e in enumerate(self._edges)}
+        ends = {e: self.edge_endpoints(e) for e in self._edges}
+        self._points = sorted({p for pair in ends.values() for p in pair})
+        at = {p: i for i, p in enumerate(self._points)}
+        # Mask tables: each lattice point's (endpoint mask, edge bit) pairs,
+        # one mask per label, and per tile its ccw and cw opposite pairs,
+        # its diagonal's edges before and after it, and its west edge.
+        self._point_options: list = [[] for _ in self._points]
+        self._label_masks = [0] * t.m
+        named = [0] * len(tiles)  # per tile, the edges named after it (their first tile)
+        for e, (a, b) in ends.items():
+            option = ((1 << at[a]) | (1 << at[b]), bit[e])
+            self._point_options[at[a]].append(option)
+            self._point_options[at[b]].append(option)
+            self._label_masks[self.edge_label(e) - 1] |= bit[e]
+            named[e[0] - 1] |= bit[e]
         self._opposite_pairs = [
             tuple(
-                frozenset(e for s, e in ids.items() if tile.flank_class[s] == cls)
+                sum(bit[e] for s, e in ids.items() if tile.flank_class[s] == cls)
                 for cls in ("ccw", "cw")
             )
             for tile, ids in zip(tiles, self._tile_edges)
         ]
+        # A tile's sides are the other sides of the two triangles at its
+        # diagonal, so no edge of tile j carries its diagonal: the edges that
+        # do lie before it (named after an earlier tile) or after it.
+        self._tau_masks, earlier = [], 0
+        for tile, own in zip(tiles, named):
+            tau = self._label_masks[tile.diagonal - 1]
+            self._tau_masks.append((tau & earlier, tau & ~earlier))
+            earlier |= own
+        self._west_bits = [bit[ids["W"]] for ids in self._tile_edges]
+        # The extremal matchings: the glue-free edges of flank class cw
+        # (minimal) and ccw (maximal); label_snake checks both are perfect.
+        glue_free = [
+            (bit[e], tiles[j - 1].flank_class[side])
+            for e, ((j, side), *glued) in self._edge_sides.items()
+            if not glued
+        ]
+        self._minimal = sum(b for b, cls in glue_free if cls == "cw")
+        self._maximal = sum(b for b, cls in glue_free if cls == "ccw")
         # Valuation tables, built by `valuation` on first use.
         self._tile_m: list | None = None
         self._window_counts: dict | None = None
@@ -163,7 +184,7 @@ class SnakeGraph:
         return [(e, s) for s, e in self._tile_edges[j - 1].items()]
 
     def all_edges(self) -> list:
-        return list(self._edge_sides)
+        return list(self._edges)
 
     def edge_sides(self, e) -> tuple:
         """The (tile, side) pairs that edge e occupies, by tile."""
@@ -194,7 +215,11 @@ class SnakeGraph:
         return ((x + 1, y), (x + 1, y + 1))
 
     def vertices(self) -> list:
-        return sorted(self._point_edges)
+        return list(self._points)
+
+    def edges(self, P: int) -> frozenset:
+        """The edge ids of matching mask P."""
+        return frozenset(e for i, e in enumerate(self._edges) if P >> i & 1)
 
     def side_in_tile(self, e, j: int) -> str:
         """The side that edge e occupies within tile j."""
@@ -319,7 +344,7 @@ def _check_glue_coherence(g: SnakeGraph) -> None:
 def _check_extremal_matchings(g: SnakeGraph) -> None:
     points = g.vertices()
     for name, m in (("minimal", g._minimal), ("maximal", g._maximal)):
-        if sorted(p for e in m for p in g.edge_endpoints(e)) != points:
+        if sorted(p for e in g.edges(m) for p in g.edge_endpoints(e)) != points:
             raise BijectionViolation(f"the {name} matching misses or repeats a lattice point")
 
 
@@ -327,74 +352,68 @@ def _check_extremal_matchings(g: SnakeGraph) -> None:
 
 
 def enumerate_matchings(g: SnakeGraph) -> list:
-    """All perfect matchings, deterministically ordered.
+    """All perfect matchings as masks, ordered by their sorted edge ids.
 
-    Backtracking along the snake: repeatedly match the smallest
-    uncovered corner.  Sizes here are tiny (Fibonacci-bounded in the
-    tile count).
+    Backtracking along the snake: repeatedly match the lowest uncovered
+    lattice point, kept as the lowest clear bit of a covered-points mask.
+    Sizes here are tiny (Fibonacci-bounded in the tile count).
     """
     if g._matchings is not None:
         return g._matchings
-    points = g.vertices()
+    options, full = g._point_options, (1 << len(g._points)) - 1
     results = []
-
-    def grow(covered: set, chosen: tuple):
-        uncovered = [p for p in points if p not in covered]
-        if not uncovered:
-            results.append(frozenset(chosen))
-            return
-        p = uncovered[0]
-        for e in g._point_edges[p]:
-            a, b = g.edge_endpoints(e)
-            if a in covered or b in covered:
-                continue
-            grow(covered | {a, b}, chosen + (e,))
-
-    grow(set(), ())
-    g._matchings = sorted(results, key=lambda m: tuple(sorted(m)))
+    stack = [(0, 0)]
+    while stack:
+        covered, chosen = stack.pop()
+        if covered == full:
+            results.append(chosen)
+            continue
+        for ends, e in options[(~covered & (covered + 1)).bit_length() - 1]:
+            if not covered & ends:
+                stack.append((covered | ends, chosen | e))
+    # Sorted edge-id tuples compare at their first difference, the lowest
+    # bit where two masks differ: the mask holding it comes first.
+    width = len(g._edges)
+    g._matchings = sorted(results, key=lambda P: f"{P:0{width}b}"[::-1], reverse=True)
     return g._matchings
 
 
-def minimal_matching(g: SnakeGraph) -> frozenset:
+def minimal_matching(g: SnakeGraph) -> int:
     """The glue-free matching made of clockwise-flank edges only."""
     return g._minimal
 
 
-def maximal_matching(g: SnakeGraph) -> frozenset:
+def maximal_matching(g: SnakeGraph) -> int:
     """The glue-free matching made of counterclockwise-flank edges only."""
     return g._maximal
 
 
-def _tile_sides_in(g: SnakeGraph, P: frozenset, j: int) -> frozenset:
-    return frozenset(side for eid, side in g.tile_edges(j) if eid in P)
-
-
-def _twist_pairs(g: SnakeGraph, P: frozenset, j: int) -> tuple | None:
+def _twist_pairs(g: SnakeGraph, P: int, j: int) -> tuple | None:
     """(pair in P, other pair) when P meets tile j in exactly one opposite pair."""
-    first, second = g._opposite_pairs[j - 1]
-    if first <= P and second.isdisjoint(P):
-        return first, second
-    if second <= P and first.isdisjoint(P):
-        return second, first
+    ccw, cw = g._opposite_pairs[j - 1]
+    held = P & (ccw | cw)
+    if held == ccw:
+        return ccw, cw
+    if held == cw:
+        return cw, ccw
     return None
 
 
-def can_twist(g: SnakeGraph, P: frozenset, j: int) -> bool:
+def can_twist(g: SnakeGraph, P: int, j: int) -> bool:
     return _twist_pairs(g, P, j) is not None
 
 
-def twist(g: SnakeGraph, P: frozenset, j: int) -> frozenset:
+def twist(g: SnakeGraph, P: int, j: int) -> int:
     """Flip the matching on tile j between its two opposite side pairs."""
     pairs = _twist_pairs(g, P, j)
     if pairs is None:
-        raise CannotTwist(
-            f"matching meets tile {j} in sides {sorted(_tile_sides_in(g, P, j))}"
-        )
+        sides = sorted(s for e, s in g.tile_edges(j) if e in g.edges(P))
+        raise CannotTwist(f"matching meets tile {j} in sides {sides}")
     held, other = pairs
-    return frozenset(P) - held | other
+    return P ^ (held | other)
 
 
-def enclosed_tiles(g: SnakeGraph, P: frozenset) -> frozenset:
+def enclosed_tiles(g: SnakeGraph, P: int) -> frozenset:
     """Tiles inside the symmetric difference of P with the minimal matching.
 
     A tile is enclosed when a leftward ray from it crosses the
@@ -402,13 +421,13 @@ def enclosed_tiles(g: SnakeGraph, P: frozenset) -> frozenset:
     ray meets are the west edges of the tiles up to it in its row, so a
     walk along each row toggles at every west edge in the difference.
     """
-    diff = P ^ minimal_matching(g)
+    diff = P ^ g._minimal
     out = []
     row, inside = None, False
-    for tile, ids in zip(g.tiles, g._tile_edges):
+    for tile, west in zip(g.tiles, g._west_bits):
         if tile.y != row:
             row, inside = tile.y, False
-        inside ^= ids["W"] in diff
+        inside ^= diff & west != 0
         if inside:
             out.append(tile.index)
     return frozenset(out)
@@ -429,14 +448,14 @@ def _bijection_image(g: SnakeGraph) -> dict:
     return g._image
 
 
-def matching_to_submodule(g: SnakeGraph, P: frozenset) -> frozenset:
-    indices = _bijection_image(g).get(frozenset(P))
+def matching_to_submodule(g: SnakeGraph, P: int) -> frozenset:
+    indices = _bijection_image(g).get(P)
     if indices is None:
-        raise BijectionViolation(f"{sorted(P)} is not a perfect matching of the graph")
+        raise BijectionViolation(f"{sorted(g.edges(P))} is not a perfect matching of the graph")
     return indices
 
 
-def submodule_to_matching(g: SnakeGraph, indices: frozenset) -> frozenset:
+def submodule_to_matching(g: SnakeGraph, indices: frozenset) -> int:
     """Inverse of matching_to_submodule, searched in the bijection image."""
     indices = frozenset(indices)
     found = [P for P, image in _bijection_image(g).items() if image == indices]

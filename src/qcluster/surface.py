@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import InvalidSurface, NoCompatibleLambda
-from .torus import CompatiblePair, check_compatible
+from .torus import CompatiblePair
 
 __all__ = [
     "Arc",
@@ -208,7 +208,7 @@ def load_surface(source: str | Path | dict) -> Triangulation:
             text = path.read_text(encoding="utf-8") if path.suffix == ".json" else None
         except (FileNotFoundError, NotADirectoryError):
             text = None  # no such file: try the bundled names
-        except (OSError, UnicodeDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: undecodable, or a NUL in the name
             reason = getattr(exc, "strerror", None) or exc
             raise InvalidSurface(f"cannot read surface data in {path}: {reason}") from None
         if text is not None:
@@ -219,7 +219,7 @@ def load_surface(source: str | Path | dict) -> Triangulation:
             ref = resources.files(__package__).joinpath(f"surfaces/{source}.json")
             try:
                 text = ref.read_text()
-            except OSError:  # no such name, or one too long for a file name
+            except (OSError, ValueError):  # no such name, too long, or holding a NUL
                 raise InvalidSurface(
                     f"no such surface file or bundled name: {source!r} "
                     f"(bundled: {', '.join(bundled_surface_names())})"
@@ -428,7 +428,9 @@ def find_lambda(b_tilde: list[list[int]]) -> list[list[int]]:
     ``b_tilde`` alone: A is column-reduced once, in sparse form, and each
     d = 1, 2, ..., _LAMBDA_D_MAX only back-substitutes and size-reduces
     against the kernel.  Accepts the first d whose solution stays within
-    _LAMBDA_BOUND; raises :class:`NoCompatibleLambda` otherwise.
+    _LAMBDA_BOUND; raises :class:`NoCompatibleLambda` otherwise.  The
+    back-substitution checks A x = rhs_d exactly; pair_from_surface
+    certifies the pair once, through CompatiblePair.create.
     """
     m = len(b_tilde)
     n = len(b_tilde[0]) if m else 0
@@ -467,7 +469,6 @@ def find_lambda(b_tilde: list[list[int]]) -> list[list[int]]:
         for (i, j), k in index.items():
             lam[i][j] = x[k]
             lam[j][i] = -x[k]
-        check_compatible(b_tilde, lam)
         return lam
     raise NoCompatibleLambda(
         f"no integer skew lambda with uniform d <= {_LAMBDA_D_MAX} and entries within {_LAMBDA_BOUND}"

@@ -8,9 +8,11 @@ below live on it as long as it does.  Two routes to the same integer:
   of matched edges carrying the tile's arc on either side of the tile,
   corrected by how often the arc reappears as a diagonal.  Breadth-first
   propagation from the minimal matching (valuation 0) assigns every
-  matching a value; every twist relation is re-checked.  omega reads
-  the graph's twist tables: each tile's (m_minus, m_plus), computed once
-  by m_pm, and each edge's label and tile span.
+  matching a value; every twist relation is re-checked.  Matchings are
+  int masks over the graph's sorted edge ids, so omega reads the graph's
+  twist tables: each tile's (m_minus, m_plus), computed once by m_pm,
+  and its opposite-pair masks and masks of the edges carrying its arc
+  before and after it.
 
 * On the module side the same quantities are computed from the word
   alone: each arc contributes through a small case analysis at every
@@ -46,7 +48,6 @@ from .errors import (
 from .snake import (
     SnakeGraph,
     _twist_pairs,
-    can_twist,
     enumerate_matchings,
     matching_to_submodule,
     maximal_matching,
@@ -82,50 +83,44 @@ def _tile_m(g: SnakeGraph) -> list:
     return g._tile_m
 
 
-def omega(g: SnakeGraph, s: int, P: frozenset) -> int:
-    """Valuation drop across the twist at tile s."""
-    if not can_twist(g, P, s):
+def omega(g: SnakeGraph, s: int, P: int) -> int:
+    """Valuation drop across the twist at tile s: two popcounts, signed
+    by whether P holds the tile's ccw pair."""
+    pairs = _twist_pairs(g, P, s)
+    if pairs is None:
         raise CannotTwist(f"matching does not cover tile {s} by an opposite pair")
-    tau = g.tile(s).diagonal
+    before, after = g._tau_masks[s - 1]
     m_minus, m_plus = _tile_m(g)[s - 1]
-    n_minus = n_plus = 0
-    spans = g.edge_spans
-    for e in P:
-        label, first, last = spans[e]
-        if label == tau:
-            n_minus += first < s
-            n_plus += last > s
-    sign = 1 if g._opposite_pairs[s - 1][0] <= P else -1
-    return sign * (n_plus - m_plus - n_minus + m_minus)
+    drop = (P & after).bit_count() - m_plus - (P & before).bit_count() + m_minus
+    return drop if pairs[0] == g._opposite_pairs[s - 1][0] else -drop
 
 
 def valuation_v(g: SnakeGraph) -> dict:
     """Valuation of every matching, keyed by the matching.
 
     Propagates v(twist_s(P)) = v(P) - omega(s, P) from the minimal
-    matching and cross-checks every twist relation and both endpoint
-    normalizations v(minimal) = v(maximal) = 0.
+    matching and cross-checks every twist relation, from both of its
+    matchings, and both endpoint normalizations v(minimal) = v(maximal) = 0.
     """
+    flips = [(s, ccw, cw, ccw | cw) for s, (ccw, cw) in enumerate(g._opposite_pairs, start=1)]
     base = minimal_matching(g)
     values = {base: 0}
     queue = deque([base])
     while queue:
         P = queue.popleft()
-        for s in range(1, g.d + 1):
-            pairs = _twist_pairs(g, P, s)
-            if pairs is None:
+        here = values[P]
+        for s, ccw, cw, both in flips:
+            held = P & both  # _twist_pairs' test, inline: one whole pair
+            if held != ccw and held != cw:
                 continue
-            held, other = pairs
-            Q = P - held | other
-            val = values[P] - omega(g, s, P)
-            if Q in values:
-                if values[Q] != val:
-                    raise InconsistentValuation(
-                        f"twist at tile {s} gives {val}, stored {values[Q]}"
-                    )
-            else:
+            Q = P ^ both
+            val = here - omega(g, s, P)
+            stored = values.get(Q)
+            if stored is None:
                 values[Q] = val
                 queue.append(Q)
+            elif stored != val:
+                raise InconsistentValuation(f"twist at tile {s} gives {val}, stored {stored}")
     all_matchings = enumerate_matchings(g)
     if set(values) != set(all_matchings):
         raise InconsistentValuation(
@@ -287,20 +282,24 @@ def valuation_v_gamma(g: SnakeGraph) -> dict:
 
     Walks the containment graph of canonical index sets differing by
     one position, using omega_prime for the step, starting from the
-    empty set at 0; every step is checked from both endpoints.
+    empty set at 0.  Each step is evaluated once, from the endpoint
+    dequeued first, and checked from both of its endpoints.
     """
-    d = g.d
+    d, w = g.d, g.word
     values = {frozenset(): 0}
     queue = deque([frozenset()])
+    done = set()
     while queue:
         N = queue.popleft()
+        done.add(N)
         for j in range(1, d + 1):
-            if not _toggle_keeps_canonical(g.word, N, j):
+            if not _toggle_keeps_canonical(w, N, j):
                 continue
-            if j in N:
-                bigger, smaller = N, N - {j}
-            else:
-                bigger, smaller = N | {j}, N
+            removing = j in N
+            other = N - {j} if removing else N | {j}
+            if other in done:
+                continue
+            smaller, bigger = (other, N) if removing else (N, other)
             # value step, computed from the smaller side
             step = omega_prime(g, j, smaller)
             back = omega_prime(g, j, bigger)
@@ -308,16 +307,13 @@ def valuation_v_gamma(g: SnakeGraph) -> dict:
                 raise InconsistentValuation(
                     f"asymmetric step at position {j}: {step} vs -({back})"
                 )
-            other = bigger if N == smaller else smaller
-            val = values[N] - (step if N == smaller else back)
-            if other in values:
-                if values[other] != val:
-                    raise InconsistentValuation(
-                        f"index step at {j} gives {val}, stored {values[other]}"
-                    )
-            else:
+            val = values[N] - (back if removing else step)
+            stored = values.get(other)
+            if stored is None:
                 values[other] = val
                 queue.append(other)
+            elif stored != val:
+                raise InconsistentValuation(f"index step at {j} gives {val}, stored {stored}")
     canonical = {s.indices for s in enumerate_canonical_submodules(g.word)}
     if set(values) != canonical:
         raise UnreachableSubmodule(

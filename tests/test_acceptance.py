@@ -174,7 +174,7 @@ def test_criterion_03_matchings_biject_with_canonical_submodules(
                     cover = [p for e in combo for p in g.edge_endpoints(e)]
                     if len(set(cover)) == len(cover):
                         brute.add(frozenset(combo))
-                assert brute == {frozenset(m) for m in matchings}
+                assert brute == {g.edges(m) for m in matchings}
 
 
 def test_criterion_04_counting_forms_agree_everywhere(quivers, surfaces):
@@ -188,7 +188,7 @@ def test_criterion_04_counting_forms_agree_everywhere(quivers, surfaces):
                 for k in internal[name]:
                     assert sum(
                         n_module(g, k, j, cs.indices)[0] for j in range(1, g.d + 1)
-                    ) == sum(1 for e in P if g.edge_label(e) == k)
+                    ) == sum(1 for e in g.edges(P) if g.edge_label(e) == k)
                 for s in range(1, g.d + 1):
                     if not can_twist(g, P, s):
                         continue

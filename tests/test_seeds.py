@@ -10,7 +10,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcluster import surface, torus
+from qcluster import torus
 from qcluster.cli import main
 from qcluster.errors import InvalidMutation, NonExactDivision, QClusterError
 from qcluster.seeds import (
@@ -156,8 +156,10 @@ def check_compatible_callers(monkeypatch):
         calls.append("pair_from_surface" in names)
         return check(*args)
 
-    for module in (torus, surface):
-        monkeypatch.setattr(module, "check_compatible", counted)
+    # every qcluster module that imported the function holds its own binding
+    for name, module in list(sys.modules.items()):
+        if name.startswith("qcluster") and getattr(module, "check_compatible", None) is check:
+            monkeypatch.setattr(module, "check_compatible", counted)
     return calls
 
 
@@ -174,6 +176,22 @@ def test_verify_checks_compatibility_only_while_loading_the_surface(tmp_path, mo
     res = CliRunner().invoke(main, ["verify", "-s", str(path), "--max-length", "2", "--jobs", "1"])
     assert res.exit_code == 0, res.output
     assert calls and all(calls)
+
+
+def test_pair_from_surface_checks_the_pair_once(annulus, monkeypatch):
+    found = pair_from_surface(annulus)
+    from_file = load_surface(
+        {
+            "arcs": [{"id": a.id, "kind": a.kind} for a in annulus.arcs],
+            "triangles": [list(tri) for tri in annulus.triangles],
+            "lambda": [list(row) for row in found.lam],
+        }
+    )
+    calls = check_compatible_callers(monkeypatch)
+    assert pair_from_surface(annulus) == found
+    assert calls == [True]
+    assert pair_from_surface(from_file) == found
+    assert calls == [True, True]
 
 
 def test_mutated_variables_stay_bar_invariant_and_nonnegative(kron_seed):

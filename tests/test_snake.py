@@ -1,6 +1,7 @@
 """Snake graphs: tile placement, perfect matchings, twists and the bijection."""
 from __future__ import annotations
 
+import re
 from collections import Counter
 from itertools import combinations
 
@@ -270,7 +271,7 @@ def test_the_class_rule_places_every_flank_where_the_slot_rule_did(corpus_words,
 
 
 def test_matchings_of_the_double_crossing_are_frozen(g1_graph):
-    got = {frozenset(m) for m in enumerate_matchings(g1_graph)}
+    got = {g1_graph.edges(m) for m in enumerate_matchings(g1_graph)}
     assert got == {
         frozenset({(1, "W"), (2, "N"), (2, "S"), (3, "E")}),
         frozenset({(1, "E"), (1, "W"), (2, "E"), (3, "E")}),
@@ -290,10 +291,10 @@ def test_matching_counts_grow_like_fibonacci(annulus):
 
 
 def test_extreme_matchings_are_frozen(g1_graph):
-    assert minimal_matching(g1_graph) == frozenset(
+    assert g1_graph.edges(minimal_matching(g1_graph)) == frozenset(
         {(1, "W"), (2, "N"), (2, "S"), (3, "E")}
     )
-    assert maximal_matching(g1_graph) == frozenset(
+    assert g1_graph.edges(maximal_matching(g1_graph)) == frozenset(
         {(1, "N"), (1, "S"), (3, "N"), (3, "S")}
     )
 
@@ -304,7 +305,7 @@ def test_extreme_matchings_use_one_flank_class(quivers, surfaces):
             g = label_snake(w, surfaces[name])
             for pick, cls in ((minimal_matching, "cw"), (maximal_matching, "ccw")):
                 m = pick(g)
-                for e in m:
+                for e in g.edges(m):
                     for j in g.tiles_of_edge(e):
                         assert g.tile(j).flank_class[g.side_in_tile(e, j)] == cls
 
@@ -315,11 +316,13 @@ def enumerated_extremal_matchings(g):
     Of the two glue-free matchings, the one made of clockwise-flank
     edges only is minimal and the counterclockwise one maximal.
     """
-    glue_free = [m for m in enumerate_matchings(g) if not any(g.is_glue(e) for e in m)]
+    glue_free = [m for m in enumerate_matchings(g) if not any(g.is_glue(e) for e in g.edges(m))]
     assert len(glue_free) == 2
 
     def uniform(m, cls):
-        return all(g.tile(j).flank_class[side] == cls for e in m for j, side in g.edge_sides(e))
+        return all(
+            g.tile(j).flank_class[side] == cls for e in g.edges(m) for j, side in g.edge_sides(e)
+        )
 
     (low,) = [m for m in glue_free if uniform(m, "cw")]
     (high,) = [m for m in glue_free if uniform(m, "ccw")]
@@ -342,8 +345,8 @@ def test_extremal_matchings_of_a_long_word_need_no_enumeration(monkeypatch, annu
     monkeypatch.setattr(snake, "enumerate_matchings", refuse)
     g = label_snake(family_word(annulus, 20, "G"), annulus)
     low, high = minimal_matching(g), maximal_matching(g)
-    assert len(low) == len(high) == 42
-    assert low.isdisjoint(high)
+    assert low.bit_count() == high.bit_count() == 42
+    assert not low & high
     assert x_of_matching(g, low) == (19, -20, 1, 1)
 
 
@@ -365,21 +368,21 @@ def test_minimal_matching_avoids_glue_edges(quivers, surfaces):
     for name in ("annulus", "hexagon"):
         for w in enumerate_strings(quivers[name], 5):
             g = label_snake(w, surfaces[name])
-            assert not any(g.is_glue(e) for e in minimal_matching(g))
+            assert not any(g.is_glue(e) for e in g.edges(minimal_matching(g)))
 
 
 def test_twist_swaps_a_tile_boundary(g1_graph):
     pmin = minimal_matching(g1_graph)
     assert can_twist(g1_graph, pmin, 2)
     flipped = twist(g1_graph, pmin, 2)
-    assert flipped == frozenset({(1, "E"), (1, "W"), (2, "E"), (3, "E")})
+    assert g1_graph.edges(flipped) == frozenset({(1, "E"), (1, "W"), (2, "E"), (3, "E")})
     assert twist(g1_graph, flipped, 2) == pmin
 
 
 def test_twist_requires_two_parallel_edges(g1_graph):
     pmin = minimal_matching(g1_graph)
     assert not can_twist(g1_graph, pmin, 1)
-    with pytest.raises(CannotTwist):
+    with pytest.raises(CannotTwist, match=r"matching meets tile 1 in sides \['W'\]"):
         twist(g1_graph, pmin, 1)
 
 
@@ -391,13 +394,13 @@ def test_enclosed_tiles_of_the_double_crossing(g1_graph):
         frozenset({(1, "N"), (1, "S"), (2, "E"), (3, "E")}): frozenset({1, 2}),
         frozenset({(1, "N"), (1, "S"), (3, "N"), (3, "S")}): frozenset({1, 2, 3}),
     }
-    for matching, tiles in expected.items():
-        assert enclosed_tiles(g1_graph, matching) == tiles
+    got = {g1_graph.edges(P): enclosed_tiles(g1_graph, P) for P in enumerate_matchings(g1_graph)}
+    assert got == expected
 
 
 def ray_cast_enclosed_tiles(g, P):
     """The ray-casting form enclosed_tiles had before the row walk: the reference."""
-    diff = P ^ minimal_matching(g)
+    diff = g.edges(P) ^ g.edges(minimal_matching(g))
     verticals = [
         (g.edge_endpoints(e)[0][0], g.edge_endpoints(e)[0][1])
         for e in diff
@@ -427,15 +430,21 @@ def test_the_row_walk_encloses_the_tiles_the_rays_do(quivers, surfaces, annulus)
     assert checked > 4000
 
 
+def edge_mask(g, edges):
+    """The matching mask of a set of edge ids: bit i is the i-th sorted edge."""
+    return sum(1 << g.all_edges().index(e) for e in edges)
+
+
 def test_a_set_that_is_not_a_perfect_matching_has_no_submodule(g1_graph):
-    pmin = minimal_matching(g1_graph)
-    for P in (frozenset(), pmin - {(1, "W")}, pmin | {(1, "N")}):
-        with pytest.raises(BijectionViolation, match="not a perfect matching"):
-            matching_to_submodule(g1_graph, P)
+    pmin = g1_graph.edges(minimal_matching(g1_graph))
+    for edges in (frozenset(), pmin - {(1, "W")}, pmin | {(1, "N")}):
+        message = re.escape(f"{sorted(edges)} is not a perfect matching")
+        with pytest.raises(BijectionViolation, match=message):
+            matching_to_submodule(g1_graph, edge_mask(g1_graph, edges))
 
 
 def test_bijection_table_of_the_double_crossing(g1_graph):
-    table = check_bijection(g1_graph)
+    table = {g1_graph.edges(P): N for P, N in check_bijection(g1_graph).items()}
     assert table[frozenset({(1, "W"), (2, "N"), (2, "S"), (3, "E")})] == frozenset()
     assert table[frozenset({(1, "N"), (1, "S"), (3, "N"), (3, "S")})] == frozenset(
         {1, 2, 3}
@@ -471,6 +480,6 @@ def test_matchings_agree_with_brute_force_for_short_words(quivers, surfaces):
     for name in ("annulus", "pentagon", "hexagon"):
         for w in enumerate_strings(quivers[name], 4):
             g = label_snake(w, surfaces[name])
-            assert sorted(map(sorted, enumerate_matchings(g))) == sorted(
+            assert sorted(sorted(g.edges(P)) for P in enumerate_matchings(g)) == sorted(
                 map(sorted, brute_force_matchings(g))
             )

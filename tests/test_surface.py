@@ -245,6 +245,14 @@ def test_load_surface_reports_a_name_too_long_for_a_file(tmp_path):
     assert str(info.value) == f"cannot read surface data in {path}: File name too long"
 
 
+def test_load_surface_reports_a_name_holding_a_nul():
+    with pytest.raises(InvalidSurface, match=r"^no such surface file or bundled name: 'a\\x00b' \(bundled: "):
+        load_surface("a\x00b")
+    with pytest.raises(InvalidSurface) as info:
+        load_surface("a\x00b.json")
+    assert str(info.value) == "cannot read surface data in a\x00b.json: embedded null byte"
+
+
 def _square_with(spoil):
     data = {
         "arcs": [{"id": 1, "kind": "internal"}] + [{"id": i, "kind": "boundary"} for i in (2, 3, 4, 5)],

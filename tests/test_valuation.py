@@ -48,7 +48,7 @@ def n_pm(g, s, P, tau):
     """
     if not can_twist(g, P, s):
         raise CannotTwist(f"matching does not cover tile {s} by an opposite pair")
-    tiles = [g.tiles_of_edge(e) for e in P if g.edge_label(e) == tau]
+    tiles = [g.tiles_of_edge(e) for e in g.edges(P) if g.edge_label(e) == tau]
     n_minus = sum(1 for js in tiles if js[0] < s)
     n_plus = sum(1 for js in tiles if js[-1] > s)
     return n_minus, n_plus
@@ -83,7 +83,7 @@ def g1_graph(annulus, g1_word):
 
 
 def test_valuation_table_of_the_double_crossing(g1_graph):
-    v = valuation_v(g1_graph)
+    v = {g1_graph.edges(P): val for P, val in valuation_v(g1_graph).items()}
     assert v[frozenset({(1, "W"), (2, "N"), (2, "S"), (3, "E")})] == 0
     assert v[frozenset({(1, "E"), (1, "W"), (2, "E"), (3, "E")})] == 0
     assert v[frozenset({(1, "E"), (1, "W"), (3, "N"), (3, "S")})] == 1
@@ -158,8 +158,9 @@ def test_valuation_v_looks_up_each_twist_once(monkeypatch, annulus):
     monkeypatch.setattr(snake, "_twist_pairs", counted)
     monkeypatch.setattr(valuation, "_twist_pairs", counted)
     valuation_v(g)
-    # one lookup per (matching, tile), 15 * 1,597, and one per twist in omega
-    assert len(calls) == 15 * 1597 + 13730
+    # valuation_v scans the 15 * 1,597 (matching, tile) pairs by a mask test,
+    # so the only lookups are omega's, one per twist from each end
+    assert len(calls) == 13730
 
 
 def test_omega_agrees_with_its_module_side_form(quivers, surfaces):
@@ -191,7 +192,7 @@ def test_case_split_counts_sum_to_plain_edge_counts(quivers, surfaces):
                     total = sum(
                         n_module(g, k, j, cs.indices)[0] for j in range(1, g.d + 1)
                     )
-                    assert total == sum(1 for e in P if g.edge_label(e) == k)
+                    assert total == sum(1 for e in g.edges(P) if g.edge_label(e) == k)
 
 
 def test_big_counts_match_the_edge_scans_at_the_diagonal(quivers, surfaces):
@@ -291,7 +292,9 @@ def test_the_word_route_reads_no_matching_side_cache(annulus):
     w = family_word(annulus, 3, "G")
     expected = valuation_v_gamma(label_snake(w, annulus))
     g = label_snake(w, annulus)
-    for cache in ("_matchings", "_minimal", "_maximal", "_image", "_compared"):
+    matching_side = ("_matchings", "_minimal", "_maximal", "_image", "_compared")
+    mask_tables = ("_point_options", "_label_masks", "_opposite_pairs", "_tau_masks", "_west_bits")
+    for cache in matching_side + mask_tables:
         setattr(g, cache, Untouchable())
     assert valuation_v_gamma(g) == expected
 
