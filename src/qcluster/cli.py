@@ -256,12 +256,9 @@ def submodules(surface, text, fmt):
     t = load_surface(surface)
     quiver = build_quiver(t)
     word = parse_string(text, quiver)
+    # the walk's table lists the canonical sets in the generator's order
     vals = valuation_v_gamma(label_snake(word, t))
-    subs = enumerate_canonical_submodules(word)
-    rows = [
-        {"indices": list(s.sorted_indices), "valuation": vals[s.indices]}
-        for s in subs
-    ]
+    rows = [{"indices": sorted(N), "valuation": v} for N, v in vals.items()]
     _emit(
         {"string": str(word), "submodules": rows},
         fmt,

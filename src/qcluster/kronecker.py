@@ -29,7 +29,6 @@ __all__ = [
     "family_word",
     "build_weighted",
     "alpha_of_set",
-    "alpha_table",
     "r_s",
     "weighted_series",
     "equality_check",
@@ -95,11 +94,6 @@ def build_weighted(t: Triangulation, s: int, family: str = "G") -> WeightedSnake
 
 def alpha_of_set(ws: WeightedSnake, indices) -> int:
     return sum(ws.alphas[j - 1] for j in indices)
-
-
-def alpha_table(ws: WeightedSnake) -> dict:
-    """Index set -> alpha, over all matchings of the snake."""
-    return ws.tables[0]
 
 
 def r_s(t: Triangulation, s: int, seed: QuantumSeed, family: str = "G") -> TorusElement:

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BijectionViolation, CannotTwist, InvalidSurface, NotCrossingSequence
+from .errors import BijectionViolation, CannotTwist, InvalidSurface, NotCrossingSequence, UnmatchedCase
 from .strings import StringWord, enumerate_canonical_submodules, is_canonical_submodule
 from .surface import Triangulation
 
@@ -168,8 +168,14 @@ class SnakeGraph:
     def d(self) -> int:
         return len(self.tiles)
 
+    def _slot(self, j: int) -> int:
+        """The list slot of tile j; a tile outside 1..d is an UnmatchedCase."""
+        if not 1 <= j <= len(self.tiles):
+            raise UnmatchedCase(f"tile {j} outside 1..{len(self.tiles)}")
+        return j - 1
+
     def tile(self, j: int) -> Tile:
-        return self.tiles[j - 1]
+        return self.tiles[self._slot(j)]
 
     # -- edges ---------------------------------------------------------
 
@@ -178,10 +184,10 @@ class SnakeGraph:
 
         Glue edges are named after the lower-indexed tile.
         """
-        return self._tile_edges[j - 1][side]
+        return self._tile_edges[self._slot(j)][side]
 
     def tile_edges(self, j: int) -> list:
-        return [(e, s) for s, e in self._tile_edges[j - 1].items()]
+        return [(e, s) for s, e in self._tile_edges[self._slot(j)].items()]
 
     def all_edges(self) -> list:
         return list(self._edges)
@@ -196,6 +202,8 @@ class SnakeGraph:
 
     def glue_label(self, j: int) -> int:
         """Label of the edge shared by tiles j and j+1."""
+        if j == self.d:
+            raise UnmatchedCase(f"tile {j} is the last tile; glue edges follow tiles 1..{j - 1}")
         t = self.tile(j)
         return t.labels[t.out_glue_side]
 
@@ -390,7 +398,7 @@ def maximal_matching(g: SnakeGraph) -> int:
 
 def _twist_pairs(g: SnakeGraph, P: int, j: int) -> tuple | None:
     """(pair in P, other pair) when P meets tile j in exactly one opposite pair."""
-    ccw, cw = g._opposite_pairs[j - 1]
+    ccw, cw = g._opposite_pairs[g._slot(j)]
     held = P & (ccw | cw)
     if held == ccw:
         return ccw, cw

@@ -26,13 +26,11 @@ __all__ = [
     "Arrow",
     "Triangulation",
     "QuiverWithRelations",
-    "ArcNeighborhood",
     "load_surface",
     "bundled_surface_names",
     "build_quiver",
     "check_gentle",
     "b_matrix",
-    "neighborhood",
     "find_lambda",
     "pair_from_surface",
 ]
@@ -159,24 +157,6 @@ class QuiverWithRelations:
             if a.name == name:
                 return a
         raise KeyError(f"no arrow named {name!r}")
-
-
-@dataclass(frozen=True)
-class ArcNeighborhood:
-    """The two triangles flanking an internal arc, with their flanks.
-
-    ``(a1, a2)`` are the clockwise and counterclockwise flanks of the
-    arc in the first triangle (surface file order), ``(a3, a4)`` in the
-    second.
-    """
-
-    arc: int
-    triangle1: int
-    triangle2: int
-    a1: int
-    a2: int
-    a3: int
-    a4: int
 
 
 def bundled_surface_names() -> list[str]:
@@ -317,21 +297,6 @@ def b_matrix(t: Triangulation) -> list[list[int]]:
             if t.is_internal(tgt):
                 b[src - 1][tgt - 1] -= 1
     return b
-
-
-def neighborhood(t: Triangulation, k: int) -> ArcNeighborhood:
-    if not t.is_internal(k):
-        raise InvalidSurface(f"arc {k} is not internal")
-    tri1, tri2 = t.triangles_at(k)
-    return ArcNeighborhood(
-        arc=k,
-        triangle1=tri1,
-        triangle2=tri2,
-        a1=t.cw_flank(tri1, k),
-        a2=t.ccw_flank(tri1, k),
-        a3=t.cw_flank(tri2, k),
-        a4=t.ccw_flank(tri2, k),
-    )
 
 
 # -- integer linear algebra for find_lambda ---------------------------

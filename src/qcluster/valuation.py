@@ -24,9 +24,11 @@ below live on it as long as it does.  Two routes to the same integer:
   (8 patterns).  For one index set, omega_prime takes prefix sums of
   the tabulated totals in one pass over the positions, with the
   diagonal counts kept as running counts, and keeps the row of values
-  for every position.  This route reads the word, the triangulation and
-  the tiles' labels and triangles, never a matching or a table the
-  matching route built.
+  for every position.  valuation_v_gamma takes the canonical index sets
+  in the generator's order, smallest first, and values each from its
+  canonical subsets one position smaller.  This route reads the word,
+  the triangulation and the tiles' labels and triangles, never a
+  matching or a table the matching route built.
 
 compare_valuations matches the two routes through the bijection and
 keeps the agreed table on the graph, where the expansion reads it.
@@ -40,6 +42,7 @@ from __future__ import annotations
 from collections import deque
 
 from .errors import (
+    BijectionViolation,
     CannotTwist,
     InconsistentValuation,
     UnmatchedCase,
@@ -53,7 +56,7 @@ from .snake import (
     maximal_matching,
     minimal_matching,
 )
-from .strings import StringWord, enumerate_canonical_submodules
+from .strings import enumerate_canonical_submodules
 
 __all__ = [
     "m_pm",
@@ -71,9 +74,8 @@ __all__ = [
 
 def m_pm(g: SnakeGraph, s: int, tau: int) -> tuple:
     """Occurrences of tau as a diagonal before and after tile s."""
-    before = sum(1 for j in range(1, s) if g.tile(j).diagonal == tau)
-    after = sum(1 for j in range(s + 1, g.d + 1) if g.tile(j).diagonal == tau)
-    return before, after
+    diagonals, slot = [tile.diagonal for tile in g.tiles], g._slot(s)
+    return diagonals[:slot].count(tau), diagonals[slot + 1 :].count(tau)
 
 
 def _tile_m(g: SnakeGraph) -> list:
@@ -260,70 +262,54 @@ def omega_prime(g: SnakeGraph, j: int, indices) -> int:
     return _omega_prime_row(g, frozenset(indices))[j - 1]
 
 
-def _toggle_keeps_canonical(w: StringWord, N: frozenset, j: int) -> bool:
-    """Whether the canonical set N with position j toggled is canonical.
-
-    Only the runs next to j change.  Removing j must close a run at j-1
-    (letter j-1 inverse) if j-1 is in N and open one at j+1 (letter j
-    direct) if j+1 is in N; adding j must open a run at j (j = 1 or letter
-    j-1 direct) unless j-1 is in N and close one at j (j = d or letter j
-    inverse) unless j+1 is in N.
-    """
-    letters, left, right = w.letters, j - 1 in N, j + 1 in N
-    if j in N:
-        return not (left and letters[j - 2].direct or right and not letters[j - 1].direct)
-    return (left or j == 1 or letters[j - 2].direct) and (
-        right or j == w.d or not letters[j - 1].direct
-    )
-
-
 def valuation_v_gamma(g: SnakeGraph) -> dict:
     """Valuation of every submodule index set, from the word alone.
 
-    Walks the containment graph of canonical index sets differing by
-    one position, using omega_prime for the step, starting from the
-    empty set at 0.  Each step is evaluated once, from the endpoint
-    dequeued first, and checked from both of its endpoints.
+    One pass over the canonical index sets in the generator's order,
+    smallest first, starting from the empty set at 0: each set N takes
+    values[N - {j}] - omega_prime(j, N - {j}) from every canonical set
+    one position smaller, each step checked from both of its ends and
+    all of N's steps checked to agree.  The table keeps that order.
+
+    Every nonempty canonical set has such a subset, so the smaller sets
+    are all in the table when N is reached.  A run of one position can
+    go.  A longer run [a, b] of N can drop a when letter a is direct (a
+    run then opens at a + 1), or b when letter b - 1 is inverse (one
+    closes at b - 1).  Otherwise letter a is inverse and letter b - 1
+    direct, so the run holds an inverse letter i followed by a direct
+    letter i + 1, and the position i + 1 between them can go: the run
+    closes at i and reopens at i + 2.
     """
-    d, w = g.d, g.word
-    values = {frozenset(): 0}
-    queue = deque([frozenset()])
-    done = set()
-    while queue:
-        N = queue.popleft()
-        done.add(N)
-        for j in range(1, d + 1):
-            if not _toggle_keeps_canonical(w, N, j):
+    values = {}
+    for s in enumerate_canonical_submodules(g.word):
+        N = s.indices
+        found = None if N else 0
+        for j in s.sorted_indices:
+            smaller = N - {j}
+            below = values.get(smaller)
+            if below is None:
                 continue
-            removing = j in N
-            other = N - {j} if removing else N | {j}
-            if other in done:
-                continue
-            smaller, bigger = (other, N) if removing else (N, other)
-            # value step, computed from the smaller side
             step = omega_prime(g, j, smaller)
-            back = omega_prime(g, j, bigger)
+            back = omega_prime(g, j, N)
             if step != -back:
                 raise InconsistentValuation(
                     f"asymmetric step at position {j}: {step} vs -({back})"
                 )
-            val = values[N] - (back if removing else step)
-            stored = values.get(other)
-            if stored is None:
-                values[other] = val
-                queue.append(other)
-            elif stored != val:
-                raise InconsistentValuation(f"index step at {j} gives {val}, stored {stored}")
-    canonical = {s.indices for s in enumerate_canonical_submodules(g.word)}
-    if set(values) != canonical:
-        raise UnreachableSubmodule(
-            f"single-index steps reach {len(values)} of {len(canonical)} index sets"
-        )
-    full = frozenset(range(1, d + 1))
+            here = below - step
+            if found is None:
+                found = here
+            elif found != here:
+                raise InconsistentValuation(f"index step at {j} gives {here}, stored {found}")
+        if found is None:
+            raise UnreachableSubmodule(
+                f"no canonical index set one position smaller than {list(s.sorted_indices)}"
+            )
+        values[N] = found
+    full = frozenset(range(1, g.d + 1))
+    if full not in values:
+        raise UnreachableSubmodule(f"the full index set {sorted(full)} was not generated")
     if values[full] != 0:
-        raise InconsistentValuation(
-            f"full index set has valuation {values[full]}, want 0"
-        )
+        raise InconsistentValuation(f"full index set has valuation {values[full]}, want 0")
     return values
 
 
@@ -331,7 +317,9 @@ def compare_valuations(g: SnakeGraph) -> dict:
     """v on matchings vs the word-side valuation, matched through the bijection.
 
     The agreed table (index set -> valuation) is kept on the graph; a
-    disagreement raises and keeps nothing.
+    disagreement raises and keeps nothing.  The two tables must also
+    hold the same index sets: a matching's set with no word-side value,
+    or a word-side set no matching reaches, is a BijectionViolation.
     """
     if g._compared is None:
         v_match = valuation_v(g)
@@ -339,10 +327,19 @@ def compare_valuations(g: SnakeGraph) -> dict:
         table = {}
         for P, val in v_match.items():
             indices = matching_to_submodule(g, P)
-            if v_word[indices] != val:
+            word_val = v_word.get(indices)
+            if word_val is None:
+                raise BijectionViolation(
+                    f"matched index set {sorted(indices)} has no word-side valuation"
+                )
+            if word_val != val:
                 raise InconsistentValuation(
-                    f"valuations disagree on {sorted(indices)}: {val} vs {v_word[indices]}"
+                    f"valuations disagree on {sorted(indices)}: {val} vs {word_val}"
                 )
             table[indices] = val
+        if len(table) != len(v_word):
+            raise BijectionViolation(
+                f"matchings reach {len(table)} of the {len(v_word)} word-side index sets"
+            )
         g._compared = table
     return g._compared

@@ -471,7 +471,7 @@ def test_a_package_error_after_parsing_exits_with_its_message(runner, monkeypatc
     def broken(word):
         raise UnreachableSubmodule("no canonical submodules")
 
-    monkeypatch.setattr(cli, "enumerate_canonical_submodules", broken)
+    monkeypatch.setattr(valuation, "enumerate_canonical_submodules", broken)
     res = runner.invoke(main, ["submodules", "-s", "annulus", "--string", "1"])
     assert res.exit_code == 1
     assert res.output == "Error: no canonical submodules\n"

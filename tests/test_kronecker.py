@@ -8,7 +8,6 @@ from qcluster.errors import UnmatchedCase
 from qcluster.expansion import quantum_expansion
 from qcluster.kronecker import (
     alpha_of_set,
-    alpha_table,
     build_weighted,
     equality_check,
     family_word,
@@ -44,7 +43,7 @@ def test_alpha_weights_are_frozen(annulus):
 
 def test_alpha_table_of_the_even_family(annulus):
     ws = build_weighted(annulus, 2, "H")
-    assert alpha_table(ws) == {
+    assert ws.tables[0] == {
         frozenset(): 0,
         frozenset({2}): 1,
         frozenset({4}): -1,

@@ -4,6 +4,8 @@ The reference_* functions below are the frozenset-of-edge-ids code that
 enumerate_matchings, enclosed_tiles, valuation_v and valuation_v_gamma
 ran before matchings became int masks.  They read only the graph's
 public geometry, so the comparisons go through ``g.edges``.
+reference_valuation_v_gamma is also the breadth-first search that
+valuation_v_gamma ran before its one pass over the generated sets.
 """
 from __future__ import annotations
 
@@ -158,15 +160,33 @@ def reference_valuation_v(g):
     return values
 
 
+def _toggle_keeps_canonical(w, N, j):
+    """Whether the canonical set N with position j toggled is canonical.
+
+    Only the runs next to j change.  Removing j must close a run at j-1
+    (letter j-1 inverse) if j-1 is in N and open one at j+1 (letter j
+    direct) if j+1 is in N; adding j must open a run at j (j = 1 or letter
+    j-1 direct) unless j-1 is in N and close one at j (j = d or letter j
+    inverse) unless j+1 is in N.
+    """
+    letters, left, right = w.letters, j - 1 in N, j + 1 in N
+    if j in N:
+        return not (left and letters[j - 2].direct or right and not letters[j - 1].direct)
+    return (left or j == 1 or letters[j - 2].direct) and (
+        right or j == w.d or not letters[j - 1].direct
+    )
+
+
 def reference_valuation_v_gamma(g):
-    """The containment walk that evaluated every step from both endpoints."""
+    """The breadth-first containment walk that evaluated every step from
+    both endpoints, deciding each toggle by _toggle_keeps_canonical."""
     d = g.d
     values = {frozenset(): 0}
     queue = deque([frozenset()])
     while queue:
         N = queue.popleft()
         for j in range(1, d + 1):
-            if not valuation._toggle_keeps_canonical(g.word, N, j):
+            if not _toggle_keeps_canonical(g.word, N, j):
                 continue
             if j in N:
                 bigger, smaller = N, N - {j}
@@ -329,7 +349,8 @@ def test_valuation_v_gamma_evaluates_each_containment_step_once(monkeypatch, ann
 # -- the traced harness -----------------------------------------------------
 
 
-def test_the_traced_expansion_leaves_no_annulus_expand_target_silent(annulus):
+def traced_calls(commands):
+    """The bench tracer's call counts over CLI commands run in-process."""
     sys.path.insert(0, str(BENCH))
     try:
         import tracing
@@ -338,10 +359,37 @@ def test_the_traced_expansion_leaves_no_annulus_expand_target_silent(annulus):
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        for family in ("G", "H"):
-            word = str(family_word(annulus, 2, family))
-            res = CliRunner().invoke(main, ["expand", "-s", "annulus", "--string", word])
+        for args in commands:
+            res = CliRunner().invoke(main, args)
             assert res.exit_code == 0, res.output
     finally:
         tracer.restore()
-    assert tracing.silent_targets([tracer.calls], "annulus_expand") == []
+    return tracing, tracer.calls
+
+
+def test_the_traced_expansion_leaves_no_annulus_expand_target_silent(annulus):
+    commands = [
+        ["expand", "-s", "annulus", "--string", str(family_word(annulus, 2, family))]
+        for family in ("G", "H")
+    ]
+    tracing, calls = traced_calls(commands)
+    assert tracing.silent_targets([calls], "annulus_expand") == []
+
+
+@pytest.mark.parametrize(
+    "workload, commands",
+    [
+        ("polygon_verify", [["verify", "-s", "pentagon", "--max-length", "2", "--jobs", "1"]]),
+        ("annulus_mutate", [["mutate", "-s", "annulus", "--seq", "1,2"]]),
+        (
+            "annulus_identities",
+            [
+                ["skein-multiply", "-s", "annulus", "--v", "1 >a> 2 <b< 1", "--w", "1 >a> 2"],
+                ["kronecker", "-s", "annulus", "--s", "1", "--check"],
+            ],
+        ),
+    ],
+)
+def test_one_small_command_per_workload_leaves_no_target_silent(workload, commands):
+    tracing, calls = traced_calls(commands)
+    assert tracing.silent_targets([calls], workload) == []

@@ -15,7 +15,6 @@ from qcluster.surface import (
     check_gentle,
     find_lambda,
     load_surface,
-    neighborhood,
     pair_from_surface,
 )
 from qcluster.torus import check_compatible
@@ -112,16 +111,6 @@ def test_corpus_quivers_are_gentle(quivers):
 def test_arrow_named_raises_on_unknown_name(quivers):
     with pytest.raises(KeyError):
         quivers["annulus"].arrow_named("z")
-
-
-def test_neighborhood_lists_both_triangles(pentagon):
-    nb = neighborhood(pentagon, 1)
-    assert nb.arc == 1
-    t1 = pentagon.triangles[nb.triangle1]
-    t2 = pentagon.triangles[nb.triangle2]
-    assert 1 in t1 and 1 in t2
-    assert {nb.a1, nb.a2} == set(t1) - {1}
-    assert {nb.a3, nb.a4} == set(t2) - {1}
 
 
 def test_flanks_read_the_cyclic_order(pentagon):

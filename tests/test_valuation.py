@@ -1,12 +1,22 @@
 """Twist valuations on matchings and their module-side counterparts."""
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
+from click.testing import CliRunner
 from hypothesis import given
 from hypothesis import strategies as st
 
 from qcluster import snake, valuation
-from qcluster.errors import CannotTwist, InconsistentValuation, UnmatchedCase
+from qcluster.cli import main
+from qcluster.errors import (
+    BijectionViolation,
+    CannotTwist,
+    InconsistentValuation,
+    QClusterError,
+    UnmatchedCase,
+)
 from qcluster.expansion import quantum_expansion
 from qcluster.kronecker import family_word
 from qcluster.snake import (
@@ -24,6 +34,7 @@ from qcluster.strings import (
     enumerate_strings,
     is_canonical_submodule,
 )
+from qcluster.surface import build_quiver, load_surface
 from qcluster.valuation import (
     compare_valuations,
     m_pm,
@@ -34,7 +45,9 @@ from qcluster.valuation import (
     valuation_v_gamma,
 )
 
-from conftest import SURFACES
+from conftest import SURFACES, WHEEL3
+from test_matching_masks import _toggle_keeps_canonical
+from test_strings import scan_canonical_submodules
 
 
 # -- reference forms the per-graph tables are checked against ------------
@@ -266,6 +279,28 @@ def test_omega_prime_rejects_a_position_outside_the_word(g1_graph):
             omega_prime(g1_graph, j, frozenset({2}))
 
 
+@pytest.mark.parametrize("j", [0, -1, 4])
+def test_a_tile_outside_the_graph_is_an_unmatched_case(g1_graph, j):
+    P = minimal_matching(g1_graph)
+    for call in (
+        lambda: g1_graph.tile(j),
+        lambda: g1_graph.edge_id(j, "S"),
+        lambda: g1_graph.tile_edges(j),
+        lambda: can_twist(g1_graph, P, j),
+        lambda: twist(g1_graph, P, j),
+        lambda: omega(g1_graph, j, P),
+        lambda: m_pm(g1_graph, j, 1),
+        lambda: g1_graph.glue_label(j),
+    ):
+        with pytest.raises(UnmatchedCase, match=f"tile {j} outside 1..3"):
+            call()
+
+
+def test_no_glue_edge_follows_the_last_tile(g1_graph):
+    with pytest.raises(UnmatchedCase, match="tile 3 is the last tile"):
+        g1_graph.glue_label(3)
+
+
 def test_the_g7_expansion_tabulates_each_window_once(monkeypatch, annulus, seeds):
     # at most 8 window patterns per word arc and position, for the one graph
     calls = []
@@ -320,7 +355,55 @@ def test_the_toggle_rule_agrees_with_the_run_conditions(corpus_words):
         for cs in enumerate_canonical_submodules(w):
             for j in range(1, w.d + 1):
                 toggled = cs.indices ^ {j}
-                keeps = valuation._toggle_keeps_canonical(w, cs.indices, j)
+                keeps = _toggle_keeps_canonical(w, cs.indices, j)
                 assert keeps == is_canonical_submodule(w, toggled)
                 steps += keeps
     assert steps > 10000
+
+
+def test_every_canonical_set_has_a_canonical_subset_one_position_smaller(corpus_words):
+    """The fact valuation_v_gamma's single pass rests on, against the 2^d
+    scan, which also shows that the generator lists every canonical set."""
+    wheel = load_surface(WHEEL3)
+    words = [w for _, w in corpus_words] + enumerate_strings(build_quiver(wheel), 7)
+    sets = 0
+    for w in words:
+        scanned = {cs.indices for cs in scan_canonical_submodules(w)}
+        assert scanned == {cs.indices for cs in enumerate_canonical_submodules(w)}, str(w)
+        for N in scanned - {frozenset()}:
+            assert any(N - {j} in scanned for j in N), (str(w), sorted(N))
+        sets += len(scanned)
+    assert sets == 11280
+
+
+@pytest.mark.parametrize(
+    "family, outcomes",
+    [
+        ("G", {"BijectionViolation": 28, "UnreachableSubmodule": 6}),
+        ("H", {"BijectionViolation": 16, "UnreachableSubmodule": 5}),
+    ],
+)
+def test_a_generated_set_dropped_from_the_walk_is_a_typed_error(monkeypatch, annulus, family, outcomes):
+    w = family_word(annulus, 3, family)
+    real = valuation.enumerate_canonical_submodules
+    seen = Counter()
+    for drop in range(len(real(w))):
+        monkeypatch.setattr(
+            valuation,
+            "enumerate_canonical_submodules",
+            lambda word, drop=drop: [cs for i, cs in enumerate(real(word)) if i != drop],
+        )
+        with pytest.raises(QClusterError) as caught:
+            compare_valuations(label_snake(w, annulus))
+        seen[type(caught.value).__name__] += 1
+        res = CliRunner().invoke(main, ["expand", "-s", "annulus", "--string", str(w)])
+        assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+        assert res.output.startswith("Error: ") and res.output.count("\n") == 1
+    assert seen == outcomes
+
+
+def test_a_word_side_set_that_no_matching_reaches_is_a_bijection_violation(monkeypatch, annulus):
+    real = valuation.valuation_v
+    monkeypatch.setattr(valuation, "valuation_v", lambda graph: dict(list(real(graph).items())[1:]))
+    with pytest.raises(BijectionViolation, match="matchings reach 20 of the 21 word-side index sets"):
+        compare_valuations(label_snake(family_word(annulus, 3, "H"), annulus))
