@@ -23,6 +23,7 @@ from .kronecker import build_weighted, equality_check, recursion_checks, weighte
 from .seeds import initial_seed, mutate_seed, mutation_sequence
 from .skein_mult import multiply_and_certify, relative_exponent_check
 from .snake import (
+    canonical_submodules,
     check_bijection,
     enumerate_matchings,
     label_snake,
@@ -31,7 +32,6 @@ from .snake import (
 from .strings import (
     Letter,
     StringWord,
-    enumerate_canonical_submodules,
     enumerate_strings,
     validate_string,
 )
@@ -396,7 +396,7 @@ def _verify_word(t, seed, word):
     run(
         "counts",
         lambda: _expect(
-            len(enumerate_matchings(g)) == len(enumerate_canonical_submodules(word)),
+            len(enumerate_matchings(g)) == len(canonical_submodules(g)),
             "matching and submodule counts differ",
         ),
     )

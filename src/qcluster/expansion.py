@@ -20,7 +20,7 @@ from .seeds import QuantumSeed, mutation_sequence
 from .snake import SnakeGraph, enumerate_matchings, label_snake, matching_to_submodule, minimal_matching
 from .strings import StringWord, dimension_vector
 from .surface import Triangulation
-from .torus import TorusElement
+from .torus import QCoefficient, TorusElement
 from .valuation import compare_valuations
 
 __all__ = [
@@ -78,10 +78,6 @@ def x_of_matching(g: SnakeGraph, P: int) -> tuple:
     return tuple(a - b for a, b in zip(weight, cross))
 
 
-def _b_times_dim(b: tuple, dim: tuple) -> tuple:
-    return tuple(sum(b[i][j] * dim[j] for j in range(len(dim))) for i in range(len(b)))
-
-
 def quantum_expansion(w: StringWord, t: Triangulation, seed: QuantumSeed) -> ExpansionResult:
     """Expansion of the arc variable of w in the seed's initial torus.
 
@@ -96,36 +92,45 @@ def graph_expansion(g: SnakeGraph, seed: QuantumSeed) -> ExpansionResult:
     """quantum_expansion of the snake graph's word, reading its tables.
 
     The q-powers come from the valuation table both routes agreed on
-    (compare_valuations), so each route runs once per graph.
+    (compare_valuations), so each route runs once per graph.  The
+    element is summed once per distinct exponent.
     """
     d = uniform_d(seed)
     w, t = g.word, g.triangulation
     values = compare_valuations(g)
     cross = crossing_exponent(w, t)
     base_x = x_of_matching(g, minimal_matching(g))
-    b_rows = seed.pair.b_tilde
+    columns = tuple(zip(*seed.pair.b_tilde))  # one column of B per internal arc
 
-    by_matching = TorusElement.zero(t.m)
+    by_exponent: dict = {}  # exponent -> {q-power: matchings}
     terms = []
     for P in enumerate_matchings(g):
         xp = tuple(a - b for a, b in zip(weight_exponent(g, P), cross))
         indices = matching_to_submodule(g, P)
         dim = dimension_vector(w, indices, n=t.n)
-        xs = tuple(a + c for a, c in zip(base_x, _b_times_dim(b_rows, dim)))
+        xs = base_x
+        for k, column in zip(dim, columns):
+            if k:
+                xs = tuple(x + k * c for x, c in zip(xs, column))
         if xs != xp:
             raise InconsistentValuation(
                 f"exponent mismatch on {sorted(indices)}: weights give {xp}, "
                 f"dimension vector gives {xs}"
             )
-        by_matching = by_matching + TorusElement.monomial(xp, q_twice=d * values[indices])
+        v = values[indices]
+        powers = by_exponent.setdefault(xp, {})
+        powers[d * v] = powers.get(d * v, 0) + 1
         terms.append(
             ExpansionTerm(
                 indices=tuple(sorted(indices)),
                 dim=dim,
-                valuation=values[indices],
+                valuation=v,
                 exponent=xp,
             )
         )
+    by_matching = TorusElement.zero(t.m)
+    for xp, powers in by_exponent.items():
+        by_matching = by_matching + TorusElement(t.m, {xp: QCoefficient(powers)})
     terms.sort(key=lambda term: (len(term.indices), term.indices))
     return ExpansionResult(
         word=w,

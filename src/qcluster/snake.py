@@ -59,6 +59,7 @@ __all__ = [
     "enclosed_tiles",
     "matching_to_submodule",
     "submodule_to_matching",
+    "canonical_submodules",
     "check_bijection",
 ]
 
@@ -98,11 +99,12 @@ class SnakeGraph:
         self.triangulation = t
         self.shape = shape
         self.tiles = tiles
-        # Matching-side caches: the matchings, the bijection image
-        # (matching -> enclosed tiles) and the valuation table both routes
-        # agreed on.
+        # Caches: the matchings, the bijection image (matching -> enclosed
+        # tiles), the word's canonical submodules as the generator lists
+        # them (word-side data) and the valuation table both routes agreed on.
         self._matchings: list | None = None
         self._image: dict | None = None
+        self._canonical: list | None = None
         self._compared: dict | None = None
         # The edge table, read by every geometry query: each tile's side ->
         # edge id, each edge id -> its (tile, side) pairs in tile order, and
@@ -474,9 +476,16 @@ def submodule_to_matching(g: SnakeGraph, indices: frozenset) -> int:
     return found[0]
 
 
+def canonical_submodules(g: SnakeGraph) -> list:
+    """The word's canonical submodules from the generator, listed once per graph."""
+    if g._canonical is None:
+        g._canonical = enumerate_canonical_submodules(g.word)
+    return g._canonical
+
+
 def check_bijection(g: SnakeGraph) -> dict:
     """Verify matchings <-> canonical index sets; return the dictionary."""
-    submods = enumerate_canonical_submodules(g.word)
+    submods = canonical_submodules(g)
     image = _bijection_image(g)
     if len(image) != len(enumerate_matchings(g)):
         raise BijectionViolation("duplicate matchings")

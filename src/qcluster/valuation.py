@@ -51,12 +51,12 @@ from .errors import (
 from .snake import (
     SnakeGraph,
     _twist_pairs,
+    canonical_submodules,
     enumerate_matchings,
     matching_to_submodule,
     maximal_matching,
     minimal_matching,
 )
-from .strings import enumerate_canonical_submodules
 
 __all__ = [
     "m_pm",
@@ -281,7 +281,7 @@ def valuation_v_gamma(g: SnakeGraph) -> dict:
     closes at i and reopens at i + 2.
     """
     values = {}
-    for s in enumerate_canonical_submodules(g.word):
+    for s in canonical_submodules(g):
         N = s.indices
         found = None if N else 0
         for j in s.sorted_indices:

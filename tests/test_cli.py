@@ -13,7 +13,7 @@ from contextlib import redirect_stdout
 import pytest
 from click.testing import CliRunner
 
-from qcluster import cli, snake, valuation
+from qcluster import cli, snake, strings, valuation
 from qcluster.cli import main, parse_string
 from qcluster.errors import UnreachableSubmodule
 from qcluster.snake import enumerate_matchings, label_snake
@@ -181,6 +181,39 @@ def test_word_command_output_is_frozen(runner, tmp_path, surface, word, command,
     assert hashlib.sha256(res.output.encode()).hexdigest() == expected
 
 
+G7 = " ".join(["1 >a> 2 <b<"] * 7) + " 1"
+H7 = " ".join(["1 >a> 2 <b<"] * 6) + " 1 >a> 2"
+
+# sha256 of the output of `expand -s annulus --string <word> [--q1] --format
+# <format>`, frozen before the expansion was summed once per monomial.
+FROZEN_FAMILY_EXPAND_SHA256 = {
+    G7: {
+        (False, "text"): "813314d48818c669e5378f4ace34acf854bfef75c9ae00e58773077c4cc5519a",
+        (True, "text"): "5b37a890e6bb34d9e872ec74eb018ff68445f23ca2c359d797b10325f31e516c",
+        (False, "structured"): "5eef02eca8ae7d0b779e26b3f9ecddbf5d560682894597ab79faf6986ce04c90",
+        (True, "structured"): "3191741688ecf295dd65e8673b3ab232d19b3363977e3f057ed84077f4a2bf0a",
+    },
+    H7: {
+        (False, "text"): "1b3a5b77215730012e67a0945df98825593ec55b416c637b3eee1d31c30f0509",
+        (True, "text"): "868a4ddfcf4f69dcfc9603e0ebe58908e9988aa19ab5422ba9c12edcd9d36b36",
+        (False, "structured"): "3ee7bb07179e3c9d6d438b7736dfdb6db2ed69f531414b96d7318cd48fb4a661",
+        (True, "structured"): "21eed379019d9f684b7d431d9b899cee6d88f802da1a0f959b16778d20b91789",
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "word, q1, fmt",
+    [(word,) + case for word, cases in FROZEN_FAMILY_EXPAND_SHA256.items() for case in cases],
+)
+def test_family_expand_output_is_frozen(runner, word, q1, fmt):
+    args = ["expand", "-s", "annulus", "--string", word, "--format", fmt]
+    res = runner.invoke(main, args + ["--q1"] * q1)
+    assert res.exit_code == 0, res.output
+    expected = FROZEN_FAMILY_EXPAND_SHA256[word][(q1, fmt)]
+    assert hashlib.sha256(res.output.encode()).hexdigest() == expected
+
+
 # sha256 of the output of `kronecker -s annulus --s <s> --family <family>
 # [--check] --format <format>`, frozen before each family graph was built
 # once per call.  The structured digests without --check were pinned again
@@ -279,6 +312,23 @@ def test_kronecker_builds_each_family_graph_once(runner, monkeypatch):
         res = runner.invoke(main, args + ["--check"] * check)
         assert res.exit_code == 0, res.output
         assert len(built) == len(set(built)) == graphs
+
+
+def test_verify_enumerates_each_words_canonical_sets_once(runner, monkeypatch):
+    listed = []
+    real = strings.enumerate_canonical_submodules
+
+    def counted(w):
+        listed.append(str(w))
+        return real(w)
+
+    for key, namespace in list(sys.modules.items()):
+        if key.startswith("qcluster") and getattr(namespace, "enumerate_canonical_submodules", None) is real:
+            monkeypatch.setattr(namespace, "enumerate_canonical_submodules", counted)
+    res = runner.invoke(main, ["verify", "-s", "annulus", "--max-length", "8", "--jobs", "1"])
+    assert res.exit_code == 0, res.output
+    assert res.output.endswith("10 strings, 40 checks, 0 failures\n")
+    assert len(listed) == len(set(listed)) == 10
 
 
 def test_kronecker_level_zero_runs_no_recursion(runner):
@@ -471,7 +521,7 @@ def test_a_package_error_after_parsing_exits_with_its_message(runner, monkeypatc
     def broken(word):
         raise UnreachableSubmodule("no canonical submodules")
 
-    monkeypatch.setattr(valuation, "enumerate_canonical_submodules", broken)
+    monkeypatch.setattr(snake, "enumerate_canonical_submodules", broken)
     res = runner.invoke(main, ["submodules", "-s", "annulus", "--string", "1"])
     assert res.exit_code == 1
     assert res.output == "Error: no canonical submodules\n"

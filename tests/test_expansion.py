@@ -1,18 +1,24 @@
 """Laurent expansions of arc variables and the matching-weight formula."""
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from qcluster.expansion import (
+    ExpansionResult,
+    ExpansionTerm,
     classical_specialization,
     crossing_exponent,
+    graph_expansion,
     oracle_compare,
     quantum_expansion,
     uniform_d,
     weight_exponent,
     x_of_matching,
 )
-from qcluster.errors import InvalidMutation, NotCompatible
+from qcluster.errors import InconsistentValuation, InvalidMutation, NotCompatible
+from qcluster.kronecker import family_word
 from qcluster.seeds import initial_seed
 from qcluster.snake import (
     enumerate_matchings,
@@ -21,10 +27,11 @@ from qcluster.snake import (
     minimal_matching,
 )
 from qcluster.strings import dimension_vector, enumerate_strings, trivial_word
-from qcluster.surface import b_matrix
+from qcluster.surface import b_matrix, build_quiver, load_surface, pair_from_surface
 from qcluster.torus import CompatiblePair, QCoefficient, TorusElement, bar
+from qcluster.valuation import compare_valuations
 
-from conftest import make_word
+from conftest import ANNULUS_21, SURFACES, make_word
 
 
 def element(rank, rows):
@@ -171,3 +178,88 @@ def test_uniform_d_rejects_mixed_diagonals():
     pair = CompatiblePair(((0, 1), (-2, 0)), ((0, 1), (-1, 0)), (2, 1))
     with pytest.raises(NotCompatible):
         uniform_d(initial_seed(pair))
+
+
+def reference_graph_expansion(g, seed):
+    """graph_expansion as one torus sum per matching, with B dim(N) taken row by row."""
+    d = uniform_d(seed)
+    w, t = g.word, g.triangulation
+    values = compare_valuations(g)
+    cross = crossing_exponent(w, t)
+    base_x = x_of_matching(g, minimal_matching(g))
+    b_rows = seed.pair.b_tilde
+
+    by_matching = TorusElement.zero(t.m)
+    terms = []
+    for P in enumerate_matchings(g):
+        xp = tuple(a - b for a, b in zip(weight_exponent(g, P), cross))
+        indices = matching_to_submodule(g, P)
+        dim = dimension_vector(w, indices, n=t.n)
+        shift = tuple(sum(b[j] * dim[j] for j in range(len(dim))) for b in b_rows)
+        xs = tuple(a + c for a, c in zip(base_x, shift))
+        if xs != xp:
+            raise InconsistentValuation(
+                f"exponent mismatch on {sorted(indices)}: weights give {xp}, "
+                f"dimension vector gives {xs}"
+            )
+        by_matching = by_matching + TorusElement.monomial(xp, q_twice=d * values[indices])
+        terms.append(
+            ExpansionTerm(
+                indices=tuple(sorted(indices)),
+                dim=dim,
+                valuation=values[indices],
+                exponent=xp,
+            )
+        )
+    terms.sort(key=lambda term: (len(term.indices), term.indices))
+    return ExpansionResult(word=w, element=by_matching, terms=tuple(terms), denominator=cross)
+
+
+def test_graph_expansion_equals_the_per_matching_sum(surfaces, quivers, seeds):
+    annulus = surfaces["annulus"]
+    cases = [
+        (surfaces[name], seeds[name], w) for name in SURFACES for w in enumerate_strings(quivers[name], 7)
+    ]
+    t21 = load_surface(ANNULUS_21)
+    seed21 = initial_seed(pair_from_surface(t21))
+    cases += [(t21, seed21, w) for w in enumerate_strings(build_quiver(t21), 7)]
+    cases += [(annulus, seeds["annulus"], family_word(annulus, s, "G")) for s in range(9)]
+    cases += [(annulus, seeds["annulus"], family_word(annulus, s, "H")) for s in range(1, 9)]
+    for t, seed, w in cases:
+        g = label_snake(w, t)
+        got, want = graph_expansion(g, seed), reference_graph_expansion(g, seed)
+        assert got.element == want.element, f"{t.name}: {w}"
+        assert list(got.element.terms) == list(want.element.terms), f"{t.name}: {w}"
+        assert got.terms == want.terms, f"{t.name}: {w}"
+        assert got.denominator == want.denominator
+
+
+def test_an_exponent_the_dimension_vector_does_not_give_is_inconsistent(annulus, seeds):
+    seed = seeds["annulus"]
+    b = [list(row) for row in seed.pair.b_tilde]
+    b[0][0] += 1
+    changed = replace(seed, pair=CompatiblePair(tuple(map(tuple, b)), seed.pair.lam, seed.pair.d))
+    g = label_snake(family_word(annulus, 1, "G"), annulus)
+    with pytest.raises(
+        InconsistentValuation,
+        match=r"exponent mismatch on \[2, 3\]: weights give \(-2, 1, 1, 1\), "
+        r"dimension vector gives \(-1, 1, 1, 1\)",
+    ):
+        graph_expansion(g, changed)
+    # the unchanged seed expands the same graph
+    assert graph_expansion(g, seed).element == reference_graph_expansion(g, seed).element
+
+
+def test_the_element_is_summed_once_per_monomial(monkeypatch, annulus, seeds):
+    adds = []
+    real = TorusElement.__add__
+
+    def counted(a, b):
+        adds.append(len(b.terms))
+        return real(a, b)
+
+    monkeypatch.setattr(TorusElement, "__add__", counted)
+    res = quantum_expansion(family_word(annulus, 7, "G"), annulus, seeds["annulus"])
+    assert len(res.terms) == 1597
+    assert len(res.element.terms) == 37
+    assert adds == [1] * 37

@@ -385,11 +385,11 @@ def test_every_canonical_set_has_a_canonical_subset_one_position_smaller(corpus_
 )
 def test_a_generated_set_dropped_from_the_walk_is_a_typed_error(monkeypatch, annulus, family, outcomes):
     w = family_word(annulus, 3, family)
-    real = valuation.enumerate_canonical_submodules
+    real = snake.enumerate_canonical_submodules
     seen = Counter()
     for drop in range(len(real(w))):
         monkeypatch.setattr(
-            valuation,
+            snake,
             "enumerate_canonical_submodules",
             lambda word, drop=drop: [cs for i, cs in enumerate(real(word)) if i != drop],
         )
