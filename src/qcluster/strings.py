@@ -7,10 +7,13 @@ letter, arrow v_{p+1} -> v_p).  Words are valid when consecutive
 letters compose, nothing cancels, and no forbidden composition appears
 in the word or its reverse.
 
-The string module M(w) has one basis vector per position; an index set
-N is a submodule basis exactly when every maximal run [i, j] of N has a
-direct letter entering it on the left (or i = 1) and an inverse letter
-leaving it on the right (or j = d).
+The string module M(w) has one basis vector per position, and letter p
+carries an arrow between positions p and p+1: p -> p+1 when the letter
+is direct, p+1 -> p when it is inverse.  An index set N spans a
+submodule exactly when N lies in 1..d and no arrow of the word leaves
+N.  In runs: every maximal run [i, j] of N has a direct letter entering
+it on the left (or i = 1) and an inverse letter on the right (or
+j = d), the form the generator of canonical sets builds from.
 """
 
 from __future__ import annotations
@@ -37,13 +40,10 @@ __all__ = [
     "trivial_word",
     "validate_string",
     "is_valid_string",
-    "interval_decomposition",
     "is_canonical_submodule",
     "enumerate_canonical_submodules",
     "dimension_vector",
     "truncations",
-    "arrow_extensions",
-    "overlap_extensions",
     "all_extensions",
     "enumerate_strings",
 ]
@@ -176,28 +176,15 @@ def is_valid_string(w: StringWord, q: QuiverWithRelations) -> bool:
     return True
 
 
-def interval_decomposition(indices, d: int) -> list:
-    """Maximal runs of an index set as (start, stop) pairs, 1-based."""
-    out = []
-    run_start = None
-    for i in range(1, d + 2):
-        inside = i <= d and i in indices
-        if inside and run_start is None:
-            run_start = i
-        elif not inside and run_start is not None:
-            out.append((run_start, i - 1))
-            run_start = None
-    return out
-
-
 def is_canonical_submodule(w: StringWord, indices) -> bool:
+    """Whether the index set spans a submodule of M(w): a set of positions
+    1..d that no arrow of the word leaves."""
     indices = frozenset(indices)
     if not indices <= set(range(1, w.d + 1)):
         return False
-    for start, stop in interval_decomposition(indices, w.d):
-        if start > 1 and not w.letters[start - 2].direct:
-            return False
-        if stop < w.d and w.letters[stop - 1].direct:
+    for p, letter in enumerate(w.letters, start=1):
+        source, target = (p, p + 1) if letter.direct else (p + 1, p)
+        if source in indices and target not in indices:
             return False
     return True
 
@@ -365,7 +352,7 @@ def _flank_factor_other_triangle(q: QuiverWithRelations, arc: int, avoid_triangl
     return SmoothingFactor.of_arc(side)
 
 
-def arrow_extensions(v: StringWord, w: StringWord, q: QuiverWithRelations) -> list:
+def _arrow_extensions(v: StringWord, w: StringWord, q: QuiverWithRelations) -> list:
     """Extensions of M(v) by M(w) glued along one arrow.
 
     The arrow a runs from the first vertex of v to the last vertex of
@@ -444,7 +431,7 @@ def _truncation_factor(piece: StringWord | None, which: str) -> SmoothingFactor:
     return _string_factor_or_open(_truncate(piece, which))
 
 
-def overlap_extensions(v: StringWord, w: StringWord, q: QuiverWithRelations) -> list:
+def _overlap_extensions(v: StringWord, w: StringWord, q: QuiverWithRelations) -> list:
     """Extensions from a shared subword crossed in opposite fashion.
 
     Writing v = v_L b m a^{-1} v_R and w = w_L d^{-1} m c w_R (with b
@@ -533,7 +520,7 @@ def all_extensions(v: StringWord, w: StringWord, q: QuiverWithRelations) -> list
     for first, second in ((v, w), (w, v)):
         for fo in (first, first.inverse()):
             for so in (second, second.inverse()):
-                for ext in arrow_extensions(fo, so, q) + overlap_extensions(fo, so, q):
+                for ext in _arrow_extensions(fo, so, q) + _overlap_extensions(fo, so, q):
                     key = ext.dedup_key()
                     if key not in seen:
                         seen[key] = ext

@@ -92,15 +92,6 @@ class HalfInteger:
 
     twice: int
 
-    def __add__(self, other: "HalfInteger") -> "HalfInteger":
-        return HalfInteger(self.twice + other.twice)
-
-    def __sub__(self, other: "HalfInteger") -> "HalfInteger":
-        return HalfInteger(self.twice - other.twice)
-
-    def __neg__(self) -> "HalfInteger":
-        return HalfInteger(-self.twice)
-
     def __str__(self) -> str:
         if self.twice % 2 == 0:
             return str(self.twice // 2)

@@ -15,10 +15,12 @@ below live on it as long as it does.  Two routes to the same integer:
   before and after it.
 
 * On the module side the same quantities are computed from the word
-  alone: each arc contributes through a small case analysis at every
-  position (interior double letters, the two word ends, glued edge
-  pairs, and the free sides of the end tiles), and adding or removing
-  one index changes the valuation by the resulting signed count.
+  alone, and adding or removing one index changes the valuation by the
+  resulting signed count.  At a position j crossing arc k, with index
+  set N: n_plus = [j+1 in N] != (letter j is direct) for j < d, and
+  n_minus = [j-1 in N] == (letter j-1 is direct) for j > 1.  Each arc
+  also counts the glued edges that N splits and the free sides of the
+  two end tiles, each end by whether its position is in N.
   n_module reads an index set only at positions j-1, j and j+1, so each
   graph tabulates it once per word arc, position and window pattern
   (8 patterns).  For one index set, omega_prime takes prefix sums of
@@ -139,67 +141,38 @@ def valuation_v(g: SnakeGraph) -> dict:
 
 
 def n_module(g: SnakeGraph, k: int, j: int, indices) -> tuple:
-    """Counts (n, n_plus, n_minus) of arc k at position j for an index set.
+    """Counts (n, n_plus, n_minus) of arc k at position j for an index set N.
 
-    The signed parts appear only when position j crosses arc k itself;
-    the unsigned contributions collect glued edges and the free sides
-    of the end tiles.  All contributions accumulate.
+    The signed parts appear only when position j crosses arc k itself:
+    n_plus = [j+1 in N] != (letter j is direct) when j < d, and
+    n_minus = [j-1 in N] == (letter j-1 is direct) when j > 1.  The
+    plain part counts the glued edge after tile j when it carries k and
+    N splits j from j+1, and, at the end positions 1 and d, a free side
+    k of the end tile's outer triangle: [end in N] == (k is the ccw
+    flank of the end diagonal).  All contributions accumulate.
     """
     w, t = g.word, g.triangulation
     indices = frozenset(indices)
     arcs, letters, d = w.vertices, w.letters, w.d
     if not 1 <= j <= d:
         raise UnmatchedCase(f"position {j} outside 1..{d}")
-    n_plus = n_minus = 0
-    plain = 0
-    inside = lambda i: i in indices
-
+    n_plus = n_minus = plain = 0
     if arcs[j - 1] == k:
-        if 2 <= j <= d - 1:
-            prev_direct, next_direct = letters[j - 2].direct, letters[j - 1].direct
-            if not prev_direct and not next_direct:
-                n_plus = 1 if inside(j + 1) else 0
-                n_minus = 0 if inside(j - 1) else 1
-            elif prev_direct and next_direct:
-                n_plus = 0 if inside(j + 1) else 1
-                n_minus = 1 if inside(j - 1) else 0
-            elif not prev_direct and next_direct:
-                n_plus = 0 if inside(j + 1) else 1
-                n_minus = 0 if inside(j - 1) else 1
-            else:
-                n_plus = 1 if inside(j + 1) else 0
-                n_minus = 1 if inside(j - 1) else 0
-        elif j == 1 and d >= 2:
-            if letters[0].direct:
-                n_plus = 0 if inside(2) else 1
-            else:
-                n_plus = 1 if inside(2) else 0
-        elif j == d and d >= 2:
-            if letters[d - 2].direct:
-                n_minus = 1 if inside(d - 1) else 0
-            else:
-                n_minus = 0 if inside(d - 1) else 1
-
-    if j <= d - 1 and g.glue_label(j) == k:
-        if inside(j) != inside(j + 1):
-            plain += 1
-    if j == 1:
-        tri = t.triangles[g.tile(1).tri_in]
-        diag = arcs[0]
-        if k in tri and k != diag:
-            if t.ccw_flank(g.tile(1).tri_in, diag) == k:
-                plain += 1 if inside(1) else 0
-            else:
-                plain += 0 if inside(1) else 1
-    if j == d:
-        tri = t.triangles[g.tile(d).tri_out]
-        diag = arcs[d - 1]
-        if k in tri and k != diag:
-            if t.ccw_flank(g.tile(d).tri_out, diag) == k:
-                plain += 1 if inside(d) else 0
-            else:
-                plain += 0 if inside(d) else 1
-
+        # The paper's cases by the directions of letters j-1 and j:
+        # inverse-inverse gives n_plus = [j+1 in N], n_minus = [j-1 not in N];
+        # direct-direct [j+1 not in N], [j-1 in N]; inverse-direct
+        # [j+1 not in N], [j-1 not in N]; direct-inverse [j+1 in N],
+        # [j-1 in N]; the word ends keep only the side that has a letter.
+        if j < d:
+            n_plus = int((j + 1 in indices) != letters[j - 1].direct)
+        if j > 1:
+            n_minus = int((j - 1 in indices) == letters[j - 2].direct)
+    if j < d and g.glue_label(j) == k and (j in indices) != (j + 1 in indices):
+        plain += 1
+    for end, tri in ((1, g.tile(1).tri_in), (d, g.tile(d).tri_out)):
+        diag = arcs[end - 1]
+        if j == end and k != diag and k in t.triangles[tri]:
+            plain += (end in indices) == (t.ccw_flank(tri, diag) == k)
     return n_plus + n_minus + plain, n_plus, n_minus
 
 

@@ -110,14 +110,76 @@ def test_the_check_sees_an_orphaned_definition():
     assert orphaned_definitions(sources) == ["a._left_behind"]
 
 
+def _export_list(tree) -> list:
+    """The names a module's top-level __all__ lists."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    return []
+
+
+def _mentions(tree) -> set:
+    """Every name a source reads, imports, or spells as a string (as
+    monkeypatch.setattr and the bench tracer's targets do)."""
+    out = _names_in(tree)
+    for sub in ast.walk(tree):
+        if isinstance(sub, (ast.Import, ast.ImportFrom)):
+            out.update(alias.name for alias in sub.names)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            out.add(sub.value)
+    return out
+
+
+def unread_exports(modules: dict, readers: list) -> list:
+    """Exported functions nothing outside their own module names.
+
+    ``modules`` maps a module name to its source; ``readers`` holds the
+    sources of the tests and bench files.  A function passes when another
+    module or a reader names it.  Exported classes pass: they are the
+    types of the values the functions return.
+    """
+    trees = {name: ast.parse(source) for name, source in modules.items()}
+    mentions = {name: _mentions(tree) for name, tree in trees.items()}
+    outside = set().union(*(_mentions(ast.parse(source)) for source in readers))
+    found = []
+    for module, tree in trees.items():
+        exported = set(_export_list(tree))
+        elsewhere = outside.union(*(names for name, names in mentions.items() if name != module))
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and node.name in exported - elsewhere:
+                found.append(f"{module}.{node.name}")
+    return found
+
+
+def test_every_exported_function_is_named_outside_its_module():
+    root = Path(__file__).resolve().parents[1]
+    modules = {path.stem: path.read_text() for path in MODULES}
+    readers = [
+        path.read_text()
+        for folder in ("tests", "bench")
+        for path in sorted((root / folder).rglob("*.py"))
+    ]
+    assert readers
+    assert unread_exports(modules, readers) == []
+
+
+def test_the_check_sees_an_unread_export():
+    modules = {
+        "a": "__all__ = ['called', 'tested', 'unread', 'Result']\n\n"
+        "class Result:\n    pass\n\n"
+        "def called():\n    return unread()\n\n"
+        "def tested():\n    return Result()\n\n"
+        "def unread():\n    return 1\n",
+        "b": "from .a import called\n\ncalled()\n",
+    }
+    readers = ["from qcluster.a import tested\n"]
+    assert unread_exports(modules, readers) == ["a.unread"]
+
+
 def test_the_package_exports_exactly_the_module_export_lists():
-    listed = set()
-    for path in MODULES:
-        for node in ast.parse(path.read_text()).body:
-            if isinstance(node, ast.Assign) and any(
-                isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
-            ):
-                listed.update(ast.literal_eval(node.value))
+    listed = {name for path in MODULES for name in _export_list(ast.parse(path.read_text()))}
     assert sorted(qcluster.__all__) == sorted(listed)  # no name listed twice
     modules = {path.stem for path in MODULES}
     public = {name for name in vars(qcluster) if not name.startswith("_")} - modules

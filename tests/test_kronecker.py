@@ -1,6 +1,8 @@
 """The two annulus families: weighted matchings against twist valuations."""
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from qcluster import kronecker
@@ -85,6 +87,14 @@ def test_the_checks_see_one_wrong_valuation(monkeypatch, annulus):
     assert any("valuation recursion" in failure for failure in failures)
     assert not equality_check(build_weighted(annulus, 2, "G"))
     assert not equality_check(build_weighted(annulus, 2, "H"))
+
+
+def test_the_checks_see_one_wrong_alpha_weight(annulus):
+    ws = build_weighted(annulus, 2, "G")
+    wrong = replace(ws, alphas=ws.alphas[:-1] + (ws.alphas[-1] + 1,))
+    failures = recursion_checks(wrong)
+    assert failures and all("alpha recursion" in failure for failure in failures)
+    assert not equality_check(wrong)
 
 
 def test_anchor_valuations(annulus):

@@ -19,7 +19,6 @@ from qcluster.strings import (
     dimension_vector,
     enumerate_canonical_submodules,
     enumerate_strings,
-    interval_decomposition,
     is_canonical_submodule,
     is_valid_string,
     trivial_word,
@@ -247,11 +246,6 @@ def test_dimension_vector_counts_vertex_visits(g1_word):
     assert dimension_vector(g1_word) == (2, 1)
     assert dimension_vector(g1_word, frozenset({2})) == (0, 1)
     assert dimension_vector(g1_word, None, n=4) == (2, 1, 0, 0)
-
-
-def test_interval_decomposition_splits_runs():
-    assert interval_decomposition({1, 2, 5}, 6) == [(1, 2), (5, 5)]
-    assert interval_decomposition(set(), 4) == []
 
 
 def test_enumerate_strings_counts_are_frozen(quivers):
