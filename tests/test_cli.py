@@ -370,6 +370,88 @@ def test_skein_multiply_command(runner):
     assert "lambda (half-units) = 1/2" in res.output
 
 
+# sha256 of the output of `skein-multiply -s <surface> --v <v> --w <w>
+# --format <format>` and its exit code, frozen before the certificate kept
+# only its two shifts.  The cases: an arrow extension whose M2 is solved, an
+# overlap extension, an arrow extension whose M2 is predicted (odd lambda), an
+# overlap extension with odd lambda, and a product with no resolution.
+FROZEN_SKEIN_SHA256 = {
+    ("annulus", "1", "1 >a> 2"): (0, {
+        "text": "798abd357f0621058cf6a972fb6ecd6a78b952c3d755f5bece3e7101ad14531b",
+        "structured": "e395172cdfc0b9d23a7c9d6c41633e53523e014cbf6a9ccd243c4bae9b880b28",
+    }),
+    ("annulus", "1", "1 >a> 2 <b< 1 >a> 2 <b< 1"): (0, {
+        "text": "aac76ab64870a78340c42f3a358a0dda0a1a461f0faf4d806ebefd0b5bfa20ec",
+        "structured": "10e7da768855b96fb1320ce29739d7a1afc1f797906c4f9ab44f9bf88d0e9a33",
+    }),
+    ("hexagon", "1", "2"): (0, {
+        "text": "68f20ba451e0e26e95fbea7310286e4fef68bcb44e78ac552562ebcb64d6f353",
+        "structured": "7ea363b4a1aa8d2b2d82fd041228f60b705092d0c0aa2f0379cf1cd5edfc07db",
+    }),
+    ("hexagon", "1 >a> 2 <b< 3", "2"): (0, {
+        "text": "cba7ca6ca92ae4c7bda208b87e7e579dc76f48ff806518ebf0e3f1245c0178a7",
+        "structured": "abeaff26f167a9bb5bafd05ccf89ba2eb6456e338e57a2e24929a3f4a2ee7894",
+    }),
+    ("annulus", "1 >a> 2 <b< 1 >a> 2", "1 >a> 2"): (1, {
+        "text": "b97e09162897744c815a3a7713e52d9bbc86558d30887324f54f2c72919ece69",
+        "structured": "b97e09162897744c815a3a7713e52d9bbc86558d30887324f54f2c72919ece69",
+    }),
+}
+
+
+@pytest.mark.parametrize(
+    "surface, v, w, fmt",
+    [key + (fmt,) for key, (_, digests) in FROZEN_SKEIN_SHA256.items() for fmt in digests],
+)
+def test_skein_multiply_output_is_frozen(runner, surface, v, w, fmt):
+    exit_code, digests = FROZEN_SKEIN_SHA256[(surface, v, w)]
+    res = runner.invoke(main, ["skein-multiply", "-s", surface, "--v", v, "--w", w, "--format", fmt])
+    assert res.exit_code == exit_code, res.output
+    assert hashlib.sha256(res.output.encode()).hexdigest() == digests[fmt]
+
+
+# sha256 of the output of `validate -s <surface> --format <format>` and of
+# `verify -s <surface> --max-length 6 --format <format>` on every bundled
+# surface, frozen before the index sets became plain frozensets.
+FROZEN_SURFACE_SHA256 = {
+    "annulus": {
+        ("validate", "text"): "56a0b0e6407d9f079e37df0791b042a9eb639041af2d417215c12c15a0e0a545",
+        ("validate", "structured"): "777028d35b2a87ff6a9d8186c1a9afb302b31253c2f617cb802709c626adff4f",
+        ("verify", "text"): "753d02d6876faa1edab644a7cc7393b720058c61f58261f9f3086913d669e454",
+        ("verify", "structured"): "7ed33253ee442fe836fc66ad7add1132e219366b61d69b4603e1b79f8aa09efd",
+    },
+    "hexagon": {
+        ("validate", "text"): "7d0e91cdca267d5cebe0b4a256e89169e0caf1a84ce8dfc9b4f069fba7581517",
+        ("validate", "structured"): "ed08c2d0b811d6cf99d62323083c96ab7e333a791122ad93fcb96a08a14e4b94",
+        ("verify", "text"): "5f67e1319c5f2dce0ff2d15e080d4c71790b1e3807bdda523723c5b9e05ead6e",
+        ("verify", "structured"): "64133e7b42b91602e0b8fb6fc78789f1c2251bf607721bf02ac42e6ef8da01fb",
+    },
+    "pentagon": {
+        ("validate", "text"): "6282f04e0997a3ec04e494dd167aed6218adf22f55be6194501244369adf5832",
+        ("validate", "structured"): "a47770fe40476fce27dadb66c552b8af71b3713dff8acf7377e72988be2000d9",
+        ("verify", "text"): "0e51cdb612369171f97e7a0f0129b13729a112180b080a63c73207607161c0f8",
+        ("verify", "structured"): "c9076c07a80a75853694a13e80588fc07b3941dc8e416076bcdaa4b28ff84c3e",
+    },
+    "square": {
+        ("validate", "text"): "f18cf93da1ed7b5cee2dbe044c2e10817ff766d2ccf3bb1b0ed2fbf9ed7e14cb",
+        ("validate", "structured"): "d54dc9484856adfd6cb5bafb58bca80737904462039e8328d9a9129dba8af8d1",
+        ("verify", "text"): "3ef5128e0bdcf1e05917ba3a5f89eab9f91e8d99ae09106e0a243f13c4131ade",
+        ("verify", "structured"): "c91d16c0e5f570b05f99c275938c2c3c6c203b44a7eaa9b9108f9a880ee38278",
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "surface, command, fmt",
+    [(surface,) + case for surface, cases in FROZEN_SURFACE_SHA256.items() for case in cases],
+)
+def test_surface_command_output_is_frozen(runner, surface, command, fmt):
+    args = [command, "-s", surface, "--format", fmt] + (["--max-length", "6"] if command == "verify" else [])
+    res = runner.invoke(main, args)
+    assert res.exit_code == 0, res.output
+    assert hashlib.sha256(res.output.encode()).hexdigest() == FROZEN_SURFACE_SHA256[surface][(command, fmt)]
+
+
 def test_verify_command_reports_all_checks(runner, monkeypatch):
     calls = []
     real = cli.pair_from_surface
