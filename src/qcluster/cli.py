@@ -36,6 +36,7 @@ from .strings import (
     validate_string,
 )
 from .surface import build_quiver, check_gentle, load_surface, pair_from_surface
+from .torus import bar
 from .valuation import compare_valuations, valuation_v, valuation_v_gamma
 
 _TOKEN = re.compile(r"([<>])\s*([A-Za-z0-9_]*)\s*\1|\d+")
@@ -273,13 +274,12 @@ def submodules(surface, text, fmt):
 @format_option
 def mutate(surface, seq, fmt):
     """Mutate the initial seed along a sequence of directions."""
+    seed = initial_seed(pair_from_surface(load_surface(surface)))
     try:
-        t = load_surface(surface)
-        seed = initial_seed(pair_from_surface(t))
         directions = [int(x) for x in seq.split(",") if x.strip()]
-        seed = mutation_sequence(seed, directions)
     except ValueError as exc:
         raise click.ClickException(str(exc))
+    seed = mutation_sequence(seed, directions)
     lines = [f"after {directions}:"]
     for i in range(seed.n):
         lines.append(f"  X[{i + 1}] = {seed.cluster[i]}")
@@ -352,7 +352,7 @@ def skein_multiply(surface, v_text, w_text, fmt):
         f"u1 = {cert.extension.u1}",
         f"order: X[{cert.v}] * X[{cert.w}]",
         f"sum: q^({cert.s1_twice}/2) M1 + q^({cert.s2_twice}/2) M2",
-        f"lambda (half-units) = {cert.lambda_half}",
+        f"lambda (half-units) = {_halves(cert.s1_twice + cert.s2_twice)}",
         f"M1 = {cert.m1}",
         f"M2 = {cert.m2} ({cert.m2_source})",
         f"identity verified: {cert.identity_verified}",
@@ -364,7 +364,7 @@ def skein_multiply(surface, v_text, w_text, fmt):
             "u1": str(cert.extension.u1),
             "s1_twice": cert.s1_twice,
             "s2_twice": cert.s2_twice,
-            "lambda_twice": cert.lambda_half.twice,
+            "lambda_twice": cert.s1_twice + cert.s2_twice,
             "m1": _element_json(cert.m1),
             "m2": _element_json(cert.m2),
             "m2_source": cert.m2_source,
@@ -377,6 +377,10 @@ def skein_multiply(surface, v_text, w_text, fmt):
     )
     if not cert.identity_verified:
         raise SystemExit(1)
+
+
+def _halves(twice: int) -> str:
+    return str(twice // 2) if twice % 2 == 0 else f"{twice}/2"
 
 
 # -- verify ------------------------------------------------------------
@@ -412,8 +416,6 @@ def _expect(ok: bool, message: str) -> None:
 
 
 def _check_expansion(g, seed):
-    from .torus import bar
-
     result = graph_expansion(g, seed)
     _expect(bar(result.element) == result.element, "expansion is not bar-invariant")
     _expect(

@@ -12,6 +12,9 @@ __all__ = [
     "NotCompatible",
     "NonPositiveD",
     "NonExactDivision",
+    "RankMismatch",
+    "OutsideDomain",
+    "DivisionByZero",
     "InvalidMutation",
     "NotNormalizable",
     "NoCompatibleLambda",
@@ -51,6 +54,18 @@ class NonPositiveD(QClusterError):
 
 class NonExactDivision(QClusterError):
     """Right division left a nonzero remainder (Laurent property violated)."""
+
+
+class RankMismatch(QClusterError, ValueError):
+    """Torus vectors, elements or exponent lists of different lengths meet."""
+
+
+class OutsideDomain(QClusterError, ValueError):
+    """A torus operation got a negative power, or zero where it needs a leading term."""
+
+
+class DivisionByZero(QClusterError, ZeroDivisionError):
+    """A q-coefficient or a torus element was divided by zero."""
 
 
 class InvalidMutation(QClusterError, ValueError):

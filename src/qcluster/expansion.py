@@ -27,7 +27,6 @@ __all__ = [
     "ExpansionTerm",
     "ExpansionResult",
     "uniform_d",
-    "crossing_exponent",
     "weight_exponent",
     "x_of_matching",
     "quantum_expansion",
@@ -60,22 +59,13 @@ def uniform_d(seed: QuantumSeed) -> int:
     return ds.pop()
 
 
-def crossing_exponent(w: StringWord, t: Triangulation) -> tuple:
-    counts = [0] * t.m
-    for v in w.vertices:
-        counts[v - 1] += 1
-    return tuple(counts)
-
-
 def weight_exponent(g: SnakeGraph, P: int) -> tuple:
     """Matched edges per label: one popcount per label mask."""
     return tuple((P & mask).bit_count() for mask in g._label_masks)
 
 
 def x_of_matching(g: SnakeGraph, P: int) -> tuple:
-    cross = crossing_exponent(g.word, g.triangulation)
-    weight = weight_exponent(g, P)
-    return tuple(a - b for a, b in zip(weight, cross))
+    return tuple(a - b for a, b in zip(weight_exponent(g, P), g.crossings))
 
 
 def quantum_expansion(w: StringWord, t: Triangulation, seed: QuantumSeed) -> ExpansionResult:
@@ -98,14 +88,13 @@ def graph_expansion(g: SnakeGraph, seed: QuantumSeed) -> ExpansionResult:
     d = uniform_d(seed)
     w, t = g.word, g.triangulation
     values = compare_valuations(g)
-    cross = crossing_exponent(w, t)
     base_x = x_of_matching(g, minimal_matching(g))
     columns = tuple(zip(*seed.pair.b_tilde))  # one column of B per internal arc
 
     by_exponent: dict = {}  # exponent -> {q-power: matchings}
     terms = []
     for P in enumerate_matchings(g):
-        xp = tuple(a - b for a, b in zip(weight_exponent(g, P), cross))
+        xp = x_of_matching(g, P)
         indices = matching_to_submodule(g, P)
         dim = dimension_vector(w, indices, n=t.n)
         xs = base_x
@@ -136,7 +125,7 @@ def graph_expansion(g: SnakeGraph, seed: QuantumSeed) -> ExpansionResult:
         word=w,
         element=by_matching,
         terms=tuple(terms),
-        denominator=cross,
+        denominator=g.crossings,
     )
 
 

@@ -12,7 +12,7 @@ bar-invariant term with nonnegative coefficients, and checks the
 combinatorially predicted complementary factors when available.  Both
 factor orders are bar-conjugate, so the mirrored exponents solve the
 reversed product; the certificate records the order in which the
-M1 term carries the larger shift.
+M1 term carries the larger shift, and both shifts in twice units.
 
 The shift gap s1 - s2 depends on the chosen commutation form, so it is
 recorded rather than imposed.  No bundled surface ships a form;
@@ -32,7 +32,7 @@ from .expansion import quantum_expansion
 from .seeds import QuantumSeed
 from .strings import Extension, SmoothingFactor, StringWord, all_extensions
 from .surface import QuiverWithRelations, Triangulation, build_quiver
-from .torus import HalfInteger, TorusElement, bar_normalize, torus_mul
+from .torus import TorusElement, bar_normalize, torus_mul
 
 __all__ = [
     "MultiplicationCertificate",
@@ -47,9 +47,7 @@ class MultiplicationCertificate:
     """Exact resolution X_v X_w = q^{s1/2} M1 + q^{s2/2} M2.
 
     v, w give the factor order actually certified (chosen so M1
-    carries the larger shift).  lambda_half is the midpoint of the two
-    shifts measured in half-exponent units, i.e. its value times 1/2
-    is (s1+s2)/4 in whole q-exponents.
+    carries the larger shift); the shifts are in twice units.
     """
 
     v: StringWord
@@ -60,7 +58,6 @@ class MultiplicationCertificate:
     m2: TorusElement
     s1_twice: int
     s2_twice: int
-    lambda_half: HalfInteger
     m2_source: str  # "predicted" | "solved"
     identity_verified: bool
 
@@ -119,7 +116,7 @@ def multiply_and_certify(
     if e3 is not None and e4 is not None:
         predicted_m2 = _normalized_product(e3, e4, seed)
 
-    solutions = {}
+    solutions = set()
     for option in ext.u2_options:
         elem = _factor_element(option, t, seed)
         if elem is None:
@@ -146,8 +143,7 @@ def multiply_and_certify(
                 continue
             if predicted_m2 is not None and m2 != predicted_m2:
                 continue
-            key = (s1, m1, center.twice, m2)
-            solutions[key] = (s1, m1, center.twice, m2)
+            solutions.add((s1, m1, center, m2))
 
     if not solutions:
         raise NoSolution(
@@ -157,7 +153,7 @@ def multiply_and_certify(
         raise AmbiguousSolution(
             f"product of {v} and {w} admits {len(solutions)} distinct resolutions"
         )
-    s1_twice, m1, s2_twice, m2 = next(iter(solutions.values()))
+    s1_twice, m1, s2_twice, m2 = next(iter(solutions))
     left, right = v, w
     if s1_twice < s2_twice:
         # The reversed product is the bar conjugate, so it resolves with
@@ -175,7 +171,6 @@ def multiply_and_certify(
         m2=m2,
         s1_twice=s1_twice,
         s2_twice=s2_twice,
-        lambda_half=HalfInteger(s1_twice + s2_twice),
         m2_source="predicted" if predicted_m2 is not None else "solved",
         identity_verified=identity,
     )

@@ -26,7 +26,9 @@ Conventions (fixed once, checked by the test suite):
 
 The glue sides of every tile and the edge table (each tile's four edge
 ids, each edge's (tile, side) pairs, the sorted lattice points) are
-fixed when the graph is built.  Every geometry query reads them.
+fixed when the graph is built, with the word's crossing counts per arc
+(g.crossings).  Every geometry query reads them; callers read the edge
+table through tile_edges(j) and edge_sides(e).
 
 A matching is an int mask over the graph's sorted edge ids (bit i: the
 i-th edge id is matched); ``g.edges(P)`` gives the edge ids of mask P.
@@ -43,7 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BijectionViolation, CannotTwist, InvalidSurface, NotCrossingSequence, UnmatchedCase
-from .strings import StringWord, enumerate_canonical_submodules, is_canonical_submodule
+from .strings import StringWord, dimension_vector, enumerate_canonical_submodules, is_canonical_submodule
 from .surface import Triangulation
 
 __all__ = [
@@ -99,6 +101,8 @@ class SnakeGraph:
         self.triangulation = t
         self.shape = shape
         self.tiles = tiles
+        # How often the word crosses each arc: the expansion's denominator.
+        self.crossings = dimension_vector(word, n=t.m)
         # Caches: the matchings, the bijection image (matching -> enclosed
         # tiles), the word's canonical submodules as the generator lists
         # them (word-side data) and the valuation table both routes agreed on.
@@ -181,14 +185,8 @@ class SnakeGraph:
 
     # -- edges ---------------------------------------------------------
 
-    def edge_id(self, j: int, side: str):
-        """Canonical id of tile j's edge on the given side.
-
-        Glue edges are named after the lower-indexed tile.
-        """
-        return self._tile_edges[self._slot(j)][side]
-
     def tile_edges(self, j: int) -> list:
+        """Tile j's (edge id, side) pairs; a glue edge is named after the lower tile."""
         return [(e, s) for s, e in self._tile_edges[self._slot(j)].items()]
 
     def all_edges(self) -> list:
@@ -209,9 +207,6 @@ class SnakeGraph:
         t = self.tile(j)
         return t.labels[t.out_glue_side]
 
-    def is_glue(self, e) -> bool:
-        return len(self._edge_sides[e]) == 2
-
     def edge_endpoints(self, e) -> tuple:
         j, side = e
         t = self.tile(j)
@@ -230,16 +225,6 @@ class SnakeGraph:
     def edges(self, P: int) -> frozenset:
         """The edge ids of matching mask P."""
         return frozenset(e for i, e in enumerate(self._edges) if P >> i & 1)
-
-    def side_in_tile(self, e, j: int) -> str:
-        """The side that edge e occupies within tile j."""
-        for tile, side in self._edge_sides[e]:
-            if tile == j:
-                return side
-        raise KeyError(f"edge {e} not on tile {j}")
-
-    def tiles_of_edge(self, e) -> list:
-        return [tile for tile, _ in self._edge_sides[e]]
 
 
 def _entry_exit_triangles(w: StringWord, t: Triangulation, j: int) -> tuple:
@@ -485,13 +470,12 @@ def canonical_submodules(g: SnakeGraph) -> list:
 
 def check_bijection(g: SnakeGraph) -> dict:
     """Verify matchings <-> canonical index sets; return the dictionary."""
-    submods = canonical_submodules(g)
     image = _bijection_image(g)
     if len(image) != len(enumerate_matchings(g)):
         raise BijectionViolation("duplicate matchings")
     if len(set(image.values())) != len(image):
         raise BijectionViolation("matching-to-submodule map is not injective")
-    targets = {s.indices for s in submods}
+    targets = set(canonical_submodules(g))
     if set(image.values()) != targets:
         raise BijectionViolation(
             f"image has {len(set(image.values()))} sets, "

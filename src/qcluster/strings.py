@@ -13,7 +13,9 @@ is direct, p+1 -> p when it is inverse.  An index set N spans a
 submodule exactly when N lies in 1..d and no arrow of the word leaves
 N.  In runs: every maximal run [i, j] of N has a direct letter entering
 it on the left (or i = 1) and an inverse letter on the right (or
-j = d), the form the generator of canonical sets builds from.
+j = d), the form the generator of canonical sets builds from.  Index
+sets are frozensets throughout, and an extension's smoothing factors are
+SmoothingFactor values of kind string, arc, unit or open.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from .surface import Arrow, QuiverWithRelations
 __all__ = [
     "Letter",
     "StringWord",
-    "CanonicalSubmodule",
     "SmoothingFactor",
     "Extension",
     "trivial_word",
@@ -132,16 +133,6 @@ def concat(left: StringWord, letter: Letter, right: StringWord) -> StringWord:
     )
 
 
-@dataclass(frozen=True)
-class CanonicalSubmodule:
-    word: StringWord
-    indices: frozenset
-
-    @property
-    def sorted_indices(self) -> tuple:
-        return tuple(sorted(self.indices))
-
-
 def validate_string(w: StringWord, q: QuiverWithRelations) -> None:
     """Raise unless w is a valid string for (Q, I)."""
     for v in w.vertices:
@@ -211,7 +202,7 @@ def _canonical_index_sets(w: StringWord) -> list:
 
 
 def enumerate_canonical_submodules(w: StringWord) -> list:
-    """All submodule index sets, smallest first, each sorted internally.
+    """All submodule index sets as frozensets, smallest first.
 
     The sets come straight from the run conditions, so the work grows
     with the output, not with 2^d.  They are ordered by (size, sorted
@@ -224,11 +215,11 @@ def enumerate_canonical_submodules(w: StringWord) -> list:
             raise NonCanonicalSubmodule(
                 f"generated index set {list(combo)} breaks the run conditions of {w}"
             )
-        found.append(CanonicalSubmodule(w, frozenset(combo)))
+        found.append(frozenset(combo))
     return found
 
 
-def dimension_vector(w: StringWord, indices=None, n: int | None = None) -> tuple:
+def dimension_vector(w: StringWord, indices=None, *, n: int) -> tuple:
     """Counts of each quiver vertex among the selected positions.
 
     Entry k-1 counts positions p in the index set with v_p = k, for
@@ -236,8 +227,6 @@ def dimension_vector(w: StringWord, indices=None, n: int | None = None) -> tuple
     """
     if indices is None:
         indices = range(1, w.d + 1)
-    if n is None:
-        n = max(w.vertices)
     dim = [0] * n
     for p in indices:
         dim[w.vertices[p - 1] - 1] += 1
@@ -295,29 +284,6 @@ class SmoothingFactor:
     word: StringWord | None = None
     arc: int | None = None
 
-    @staticmethod
-    def of_string(w: StringWord) -> "SmoothingFactor":
-        return SmoothingFactor("string", word=w)
-
-    @staticmethod
-    def of_arc(arc: int) -> "SmoothingFactor":
-        return SmoothingFactor("arc", arc=arc)
-
-    @staticmethod
-    def unit() -> "SmoothingFactor":
-        return SmoothingFactor("unit")
-
-    @staticmethod
-    def open_slot() -> "SmoothingFactor":
-        return SmoothingFactor("open")
-
-    def __str__(self) -> str:
-        if self.kind == "string":
-            return f"[{self.word}]"
-        if self.kind == "arc":
-            return f"x({self.arc})"
-        return self.kind
-
 
 @dataclass(frozen=True)
 class Extension:
@@ -336,20 +302,20 @@ class Extension:
     u4: SmoothingFactor
     detail: str = ""
 
-    def dedup_key(self):
+    def dedup_key(self) -> tuple:
+        """(kind, sorted word keys): u1 for an arrow, {u1, u2} for an overlap."""
         k1 = _word_sort_key(self.u1.canonical())
         if self.kind == "overlap":
-            w2 = self.u2_options[0].word
-            k2 = _word_sort_key(w2.canonical())
-            return (self.kind, frozenset((k1, k2)))
-        return (self.kind, k1)
+            k2 = _word_sort_key(self.u2_options[0].word.canonical())
+            return (self.kind, tuple(sorted({k1, k2})))
+        return (self.kind, (k1,))
 
 
 def _flank_factor_other_triangle(q: QuiverWithRelations, arc: int, avoid_triangle: int, ccw: bool) -> SmoothingFactor:
     t = q.triangulation
     other = t.other_triangle_at(arc, avoid_triangle)
     side = t.ccw_flank(other, arc) if ccw else t.cw_flank(other, arc)
-    return SmoothingFactor.of_arc(side)
+    return SmoothingFactor("arc", arc=side)
 
 
 def _arrow_extensions(v: StringWord, w: StringWord, q: QuiverWithRelations) -> list:
@@ -369,20 +335,19 @@ def _arrow_extensions(v: StringWord, w: StringWord, q: QuiverWithRelations) -> l
             continue
         third = t.third_side(a.triangle, a.source, a.target)
         u2_options = (
-            SmoothingFactor.of_arc(third),
-            SmoothingFactor.of_string(trivial_word(a.source)),
-            SmoothingFactor.of_string(trivial_word(a.target)),
-            SmoothingFactor.unit(),
+            SmoothingFactor("arc", arc=third),
+            SmoothingFactor("string", word=trivial_word(a.source)),
+            SmoothingFactor("string", word=trivial_word(a.target)),
+            SmoothingFactor("unit"),
         )
         if not v.is_trivial:
-            u3 = _string_factor_or_open(_truncate(v, "head_after_inverse"))
-            u4 = _string_factor_or_open(_truncate(v, "tail_before_inverse"))
+            u3 = _truncation_factor(v, "head_after_inverse")
+            u4 = _truncation_factor(v, "tail_before_inverse")
         elif w.is_trivial:
             u3 = _flank_factor_other_triangle(q, a.source, a.triangle, ccw=True)
             u4 = _flank_factor_other_triangle(q, a.target, a.triangle, ccw=False)
         else:
-            u3 = SmoothingFactor.open_slot()
-            u4 = SmoothingFactor.open_slot()
+            u3 = u4 = SmoothingFactor("open")
         out.append(
             Extension(
                 kind="arrow",
@@ -408,27 +373,19 @@ def _connector_factor(q: QuiverWithRelations, left: StringWord, right: StringWor
             f"{len(candidates)} arrows join {left} to {right} as valid strings"
         )
     if not candidates:
-        return SmoothingFactor.open_slot()
-    return SmoothingFactor.of_string(candidates[0])
-
-
-def _string_factor_or_open(w: StringWord) -> SmoothingFactor:
-    """A string factor; trivial outputs are degenerate and left open.
-
-    A truncation collapsing to a single vertex marks a boundary case
-    where the combinatorial recipe no longer names the factor; the
-    multiplication solver pins it down from the residual instead.
-    """
-    if w.is_trivial:
-        return SmoothingFactor.open_slot()
-    return SmoothingFactor.of_string(w)
+        return SmoothingFactor("open")
+    return SmoothingFactor("string", word=candidates[0])
 
 
 def _truncation_factor(piece: StringWord | None, which: str) -> SmoothingFactor:
-    """Truncation factor for a one-sided overlap; open when degenerate."""
-    if piece is None:
-        return SmoothingFactor.open_slot()
-    return _string_factor_or_open(_truncate(piece, which))
+    """The string left by truncating piece, open when there is no piece or
+    the truncation collapses to one vertex: there the combinatorial recipe
+    no longer names the factor, and the multiplication solver pins it down
+    from the residual instead."""
+    cut = None if piece is None else _truncate(piece, which)
+    if cut is None or cut.is_trivial:
+        return SmoothingFactor("open")
+    return SmoothingFactor("string", word=cut)
 
 
 def _overlap_extensions(v: StringWord, w: StringWord, q: QuiverWithRelations) -> list:
@@ -505,7 +462,7 @@ def _overlap_extensions(v: StringWord, w: StringWord, q: QuiverWithRelations) ->
                     Extension(
                         kind="overlap",
                         u1=u1,
-                        u2_options=(SmoothingFactor.of_string(u2),),
+                        u2_options=(SmoothingFactor("string", word=u2),),
                         u3=u3,
                         u4=u4,
                         detail=f"overlap v[{sv}..{sv + length - 1}] = w[{sw}..{sw + length - 1}]",
@@ -524,14 +481,7 @@ def all_extensions(v: StringWord, w: StringWord, q: QuiverWithRelations) -> list
                     key = ext.dedup_key()
                     if key not in seen:
                         seen[key] = ext
-    return [seen[k] for k in sorted(seen, key=_ext_key_sort)]
-
-
-def _ext_key_sort(key):
-    kind, rest = key
-    if isinstance(rest, frozenset):
-        return (kind, tuple(sorted(rest)))
-    return (kind, (rest,))
+    return [seen[k] for k in sorted(seen)]
 
 
 # -- enumeration ------------------------------------------------------

@@ -60,15 +60,17 @@ from operator import add, mul
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
+    DivisionByZero,
     NonExactDivision,
     NonPositiveD,
     NotCompatible,
     NotNormalizable,
     NotSkew,
+    OutsideDomain,
+    RankMismatch,
 )
 
 __all__ = [
-    "HalfInteger",
     "QCoefficient",
     "TorusElement",
     "CompatiblePair",
@@ -84,18 +86,6 @@ __all__ = [
 
 def vec_add(g: Sequence[int], h: Sequence[int]) -> tuple:
     return tuple(map(add, g, h))
-
-
-@dataclass(frozen=True, order=True)
-class HalfInteger:
-    """An element of (1/2)Z stored as twice its value."""
-
-    twice: int
-
-    def __str__(self) -> str:
-        if self.twice % 2 == 0:
-            return str(self.twice // 2)
-        return f"{self.twice}/2"
 
 
 def _q_power_str(twice: int) -> str:
@@ -245,7 +235,7 @@ class QCoefficient:
         that the leading coefficient of ``other`` does not divide ends it.
         """
         if other.is_zero():
-            raise ZeroDivisionError("division of q-coefficients by zero")
+            raise DivisionByZero("division of q-coefficients by zero")
         if self.is_zero():
             return QCoefficient.zero()
         lo_n, hi_n = self.min_twice(), self.max_twice()
@@ -301,7 +291,7 @@ class TorusElement:
         self.terms: dict[tuple, QCoefficient] = {}
         for g, c in (terms or {}).items():
             if len(g) != rank:
-                raise ValueError(f"vector {g} has length {len(g)}, expected {rank}")
+                raise RankMismatch(f"vector {g} has length {len(g)}, expected {rank}")
             if not c.is_zero():
                 self.terms[tuple(g)] = c
 
@@ -348,7 +338,7 @@ class TorusElement:
 
     def _check_rank(self, other: "TorusElement") -> None:
         if self.rank != other.rank:
-            raise ValueError(f"rank mismatch: {self.rank} vs {other.rank}")
+            raise RankMismatch(f"rank mismatch: {self.rank} vs {other.rank}")
 
     def sorted_terms(self) -> list[tuple[tuple, QCoefficient]]:
         """Terms in the canonical display order: lex-descending vectors."""
@@ -356,7 +346,7 @@ class TorusElement:
 
     def leading_vector(self) -> tuple:
         if self.is_zero():
-            raise ValueError("zero element has no leading term")
+            raise OutsideDomain("zero element has no leading term")
         return max(self.terms)
 
     def coefficients_nonnegative(self) -> bool:
@@ -513,7 +503,7 @@ def torus_mul(a: TorusElement, b: TorusElement, pair: CompatiblePair) -> TorusEl
 
 def torus_pow(a: TorusElement, k: int, pair: CompatiblePair) -> TorusElement:
     if k < 0:
-        raise ValueError("torus_pow only supports nonnegative powers")
+        raise OutsideDomain("torus_pow only supports nonnegative powers")
     result = TorusElement.unit(a.rank)
     for _ in range(k):
         result = torus_mul(result, a, pair)
@@ -533,7 +523,7 @@ def div_exact_right(a: TorusElement, c: TorusElement, pair: CompatiblePair) -> T
     order.  The box holds finitely many vectors, so the loop ends.
     """
     if c.is_zero():
-        raise ZeroDivisionError("division by the zero element")
+        raise DivisionByZero("division by the zero element")
     if a.is_zero():
         return TorusElement.zero(a.rank)
     a._check_rank(c)
@@ -619,8 +609,8 @@ def bar(a: TorusElement) -> TorusElement:
     return TorusElement(a.rank, {g: c.bar() for g, c in a.terms.items()})
 
 
-def bar_normalize(a: TorusElement) -> tuple[HalfInteger, TorusElement]:
-    """Write ``a = q^lam * e`` with ``bar(e) = e``; return ``(lam, e)``.
+def bar_normalize(a: TorusElement) -> tuple[int, TorusElement]:
+    """Write ``a = q^(center_twice/2) * e`` with ``bar(e) = e``; return ``(center_twice, e)``.
 
     Every nonzero coefficient must be palindromic about one common
     center.  Raises :class:`NotNormalizable` otherwise (or on zero).
@@ -641,7 +631,7 @@ def bar_normalize(a: TorusElement) -> tuple[HalfInteger, TorusElement]:
             if coeff.coeffs.get(2 * c - t) != value:
                 raise NotNormalizable(f"coefficient at {g} is not palindromic")
     assert center is not None
-    return HalfInteger(center), a.shifted(-center)
+    return center, a.shifted(-center)
 
 
 def cluster_monomial(
@@ -664,9 +654,9 @@ def cluster_monomial(
         base_pair = pair
     a = [int(x) for x in exponents]
     if len(a) != len(variables):
-        raise ValueError("exponent/variable length mismatch")
+        raise RankMismatch("exponent/variable length mismatch")
     if any(x < 0 for x in a):
-        raise ValueError("cluster_monomial requires nonnegative exponents")
+        raise OutsideDomain("cluster_monomial requires nonnegative exponents")
     twice = 0
     for i in range(len(a)):
         for j in range(i + 1, len(a)):

@@ -254,10 +254,9 @@ def valuation_v_gamma(g: SnakeGraph) -> dict:
     closes at i and reopens at i + 2.
     """
     values = {}
-    for s in canonical_submodules(g):
-        N = s.indices
+    for N in canonical_submodules(g):
         found = None if N else 0
-        for j in s.sorted_indices:
+        for j in sorted(N):
             smaller = N - {j}
             below = values.get(smaller)
             if below is None:
@@ -275,7 +274,7 @@ def valuation_v_gamma(g: SnakeGraph) -> dict:
                 raise InconsistentValuation(f"index step at {j} gives {here}, stored {found}")
         if found is None:
             raise UnreachableSubmodule(
-                f"no canonical index set one position smaller than {list(s.sorted_indices)}"
+                f"no canonical index set one position smaller than {sorted(N)}"
             )
         values[N] = found
     full = frozenset(range(1, g.d + 1))

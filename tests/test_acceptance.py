@@ -183,11 +183,11 @@ def test_criterion_04_counting_forms_agree_everywhere(quivers, surfaces):
         t = surfaces[name]
         for w in enumerate_strings(quivers[name], 7):
             g = label_snake(w, t)
-            for cs in enumerate_canonical_submodules(w):
-                P = submodule_to_matching(g, cs.indices)
+            for N in enumerate_canonical_submodules(w):
+                P = submodule_to_matching(g, N)
                 for k in internal[name]:
                     assert sum(
-                        n_module(g, k, j, cs.indices)[0] for j in range(1, g.d + 1)
+                        n_module(g, k, j, N)[0] for j in range(1, g.d + 1)
                     ) == sum(1 for e in g.edges(P) if g.edge_label(e) == k)
                 for s in range(1, g.d + 1):
                     if not can_twist(g, P, s):
@@ -195,13 +195,13 @@ def test_criterion_04_counting_forms_agree_everywhere(quivers, surfaces):
                     diag = w.vertices[s - 1]
                     m_lo, m_hi = m_pm(g, s, diag)
                     n_lo, n_hi = n_pm(g, s, P, diag)
-                    assert big_counts(g, diag, s, cs.indices) == (
+                    assert big_counts(g, diag, s, N) == (
                         m_lo,
                         m_hi,
                         n_lo,
                         n_hi,
                     )
-                    assert omega(g, s, P) == omega_prime(g, s, cs.indices)
+                    assert omega(g, s, P) == omega_prime(g, s, N)
 
 
 def test_criterion_05_valuations_well_defined_and_cross_checked(
@@ -260,7 +260,7 @@ def test_criterion_07_every_matching_exponent_factors_through_dimensions(
             g = label_snake(w, t)
             base = x_of_matching(g, minimal_matching(g))
             for P in enumerate_matchings(g):
-                dim = dimension_vector(w, matching_to_submodule(g, P))
+                dim = dimension_vector(w, matching_to_submodule(g, P), n=t.n)
                 assert x_of_matching(g, P) == tuple(
                     base[i] + sum(b[i][j] * dim[j] for j in range(len(dim)))
                     for i in range(len(base))

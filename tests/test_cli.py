@@ -370,6 +370,13 @@ def test_skein_multiply_command(runner):
     assert "lambda (half-units) = 1/2" in res.output
 
 
+def test_half_units_print_whole_or_as_halves():
+    assert cli._halves(6) == "3"
+    assert cli._halves(-3) == "-3/2"
+    assert cli._halves(1) == "1/2"
+    assert cli._halves(0) == "0"
+
+
 # sha256 of the output of `skein-multiply -s <surface> --v <v> --w <w>
 # --format <format>` and its exit code, frozen before the certificate kept
 # only its two shifts.  The cases: an arrow extension whose M2 is solved, an

@@ -75,13 +75,13 @@ def reference_enumerate_matchings(g):
 def reference_minimal(g):
     """The glue-free edges of the clockwise flank class."""
     return frozenset(
-        e for e in g.all_edges() if not g.is_glue(e) and g.tile(e[0]).flank_class[e[1]] == "cw"
+        e for e in g.all_edges() if len(g.edge_sides(e)) == 1 and g.tile(e[0]).flank_class[e[1]] == "cw"
     )
 
 
 def reference_maximal(g):
     return frozenset(
-        e for e in g.all_edges() if not g.is_glue(e) and g.tile(e[0]).flank_class[e[1]] == "ccw"
+        e for e in g.all_edges() if len(g.edge_sides(e)) == 1 and g.tile(e[0]).flank_class[e[1]] == "ccw"
     )
 
 
@@ -92,7 +92,7 @@ def reference_enclosed_tiles(g, P):
     for tile in g.tiles:
         if tile.y != row:
             row, inside = tile.y, False
-        inside ^= g.edge_id(tile.index, "W") in diff
+        inside ^= next(e for e, side in g.tile_edges(tile.index) if side == "W") in diff
         if inside:
             out.append(tile.index)
     return frozenset(out)
@@ -124,7 +124,7 @@ def reference_omega(g, s, P):
     n_minus = n_plus = 0
     for e in P:
         if g.edge_label(e) == tau:
-            tiles = g.tiles_of_edge(e)
+            tiles = [j for j, _ in g.edge_sides(e)]
             n_minus += tiles[0] < s
             n_plus += tiles[-1] > s
     sign = 1 if reference_opposite_pairs(g, s)[0] <= P else -1
@@ -206,7 +206,7 @@ def reference_valuation_v_gamma(g):
             else:
                 values[other] = val
                 queue.append(other)
-    canonical = {s.indices for s in enumerate_canonical_submodules(g.word)}
+    canonical = set(enumerate_canonical_submodules(g.word))
     if set(values) != canonical:
         raise UnreachableSubmodule(
             f"single-index steps reach {len(values)} of {len(canonical)} index sets"

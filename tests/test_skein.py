@@ -10,7 +10,7 @@ from qcluster.skein_mult import (
     relative_exponent_check,
 )
 from qcluster.strings import trivial_word
-from qcluster.torus import HalfInteger, QCoefficient, TorusElement, torus_mul
+from qcluster.torus import QCoefficient, TorusElement, torus_mul
 
 from conftest import make_word
 
@@ -40,7 +40,6 @@ def test_pentagon_simple_pair_certificate(pentagon, seeds):
     assert cert.v == trivial_word(1)
     assert cert.w == trivial_word(2)
     assert (cert.s1_twice, cert.s2_twice) == (1, 0)
-    assert cert.lambda_half == HalfInteger(1)
     assert cert.extension.kind == "arrow"
     assert cert.m2_source == "predicted"
     assert cert.identity_verified
@@ -133,7 +132,6 @@ def test_self_crossing_pair_resolves_with_zero_shifts(annulus, seeds, quivers):
     w = make_word(quivers["annulus"], (1, 2), [("a", True)])
     cert = multiply_and_certify(w, w, annulus, seeds["annulus"])
     assert (cert.s1_twice, cert.s2_twice) == (0, 0)
-    assert cert.lambda_half == HalfInteger(0)
     assert cert.m2_source == "solved"
     assert cert.identity_verified
 

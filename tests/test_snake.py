@@ -79,8 +79,8 @@ def test_double_crossing_tiles_are_frozen(g1_graph):
 
 def test_glued_sides_share_one_canonical_edge_id(g1_graph):
     # tile 2's west side is tile 1's east side
-    assert g1_graph.edge_id(2, "W") == (1, "E")
-    assert g1_graph.edge_id(3, "W") == (2, "E")
+    assert g1_graph.edge_sides((1, "E")) == ((1, "E"), (2, "W"))
+    assert g1_graph.edge_sides((2, "E")) == ((2, "E"), (3, "W"))
     assert sorted(g1_graph.all_edges()) == [
         (1, "E"),
         (1, "N"),
@@ -108,12 +108,11 @@ def test_edge_table_glues_consecutive_tiles_only(quivers, surfaces, name):
                 assert (low, high) == (g.tile(j).out_glue_side, g.tile(k).in_glue_side)
             else:
                 assert len(sides) == 1
-            assert g.is_glue(e) == (len(sides) == 2)
             assert {g.edge_endpoints((j, side)) for j, side in sides} == {
                 g.edge_endpoints(e)
             }
             for j, side in sides:
-                assert g.edge_id(j, side) == e
+                assert (e, side) in g.tile_edges(j)
 
 
 def test_vertical_snake_of_the_pentagon(pentagon, quivers):
@@ -124,7 +123,7 @@ def test_vertical_snake_of_the_pentagon(pentagon, quivers):
     assert (t2.x, t2.y) == (0, 1)
     assert t1.labels == {"S": 3, "E": 2, "N": 5, "W": 4}
     assert t2.labels == {"S": 5, "E": 6, "N": 7, "W": 1}
-    assert g.edge_id(2, "S") == (1, "N")
+    assert g.edge_sides((1, "N")) == ((1, "N"), (2, "S"))
 
 
 def test_single_tile_square(square):
@@ -306,8 +305,8 @@ def test_extreme_matchings_use_one_flank_class(quivers, surfaces):
             for pick, cls in ((minimal_matching, "cw"), (maximal_matching, "ccw")):
                 m = pick(g)
                 for e in g.edges(m):
-                    for j in g.tiles_of_edge(e):
-                        assert g.tile(j).flank_class[g.side_in_tile(e, j)] == cls
+                    for j, side in g.edge_sides(e):
+                        assert g.tile(j).flank_class[side] == cls
 
 
 def enumerated_extremal_matchings(g):
@@ -316,7 +315,7 @@ def enumerated_extremal_matchings(g):
     Of the two glue-free matchings, the one made of clockwise-flank
     edges only is minimal and the counterclockwise one maximal.
     """
-    glue_free = [m for m in enumerate_matchings(g) if not any(g.is_glue(e) for e in g.edges(m))]
+    glue_free = [m for m in enumerate_matchings(g) if all(len(g.edge_sides(e)) == 1 for e in g.edges(m))]
     assert len(glue_free) == 2
 
     def uniform(m, cls):
@@ -368,7 +367,7 @@ def test_minimal_matching_avoids_glue_edges(quivers, surfaces):
     for name in ("annulus", "hexagon"):
         for w in enumerate_strings(quivers[name], 5):
             g = label_snake(w, surfaces[name])
-            assert not any(g.is_glue(e) for e in g.edges(minimal_matching(g)))
+            assert all(len(g.edge_sides(e)) == 1 for e in g.edges(minimal_matching(g)))
 
 
 def test_twist_swaps_a_tile_boundary(g1_graph):
@@ -456,7 +455,7 @@ def test_bijection_round_trip_on_the_corpus(quivers, surfaces):
     for name in ("annulus", "pentagon", "hexagon"):
         for w in enumerate_strings(quivers[name], 6):
             g = label_snake(w, surfaces[name])
-            submods = {cs.indices for cs in enumerate_canonical_submodules(w)}
+            submods = set(enumerate_canonical_submodules(w))
             for P in enumerate_matchings(g):
                 N = matching_to_submodule(g, P)
                 assert N in submods

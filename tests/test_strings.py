@@ -84,7 +84,7 @@ def test_validate_rejects_paths_through_a_relation():
 
 
 def test_canonical_submodules_of_the_double_crossing(g1_word):
-    got = {cs.indices for cs in enumerate_canonical_submodules(g1_word)}
+    got = set(enumerate_canonical_submodules(g1_word))
     assert got == {
         frozenset(),
         frozenset({2}),
@@ -98,7 +98,7 @@ def test_canonical_submodules_of_the_longer_family_word(quivers):
     w = make_word(
         quivers["annulus"], (1, 2, 1, 2), [("a", True), ("b", False), ("a", True)]
     )
-    got = {cs.indices for cs in enumerate_canonical_submodules(w)}
+    got = set(enumerate_canonical_submodules(w))
     assert got == {
         frozenset(),
         frozenset({2}),
@@ -130,7 +130,7 @@ def closure_oracle(w):
 def test_canonical_sets_agree_with_the_closure_oracle(quivers):
     for name in ("annulus", "pentagon", "hexagon"):
         for w in enumerate_strings(quivers[name], 6):
-            got = {cs.indices for cs in enumerate_canonical_submodules(w)}
+            got = set(enumerate_canonical_submodules(w))
             assert got == closure_oracle(w), w.vertices
 
 
@@ -140,7 +140,7 @@ def scan_canonical_submodules(w):
     for r in range(w.d + 1):
         for combo in itertools.combinations(range(1, w.d + 1), r):
             if is_canonical_submodule(w, combo):
-                found.append(strings.CanonicalSubmodule(w, frozenset(combo)))
+                found.append(frozenset(combo))
     return found
 
 
@@ -173,7 +173,7 @@ def test_each_generated_set_is_checked_once(monkeypatch, surfaces):
 
 
 def test_is_canonical_submodule_matches_the_enumeration(g1_word):
-    members = {cs.indices for cs in enumerate_canonical_submodules(g1_word)}
+    members = set(enumerate_canonical_submodules(g1_word))
     for r in range(1 << g1_word.d):
         s = frozenset(i + 1 for i in range(g1_word.d) if r >> i & 1)
         assert is_canonical_submodule(g1_word, s) == (s in members)
@@ -243,9 +243,13 @@ def test_the_cut_rule_gives_the_four_drop_functions(corpus_words):
 
 
 def test_dimension_vector_counts_vertex_visits(g1_word):
-    assert dimension_vector(g1_word) == (2, 1)
-    assert dimension_vector(g1_word, frozenset({2})) == (0, 1)
+    assert dimension_vector(g1_word, n=2) == (2, 1)
+    assert dimension_vector(g1_word, frozenset({2}), n=2) == (0, 1)
     assert dimension_vector(g1_word, None, n=4) == (2, 1, 0, 0)
+    # the length is the caller's quiver size, never guessed from the word
+    assert dimension_vector(trivial_word(1), n=2) == (1, 0)
+    with pytest.raises(TypeError):
+        dimension_vector(g1_word)
 
 
 def test_enumerate_strings_counts_are_frozen(quivers):
@@ -302,3 +306,25 @@ def test_overlap_extension_appears_on_the_hexagon(quivers):
     w123 = make_word(q, (1, 2, 3), [("a", True), ("b", False)])
     exts = all_extensions(w123, trivial_word(2), q)
     assert any(e.kind == "overlap" for e in exts)
+
+
+def test_extension_keys_do_not_depend_on_the_order_or_orientation_of_the_pair(quivers):
+    """all_extensions dedups and sorts by dedup_key, so the keys it lists
+    for a pair must be those of the swapped and inverted pairs, and a key
+    must not depend on the order that found its extension: 103 classes,
+    as before the key became a sorted tuple."""
+    pairs = with_extension = classes = 0
+    for name in SURFACES:
+        q = quivers[name]
+        words = enumerate_strings(q, 6)
+        for v in words:
+            for w in words:
+                keys = [
+                    [ext.dedup_key() for ext in all_extensions(a, b, q)]
+                    for a, b in ((v, w), (w, v), (v.inverse(), w), (v, w.inverse()), (w.inverse(), v.inverse()))
+                ]
+                assert all(k == keys[0] for k in keys), (name, str(v), str(w))
+                pairs += 1
+                with_extension += bool(keys[0])
+                classes += len(keys[0])
+    assert (pairs, with_extension, classes) == (110, 62, 103)

@@ -11,19 +11,21 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qcluster.errors import (
+    DivisionByZero,
     NonExactDivision,
     NonPositiveD,
     NotCompatible,
     NotNormalizable,
     NotSkew,
+    OutsideDomain,
     QClusterError,
+    RankMismatch,
 )
 from qcluster.seeds import mutate_lambda, mutate_matrix
 from qcluster import torus
 from qcluster.surface import load_surface, pair_from_surface
 from qcluster.torus import (
     CompatiblePair,
-    HalfInteger,
     QCoefficient,
     TorusElement,
     bar,
@@ -99,7 +101,7 @@ def test_bar_reverses_products():
 def test_bar_normalize_centers_the_coefficient_window():
     raw = mono((1, 1, 0), twice=3)
     shift, norm = bar_normalize(raw)
-    assert shift == HalfInteger(3)
+    assert shift == 3  # twice units: q^(3/2)
     assert norm == mono((1, 1, 0))
     assert bar(norm) == norm
 
@@ -380,10 +382,30 @@ def test_check_compatible_builds_no_fraction(monkeypatch):
     assert check_compatible(pair.b_tilde, pair.lam) == pair.d
 
 
-def test_half_integer_formatting_and_order():
-    assert str(HalfInteger(6)) == "3"
-    assert str(HalfInteger(-3)) == "-3/2"
-    assert HalfInteger(-3) < HalfInteger(1)
+CONTRACT_VIOLATIONS = {
+    "vector of the wrong length": (RankMismatch, ValueError, lambda: TorusElement(2, {(1,): QCoefficient.one()})),
+    "rank mismatch": (RankMismatch, ValueError, lambda: mono((1, 0)) + mono((1, 0, 0))),
+    "leading term of zero": (OutsideDomain, ValueError, lambda: TorusElement.zero(2).leading_vector()),
+    "negative power": (OutsideDomain, ValueError, lambda: torus_pow(mono((1, 0, 0)), -1, PAIR3)),
+    "exponents and variables differ in length": (
+        RankMismatch, ValueError, lambda: cluster_monomial([1, 1], [mono((1, 0, 0))], PAIR3)
+    ),
+    "negative exponent": (OutsideDomain, ValueError, lambda: cluster_monomial([-1], [mono((1, 0, 0))], PAIR3)),
+    "coefficient division by zero": (
+        DivisionByZero, ZeroDivisionError, lambda: QCoefficient.one().divide_exact(QCoefficient.zero())
+    ),
+    "element division by zero": (
+        DivisionByZero, ZeroDivisionError, lambda: div_exact_right(mono((1, 0, 0)), TorusElement.zero(3), PAIR3)
+    ),
+}
+
+
+@pytest.mark.parametrize("case", CONTRACT_VIOLATIONS)
+def test_a_torus_contract_violation_is_typed_and_keeps_its_builtin_base(case):
+    typed, builtin, call = CONTRACT_VIOLATIONS[case]
+    with pytest.raises(typed) as caught:
+        call()
+    assert isinstance(caught.value, QClusterError) and isinstance(caught.value, builtin)
 
 
 def test_qcoefficient_specializes_and_mirrors():

@@ -61,7 +61,7 @@ def n_pm(g, s, P, tau):
     """
     if not can_twist(g, P, s):
         raise CannotTwist(f"matching does not cover tile {s} by an opposite pair")
-    tiles = [g.tiles_of_edge(e) for e in g.edges(P) if g.edge_label(e) == tau]
+    tiles = [[j for j, _ in g.edge_sides(e)] for e in g.edges(P) if g.edge_label(e) == tau]
     n_minus = sum(1 for js in tiles if js[0] < s)
     n_plus = sum(1 for js in tiles if js[-1] > s)
     return n_minus, n_plus
@@ -182,11 +182,11 @@ def test_omega_agrees_with_its_module_side_form(quivers, surfaces):
         t = surfaces[name]
         for w in enumerate_strings(quivers[name], 5):
             g = label_snake(w, t)
-            for cs in enumerate_canonical_submodules(w):
-                P = submodule_to_matching(g, cs.indices)
+            for N in enumerate_canonical_submodules(w):
+                P = submodule_to_matching(g, N)
                 for s in range(1, g.d + 1):
                     if can_twist(g, P, s):
-                        assert omega(g, s, P) == omega_prime(g, s, cs.indices)
+                        assert omega(g, s, P) == omega_prime(g, s, N)
                         checked += 1
     assert checked > 100
 
@@ -199,11 +199,11 @@ def test_case_split_counts_sum_to_plain_edge_counts(quivers, surfaces):
         t = surfaces[name]
         for w in enumerate_strings(quivers[name], 5):
             g = label_snake(w, t)
-            for cs in enumerate_canonical_submodules(w):
-                P = submodule_to_matching(g, cs.indices)
+            for N in enumerate_canonical_submodules(w):
+                P = submodule_to_matching(g, N)
                 for k in internal[name]:
                     total = sum(
-                        n_module(g, k, j, cs.indices)[0] for j in range(1, g.d + 1)
+                        n_module(g, k, j, N)[0] for j in range(1, g.d + 1)
                     )
                     assert total == sum(1 for e in g.edges(P) if g.edge_label(e) == k)
 
@@ -213,15 +213,15 @@ def test_big_counts_match_the_edge_scans_at_the_diagonal(quivers, surfaces):
         t = surfaces[name]
         for w in enumerate_strings(quivers[name], 5):
             g = label_snake(w, t)
-            for cs in enumerate_canonical_submodules(w):
-                P = submodule_to_matching(g, cs.indices)
+            for N in enumerate_canonical_submodules(w):
+                P = submodule_to_matching(g, N)
                 for s in range(1, g.d + 1):
                     if not can_twist(g, P, s):
                         continue
                     k = w.vertices[s - 1]
                     m_lo, m_hi = m_pm(g, s, k)
                     n_lo, n_hi = n_pm(g, s, P, k)
-                    assert big_counts(g, k, s, cs.indices) == (
+                    assert big_counts(g, k, s, N) == (
                         m_lo,
                         m_hi,
                         n_lo,
@@ -261,14 +261,14 @@ def test_omega_prime_equals_the_big_counts_at_every_position(short_words, surfac
     for name, w in short_words:
         t = surfaces[name]
         g = label_snake(w, t)
-        for cs in enumerate_canonical_submodules(w):
+        for N in enumerate_canonical_submodules(w):
             for j in range(1, w.d + 1):
                 k = w.vertices[j - 1]
-                m_minus, m_plus, n_minus, n_plus = big_counts(g, k, j, cs.indices)
-                sign = 1 if j in cs.indices else -1
-                assert omega_prime(g, j, cs.indices) == sign * (
+                m_minus, m_plus, n_minus, n_plus = big_counts(g, k, j, N)
+                sign = 1 if j in N else -1
+                assert omega_prime(g, j, N) == sign * (
                     n_plus - m_plus - n_minus + m_minus
-                ), (str(w), sorted(cs.indices), j)
+                ), (str(w), sorted(N), j)
                 checked += 1
     assert checked > 500
 
@@ -284,7 +284,6 @@ def test_a_tile_outside_the_graph_is_an_unmatched_case(g1_graph, j):
     P = minimal_matching(g1_graph)
     for call in (
         lambda: g1_graph.tile(j),
-        lambda: g1_graph.edge_id(j, "S"),
         lambda: g1_graph.tile_edges(j),
         lambda: can_twist(g1_graph, P, j),
         lambda: twist(g1_graph, P, j),
@@ -352,10 +351,10 @@ def test_a_failed_comparison_keeps_no_table(monkeypatch, annulus):
 def test_the_toggle_rule_agrees_with_the_run_conditions(corpus_words):
     steps = 0
     for _, w in corpus_words:
-        for cs in enumerate_canonical_submodules(w):
+        for N in enumerate_canonical_submodules(w):
             for j in range(1, w.d + 1):
-                toggled = cs.indices ^ {j}
-                keeps = _toggle_keeps_canonical(w, cs.indices, j)
+                toggled = N ^ {j}
+                keeps = _toggle_keeps_canonical(w, N, j)
                 assert keeps == is_canonical_submodule(w, toggled)
                 steps += keeps
     assert steps > 10000
@@ -368,8 +367,8 @@ def test_every_canonical_set_has_a_canonical_subset_one_position_smaller(corpus_
     words = [w for _, w in corpus_words] + enumerate_strings(build_quiver(wheel), 7)
     sets = 0
     for w in words:
-        scanned = {cs.indices for cs in scan_canonical_submodules(w)}
-        assert scanned == {cs.indices for cs in enumerate_canonical_submodules(w)}, str(w)
+        scanned = set(scan_canonical_submodules(w))
+        assert scanned == set(enumerate_canonical_submodules(w)), str(w)
         for N in scanned - {frozenset()}:
             assert any(N - {j} in scanned for j in N), (str(w), sorted(N))
         sets += len(scanned)
