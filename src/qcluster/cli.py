@@ -14,6 +14,7 @@ import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
+from json.encoder import encode_basestring_ascii
 
 import click
 
@@ -102,13 +103,57 @@ def _element_json(element) -> list:
     return out
 
 
-def _emit(data, fmt: str, text_lines) -> None:
+def _json(value) -> str:
+    """json.dumps(value, indent=2, sort_keys=True), written directly for the
+    ints, bools, strings, lists and string-keyed dicts the commands build;
+    any other value goes to the stdlib."""
+    pieces = []
+    _write_json(value, "\n", pieces.append)
+    return "".join(pieces)
+
+
+def _write_json(value, indent: str, emit) -> None:
+    """Emit value's pieces; indent is the newline and indentation of the
+    line value starts on.  Small pieces keep the peak memory of a long
+    output at the stdlib's."""
+    inner = indent + "  "
+    kind = type(value)
+    if kind is list and value:
+        if {*map(type, value)} == {int}:  # no bools: their repr is not JSON's
+            emit("[" + inner + repr(value)[1:-1].replace(", ", "," + inner) + indent + "]")
+            return
+        opening = "[" + inner
+        for x in value:
+            emit(opening)
+            _write_json(x, inner, emit)
+            opening = "," + inner
+        emit(indent + "]")
+    elif kind is dict and value and {*map(type, value)} == {str}:
+        opening = "{" + inner
+        for k, v in sorted(value.items()):
+            emit(opening + encode_basestring_ascii(k) + ": ")
+            _write_json(v, inner, emit)
+            opening = "," + inner
+        emit(indent + "}")
+    elif kind is str:
+        emit(encode_basestring_ascii(value))
+    elif kind is int:
+        emit(repr(value))
+    elif kind is bool:
+        emit("true" if value else "false")
+    else:
+        emit(json.dumps(value, indent=2, sort_keys=True).replace("\n", indent))
+
+
+def _emit(fmt: str, data, text_lines) -> None:
+    """Print data() as JSON or text_lines() line by line; only the chosen
+    form is built."""
     # Pass the stream: click.echo's default-stream cache would keep every
     # stream that replaced sys.stdout, and its contents, alive for good.
     if fmt == "structured":
-        click.echo(json.dumps(data, indent=2, sort_keys=True), file=sys.stdout)
+        click.echo(_json(data()), file=sys.stdout)
     else:
-        for line in text_lines:
+        for line in text_lines():
             click.echo(line, file=sys.stdout)
 
 
@@ -144,25 +189,26 @@ def validate(surface, fmt):
     quiver = build_quiver(t)
     check_gentle(quiver)
     pair = pair_from_surface(t)
-    data = {
-        "surface": t.name,
-        "arcs": t.m,
-        "internal": t.n,
-        "triangles": len(t.triangles),
-        "arrows": [f"{a.name}: {a.source}->{a.target}" for a in quiver.arrows],
-        "relations": sorted("".join(r) for r in quiver.relations),
-        "b_tilde": [list(r) for r in pair.b_tilde],
-        "lambda": [list(r) for r in pair.lam],
-        "d": list(pair.d),
-    }
+    arrows = [f"{a.name}: {a.source}->{a.target}" for a in quiver.arrows]
+    relations = sorted("".join(r) for r in quiver.relations)
     _emit(
-        data,
         fmt,
-        [
+        lambda: {
+            "surface": t.name,
+            "arcs": t.m,
+            "internal": t.n,
+            "triangles": len(t.triangles),
+            "arrows": arrows,
+            "relations": relations,
+            "b_tilde": [list(r) for r in pair.b_tilde],
+            "lambda": [list(r) for r in pair.lam],
+            "d": list(pair.d),
+        },
+        lambda: [
             f"surface {t.name}: {t.m} arcs ({t.n} internal), {len(t.triangles)} triangles",
-            "arrows: " + ", ".join(data["arrows"]),
-            "relations: " + (", ".join(data["relations"]) or "none"),
-            f"diagonal: {data['d']}",
+            "arrows: " + ", ".join(arrows),
+            "relations: " + (", ".join(relations) or "none"),
+            f"diagonal: {list(pair.d)}",
             "ok",
         ],
     )
@@ -180,30 +226,36 @@ def expand(surface, text, q1, fmt):
     word = parse_string(text, quiver)
     seed = initial_seed(pair_from_surface(t))
     result = quantum_expansion(word, t, seed)
-    lines = [f"string: {word}", f"element: {result.element}"]
-    if q1:
-        classical = classical_specialization(result.element, n=t.n)
-        lines.append("q=1, boundary=1: " + _classical_str(classical))
-    lines += [
-        f"  term {list(term.indices)}: dim={list(term.dim)} v={term.valuation} exp={list(term.exponent)}"
-        for term in result.terms
-    ]
-    data = {
-        "string": str(word),
-        "element": _element_json(result.element),
-        "terms": [
-            {
-                "indices": list(term.indices),
-                "dim": list(term.dim),
-                "valuation": term.valuation,
-                "exponent": list(term.exponent),
-            }
+    classical = classical_specialization(result.element, n=t.n) if q1 else None
+
+    def data():
+        out = {
+            "string": str(word),
+            "element": _element_json(result.element),
+            "terms": [
+                {
+                    "indices": list(term.indices),
+                    "dim": list(term.dim),
+                    "valuation": term.valuation,
+                    "exponent": list(term.exponent),
+                }
+                for term in result.terms
+            ],
+        }
+        if q1:
+            out["classical"] = {str(list(k)): v for k, v in sorted(classical.items())}
+        return out
+
+    def text_lines():
+        lines = [f"string: {word}", f"element: {result.element}"]
+        if q1:
+            lines.append("q=1, boundary=1: " + _classical_str(classical))
+        return lines + [
+            f"  term {list(term.indices)}: dim={list(term.dim)} v={term.valuation} exp={list(term.exponent)}"
             for term in result.terms
-        ],
-    }
-    if q1:
-        data["classical"] = {str(list(k)): v for k, v in sorted(classical.items())}
-    _emit(data, fmt, lines)
+        ]
+
+    _emit(fmt, data, text_lines)
 
 
 def _classical_str(classical: dict) -> str:
@@ -238,9 +290,9 @@ def matchings(surface, text, fmt):
             }
         )
     _emit(
-        {"string": str(word), "shape": list(g.shape), "matchings": rows},
         fmt,
-        [f"string: {word}", f"shape: {''.join(g.shape) or '-'}"]
+        lambda: {"string": str(word), "shape": list(g.shape), "matchings": rows},
+        lambda: [f"string: {word}", f"shape: {''.join(g.shape) or '-'}"]
         + [
             f"  {row['edges']} enclosed={row['enclosed']} v={row['valuation']}"
             for row in rows
@@ -261,9 +313,9 @@ def submodules(surface, text, fmt):
     vals = valuation_v_gamma(label_snake(word, t))
     rows = [{"indices": sorted(N), "valuation": v} for N, v in vals.items()]
     _emit(
-        {"string": str(word), "submodules": rows},
         fmt,
-        [f"string: {word}"]
+        lambda: {"string": str(word), "submodules": rows},
+        lambda: [f"string: {word}"]
         + [f"  {row['indices']} v={row['valuation']}" for row in rows],
     )
 
@@ -280,18 +332,16 @@ def mutate(surface, seq, fmt):
     except ValueError as exc:
         raise click.ClickException(str(exc))
     seed = mutation_sequence(seed, directions)
-    lines = [f"after {directions}:"]
-    for i in range(seed.n):
-        lines.append(f"  X[{i + 1}] = {seed.cluster[i]}")
     _emit(
-        {
+        fmt,
+        lambda: {
             "sequence": directions,
             "cluster": {str(i + 1): _element_json(seed.cluster[i]) for i in range(seed.n)},
             "b_tilde": [list(r) for r in seed.pair.b_tilde],
             "lambda": [list(r) for r in seed.pair.lam],
         },
-        fmt,
-        lines,
+        lambda: [f"after {directions}:"]
+        + [f"  X[{i + 1}] = {seed.cluster[i]}" for i in range(seed.n)],
     )
 
 
@@ -309,26 +359,34 @@ def kronecker(surface, level, family, check, fmt):
     series = weighted_series(ws, seed)
     equal = equality_check(ws)
     failures = recursion_checks(ws) if check else []
-    lines = [
-        f"{family}_{level}: {ws.graph.word}",
-        f"alpha weights: {list(ws.alphas)}",
-        f"series: {series}",
-        f"per-dimension alpha/valuation agreement: {'ok' if equal else 'FAIL'}",
-    ]
-    data = {
-        "family": family,
-        "s": level,
-        "word": str(ws.graph.word),
-        "alphas": list(ws.alphas),
-        "series": _element_json(series),
-        "equality": equal,
-    }
-    if check:
-        lines.append(
-            "recursions: ok" if not failures else "recursions: " + "; ".join(failures)
-        )
-        data["recursion_failures"] = failures
-    _emit(data, fmt, lines)
+
+    def data():
+        out = {
+            "family": family,
+            "s": level,
+            "word": str(ws.graph.word),
+            "alphas": list(ws.alphas),
+            "series": _element_json(series),
+            "equality": equal,
+        }
+        if check:
+            out["recursion_failures"] = failures
+        return out
+
+    def text_lines():
+        lines = [
+            f"{family}_{level}: {ws.graph.word}",
+            f"alpha weights: {list(ws.alphas)}",
+            f"series: {series}",
+            f"per-dimension alpha/valuation agreement: {'ok' if equal else 'FAIL'}",
+        ]
+        if check:
+            lines.append(
+                "recursions: ok" if not failures else "recursions: " + "; ".join(failures)
+            )
+        return lines
+
+    _emit(fmt, data, text_lines)
     if not equal or failures:
         raise SystemExit(1)
 
@@ -345,21 +403,11 @@ def skein_multiply(surface, v_text, w_text, fmt):
     v = parse_string(v_text, quiver)
     w = parse_string(w_text, quiver)
     seed = initial_seed(pair_from_surface(t))
-    cert = multiply_and_certify(v, w, t, seed)
+    cert = multiply_and_certify(v, w, t, seed, quiver=quiver)
     gap_ok = relative_exponent_check(cert)
-    lines = [
-        f"extension: {cert.extension.kind} ({cert.extension.detail})",
-        f"u1 = {cert.extension.u1}",
-        f"order: X[{cert.v}] * X[{cert.w}]",
-        f"sum: q^({cert.s1_twice}/2) M1 + q^({cert.s2_twice}/2) M2",
-        f"lambda (half-units) = {_halves(cert.s1_twice + cert.s2_twice)}",
-        f"M1 = {cert.m1}",
-        f"M2 = {cert.m2} ({cert.m2_source})",
-        f"identity verified: {cert.identity_verified}",
-        f"shift gap (twice units) = {cert.relative_twice}; geometric q^2 gap: {gap_ok}",
-    ]
     _emit(
-        {
+        fmt,
+        lambda: {
             "kind": cert.extension.kind,
             "u1": str(cert.extension.u1),
             "s1_twice": cert.s1_twice,
@@ -372,8 +420,17 @@ def skein_multiply(surface, v_text, w_text, fmt):
             "gap_twice": cert.relative_twice,
             "gap_is_geometric": gap_ok,
         },
-        fmt,
-        lines,
+        lambda: [
+            f"extension: {cert.extension.kind} ({cert.extension.detail})",
+            f"u1 = {cert.extension.u1}",
+            f"order: X[{cert.v}] * X[{cert.w}]",
+            f"sum: q^({cert.s1_twice}/2) M1 + q^({cert.s2_twice}/2) M2",
+            f"lambda (half-units) = {_halves(cert.s1_twice + cert.s2_twice)}",
+            f"M1 = {cert.m1}",
+            f"M2 = {cert.m2} ({cert.m2_source})",
+            f"identity verified: {cert.identity_verified}",
+            f"shift gap (twice units) = {cert.relative_twice}; geometric q^2 gap: {gap_ok}",
+        ],
     )
     if not cert.identity_verified:
         raise SystemExit(1)
@@ -455,23 +512,24 @@ def verify(surface, max_length, jobs, fmt):
     else:
         results = [check_word(word) for word in words]
 
-    failures = 0
-    lines = [f"seed: compatible, d={list(pair.d)}; mutations involutive"]
-    rows = []
-    for word_text, checks in results:
-        for name, ok, message in checks:
-            rows.append(
-                {"string": word_text, "check": name, "ok": ok, "message": message}
-            )
-            if not ok:
-                failures += 1
-                lines.append(f"FAIL {word_text} [{name}]: {message}")
-            else:
-                lines.append(f"ok   {word_text} [{name}]")
-    lines.append(
-        f"{len(words)} strings, {len(rows)} checks, {failures} failures"
+    rows = [
+        {"string": word_text, "check": name, "ok": ok, "message": message}
+        for word_text, checks in results
+        for name, ok, message in checks
+    ]
+    failures = sum(not row["ok"] for row in rows)
+    _emit(
+        fmt,
+        lambda: {"surface": surface, "checks": rows, "failures": failures},
+        lambda: [f"seed: compatible, d={list(pair.d)}; mutations involutive"]
+        + [
+            f"ok   {row['string']} [{row['check']}]"
+            if row["ok"]
+            else f"FAIL {row['string']} [{row['check']}]: {row['message']}"
+            for row in rows
+        ]
+        + [f"{len(words)} strings, {len(rows)} checks, {failures} failures"],
     )
-    _emit({"surface": surface, "checks": rows, "failures": failures}, fmt, lines)
     if failures:
         raise SystemExit(1)
 

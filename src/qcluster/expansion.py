@@ -83,24 +83,31 @@ def graph_expansion(g: SnakeGraph, seed: QuantumSeed) -> ExpansionResult:
 
     The q-powers come from the valuation table both routes agreed on
     (compare_valuations), so each route runs once per graph.  The
-    element is summed once per distinct exponent.
+    expected exponent x(minimal) + B dim is built once per dimension
+    vector and compared with every matching's; the element is summed
+    once per distinct exponent.
     """
     d = uniform_d(seed)
     w, t = g.word, g.triangulation
     values = compare_valuations(g)
     base_x = x_of_matching(g, minimal_matching(g))
     columns = tuple(zip(*seed.pair.b_tilde))  # one column of B per internal arc
+    n = t.n
 
+    by_dim: dict = {}  # dimension vector -> x(minimal) + B dim
     by_exponent: dict = {}  # exponent -> {q-power: matchings}
-    terms = []
+    rows = []
     for P in enumerate_matchings(g):
         xp = x_of_matching(g, P)
         indices = matching_to_submodule(g, P)
-        dim = dimension_vector(w, indices, n=t.n)
-        xs = base_x
-        for k, column in zip(dim, columns):
-            if k:
-                xs = tuple(x + k * c for x, c in zip(xs, column))
+        dim = dimension_vector(w, indices, n=n)
+        xs = by_dim.get(dim)
+        if xs is None:
+            xs = base_x
+            for k, column in zip(dim, columns):
+                if k:
+                    xs = tuple(x + k * c for x, c in zip(xs, column))
+            by_dim[dim] = xs
         if xs != xp:
             raise InconsistentValuation(
                 f"exponent mismatch on {sorted(indices)}: weights give {xp}, "
@@ -109,22 +116,16 @@ def graph_expansion(g: SnakeGraph, seed: QuantumSeed) -> ExpansionResult:
         v = values[indices]
         powers = by_exponent.setdefault(xp, {})
         powers[d * v] = powers.get(d * v, 0) + 1
-        terms.append(
-            ExpansionTerm(
-                indices=tuple(sorted(indices)),
-                dim=dim,
-                valuation=v,
-                exponent=xp,
-            )
-        )
+        key = tuple(sorted(indices))
+        rows.append((len(key), key, dim, v, xp))
     by_matching = TorusElement.zero(t.m)
     for xp, powers in by_exponent.items():
         by_matching = by_matching + TorusElement(t.m, {xp: QCoefficient(powers)})
-    terms.sort(key=lambda term: (len(term.indices), term.indices))
+    rows.sort()  # by (size, sorted indices), which no two matchings share
     return ExpansionResult(
         word=w,
         element=by_matching,
-        terms=tuple(terms),
+        terms=tuple(ExpansionTerm(key, dim, v, xp) for _, key, dim, v, xp in rows),
         denominator=g.crossings,
     )
 

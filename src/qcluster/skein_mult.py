@@ -92,10 +92,19 @@ def _normalized_product(a: TorusElement, b: TorusElement, seed: QuantumSeed):
 
 
 def multiply_and_certify(
-    v: StringWord, w: StringWord, t: Triangulation, seed: QuantumSeed
+    v: StringWord,
+    w: StringWord,
+    t: Triangulation,
+    seed: QuantumSeed,
+    *,
+    quiver: QuiverWithRelations | None = None,
 ) -> MultiplicationCertificate:
-    """Resolve X_v X_w against the unique extension of the pair."""
-    quiver = build_quiver(t)
+    """Resolve X_v X_w against the unique extension of the pair.
+
+    quiver is t's quiver when the caller holds it; otherwise it is built.
+    """
+    if quiver is None:
+        quiver = build_quiver(t)
     extensions = all_extensions(v, w, quiver)
     if not extensions:
         raise NoSolution(f"no extensions between {v} and {w}")

@@ -168,6 +168,7 @@ class SnakeGraph:
         # Valuation tables, built by `valuation` on first use.
         self._tile_m: list | None = None
         self._window_counts: dict | None = None
+        self._crossing_positions: dict | None = None
         self._omega_prime_rows: dict = {}
 
     @property

@@ -30,6 +30,7 @@ from .errors import (
     NotComposable,
     NotReduced,
     RelationViolated,
+    UnmatchedCase,
 )
 from .surface import Arrow, QuiverWithRelations
 
@@ -171,7 +172,7 @@ def is_canonical_submodule(w: StringWord, indices) -> bool:
     """Whether the index set spans a submodule of M(w): a set of positions
     1..d that no arrow of the word leaves."""
     indices = frozenset(indices)
-    if not indices <= set(range(1, w.d + 1)):
+    if indices and (min(indices) < 1 or max(indices) > w.d):
         return False
     for p, letter in enumerate(w.letters, start=1):
         source, target = (p, p + 1) if letter.direct else (p + 1, p)
@@ -223,10 +224,15 @@ def dimension_vector(w: StringWord, indices=None, *, n: int) -> tuple:
     """Counts of each quiver vertex among the selected positions.
 
     Entry k-1 counts positions p in the index set with v_p = k, for
-    k = 1..n.  With indices=None the whole module is measured.
+    k = 1..n.  With indices=None the whole module is measured.  A
+    position outside 1..d is an UnmatchedCase.
     """
     if indices is None:
         indices = range(1, w.d + 1)
+    elif indices:
+        low, high = min(indices), max(indices)
+        if low < 1 or high > w.d:
+            raise UnmatchedCase(f"position {low if low < 1 else high} outside 1..{w.d}")
     dim = [0] * n
     for p in indices:
         dim[w.vertices[p - 1] - 1] += 1

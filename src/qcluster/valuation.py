@@ -23,14 +23,16 @@ below live on it as long as it does.  Two routes to the same integer:
   two end tiles, each end by whether its position is in N.
   n_module reads an index set only at positions j-1, j and j+1, so each
   graph tabulates it once per word arc, position and window pattern
-  (8 patterns).  For one index set, omega_prime takes prefix sums of
-  the tabulated totals in one pass over the positions, with the
-  diagonal counts kept as running counts, and keeps the row of values
-  for every position.  valuation_v_gamma takes the canonical index sets
-  in the generator's order, smallest first, and values each from its
-  canonical subsets one position smaller.  This route reads the word,
-  the triangulation and the tiles' labels and triangles, never a
-  matching or a table the matching route built.
+  (8 patterns), and keeps the positions crossing each arc.  For one
+  index set, omega_prime reads each arc's cells at the set's patterns,
+  takes prefix sums of their totals, and evaluates only the positions
+  crossing that arc, where the diagonal counts are the crossings
+  before and after; it keeps the row of values for every position.
+  valuation_v_gamma takes the canonical index sets in the generator's
+  order, smallest first, and values each from its canonical subsets
+  one position smaller.  This route reads the word, the triangulation
+  and the tiles' labels and triangles, never a matching or a table the
+  matching route built.
 
 compare_valuations matches the two routes through the bijection and
 keeps the agreed table on the graph, where the expansion reads it.
@@ -42,6 +44,8 @@ positions of n_module.
 from __future__ import annotations
 
 from collections import deque
+from itertools import accumulate
+from operator import getitem, itemgetter
 
 from .errors import (
     BijectionViolation,
@@ -182,42 +186,46 @@ def _window(j: int, pattern: int) -> frozenset:
 
 
 def _window_counts(g: SnakeGraph) -> dict:
-    """n_module per word arc, position and window pattern, built once per graph."""
+    """n_module per word arc, position and window pattern, built once per graph,
+    with each arc's crossings as (index, M_minus - M_plus) in word order."""
     if g._window_counts is None:
+        positions: dict = {}
+        for p, k in enumerate(g.word.vertices):
+            positions.setdefault(k, []).append(p)
+        g._crossing_positions = {
+            k: [(p, 2 * seen - len(ps) + 1) for seen, p in enumerate(ps)]
+            for k, ps in positions.items()
+        }
         g._window_counts = {
             k: [
                 tuple(n_module(g, k, j, _window(j, pattern)) for pattern in range(8))
                 for j in range(1, g.d + 1)
             ]
-            for k in dict.fromkeys(g.word.vertices)
+            for k in positions
         }
     return g._window_counts
 
 
 def _omega_prime_row(g: SnakeGraph, indices: frozenset) -> tuple:
-    """omega_prime at every position for one index set, kept on the graph."""
-    row = g._omega_prime_rows.get(indices)
-    if row is not None:
-        return row
-    arcs, d = g.word.vertices, g.d
-    inside = [i in indices for i in range(d + 2)]
-    patterns = [inside[j - 1] | inside[j] << 1 | inside[j + 1] << 2 for j in range(1, d + 1)]
-    values = [0] * d
+    """omega_prime at every position for one index set, stored on the graph."""
+    if indices and (min(indices) < 1 or max(indices) > g.d):
+        raise UnmatchedCase(f"index set {sorted(indices)} has a position outside 1..{g.d}")
+    # Bit i of mask is position i, so index p (position j = p + 1) reads
+    # its window j-1, j, j+1 from bits p, p+1, p+2.
+    mask = sum(1 << i for i in indices)
+    patterns = [mask >> p & 7 for p in range(g.d)]
+    values = [0] * g.d
     for k, table in _window_counts(g).items():
-        cells = [table[p][patterns[p]] for p in range(d)]
-        total = sum(n for n, _, _ in cells)
-        occurrences = arcs.count(k)
-        # plain totals and occurrences of k at the positions before p
-        before = seen = 0
-        for p, (n, n_plus, n_minus) in enumerate(cells):
-            if arcs[p] == k:
-                big_minus = n_minus + before
-                big_plus = n_plus + total - before - n
-                m_minus, m_plus = seen, occurrences - seen - 1
-                sign = 1 if inside[p + 1] else -1
-                values[p] = sign * (big_plus - m_plus - big_minus + m_minus)
-                seen += 1
-            before += n
+        cells = list(map(getitem, table, patterns))
+        # plain totals of the positions before each index, and of all
+        before = list(accumulate(map(itemgetter(0), cells), initial=0))
+        total = before[-1]
+        for p, m_minus_plus in g._crossing_positions[k]:
+            n, n_plus, n_minus = cells[p]
+            big_plus = n_plus + total - before[p] - n
+            big_minus = n_minus + before[p]
+            value = big_plus - big_minus + m_minus_plus
+            values[p] = value if mask >> p + 1 & 1 else -value
     row = g._omega_prime_rows[indices] = tuple(values)
     return row
 
@@ -232,7 +240,11 @@ def omega_prime(g: SnakeGraph, j: int, indices) -> int:
     """
     if not 1 <= j <= g.d:
         raise UnmatchedCase(f"position {j} outside 1..{g.d}")
-    return _omega_prime_row(g, frozenset(indices))[j - 1]
+    indices = frozenset(indices)
+    row = g._omega_prime_rows.get(indices)
+    if row is None:
+        row = _omega_prime_row(g, indices)
+    return row[j - 1]
 
 
 def valuation_v_gamma(g: SnakeGraph) -> dict:

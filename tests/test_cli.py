@@ -12,8 +12,11 @@ from contextlib import redirect_stdout
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qcluster import cli, snake, strings, valuation
+from qcluster import surface as surface_module
 from qcluster.cli import main, parse_string
 from qcluster.errors import UnreachableSubmodule
 from qcluster.snake import enumerate_matchings, label_snake
@@ -631,3 +634,96 @@ def test_a_command_keeps_no_reference_to_its_output_stream():
     del buf
     gc.collect()
     assert ref() is None
+
+
+# -- structured output --------------------------------------------------
+
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**64).flatmap(lambda n: st.sampled_from([n, -n]))
+    | st.floats()
+    | st.text()
+    | st.sampled_from(["é", "ü☃", '"quoted"', "back\\slash", "tab\tnew\nline", "\x00\x1f", "\U0001f600"])
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner)
+    | st.lists(st.integers() | st.integers(min_value=2**64))
+    | st.lists(st.booleans() | st.integers(-3, 3))
+    | st.dictionaries(st.text(), inner)
+    | st.dictionaries(st.integers(), inner),
+    max_leaves=40,
+)
+
+
+@given(JSON_VALUES)
+def test_the_structured_writer_equals_the_stdlib_encoder(value):
+    assert cli._json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def test_the_structured_writer_on_empty_and_boolean_containers():
+    for value in ([], {}, [[]], {"a": {}}, [True, 1, False], [1, -1, 2**70], {"b": [], "a": [True]}):
+        assert cli._json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def structured_commands(tmp_path) -> list:
+    """Every structured invocation the frozen-output tests above run with exit 0."""
+    octagon = tmp_path / "octagon.json"
+    octagon.write_text(json.dumps(OCTAGON))
+    commands = [["mutate", "-s", "annulus", "--seq", "1,2,1,2,1,2,1,2"]]
+    for (surface, word), cases in FROZEN_WORD_SHA256.items():
+        surface = str(octagon) if surface == "octagon" else surface
+        commands += [[command, "-s", surface, "--string", word] for command, fmt in cases if fmt == "structured"]
+    for word in FROZEN_FAMILY_EXPAND_SHA256:
+        commands += [["expand", "-s", "annulus", "--string", word] + ["--q1"] * q1 for q1 in (False, True)]
+    for family, level in FROZEN_KRONECKER_SHA256:
+        args = ["kronecker", "-s", "annulus", "--s", str(level), "--family", family]
+        commands += [args, args + ["--check"]]
+    for (surface, v, w), (exit_code, _) in FROZEN_SKEIN_SHA256.items():
+        if exit_code == 0:
+            commands.append(["skein-multiply", "-s", surface, "--v", v, "--w", w])
+    for surface in FROZEN_SURFACE_SHA256:
+        commands += [["validate", "-s", surface], ["verify", "-s", surface, "--max-length", "6"]]
+    return commands
+
+
+def test_structured_output_is_the_stdlib_encoding_of_itself(runner, tmp_path):
+    commands = structured_commands(tmp_path)
+    assert len(commands) == 49
+    for args in commands:
+        res = runner.invoke(main, args + ["--format", "structured"])
+        assert res.exit_code == 0, (args, res.output)
+        assert json.dumps(json.loads(res.output), indent=2, sort_keys=True) + "\n" == res.output, args
+
+
+# build_quiver calls per command; mutate reads no quiver at all
+QUIVER_BUILDS = [
+    (["validate", "-s", "annulus"], 1),
+    (["expand", "-s", "annulus", "--string", "1 >a> 2 <b< 1"], 1),
+    (["matchings", "-s", "annulus", "--string", "1 >a> 2 <b< 1"], 1),
+    (["submodules", "-s", "annulus", "--string", "1 >a> 2 <b< 1"], 1),
+    (["mutate", "-s", "annulus", "--seq", "1,2"], 0),
+    (["kronecker", "-s", "annulus", "--s", "3"], 1),
+    (["kronecker", "-s", "annulus", "--s", "3", "--family", "H", "--check"], 1),
+    (["skein-multiply", "-s", "annulus", "--v", "1", "--w", "1 >a> 2"], 1),
+    (["verify", "-s", "annulus", "--max-length", "4"], 1),
+]
+
+
+@pytest.mark.parametrize("args, builds", QUIVER_BUILDS)
+def test_each_command_builds_the_quiver_at_most_once(runner, monkeypatch, args, builds):
+    real = surface_module.build_quiver
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return real(t)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "qcluster" and getattr(module, "build_quiver", None) is real:
+            monkeypatch.setattr(module, "build_quiver", counted)
+    res = runner.invoke(main, args)
+    assert res.exit_code == 0, res.output
+    assert len(calls) == builds

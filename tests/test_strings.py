@@ -11,6 +11,7 @@ from qcluster.errors import (
     NotComposable,
     NotReduced,
     RelationViolated,
+    UnmatchedCase,
 )
 from qcluster.strings import (
     Letter,
@@ -179,6 +180,12 @@ def test_is_canonical_submodule_matches_the_enumeration(g1_word):
         assert is_canonical_submodule(g1_word, s) == (s in members)
 
 
+@pytest.mark.parametrize("position", [0, -1, 4])
+def test_a_position_outside_the_word_is_not_canonical(g1_word, position):
+    assert not is_canonical_submodule(g1_word, {position})
+    assert not is_canonical_submodule(g1_word, {1, 2, 3, position})
+
+
 def test_truncations_of_the_double_crossing(g1_word):
     cuts = truncations(g1_word)
     assert cuts["head_after_direct"].vertices == (2, 1)
@@ -250,6 +257,14 @@ def test_dimension_vector_counts_vertex_visits(g1_word):
     assert dimension_vector(trivial_word(1), n=2) == (1, 0)
     with pytest.raises(TypeError):
         dimension_vector(g1_word)
+
+
+@pytest.mark.parametrize("position", [0, -1, 4])
+def test_dimension_vector_rejects_a_position_outside_the_word(g1_word, position):
+    # G_1 has d = 3; 0 and -1 once wrapped round to the last vertices
+    for indices in ({position}, {1, position}):
+        with pytest.raises(UnmatchedCase, match=f"position {position} outside 1..3"):
+            dimension_vector(g1_word, indices, n=2)
 
 
 def test_enumerate_strings_counts_are_frozen(quivers):

@@ -279,6 +279,12 @@ def test_omega_prime_rejects_a_position_outside_the_word(g1_graph):
             omega_prime(g1_graph, j, frozenset({2}))
 
 
+@pytest.mark.parametrize("position", [0, -1, 4])
+def test_omega_prime_rejects_an_index_set_outside_the_word(g1_graph, position):
+    with pytest.raises(UnmatchedCase, match="has a position outside 1..3"):
+        omega_prime(g1_graph, 1, frozenset({2, position}))
+
+
 @pytest.mark.parametrize("j", [0, -1, 4])
 def test_a_tile_outside_the_graph_is_an_unmatched_case(g1_graph, j):
     P = minimal_matching(g1_graph)
