@@ -5,6 +5,7 @@ import gc
 import hashlib
 import io
 import json
+import random
 import sys
 import weakref
 from collections import Counter
@@ -23,6 +24,7 @@ from qcluster.snake import enumerate_matchings, label_snake
 from qcluster.strings import enumerate_strings, trivial_word
 
 from conftest import write_malformed
+from test_surface import random_polygon
 
 
 @pytest.fixture()
@@ -116,6 +118,45 @@ def test_eight_step_mutation_output_is_frozen(runner, fmt):
     )
     assert res.exit_code == 0
     assert hashlib.sha256(res.output.encode()).hexdigest() == FROZEN_MUTATE_SHA256[fmt]
+
+
+# sha256 of the output of `mutate -s <surface> --seq <seq> --format <format>`,
+# frozen before the mutation-step kernels were trimmed: the two 12-step
+# annulus sequences (the structured digests are bench/baseline.json's), the
+# hexagon along 1..3 and the seeded 14-gon `random_polygon(14, Random(1))`
+# along 1..11, whose B-tilde columns are sparse.
+FROZEN_DEEP_MUTATE_SHA256 = {
+    ("annulus", "1,2,1,2,1,2,1,2,1,2,1,2"): {
+        "text": "12d89ecd9f9c90fd5e5d8c039d252fecfa5b7a9ce3c7727a4fd05b133ce2dc81",
+        "structured": "65f35577dddc671bd9c7e4e6600f00e99775d3f4ae806efd118435699d8e3de9",
+    },
+    ("annulus", "2,1,2,1,2,1,2,1,2,1,2,1"): {
+        "text": "024190516f923b33a4ad744de0ce199a1a7b978512af8209cae6a63e0de4067f",
+        "structured": "31ec0f2f29b6e0ca6aad948ae9421d2acd09db0deaea8894dfca54cdf863706b",
+    },
+    ("hexagon", "1,2,3"): {
+        "text": "bbf05ae63e3edc3107090a4e1297c448e3589f2c13ddc719cfca3c5853d9f99f",
+        "structured": "fc5bcee77ecc76102d8e03c0cab1ab71029f2d65b958ce1fcce44d5c13d18df2",
+    },
+    ("polygon14", "1,2,3,4,5,6,7,8,9,10,11"): {
+        "text": "5f2ab326e40e4247a493524109552140bb148de1ea109b674c6788a541c140a3",
+        "structured": "cae1fb74b5f6865d59e4d2b9d6369cc5102d809a3f5036f997956042c877400f",
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "surface, seq, fmt",
+    [key + (fmt,) for key, digests in FROZEN_DEEP_MUTATE_SHA256.items() for fmt in digests],
+)
+def test_deep_and_polygon_mutation_output_is_frozen(runner, tmp_path, surface, seq, fmt):
+    name = surface
+    if surface == "polygon14":
+        name = str(tmp_path / "polygon14.json")
+        (tmp_path / "polygon14.json").write_text(json.dumps(random_polygon(14, random.Random(1))))
+    res = runner.invoke(main, ["mutate", "-s", name, "--seq", seq, "--format", fmt])
+    assert res.exit_code == 0, res.output
+    assert hashlib.sha256(res.output.encode()).hexdigest() == FROZEN_DEEP_MUTATE_SHA256[(surface, seq)][fmt]
 
 
 # A triangulated octagon: vertices 0..7 counterclockwise, diagonals 02, 27,
