@@ -16,7 +16,12 @@ compatible pair gives a compatible pair with the same d
 tests/test_seeds.py holds that guarantee.
 
 A commutative (q = 1) mutation oracle on plain Laurent-polynomial
-dictionaries lives alongside, sharing no code with the quantum route.
+dictionaries lives alongside.  Its polynomial arithmetic shares no code
+with the quantum route, but ``classical_mutate`` calls ``mutate_matrix``,
+so comparing the two routes at q = 1 cannot catch a bug in the matrix
+rule.  ``test_support_mutation_equals_the_dense_loops`` in
+tests/test_seeds.py checks ``mutate_matrix`` and ``mutate_lambda``
+against dense entry-by-entry loops instead.
 """
 
 from __future__ import annotations
@@ -70,32 +75,45 @@ def initial_seed(pair: CompatiblePair) -> QuantumSeed:
 
 
 def mutate_matrix(b: list, k: int) -> list:
-    """Exchange-matrix mutation in direction k (1-based, k <= n)."""
-    m, n = len(b), len(b[0])
+    """Exchange-matrix mutation in direction k (1-based, k <= n).
+
+    Row k and column k change sign; b[i][j] gains b[i][k] b[k][j] where
+    both factors have the same sign, so only the support of column k
+    times the support of row k is read.
+    """
+    n = len(b[0])
     kk = k - 1
     if not 0 <= kk < n:
         raise InvalidMutation(f"direction {k} outside 1..{n}")
-    out = [[0] * n for _ in range(m)]
-    for i in range(m):
-        for j in range(n):
-            if i == kk or j == kk:
-                out[i][j] = -b[i][j]
-            else:
-                out[i][j] = b[i][j] + _pos(b[i][kk]) * b[kk][j] + b[i][kk] * _pos(-b[kk][j])
+    out = [list(row) for row in b]
+    out[kk] = [-y for y in b[kk]]
+    row_k = [(j, y) for j, y in enumerate(b[kk]) if y and j != kk]
+    for i, row in enumerate(out):
+        x = row[kk]
+        if x and i != kk:
+            row[kk] = -x
+            for j, y in row_k:
+                row[j] += _pos(x) * y + x * _pos(-y)
     return out
 
 
 def mutate_lambda(lam: list, b: list, k: int) -> list:
-    """Commutation-matrix mutation matching mutate_matrix."""
-    m = len(lam)
+    """Commutation-matrix mutation matching mutate_matrix.
+
+    Only row and column k change: lam[i][k] becomes -lam[i][k] plus
+    b[l][k] lam[i][l] over the positive entries of column k of b.
+    """
+    n = len(b[0])
     kk = k - 1
+    if not 0 <= kk < n:
+        raise InvalidMutation(f"direction {k} outside 1..{n}")
+    positive = [(l, x) for l, row in enumerate(b) if (x := row[kk]) > 0]
     out = [list(row) for row in lam]
-    for i in range(m):
-        if i == kk:
-            continue
-        value = -lam[i][kk] + sum(_pos(b[l][kk]) * lam[i][l] for l in range(m))
-        out[i][kk] = value
-        out[kk][i] = -value
+    for i, row in enumerate(lam):
+        if i != kk:
+            value = -row[kk] + sum(x * row[l] for l, x in positive)
+            out[i][kk] = value
+            out[kk][i] = -value
     return out
 
 

@@ -26,6 +26,7 @@ hexagon shows 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import AmbiguousSolution, NoSolution, NotNormalizable
 from .expansion import quantum_expansion
@@ -71,7 +72,7 @@ def count_extensions(v: StringWord, w: StringWord, q: QuiverWithRelations) -> in
 
 
 def _factor_element(
-    factor: SmoothingFactor, t: Triangulation, seed: QuantumSeed
+    factor: SmoothingFactor, t: Triangulation, expand: Callable[[StringWord], TorusElement]
 ) -> TorusElement | None:
     if factor.kind == "open":
         return None
@@ -80,7 +81,7 @@ def _factor_element(
     if factor.kind == "arc":
         g = tuple(1 if i == factor.arc - 1 else 0 for i in range(t.m))
         return TorusElement.monomial(g)
-    return quantum_expansion(factor.word, t, seed).element
+    return expand(factor.word)
 
 
 def _normalized_product(a: TorusElement, b: TorusElement, seed: QuantumSeed):
@@ -114,20 +115,27 @@ def multiply_and_certify(
         )
     ext = extensions[0]
 
-    xv = quantum_expansion(v, t, seed).element
-    xw = quantum_expansion(w, t, seed).element
+    # A word can recur among v, w and the smoothing factors: expand each once per call.
+    expanded: dict[StringWord, TorusElement] = {}
+
+    def expand(word: StringWord) -> TorusElement:
+        if word not in expanded:
+            expanded[word] = quantum_expansion(word, t, seed).element
+        return expanded[word]
+
+    xv, xw = expand(v), expand(w)
     product = torus_mul(xv, xw, seed.base_pair)
-    x_u1 = quantum_expansion(ext.u1, t, seed).element
+    x_u1 = expand(ext.u1)
 
     predicted_m2 = None
-    e3 = _factor_element(ext.u3, t, seed)
-    e4 = _factor_element(ext.u4, t, seed)
+    e3 = _factor_element(ext.u3, t, expand)
+    e4 = _factor_element(ext.u4, t, expand)
     if e3 is not None and e4 is not None:
         predicted_m2 = _normalized_product(e3, e4, seed)
 
     solutions = set()
     for option in ext.u2_options:
-        elem = _factor_element(option, t, seed)
+        elem = _factor_element(option, t, expand)
         if elem is None:
             continue
         m1 = _normalized_product(x_u1, elem, seed)

@@ -84,10 +84,6 @@ __all__ = [
 ]
 
 
-def vec_add(g: Sequence[int], h: Sequence[int]) -> tuple:
-    return tuple(map(add, g, h))
-
-
 def _q_power_str(twice: int) -> str:
     """Render q^(twice/2); empty string for the trivial power."""
     if twice == 0:
@@ -233,11 +229,22 @@ class QCoefficient:
 
         Long division over the integers: the first quotient coefficient
         that the leading coefficient of ``other`` does not divide ends it.
+        A divisor with one q-term divides each coefficient on its own.
         """
         if other.is_zero():
             raise DivisionByZero("division of q-coefficients by zero")
         if self.is_zero():
             return QCoefficient.zero()
+        if len(other.coeffs) == 1:
+            # A single q-term: one shift and one exact quotient per coefficient.
+            ((t0, c0),) = other.coeffs.items()
+            out = {}
+            for t, c in self.coeffs.items():
+                c, r = divmod(c, c0)
+                if r:
+                    return None
+                out[t - t0] = c
+            return QCoefficient._wrap(out)
         lo_n, hi_n = self.min_twice(), self.max_twice()
         lo_d, hi_d = other.min_twice(), other.max_twice()
         deg_q = (hi_n - lo_n) - (hi_d - lo_d)
@@ -332,9 +339,19 @@ class TorusElement:
     def __sub__(self, other: "TorusElement") -> "TorusElement":
         return self + (-other)
 
+    @staticmethod
+    def _wrap(rank: int, terms: dict) -> "TorusElement":
+        """Adopt a dict of nonzero coefficients keyed by rank-``rank`` tuples, without copying."""
+        out = object.__new__(TorusElement)
+        out.rank = rank
+        out.terms = terms
+        return out
+
     def shifted(self, twice: int) -> "TorusElement":
         """Multiply by the central scalar q^(twice/2)."""
-        return TorusElement(self.rank, {g: c.shifted(twice) for g, c in self.terms.items()})
+        if not twice:
+            return self
+        return TorusElement._wrap(self.rank, {g: c.shifted(twice) for g, c in self.terms.items()})
 
     def _check_rank(self, other: "TorusElement") -> None:
         if self.rank != other.rank:
@@ -450,16 +467,20 @@ class CompatiblePair:
 
 
 def torus_mul(a: TorusElement, b: TorusElement, pair: CompatiblePair) -> TorusElement:
-    """Product in the quantum torus twisted by ``pair.lam``."""
+    """Product in the quantum torus twisted by ``pair.lam``.
+
+    The twist of a term pair reads the right term's row, computed once per
+    call: L(g, h) = -g . row(h), since lam is skew.
+    """
     a._check_rank(b)
+    rows_b = [pair.twist_row(h) for h in b.terms]
     if len(a.terms) <= 1 or len(b.terms) <= 1:
         # Every pair lands on its own key; a monomial factor shifts and scales.
         out = {}
         for g, cg in a.terms.items():
-            row = pair.twist_row(g)
-            for h, ch in b.terms.items():
-                out[vec_add(g, h)] = (cg * ch).shifted(sum(map(mul, row, h)))
-        return TorusElement(a.rank, out)
+            for (h, ch), row in zip(b.terms.items(), rows_b):
+                out[tuple(map(add, g, h))] = (cg * ch).shifted(-sum(map(mul, g, row)))
+        return TorusElement._wrap(a.rank, out)
     coeffs_a = [cg.coeffs for cg in a.terms.values()]
     coeffs_b = [ch.coeffs for ch in b.terms.values()]
     lows_a, lows_b = [min(x) for x in coeffs_a], [min(x) for x in coeffs_b]
@@ -468,12 +489,11 @@ def torus_mul(a: TorusElement, b: TorusElement, pair: CompatiblePair) -> TorusEl
     # Pass 1, exponents only: each key's lowest and highest exponent and its pairs.
     keys: dict[tuple, list] = {}
     for i, (g, x) in enumerate(zip(a.terms, coeffs_a)):
-        row = pair.twist_row(g)
         base, span_g = lows_a[i], max(x) - lows_a[i]
-        for j, h in enumerate(b.terms):
-            offset = base + lows_b[j] + sum(map(mul, row, h))
-            top = offset + span_g + spans_b[j]
-            entry = keys.get(key := vec_add(g, h))
+        offsets = [base + lo - sum(map(mul, g, row)) for lo, row in zip(lows_b, rows_b)]
+        for j, (h, span_h, offset) in enumerate(zip(b.terms, spans_b, offsets)):
+            top = offset + span_g + span_h
+            entry = keys.get(key := tuple(map(add, g, h)))
             if entry is None:
                 keys[key] = [offset, top, [(i, j, offset)]]
                 continue
@@ -498,14 +518,17 @@ def torus_mul(a: TorusElement, b: TorusElement, pair: CompatiblePair) -> TorusEl
             acc += packed_a[i] * packed_b[j] << bits * ((offset - lo) // stride)
         if acc:
             out[key] = QCoefficient._wrap(_unpack(acc, lo, stride, bits, (hi - lo) // stride + 1))
-    return TorusElement(a.rank, out)
+    return TorusElement._wrap(a.rank, out)
 
 
 def torus_pow(a: TorusElement, k: int, pair: CompatiblePair) -> TorusElement:
+    """``a`` to the k-th power: the unit for k = 0, else k - 1 products starting from ``a``."""
     if k < 0:
         raise OutsideDomain("torus_pow only supports nonnegative powers")
-    result = TorusElement.unit(a.rank)
-    for _ in range(k):
+    if k == 0:
+        return TorusElement.unit(a.rank)
+    result = a
+    for _ in range(k - 1):
         result = torus_mul(result, a, pair)
     return result
 
@@ -533,7 +556,10 @@ def div_exact_right(a: TorusElement, c: TorusElement, pair: CompatiblePair) -> T
     ]
     g_c = c.leading_vector()
     gamma_c = c.terms[g_c]
-    lows_c = {h: min(ch.coeffs) for h, ch in c.terms.items()}
+    # L(g, h) = -g . row(h): one twist row per term of c, for every step.
+    row_gc = pair.twist_row(g_c)
+    lows_c = [min(ch.coeffs) for ch in c.terms.values()]
+    terms_c = list(zip(c.terms, lows_c, map(pair.twist_row, c.terms)))
     top_c = max(max(map(abs, ch.coeffs.values())) for ch in c.terms.values())
     len_c = max(len(ch.coeffs) for ch in c.terms.values())
     stride = _common_stride(*[x.coeffs for x in a.terms.values()], *[x.coeffs for x in c.terms.values()]) or 1
@@ -541,7 +567,7 @@ def div_exact_right(a: TorusElement, c: TorusElement, pair: CompatiblePair) -> T
     bound = max(top_c, *[max(map(abs, x.coeffs.values())) for x in a.terms.values()])
     bits = _digit_bits(bound)
     remainder = {g: (lo := min(x.coeffs), _pack(x.coeffs, lo, stride, bits)) for g, x in a.terms.items()}
-    packed_c = {h: _pack(ch.coeffs, lows_c[h], stride, bits) for h, ch in c.terms.items()}
+    packed_c = [_pack(ch.coeffs, lo, stride, bits) for ch, lo in zip(c.terms.values(), lows_c)]
     quotient: dict[tuple, QCoefficient] = {}
     while remainder:
         g_a = max(remainder)
@@ -552,11 +578,10 @@ def div_exact_right(a: TorusElement, c: TorusElement, pair: CompatiblePair) -> T
                     f"quotient exponent {g_b} needed for {g_a} has coordinate {i} = {x} "
                     f"outside [{lo}, {hi}]"
                 )
-        row = pair.twist_row(g_b)
         lo, packed = remainder[g_a]
         lead = _unpack(packed, lo, stride, bits, packed.bit_length() // bits + 1)
         # (gamma_b X^g_b)(gamma_c X^g_c) must produce the current lead.
-        gamma_b = QCoefficient._wrap(lead).shifted(-sum(map(mul, row, g_c)))
+        gamma_b = QCoefficient._wrap(lead).shifted(sum(map(mul, g_b, row_gc)))
         gamma_b = gamma_b.divide_exact(gamma_c)
         if gamma_b is None:
             raise NonExactDivision(f"coefficient at {g_a} is not divisible")
@@ -564,20 +589,23 @@ def div_exact_right(a: TorusElement, c: TorusElement, pair: CompatiblePair) -> T
         # remainder -= (gamma_b X^g_b) * c, one packed product per term of c.
         coeffs = gamma_b.coeffs
         lo_b = min(coeffs)
-        offsets = {vec_add(g_b, h): lo_b + lows_c[h] + sum(map(mul, row, h)) for h in c.terms}
-        new_stride = gcd(
-            stride,
-            *[t - lo_b for t in coeffs],
-            *[offset - remainder[key][0] for key, offset in offsets.items() if key in remainder],
-        )
+        offsets = [
+            (tuple(map(add, g_b, h)), lo_b + lo_h - sum(map(mul, g_b, row))) for h, lo_h, row in terms_c
+        ]
+        new_stride = stride
+        for t in coeffs:
+            new_stride = gcd(new_stride, t - lo_b)
+        for key, offset in offsets:
+            if key in remainder:
+                new_stride = gcd(new_stride, offset - remainder[key][0])
         bound += max(map(abs, coeffs.values())) * top_c * min(len(coeffs), len_c)
         new_bits = bits if bound < 1 << (bits - 1) else max(2 * bits, _digit_bits(bound))
         if (new_stride, new_bits) != (stride, bits):
             _relayout(remainder, (stride, bits), (new_stride, new_bits))
             stride, bits = new_stride, new_bits
-            packed_c = {h: _pack(ch.coeffs, lows_c[h], stride, bits) for h, ch in c.terms.items()}
+            packed_c = [_pack(ch.coeffs, lo, stride, bits) for ch, lo in zip(c.terms.values(), lows_c)]
         packed_b = _pack(coeffs, lo_b, stride, bits)
-        for (key, offset), pc in zip(offsets.items(), packed_c.values()):
+        for (key, offset), pc in zip(offsets, packed_c):
             if key not in remainder:
                 remainder[key] = (offset, -(packed_b * pc))
                 continue
@@ -589,7 +617,7 @@ def div_exact_right(a: TorusElement, c: TorusElement, pair: CompatiblePair) -> T
                 remainder[key] = (lo, packed)
             else:
                 del remainder[key]
-    return TorusElement(a.rank, quotient)
+    return TorusElement._wrap(a.rank, quotient)
 
 
 def _relayout(remainder: dict, old: tuple[int, int], new: tuple[int, int]) -> None:
@@ -657,13 +685,15 @@ def cluster_monomial(
         raise RankMismatch("exponent/variable length mismatch")
     if any(x < 0 for x in a):
         raise OutsideDomain("cluster_monomial requires nonnegative exponents")
+    support = [i for i, x in enumerate(a) if x]
+    if not support:
+        return TorusElement.unit(variables[0].rank if variables else pair.m)
     twice = 0
-    for i in range(len(a)):
-        for j in range(i + 1, len(a)):
-            twice -= a[i] * a[j] * pair.lam[i][j]
-    rank = variables[0].rank if variables else pair.m
-    result = TorusElement.unit(rank).shifted(twice)
-    for x, var in zip(a, variables):
-        if x:
-            result = torus_mul(result, torus_pow(var, x, base_pair), base_pair)
-    return result
+    for s, i in enumerate(support):
+        row = pair.lam[i]
+        for j in support[s + 1 :]:
+            twice -= a[i] * a[j] * row[j]
+    result = torus_pow(variables[support[0]], a[support[0]], base_pair)
+    for i in support[1:]:
+        result = torus_mul(result, torus_pow(variables[i], a[i], base_pair), base_pair)
+    return result.shifted(twice)

@@ -226,6 +226,70 @@ def test_matrix_mutation_is_involutive():
         assert tuple(map(tuple, twice_lam)) == lam
 
 
+def _pos(x):
+    return max(x, 0)
+
+
+def dense_mutate_matrix(b, k):
+    """Exchange-matrix mutation entry by entry over the whole m x n matrix."""
+    m, n = len(b), len(b[0])
+    kk = k - 1
+    out = [[0] * n for _ in range(m)]
+    for i in range(m):
+        for j in range(n):
+            if i == kk or j == kk:
+                out[i][j] = -b[i][j]
+            else:
+                out[i][j] = b[i][j] + _pos(b[i][kk]) * b[kk][j] + b[i][kk] * _pos(-b[kk][j])
+    return out
+
+
+def dense_mutate_lambda(lam, b, k):
+    """Commutation-matrix mutation summing over every row of column k."""
+    m = len(lam)
+    kk = k - 1
+    out = [list(row) for row in lam]
+    for i in range(m):
+        if i == kk:
+            continue
+        value = -lam[i][kk] + sum(_pos(b[l][kk]) * lam[i][l] for l in range(m))
+        out[i][kk] = value
+        out[kk][i] = -value
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(surface_pairs, st.data())
+def test_support_mutation_equals_the_dense_loops(pair, data):
+    """Every direction, at the start and along a drawn path, on sparse polygons and the annulus' +-2 entries."""
+    ks = data.draw(st.lists(st.integers(min_value=1, max_value=pair.n), max_size=6))
+    b, lam = pair.b_tilde, pair.lam
+    for step in [*ks, None]:
+        for k in range(1, pair.n + 1):
+            assert mutate_matrix(b, k) == dense_mutate_matrix(b, k)
+            assert mutate_lambda(lam, b, k) == dense_mutate_lambda(lam, b, k)
+        if step is not None:
+            b, lam = mutate_matrix(b, step), mutate_lambda(lam, b, step)
+
+
+def test_support_mutation_reads_frozen_rows_and_double_arrows(seeds):
+    pair = seeds["annulus"].pair
+    assert {abs(x) for row in pair.b_tilde for x in row} >= {1, 2}
+    assert any(pair.b_tilde[i][j] for i in range(pair.n, pair.m) for j in range(pair.n))
+    for k in (1, 2):
+        assert mutate_matrix(pair.b_tilde, k) == dense_mutate_matrix(pair.b_tilde, k)
+        assert mutate_lambda(pair.lam, pair.b_tilde, k) == dense_mutate_lambda(pair.lam, pair.b_tilde, k)
+
+
+@pytest.mark.parametrize("k", (0, -1, 3))
+def test_lambda_mutation_rejects_a_direction_outside_the_mutable_arcs(seeds, k):
+    pair = seeds["annulus"].pair  # n = 2, m = 4
+    with pytest.raises(InvalidMutation, match=rf"^direction {k} outside 1\.\.2$"):
+        mutate_lambda(pair.lam, pair.b_tilde, k)
+    with pytest.raises(InvalidMutation, match=rf"^direction {k} outside 1\.\.2$"):
+        mutate_matrix(pair.b_tilde, k)
+
+
 def test_classical_shadow_agrees_with_the_quantum_mutation(kron_seed):
     classical = classical_mutation_sequence(
         classical_initial_seed([[0, 2], [-2, 0]]), [1, 2]

@@ -165,3 +165,30 @@ def test_multiple_extension_classes_are_rejected(annulus, seeds):
 def test_unconnected_pair_is_rejected(annulus, seeds):
     with pytest.raises(NoSolution):
         multiply_and_certify(trivial_word(1), trivial_word(1), annulus, seeds["annulus"])
+
+
+@pytest.mark.parametrize(
+    "v, w, outcome",
+    [
+        ("1 >a> 2 <b< 1", "1 >a> 2", None),  # `1 >a> 2` is v, w and a factor
+        ("1 >a> 2 <b< 1 >a> 2", "1 >a> 2", NoSolution),
+    ],
+)
+def test_each_distinct_word_is_expanded_once_per_product(annulus, seeds, quivers, monkeypatch, v, w, outcome):
+    from qcluster import skein_mult
+    from qcluster.cli import parse_string
+
+    calls = []
+    real = skein_mult.quantum_expansion
+    monkeypatch.setattr(skein_mult, "quantum_expansion", lambda word, t, seed: calls.append(word) or real(word, t, seed))
+    v, w = parse_string(v, quivers["annulus"]), parse_string(w, quivers["annulus"])
+    if outcome is None:
+        assert multiply_and_certify(v, w, annulus, seeds["annulus"]).identity_verified
+    else:
+        with pytest.raises(outcome):
+            multiply_and_certify(v, w, annulus, seeds["annulus"])
+    assert len(calls) == len(set(calls)) == 5
+    # nothing is kept between calls: the next product expands `1 >a> 2` again
+    calls.clear()
+    multiply_and_certify(trivial_word(1), w, annulus, seeds["annulus"])
+    assert w in calls and len(calls) == len(set(calls))

@@ -520,6 +520,57 @@ def test_coefficient_division_inverts_the_product(a, b):
     assert (a * b).divide_exact(b) == a
 
 
+def long_division(num, den):
+    """The quotient num/den by long division over the integers, or None when it is not integral."""
+    if num.is_zero():
+        return QCoefficient.zero()
+    lo_n, hi_n, lo_d, hi_d = min(num.coeffs), max(num.coeffs), min(den.coeffs), max(den.coeffs)
+    deg_q = (hi_n - lo_n) - (hi_d - lo_d)
+    if deg_q < 0:
+        return None
+    rem = [num.coeffs.get(lo_n + i, 0) for i in range(hi_n - lo_n + 1)]
+    dense = [den.coeffs.get(lo_d + i, 0) for i in range(hi_d - lo_d + 1)]
+    quo = [0] * (deg_q + 1)
+    for i in range(deg_q, -1, -1):
+        c, r = divmod(rem[i + len(dense) - 1], dense[-1])
+        if r:
+            return None
+        quo[i] = c
+        for j, d in enumerate(dense):
+            rem[i + j] -= c * d
+    if any(rem):
+        return None
+    return QCoefficient({lo_n - lo_d + i: c for i, c in enumerate(quo)})
+
+
+one_term_coefficients = st.builds(
+    lambda t, c: QCoefficient({t: c}), st.integers(min_value=-30, max_value=30), values.filter(bool)
+)
+
+
+@given(coefficients, one_term_coefficients)
+def test_one_term_division_equals_long_division(a, d):
+    # a itself is often not a multiple of d; a * d always is
+    for num in (a, a * d):
+        assert num.divide_exact(d) == long_division(num, d)
+
+
+@pytest.mark.parametrize(
+    "num, den, quotient",
+    [
+        ({0: 6, 4: -9}, {2: -3}, {-2: -2, 2: 3}),  # negative divisor
+        ({-1: -7}, {3: -7}, {-4: 1}),
+        ({0: 6, 4: -8}, {2: -3}, None),  # -8 is not a multiple of -3
+        ({0: 2**70, 1: 5}, {0: 2}, None),
+        ({}, {5: -2}, {}),  # zero numerator
+    ],
+)
+def test_one_term_division_cases(num, den, quotient):
+    expected = None if quotient is None else QCoefficient(quotient)
+    assert QCoefficient(num).divide_exact(QCoefficient(den)) == expected
+    assert long_division(QCoefficient(num), QCoefficient(den)) == expected
+
+
 term_coefficients = st.dictionaries(
     st.integers(min_value=-6, max_value=6), values, min_size=1, max_size=3
 ).map(QCoefficient).filter(lambda c: not c.is_zero())
@@ -536,6 +587,29 @@ def test_torus_product_matches_the_term_by_term_sum(a, b):
 @given(elements, elements)
 def test_right_division_recovers_the_left_factor(a, c):
     assert div_exact_right(torus_mul(a, c, PAIR3), c, PAIR3) == a
+
+
+@given(elements)
+def test_torus_pow_starts_from_its_base(a):
+    assert torus_pow(a, 0, PAIR3) == TorusElement.unit(3)
+    assert torus_pow(a, 1, PAIR3) == a
+    assert torus_pow(a, 2, PAIR3) == torus_mul(a, a, PAIR3)
+
+
+def well_formed(x, rank):
+    """What TorusElement.__init__ would enforce: rank-long tuple keys and no zero coefficient."""
+    return x.rank == rank and all(
+        type(g) is tuple and len(g) == rank and c.coeffs and 0 not in c.coeffs.values()
+        for g, c in x.terms.items()
+    )
+
+
+@given(elements, elements, twists)
+def test_adopted_kernel_results_are_well_formed(a, c, t):
+    product = torus_mul(a, c, PAIR3)
+    for x in (product, div_exact_right(product, c, PAIR3), product.shifted(t), a.shifted(t)):
+        assert well_formed(x, 3)
+    assert a.shifted(0) is a
 
 
 @given(elements, elements, vectors, twists)
@@ -731,6 +805,19 @@ def test_packed_division_fails_like_the_per_pair_division(name, data):
     assert _division_outcome(div_exact_right, perturbed, c, pair) == _division_outcome(
         reference_div_exact_right, perturbed, c, pair
     )
+
+
+@pytest.mark.parametrize("name", PACKED_PAIRS)
+@settings(deadline=None)
+@given(data=st.data())
+def test_adopted_packed_results_are_well_formed(name, data):
+    # terms share keys, so some sums cancel to zero and must be dropped
+    pair, rank = PACKED_PAIRS[name]
+    a, c = data.draw(packed_elements(rank)), data.draw(packed_elements(rank))
+    product = torus_mul(a, c, pair)
+    assert well_formed(product, rank)
+    assert well_formed(div_exact_right(product, c, pair), rank)
+    assert well_formed(torus_mul(a - c, a + c, pair), rank)
 
 
 FLAT2 = CompatiblePair(b_tilde=(), lam=((0, 0), (0, 0)), d=())
