@@ -162,10 +162,17 @@ def mutate_seed(seed: QuantumSeed, k: int) -> QuantumSeed:
 
 
 def mutation_sequence(seed: QuantumSeed, ks) -> QuantumSeed:
-    """Mutate along ``ks`` in order; refuse sequences longer than _MUTATION_LIMIT."""
+    """Mutate along ``ks`` in order; refuse sequences longer than _MUTATION_LIMIT.
+
+    Every direction is checked before the first step, so a bad one late in
+    the sequence costs no mutation.
+    """
     ks = list(ks)
     if len(ks) > _MUTATION_LIMIT:
         raise InvalidMutation(f"sequence of {len(ks)} mutations exceeds limit {_MUTATION_LIMIT}")
+    for step, k in enumerate(ks, 1):
+        if not 1 <= k <= seed.n:
+            raise InvalidMutation(f"step {step} of {len(ks)}: direction {k} outside 1..{seed.n}")
     for k in ks:
         seed = mutate_seed(seed, k)
     return seed

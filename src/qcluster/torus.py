@@ -18,22 +18,29 @@ is a shift and a scaling.  Otherwise q^(1/2) is mapped to ``2^bits``: a
 coefficient becomes one Python int whose base-``2^bits`` digits are its
 coefficients, read at a common stride (a divisor of every exponent gap),
 so the product of two such ints carries every coefficient of the product.
-Packing writes each digit, biased by ``2^(bits-1)``, into one byte string
-that is read as an int once.  Unpacking adds the same bias to every digit,
-so no digit borrows and ``to_bytes`` cuts them apart exactly; that needs
-every digit to lie strictly between -2^(bits-1) and 2^(bits-1).
+Digits are 8, 16, 32 or 64 bits wide while the bound below fits in a
+machine word, and each is then one item of a stdlib ``array``.  Packing
+writes every digit, biased by ``2^(bits-1)``, into such an array, whose
+memory is read as an int once.  Unpacking adds the same bias to every
+digit, so no digit borrows, and reads the int's bytes back into an array
+whose items are the biased digits exactly; that needs every digit to lie
+strictly between -2^(bits-1) and 2^(bits-1).  Wider digits, in whole
+bytes, and every digit on a host that is not little-endian, go through
+one byte slice per digit instead.
 
-A torus product packs each coefficient once per call.  A first pass reads
-only exponents: the key ``g + h`` of each term pair, the lowest and highest
-q-exponent landing on each key, and one stride for the call, the gcd of
-every gap inside a coefficient and of every difference between the offsets
+A torus product packs each coefficient once per call, and a square packs
+it once for both sides.  A first pass reads only exponents: the key
+``g + h`` of each term pair, the lowest and highest q-exponent landing on
+each key, and one stride for the call, the gcd of every gap inside a
+coefficient and of every difference between the offsets
 ``lo_g + lo_h + L(g,h)`` of the pairs that share a key.  At most
 min(|a|, |b|) pairs share a key, so no output coefficient exceeds
 max|a| * max|b| * (fewer q-terms) * min(|a|, |b|) in absolute value, and
-``bits`` is that bound's bit length plus a sign bit, in whole bytes.  The
-second pass adds each pair's packed product, shifted to its offset, into
-its key's int, and unpacks each key once; a zero int drops the key.  When
-one factor has a single term, each pair is multiplied on its own instead.
+``bits`` is that bound's bit length plus a sign bit, rounded up to a
+machine word or, above 64 bits, to whole bytes.  The second pass adds each
+pair's packed product, shifted to its offset, into its key's int, and
+unpacks each key once; a zero int drops the key.  When one factor has a
+single term, each pair is multiplied on its own instead.
 
 Right division by an element ``c`` eliminates the leading term of the
 remainder in lex order.  Since the torus is a domain, every exponent of an
@@ -54,6 +61,8 @@ wider digits or a finer stride.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from math import gcd
 from operator import add, mul
@@ -84,6 +93,12 @@ __all__ = [
 ]
 
 
+# Machine-word digits go through an array of native unsigned items, whose
+# bytes are the little-endian digits only on a little-endian host.
+_LITTLE = sys.byteorder == "little"
+_TYPECODES = {array(code).itemsize * 8: code for code in "QLIHB"}
+
+
 def _q_power_str(twice: int) -> str:
     """Render q^(twice/2); empty string for the trivial power."""
     if twice == 0:
@@ -96,8 +111,13 @@ def _q_power_str(twice: int) -> str:
 
 
 def _digit_bits(bound: int) -> int:
-    """Digit width for digits of absolute value at most ``bound``: its bits, a sign bit, whole bytes."""
-    return 8 * (bound.bit_length() // 8 + 1)
+    """Digit width for digits of absolute value at most ``bound``.
+
+    The bound's bits plus a sign bit, rounded up to 8, 16, 32 or 64 bits
+    while that fits in a machine word, else to whole bytes.
+    """
+    bits = 8 * (bound.bit_length() // 8 + 1)
+    return 1 << (bits - 1).bit_length() if bits <= 64 else bits
 
 
 def _bias(bits: int, length: int) -> int:
@@ -115,14 +135,21 @@ def _common_stride(*polys: Mapping[int, int]) -> int:
 
 
 def _pack(coeffs: Mapping[int, int], lo: int, stride: int, bits: int) -> int:
-    """Evaluate sum c * x^((t - lo) / stride) at x = 2^bits from biased bytes, in linear time."""
-    width = bits // 8
+    """Evaluate sum c * x^((t - lo) / stride) at x = 2^bits from biased digits, in linear time."""
     half = 1 << (bits - 1)
     length = (max(coeffs) - lo) // stride + 1
-    raw = [half.to_bytes(width, "little")] * length
-    for t, c in coeffs.items():
-        raw[(t - lo) // stride] = (c + half).to_bytes(width, "little")
-    return int.from_bytes(b"".join(raw), "little") - _bias(bits, length)
+    code = _LITTLE and _TYPECODES.get(bits)
+    if code:
+        digits = array(code, [half]) * length
+        for t, c in coeffs.items():
+            digits[(t - lo) // stride] = c + half
+    else:
+        width = bits // 8
+        raw = [half.to_bytes(width, "little")] * length
+        for t, c in coeffs.items():
+            raw[(t - lo) // stride] = (c + half).to_bytes(width, "little")
+        digits = b"".join(raw)
+    return int.from_bytes(digits, "little") - _bias(bits, length)
 
 
 def _unpack(value: int, lo: int, stride: int, bits: int, length: int) -> dict[int, int]:
@@ -130,8 +157,12 @@ def _unpack(value: int, lo: int, stride: int, bits: int, length: int) -> dict[in
     width = bits // 8
     half = 1 << (bits - 1)
     raw = (value + _bias(bits, length)).to_bytes(length * width, "little")
-    from_bytes = int.from_bytes
-    digits = [from_bytes(raw[i : i + width], "little") for i in range(0, length * width, width)]
+    code = _LITTLE and _TYPECODES.get(bits)
+    if code:
+        digits = array(code, raw)
+    else:
+        from_bytes = int.from_bytes
+        digits = [from_bytes(raw[i : i + width], "little") for i in range(0, length * width, width)]
     return {t: d - half for t, d in zip(range(lo, lo + stride * length, stride), digits) if d != half}
 
 
@@ -510,7 +541,8 @@ def torus_mul(a: TorusElement, b: TorusElement, pair: CompatiblePair) -> TorusEl
     bits = _digit_bits(bound)
     # Pass 2: pack each coefficient once, sum packed products per key, unpack each key once.
     packed_a = [_pack(x, lo, stride, bits) for x, lo in zip(coeffs_a, lows_a)]
-    packed_b = [_pack(x, lo, stride, bits) for x, lo in zip(coeffs_b, lows_b)]
+    # A square, such as torus_pow's, packs each coefficient once for both sides.
+    packed_b = packed_a if a is b else [_pack(x, lo, stride, bits) for x, lo in zip(coeffs_b, lows_b)]
     out = {}
     for key, (lo, hi, pairs) in keys.items():
         acc = 0

@@ -666,6 +666,12 @@ def test_mutate_reports_a_non_integer_direction(runner):
     assert res.output == "Error: invalid literal for int() with base 10: 'x'\n"
 
 
+def test_mutate_reports_a_bad_direction_with_its_step(runner):
+    res = runner.invoke(main, ["mutate", "-s", "annulus", "--seq", "1,2,1,2,1,2,1,2,1,2,1,9"])
+    assert res.exit_code == 1
+    assert res.output == "Error: step 12 of 12: direction 9 outside 1..2\n"
+
+
 def test_a_command_keeps_no_reference_to_its_output_stream():
     buf = io.StringIO()
     with redirect_stdout(buf):

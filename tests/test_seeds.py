@@ -332,6 +332,16 @@ def test_invalid_mutations_raise_a_typed_error(kron_seed):
         classical_mutate(classical_initial_seed([[0, 2], [-2, 0]]), 3)
 
 
+def test_a_bad_direction_is_rejected_before_the_first_step(seeds, monkeypatch):
+    steps = []
+    monkeypatch.setattr("qcluster.seeds.mutate_seed", lambda seed, k: steps.append(k))
+    with pytest.raises(InvalidMutation, match=r"^step 12 of 12: direction 9 outside 1\.\.2$"):
+        mutation_sequence(seeds["annulus"], [1, 2] * 5 + [1, 9])
+    with pytest.raises(InvalidMutation, match=r"^step 1 of 1: direction 0 outside 1\.\.2$"):
+        mutation_sequence(seeds["annulus"], [0])
+    assert steps == []
+
+
 class CountingDict(dict):
     """A divisor that counts the elimination rounds (one items() call each)."""
 

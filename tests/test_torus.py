@@ -635,6 +635,18 @@ def reference_pack(coeffs, lo, stride, length, bits):
     return packed
 
 
+def reference_unpack(packed, lo, stride, length, bits):
+    """Invert reference_pack by peeling signed digits off the bottom; every digit must lie in (-2^(bits-1), 2^(bits-1))."""
+    half, coeffs = 1 << (bits - 1), {}
+    for i in range(length):
+        digit = (packed + half) % (1 << bits) - half
+        packed = (packed - digit) >> bits
+        if digit:
+            coeffs[lo + stride * i] = digit
+    assert packed == 0
+    return coeffs
+
+
 def reference_kronecker_product(a, b):
     """The product of two q-polynomials of at least two terms each, packed per call."""
     lo_a, lo_b = min(a), min(b)
@@ -878,3 +890,54 @@ def test_each_coefficient_is_packed_once_per_product(monkeypatch):
     assert len(packs) <= len(a.terms) + len(b.terms)
     assert len(unpacks) <= len(product.terms) == 19
     assert _same(product, reference_torus_mul(a, b, PAIR3))
+    # a square packs each coefficient once for both of its sides
+    packs.clear()
+    square = torus_pow(a, 2, PAIR3)
+    assert len(packs) <= len(a.terms)
+    assert _same(square, reference_torus_mul(a, a, PAIR3))
+
+
+@pytest.mark.parametrize(
+    "bound, bits",
+    [(0, 8), (127, 8), (128, 16), (2**15 - 1, 16), (2**15, 32), (2**31 - 1, 32), (2**31, 64),
+     (2**63 - 1, 64), (2**63, 72), (2**71 - 1, 72), (2**71, 80)],
+)
+def test_digit_widths_are_machine_words_up_to_64_bits_then_whole_bytes(bound, bits):
+    assert torus._digit_bits(bound) == bits
+
+
+def _layout_cases():
+    """Digits at the edge of each width: length 1, stride 3 and stride 1 with an empty digit."""
+    for bits in (8, 16, 32, 64, 72, 144):
+        top = (1 << (bits - 1)) - 1
+        yield bits, 1, {0: top}
+        yield bits, 1, {0: -top}
+        yield bits, 3, {-3: top, 0: -top, 6: 1, 9: -1}
+        yield bits, 1, {5: -top, 6: top, 7: -1, 9: top}
+
+
+@pytest.mark.parametrize("little", (True, False), ids=("native", "byte path"))
+@pytest.mark.parametrize("bits, stride, coeffs", list(_layout_cases()))
+def test_pack_and_unpack_match_the_reference_layout(bits, stride, coeffs, little, monkeypatch):
+    monkeypatch.setattr(torus, "_LITTLE", little)
+    lo = min(coeffs)
+    length = (max(coeffs) - lo) // stride + 1
+    packed = torus._pack(coeffs, lo, stride, bits)
+    assert packed == reference_pack(coeffs, lo, stride, length, bits)
+    assert reference_unpack(packed, lo, stride, length, bits) == coeffs
+    assert torus._unpack(packed, lo, stride, bits, length) == coeffs
+    # division reads a remainder's length from its bit length, which may count one digit more
+    assert torus._unpack(packed, lo, stride, bits, length + 1) == coeffs
+
+
+@pytest.mark.parametrize("name", PACKED_PAIRS)
+@pytest.mark.parametrize(
+    "test",
+    [test_packed_product_equals_the_per_pair_product, test_packed_division_equals_the_per_pair_division],
+    ids=("product", "division"),
+)
+def test_the_byte_path_equals_the_per_pair_forms(test, name, monkeypatch):
+    # as on a big-endian host: no digit goes through an array
+    monkeypatch.setattr(torus, "_LITTLE", False)
+    monkeypatch.setattr(torus, "array", None)
+    test(name)
