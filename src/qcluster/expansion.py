@@ -29,6 +29,7 @@ __all__ = [
     "uniform_d",
     "weight_exponent",
     "x_of_matching",
+    "counted_element",
     "quantum_expansion",
     "graph_expansion",
     "classical_specialization",
@@ -68,6 +69,14 @@ def x_of_matching(g: SnakeGraph, P: int) -> tuple:
     return tuple(a - b for a, b in zip(weight_exponent(g, P), g.crossings))
 
 
+def counted_element(rank: int, counts: dict) -> TorusElement:
+    """The sum of c * q^(t/2) X^x over a table {x: {t: c}}, one term per exponent."""
+    total = TorusElement.zero(rank)
+    for x, powers in counts.items():
+        total = total + TorusElement(rank, {x: QCoefficient(powers)})
+    return total
+
+
 def quantum_expansion(w: StringWord, t: Triangulation, seed: QuantumSeed) -> ExpansionResult:
     """Expansion of the arc variable of w in the seed's initial torus.
 
@@ -84,8 +93,8 @@ def graph_expansion(g: SnakeGraph, seed: QuantumSeed) -> ExpansionResult:
     The q-powers come from the valuation table both routes agreed on
     (compare_valuations), so each route runs once per graph.  The
     expected exponent x(minimal) + B dim is built once per dimension
-    vector and compared with every matching's; the element is summed
-    once per distinct exponent.
+    vector and compared with every matching's; counted_element sums the
+    element once per distinct exponent.
     """
     d = uniform_d(seed)
     w, t = g.word, g.triangulation
@@ -118,13 +127,10 @@ def graph_expansion(g: SnakeGraph, seed: QuantumSeed) -> ExpansionResult:
         powers[d * v] = powers.get(d * v, 0) + 1
         key = tuple(sorted(indices))
         rows.append((len(key), key, dim, v, xp))
-    by_matching = TorusElement.zero(t.m)
-    for xp, powers in by_exponent.items():
-        by_matching = by_matching + TorusElement(t.m, {xp: QCoefficient(powers)})
     rows.sort()  # by (size, sorted indices), which no two matchings share
     return ExpansionResult(
         word=w,
-        element=by_matching,
+        element=counted_element(t.m, by_exponent),
         terms=tuple(ExpansionTerm(key, dim, v, xp) for _, key, dim, v, xp in rows),
         denominator=g.crossings,
     )

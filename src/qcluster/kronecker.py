@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import UnmatchedCase
-from .expansion import uniform_d, x_of_matching
+from .expansion import counted_element, uniform_d, x_of_matching
 from .seeds import QuantumSeed
 from .snake import SnakeGraph, enumerate_matchings, label_snake, matching_to_submodule
 from .strings import Letter, StringWord, dimension_vector
@@ -114,14 +114,13 @@ def r_s(t: Triangulation, s: int, seed: QuantumSeed, family: str = "G") -> Torus
 
 def weighted_series(ws: WeightedSnake, seed: QuantumSeed) -> TorusElement:
     """r_s of the weighted snake's own graph."""
-    d = uniform_d(seed)
-    total = TorusElement.zero(ws.graph.triangulation.m)
-    for P in enumerate_matchings(ws.graph):
-        indices = matching_to_submodule(ws.graph, P)
-        total = total + TorusElement.monomial(
-            x_of_matching(ws.graph, P), q_twice=d * alpha_of_set(ws, indices)
-        )
-    return total
+    d, g = uniform_d(seed), ws.graph
+    counts: dict = {}  # exponent -> {q-power: matchings}
+    for P in enumerate_matchings(g):
+        powers = counts.setdefault(x_of_matching(g, P), {})
+        twice = d * alpha_of_set(ws, matching_to_submodule(g, P))
+        powers[twice] = powers.get(twice, 0) + 1
+    return counted_element(g.triangulation.m, counts)
 
 
 def equality_check(ws: WeightedSnake) -> bool:

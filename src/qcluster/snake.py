@@ -33,11 +33,13 @@ table through tile_edges(j) and edge_sides(e).
 A matching is an int mask over the graph's sorted edge ids (bit i: the
 i-th edge id is matched); ``g.edges(P)`` gives the edge ids of mask P.
 The mask tables (each lattice point's edges, one mask per label, each
-tile's opposite pairs, diagonal-labeled edges before and after it and
-west edge) are built with the edge table, so a twist is an XOR and a
-label count a popcount.  So are the extremal matchings: the glue-free
-edges of the cw (minimal) or ccw (maximal) flank class, checked to be
-perfect matchings.
+tile's twist row and west edge) are built with the edge table, so a
+twist is an XOR and a label count a popcount.  So are the extremal
+matchings: the glue-free edges of the cw (minimal) or ccw (maximal)
+flank class, checked to be perfect matchings.  A twist row holds all a
+twist at its tile reads: the two opposite pairs and their union, the
+edges carrying the tile's diagonal before and after it, and
+m_minus - m_plus.
 """
 
 from __future__ import annotations
@@ -98,6 +100,7 @@ class Tile:
 class SnakeGraph:
     def __init__(self, word: StringWord, t: Triangulation, shape: tuple, tiles: list) -> None:
         self.word = word
+        self.d = len(tiles)
         self.triangulation = t
         self.shape = shape
         self.tiles = tiles
@@ -129,8 +132,7 @@ class SnakeGraph:
         self._points = sorted({p for pair in ends.values() for p in pair})
         at = {p: i for i, p in enumerate(self._points)}
         # Mask tables: each lattice point's (endpoint mask, edge bit) pairs,
-        # one mask per label, and per tile its ccw and cw opposite pairs,
-        # its diagonal's edges before and after it, and its west edge.
+        # one mask per label, and per tile its twist row and its west edge.
         self._point_options: list = [[] for _ in self._points]
         self._label_masks = [0] * t.m
         named = [0] * len(tiles)  # per tile, the edges named after it (their first tile)
@@ -140,20 +142,24 @@ class SnakeGraph:
             self._point_options[at[b]].append(option)
             self._label_masks[self.edge_label(e) - 1] |= bit[e]
             named[e[0] - 1] |= bit[e]
-        self._opposite_pairs = [
-            tuple(
+        # Each tile's twist row (ccw, cw, ccw | cw, before, after, m): its two
+        # opposite pairs and their union, the edges carrying its diagonal
+        # before and after it, and m_minus - m_plus, how many more times the
+        # word crosses that diagonal before the tile than after it.  A tile's
+        # sides are the other sides of the two triangles at its diagonal, so
+        # no edge of tile j carries its diagonal: the edges that do lie before
+        # it (named after an earlier tile) or after it.
+        diagonals = [tile.diagonal for tile in tiles]
+        self._twist_rows, earlier = [], 0
+        for slot, (tile, ids, own) in enumerate(zip(tiles, self._tile_edges, named)):
+            ccw, cw = (
                 sum(bit[e] for s, e in ids.items() if tile.flank_class[s] == cls)
                 for cls in ("ccw", "cw")
             )
-            for tile, ids in zip(tiles, self._tile_edges)
-        ]
-        # A tile's sides are the other sides of the two triangles at its
-        # diagonal, so no edge of tile j carries its diagonal: the edges that
-        # do lie before it (named after an earlier tile) or after it.
-        self._tau_masks, earlier = [], 0
-        for tile, own in zip(tiles, named):
-            tau = self._label_masks[tile.diagonal - 1]
-            self._tau_masks.append((tau & earlier, tau & ~earlier))
+            k = tile.diagonal
+            tau = self._label_masks[k - 1]
+            m = diagonals[:slot].count(k) - diagonals[slot + 1 :].count(k)
+            self._twist_rows.append((ccw, cw, ccw | cw, tau & earlier, tau & ~earlier, m))
             earlier |= own
         self._west_bits = [bit[ids["W"]] for ids in self._tile_edges]
         # The extremal matchings: the glue-free edges of flank class cw
@@ -165,20 +171,15 @@ class SnakeGraph:
         ]
         self._minimal = sum(b for b, cls in glue_free if cls == "cw")
         self._maximal = sum(b for b, cls in glue_free if cls == "ccw")
-        # Valuation tables, built by `valuation` on first use.
-        self._tile_m: list | None = None
+        # Word-side valuation tables, built by `valuation` on first use.
         self._window_counts: dict | None = None
         self._crossing_positions: dict | None = None
         self._omega_prime_rows: dict = {}
 
-    @property
-    def d(self) -> int:
-        return len(self.tiles)
-
     def _slot(self, j: int) -> int:
         """The list slot of tile j; a tile outside 1..d is an UnmatchedCase."""
-        if not 1 <= j <= len(self.tiles):
-            raise UnmatchedCase(f"tile {j} outside 1..{len(self.tiles)}")
+        if not 1 <= j <= self.d:
+            raise UnmatchedCase(f"tile {j} outside 1..{self.d}")
         return j - 1
 
     def tile(self, j: int) -> Tile:
@@ -386,7 +387,7 @@ def maximal_matching(g: SnakeGraph) -> int:
 
 def _twist_pairs(g: SnakeGraph, P: int, j: int) -> tuple | None:
     """(pair in P, other pair) when P meets tile j in exactly one opposite pair."""
-    ccw, cw = g._opposite_pairs[g._slot(j)]
+    ccw, cw = g._twist_rows[g._slot(j)][:2]
     held = P & (ccw | cw)
     if held == ccw:
         return ccw, cw

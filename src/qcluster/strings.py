@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     AmbiguousConnector,
@@ -87,6 +88,12 @@ class StringWord:
     @property
     def is_trivial(self) -> bool:
         return len(self.letters) == 0
+
+    @cached_property
+    def _arrow_masks(self) -> tuple:
+        """(direct, inverse): bit p set when letter p is direct, or inverse."""
+        direct = sum(1 << p for p, letter in enumerate(self.letters, start=1) if letter.direct)
+        return direct, sum(1 << p for p in range(1, self.d)) ^ direct
 
     def inverse(self) -> "StringWord":
         return StringWord(
@@ -170,15 +177,20 @@ def is_valid_string(w: StringWord, q: QuiverWithRelations) -> bool:
 
 def is_canonical_submodule(w: StringWord, indices) -> bool:
     """Whether the index set spans a submodule of M(w): a set of positions
-    1..d that no arrow of the word leaves."""
-    indices = frozenset(indices)
-    if indices and (min(indices) < 1 or max(indices) > w.d):
-        return False
-    for p, letter in enumerate(w.letters, start=1):
-        source, target = (p, p + 1) if letter.direct else (p + 1, p)
-        if source in indices and target not in indices:
+    1..d that no arrow of the word leaves.
+
+    With bit p of N for position p, a direct letter p leaves N when p is
+    in N and p + 1 is not, an inverse one when p + 1 is in N and p is not:
+    two mask tests against the word's arrow masks.
+    """
+    mask, d = 0, w.d
+    for p in indices:
+        if not 1 <= p <= d:
             return False
-    return True
+        mask |= 1 << p
+    above = mask >> 1  # bit p: position p + 1
+    direct, inverse = w._arrow_masks
+    return not (mask & ~above & direct or above & ~mask & inverse)
 
 
 def _canonical_index_sets(w: StringWord) -> list:

@@ -9,10 +9,11 @@ below live on it as long as it does.  Two routes to the same integer:
   corrected by how often the arc reappears as a diagonal.  Breadth-first
   propagation from the minimal matching (valuation 0) assigns every
   matching a value; every twist relation is re-checked.  Matchings are
-  int masks over the graph's sorted edge ids, so omega reads the graph's
-  twist tables: each tile's (m_minus, m_plus), computed once by m_pm,
-  and its opposite-pair masks and masks of the edges carrying its arc
-  before and after it.
+  int masks over the graph's sorted edge ids, and omega reads one twist
+  row per tile, built with the graph: the tile's opposite-pair masks and
+  their union, the masks of the edges carrying its arc before and after
+  it, and m_minus - m_plus.  So omega is a range check, a row read and
+  two popcounts.
 
 * On the module side the same quantities are computed from the word
   alone, and adding or removing one index changes the valuation by the
@@ -30,15 +31,19 @@ below live on it as long as it does.  Two routes to the same integer:
   before and after; it keeps the row of values for every position.
   valuation_v_gamma takes the canonical index sets in the generator's
   order, smallest first, and values each from its canonical subsets
-  one position smaller.  This route reads the word, the triangulation
-  and the tiles' labels and triangles, never a matching or a table the
+  one position smaller.  Index sets are frozensets wherever they are
+  taken, returned or used as keys of a kept table; the walk's int masks
+  (bit j for position j) only find subsets and fill omega_prime rows
+  inside one call.  This route reads the word, the triangulation and
+  the tiles' labels and triangles, never a matching or a table the
   matching route built.
 
 compare_valuations matches the two routes through the bijection and
 keeps the agreed table on the graph, where the expansion reads it.
-m_pm and n_module are the per-position counts the tables are built
-from; the tests check the tables against an edge scan and a sum over
-positions of n_module.
+m_pm and n_module are the per-position counts the tables hold: the
+window table is built from n_module, and the tests check the twist
+rows' m_minus - m_plus against m_pm, the rows against an edge scan and
+the window table against a sum over positions of n_module.
 """
 
 from __future__ import annotations
@@ -56,7 +61,6 @@ from .errors import (
 )
 from .snake import (
     SnakeGraph,
-    _twist_pairs,
     canonical_submodules,
     enumerate_matchings,
     matching_to_submodule,
@@ -84,23 +88,17 @@ def m_pm(g: SnakeGraph, s: int, tau: int) -> tuple:
     return diagonals[:slot].count(tau), diagonals[slot + 1 :].count(tau)
 
 
-def _tile_m(g: SnakeGraph) -> list:
-    """Each tile's (m_minus, m_plus) for its own diagonal, by tile."""
-    if g._tile_m is None:
-        g._tile_m = [m_pm(g, s, g.tile(s).diagonal) for s in range(1, g.d + 1)]
-    return g._tile_m
-
-
 def omega(g: SnakeGraph, s: int, P: int) -> int:
-    """Valuation drop across the twist at tile s: two popcounts, signed
-    by whether P holds the tile's ccw pair."""
-    pairs = _twist_pairs(g, P, s)
-    if pairs is None:
+    """Valuation drop across the twist at tile s: one read of the tile's
+    twist row and two popcounts, signed by whether P holds its ccw pair."""
+    if not 1 <= s <= g.d:
+        raise UnmatchedCase(f"tile {s} outside 1..{g.d}")
+    ccw, cw, both, before, after, m = g._twist_rows[s - 1]
+    held = P & both
+    if held != ccw and held != cw:
         raise CannotTwist(f"matching does not cover tile {s} by an opposite pair")
-    before, after = g._tau_masks[s - 1]
-    m_minus, m_plus = _tile_m(g)[s - 1]
-    drop = (P & after).bit_count() - m_plus - (P & before).bit_count() + m_minus
-    return drop if pairs[0] == g._opposite_pairs[s - 1][0] else -drop
+    drop = (P & after).bit_count() - (P & before).bit_count() + m
+    return drop if held == ccw else -drop
 
 
 def valuation_v(g: SnakeGraph) -> dict:
@@ -110,7 +108,7 @@ def valuation_v(g: SnakeGraph) -> dict:
     matching and cross-checks every twist relation, from both of its
     matchings, and both endpoint normalizations v(minimal) = v(maximal) = 0.
     """
-    flips = [(s, ccw, cw, ccw | cw) for s, (ccw, cw) in enumerate(g._opposite_pairs, start=1)]
+    flips = [(s, ccw, cw, both) for s, (ccw, cw, both, *_) in enumerate(g._twist_rows, start=1)]
     base = minimal_matching(g)
     values = {base: 0}
     queue = deque([base])
@@ -118,7 +116,7 @@ def valuation_v(g: SnakeGraph) -> dict:
         P = queue.popleft()
         here = values[P]
         for s, ccw, cw, both in flips:
-            held = P & both  # _twist_pairs' test, inline: one whole pair
+            held = P & both  # omega's test, inline: one whole pair
             if held != ccw and held != cw:
                 continue
             Q = P ^ both
@@ -206,13 +204,22 @@ def _window_counts(g: SnakeGraph) -> dict:
     return g._window_counts
 
 
-def _omega_prime_row(g: SnakeGraph, indices: frozenset) -> tuple:
-    """omega_prime at every position for one index set, stored on the graph."""
-    if indices and (min(indices) < 1 or max(indices) > g.d):
-        raise UnmatchedCase(f"index set {sorted(indices)} has a position outside 1..{g.d}")
-    # Bit i of mask is position i, so index p (position j = p + 1) reads
-    # its window j-1, j, j+1 from bits p, p+1, p+2.
-    mask = sum(1 << i for i in indices)
+def _index_mask(g: SnakeGraph, indices: frozenset) -> int:
+    """The index set as an int with bit j set for each position j; a
+    position outside 1..d is an UnmatchedCase."""
+    mask, d = 0, g.d
+    for j in indices:
+        if not 1 <= j <= d:
+            raise UnmatchedCase(f"index set {sorted(indices)} has a position outside 1..{d}")
+        mask |= 1 << j
+    return mask
+
+
+def _omega_prime_row(g: SnakeGraph, indices: frozenset, mask: int) -> tuple:
+    """omega_prime at every position for one index set and its mask, stored
+    on the graph."""
+    # Index p (position j = p + 1) reads its window j-1, j, j+1 from bits
+    # p, p+1, p+2 of the mask.
     patterns = [mask >> p & 7 for p in range(g.d)]
     values = [0] * g.d
     for k, table in _window_counts(g).items():
@@ -243,7 +250,7 @@ def omega_prime(g: SnakeGraph, j: int, indices) -> int:
     indices = frozenset(indices)
     row = g._omega_prime_rows.get(indices)
     if row is None:
-        row = _omega_prime_row(g, indices)
+        row = _omega_prime_row(g, indices, _index_mask(g, indices))
     return row[j - 1]
 
 
@@ -255,6 +262,9 @@ def valuation_v_gamma(g: SnakeGraph) -> dict:
     values[N - {j}] - omega_prime(j, N - {j}) from every canonical set
     one position smaller, each step checked from both of its ends and
     all of N's steps checked to agree.  The table keeps that order.
+    The pass keys the sets it has valued by their masks, so N's subsets
+    are found by clearing one bit, and fills N's omega_prime row from
+    its mask before reading it.
 
     Every nonempty canonical set has such a subset, so the smaller sets
     are all in the table when N is reached.  A run of one position can
@@ -265,21 +275,27 @@ def valuation_v_gamma(g: SnakeGraph) -> dict:
     letter i + 1, and the position i + 1 between them can go: the run
     closes at i and reopens at i + 2.
     """
-    values = {}
+    values, by_mask, rows = {}, {}, g._omega_prime_rows
     for N in canonical_submodules(g):
-        found = None if N else 0
-        for j in sorted(N):
-            smaller = N - {j}
-            below = values.get(smaller)
-            if below is None:
+        mask = _index_mask(g, N)
+        if N not in rows:
+            _omega_prime_row(g, N, mask)
+        found = None if mask else 0
+        rest = mask
+        while rest:
+            bit = rest & -rest  # the positions of N in increasing order
+            rest ^= bit
+            smaller = by_mask.get(mask ^ bit)
+            if smaller is None:
                 continue
+            j = bit.bit_length() - 1
             step = omega_prime(g, j, smaller)
             back = omega_prime(g, j, N)
             if step != -back:
                 raise InconsistentValuation(
                     f"asymmetric step at position {j}: {step} vs -({back})"
                 )
-            here = below - step
+            here = values[smaller] - step
             if found is None:
                 found = here
             elif found != here:
@@ -289,6 +305,7 @@ def valuation_v_gamma(g: SnakeGraph) -> dict:
                 f"no canonical index set one position smaller than {sorted(N)}"
             )
         values[N] = found
+        by_mask[mask] = N
     full = frozenset(range(1, g.d + 1))
     if full not in values:
         raise UnreachableSubmodule(f"the full index set {sorted(full)} was not generated")

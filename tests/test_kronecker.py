@@ -7,7 +7,7 @@ import pytest
 
 from qcluster import kronecker
 from qcluster.errors import UnmatchedCase
-from qcluster.expansion import quantum_expansion
+from qcluster.expansion import quantum_expansion, uniform_d, x_of_matching
 from qcluster.kronecker import (
     alpha_of_set,
     build_weighted,
@@ -16,7 +16,13 @@ from qcluster.kronecker import (
     r_s,
     recursion_checks,
 )
-from qcluster.snake import enumerate_matchings, label_snake, maximal_matching, minimal_matching
+from qcluster.snake import (
+    enumerate_matchings,
+    label_snake,
+    matching_to_submodule,
+    maximal_matching,
+    minimal_matching,
+)
 from qcluster.strings import trivial_word
 from qcluster.torus import QCoefficient, TorusElement
 from qcluster.valuation import valuation_v, valuation_v_gamma
@@ -137,6 +143,41 @@ def test_weighted_series_of_the_even_family_is_frozen(annulus, seeds):
             ((-2, -2, 2, 3), {0: 1}),
         ],
     )
+
+
+def reference_weighted_series(ws, seed):
+    """The sum weighted_series replaced: one monomial added per matching."""
+    d = uniform_d(seed)
+    total = TorusElement.zero(ws.graph.triangulation.m)
+    for P in enumerate_matchings(ws.graph):
+        indices = matching_to_submodule(ws.graph, P)
+        total = total + TorusElement.monomial(
+            x_of_matching(ws.graph, P), q_twice=d * alpha_of_set(ws, indices)
+        )
+    return total
+
+
+def test_weighted_series_equals_the_per_matching_sum_term_for_term(monkeypatch, annulus, seeds):
+    adds = []
+    real = TorusElement.__add__
+
+    def counted(a, b):
+        adds.append(len(b.terms))
+        return real(a, b)
+
+    for family, levels in (("G", range(8)), ("H", range(1, 8))):
+        for s in levels:
+            ws = build_weighted(annulus, s, family)
+            want = reference_weighted_series(ws, seeds["annulus"])
+            monkeypatch.setattr(TorusElement, "__add__", counted)
+            adds.clear()
+            got = kronecker.weighted_series(ws, seeds["annulus"])
+            monkeypatch.undo()
+            # the same terms, in the same order, each summed once
+            assert [(x, list(c.coeffs.items())) for x, c in got.terms.items()] == [
+                (x, list(c.coeffs.items())) for x, c in want.terms.items()
+            ]
+            assert adds == [1] * len(got.terms)
 
 
 def test_weighted_series_equals_the_expansion(annulus, seeds):

@@ -162,18 +162,17 @@ def test_twisting_subtracts_the_local_exponent(quivers, surfaces):
 def test_valuation_v_looks_up_each_twist_once(monkeypatch, annulus):
     g = label_snake(family_word(annulus, 7, "G"), annulus)
     calls = []
-    real = snake._twist_pairs
+    real = valuation.omega
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(snake, "_twist_pairs", counted)
-    monkeypatch.setattr(valuation, "_twist_pairs", counted)
+    monkeypatch.setattr(valuation, "omega", counted)
     valuation_v(g)
-    # valuation_v scans the 15 * 1,597 (matching, tile) pairs by a mask test,
-    # so the only lookups are omega's, one per twist from each end
-    assert len(calls) == 13730
+    # valuation_v scans the 15 * 1,597 (matching, tile) pairs by a mask test
+    # on the tiles' twist rows, so omega runs once per twist from each end
+    assert len(calls) == len(set(calls)) == 13730
 
 
 def test_omega_agrees_with_its_module_side_form(quivers, surfaces):
@@ -333,7 +332,7 @@ def test_the_word_route_reads_no_matching_side_cache(annulus):
     expected = valuation_v_gamma(label_snake(w, annulus))
     g = label_snake(w, annulus)
     matching_side = ("_matchings", "_minimal", "_maximal", "_image", "_compared")
-    mask_tables = ("_point_options", "_label_masks", "_opposite_pairs", "_tau_masks", "_west_bits")
+    mask_tables = ("_point_options", "_label_masks", "_twist_rows", "_west_bits")
     for cache in matching_side + mask_tables:
         setattr(g, cache, Untouchable())
     assert valuation_v_gamma(g) == expected

@@ -1,0 +1,307 @@
+"""The valuation kernels against the forms they replaced.
+
+reference_omega, reference_valuation_v, reference_valuation_v_gamma and
+reference_is_canonical_submodule are the code that ran before each tile
+got one twist row, the word-side walk was keyed by masks and the
+submodule test read the word's arrow masks.  The per-tile tables the old
+omega read (opposite pairs, the masks of the diagonal's edges before and
+after a tile, and (m_minus, m_plus)) are rebuilt here from the graph's
+public geometry, as the graph used to build them.
+"""
+from __future__ import annotations
+
+from collections import deque
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from qcluster import valuation
+from qcluster.errors import CannotTwist, InconsistentValuation, UnmatchedCase, UnreachableSubmodule
+from qcluster.kronecker import family_word
+from qcluster.snake import (
+    canonical_submodules,
+    enumerate_matchings,
+    label_snake,
+    maximal_matching,
+    minimal_matching,
+)
+from qcluster.strings import enumerate_canonical_submodules, enumerate_strings, is_canonical_submodule
+from qcluster.surface import build_quiver, load_surface
+from qcluster.valuation import m_pm, omega, omega_prime, valuation_v, valuation_v_gamma
+
+from conftest import ANNULUS_21, SURFACES
+
+
+# -- the replaced forms ----------------------------------------------------
+
+
+def reference_tables(g):
+    """Per tile: (ccw, cw) opposite-pair masks, (before, after) masks of the
+    edges carrying its diagonal, and (m_minus, m_plus)."""
+    edges = g.all_edges()
+    bit = {e: 1 << i for i, e in enumerate(edges)}
+    labels, named = {}, [0] * g.d
+    for e in edges:
+        labels[g.edge_label(e)] = labels.get(g.edge_label(e), 0) | bit[e]
+        named[e[0] - 1] |= bit[e]
+    opposite = [
+        tuple(
+            sum(bit[e] for e, side in g.tile_edges(j) if g.tile(j).flank_class[side] == cls)
+            for cls in ("ccw", "cw")
+        )
+        for j in range(1, g.d + 1)
+    ]
+    tau_masks, earlier = [], 0
+    for tile, own in zip(g.tiles, named):
+        tau = labels.get(tile.diagonal, 0)
+        tau_masks.append((tau & earlier, tau & ~earlier))
+        earlier |= own
+    tile_m = [m_pm(g, s, g.tile(s).diagonal) for s in range(1, g.d + 1)]
+    return opposite, tau_masks, tile_m
+
+
+def reference_twist_pairs(tables, g, P, j):
+    ccw, cw = tables[0][g._slot(j)]
+    held = P & (ccw | cw)
+    if held == ccw:
+        return ccw, cw
+    if held == cw:
+        return cw, ccw
+    return None
+
+
+def reference_omega(tables, g, s, P):
+    opposite, tau_masks, tile_m = tables
+    pairs = reference_twist_pairs(tables, g, P, s)
+    if pairs is None:
+        raise CannotTwist(f"matching does not cover tile {s} by an opposite pair")
+    before, after = tau_masks[s - 1]
+    m_minus, m_plus = tile_m[s - 1]
+    drop = (P & after).bit_count() - m_plus - (P & before).bit_count() + m_minus
+    return drop if pairs[0] == opposite[s - 1][0] else -drop
+
+
+def reference_valuation_v(g, tables=None):
+    tables = reference_tables(g) if tables is None else tables
+    flips = [(s, ccw, cw, ccw | cw) for s, (ccw, cw) in enumerate(tables[0], start=1)]
+    base = minimal_matching(g)
+    values = {base: 0}
+    queue = deque([base])
+    while queue:
+        P = queue.popleft()
+        here = values[P]
+        for s, ccw, cw, both in flips:
+            held = P & both
+            if held != ccw and held != cw:
+                continue
+            Q = P ^ both
+            val = here - reference_omega(tables, g, s, P)
+            stored = values.get(Q)
+            if stored is None:
+                values[Q] = val
+                queue.append(Q)
+            elif stored != val:
+                raise InconsistentValuation(f"twist at tile {s} gives {val}, stored {stored}")
+    all_matchings = enumerate_matchings(g)
+    if set(values) != set(all_matchings):
+        raise InconsistentValuation(f"twists reach {len(values)} of {len(all_matchings)} matchings")
+    if values[maximal_matching(g)] != 0:
+        raise InconsistentValuation(
+            f"maximal matching has valuation {values[maximal_matching(g)]}, want 0"
+        )
+    return values
+
+
+def reference_valuation_v_gamma(g):
+    values = {}
+    for N in canonical_submodules(g):
+        found = None if N else 0
+        for j in sorted(N):
+            smaller = N - {j}
+            below = values.get(smaller)
+            if below is None:
+                continue
+            step = omega_prime(g, j, smaller)
+            back = omega_prime(g, j, N)
+            if step != -back:
+                raise InconsistentValuation(f"asymmetric step at position {j}: {step} vs -({back})")
+            here = below - step
+            if found is None:
+                found = here
+            elif found != here:
+                raise InconsistentValuation(f"index step at {j} gives {here}, stored {found}")
+        if found is None:
+            raise UnreachableSubmodule(f"no canonical index set one position smaller than {sorted(N)}")
+        values[N] = found
+    full = frozenset(range(1, g.d + 1))
+    if full not in values:
+        raise UnreachableSubmodule(f"the full index set {sorted(full)} was not generated")
+    if values[full] != 0:
+        raise InconsistentValuation(f"full index set has valuation {values[full]}, want 0")
+    return values
+
+
+def reference_is_canonical_submodule(w, indices):
+    indices = frozenset(indices)
+    if indices and (min(indices) < 1 or max(indices) > w.d):
+        return False
+    for p, letter in enumerate(w.letters, start=1):
+        source, target = (p, p + 1) if letter.direct else (p + 1, p)
+        if source in indices and target not in indices:
+            return False
+    return True
+
+
+# -- the corpus ------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def kernel_corpus(surfaces, quivers, annulus):
+    """Every string of at most 7 vertices on the bundled surfaces and on
+    ANNULUS_21, and the annulus families G_0..G_8 and H_1..H_8."""
+    out = [(surfaces[name], w) for name in SURFACES for w in enumerate_strings(quivers[name], 7)]
+    t = load_surface(ANNULUS_21)
+    out += [(t, w) for w in enumerate_strings(build_quiver(t), 7)]
+    out += [(annulus, family_word(annulus, s, "G")) for s in range(9)]
+    out += [(annulus, family_word(annulus, s, "H")) for s in range(1, 9)]
+    return out
+
+
+def test_twist_rows_hold_the_replaced_tables(kernel_corpus):
+    for t, w in kernel_corpus:
+        g = label_snake(w, t)
+        opposite, tau_masks, tile_m = reference_tables(g)
+        rows = [
+            ((ccw, cw, ccw | cw), tau, m_minus - m_plus)
+            for (ccw, cw), tau, (m_minus, m_plus) in zip(opposite, tau_masks, tile_m)
+        ]
+        assert [(row[:3], row[3:5], row[5]) for row in g._twist_rows] == rows, str(w)
+        assert g.d == len(g.tiles) == w.d
+
+
+def test_omega_and_valuation_v_equal_the_replaced_forms(kernel_corpus):
+    twists = refused = 0
+    for t, w in kernel_corpus:
+        g = label_snake(w, t)
+        tables = reference_tables(g)
+        assert valuation_v(g) == reference_valuation_v(g, tables), str(w)
+        for P in enumerate_matchings(g):
+            for s in range(1, g.d + 1):
+                try:
+                    want = reference_omega(tables, g, s, P)
+                except CannotTwist:
+                    with pytest.raises(CannotTwist):
+                        omega(g, s, P)
+                    refused += 1
+                    continue
+                assert omega(g, s, P) == want
+                twists += 1
+    assert (len(kernel_corpus), twists, refused) == (48, 97026, 72352)
+
+
+def test_valuation_v_gamma_equals_the_replaced_walk(kernel_corpus):
+    sets = 0
+    for t, w in kernel_corpus:
+        got = valuation_v_gamma(label_snake(w, t))
+        want = reference_valuation_v_gamma(label_snake(w, t))
+        assert list(got.items()) == list(want.items()), str(w)
+        sets += len(got)
+    assert sets == 11153
+
+
+def test_the_mask_submodule_test_equals_the_letter_scan(kernel_corpus):
+    """Every canonical set, and each with one position from -1..d+1 toggled,
+    given as a frozenset, a tuple, a list with a repeat and an iterator."""
+    checked = 0
+    for _, w in kernel_corpus:
+        for N in enumerate_canonical_submodules(w):
+            for toggled in [N] + [N ^ {j} for j in range(-1, w.d + 2)]:
+                want = reference_is_canonical_submodule(w, toggled)
+                forms = (toggled, tuple(sorted(toggled)), sorted(toggled) * 2, iter(sorted(toggled)))
+                assert [is_canonical_submodule(w, form) for form in forms] == [want] * 4
+                checked += 1
+    assert checked > 100000
+
+
+@given(data=st.data())
+def test_the_mask_submodule_test_equals_the_letter_scan_on_drawn_sets(kernel_corpus, data):
+    _, w = data.draw(st.sampled_from(kernel_corpus))
+    N = data.draw(st.sets(st.integers(-1, w.d + 1)) | st.sets(st.sampled_from([-1, 0, w.d + 1])))
+    assert is_canonical_submodule(w, N) == reference_is_canonical_submodule(w, N)
+
+
+@pytest.mark.parametrize("position", [-1, 0, 4])
+def test_an_index_set_outside_the_word_is_refused_before_any_shift(annulus, g1_word, position):
+    g = label_snake(g1_word, annulus)
+    assert not is_canonical_submodule(g1_word, [2, position])
+    with pytest.raises(UnmatchedCase, match="has a position outside 1..3"):
+        valuation._index_mask(g, frozenset({2, position}))
+
+
+# -- a corrupted twist row is caught as before -------------------------------
+
+
+def corrupted(g, tables, slot, field, change):
+    """Apply change to one field of tile slot's twist row and to the same
+    entry of the replaced tables; field is "m", "before" or "after"."""
+    row = list(g._twist_rows[slot])
+    opposite, tau_masks, tile_m = tables
+    if field == "m":
+        row[5] += change
+        m_minus, m_plus = tile_m[slot]
+        tile_m[slot] = (m_minus + change, m_plus)
+    else:
+        at = 3 if field == "before" else 4
+        row[at] ^= change
+        masks = list(tau_masks[slot])
+        masks[at - 3] ^= change
+        tau_masks[slot] = tuple(masks)
+    g._twist_rows[slot] = tuple(row)
+
+
+def outcome(walk, *args):
+    try:
+        return walk(*args)
+    except InconsistentValuation as caught:
+        return str(caught)
+
+
+def test_a_corrupted_twist_row_is_caught_as_before(annulus):
+    """Each tile's m raised by 1, and each of its two masks with one edge bit
+    flipped, on three family words: valuation_v gives the same table or the
+    same InconsistentValuation as the replaced omega with the same tables
+    corrupted.  A τ mask that miscounts one twist breaks a twist relation
+    ("twist at tile ...").  Raising m shifts every value by 1 on the
+    matchings whose enclosed tiles hold the tile, which every twist relation
+    still satisfies, so the maximal matching's normalization catches it.
+    A flipped bit that no twist at the tile reads changes nothing."""
+    seen = {"twist at tile": 0, "maximal matching": 0, "unchanged": 0, "other": 0}
+    for family, s in (("G", 2), ("H", 2), ("G", 3)):
+        w = family_word(annulus, s, family)
+        true = valuation_v(label_snake(w, annulus))
+        edges = len(label_snake(w, annulus).all_edges())
+        cases = [("m", 1)] + [(f, 1 << i) for f in ("before", "after") for i in range(edges)]
+        for slot in range(w.d):
+            for field, change in cases:
+                g = label_snake(w, annulus)
+                tables = reference_tables(g)
+                corrupted(g, tables, slot, field, change)
+                got = outcome(valuation_v, g)
+                assert got == outcome(reference_valuation_v, g, tables), (str(w), slot, field, change)
+                if field == "m":
+                    assert got == "maximal matching has valuation 1, want 0"
+                if isinstance(got, dict):
+                    seen["unchanged" if got == true else "other"] += 1
+                else:
+                    seen[next(key for key in seen if got.startswith(key))] += 1
+    # a corruption valuation_v misses leaves the table as it was
+    assert seen == {"twist at tile": 456, "maximal matching": 28, "unchanged": 104, "other": 0}
+
+
+def test_a_corrupted_tau_mask_raises_a_twist_inconsistency(annulus):
+    g = label_snake(family_word(annulus, 2, "G"), annulus)
+    ccw, cw, both, before, after, m = g._twist_rows[4]
+    g._twist_rows[4] = (ccw, cw, both, before & before - 1, after, m)
+    with pytest.raises(InconsistentValuation, match="twist at tile 2 gives 3, stored 2"):
+        valuation_v(g)
