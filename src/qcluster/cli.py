@@ -328,7 +328,7 @@ def mutate(surface, seq, fmt):
     """Mutate the initial seed along a sequence of directions."""
     seed = initial_seed(pair_from_surface(load_surface(surface)))
     try:
-        directions = [int(x) for x in seq.split(",") if x.strip()]
+        directions = [int(x) for x in seq.split(",")]
     except ValueError as exc:
         raise click.ClickException(str(exc))
     seed = mutation_sequence(seed, directions)
@@ -403,7 +403,7 @@ def skein_multiply(surface, v_text, w_text, fmt):
     v = parse_string(v_text, quiver)
     w = parse_string(w_text, quiver)
     seed = initial_seed(pair_from_surface(t))
-    cert = multiply_and_certify(v, w, t, seed, quiver=quiver)
+    cert = multiply_and_certify(v, w, t, seed)
     gap_ok = relative_exponent_check(cert)
     _emit(
         fmt,

@@ -77,7 +77,7 @@ class NotNormalizable(QClusterError):
 
 
 class NoCompatibleLambda(QClusterError):
-    """No integer skew Lambda within the search bounds completes the pair."""
+    """No integer skew Lambda completes the pair: an empty matrix, or no uniform d."""
 
 
 class InvalidSurface(QClusterError):

@@ -20,7 +20,7 @@ from .expansion import counted_element, uniform_d, x_of_matching
 from .seeds import QuantumSeed
 from .snake import SnakeGraph, enumerate_matchings, label_snake, matching_to_submodule
 from .strings import Letter, StringWord, dimension_vector
-from .surface import QuiverWithRelations, Triangulation, build_quiver
+from .surface import Triangulation, build_quiver
 from .torus import TorusElement
 from .valuation import valuation_v
 
@@ -42,7 +42,6 @@ class WeightedSnake:
     s: int
     graph: SnakeGraph
     alphas: tuple  # per-tile weight, 1-based via index j-1
-    quiver: QuiverWithRelations  # the surface's, for the other levels' words
 
     @cached_property
     def tables(self) -> tuple:
@@ -59,20 +58,13 @@ class WeightedSnake:
         return alpha_by_set, v_by_set
 
 
-def family_word(
-    t: Triangulation, s: int, family: str = "G", *, quiver: QuiverWithRelations | None = None
-) -> StringWord:
-    """The alternating (1,2)-word with 2s+1 (G) or 2s (H) vertices.
-
-    quiver is t's quiver when the caller holds it; otherwise it is built.
-    """
+def family_word(t: Triangulation, s: int, family: str = "G") -> StringWord:
+    """The alternating (1,2)-word with 2s+1 (G) or 2s (H) vertices over t's quiver."""
     if family not in ("G", "H"):
         raise UnmatchedCase(f"unknown family {family!r}")
     if s < 0 or (family == "H" and s < 1):
         raise UnmatchedCase(f"family {family} needs s >= {1 if family == 'H' else 0}")
-    if quiver is None:
-        quiver = build_quiver(t)
-    arrows_12 = quiver.arrows_between(1, 2)
+    arrows_12 = build_quiver(t).arrows_between(1, 2)
     if len(arrows_12) != 2:
         raise UnmatchedCase("surface does not have the double arrow 1 -> 2")
     first, second = arrows_12
@@ -87,12 +79,9 @@ def family_word(
     return StringWord(vertices, tuple(letters))
 
 
-def build_weighted(
-    t: Triangulation, s: int, family: str = "G", *, quiver: QuiverWithRelations | None = None
-) -> WeightedSnake:
-    if quiver is None:
-        quiver = build_quiver(t)
-    word = family_word(t, s, family, quiver=quiver)
+def build_weighted(t: Triangulation, s: int, family: str = "G") -> WeightedSnake:
+    """G_s or H_s: the family word's snake graph with its alpha-weights."""
+    word = family_word(t, s, family)
     alphas = []
     for j, arc in enumerate(word.vertices, start=1):
         offset = j - s - 1
@@ -100,7 +89,7 @@ def build_weighted(
             alphas.append(offset if arc == 1 else -offset)
         else:
             alphas.append(offset + 1 if arc == 1 else -offset)
-    return WeightedSnake(family, s, label_snake(word, t), tuple(alphas), quiver)
+    return WeightedSnake(family, s, label_snake(word, t), tuple(alphas))
 
 
 def alpha_of_set(ws: WeightedSnake, indices) -> int:
@@ -147,14 +136,14 @@ def recursion_checks(ws: WeightedSnake) -> list:
     s = ws.s
     if s < 1:
         raise UnmatchedCase("recursions start at s = 1")
-    t, quiver = ws.graph.triangulation, ws.quiver
-    other = build_weighted(t, s, "H" if ws.family == "G" else "G", quiver=quiver)
+    t = ws.graph.triangulation
+    other = build_weighted(t, s, "H" if ws.family == "G" else "G")
     g_s, h_s = (ws, other) if ws.family == "G" else (other, ws)
     a_gs, v_gs = g_s.tables
     a_hs, v_hs = h_s.tables
-    a_gp, v_gp = build_weighted(t, s - 1, "G", quiver=quiver).tables
+    a_gp, v_gp = build_weighted(t, s - 1, "G").tables
     if s >= 2:
-        a_hp, v_hp = build_weighted(t, s - 1, "H", quiver=quiver).tables
+        a_hp, v_hp = build_weighted(t, s - 1, "H").tables
     failures = []
 
     last_g = 2 * s + 1

@@ -93,20 +93,10 @@ def _normalized_product(a: TorusElement, b: TorusElement, seed: QuantumSeed):
 
 
 def multiply_and_certify(
-    v: StringWord,
-    w: StringWord,
-    t: Triangulation,
-    seed: QuantumSeed,
-    *,
-    quiver: QuiverWithRelations | None = None,
+    v: StringWord, w: StringWord, t: Triangulation, seed: QuantumSeed
 ) -> MultiplicationCertificate:
-    """Resolve X_v X_w against the unique extension of the pair.
-
-    quiver is t's quiver when the caller holds it; otherwise it is built.
-    """
-    if quiver is None:
-        quiver = build_quiver(t)
-    extensions = all_extensions(v, w, quiver)
+    """Resolve X_v X_w against the unique extension of the pair over t's quiver."""
+    extensions = all_extensions(v, w, build_quiver(t))
     if not extensions:
         raise NoSolution(f"no extensions between {v} and {w}")
     if len(extensions) > 1:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from math import gcd
 from pathlib import Path
 
 from .errors import InvalidSurface, NoCompatibleLambda
@@ -36,9 +37,6 @@ __all__ = [
 ]
 
 _ARROW_NAMES = "abcdefghijklmnopqrstuvwxyz"
-# find_lambda tries uniform d = 1.._LAMBDA_D_MAX, entries within _LAMBDA_BOUND
-_LAMBDA_BOUND = 8
-_LAMBDA_D_MAX = 8
 
 
 @dataclass(frozen=True)
@@ -346,29 +344,6 @@ def _reduce_columns(a_cols: list[dict[int, int]], nrows: int) -> tuple:
     return work, transform, pivots
 
 
-def _solve_integer_system(a_cols: list[dict[int, int]], reduced: tuple, rhs: list[int]) -> list[int] | None:
-    """Solve A x = rhs over the integers from A's :func:`_reduce_columns` result.
-
-    Back-substitutes rhs, then certifies A x = rhs; None if no integer x exists.
-    """
-    work, transform, pivots = reduced
-    residual = list(rhs)
-    x = [0] * len(a_cols)
-    for row, col in pivots:
-        quotient, remainder = divmod(residual[row], work[col][row])
-        if remainder:
-            return None
-        for r, v in work[col].items():
-            residual[r] -= quotient * v
-        for i, v in transform[col].items():
-            x[i] += v * quotient
-    image = [0] * len(rhs)
-    for col, xj in zip(a_cols, x):
-        for row, v in col.items():
-            image[row] += v * xj
-    return x if image == rhs else None
-
-
 def _size_reduce(x: list[int], kernel: list[dict[int, int]]) -> list[int]:
     """Greedy lattice reduction of x modulo the kernel (sparse, nonzero vectors), minimizing norm."""
     x = list(x)
@@ -387,15 +362,18 @@ def _size_reduce(x: list[int], kernel: list[dict[int, int]]) -> list[int]:
 
 
 def find_lambda(b_tilde: list[list[int]]) -> list[list[int]]:
-    """Integer skew Lambda with Lambda . b_tilde = -[d I; 0], smallest uniform d.
+    """Integer skew Lambda with Lambda . b_tilde = -[d I; 0], least uniform d.
 
-    The entries above the diagonal solve A x = rhs_d, where A depends on
-    ``b_tilde`` alone: A is column-reduced once, in sparse form, and each
-    d = 1, 2, ..., _LAMBDA_D_MAX only back-substitutes and size-reduces
-    against the kernel.  Accepts the first d whose solution stays within
-    _LAMBDA_BOUND; raises :class:`NoCompatibleLambda` otherwise.  The
-    back-substitution checks A x = rhs_d exactly; pair_from_surface
-    certifies the pair once, through CompatiblePair.create.
+    The entries above the diagonal solve A x = d rhs, where A depends on
+    ``b_tilde`` alone and rhs is the d = 1 right-hand side.  A is
+    column-reduced once, in sparse form, and rhs is back-substituted once:
+    where a pivot does not divide the residual, the residual and the
+    quotients so far are scaled by the least factor that makes it divide.
+    The product of those factors is the least d, and the solution is
+    size-reduced against the kernel.  A x = d rhs is checked exactly;
+    pair_from_surface certifies the pair once, through CompatiblePair.create.
+    Raises :class:`NoCompatibleLambda` for an empty matrix and for a system
+    no d solves.
     """
     m = len(b_tilde)
     n = len(b_tilde[0]) if m else 0
@@ -418,26 +396,35 @@ def find_lambda(b_tilde: list[list[int]]) -> list[list[int]]:
                 else:
                     a_cols[index[(l, i)]][row] = -coeff
 
-    reduced = _reduce_columns(a_cols, m * n)
-    kernel = reduced[1][len(reduced[2]):]
-    for d in range(1, _LAMBDA_D_MAX + 1):
-        rhs = [0] * (m * n)
-        for j in range(n):
-            rhs[j * n + j] = -d
-        x = _solve_integer_system(a_cols, reduced, rhs)
-        if x is None:
-            continue
-        x = _size_reduce(x, kernel)
-        if max((abs(v) for v in x), default=0) > _LAMBDA_BOUND:
-            continue
-        lam = [[0] * m for _ in range(m)]
-        for (i, j), k in index.items():
-            lam[i][j] = x[k]
-            lam[j][i] = -x[k]
-        return lam
-    raise NoCompatibleLambda(
-        f"no integer skew lambda with uniform d <= {_LAMBDA_D_MAX} and entries within {_LAMBDA_BOUND}"
-    )
+    work, transform, pivots = _reduce_columns(a_cols, m * n)
+    rhs = [0] * (m * n)
+    for j in range(n):
+        rhs[j * n + j] = -1
+    d, residual, x = 1, list(rhs), [0] * len(a_cols)
+    for row, col in pivots:
+        pivot = work[col][row]
+        scale = abs(pivot) // gcd(pivot, residual[row])
+        if scale > 1:
+            d *= scale
+            residual = [scale * r for r in residual]
+            x = [scale * v for v in x]
+        quotient = residual[row] // pivot
+        for r, v in work[col].items():
+            residual[r] -= quotient * v
+        for i, v in transform[col].items():
+            x[i] += v * quotient
+    image = [0] * (m * n)
+    for col, xj in zip(a_cols, x):
+        for row, v in col.items():
+            image[row] += v * xj
+    if image != [d * r for r in rhs]:
+        raise NoCompatibleLambda("no integer skew lambda solves the system for any uniform d")
+    x = _size_reduce(x, transform[len(pivots):])
+    lam = [[0] * m for _ in range(m)]
+    for (i, j), k in index.items():
+        lam[i][j] = x[k]
+        lam[j][i] = -x[k]
+    return lam
 
 
 def pair_from_surface(t: Triangulation) -> CompatiblePair:

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import pytest
 
+from qcluster import build_quiver, enumerate_strings, initial_seed, load_surface, pair_from_surface
 from qcluster.errors import AmbiguousSolution, NoSolution
 from qcluster.skein_mult import (
     count_extensions,
@@ -12,7 +13,7 @@ from qcluster.skein_mult import (
 from qcluster.strings import trivial_word
 from qcluster.torus import QCoefficient, TorusElement, torus_mul
 
-from conftest import make_word
+from conftest import ANNULUS_21, WHEEL3, make_word
 
 
 def element(rank, rows):
@@ -192,3 +193,143 @@ def test_each_distinct_word_is_expanded_once_per_product(annulus, seeds, quivers
     calls.clear()
     multiply_and_certify(trivial_word(1), w, annulus, seeds["annulus"])
     assert w in calls and len(calls) == len(set(calls))
+
+
+# Every single-extension product of strings of at most 7 vertices:
+# (v, w) -> (certified v, certified w, extension kind, s1_twice, s2_twice,
+# m2_source, identity_verified), or None where it raises NoSolution.
+# WHEEL3 has an internal triangle; ANNULUS_21 is A(2, 1).  On ANNULUS_21
+# X of `1 <a< 2 >c> 3` is not bar-invariant, so its two products whose
+# shifts are mirrored into the other order do not verify.
+FROZEN_WHEEL3_PRODUCTS = {
+    ("1", "2"): ("2", "1", "arrow", 1, 0, "predicted", True),
+    ("1", "3"): ("1", "3", "arrow", 1, 0, "predicted", True),
+    ("2", "1"): ("2", "1", "arrow", 1, 0, "predicted", True),
+    ("2", "3"): ("3", "2", "arrow", 1, 0, "predicted", True),
+    ("3", "1"): ("1", "3", "arrow", 1, 0, "predicted", True),
+    ("3", "2"): ("3", "2", "arrow", 1, 0, "predicted", True),
+}
+FROZEN_ANNULUS_21_PRODUCTS = {
+    ("1", "1 <a< 2 >c> 3"): ("1 <a< 2 >c> 3", "1", "arrow", 2, -2, "solved", False),
+    ("1", "1 >b> 3 <c< 2"): ("1", "1 >b> 3 <c< 2", "arrow", 0, -4, "solved", True),
+    ("1", "1 >b> 3 <c< 2 >a> 1 >b> 3 <c< 2"):
+        ("1", "1 >b> 3 <c< 2 >a> 1 >b> 3 <c< 2", "arrow", 0, -4, "solved", True),
+    ("1", "2"): ("1", "2", "arrow", 0, -2, "predicted", True),
+    ("1", "3"): ("3", "1", "arrow", 2, 0, "predicted", True),
+    ("1 <a< 2", "1 <a< 2 >c> 3"): None,
+    ("1 <a< 2", "1 <a< 2 >c> 3 <b< 1"):
+        ("1 <a< 2 >c> 3 <b< 1", "1 <a< 2", "overlap", 1, -1, "solved", True),
+    ("1 <a< 2", "1 >b> 3 <c< 2"): None,
+    ("1 <a< 2", "2 >c> 3"): ("2 >c> 3", "1 <a< 2", "arrow", 2, 0, "solved", True),
+    ("1 <a< 2 >c> 3", "1"): ("1 <a< 2 >c> 3", "1", "arrow", 2, 2, "solved", True),
+    ("1 <a< 2 >c> 3", "1 <a< 2"): None,
+    ("1 <a< 2 >c> 3", "1 <a< 2 >c> 3"): None,
+    ("1 <a< 2 >c> 3", "1 >b> 3"): None,
+    ("1 <a< 2 >c> 3", "1 >b> 3 <c< 2 >a> 1 >b> 3"): None,
+    ("1 <a< 2 >c> 3", "2"): None,
+    ("1 <a< 2 >c> 3", "2 >c> 3"): ("2 >c> 3", "1 <a< 2 >c> 3", "arrow", 2, -2, "solved", False),
+    ("1 <a< 2 >c> 3", "3"): None,
+    ("1 <a< 2 >c> 3 <b< 1", "1 <a< 2"):
+        ("1 <a< 2 >c> 3 <b< 1", "1 <a< 2", "overlap", 1, -1, "solved", True),
+    ("1 <a< 2 >c> 3 <b< 1", "1 <a< 2 >c> 3 <b< 1"):
+        ("1 <a< 2 >c> 3 <b< 1", "1 <a< 2 >c> 3 <b< 1", "overlap", 0, 0, "solved", True),
+    ("1 <a< 2 >c> 3 <b< 1", "1 <a< 2 >c> 3 <b< 1 <a< 2 >c> 3 <b< 1"):
+        ("1 <a< 2 >c> 3 <b< 1", "1 <a< 2 >c> 3 <b< 1 <a< 2 >c> 3 <b< 1", "overlap", 0, 0, "solved", True),
+    ("1 <a< 2 >c> 3 <b< 1", "1 >b> 3"):
+        ("1 >b> 3", "1 <a< 2 >c> 3 <b< 1", "overlap", 1, -1, "solved", True),
+    ("1 <a< 2 >c> 3 <b< 1", "1 >b> 3 <c< 2 >a> 1 >b> 3"):
+        ("1 >b> 3 <c< 2 >a> 1 >b> 3", "1 <a< 2 >c> 3 <b< 1", "overlap", 1, -1, "solved", True),
+    ("1 <a< 2 >c> 3 <b< 1 <a< 2 >c> 3 <b< 1", "1 <a< 2 >c> 3 <b< 1"):
+        ("1 <a< 2 >c> 3 <b< 1 <a< 2 >c> 3 <b< 1", "1 <a< 2 >c> 3 <b< 1", "overlap", 0, 0, "solved", True),
+    ("1 >b> 3", "1 <a< 2 >c> 3"): None,
+    ("1 >b> 3", "1 <a< 2 >c> 3 <b< 1"):
+        ("1 >b> 3", "1 <a< 2 >c> 3 <b< 1", "overlap", 1, -1, "solved", True),
+    ("1 >b> 3", "1 >b> 3 <c< 2"): None,
+    ("1 >b> 3", "2 >c> 3"): ("1 >b> 3", "2 >c> 3", "arrow", 0, -2, "solved", True),
+    ("1 >b> 3 <c< 2", "1"): ("1 >b> 3 <c< 2", "1", "arrow", 0, 0, "solved", True),
+    ("1 >b> 3 <c< 2", "1 <a< 2"): None,
+    ("1 >b> 3 <c< 2", "1 >b> 3"): None,
+    ("1 >b> 3 <c< 2", "1 >b> 3 <c< 2"): None,
+    ("1 >b> 3 <c< 2", "1 >b> 3 <c< 2 >a> 1 >b> 3"): None,
+    ("1 >b> 3 <c< 2", "1 >b> 3 <c< 2 >a> 1 >b> 3 <c< 2"): None,
+    ("1 >b> 3 <c< 2", "2"): None,
+    ("1 >b> 3 <c< 2", "2 >c> 3"): ("1 >b> 3 <c< 2", "2 >c> 3", "arrow", 0, -4, "solved", True),
+    ("1 >b> 3 <c< 2", "3"): None,
+    ("1 >b> 3 <c< 2 >a> 1 >b> 3", "1 <a< 2 >c> 3"): None,
+    ("1 >b> 3 <c< 2 >a> 1 >b> 3", "1 <a< 2 >c> 3 <b< 1"):
+        ("1 >b> 3 <c< 2 >a> 1 >b> 3", "1 <a< 2 >c> 3 <b< 1", "overlap", 1, -1, "solved", True),
+    ("1 >b> 3 <c< 2 >a> 1 >b> 3", "1 >b> 3 <c< 2"): None,
+    ("1 >b> 3 <c< 2 >a> 1 >b> 3", "2 >c> 3"):
+        ("1 >b> 3 <c< 2 >a> 1 >b> 3", "2 >c> 3", "arrow", 0, -2, "solved", True),
+    ("1 >b> 3 <c< 2 >a> 1 >b> 3", "3"):
+        ("3", "1 >b> 3 <c< 2 >a> 1 >b> 3", "overlap", 2, 0, "solved", True),
+    ("1 >b> 3 <c< 2 >a> 1 >b> 3 <c< 2", "1"):
+        ("1 >b> 3 <c< 2 >a> 1 >b> 3 <c< 2", "1", "arrow", 0, 0, "solved", True),
+    ("1 >b> 3 <c< 2 >a> 1 >b> 3 <c< 2", "1 >b> 3 <c< 2"): None,
+    ("1 >b> 3 <c< 2 >a> 1 >b> 3 <c< 2", "2 >c> 3"):
+        ("1 >b> 3 <c< 2 >a> 1 >b> 3 <c< 2", "2 >c> 3", "arrow", 0, -4, "solved", True),
+    ("2", "1"): ("1", "2", "arrow", 0, -2, "predicted", True),
+    ("2", "1 <a< 2 >c> 3"): None,
+    ("2", "1 >b> 3 <c< 2"): None,
+    ("2", "3"): ("3", "2", "arrow", 0, -2, "predicted", True),
+    ("2 >c> 3", "1 <a< 2"): ("2 >c> 3", "1 <a< 2", "arrow", 2, 0, "solved", True),
+    ("2 >c> 3", "1 <a< 2 >c> 3"): ("2 >c> 3", "1 <a< 2 >c> 3", "arrow", 2, 2, "solved", True),
+    ("2 >c> 3", "1 >b> 3"): ("1 >b> 3", "2 >c> 3", "arrow", 0, -2, "solved", True),
+    ("2 >c> 3", "1 >b> 3 <c< 2"): ("2 >c> 3", "1 >b> 3 <c< 2", "arrow", 0, 0, "solved", True),
+    ("2 >c> 3", "1 >b> 3 <c< 2 >a> 1 >b> 3"):
+        ("1 >b> 3 <c< 2 >a> 1 >b> 3", "2 >c> 3", "arrow", 0, -2, "solved", True),
+    ("2 >c> 3", "1 >b> 3 <c< 2 >a> 1 >b> 3 <c< 2"):
+        ("2 >c> 3", "1 >b> 3 <c< 2 >a> 1 >b> 3 <c< 2", "arrow", 0, 0, "solved", True),
+    ("3", "1"): ("3", "1", "arrow", 2, 0, "predicted", True),
+    ("3", "1 <a< 2 >c> 3"): None,
+    ("3", "1 >b> 3 <c< 2"): None,
+    ("3", "1 >b> 3 <c< 2 >a> 1 >b> 3"):
+        ("3", "1 >b> 3 <c< 2 >a> 1 >b> 3", "overlap", 2, 0, "solved", True),
+    ("3", "2"): ("3", "2", "arrow", 0, -2, "predicted", True),
+}
+
+
+@pytest.mark.parametrize(
+    "data, frozen", [(WHEEL3, FROZEN_WHEEL3_PRODUCTS), (ANNULUS_21, FROZEN_ANNULUS_21_PRODUCTS)]
+)
+def test_single_extension_products_are_frozen(data, frozen):
+    t = load_surface(data)
+    q, seed = build_quiver(t), initial_seed(pair_from_surface(t))
+    words = enumerate_strings(q, 7)
+    seen = {}
+    for v in words:
+        for w in words:
+            if count_extensions(v, w, q) != 1:
+                continue
+            try:
+                cert = multiply_and_certify(v, w, t, seed)
+            except NoSolution:
+                seen[str(v), str(w)] = None
+                continue
+            seen[str(v), str(w)] = (
+                str(cert.v),
+                str(cert.w),
+                cert.extension.kind,
+                cert.s1_twice,
+                cert.s2_twice,
+                cert.m2_source,
+                cert.identity_verified,
+            )
+    assert seen == frozen
+
+
+def test_the_lowest_terms_do_not_give_the_wheel_shift():
+    # On WHEEL3, X_3 X_2 certifies with s1_twice = 1, yet the commutation
+    # form of the two lowest exponents is 0: the product's lowest term
+    # lies in M2, not in M1.
+    t = load_surface(WHEEL3)
+    seed = initial_seed(pair_from_surface(t))
+    cert = multiply_and_certify(trivial_word(3), trivial_word(2), t, seed)
+    assert (str(cert.v), str(cert.w), cert.s1_twice) == ("3", "2", 1)
+    from qcluster.expansion import quantum_expansion
+
+    lo = [min(quantum_expansion(trivial_word(i), t, seed).element.terms) for i in (3, 2)]
+    lam = seed.base_pair.lam
+    assert sum(lo[0][i] * lam[i][j] * lo[1][j] for i in range(t.m) for j in range(t.m)) == 0
+    lowest = min(cert.product.terms)
+    assert lowest in cert.m2.terms and lowest not in cert.m1.terms

@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import json
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +22,8 @@ from qcluster.surface import (
 from qcluster.torus import check_compatible
 
 from conftest import ANNULUS_21, SURFACES, WHEEL3, write_malformed
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def test_bundled_names_cover_the_corpus():
@@ -128,8 +132,15 @@ def test_find_lambda_pads_a_single_column():
 
 
 def test_find_lambda_reports_unreachable_case():
-    with pytest.raises(NoCompatibleLambda):
+    with pytest.raises(NoCompatibleLambda) as info:
         find_lambda([[0]])
+    assert str(info.value) == "no integer skew lambda solves the system for any uniform d"
+
+
+def test_find_lambda_solves_a_uniform_d_above_eight():
+    lam = find_lambda([[0, 20], [-20, 0]])
+    assert lam == [[0, 1], [-1, 0]]
+    assert check_compatible([[0, 20], [-20, 0]], lam) == (20, 20)
 
 
 def test_find_lambda_results_are_certified():
@@ -349,6 +360,11 @@ def dense_size_reduce(x, kernel):
     return x
 
 
+# the former search's caps: uniform d and |entries| at most 8
+DENSE_D_MAX = 8
+DENSE_BOUND = 8
+
+
 def dense_find_lambda(b_tilde):
     """The former find_lambda, reducing the dense system again for each d."""
     m = len(b_tilde)
@@ -371,7 +387,7 @@ def dense_find_lambda(b_tilde):
                     a_cols[index[(i, l)]][row] += coeff
                 else:
                     a_cols[index[(l, i)]][row] -= coeff
-    for d in range(1, surface._LAMBDA_D_MAX + 1):
+    for d in range(1, DENSE_D_MAX + 1):
         rhs = [0] * (m * n)
         for j in range(n):
             rhs[j * n + j] = -d
@@ -379,7 +395,7 @@ def dense_find_lambda(b_tilde):
         if solved is None:
             continue
         x = dense_size_reduce(*solved)
-        if max((abs(v) for v in x), default=0) > surface._LAMBDA_BOUND:
+        if max((abs(v) for v in x), default=0) > DENSE_BOUND:
             continue
         lam = [[0] * m for _ in range(m)]
         for (i, j), k in index.items():
@@ -430,19 +446,25 @@ def test_find_lambda_equals_the_dense_reduction_on_random_polygons():
         assert find_lambda(b) == dense_find_lambda(b), json.dumps(data)
 
 
-def test_find_lambda_reduces_once_and_back_substitutes_per_d(annulus, monkeypatch):
-    calls = {"reduce": 0, "solve": 0}
-    reduce, solve = surface._reduce_columns, surface._solve_integer_system
+def test_find_lambda_equals_the_dense_reduction_on_polygon_verify_draws():
+    """The 10-, 12- and 14-gons the bench's polygon_verify draws for seeds 1..5."""
+    sys.path.insert(0, str(BENCH))
+    try:
+        from polygons import polygon
+        from workloads import POLYGONS
+    finally:
+        sys.path.remove(str(BENCH))
+    for seed in range(1, 6):
+        rng = random.Random(f"polygon_verify:{seed}")
+        for n, internal in POLYGONS.items():
+            data = polygon(n, internal, rng)
+            b = b_matrix(load_surface(data))
+            assert find_lambda(b) == dense_find_lambda(b), json.dumps(data)
 
-    def counted_reduce(*args):
-        calls["reduce"] += 1
-        return reduce(*args)
 
-    def counted_solve(*args):
-        calls["solve"] += 1
-        return solve(*args)
-
-    monkeypatch.setattr(surface, "_reduce_columns", counted_reduce)
-    monkeypatch.setattr(surface, "_solve_integer_system", counted_solve)
+def test_find_lambda_reduces_once_and_derives_d(annulus, monkeypatch):
+    calls = []
+    reduce = surface._reduce_columns
+    monkeypatch.setattr(surface, "_reduce_columns", lambda *args: calls.append(args) or reduce(*args))
     assert pair_from_surface(annulus).d == (2, 2)
-    assert calls == {"reduce": 1, "solve": 2}
+    assert len(calls) == 1
