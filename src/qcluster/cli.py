@@ -70,8 +70,6 @@ def parse_string(text: str, quiver) -> StringWord:
         else:
             letters.append((a, b))
         expect_vertex = not expect_vertex
-    if len(letters) != len(vertices) - 1:
-        raise click.ClickException("letters must sit between arc ids")
     built = []
     for p, (direct, name) in enumerate(letters):
         src, tgt = vertices[p], vertices[p + 1]

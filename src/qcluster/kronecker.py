@@ -3,15 +3,24 @@
 Over the annulus the arcs wrapping s times produce snake graphs with
 2s+1 tiles (family "G") and 2s tiles (family "H"), the tiles crossing
 arcs 1 and 2 alternately.  Each tile carries an integer alpha-weight
-depending only on its offset from the middle; summing the weights over
-the enclosed tiles of a matching reproduces the valuation distribution
-dimension by dimension, which the four recursions below prove by
-induction.  The series r_s built from alpha therefore equals the snake
-expansion of the (2s+1)-tile string.
+depending only on its offset from the middle.  The four recursions
+below, with the anchors v_{G_s}({2s, 2s+1}) = 1 and v_{H_s}({2s}) = s - 1,
+prove by induction that alpha and the valuation v agree dimension by
+dimension, so the series r_s built from alpha equals the snake expansion
+of the (2s+1)-tile string.  A set N with dimension vector (u, w) has its
+row's alpha step alpha(N) - alpha(restriction); v's step is the same on
+G_s and negated on H_s:
+
+    row          N in  last in N  also needs                      restriction              alpha step
+    drop last    G_s   2s+1: no   -                               N in H_s                 -u
+    keep last    G_s   2s+1: yes  2s in N                         N - {2s, 2s+1} in G_s-1  -u + w + 1
+    H keep last  H_s   2s: yes    -                               N - {2s} in G_s-1        -s + w
+    H drop last  H_s   2s: no     2s-1 not in N; N = {} if s = 1  N in H_s-1               -u + w
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -82,14 +91,11 @@ def family_word(t: Triangulation, s: int, family: str = "G") -> StringWord:
 def build_weighted(t: Triangulation, s: int, family: str = "G") -> WeightedSnake:
     """G_s or H_s: the family word's snake graph with its alpha-weights."""
     word = family_word(t, s, family)
-    alphas = []
-    for j, arc in enumerate(word.vertices, start=1):
-        offset = j - s - 1
-        if family == "G":
-            alphas.append(offset if arc == 1 else -offset)
-        else:
-            alphas.append(offset + 1 if arc == 1 else -offset)
-    return WeightedSnake(family, s, label_snake(word, t), tuple(alphas))
+    alphas = tuple(
+        j - s - 1 + (family == "H") if arc == 1 else s + 1 - j
+        for j, arc in enumerate(word.vertices, start=1)
+    )
+    return WeightedSnake(family, s, label_snake(word, t), alphas)
 
 
 def alpha_of_set(ws: WeightedSnake, indices) -> int:
@@ -113,25 +119,24 @@ def weighted_series(ws: WeightedSnake, seed: QuantumSeed) -> TorusElement:
 
 
 def equality_check(ws: WeightedSnake) -> bool:
-    """Per-dimension multisets of alpha and of the valuation must agree."""
+    """Per dimension vector, alpha and the valuation take the same multiset of values."""
     alphas, values = ws.tables
-    by_dim_alpha: dict = {}
-    by_dim_value: dict = {}
-    for indices, a in alphas.items():
-        dim = dimension_vector(ws.graph.word, indices, n=2)
-        by_dim_alpha.setdefault(dim, []).append(a)
-        by_dim_value.setdefault(dim, []).append(values[indices])
-    return all(
-        sorted(by_dim_alpha[dim]) == sorted(by_dim_value[dim])
-        for dim in by_dim_alpha
-    )
+    dims = {N: dimension_vector(ws.graph.word, N, n=2) for N in alphas}
+    return Counter((dims[N], alphas[N]) for N in dims) == Counter((dims[N], values[N]) for N in dims)
 
 
 def recursion_checks(ws: WeightedSnake) -> list:
     """Check the four twist-set recursions at the level of ws; return failures.
 
-    ws is G_s or H_s.  The other levels the recursions read (H_s or G_s,
-    G_{s-1}, and H_{s-1} from s = 2 on) are built here.
+    ws is G_s or H_s; the levels the rows read are built here.  Each set of
+    G_s, then of H_s, is checked against its row, for alpha and for v (v's
+    step is negated on H_s); a set lacking what its row needs is not compared:
+
+        row          N in  last in N  also needs                      restriction              alpha step
+        drop last    G_s   2s+1: no   -                               N in H_s                 -u
+        keep last    G_s   2s+1: yes  2s in N                         N - {2s, 2s+1} in G_s-1  -u + w + 1
+        H keep last  H_s   2s: yes    -                               N - {2s} in G_s-1        -s + w
+        H drop last  H_s   2s: no     2s-1 not in N; N = {} if s = 1  N in H_s-1               -u + w
     """
     s = ws.s
     if s < 1:
@@ -139,79 +144,44 @@ def recursion_checks(ws: WeightedSnake) -> list:
     t = ws.graph.triangulation
     other = build_weighted(t, s, "H" if ws.family == "G" else "G")
     g_s, h_s = (ws, other) if ws.family == "G" else (other, ws)
-    a_gs, v_gs = g_s.tables
-    a_hs, v_hs = h_s.tables
-    a_gp, v_gp = build_weighted(t, s - 1, "G").tables
+    levels = {f"G{s}": g_s.tables, f"H{s}": h_s.tables, f"G{s - 1}": build_weighted(t, s - 1, "G").tables}
     if s >= 2:
-        a_hp, v_hp = build_weighted(t, s - 1, "H").tables
+        levels[f"H{s - 1}"] = build_weighted(t, s - 1, "H").tables
     failures = []
-
-    last_g = 2 * s + 1
-    for indices in a_gs:
-        u, w_count = dimension_vector(g_s.graph.word, indices, n=2)
-        if last_g not in indices:
-            # same set inside the one-tile-shorter family
-            if indices not in a_hs:
-                failures.append(f"G{s} set {sorted(indices)} missing from H{s}")
+    for level, last, sign in ((g_s, 2 * s + 1, 1), (h_s, 2 * s, -1)):
+        name = f"{level.family}{s}"
+        for N in levels[name][0]:
+            u, w = dimension_vector(level.graph.word, N, n=2)
+            broken, missing = None, "does not restrict to"
+            if level is g_s and last not in N:
+                rule, cut, into, step, missing = "drop last", (), f"H{s}", -u, "missing from"
+            elif level is g_s:
+                rule, cut, into, step = "keep last", (last - 1, last), f"G{s - 1}", -u + w + 1
+                broken = last - 1 not in N and f"contains {last} without {last - 1}"
+            elif last in N:
+                rule, cut, into, step = "H keep last", (last,), f"G{s - 1}", -s + w
+            else:
+                rule, cut, into, step = "H drop last", (), f"H{s - 1}", -u + w
+                broken = last - 1 in N and f"contains {last - 1} without {last}"
+                broken = broken or (s == 1 and N and "should be empty without tile 2")
+            if broken:
+                failures.append(f"{name} set {sorted(N)} {broken}")
                 continue
-            if a_gs[indices] != a_hs[indices] - u:
-                failures.append(f"alpha recursion (drop last) fails at {sorted(indices)}")
-            if v_gs[indices] != v_hs[indices] - u:
-                failures.append(f"valuation recursion (drop last) fails at {sorted(indices)}")
-        else:
-            if last_g - 1 not in indices:
-                failures.append(
-                    f"G{s} set {sorted(indices)} contains {last_g} without {last_g - 1}"
-                )
+            if into not in levels:  # H_0: the empty set of H_1 has no recursion
                 continue
-            smaller = frozenset(indices - {last_g, last_g - 1})
-            if smaller not in a_gp:
-                failures.append(f"G{s} set {sorted(indices)} does not restrict to G{s - 1}")
+            smaller = N.difference(cut)
+            if smaller not in levels[into][0]:
+                failures.append(f"{name} set {sorted(N)} {missing} {into}")
                 continue
-            expected = a_gp[smaller] - u + w_count + 1
-            if a_gs[indices] != expected:
-                failures.append(f"alpha recursion (keep last) fails at {sorted(indices)}")
-            if v_gs[indices] != v_gp[smaller] - u + w_count + 1:
-                failures.append(f"valuation recursion (keep last) fails at {sorted(indices)}")
-
-    last_h = 2 * s
-    for indices in a_hs:
-        u, w_count = dimension_vector(h_s.graph.word, indices, n=2)
-        if last_h in indices:
-            smaller = frozenset(indices - {last_h})
-            if smaller not in a_gp:
-                failures.append(f"H{s} set {sorted(indices)} does not restrict to G{s - 1}")
-                continue
-            if a_hs[indices] != a_gp[smaller] - s + w_count:
-                failures.append(f"alpha recursion (H keep last) fails at {sorted(indices)}")
-            if v_hs[indices] != v_gp[smaller] + s - w_count:
-                failures.append(f"valuation recursion (H keep last) fails at {sorted(indices)}")
-        else:
-            if last_h - 1 in indices:
-                failures.append(
-                    f"H{s} set {sorted(indices)} contains {last_h - 1} without {last_h}"
-                )
-                continue
-            if s == 1:
-                if indices:
-                    failures.append(f"H1 set {sorted(indices)} should be empty without tile 2")
-                continue
-            if indices not in a_hp:
-                failures.append(f"H{s} set {sorted(indices)} does not restrict to H{s - 1}")
-                continue
-            if a_hs[indices] != a_hp[indices] - u + w_count:
-                failures.append(f"alpha recursion (H drop last) fails at {sorted(indices)}")
-            if v_hs[indices] != v_hp[indices] + u - w_count:
-                failures.append(f"valuation recursion (H drop last) fails at {sorted(indices)}")
-
-    anchor_g = frozenset({last_g - 1, last_g})
-    if anchor_g in v_gs and v_gs[anchor_g] != 1:
-        failures.append(f"anchor valuation of {sorted(anchor_g)} in G{s} is {v_gs[anchor_g]}, want 1")
-    if anchor_g not in v_gs:
-        failures.append(f"anchor set {sorted(anchor_g)} missing from G{s}")
-    anchor_h = frozenset({last_h})
-    if anchor_h in v_hs and v_hs[anchor_h] != s - 1:
-        failures.append(f"anchor valuation of {sorted(anchor_h)} in H{s} is {v_hs[anchor_h]}, want {s - 1}")
-    if anchor_h not in v_hs:
-        failures.append(f"anchor set {sorted(anchor_h)} missing from H{s}")
+            changes = zip(("alpha", "valuation"), levels[name], levels[into], (step, sign * step))
+            for kind, table, before, change in changes:
+                if table[N] != before[smaller] + change:
+                    failures.append(f"{kind} recursion ({rule}) fails at {sorted(N)}")
+    anchors = ((f"G{s}", frozenset({2 * s, 2 * s + 1}), 1), (f"H{s}", frozenset({2 * s}), s - 1))
+    for name, anchor, want in anchors:
+        values = levels[name][1]
+        if anchor not in values:
+            failures.append(f"anchor set {sorted(anchor)} missing from {name}")
+        elif values[anchor] != want:
+            failures.append(f"anchor valuation of {sorted(anchor)} in {name} is {values[anchor]}, want {want}")
     return failures

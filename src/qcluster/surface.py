@@ -345,10 +345,21 @@ def _reduce_columns(a_cols: list[dict[int, int]], nrows: int) -> tuple:
 
 
 def _size_reduce(x: list[int], kernel: list[dict[int, int]]) -> list[int]:
-    """Greedy lattice reduction of x modulo the kernel (sparse, nonzero vectors), minimizing norm."""
+    """Greedy lattice reduction of x modulo the kernel (sparse, nonzero vectors), minimizing norm.
+
+    Passes repeat until one changes nothing; that pass always comes.  The kernel
+    vectors are transform columns of a unimodular matrix, so they are
+    independent.  A step x -= t v, t being <x, v> / |v|^2 rounded half up,
+    with t != 0 never raises |x|^2, and keeps it only when t = 1 and
+    2<x, v> = |v|^2.  |x|^2 is a non-negative integer and only finitely many
+    integer vectors share a norm, so an endless run would return to a state
+    through steps that all keep |x|^2: then sum c_i v_i = 0 with every
+    c_i >= 0 and some c_i > 0, which independence rules out.
+    """
     x = list(x)
     norms = [(v, sum(a * a for a in v.values())) for v in kernel]
-    for _ in range(200):
+    changed = True
+    while changed:
         changed = False
         for v, vv in norms:
             t = (2 * sum(x[i] * a for i, a in v.items()) + vv) // (2 * vv)
@@ -356,8 +367,6 @@ def _size_reduce(x: list[int], kernel: list[dict[int, int]]) -> list[int]:
                 for i, a in v.items():
                     x[i] -= t * a
                 changed = True
-        if not changed:
-            break
     return x
 
 

@@ -23,7 +23,7 @@ from qcluster.errors import UnreachableSubmodule
 from qcluster.snake import enumerate_matchings, label_snake
 from qcluster.strings import enumerate_strings, trivial_word
 
-from conftest import write_malformed
+from conftest import ANNULUS_21, write_malformed
 from test_surface import random_polygon
 
 
@@ -51,6 +51,21 @@ def test_parse_string_completes_omitted_names(quivers):
 def test_parse_string_rejects_unknown_arrows(quivers):
     with pytest.raises(Exception):
         parse_string("1 >z> 2", quivers["annulus"])
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1 x >a> 2", "cannot parse string near ' x >a> 2'"),
+        ("1 >a> 2 junk", "cannot parse string near ' junk'"),
+        (">a> 2", "a string starts and ends with an arc id"),
+        ("1 2", "arc ids and letters must alternate"),
+    ],
+)
+def test_a_malformed_string_exits_with_its_parse_error(runner, text, message):
+    res = runner.invoke(main, ["expand", "-s", "annulus", "--string", text])
+    assert res.exit_code == 1
+    assert res.output == f"Error: {message}\n"
 
 
 def test_validate_command(runner):
@@ -390,6 +405,20 @@ def test_kronecker_level_zero_runs_no_recursion(runner):
     assert res.output == "Error: recursions start at s = 1\n"
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["-s", "pentagon", "--s", "1"], "surface does not have the double arrow 1 -> 2"),
+        (["-s", "annulus", "--s", "-1"], "family G needs s >= 0"),
+        (["-s", "annulus", "--family", "H", "--s", "0"], "family H needs s >= 1"),
+    ],
+)
+def test_kronecker_reports_a_family_word_it_cannot_build(runner, args, message):
+    res = runner.invoke(main, ["kronecker"] + args)
+    assert res.exit_code == 1
+    assert res.output == f"Error: {message}\n"
+
+
 def test_kronecker_structured_output_names_recursion_failures_only_under_check(runner):
     args = ["kronecker", "-s", "annulus", "--s", "2", "--format", "structured"]
     assert "recursion_failures" not in json.loads(runner.invoke(main, args).output)
@@ -543,6 +572,32 @@ def test_verify_builds_one_graph_and_one_table_pair_per_word(runner, monkeypatch
         "valuation_v_gamma": len(words),
         "enclosed_tiles": matchings,
     }
+
+
+def test_verify_reports_the_k_delta_strings_of_annulus_21_as_failures(runner, tmp_path):
+    """On A(2, 1) the two strings of dimension vector (1, 1, 1) have an
+    expansion that is not bar-invariant; verify lists both and exits 1."""
+    path = tmp_path / "annulus21.json"
+    path.write_text(json.dumps(ANNULUS_21))
+    args = ["verify", "-s", str(path), "--max-length", "3"]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 1
+    lines = res.output.splitlines()
+    assert lines[0] == "seed: compatible, d=[2, 2, 2]; mutations involutive"
+    assert [line for line in lines[1:-1] if not line.startswith("ok   ")] == [
+        "FAIL 1 <a< 2 >c> 3 [expansion]: AssertionError: expansion is not bar-invariant",
+        "FAIL 1 >b> 3 <c< 2 [expansion]: AssertionError: expansion is not bar-invariant",
+    ]
+    assert len(lines) == 34
+    assert lines[-1] == "8 strings, 32 checks, 2 failures"
+    res = runner.invoke(main, args + ["--format", "structured"])
+    assert res.exit_code == 1
+    data = json.loads(res.output)
+    assert data["failures"] == 2 and len(data["checks"]) == 32
+    assert [row for row in data["checks"] if not row["ok"]] == [
+        {"string": word, "check": "expansion", "ok": False, "message": "AssertionError: expansion is not bar-invariant"}
+        for word in ("1 <a< 2 >c> 3", "1 >b> 3 <c< 2")
+    ]
 
 
 def test_verify_output_is_reproducible(runner):

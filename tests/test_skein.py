@@ -333,3 +333,41 @@ def test_the_lowest_terms_do_not_give_the_wheel_shift():
     assert sum(lo[0][i] * lam[i][j] * lo[1][j] for i in range(t.m) for j in range(t.m)) == 0
     lowest = min(cert.product.terms)
     assert lowest in cert.m2.terms and lowest not in cert.m1.terms
+
+
+# POLYGON_DRAWS[11] of test_surface.py: a 7-gon with an internal triangle
+# (2, 4, 3), so its quiver is the 3-cycle b, c, d with all three
+# relations, plus a: 3 -> 1.
+HEPTAGON_WITH_A_CYCLE = {
+    "name": "heptagon",
+    "arcs": [{"id": i, "kind": "internal"} for i in range(1, 5)]
+    + [{"id": i, "kind": "boundary"} for i in range(5, 12)],
+    "triangles": [[5, 1, 11], [6, 3, 1], [9, 10, 4], [7, 8, 2], [2, 4, 3]],
+}
+
+
+def test_an_overlap_closed_by_a_connector_string(monkeypatch):
+    from qcluster import strings
+    from qcluster.cli import parse_string
+
+    t = load_surface(HEPTAGON_WITH_A_CYCLE)
+    q, seed = build_quiver(t), initial_seed(pair_from_surface(t))
+    v, w = parse_string("1 <a< 3 >d> 2", q), parse_string("3 <c< 4", q)
+    connected = []
+    real = strings._connector_factor
+
+    def spied(*args):
+        connected.append(real(*args))
+        return connected[-1]
+
+    monkeypatch.setattr(strings, "_connector_factor", spied)
+    (ext,) = strings.all_extensions(v, w, q)
+    assert (ext.kind, str(ext.u1), [str(u.word) for u in ext.u2_options]) == ("overlap", "3 >d> 2", ["1 <a< 3 <c< 4"])
+    # u3 is left open; u4 joins the two right ends through the connector b^-1
+    assert ext.u3.kind == "open"
+    assert (ext.u4.kind, str(ext.u4.word)) == ("string", "4 <b< 2")
+    assert ext.u4 in connected
+    cert = multiply_and_certify(v, w, t, seed)
+    assert (str(cert.v), str(cert.w), cert.extension.kind) == ("1 <a< 3 >d> 2", "3 <c< 4", "overlap")
+    assert (cert.s1_twice, cert.s2_twice, cert.m2_source) == (1, 0, "solved")
+    assert cert.identity_verified
