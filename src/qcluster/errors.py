@@ -19,6 +19,7 @@ __all__ = [
     "NotNormalizable",
     "NoCompatibleLambda",
     "InvalidSurface",
+    "UnknownArrow",
     "NotComposable",
     "NotReduced",
     "RelationViolated",
@@ -82,6 +83,10 @@ class NoCompatibleLambda(QClusterError):
 
 class InvalidSurface(QClusterError):
     """A surface file violates the triangulation contract."""
+
+
+class UnknownArrow(QClusterError, KeyError):
+    """The quiver has no arrow of the given name."""
 
 
 class InvalidString(QClusterError):

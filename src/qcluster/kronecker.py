@@ -66,6 +66,11 @@ class WeightedSnake:
             v_by_set[indices] = v[P]
         return alpha_by_set, v_by_set
 
+    @cached_property
+    def dims(self) -> dict:
+        """Each index set of the tables -> its dimension vector (u, w), taken once."""
+        return {N: dimension_vector(self.graph.word, N, n=2) for N in self.tables[0]}
+
 
 def family_word(t: Triangulation, s: int, family: str = "G") -> StringWord:
     """The alternating (1,2)-word with 2s+1 (G) or 2s (H) vertices over t's quiver."""
@@ -120,8 +125,7 @@ def weighted_series(ws: WeightedSnake, seed: QuantumSeed) -> TorusElement:
 
 def equality_check(ws: WeightedSnake) -> bool:
     """Per dimension vector, alpha and the valuation take the same multiset of values."""
-    alphas, values = ws.tables
-    dims = {N: dimension_vector(ws.graph.word, N, n=2) for N in alphas}
+    (alphas, values), dims = ws.tables, ws.dims
     return Counter((dims[N], alphas[N]) for N in dims) == Counter((dims[N], values[N]) for N in dims)
 
 
@@ -150,8 +154,7 @@ def recursion_checks(ws: WeightedSnake) -> list:
     failures = []
     for level, last, sign in ((g_s, 2 * s + 1, 1), (h_s, 2 * s, -1)):
         name = f"{level.family}{s}"
-        for N in levels[name][0]:
-            u, w = dimension_vector(level.graph.word, N, n=2)
+        for N, (u, w) in level.dims.items():
             broken, missing = None, "does not restrict to"
             if level is g_s and last not in N:
                 rule, cut, into, step, missing = "drop last", (), f"H{s}", -u, "missing from"

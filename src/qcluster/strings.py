@@ -16,6 +16,10 @@ it on the left (or i = 1) and an inverse letter on the right (or
 j = d), the form the generator of canonical sets builds from.  Index
 sets are frozensets throughout, and an extension's smoothing factors are
 SmoothingFactor values of kind string, arc, unit or open.
+
+An overlap extension is a common substring crossed in opposite fashion.
+Three facts of _overlap_extensions trim its search: one length per start
+pair, two orientations of four, no relation check at a single vertex.
 """
 
 from __future__ import annotations
@@ -329,13 +333,6 @@ class Extension:
         return (self.kind, (k1,))
 
 
-def _flank_factor_other_triangle(q: QuiverWithRelations, arc: int, avoid_triangle: int, ccw: bool) -> SmoothingFactor:
-    t = q.triangulation
-    other = t.other_triangle_at(arc, avoid_triangle)
-    side = t.ccw_flank(other, arc) if ccw else t.cw_flank(other, arc)
-    return SmoothingFactor("arc", arc=side)
-
-
 def _arrow_extensions(v: StringWord, w: StringWord, q: QuiverWithRelations) -> list:
     """Extensions of M(v) by M(w) glued along one arrow.
 
@@ -361,9 +358,9 @@ def _arrow_extensions(v: StringWord, w: StringWord, q: QuiverWithRelations) -> l
         if not v.is_trivial:
             u3 = _truncation_factor(v, "head_after_inverse")
             u4 = _truncation_factor(v, "tail_before_inverse")
-        elif w.is_trivial:
-            u3 = _flank_factor_other_triangle(q, a.source, a.triangle, ccw=True)
-            u4 = _flank_factor_other_triangle(q, a.target, a.triangle, ccw=False)
+        elif w.is_trivial:  # flanks of a's ends in their other triangles
+            u3 = SmoothingFactor("arc", arc=t.ccw_flank(t.other_triangle_at(a.source, a.triangle), a.source))
+            u4 = SmoothingFactor("arc", arc=t.cw_flank(t.other_triangle_at(a.target, a.triangle), a.target))
         else:
             u3 = u4 = SmoothingFactor("open")
         out.append(
@@ -395,13 +392,13 @@ def _connector_factor(q: QuiverWithRelations, left: StringWord, right: StringWor
     return SmoothingFactor("string", word=candidates[0])
 
 
-def _truncation_factor(piece: StringWord | None, which: str) -> SmoothingFactor:
-    """The string left by truncating piece, open when there is no piece or
-    the truncation collapses to one vertex: there the combinatorial recipe
-    no longer names the factor, and the multiplication solver pins it down
-    from the residual instead."""
-    cut = None if piece is None else _truncate(piece, which)
-    if cut is None or cut.is_trivial:
+def _truncation_factor(piece: StringWord, which: str) -> SmoothingFactor:
+    """The string left by truncating piece, open when the truncation
+    collapses to one vertex: there the combinatorial recipe no longer
+    names the factor, and the multiplication solver pins it down from the
+    residual instead."""
+    cut = _truncate(piece, which)
+    if cut.is_trivial:
         return SmoothingFactor("open")
     return SmoothingFactor("string", word=cut)
 
@@ -413,92 +410,86 @@ def _overlap_extensions(v: StringWord, w: StringWord, q: QuiverWithRelations) ->
     direct, a/d traversed inversely, c direct; any of the four outer
     parts may be absent), the diagonal terms are u1 = v_L b m c w_R and
     u2 = w_L d^{-1} m a^{-1} v_R, and the off-diagonal product joins the
-    leftover ends with uniquely determined inverse connectors.
+    leftover ends with uniquely determined inverse connectors.  They are
+    listed by the length of m, then sv, then sw.  For valid v and w over
+    a quiver of build_quiver, three facts trim the search:
+
+    1. One length per start pair: m is never followed by one letter in
+       both words (a^{-1} is inverse, c direct), so from (sv, sw) only the
+       longest common run can pass.
+    2. Inverting both words turns an overlap of (v, w) into one of
+       (v^{-1}, w^{-1}) with u1 and u2 swapped and inverted, so the same
+       dedup_key: all_extensions searches (v, w) and (v, w^{-1}) only.
+    3. A one-vertex m = x needs no relation check.  Each internal arc lies
+       in two distinct triangles, and arrows compose to zero exactly when
+       they share one, so at most one arrow into x composes with c to a
+       nonzero path.  If a c is not in I, then b c is in I (b != a, as v
+       is reduced) and u1 is invalid, or b is missing, d exists, a d is
+       in I and u2 is invalid; likewise for b d.
     """
+    starts = []
+    for sv in range(1, v.d + 1):
+        for sw in range(1, w.d + 1):
+            if v.vertices[sv - 1] != w.vertices[sw - 1]:
+                continue
+            ev, ew = sv, sw  # m is v[sv..ev] = w[sw..ew]
+            while ev < v.d and ew < w.d and v.letters[ev - 1] == w.letters[ew - 1]:
+                ev, ew = ev + 1, ew + 1
+            b = v.letters[sv - 2] if sv > 1 else None
+            a = v.letters[ev - 1] if ev < v.d else None
+            d = w.letters[sw - 2] if sw > 1 else None
+            c = w.letters[ew - 1] if ew < w.d else None
+            if (b and not b.direct) or (a and a.direct) or (d and d.direct) or (c and not c.direct):
+                continue  # b and c are direct, a and d inverse
+            if not (a or c) or not (b or d):
+                continue  # on each side, m stops short of the end of v or of w
+            starts.append((ev - sv, sv, sw, ev, ew, a, b, c, d))
+
     out = []
-    dv, dw = v.d, w.d
-    for length in range(1, min(dv, dw) + 1):
-        for sv in range(1, dv - length + 2):
-            for sw in range(1, dw - length + 2):
-                mid_v = v.sub(sv, sv + length - 1)
-                mid_w = w.sub(sw, sw + length - 1)
-                if mid_v != mid_w:
-                    continue
-                b = v.letters[sv - 2] if sv > 1 else None
-                a = v.letters[sv + length - 2] if sv + length - 1 < dv else None
-                d = w.letters[sw - 2] if sw > 1 else None
-                c = w.letters[sw + length - 2] if sw + length - 1 < dw else None
-                if b is not None and not b.direct:
-                    continue
-                if a is not None and a.direct:
-                    continue
-                if d is not None and d.direct:
-                    continue
-                if c is not None and not c.direct:
-                    continue
-                if a is None and c is None:
-                    continue
-                if b is None and d is None:
-                    continue
-                if length == 1:
-                    if a is not None and c is not None and (a.arrow.name, c.arrow.name) not in q.relations:
-                        continue
-                    if b is not None and d is not None and (b.arrow.name, d.arrow.name) not in q.relations:
-                        continue
-                v_left = v.sub(1, sv - 1) if sv > 1 else None
-                v_right = v.sub(sv + length, dv) if sv + length - 1 < dv else None
-                w_left = w.sub(1, sw - 1) if sw > 1 else None
-                w_right = w.sub(sw + length, dw) if sw + length - 1 < dw else None
-
-                u1 = mid_v
-                if b is not None:
-                    u1 = concat(v_left, b, u1)
-                if c is not None:
-                    u1 = concat(u1, c, w_right)
-                u2 = mid_v
-                if d is not None:
-                    u2 = concat(w_left, d, u2)
-                if a is not None:
-                    u2 = concat(u2, a, v_right)
-                if not (is_valid_string(u1, q) and is_valid_string(u2, q)):
-                    continue
-
-                if b is not None and d is not None:
-                    u3 = _connector_factor(q, v_left, w_left)
-                elif b is None:
-                    u3 = _truncation_factor(w_left, "tail_before_inverse")
-                else:
-                    u3 = _truncation_factor(v_left, "tail_before_direct")
-                if a is not None and c is not None:
-                    u4 = _connector_factor(q, v_right, w_right)
-                elif a is None:
-                    u4 = _truncation_factor(w_right, "head_after_direct")
-                else:
-                    u4 = _truncation_factor(v_right, "head_after_inverse")
-
-                out.append(
-                    Extension(
-                        kind="overlap",
-                        u1=u1,
-                        u2_options=(SmoothingFactor("string", word=u2),),
-                        u3=u3,
-                        u4=u4,
-                        detail=f"overlap v[{sv}..{sv + length - 1}] = w[{sw}..{sw + length - 1}]",
-                    )
-                )
+    for _, sv, sw, ev, ew, a, b, c, d in sorted(starts, key=lambda start: start[:3]):
+        # u1 is v through m, then w after it; u2 is w through m, then v after it
+        u1 = StringWord(v.vertices[:ev] + w.vertices[ew:], v.letters[: ev - 1] + w.letters[ew - 1 :])
+        u2 = StringWord(w.vertices[:ew] + v.vertices[ev:], w.letters[: ew - 1] + v.letters[ev - 1 :])
+        if not (is_valid_string(u1, q) and is_valid_string(u2, q)):
+            continue
+        if b is not None and d is not None:
+            u3 = _connector_factor(q, v.sub(1, sv - 1), w.sub(1, sw - 1))
+        elif b is None:
+            u3 = _truncation_factor(w.sub(1, sw - 1), "tail_before_inverse")
+        else:
+            u3 = _truncation_factor(v.sub(1, sv - 1), "tail_before_direct")
+        if a is not None and c is not None:
+            u4 = _connector_factor(q, v.sub(ev + 1, v.d), w.sub(ew + 1, w.d))
+        elif a is None:
+            u4 = _truncation_factor(w.sub(ew + 1, w.d), "head_after_direct")
+        else:
+            u4 = _truncation_factor(v.sub(ev + 1, v.d), "head_after_inverse")
+        out.append(
+            Extension(
+                kind="overlap",
+                u1=u1,
+                u2_options=(SmoothingFactor("string", word=u2),),
+                u3=u3,
+                u4=u4,
+                detail=f"overlap v[{sv}..{ev}] = w[{sw}..{ew}]",
+            )
+        )
     return out
 
 
 def all_extensions(v: StringWord, w: StringWord, q: QuiverWithRelations) -> list:
-    """Deduplicated extensions over both argument orders and orientations."""
+    """Deduplicated extensions over both argument orders and orientations,
+    the first found per dedup_key.  Arrows glue all four pairs of ends;
+    overlaps need two orientations (fact 2 of _overlap_extensions)."""
     seen = {}
     for first, second in ((v, w), (w, v)):
         for fo in (first, first.inverse()):
             for so in (second, second.inverse()):
-                for ext in _arrow_extensions(fo, so, q) + _overlap_extensions(fo, so, q):
-                    key = ext.dedup_key()
-                    if key not in seen:
-                        seen[key] = ext
+                found = _arrow_extensions(fo, so, q)
+                if fo is first:
+                    found += _overlap_extensions(fo, so, q)
+                for ext in found:
+                    seen.setdefault(ext.dedup_key(), ext)
     return [seen[k] for k in sorted(seen)]
 
 

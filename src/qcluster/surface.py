@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from math import gcd
 from pathlib import Path
 
-from .errors import InvalidSurface, NoCompatibleLambda
+from .errors import InvalidSurface, NoCompatibleLambda, UnknownArrow
 from .torus import CompatiblePair
 
 __all__ = [
@@ -154,7 +154,7 @@ class QuiverWithRelations:
         for a in self.arrows:
             if a.name == name:
                 return a
-        raise KeyError(f"no arrow named {name!r}")
+        raise UnknownArrow(f"no arrow named {name!r}")
 
 
 def bundled_surface_names() -> list[str]:

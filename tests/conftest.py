@@ -24,6 +24,17 @@ WHEEL3 = {
 }
 
 
+# POLYGON_DRAWS[11] of test_surface.py: a 7-gon with an internal triangle
+# (2, 4, 3), so its quiver is the 3-cycle b, c, d with all three
+# relations, plus a: 3 -> 1.
+HEPTAGON_WITH_A_CYCLE = {
+    "name": "heptagon",
+    "arcs": [{"id": i, "kind": "internal"} for i in range(1, 5)]
+    + [{"id": i, "kind": "boundary"} for i in range(5, 12)],
+    "triangles": [[5, 1, 11], [6, 3, 1], [9, 10, 4], [7, 8, 2], [2, 4, 3]],
+}
+
+
 @pytest.fixture(scope="session")
 def surfaces():
     return {name: load_surface(name) for name in SURFACES}

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 
 import pytest
 
@@ -29,7 +30,7 @@ from qcluster.strings import (
 from qcluster.kronecker import family_word
 from qcluster.surface import build_quiver, load_surface
 
-from conftest import SURFACES, WHEEL3, make_word
+from conftest import ANNULUS_21, HEPTAGON_WITH_A_CYCLE, SURFACES, WHEEL3, make_word
 
 
 def test_trivial_word_is_a_lone_vertex():
@@ -343,3 +344,131 @@ def test_extension_keys_do_not_depend_on_the_order_or_orientation_of_the_pair(qu
                 with_extension += bool(keys[0])
                 classes += len(keys[0])
     assert (pairs, with_extension, classes) == (110, 62, 103)
+
+
+# The overlap search and all_extensions as they were before the search
+# took one length per start pair and half the orientations: the reference.
+
+
+def reference_overlap_extensions(v, w, q):
+    out = []
+    dv, dw = v.d, w.d
+    for length in range(1, min(dv, dw) + 1):
+        for sv in range(1, dv - length + 2):
+            for sw in range(1, dw - length + 2):
+                mid_v = v.sub(sv, sv + length - 1)
+                mid_w = w.sub(sw, sw + length - 1)
+                if mid_v != mid_w:
+                    continue
+                b = v.letters[sv - 2] if sv > 1 else None
+                a = v.letters[sv + length - 2] if sv + length - 1 < dv else None
+                d = w.letters[sw - 2] if sw > 1 else None
+                c = w.letters[sw + length - 2] if sw + length - 1 < dw else None
+                if b is not None and not b.direct:
+                    continue
+                if a is not None and a.direct:
+                    continue
+                if d is not None and d.direct:
+                    continue
+                if c is not None and not c.direct:
+                    continue
+                if a is None and c is None:
+                    continue
+                if b is None and d is None:
+                    continue
+                if length == 1:
+                    if a is not None and c is not None and (a.arrow.name, c.arrow.name) not in q.relations:
+                        continue
+                    if b is not None and d is not None and (b.arrow.name, d.arrow.name) not in q.relations:
+                        continue
+                v_left = v.sub(1, sv - 1) if sv > 1 else None
+                v_right = v.sub(sv + length, dv) if sv + length - 1 < dv else None
+                w_left = w.sub(1, sw - 1) if sw > 1 else None
+                w_right = w.sub(sw + length, dw) if sw + length - 1 < dw else None
+
+                u1 = mid_v
+                if b is not None:
+                    u1 = strings.concat(v_left, b, u1)
+                if c is not None:
+                    u1 = strings.concat(u1, c, w_right)
+                u2 = mid_v
+                if d is not None:
+                    u2 = strings.concat(w_left, d, u2)
+                if a is not None:
+                    u2 = strings.concat(u2, a, v_right)
+                if not (is_valid_string(u1, q) and is_valid_string(u2, q)):
+                    continue
+
+                if b is not None and d is not None:
+                    u3 = strings._connector_factor(q, v_left, w_left)
+                elif b is None:
+                    u3 = strings._truncation_factor(w_left, "tail_before_inverse")
+                else:
+                    u3 = strings._truncation_factor(v_left, "tail_before_direct")
+                if a is not None and c is not None:
+                    u4 = strings._connector_factor(q, v_right, w_right)
+                elif a is None:
+                    u4 = strings._truncation_factor(w_right, "head_after_direct")
+                else:
+                    u4 = strings._truncation_factor(v_right, "head_after_inverse")
+
+                out.append(
+                    strings.Extension(
+                        kind="overlap",
+                        u1=u1,
+                        u2_options=(strings.SmoothingFactor("string", word=u2),),
+                        u3=u3,
+                        u4=u4,
+                        detail=f"overlap v[{sv}..{sv + length - 1}] = w[{sw}..{sw + length - 1}]",
+                    )
+                )
+    return out
+
+
+def reference_all_extensions(v, w, q):
+    seen = {}
+    for first, second in ((v, w), (w, v)):
+        for fo in (first, first.inverse()):
+            for so in (second, second.inverse()):
+                for ext in strings._arrow_extensions(fo, so, q) + reference_overlap_extensions(fo, so, q):
+                    key = ext.dedup_key()
+                    if key not in seen:
+                        seen[key] = ext
+    return [seen[k] for k in sorted(seen)]
+
+
+# polygon(8, 1, random.Random(3)) of bench/polygons.py, with the internal
+# triangle (2, 5, 3): its overlaps are closed by connectors on both sides,
+# some found and some left open.
+OCTAGON_WITH_A_CYCLE = {
+    "name": "octagon",
+    "arcs": [{"id": i, "kind": "internal"} for i in range(1, 6)]
+    + [{"id": i, "kind": "boundary"} for i in range(6, 14)],
+    "triangles": [[6, 7, 1], [1, 3, 13], [8, 9, 2], [2, 5, 3], [10, 11, 4], [4, 12, 5]],
+}
+
+
+def test_all_extensions_equals_the_full_search(surfaces, quivers):
+    """Every ordered pair of short strings on the bundled surfaces,
+    WHEEL3, ANNULUS_21, the heptagon and the octagon, and G_s/H_s
+    (s = 1..8) against the annulus strings of up to 6 vertices: the same
+    list, in order, down to each extension's detail and smoothing factors.
+    The 1,106 extensions include 358 overlaps along a single vertex, where
+    the reference still checks the relations."""
+    groups = [(quivers[name], enumerate_strings(quivers[name], 7)) for name in SURFACES]
+    for data, size in ((WHEEL3, 8), (ANNULUS_21, 8), (HEPTAGON_WITH_A_CYCLE, 7), (OCTAGON_WITH_A_CYCLE, 5)):
+        q = build_quiver(load_surface(data))
+        groups.append((q, enumerate_strings(q, size)))
+    pairs = [(q, v, w) for q, words in groups for v in words for w in words]
+    q = quivers["annulus"]
+    families = [family_word(surfaces["annulus"], s, f) for s in range(1, 9) for f in "GH"]
+    pairs += [(q, *pair) for g in families for w in enumerate_strings(q, 6) for pair in ((g, w), (w, g))]
+    kinds = {"arrow": 0, "overlap": 0, "one-vertex overlap": 0}
+    for q, v, w in pairs:
+        exts = all_extensions(v, w, q)
+        assert exts == reference_all_extensions(v, w, q), (str(v), str(w))
+        for ext in exts:
+            kinds[ext.kind] += 1
+            kinds["one-vertex overlap"] += bool(re.fullmatch(r"overlap v\[(\d+)\.\.\1\] .*", ext.detail))
+    assert len(pairs) == 913
+    assert kinds == {"arrow": 443, "overlap": 663, "one-vertex overlap": 358}

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from qcluster import surface
-from qcluster.errors import InvalidSurface, NoCompatibleLambda
+from qcluster.errors import InvalidSurface, NoCompatibleLambda, QClusterError
 from qcluster.surface import (
     b_matrix,
     build_quiver,
@@ -114,6 +114,8 @@ def test_corpus_quivers_are_gentle(quivers):
 
 def test_arrow_named_raises_on_unknown_name(quivers):
     with pytest.raises(KeyError):
+        quivers["annulus"].arrow_named("z")
+    with pytest.raises(QClusterError, match="no arrow named 'z'"):
         quivers["annulus"].arrow_named("z")
 
 
