@@ -377,7 +377,18 @@ def _arrow_extensions(v: StringWord, w: StringWord, q: QuiverWithRelations) -> l
 
 
 def _connector_factor(q: QuiverWithRelations, left: StringWord, right: StringWord) -> SmoothingFactor:
-    """left f^{-1} right for the unique arrow f making a valid string."""
+    """left f^{-1} right for the unique arrow f making a valid string.
+
+    Two arrows can qualify only when left and right are both one vertex
+    and two parallel arrows run from right to left: a letter at either end
+    leaves at most one of two parallel arrows, since the string must stay
+    reduced (a vertex has at most two arrows in and two out) and avoid the
+    relations (an arrow composes nonzero with at most one arrow).  The
+    overlap search does pass such ends, as u3 of 1 >b> 3 and 2 <c< 3 >e> 4
+    on an annulus with 3 + 1 marked points, where the arcs 1 and 2 bound an
+    internal triangle and the triangle on the inner boundary.  The recipe
+    names no choice there, so this raises :class:`AmbiguousConnector`.
+    """
     candidates = []
     for f in q.arrows_between(right.vertices[0], left.vertices[-1]):
         joined = concat(left, Letter(f, False), right)
@@ -481,12 +492,13 @@ def all_extensions(v: StringWord, w: StringWord, q: QuiverWithRelations) -> list
     """Deduplicated extensions over both argument orders and orientations,
     the first found per dedup_key.  Arrows glue all four pairs of ends;
     overlaps need two orientations (fact 2 of _overlap_extensions)."""
+    v_both, w_both = (v, v.inverse()), (w, w.inverse())
     seen = {}
-    for first, second in ((v, w), (w, v)):
-        for fo in (first, first.inverse()):
-            for so in (second, second.inverse()):
+    for firsts, seconds in ((v_both, w_both), (w_both, v_both)):
+        for fo in firsts:
+            for so in seconds:
                 found = _arrow_extensions(fo, so, q)
-                if fo is first:
+                if fo is firsts[0]:
                     found += _overlap_extensions(fo, so, q)
                 for ext in found:
                     seen.setdefault(ext.dedup_key(), ext)

@@ -300,27 +300,31 @@ def b_matrix(t: Triangulation) -> list[list[int]]:
 # -- integer linear algebra for find_lambda ---------------------------
 
 
-def _reduce_columns(a_cols: list[dict[int, int]], nrows: int) -> tuple:
-    """Column-reduce A to echelon form with a tracked unimodular transform.
+def _sub_scaled(target: dict[int, int], source: dict[int, int], factor: int) -> None:
+    """target -= factor * source on sparse vectors; factor and source's entries are nonzero."""
+    for k, v in source.items():
+        t = target.get(k, 0) - factor * v
+        if t:
+            target[k] = t
+        else:
+            del target[k]
 
-    ``a_cols`` holds the columns of A as sparse ``{row: value}`` dicts; the
-    transform starts as the identity, also as sparse columns, and takes every
-    column operation.  Returns (echelon columns, transform columns, pivots),
-    ``pivots`` being the (row, column) pairs in order.  The echelon columns
-    past the pivots are zero, so those transform columns span the kernel.
+
+def _reduce_columns(a_cols: list[dict[int, int]], nrows: int) -> tuple:
+    """Column-reduce A to echelon form, logging each column operation.
+
+    ``a_cols`` holds the columns of A as sparse ``{row: value}`` dicts.
+    Returns (echelon columns, log, pivots), ``pivots`` being the (row,
+    column) pairs in order.  The echelon columns past the pivots are zero.
+    The log is flat, three entries per operation: ``dst, src, f`` for
+    col dst -= f col src, and ``dst, src, 0`` for a swap (a subtraction
+    never has f = 0: each reduces a column by a pivot of no larger
+    absolute value).  The operations compose to the unimodular T with
+    echelon = A T; T itself is never built, and :func:`_replay` applies it.
     """
     ncols = len(a_cols)
     work = [dict(col) for col in a_cols]
-    transform = [{j: 1} for j in range(ncols)]
-
-    def col_sub(dst: int, src: int, factor: int) -> None:
-        for cols in (work, transform):
-            target = cols[dst]
-            for k, v in cols[src].items():
-                target[k] = target.get(k, 0) - factor * v
-                if not target[k]:
-                    del target[k]
-
+    log: list[int] = []
     lead = 0
     pivots: list[tuple[int, int]] = []
     for row in range(nrows):
@@ -331,25 +335,54 @@ def _reduce_columns(a_cols: list[dict[int, int]], nrows: int) -> tuple:
             live.sort(key=lambda j: (abs(work[j][row]), j))
             piv = live[0]
             for j in live[1:]:
-                col_sub(j, piv, work[j][row] // work[piv][row])
+                factor = work[j][row] // work[piv][row]
+                _sub_scaled(work[j], work[piv], factor)
+                log += (j, piv, factor)
             live = [j for j in live if row in work[j]]
         piv = live[0]
         if piv != lead:
             work[piv], work[lead] = work[lead], work[piv]
-            transform[piv], transform[lead] = transform[lead], transform[piv]
+            log += (lead, piv, 0)
         pivots.append((row, lead))
         lead += 1
         if lead == ncols:
             break
-    return work, transform, pivots
+    return work, log, pivots
+
+
+def _replay(log: list[int], c: list[int], rank: int) -> tuple:
+    """T c and the kernel basis T e_j (j = rank .. len(c) - 1), T read from the log.
+
+    T is E_1 E_2 ... E_k over the logged operations, so T v applies E_k
+    first: one backward pass over the log.  Column operation
+    col dst -= f col src is E = I - f e_src e_dst^T, which acts as
+    row src -= f row dst; a swap swaps two rows.  The pass runs on the rows
+    of the sparse matrix [c | e_rank ... e_{ncols-1}], keyed -1 for c and j
+    for e_j.  Returns (T c, kernel columns as sparse dicts, in order of j).
+    """
+    ncols = len(c)
+    rows = [{-1: v} if v else {} for v in c]
+    for j in range(rank, ncols):
+        rows[j][j] = 1
+    for at in range(len(log) - 3, -1, -3):
+        dst, src, factor = log[at : at + 3]
+        if factor:
+            _sub_scaled(rows[src], rows[dst], factor)
+        else:
+            rows[dst], rows[src] = rows[src], rows[dst]
+    x = [row.pop(-1, 0) for row in rows]
+    kernel: list[dict[int, int]] = [{} for _ in range(rank, ncols)]
+    for i, row in enumerate(rows):
+        for j, v in row.items():
+            kernel[j - rank][i] = v
+    return x, kernel
 
 
 def _size_reduce(x: list[int], kernel: list[dict[int, int]]) -> list[int]:
     """Greedy lattice reduction of x modulo the kernel (sparse, nonzero vectors), minimizing norm.
 
     Passes repeat until one changes nothing; that pass always comes.  The kernel
-    vectors are transform columns of a unimodular matrix, so they are
-    independent.  A step x -= t v, t being <x, v> / |v|^2 rounded half up,
+    vectors are columns of a unimodular matrix, so they are independent.  A step x -= t v, t being <x, v> / |v|^2 rounded half up,
     with t != 0 never raises |x|^2, and keeps it only when t = 1 and
     2<x, v> = |v|^2.  |x|^2 is a non-negative integer and only finitely many
     integer vectors share a norm, so an endless run would return to a state
@@ -375,11 +408,12 @@ def find_lambda(b_tilde: list[list[int]]) -> list[list[int]]:
 
     The entries above the diagonal solve A x = d rhs, where A depends on
     ``b_tilde`` alone and rhs is the d = 1 right-hand side.  A is
-    column-reduced once, in sparse form, and rhs is back-substituted once:
-    where a pivot does not divide the residual, the residual and the
-    quotients so far are scaled by the least factor that makes it divide.
-    The product of those factors is the least d, and the solution is
-    size-reduced against the kernel.  A x = d rhs is checked exactly;
+    column-reduced once, in sparse form, to A T with T logged rather than
+    built, and rhs is back-substituted once into coefficients c on the pivot
+    columns: where a pivot does not divide the residual, the residual and c
+    are scaled by the least factor that makes it divide.  The product of
+    those factors is the least d.  One backward pass over the log gives
+    x = T c and the kernel columns of T, and x is size-reduced against them.  A x = d rhs is checked exactly;
     pair_from_surface certifies the pair once, through CompatiblePair.create.
     Raises :class:`NoCompatibleLambda` for an empty matrix and for a system
     no d solves.
@@ -405,30 +439,30 @@ def find_lambda(b_tilde: list[list[int]]) -> list[list[int]]:
                 else:
                     a_cols[index[(l, i)]][row] = -coeff
 
-    work, transform, pivots = _reduce_columns(a_cols, m * n)
+    work, log, pivots = _reduce_columns(a_cols, m * n)
     rhs = [0] * (m * n)
     for j in range(n):
         rhs[j * n + j] = -1
-    d, residual, x = 1, list(rhs), [0] * len(a_cols)
+    d, residual, c = 1, list(rhs), [0] * len(a_cols)
     for row, col in pivots:
         pivot = work[col][row]
         scale = abs(pivot) // gcd(pivot, residual[row])
         if scale > 1:
             d *= scale
             residual = [scale * r for r in residual]
-            x = [scale * v for v in x]
-        quotient = residual[row] // pivot
+            c = [scale * v for v in c]
+        c[col] = residual[row] // pivot
         for r, v in work[col].items():
-            residual[r] -= quotient * v
-        for i, v in transform[col].items():
-            x[i] += v * quotient
+            residual[r] -= c[col] * v
+    del work  # freed before the replay, which holds a row per column of A
+    x, kernel = _replay(log, c, len(pivots))
     image = [0] * (m * n)
     for col, xj in zip(a_cols, x):
         for row, v in col.items():
             image[row] += v * xj
     if image != [d * r for r in rhs]:
         raise NoCompatibleLambda("no integer skew lambda solves the system for any uniform d")
-    x = _size_reduce(x, transform[len(pivots):])
+    x = _size_reduce(x, kernel)
     lam = [[0] * m for _ in range(m)]
     for (i, j), k in index.items():
         lam[i][j] = x[k]

@@ -8,6 +8,7 @@ import pytest
 
 from qcluster import strings
 from qcluster.errors import (
+    AmbiguousConnector,
     NonCanonicalSubmodule,
     NotComposable,
     NotReduced,
@@ -472,3 +473,41 @@ def test_all_extensions_equals_the_full_search(surfaces, quivers):
             kinds["one-vertex overlap"] += bool(re.fullmatch(r"overlap v\[(\d+)\.\.\1\] .*", ext.detail))
     assert len(pairs) == 913
     assert kinds == {"arrow": 443, "overlap": 663, "one-vertex overlap": 358}
+
+
+def test_a_connector_between_two_lone_vertices_of_a_double_arrow_is_ambiguous(quivers):
+    q = quivers["annulus"]
+    with pytest.raises(AmbiguousConnector, match="^2 arrows join 2 to 1 as valid strings$"):
+        strings._connector_factor(q, trivial_word(2), trivial_word(1))
+
+
+# The annulus with 3 + 1 marked points, triangulated so that the two arcs
+# 1 and 2 bound both an internal triangle (2, 1, 3) and the triangle on the
+# inner boundary 5: two parallel arrows a, d: 2 -> 1, and a, b, c a 3-cycle
+# with all three relations.
+ANNULUS_31 = {
+    "name": "annulus31",
+    "arcs": [{"id": i, "kind": "internal"} for i in range(1, 5)]
+    + [{"id": i, "kind": "boundary"} for i in range(5, 9)],
+    "triangles": [[2, 1, 3], [2, 1, 5], [3, 4, 8], [6, 7, 4]],
+}
+
+
+def test_all_extensions_reports_an_ambiguous_connector():
+    """1 >b> 3 and 2 <c< 3 >e> 4 overlap along the vertex 3 with b and c^-1
+    before it, so u3 joins the lone vertices 1 and 2, and both arrows
+    2 -> 1 join them.  No other pair of strings of up to 4 vertices raises."""
+    q = build_quiver(load_surface(ANNULUS_31))
+    v = make_word(q, (1, 3), [("b", True)])
+    w = make_word(q, (2, 3, 4), [("c", False), ("e", True)])
+    for pair in ((v, w), (w, v), (v.inverse(), w)):
+        with pytest.raises(AmbiguousConnector, match="^2 arrows join 1 to 2 as valid strings$"):
+            all_extensions(*pair, q)
+    words = enumerate_strings(q, 4)
+    raised = []
+    for x, y in itertools.product(words, repeat=2):
+        try:
+            all_extensions(x, y, q)
+        except AmbiguousConnector:
+            raised.append((str(x), str(y)))
+    assert raised == [(str(v), str(w)), (str(w), str(v))]

@@ -4,6 +4,7 @@ from __future__ import annotations
 import json
 import random
 import sys
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -21,7 +22,7 @@ from qcluster.surface import (
 )
 from qcluster.torus import check_compatible
 
-from conftest import ANNULUS_21, SURFACES, WHEEL3, write_malformed
+from conftest import ANNULUS_21, HEPTAGON_WITH_A_CYCLE, SURFACES, WHEEL3, write_malformed
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -470,3 +471,101 @@ def test_find_lambda_reduces_once_and_derives_d(annulus, monkeypatch):
     monkeypatch.setattr(surface, "_reduce_columns", lambda *args: calls.append(args) or reduce(*args))
     assert pair_from_surface(annulus).d == (2, 2)
     assert len(calls) == 1
+
+
+# -- the logged reduction against the transform it no longer builds -----
+
+
+def reference_reduce_columns(a_cols, nrows):
+    """The former reduction: every column operation also updates a sparse unimodular transform."""
+    ncols = len(a_cols)
+    work = [dict(col) for col in a_cols]
+    transform = [{j: 1} for j in range(ncols)]
+
+    def col_sub(dst, src, factor):
+        for cols in (work, transform):
+            target = cols[dst]
+            for k, v in cols[src].items():
+                target[k] = target.get(k, 0) - factor * v
+                if not target[k]:
+                    del target[k]
+
+    lead = 0
+    pivots = []
+    for row in range(nrows):
+        live = [j for j in range(lead, ncols) if row in work[j]]
+        if not live:
+            continue
+        while len(live) > 1:
+            live.sort(key=lambda j: (abs(work[j][row]), j))
+            piv = live[0]
+            for j in live[1:]:
+                col_sub(j, piv, work[j][row] // work[piv][row])
+            live = [j for j in live if row in work[j]]
+        piv = live[0]
+        if piv != lead:
+            work[piv], work[lead] = work[lead], work[piv]
+            transform[piv], transform[lead] = transform[lead], transform[piv]
+        pivots.append((row, lead))
+        lead += 1
+        if lead == ncols:
+            break
+    return work, transform, pivots
+
+
+def reference_back_substitute(a_cols, nrows, n):
+    """The former back-substitution into x through the transform: (x, d, kernel columns)."""
+    work, transform, pivots = reference_reduce_columns(a_cols, nrows)
+    rhs = [0] * nrows
+    for j in range(n):
+        rhs[j * n + j] = -1
+    d, residual, x = 1, list(rhs), [0] * len(a_cols)
+    for row, col in pivots:
+        pivot = work[col][row]
+        scale = abs(pivot) // gcd(pivot, residual[row])
+        if scale > 1:
+            d *= scale
+            residual = [scale * r for r in residual]
+            x = [scale * v for v in x]
+        quotient = residual[row] // pivot
+        for r, v in work[col].items():
+            residual[r] -= quotient * v
+        for i, v in transform[col].items():
+            x[i] += v * quotient
+    return x, d, transform[len(pivots):]
+
+
+def _polygon_verify_draws(seeds):
+    sys.path.insert(0, str(BENCH))
+    try:
+        from polygons import polygon
+        from workloads import POLYGONS
+    finally:
+        sys.path.remove(str(BENCH))
+    for seed in seeds:
+        rng = random.Random(f"polygon_verify:{seed}")
+        for n, internal in POLYGONS.items():
+            yield polygon(n, internal, rng)
+
+
+def test_the_replayed_log_equals_the_tracked_transform(monkeypatch):
+    """x before size reduction, d and the kernel columns, in order, equal
+    those the transform-tracking reduction gives, on the fixed surfaces,
+    POLYGON_DRAWS, the polygon_verify draws of seeds 1..5 and random
+    5- to 20-gons."""
+    seen = {}
+    reduce, size_reduce = surface._reduce_columns, surface._size_reduce
+    monkeypatch.setattr(surface, "_reduce_columns", lambda *args: seen.update(args=args) or reduce(*args))
+    monkeypatch.setattr(
+        surface, "_size_reduce", lambda x, kernel: seen.update(x=x, kernel=kernel) or size_reduce(x, kernel)
+    )
+    rng = random.Random(25)
+    corpus = [*SURFACES, ANNULUS_21, WHEEL3, HEPTAGON_WITH_A_CYCLE, *POLYGON_DRAWS]
+    corpus += [*_polygon_verify_draws(range(1, 6)), *(random_polygon(n, rng) for n in range(5, 21))]
+    for data in corpus:
+        b = b_matrix(load_surface(data))
+        lam = find_lambda(b)
+        x, d, kernel = reference_back_substitute(*seen["args"], len(b[0]))
+        assert seen["x"] == x, json.dumps(data)
+        assert seen["kernel"] == kernel, json.dumps(data)
+        assert check_compatible(b, lam) == (d,) * len(b[0]), json.dumps(data)
