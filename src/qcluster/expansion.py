@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InconsistentValuation, InvalidMutation, NotCompatible
-from .seeds import QuantumSeed, mutation_sequence
+from .errors import InconsistentValuation, NotCompatible
+from .seeds import QuantumSeed
 from .snake import SnakeGraph, enumerate_matchings, label_snake, matching_to_submodule, minimal_matching
 from .strings import StringWord, dimension_vector
 from .surface import Triangulation
@@ -33,7 +33,6 @@ __all__ = [
     "quantum_expansion",
     "graph_expansion",
     "classical_specialization",
-    "oracle_compare",
 ]
 
 
@@ -151,33 +150,3 @@ def classical_specialization(element: TorusElement, *, n: int | None = None) -> 
         elif key in out:
             del out[key]
     return out
-
-
-@dataclass(frozen=True)
-class ComparisonReport:
-    matches: bool
-    expansion: TorusElement
-    mutated: TorusElement
-    message: str
-
-
-def oracle_compare(w: StringWord, t: Triangulation, seed: QuantumSeed, sequence) -> ComparisonReport:
-    """Compare the snake-graph expansion against iterated mutation.
-
-    ``sequence`` is a list of directions whose final step mutates the
-    arc whose new variable should equal the expansion of w.
-    """
-    sequence = list(sequence)
-    if not sequence:
-        raise InvalidMutation("need at least one mutation step")
-    mutated_seed = mutation_sequence(seed, sequence)
-    mutated = mutated_seed.cluster[sequence[-1] - 1]
-    expansion = quantum_expansion(w, t, seed).element
-    if mutated == expansion:
-        return ComparisonReport(True, expansion, mutated, "expansion equals mutated variable")
-    return ComparisonReport(
-        False,
-        expansion,
-        mutated,
-        f"expansion {expansion} differs from mutated variable {mutated}",
-    )

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .errors import InvalidMutation, NonExactDivision, NotCompatible
-from .torus import CompatiblePair, TorusElement, bar, cluster_monomial, div_exact_right
+from .torus import CompatiblePair, TorusElement, _packed_cluster_monomial, _packed_sum, bar, div_exact_right
 
 __all__ = [
     "QuantumSeed",
@@ -117,20 +117,26 @@ def mutate_lambda(lam: list, b: list, k: int) -> list:
     return out
 
 
-def _exchange_term(seed: QuantumSeed, k: int, exponents: list) -> TorusElement:
-    """The cluster monomial of one exchange side, shifted for the old variable.
+def _exchange_term(seed: QuantumSeed, k: int, exponents: list):
+    """The cluster monomial of one exchange side, shifted for the old variable, packed.
 
     ``exponents`` has a zero in slot k; the shift accounts for normalizing
     the monomial with the old variable's inverse appended, using the
     current commutation matrix.
     """
     lam_k = sum(e * row[k - 1] for e, row in zip(exponents, seed.pair.lam))
-    monomial = cluster_monomial(exponents, seed.cluster, seed.pair, base_pair=seed.base_pair)
-    return monomial.shifted(lam_k)
+    return _packed_cluster_monomial(exponents, seed.cluster, seed.pair, seed.base_pair, lam_k)
 
 
 def mutate_seed(seed: QuantumSeed, k: int) -> QuantumSeed:
     """Mutate in direction k (1-based); involutive, diagonal-preserving.
+
+    The exchange numerator stays packed from the product to the division:
+    each side's last product of two multi-term factors (a square, such as
+    x^2, visits each unordered term pair once) is summed into one packed
+    layout without being unpacked, its prefactor and shift move each key's
+    lowest exponent, and ``div_exact_right`` starts its remainder from that
+    numerator with no pack step.
 
     The new pair keeps ``seed.pair.d`` unchecked: mutation preserves
     compatibility with the same d (Berenstein-Zelevinsky 2005), which
@@ -143,7 +149,7 @@ def mutate_seed(seed: QuantumSeed, k: int) -> QuantumSeed:
     plus = [_pos(b[i][kk]) for i in range(seed.m)]
     minus = [_pos(-b[i][kk]) for i in range(seed.m)]
     plus[kk] = minus[kk] = 0
-    numerator = _exchange_term(seed, k, plus) + _exchange_term(seed, k, minus)
+    numerator = _packed_sum(_exchange_term(seed, k, plus), _exchange_term(seed, k, minus))
     try:
         new_var = div_exact_right(numerator, seed.cluster[kk], seed.base_pair)
     except NonExactDivision as exc:

@@ -9,10 +9,12 @@ with M1 the bar-normalized product determined by the middle term of the
 extension and M2 the complementary product.  The solver derives s1 by
 aligning M1 inside the product, demands that the residual be a single
 bar-invariant term with nonnegative coefficients, and checks the
-combinatorially predicted complementary factors when available.  Both
-factor orders are bar-conjugate, so the mirrored exponents solve the
-reversed product; the certificate records the order in which the
-M1 term carries the larger shift, and both shifts in twice units.
+combinatorially predicted complementary factors when available.  When
+X_v and X_w are both bar-invariant, X_w X_v is the bar conjugate of
+X_v X_w, so the mirrored exponents solve the reversed product, and the
+certificate records the order in which the M1 term carries the larger
+shift.  Otherwise it certifies the given order with its own shifts.
+Both shifts are in twice units.
 
 The shift gap s1 - s2 depends on the chosen commutation form, so it is
 recorded rather than imposed.  No bundled surface ships a form;
@@ -33,7 +35,7 @@ from .expansion import quantum_expansion
 from .seeds import QuantumSeed
 from .strings import Extension, SmoothingFactor, StringWord, all_extensions
 from .surface import QuiverWithRelations, Triangulation, build_quiver
-from .torus import TorusElement, bar_normalize, torus_mul
+from .torus import TorusElement, bar, bar_normalize, torus_mul
 
 __all__ = [
     "MultiplicationCertificate",
@@ -47,8 +49,9 @@ __all__ = [
 class MultiplicationCertificate:
     """Exact resolution X_v X_w = q^{s1/2} M1 + q^{s2/2} M2.
 
-    v, w give the factor order actually certified (chosen so M1
-    carries the larger shift); the shifts are in twice units.
+    v, w give the factor order actually certified (reversed so that M1
+    carries the larger shift when both factors are bar-invariant); the
+    shifts are in twice units.
     """
 
     v: StringWord
@@ -162,9 +165,10 @@ def multiply_and_certify(
         )
     s1_twice, m1, s2_twice, m2 = next(iter(solutions))
     left, right = v, w
-    if s1_twice < s2_twice:
-        # The reversed product is the bar conjugate, so it resolves with
-        # the mirrored shifts; report the order that puts M1 on top.
+    if s1_twice < s2_twice and bar(xv) == xv and bar(xw) == xw:
+        # The reversed product of bar-invariant factors is the bar conjugate,
+        # so it resolves with the mirrored shifts; report the order that puts
+        # M1 on top.
         left, right = w, v
         product = torus_mul(xw, xv, seed.base_pair)
         s1_twice, s2_twice = -s1_twice, -s2_twice

@@ -62,7 +62,6 @@ __all__ = [
     "twist",
     "enclosed_tiles",
     "matching_to_submodule",
-    "submodule_to_matching",
     "canonical_submodules",
     "check_bijection",
 ]
@@ -450,17 +449,6 @@ def matching_to_submodule(g: SnakeGraph, P: int) -> frozenset:
     if indices is None:
         raise BijectionViolation(f"{sorted(g.edges(P))} is not a perfect matching of the graph")
     return indices
-
-
-def submodule_to_matching(g: SnakeGraph, indices: frozenset) -> int:
-    """Inverse of matching_to_submodule, searched in the bijection image."""
-    indices = frozenset(indices)
-    found = [P for P, image in _bijection_image(g).items() if image == indices]
-    if len(found) != 1:
-        raise BijectionViolation(
-            f"index set {sorted(indices)} does not match exactly one matching"
-        )
-    return found[0]
 
 
 def canonical_submodules(g: SnakeGraph) -> list:

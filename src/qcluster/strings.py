@@ -50,7 +50,6 @@ __all__ = [
     "is_canonical_submodule",
     "enumerate_canonical_submodules",
     "dimension_vector",
-    "truncations",
     "all_extensions",
     "enumerate_strings",
 ]
@@ -276,17 +275,6 @@ def _truncate(w: StringWord, which: str) -> StringWord:
     if end == "head":
         return w.sub(cuts[0] + 1, w.d) if cuts else trivial_word(w.vertices[-1])
     return w.sub(1, cuts[-1]) if cuts else trivial_word(w.vertices[0])
-
-
-def truncations(w: StringWord) -> dict:
-    """The four end-truncations of a string, keyed by which end moves.
-
-    ``head_after_direct``   drop through the first direct letter
-    ``head_after_inverse``  drop through the first inverse letter
-    ``tail_before_inverse`` keep up to the last inverse letter
-    ``tail_before_direct``  keep up to the last direct letter
-    """
-    return {which: _truncate(w, which) for which in _CUTS}
 
 
 # -- extensions and smoothing factors ---------------------------------

@@ -30,17 +30,25 @@ one byte slice per digit instead.
 
 A torus product packs each coefficient once per call, and a square packs
 it once for both sides.  A first pass reads only exponents: the key
-``g + h`` of each term pair, the lowest and highest q-exponent landing on
-each key, and one stride for the call, the gcd of every gap inside a
-coefficient and of every difference between the offsets
-``lo_g + lo_h + L(g,h)`` of the pairs that share a key.  At most
-min(|a|, |b|) pairs share a key, so no output coefficient exceeds
-max|a| * max|b| * (fewer q-terms) * min(|a|, |b|) in absolute value, and
-``bits`` is that bound's bit length plus a sign bit, rounded up to a
-machine word or, above 64 bits, to whole bytes.  The second pass adds each
-pair's packed product, shifted to its offset, into its key's int, and
-unpacks each key once; a zero int drops the key.  When one factor has a
-single term, each pair is multiplied on its own instead.
+``g + h`` of each term pair, the lowest q-exponent landing on each key,
+and one stride for the call, the gcd of every gap inside a coefficient and
+of every difference between the offsets ``lo_g + lo_h + L(g,h)`` of the
+pairs that share a key.  A square visits each unordered pair {i, j} once:
+(i, j) and (j, i) share the key and the packed product, and their offsets
+differ by 2 L(g_i, g_j).  At most min(|a|, |b|) pairs share a key, so no
+output coefficient exceeds max|a| * max|b| * (fewer q-terms) * min(|a|, |b|)
+in absolute value, and ``bits`` is that bound's bit length plus a sign
+bit, rounded up to a machine word or, above 64 bits, to whole bytes.  The
+second pass adds each pair's packed product, shifted to its offset, into
+its key's int; a zero int drops the key.  That packed product, ``{g: (lo,
+int)}`` with its stride, bits and bound, is what :func:`torus_mul` unpacks,
+each key once.  When one factor has a single term, each pair is multiplied
+on its own instead.
+
+Seed mutation never unpacks its exchange numerator.  Each side's last
+product of two multi-term factors stays packed, its normalizing q-power is
+added to each key's ``lo``, and the two sides are merged in one layout;
+the division takes that numerator as its remainder with no pack step.
 
 Right division by an element ``c`` eliminates the leading term of the
 remainder in lex order.  Since the torus is a domain, every exponent of an
@@ -52,11 +60,13 @@ per key, and ``c`` is packed once per layout.  Each step unpacks only the
 leading coefficient, divides it, packs the quotient coefficient and
 subtracts its packed product with each term of ``c``; a key whose lowest
 exponent drops is re-based by a shift.  A running bound on the remainder's
-coefficients, max|a| plus max|gamma| * max|c| * (fewer q-terms) per step,
-keeps every digit in range, so ``int == 0`` is an exact zero test.  When
-the bound reaches the sign bit, or a quotient coefficient leaves the
-stride or a key's residue class, the remainder is laid out again with
-wider digits or a finer stride.
+coefficients, max|a| (or a packed numerator's bound) plus max|gamma| *
+max|c| * (fewer q-terms) per step, keeps every digit in range, so
+``int == 0`` is an exact zero test.  When the bound reaches the sign bit,
+or a quotient coefficient leaves the stride or a key's residue class, the
+remainder is laid out again with wider digits or a finer stride.  A
+numerator handed over packed keeps its layout unless the divisor needs a
+finer stride or wider digits.
 """
 
 from __future__ import annotations
@@ -66,7 +76,7 @@ from array import array
 from dataclasses import dataclass
 from math import gcd
 from operator import add, mul
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     DivisionByZero,
@@ -497,6 +507,121 @@ class CompatiblePair:
         return row
 
 
+class _Packed(NamedTuple):
+    """A rank-``rank`` element with every coefficient packed in one layout: ``{g: (lo, int)}``.
+
+    Each int holds its coefficient's digits from exponent ``lo`` up, every
+    ``stride``-th exponent, in ``bits``-bit digits; ``lo`` is in the
+    coefficient's residue class mod ``stride`` but need not be its lowest
+    exponent.  ``bound`` bounds every coefficient in absolute value.  A
+    stride of 0 means every coefficient has one q-term, so each int is a
+    single digit and fits any stride.
+    """
+
+    rank: int
+    terms: dict
+    stride: int
+    bits: int
+    bound: int
+
+
+def _packed(x: TorusElement, *others: TorusElement, twice: int = 0) -> _Packed:
+    """Pack q^(twice/2) ``x`` at a stride and bound that also fit the coefficients of ``others``."""
+    coeffs = [cx.coeffs for cx in x.terms.values()]
+    more = [cy.coeffs for y in others for cy in y.terms.values()]
+    stride = _common_stride(*coeffs, *more)
+    bound = max(max(map(abs, p.values())) for p in coeffs + more)
+    bits = _digit_bits(bound)
+    terms = {g: ((lo := min(p)) + twice, _pack(p, lo, stride or 1, bits)) for g, p in zip(x.terms, coeffs)}
+    return _Packed(x.rank, terms, stride, bits, bound)
+
+
+def _unpacked(x: _Packed) -> TorusElement:
+    """The element that ``x`` packs; each int is read back once."""
+    stride, bits, terms = x.stride or 1, x.bits, {}
+    for g, (lo, value) in x.terms.items():
+        terms[g] = QCoefficient._wrap(_unpack(value, lo, stride, bits, value.bit_length() // bits + 1))
+    return TorusElement._wrap(x.rank, terms)
+
+
+def _packed_sum(x: _Packed, y: _Packed) -> _Packed:
+    """``x + y`` in one layout, built in ``x.terms``; a key whose sum is zero is dropped.
+
+    The stride also divides the gap between the two ``lo`` of a shared key,
+    and the bound is the sum of the two when a key is shared.
+    """
+    shared = x.terms.keys() & y.terms.keys()
+    stride = gcd(x.stride, y.stride, *[x.terms[g][0] - y.terms[g][0] for g in shared])
+    bound = x.bound + y.bound if shared else max(x.bound, y.bound)
+    bits = _digit_bits(bound)
+    _fit(x, stride, bits)
+    _fit(y, stride, bits)
+    step, terms = stride or 1, x.terms
+    for g, (lo, value) in y.terms.items():
+        if g not in terms:
+            terms[g] = (lo, value)
+            continue
+        lo_x, value_x = terms[g]
+        if lo < lo_x:
+            value_x, lo_x = value_x << bits * ((lo_x - lo) // step), lo
+        value_x += value << bits * ((lo - lo_x) // step)
+        if value_x:
+            terms[g] = (lo_x, value_x)
+        else:
+            del terms[g]
+    return _Packed(x.rank, terms, stride, bits, bound)
+
+
+def _mul_packed(a: TorusElement, b: TorusElement, pair: CompatiblePair, twice: int = 0) -> _Packed:
+    """q^(twice/2) times the product :func:`torus_mul` takes, each coefficient packed and none unpacked.
+
+    For a square (``a is b``) the pairs (i, j) and (j, i) share the key
+    g_i + g_j and the packed product, and their offsets are
+    lo_i + lo_j -/+ g_i . row(g_j), so each unordered pair is visited once.
+    """
+    rows_b = [pair.twist_row(h) for h in b.terms]
+    terms_b = list(b.terms)
+    coeffs_a = [cg.coeffs for cg in a.terms.values()]
+    coeffs_b = [ch.coeffs for ch in b.terms.values()]
+    lows_a, lows_b = [min(x) for x in coeffs_a], [min(x) for x in coeffs_b]
+    square = a is b
+    stride = _common_stride(*coeffs_a, *coeffs_b)
+    # Pass 1, exponents only: each key's lowest offset and its pairs with their offsets.
+    keys: dict[tuple, list] = {}
+    for i, g in enumerate(a.terms):
+        base = lows_a[i] + twice
+        for j in range(i if square else 0, len(terms_b)):
+            cross = sum(map(mul, g, rows_b[j]))
+            offset = base + lows_b[j] - cross
+            offsets = (offset, offset + 2 * cross) if square and j > i else (offset,)
+            entry = keys.get(key := tuple(map(add, g, terms_b[j])))
+            if entry is None:
+                entry = keys[key] = [offset, []]
+            for offset in offsets:
+                stride = gcd(stride, offset - entry[0])
+                if offset < entry[0]:
+                    entry[0] = offset
+            entry[1].append((i, j, offsets))
+    step = stride or 1
+    # At most min(|a|, |b|) pairs land on one key.
+    bound = max(max(map(abs, x.values())) for x in coeffs_a) * max(max(map(abs, x.values())) for x in coeffs_b)
+    bound *= min(max(map(len, coeffs_a)), max(map(len, coeffs_b))) * min(len(coeffs_a), len(coeffs_b))
+    bits = _digit_bits(bound)
+    # Pass 2: pack each coefficient once, sum packed products per key.
+    packed_a = [_pack(x, lo, step, bits) for x, lo in zip(coeffs_a, lows_a)]
+    packed_b = packed_a if square else [_pack(x, lo, step, bits) for x, lo in zip(coeffs_b, lows_b)]
+    terms = {}
+    for key, (lo, pairs) in keys.items():
+        acc = 0
+        for i, j, offsets in pairs:
+            product = packed_a[i] * packed_b[j]
+            for offset in offsets:
+                acc += product << bits * ((offset - lo) // step)
+        if acc:
+            terms[key] = (lo, acc)
+    return _Packed(a.rank, terms, stride, bits, bound)
+
+
 def torus_mul(a: TorusElement, b: TorusElement, pair: CompatiblePair) -> TorusElement:
     """Product in the quantum torus twisted by ``pair.lam``.
 
@@ -504,53 +629,15 @@ def torus_mul(a: TorusElement, b: TorusElement, pair: CompatiblePair) -> TorusEl
     call: L(g, h) = -g . row(h), since lam is skew.
     """
     a._check_rank(b)
-    rows_b = [pair.twist_row(h) for h in b.terms]
     if len(a.terms) <= 1 or len(b.terms) <= 1:
         # Every pair lands on its own key; a monomial factor shifts and scales.
+        rows_b = [pair.twist_row(h) for h in b.terms]
         out = {}
         for g, cg in a.terms.items():
             for (h, ch), row in zip(b.terms.items(), rows_b):
                 out[tuple(map(add, g, h))] = (cg * ch).shifted(-sum(map(mul, g, row)))
         return TorusElement._wrap(a.rank, out)
-    coeffs_a = [cg.coeffs for cg in a.terms.values()]
-    coeffs_b = [ch.coeffs for ch in b.terms.values()]
-    lows_a, lows_b = [min(x) for x in coeffs_a], [min(x) for x in coeffs_b]
-    spans_b = [max(x) - lo for x, lo in zip(coeffs_b, lows_b)]
-    stride = _common_stride(*coeffs_a, *coeffs_b)
-    # Pass 1, exponents only: each key's lowest and highest exponent and its pairs.
-    keys: dict[tuple, list] = {}
-    for i, (g, x) in enumerate(zip(a.terms, coeffs_a)):
-        base, span_g = lows_a[i], max(x) - lows_a[i]
-        offsets = [base + lo - sum(map(mul, g, row)) for lo, row in zip(lows_b, rows_b)]
-        for j, (h, span_h, offset) in enumerate(zip(b.terms, spans_b, offsets)):
-            top = offset + span_g + span_h
-            entry = keys.get(key := tuple(map(add, g, h)))
-            if entry is None:
-                keys[key] = [offset, top, [(i, j, offset)]]
-                continue
-            stride = gcd(stride, offset - entry[0])
-            if offset < entry[0]:
-                entry[0] = offset
-            if top > entry[1]:
-                entry[1] = top
-            entry[2].append((i, j, offset))
-    stride = stride or 1
-    # At most min(|a|, |b|) pairs land on one key.
-    bound = max(max(map(abs, x.values())) for x in coeffs_a) * max(max(map(abs, x.values())) for x in coeffs_b)
-    bound *= min(max(map(len, coeffs_a)), max(map(len, coeffs_b))) * min(len(coeffs_a), len(coeffs_b))
-    bits = _digit_bits(bound)
-    # Pass 2: pack each coefficient once, sum packed products per key, unpack each key once.
-    packed_a = [_pack(x, lo, stride, bits) for x, lo in zip(coeffs_a, lows_a)]
-    # A square, such as torus_pow's, packs each coefficient once for both sides.
-    packed_b = packed_a if a is b else [_pack(x, lo, stride, bits) for x, lo in zip(coeffs_b, lows_b)]
-    out = {}
-    for key, (lo, hi, pairs) in keys.items():
-        acc = 0
-        for i, j, offset in pairs:
-            acc += packed_a[i] * packed_b[j] << bits * ((offset - lo) // stride)
-        if acc:
-            out[key] = QCoefficient._wrap(_unpack(acc, lo, stride, bits, (hi - lo) // stride + 1))
-    return TorusElement._wrap(a.rank, out)
+    return _unpacked(_mul_packed(a, b, pair))
 
 
 def torus_pow(a: TorusElement, k: int, pair: CompatiblePair) -> TorusElement:
@@ -565,7 +652,7 @@ def torus_pow(a: TorusElement, k: int, pair: CompatiblePair) -> TorusElement:
     return result
 
 
-def div_exact_right(a: TorusElement, c: TorusElement, pair: CompatiblePair) -> TorusElement:
+def div_exact_right(a: TorusElement | _Packed, c: TorusElement, pair: CompatiblePair) -> TorusElement:
     """Solve ``b * c = a`` by leading-term elimination in lex order.
 
     Raises :class:`NonExactDivision` if no exact quotient exists.  The
@@ -576,15 +663,23 @@ def div_exact_right(a: TorusElement, c: TorusElement, pair: CompatiblePair) -> T
     Each step removes the leading term of the remainder and adds only
     terms below it, so the quotient exponents strictly decrease in lex
     order.  The box holds finitely many vectors, so the loop ends.
+
+    ``a`` may also be given packed, as mutation builds its exchange
+    numerator; the remainder then starts from it without a pack step.
     """
     if c.is_zero():
         raise DivisionByZero("division by the zero element")
-    if a.is_zero():
+    if isinstance(a, TorusElement):
+        if a.is_zero():
+            return TorusElement.zero(a.rank)
+        a._check_rank(c)
+        a = _packed(a, c)
+    remainder = a.terms
+    if not remainder:
         return TorusElement.zero(a.rank)
-    a._check_rank(c)
     box = [
         (min(xs_a) - min(xs_c), max(xs_a) - max(xs_c))
-        for xs_a, xs_c in zip(zip(*a.terms), zip(*c.terms))
+        for xs_a, xs_c in zip(zip(*remainder), zip(*c.terms))
     ]
     g_c = c.leading_vector()
     gamma_c = c.terms[g_c]
@@ -594,11 +689,12 @@ def div_exact_right(a: TorusElement, c: TorusElement, pair: CompatiblePair) -> T
     terms_c = list(zip(c.terms, lows_c, map(pair.twist_row, c.terms)))
     top_c = max(max(map(abs, ch.coeffs.values())) for ch in c.terms.values())
     len_c = max(len(ch.coeffs) for ch in c.terms.values())
-    stride = _common_stride(*[x.coeffs for x in a.terms.values()], *[x.coeffs for x in c.terms.values()]) or 1
+    stride = gcd(a.stride, _common_stride(*[ch.coeffs for ch in c.terms.values()]))
     # A running bound on every remainder coefficient keeps each packed digit exact.
-    bound = max(top_c, *[max(map(abs, x.coeffs.values())) for x in a.terms.values()])
+    bound = max(top_c, a.bound)
     bits = _digit_bits(bound)
-    remainder = {g: (lo := min(x.coeffs), _pack(x.coeffs, lo, stride, bits)) for g, x in a.terms.items()}
+    _fit(a, stride, bits)
+    stride = stride or 1
     packed_c = [_pack(ch.coeffs, lo, stride, bits) for ch, lo in zip(c.terms.values(), lows_c)]
     quotient: dict[tuple, QCoefficient] = {}
     while remainder:
@@ -652,13 +748,19 @@ def div_exact_right(a: TorusElement, c: TorusElement, pair: CompatiblePair) -> T
     return TorusElement._wrap(a.rank, quotient)
 
 
+def _fit(x: _Packed, stride: int, bits: int) -> None:
+    """Lay ``x.terms`` out again at ``(stride, bits)``, in place, unless they already fit it."""
+    if (x.stride and x.stride != stride) or x.bits != bits:
+        _relayout(x.terms, (x.stride, x.bits), (stride, bits))
+
+
 def _relayout(remainder: dict, old: tuple[int, int], new: tuple[int, int]) -> None:
-    """Repack every remainder coefficient from layout ``old`` to ``new`` (stride, bits), in place."""
+    """Repack every packed coefficient from layout ``old`` to ``new`` (stride, bits), in place."""
     (stride, bits), (new_stride, new_bits) = old, new
     for key, (lo, packed) in remainder.items():
-        coeffs = _unpack(packed, lo, stride, bits, packed.bit_length() // bits + 1)
+        coeffs = _unpack(packed, lo, stride or 1, bits, packed.bit_length() // bits + 1)
         lo = min(coeffs)
-        remainder[key] = (lo, _pack(coeffs, lo, new_stride, new_bits))
+        remainder[key] = (lo, _pack(coeffs, lo, new_stride or 1, new_bits))
 
 
 def bar(a: TorusElement) -> TorusElement:
@@ -710,22 +812,46 @@ def cluster_monomial(
     q^(-1/2 sum_{i<j} a_i a_j lam(e_i, e_j)); with it, the result is
     fixed by bar and independent of the chosen product order.
     """
-    if base_pair is None:
-        base_pair = pair
+    return _unpacked(_packed_cluster_monomial(exponents, variables, pair, base_pair or pair, 0))
+
+
+def _packed_cluster_monomial(
+    exponents: Sequence[int],
+    variables: Sequence[TorusElement],
+    pair: CompatiblePair,
+    base_pair: CompatiblePair,
+    twice: int,
+) -> _Packed:
+    """``q^(twice/2)`` times :func:`cluster_monomial`, packed.
+
+    Every product but the last is taken as an element.  A last product of
+    two factors of several terms each (x^2 is the square of x) stays packed;
+    otherwise the monomial is packed as it is.  The prefactor and ``twice``
+    are added to each key's ``lo``.
+    """
     a = [int(x) for x in exponents]
     if len(a) != len(variables):
         raise RankMismatch("exponent/variable length mismatch")
     if any(x < 0 for x in a):
         raise OutsideDomain("cluster_monomial requires nonnegative exponents")
     support = [i for i, x in enumerate(a) if x]
-    if not support:
-        return TorusElement.unit(variables[0].rank if variables else pair.m)
-    twice = 0
     for s, i in enumerate(support):
         row = pair.lam[i]
         for j in support[s + 1 :]:
             twice -= a[i] * a[j] * row[j]
-    result = torus_pow(variables[support[0]], a[support[0]], base_pair)
-    for i in support[1:]:
-        result = torus_mul(result, torus_pow(variables[i], a[i], base_pair), base_pair)
-    return result.shifted(twice)
+    if not support:
+        return _packed(TorusElement.unit(variables[0].rank if variables else pair.m), twice=twice)
+    *first, last = support
+    left, right = variables[last], None
+    if first:
+        left = torus_pow(variables[first[0]], a[first[0]], base_pair)
+        for i in first[1:]:
+            left = torus_mul(left, torus_pow(variables[i], a[i], base_pair), base_pair)
+        right = torus_pow(variables[last], a[last], base_pair)
+    elif a[last] > 1:
+        left, right = torus_pow(variables[last], a[last] - 1, base_pair), variables[last]
+    if right is None:
+        return _packed(left, twice=twice)
+    if len(left.terms) > 1 and len(right.terms) > 1:
+        return _mul_packed(left, right, base_pair, twice)
+    return _packed(torus_mul(left, right, base_pair), twice=twice)

@@ -13,7 +13,6 @@ from click.testing import CliRunner
 
 from qcluster.cli import main as cli_main
 from qcluster.expansion import (
-    oracle_compare,
     quantum_expansion,
     x_of_matching,
 )
@@ -34,7 +33,6 @@ from qcluster.snake import (
     matching_to_submodule,
     maximal_matching,
     minimal_matching,
-    submodule_to_matching,
 )
 from qcluster.strings import (
     Letter,
@@ -63,6 +61,8 @@ from qcluster.valuation import (
 )
 
 from conftest import make_word
+from test_expansion import oracle_compare
+from test_snake import submodule_to_matching
 from test_valuation import big_counts, n_pm
 
 KRON_PAIR = CompatiblePair(((0, 2), (-2, 0)), ((0, 1), (-1, 0)), (2, 2))

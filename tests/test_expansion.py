@@ -1,7 +1,7 @@
 """Laurent expansions of arc variables and the matching-weight formula."""
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import pytest
 
@@ -10,7 +10,6 @@ from qcluster.expansion import (
     ExpansionTerm,
     classical_specialization,
     graph_expansion,
-    oracle_compare,
     quantum_expansion,
     uniform_d,
     weight_exponent,
@@ -18,15 +17,15 @@ from qcluster.expansion import (
 )
 from qcluster.errors import InconsistentValuation, InvalidMutation, NotCompatible
 from qcluster.kronecker import family_word
-from qcluster.seeds import initial_seed
+from qcluster.seeds import QuantumSeed, initial_seed, mutation_sequence
 from qcluster.snake import (
     enumerate_matchings,
     label_snake,
     matching_to_submodule,
     minimal_matching,
 )
-from qcluster.strings import dimension_vector, enumerate_strings, trivial_word
-from qcluster.surface import b_matrix, build_quiver, load_surface, pair_from_surface
+from qcluster.strings import StringWord, dimension_vector, enumerate_strings, trivial_word
+from qcluster.surface import Triangulation, b_matrix, build_quiver, load_surface, pair_from_surface
 from qcluster.torus import CompatiblePair, QCoefficient, TorusElement, bar
 from qcluster.valuation import compare_valuations
 
@@ -140,6 +139,39 @@ def test_matching_exponents_factor_through_the_dimension_vector(
                 assert x_of_matching(g, P) == tuple(
                     base[i] + shift[i] for i in range(len(base))
                 )
+
+
+# -- the expansion against iterated mutation -----------------------------
+
+
+@dataclass(frozen=True)
+class ComparisonReport:
+    matches: bool
+    expansion: TorusElement
+    mutated: TorusElement
+    message: str
+
+
+def oracle_compare(w: StringWord, t: Triangulation, seed: QuantumSeed, sequence) -> ComparisonReport:
+    """Compare the snake-graph expansion against iterated mutation.
+
+    ``sequence`` is a list of directions whose final step mutates the
+    arc whose new variable should equal the expansion of w.
+    """
+    sequence = list(sequence)
+    if not sequence:
+        raise InvalidMutation("need at least one mutation step")
+    mutated_seed = mutation_sequence(seed, sequence)
+    mutated = mutated_seed.cluster[sequence[-1] - 1]
+    expansion = quantum_expansion(w, t, seed).element
+    if mutated == expansion:
+        return ComparisonReport(True, expansion, mutated, "expansion equals mutated variable")
+    return ComparisonReport(
+        False,
+        expansion,
+        mutated,
+        f"expansion {expansion} differs from mutated variable {mutated}",
+    )
 
 
 def test_oracle_compare_matches_the_double_mutation(annulus, seeds, g1_word):

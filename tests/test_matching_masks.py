@@ -380,7 +380,7 @@ def test_the_traced_expansion_leaves_no_annulus_expand_target_silent(annulus):
     "workload, commands",
     [
         ("polygon_verify", [["verify", "-s", "pentagon", "--max-length", "2", "--jobs", "1"]]),
-        ("annulus_mutate", [["mutate", "-s", "annulus", "--seq", "1,2"]]),
+        ("annulus_mutate", [["mutate", "-s", "annulus", "--seq", "1,2,1,2,1,2"]]),
         (
             "annulus_identities",
             [

@@ -199,8 +199,8 @@ def test_each_distinct_word_is_expanded_once_per_product(annulus, seeds, quivers
 # (v, w) -> (certified v, certified w, extension kind, s1_twice, s2_twice,
 # m2_source, identity_verified), or None where it raises NoSolution.
 # WHEEL3 has an internal triangle; ANNULUS_21 is A(2, 1).  On ANNULUS_21
-# X of `1 <a< 2 >c> 3` is not bar-invariant, so its two products whose
-# shifts are mirrored into the other order do not verify.
+# X of `1 <a< 2 >c> 3` is not bar-invariant, so its two products with
+# s1 < s2 are certified in the given order, not mirrored.
 FROZEN_WHEEL3_PRODUCTS = {
     ("1", "2"): ("2", "1", "arrow", 1, 0, "predicted", True),
     ("1", "3"): ("1", "3", "arrow", 1, 0, "predicted", True),
@@ -210,7 +210,7 @@ FROZEN_WHEEL3_PRODUCTS = {
     ("3", "2"): ("3", "2", "arrow", 1, 0, "predicted", True),
 }
 FROZEN_ANNULUS_21_PRODUCTS = {
-    ("1", "1 <a< 2 >c> 3"): ("1 <a< 2 >c> 3", "1", "arrow", 2, -2, "solved", False),
+    ("1", "1 <a< 2 >c> 3"): ("1", "1 <a< 2 >c> 3", "arrow", -2, 2, "solved", True),
     ("1", "1 >b> 3 <c< 2"): ("1", "1 >b> 3 <c< 2", "arrow", 0, -4, "solved", True),
     ("1", "1 >b> 3 <c< 2 >a> 1 >b> 3 <c< 2"):
         ("1", "1 >b> 3 <c< 2 >a> 1 >b> 3 <c< 2", "arrow", 0, -4, "solved", True),
@@ -227,7 +227,7 @@ FROZEN_ANNULUS_21_PRODUCTS = {
     ("1 <a< 2 >c> 3", "1 >b> 3"): None,
     ("1 <a< 2 >c> 3", "1 >b> 3 <c< 2 >a> 1 >b> 3"): None,
     ("1 <a< 2 >c> 3", "2"): None,
-    ("1 <a< 2 >c> 3", "2 >c> 3"): ("2 >c> 3", "1 <a< 2 >c> 3", "arrow", 2, -2, "solved", False),
+    ("1 <a< 2 >c> 3", "2 >c> 3"): ("1 <a< 2 >c> 3", "2 >c> 3", "arrow", -2, 2, "solved", True),
     ("1 <a< 2 >c> 3", "3"): None,
     ("1 <a< 2 >c> 3 <b< 1", "1 <a< 2"):
         ("1 <a< 2 >c> 3 <b< 1", "1 <a< 2", "overlap", 1, -1, "solved", True),
@@ -316,6 +316,7 @@ def test_single_extension_products_are_frozen(data, frozen):
                 cert.identity_verified,
             )
     assert seen == frozen
+    assert all(row[-1] for row in seen.values() if row is not None)
 
 
 def test_the_lowest_terms_do_not_give_the_wheel_shift():

@@ -27,7 +27,6 @@ from qcluster.snake import (
     maximal_matching,
     minimal_matching,
     snake_shape,
-    submodule_to_matching,
     twist,
 )
 from qcluster.strings import (
@@ -41,6 +40,17 @@ from qcluster.strings import (
 from qcluster.surface import Triangulation, build_quiver, load_surface
 
 from conftest import ANNULUS_21, WHEEL3, make_word
+
+
+def submodule_to_matching(g, indices: frozenset) -> int:
+    """Inverse of matching_to_submodule, searched in the bijection image."""
+    indices = frozenset(indices)
+    found = [P for P, image in snake._bijection_image(g).items() if image == indices]
+    if len(found) != 1:
+        raise BijectionViolation(
+            f"index set {sorted(indices)} does not match exactly one matching"
+        )
+    return found[0]
 
 
 @pytest.fixture(scope="module")

@@ -25,7 +25,6 @@ from qcluster.strings import (
     is_canonical_submodule,
     is_valid_string,
     trivial_word,
-    truncations,
     validate_string,
 )
 from qcluster.kronecker import family_word
@@ -186,6 +185,17 @@ def test_is_canonical_submodule_matches_the_enumeration(g1_word):
 def test_a_position_outside_the_word_is_not_canonical(g1_word, position):
     assert not is_canonical_submodule(g1_word, {position})
     assert not is_canonical_submodule(g1_word, {1, 2, 3, position})
+
+
+def truncations(w: StringWord) -> dict:
+    """The four end-truncations of a string, keyed by which end moves.
+
+    ``head_after_direct``   drop through the first direct letter
+    ``head_after_inverse``  drop through the first inverse letter
+    ``tail_before_inverse`` keep up to the last inverse letter
+    ``tail_before_direct``  keep up to the last direct letter
+    """
+    return {which: strings._truncate(w, which) for which in strings._CUTS}
 
 
 def test_truncations_of_the_double_crossing(g1_word):

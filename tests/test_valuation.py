@@ -26,7 +26,6 @@ from qcluster.snake import (
     matching_to_submodule,
     maximal_matching,
     minimal_matching,
-    submodule_to_matching,
     twist,
 )
 from qcluster.strings import (
@@ -47,6 +46,7 @@ from qcluster.valuation import (
 
 from conftest import SURFACES, WHEEL3
 from test_matching_masks import _toggle_keeps_canonical
+from test_snake import submodule_to_matching
 from test_strings import scan_canonical_submodules
 
 
