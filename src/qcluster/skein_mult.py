@@ -188,6 +188,8 @@ def multiply_and_certify(
 
 
 def relative_exponent_check(cert: MultiplicationCertificate) -> bool:
-    """Whether the two shifts are q^2 apart (relative_twice == 4); the
-    module docstring gives the gaps measured on the bundled surfaces."""
+    """Whether M1's shift is q^2 above M2's: the signed relative_twice ==
+    4, so a certificate whose M2 sits q^2 above M1 (relative_twice == -4)
+    gives False.  The module docstring gives the gaps measured on the
+    bundled surfaces."""
     return cert.relative_twice == 4

@@ -173,6 +173,7 @@ class SnakeGraph:
         # Word-side valuation tables, built by `valuation` on first use.
         self._window_counts: dict | None = None
         self._crossing_positions: dict | None = None
+        self._window_bytes: tuple | None = None
         self._omega_prime_rows: dict = {}
 
     def _slot(self, j: int) -> int:

@@ -24,15 +24,22 @@ below live on it as long as it does.  Two routes to the same integer:
   two end tiles, each end by whether its position is in N.
   n_module reads an index set only at positions j-1, j and j+1, so each
   graph tabulates it once per word arc, position and window pattern
-  (8 patterns), and keeps the positions crossing each arc.  For one
-  index set, omega_prime reads each arc's cells at the set's patterns,
-  takes prefix sums of their totals, and evaluates only the positions
-  crossing that arc, where the diagonal counts are the crossings
-  before and after; it keeps the row of values for every position.
-  valuation_v_gamma takes the canonical index sets in the generator's
+  (8 patterns), and keeps the positions crossing each arc.  The rows
+  of omega_prime (its value at every position) are filled for many
+  index sets at once: each set is one fixed-width lane of a Python
+  int.  The low byte of each lane of the packed masks shifted by an
+  index holds that set's window pattern there, and bytes.translate
+  through the window table's rows turns the patterns of all sets into
+  packed counts.  Each arc's prefix sums over the positions are then
+  one big-int addition per position, and each position crossing the
+  arc gets its value in every lane from the totals before and after
+  it, M_minus - M_plus and the sign that the set's bit at j selects.
+  The lane width comes from a bound on |omega_prime| that the window
+  table and d give.  valuation_v_gamma fills the rows of all canonical
+  index sets in one call, then takes the sets in the generator's
   order, smallest first, and values each from its canonical subsets
   one position smaller.  Index sets are frozensets wherever they are
-  taken, returned or used as keys of a kept table; the walk's int masks
+  taken, returned or used as keys of a kept table; their int masks
   (bit j for position j) only find subsets and fill omega_prime rows
   inside one call.  This route reads the word, the triangulation and
   the tiles' labels and triangles, never a matching or a table the
@@ -48,9 +55,11 @@ the window table against a sum over positions of n_module.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from collections import deque
+from functools import lru_cache
 from itertools import accumulate
-from operator import getitem, itemgetter
 
 from .errors import (
     BijectionViolation,
@@ -141,6 +150,13 @@ def valuation_v(g: SnakeGraph) -> dict:
 
 # -- module side -------------------------------------------------------
 
+# The signed array typecode of each item size in bytes, and the bit of
+# position j in the window j-1, j, j+1 as a translate table, which reads a
+# byte by its low three bits.
+_SIGNED = {array(code).itemsize: code for code in "qlihb"}
+_BIG_ENDIAN = sys.byteorder == "big"
+_SIGN = bytes(pattern >> 1 & 1 for pattern in range(8)) * 32
+
 
 def n_module(g: SnakeGraph, k: int, j: int, indices) -> tuple:
     """Counts (n, n_plus, n_minus) of arc k at position j for an index set N.
@@ -215,26 +231,94 @@ def _index_mask(g: SnakeGraph, indices: frozenset) -> int:
     return mask
 
 
-def _omega_prime_row(g: SnakeGraph, indices: frozenset, mask: int) -> tuple:
-    """omega_prime at every position for one index set and its mask, stored
-    on the graph."""
-    # Index p (position j = p + 1) reads its window j-1, j, j+1 from bits
-    # p, p+1, p+2 of the mask.
-    patterns = [mask >> p & 7 for p in range(g.d)]
-    values = [0] * g.d
-    for k, table in _window_counts(g).items():
-        cells = list(map(getitem, table, patterns))
-        # plain totals of the positions before each index, and of all
-        before = list(accumulate(map(itemgetter(0), cells), initial=0))
-        total = before[-1]
-        for p, m_minus_plus in g._crossing_positions[k]:
-            n, n_plus, n_minus = cells[p]
-            big_plus = n_plus + total - before[p] - n
-            big_minus = n_minus + before[p]
-            value = big_plus - big_minus + m_minus_plus
-            values[p] = value if mask >> p + 1 & 1 else -value
-    row = g._omega_prime_rows[indices] = tuple(values)
-    return row
+@lru_cache(maxsize=256)
+def _row_tables(row: tuple) -> tuple:
+    """One row of the window table as bytes.translate tables: n, and
+    n_plus - n_minus - n + bias, read at a position crossing the row's arc;
+    then the bias, the least that keeps that table nonnegative, and the
+    row's largest count.  Each table repeats its 8 patterns 32 times, so a
+    byte is read by its low three bits.
+
+    The tables depend on the row's counts alone, and rows repeat across
+    positions, words and surfaces (the annulus families, the bundled
+    surfaces' strings and seeded polygons show 12 distinct rows), so they
+    are kept by row; a word of one to three vertices then pays lookups, not
+    table builds."""
+    signed = [n_plus - n_minus - n for n, n_plus, n_minus in row]
+    bias = -min(signed)
+    plain = bytes(n for n, _, _ in row) * 32
+    return plain, bytes(x + bias for x in signed) * 32, bias, max(map(max, row))
+
+
+def _window_bytes(g: SnakeGraph) -> tuple:
+    """The window table as translate tables, read from it once per graph.
+
+    Per word arc: the table of n at each index, and per crossing (index,
+    its signed table, M_minus - M_plus - bias).  Also the width in bytes of
+    one omega_prime lane, a power of two: with c the largest count in the
+    table, |omega_prime| < (d + 1)(c + 1), as the signed parts add at most
+    2c, the plain totals of the other d - 1 positions at most (d - 1)c, and
+    |M_minus - M_plus| < d.
+    """
+    if g._window_bytes is None:
+        c, arcs = 0, []
+        for k, rows in _window_counts(g).items():
+            tables = [_row_tables(row) for row in rows]
+            c = max(c, *[largest for *_, largest in tables])
+            arcs.append(
+                (
+                    [plain for plain, *_ in tables],
+                    [(p, tables[p][1], m - tables[p][2]) for p, m in g._crossing_positions[k]],
+                )
+            )
+        g._window_bytes = 1 << (((g.d + 1) * (c + 1)).bit_length() // 8).bit_length(), arcs
+    return g._window_bytes
+
+
+def _omega_prime_rows(g: SnakeGraph, sets: list) -> list:
+    """omega_prime at every position for every given index set at once,
+    stored on the graph; returns the sets' masks in order.
+
+    Each set is one fixed-width lane of a Python int.  The window patterns
+    of all sets at an index are the low bytes of the packed masks shifted by
+    that index; translated through the window tables and spread one value
+    lane apart, they give each arc's packed counts, whose prefix sums are
+    big-int additions.  Lane values are signed: sums of packed ints are
+    exact, and half a lane added to every lane makes each one nonnegative
+    for the sign selection and the decode.
+    """
+    masks = [_index_mask(g, N) for N in sets]
+    width, arcs = _window_bytes(g)
+    d, count = g.d, len(masks)
+    # Mask lanes hold bits 0..d+1, so each index's window j-1, j, j+1 (bits
+    # p, p+1, p+2 for index p) lies in its own set's lane.
+    step = (d + 9) // 8
+    big = int.from_bytes(b"".join([m.to_bytes(step, "little") for m in masks]), "little")
+    patterns = [(big >> p).to_bytes(count * step, "little")[::step] for p in range(d)]
+    lanes = bytearray(count * width)
+
+    def spread(table: bytes, p: int) -> int:
+        lanes[::width] = patterns[p].translate(table)
+        return int.from_bytes(lanes, "little")
+
+    one = int.from_bytes(b"\x01".ljust(width, b"\0") * count, "little")
+    half, full = one << 8 * width - 1, (1 << 8 * width) - 1
+    columns = [()] * d
+    for plain, crossings in arcs:
+        before = list(accumulate(map(spread, plain, range(d)), initial=0))
+        for p, signed, shift in crossings:
+            # half + value and half - value in every lane; the set's bit at
+            # position j = p + 1 keeps the first, and xor with half turns the
+            # kept lane into two's complement
+            value = spread(signed, p) + before[-1] - 2 * before[p] + shift * one + half
+            negated = (half << 1) - value
+            kept = negated ^ (value ^ negated) & spread(_SIGN, p) * full
+            column = array(_SIGNED[width], (kept ^ half).to_bytes(count * width, "little"))
+            if _BIG_ENDIAN:
+                column.byteswap()
+            columns[p] = column
+    g._omega_prime_rows.update(zip(sets, zip(*columns)))
+    return masks
 
 
 def omega_prime(g: SnakeGraph, j: int, indices) -> int:
@@ -250,7 +334,8 @@ def omega_prime(g: SnakeGraph, j: int, indices) -> int:
     indices = frozenset(indices)
     row = g._omega_prime_rows.get(indices)
     if row is None:
-        row = _omega_prime_row(g, indices, _index_mask(g, indices))
+        _omega_prime_rows(g, [indices])
+        row = g._omega_prime_rows[indices]
     return row[j - 1]
 
 
@@ -262,9 +347,9 @@ def valuation_v_gamma(g: SnakeGraph) -> dict:
     values[N - {j}] - omega_prime(j, N - {j}) from every canonical set
     one position smaller, each step checked from both of its ends and
     all of N's steps checked to agree.  The table keeps that order.
-    The pass keys the sets it has valued by their masks, so N's subsets
-    are found by clearing one bit, and fills N's omega_prime row from
-    its mask before reading it.
+    The omega_prime rows of all the sets are filled before the pass,
+    which keys the sets it has valued by their masks, so N's subsets
+    are found by clearing one bit.
 
     Every nonempty canonical set has such a subset, so the smaller sets
     are all in the table when N is reached.  A run of one position can
@@ -275,11 +360,9 @@ def valuation_v_gamma(g: SnakeGraph) -> dict:
     letter i + 1, and the position i + 1 between them can go: the run
     closes at i and reopens at i + 2.
     """
-    values, by_mask, rows = {}, {}, g._omega_prime_rows
-    for N in canonical_submodules(g):
-        mask = _index_mask(g, N)
-        if N not in rows:
-            _omega_prime_row(g, N, mask)
+    values, by_mask = {}, {}
+    sets = canonical_submodules(g)
+    for N, mask in zip(sets, _omega_prime_rows(g, sets)):
         found = None if mask else 0
         rest = mask
         while rest:

@@ -168,6 +168,19 @@ def test_unconnected_pair_is_rejected(annulus, seeds):
         multiply_and_certify(trivial_word(1), trivial_word(1), annulus, seeds["annulus"])
 
 
+@pytest.mark.parametrize("v, w", [("1", "1 <a< 2 >c> 3"), ("1 <a< 2 >c> 3", "2 >c> 3")])
+def test_the_gap_check_is_signed(v, w):
+    # certified in the given order: M2 sits q^2 above M1, which the signed
+    # check does not count as the geometric gap
+    from qcluster.cli import parse_string
+
+    t = load_surface(ANNULUS_21)
+    q, seed = build_quiver(t), initial_seed(pair_from_surface(t))
+    cert = multiply_and_certify(parse_string(v, q), parse_string(w, q), t, seed)
+    assert (str(cert.v), str(cert.w), cert.relative_twice) == (v, w, -4)
+    assert relative_exponent_check(cert) is False
+
+
 @pytest.mark.parametrize(
     "v, w, outcome",
     [

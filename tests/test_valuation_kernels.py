@@ -1,19 +1,22 @@
 """The valuation kernels against the forms they replaced.
 
-reference_omega, reference_valuation_v, reference_valuation_v_gamma and
-reference_is_canonical_submodule are the code that ran before each tile
-got one twist row, the word-side walk was keyed by masks and the
-submodule test read the word's arrow masks.  The per-tile tables the old
-omega read (opposite pairs, the masks of the diagonal's edges before and
-after a tile, and (m_minus, m_plus)) are rebuilt here from the graph's
-public geometry, as the graph used to build them.
+reference_omega, reference_valuation_v, reference_valuation_v_gamma,
+reference_is_canonical_submodule and reference_omega_prime_row are the
+code that ran before each tile got one twist row, the word-side walk was
+keyed by masks, the submodule test read the word's arrow masks and the
+omega_prime rows of all index sets were filled at once.  The per-tile
+tables the old omega read (opposite pairs, the masks of the diagonal's
+edges before and after a tile, and (m_minus, m_plus)) are rebuilt here
+from the graph's public geometry, as the graph used to build them.
 """
 from __future__ import annotations
 
 from collections import deque
+from itertools import accumulate
+from operator import getitem, itemgetter
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcluster import valuation
@@ -26,11 +29,20 @@ from qcluster.snake import (
     maximal_matching,
     minimal_matching,
 )
-from qcluster.strings import enumerate_canonical_submodules, enumerate_strings, is_canonical_submodule
+from qcluster.strings import (
+    Letter,
+    StringWord,
+    enumerate_canonical_submodules,
+    enumerate_strings,
+    is_canonical_submodule,
+    is_valid_string,
+    trivial_word,
+)
 from qcluster.surface import build_quiver, load_surface
 from qcluster.valuation import m_pm, omega, omega_prime, valuation_v, valuation_v_gamma
 
-from conftest import ANNULUS_21, SURFACES
+from conftest import ANNULUS_21, SURFACES, WHEEL3
+from test_strings import ANNULUS_31
 
 
 # -- the replaced forms ----------------------------------------------------
@@ -151,6 +163,24 @@ def reference_is_canonical_submodule(w, indices):
         if source in indices and target not in indices:
             return False
     return True
+
+
+def reference_omega_prime_row(g, indices, mask):
+    """omega_prime at every position for one index set and its mask (the
+    per-set row builder, returning the row instead of storing it)."""
+    patterns = [mask >> p & 7 for p in range(g.d)]
+    values = [0] * g.d
+    for k, table in valuation._window_counts(g).items():
+        cells = list(map(getitem, table, patterns))
+        before = list(accumulate(map(itemgetter(0), cells), initial=0))
+        total = before[-1]
+        for p, m_minus_plus in g._crossing_positions[k]:
+            n, n_plus, n_minus = cells[p]
+            big_plus = n_plus + total - before[p] - n
+            big_minus = n_minus + before[p]
+            value = big_plus - big_minus + m_minus_plus
+            values[p] = value if mask >> p + 1 & 1 else -value
+    return tuple(values)
 
 
 # -- the corpus ------------------------------------------------------------
@@ -305,3 +335,88 @@ def test_a_corrupted_tau_mask_raises_a_twist_inconsistency(annulus):
     g._twist_rows[4] = (ccw, cw, both, before & before - 1, after, m)
     with pytest.raises(InconsistentValuation, match="twist at tile 2 gives 3, stored 2"):
         valuation_v(g)
+
+
+# -- the omega_prime rows of all sets at once --------------------------------
+
+
+def every_string(q, max_vertices):
+    """One representative of each inversion class of valid strings with at
+    most max_vertices vertices: a search over oriented words that does not
+    stop at a class it has seen."""
+    found = {}
+
+    def extend(word):
+        found.setdefault(str(word.canonical()), word.canonical())
+        if word.d == max_vertices:
+            return
+        last = word.vertices[-1]
+        steps = [Letter(a, True) for a in q.arrows_from(last)]
+        steps += [Letter(a, False) for a in q.arrows_to(last)]
+        for letter in steps:
+            candidate = StringWord(word.vertices + (letter.endpoints()[1],), word.letters + (letter,))
+            if is_valid_string(candidate, q):
+                extend(candidate)
+
+    for v in sorted(q.vertices):
+        extend(trivial_word(v))
+    return [found[key] for key in sorted(found)]
+
+
+def assert_rows_match(g, sets):
+    """The batch rows of sets equal the per-set rows, and the returned masks
+    are the sets' masks in order."""
+    masks = valuation._omega_prime_rows(g, sets)
+    assert masks == [valuation._index_mask(g, N) for N in sets]
+    for N, mask in zip(sets, masks):
+        assert g._omega_prime_rows[N] == reference_omega_prime_row(g, N, mask), sorted(N)
+
+
+def test_the_batch_rows_equal_the_per_set_rows_on_every_short_string(surfaces):
+    """Every canonical set of every string of at most 7 vertices on the
+    bundled surfaces, ANNULUS_21, ANNULUS_31 and WHEEL3."""
+    corpus = [surfaces[name] for name in SURFACES]
+    corpus += [load_surface(data) for data in (ANNULUS_21, ANNULUS_31, WHEEL3)]
+    words = sets = 0
+    for t in corpus:
+        for w in every_string(build_quiver(t), 7):
+            g = label_snake(w, t)
+            assert_rows_match(g, canonical_submodules(g))
+            words += 1
+            sets += len(canonical_submodules(g))
+    # annulus 14, pentagon 3, hexagon 6, square 1, ANNULUS_21 21, ANNULUS_31 46, WHEEL3 6
+    assert (words, sets) == (97, 976)
+
+
+@pytest.mark.parametrize("family, s", [("G", s) for s in range(9)] + [("H", s) for s in range(1, 9)])
+def test_the_batch_rows_equal_the_per_set_rows_on_the_families(annulus, family, s):
+    g = label_snake(family_word(annulus, s, family), annulus)
+    assert_rows_match(g, canonical_submodules(g))
+
+
+@pytest.fixture(scope="module")
+def g40(annulus):
+    return label_snake(family_word(annulus, 40, "G"), annulus)
+
+
+@settings(deadline=None, max_examples=40)
+@given(data=st.data())
+def test_the_batch_rows_equal_the_per_set_rows_on_drawn_sets_of_g40(g40, data):
+    """Arbitrary index sets of G_40 (d = 81), with the empty and the full
+    set: its bound (82 * 3) needs two-byte lanes."""
+    positions = st.integers(1, g40.d)
+    drawn = data.draw(st.lists(st.frozensets(positions) | st.frozensets(positions, min_size=70), max_size=30))
+    assert valuation._window_bytes(g40)[0] == 2
+    assert_rows_match(g40, [frozenset(), frozenset(range(1, g40.d + 1))] + drawn)
+
+
+def test_a_set_passed_alone_gets_the_row_of_the_batch(annulus):
+    w = family_word(annulus, 4, "H")
+    batch = label_snake(w, annulus)
+    valuation._omega_prime_rows(batch, canonical_submodules(batch))
+    for N in canonical_submodules(batch):
+        alone = label_snake(w, annulus)
+        assert valuation._omega_prime_rows(alone, [N]) == [valuation._index_mask(alone, N)]
+        assert alone._omega_prime_rows == {N: batch._omega_prime_rows[N]}
+        fresh = label_snake(w, annulus)
+        assert [omega_prime(fresh, j, N) for j in range(1, w.d + 1)] == list(alone._omega_prime_rows[N])
