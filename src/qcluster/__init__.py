@@ -7,6 +7,7 @@ products, all in exact integer arithmetic over the quantum torus.
 """
 
 from . import (
+    checks,
     errors,
     expansion,
     kronecker,
@@ -18,6 +19,7 @@ from . import (
     torus,
     valuation,
 )
+from .checks import *  # noqa: F403
 from .errors import *  # noqa: F403
 from .expansion import *  # noqa: F403
 from .kronecker import *  # noqa: F403
@@ -31,6 +33,7 @@ from .valuation import *  # noqa: F403
 
 # The package exports exactly what its modules list.
 __all__ = [
+    *checks.__all__,
     *errors.__all__,
     *expansion.__all__,
     *kronecker.__all__,

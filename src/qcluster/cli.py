@@ -1,93 +1,30 @@
 """Command-line front end.
 
 Every command takes --surface (a bundled name or a JSON path) and
-prints either human-readable text or structured JSON (--format).  The
-verify command runs the cross-check battery over all strings up to a
-length bound, optionally in parallel; its output is deterministic and
-independent of the worker count.
+prints either human-readable text or structured JSON (--format).  This
+module only parses options and formats results: words are read by
+`strings.parse_string`, and verify formats the check records of
+`qcluster.checks`, whose order does not depend on the worker count.
 """
 
 from __future__ import annotations
 
 import json
-import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from functools import partial
 from json.encoder import encode_basestring_ascii
 
 import click
 
+from .checks import verify_surface
 from .errors import QClusterError
-from .expansion import classical_specialization, graph_expansion, quantum_expansion
+from .expansion import classical_specialization, quantum_expansion
 from .kronecker import build_weighted, equality_check, recursion_checks, weighted_series
-from .seeds import initial_seed, mutate_seed, mutation_sequence
+from .seeds import initial_seed, mutation_sequence
 from .skein_mult import multiply_and_certify, relative_exponent_check
-from .snake import (
-    canonical_submodules,
-    check_bijection,
-    enumerate_matchings,
-    label_snake,
-    matching_to_submodule,
-)
-from .strings import (
-    Letter,
-    StringWord,
-    enumerate_strings,
-    validate_string,
-)
+from .snake import enumerate_matchings, label_snake, matching_to_submodule
+from .strings import parse_string
 from .surface import build_quiver, check_gentle, load_surface, pair_from_surface
-from .torus import bar
-from .valuation import compare_valuations, valuation_v, valuation_v_gamma
-
-_TOKEN = re.compile(r"([<>])\s*([A-Za-z0-9_]*)\s*\1|\d+")
-
-
-def parse_string(text: str, quiver) -> StringWord:
-    """Parse "1 >a> 2 <b< 1"; omitted arrow names take the least fit."""
-    tokens = []
-    pos = 0
-    for match in _TOKEN.finditer(text):
-        if text[pos : match.start()].strip():
-            raise click.ClickException(f"cannot parse string near {text[pos:]!r}")
-        pos = match.end()
-        if match.group(1):
-            tokens.append(("letter", match.group(1) == ">", match.group(2)))
-        else:
-            tokens.append(("vertex", int(match.group(0)), None))
-    if text[pos:].strip():
-        raise click.ClickException(f"cannot parse string near {text[pos:]!r}")
-    if not tokens or tokens[0][0] != "vertex" or tokens[-1][0] != "vertex":
-        raise click.ClickException("a string starts and ends with an arc id")
-    vertices = []
-    letters = []
-    expect_vertex = True
-    for kind, a, b in tokens:
-        if (kind == "vertex") != expect_vertex:
-            raise click.ClickException("arc ids and letters must alternate")
-        if kind == "vertex":
-            vertices.append(a)
-        else:
-            letters.append((a, b))
-        expect_vertex = not expect_vertex
-    built = []
-    for p, (direct, name) in enumerate(letters):
-        src, tgt = vertices[p], vertices[p + 1]
-        if not direct:
-            src, tgt = tgt, src
-        candidates = sorted(
-            (arrow for arrow in quiver.arrows_between(src, tgt) if not name or arrow.name == name),
-            key=lambda arrow: arrow.name,
-        )
-        if not candidates:
-            raise click.ClickException(
-                f"no arrow {'named ' + name + ' ' if name else ''}from {src} to {tgt}"
-            )
-        built.append(Letter(candidates[0], direct))
-    word = StringWord(tuple(vertices), tuple(built))
-    validate_string(word, quiver)
-    return word
-
+from .valuation import valuation_v, valuation_v_gamma
 
 def _element_json(element) -> list:
     out = []
@@ -438,47 +375,6 @@ def _halves(twice: int) -> str:
     return str(twice // 2) if twice % 2 == 0 else f"{twice}/2"
 
 
-# -- verify ------------------------------------------------------------
-
-
-def _verify_word(t, seed, word):
-    checks = []
-
-    def run(name, fn):
-        try:
-            fn()
-            checks.append((name, True, ""))
-        except Exception as exc:  # report, do not abort the batch
-            checks.append((name, False, f"{type(exc).__name__}: {exc}"))
-
-    g = label_snake(word, t)
-    run(
-        "counts",
-        lambda: _expect(
-            len(enumerate_matchings(g)) == len(canonical_submodules(g)),
-            "matching and submodule counts differ",
-        ),
-    )
-    run("bijection", lambda: check_bijection(g))
-    run("valuations", lambda: compare_valuations(g))
-    run("expansion", lambda: _check_expansion(g, seed))
-    return (str(word), checks)
-
-
-def _expect(ok: bool, message: str) -> None:
-    if not ok:
-        raise AssertionError(message)
-
-
-def _check_expansion(g, seed):
-    result = graph_expansion(g, seed)
-    _expect(bar(result.element) == result.element, "expansion is not bar-invariant")
-    _expect(
-        result.element.coefficients_nonnegative(),
-        "expansion has a negative coefficient",
-    )
-
-
 @main.command()
 @surface_option
 @click.option("--max-length", type=click.IntRange(min=1), default=6, show_default=True)
@@ -492,24 +388,7 @@ def _check_expansion(g, seed):
 @format_option
 def verify(surface, max_length, jobs, fmt):
     """Cross-check matchings, submodules, valuations and expansions."""
-    t = load_surface(surface)
-    quiver = build_quiver(t)
-    check_gentle(quiver)
-    pair = pair_from_surface(t)
-    seed = initial_seed(pair)
-    for k in range(1, t.n + 1):
-        twice = mutate_seed(mutate_seed(seed, k), k)
-        if twice.cluster != seed.cluster or twice.pair != seed.pair:
-            raise click.ClickException(f"mutation at {k} is not an involution")
-    words = enumerate_strings(quiver, max_length)
-
-    check_word = partial(_verify_word, t, seed)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(check_word, words))
-    else:
-        results = [check_word(word) for word in words]
-
+    pair, words, results = verify_surface(load_surface(surface), max_length, jobs)
     rows = [
         {"string": word_text, "check": name, "ok": ok, "message": message}
         for word_text, checks in results

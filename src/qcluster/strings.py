@@ -24,6 +24,7 @@ pair, two orientations of four, no relation check at a single vertex.
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
@@ -47,6 +48,7 @@ __all__ = [
     "trivial_word",
     "validate_string",
     "is_valid_string",
+    "parse_string",
     "is_canonical_submodule",
     "enumerate_canonical_submodules",
     "dimension_vector",
@@ -176,6 +178,56 @@ def is_valid_string(w: StringWord, q: QuiverWithRelations) -> bool:
     except InvalidString:
         return False
     return True
+
+
+_TOKEN = re.compile(r"([<>])\s*([A-Za-z0-9_]*)\s*\1|\d+")
+
+
+def parse_string(text: str, quiver: QuiverWithRelations) -> StringWord:
+    """Parse "1 >a> 2 <b< 1"; omitted arrow names take the least fit.
+    Malformed text raises InvalidString, a letter no arrow fits NotComposable."""
+    tokens = []
+    pos = 0
+    for match in _TOKEN.finditer(text):
+        if text[pos : match.start()].strip():
+            raise InvalidString(f"cannot parse string near {text[pos:]!r}")
+        pos = match.end()
+        if match.group(1):
+            tokens.append(("letter", match.group(1) == ">", match.group(2)))
+        else:
+            tokens.append(("vertex", int(match.group(0)), None))
+    if text[pos:].strip():
+        raise InvalidString(f"cannot parse string near {text[pos:]!r}")
+    if not tokens or tokens[0][0] != "vertex" or tokens[-1][0] != "vertex":
+        raise InvalidString("a string starts and ends with an arc id")
+    vertices = []
+    letters = []
+    expect_vertex = True
+    for kind, a, b in tokens:
+        if (kind == "vertex") != expect_vertex:
+            raise InvalidString("arc ids and letters must alternate")
+        if kind == "vertex":
+            vertices.append(a)
+        else:
+            letters.append((a, b))
+        expect_vertex = not expect_vertex
+    built = []
+    for p, (direct, name) in enumerate(letters):
+        src, tgt = vertices[p], vertices[p + 1]
+        if not direct:
+            src, tgt = tgt, src
+        candidates = sorted(
+            (arrow for arrow in quiver.arrows_between(src, tgt) if not name or arrow.name == name),
+            key=lambda arrow: arrow.name,
+        )
+        if not candidates:
+            raise NotComposable(
+                f"no arrow {'named ' + name + ' ' if name else ''}from {src} to {tgt}"
+            )
+        built.append(Letter(candidates[0], direct))
+    word = StringWord(tuple(vertices), tuple(built))
+    validate_string(word, quiver)
+    return word
 
 
 def is_canonical_submodule(w: StringWord, indices) -> bool:

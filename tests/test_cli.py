@@ -18,10 +18,10 @@ from hypothesis import strategies as st
 
 from qcluster import cli, snake, strings, valuation
 from qcluster import surface as surface_module
-from qcluster.cli import main, parse_string
-from qcluster.errors import UnreachableSubmodule
+from qcluster.cli import main
+from qcluster.errors import InvalidString, NotComposable, UnreachableSubmodule
 from qcluster.snake import enumerate_matchings, label_snake
-from qcluster.strings import enumerate_strings, trivial_word
+from qcluster.strings import enumerate_strings, parse_string, trivial_word
 
 from conftest import ANNULUS_21, write_malformed
 from test_surface import random_polygon
@@ -49,8 +49,23 @@ def test_parse_string_completes_omitted_names(quivers):
 
 
 def test_parse_string_rejects_unknown_arrows(quivers):
-    with pytest.raises(Exception):
+    with pytest.raises(NotComposable, match="^no arrow named z from 1 to 2$"):
         parse_string("1 >z> 2", quivers["annulus"])
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1 x >a> 2", "cannot parse string near ' x >a> 2'"),
+        ("1 >a> 2 junk", "cannot parse string near ' junk'"),
+        (">a> 2", "a string starts and ends with an arc id"),
+        ("1 2", "arc ids and letters must alternate"),
+    ],
+)
+def test_parse_string_raises_invalid_string_on_malformed_text(quivers, text, message):
+    with pytest.raises(InvalidString) as info:
+        parse_string(text, quivers["annulus"])
+    assert info.type is InvalidString and str(info.value) == message
 
 
 @pytest.mark.parametrize(
@@ -534,8 +549,10 @@ def test_surface_command_output_is_frozen(runner, surface, command, fmt):
 
 def test_verify_command_reports_all_checks(runner, monkeypatch):
     calls = []
-    real = cli.pair_from_surface
-    monkeypatch.setattr(cli, "pair_from_surface", lambda t: calls.append(t) or real(t))
+    real = surface_module.pair_from_surface
+    for key, namespace in list(sys.modules.items()):
+        if key.startswith("qcluster") and getattr(namespace, "pair_from_surface", None) is real:
+            monkeypatch.setattr(namespace, "pair_from_surface", lambda t: calls.append(t) or real(t))
     res = runner.invoke(main, ["verify", "-s", "pentagon", "--max-length", "4"])
     assert res.exit_code == 0
     assert "3 strings, 12 checks, 0 failures" in res.output

@@ -44,6 +44,38 @@ def test_the_check_sees_an_unused_import():
     assert unused_imports(source) == [(1, "trivial_word")]
 
 
+def click_importers(sources: dict) -> list:
+    """Modules other than cli that import click: the command line is the
+    one layer that knows about it."""
+    found = []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if module != "cli" and any(name.split(".")[0] == "click" for name in names):
+                found.append(module)
+                break
+    return found
+
+
+def test_only_the_command_line_imports_click():
+    assert click_importers({path.stem: path.read_text() for path in MODULES}) == []
+
+
+def test_the_check_sees_a_click_import_outside_the_command_line():
+    sources = {
+        "cli": "import click\n",
+        "a": "from click import ClickException\n",
+        "b": "import click.testing\n",
+        "c": "from .clicks import x\nimport clickhouse\n",
+    }
+    assert click_importers(sources) == ["a", "b"]
+
+
 def _names_in(node) -> set:
     out = set()
     for sub in ast.walk(node):

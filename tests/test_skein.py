@@ -172,7 +172,7 @@ def test_unconnected_pair_is_rejected(annulus, seeds):
 def test_the_gap_check_is_signed(v, w):
     # certified in the given order: M2 sits q^2 above M1, which the signed
     # check does not count as the geometric gap
-    from qcluster.cli import parse_string
+    from qcluster.strings import parse_string
 
     t = load_surface(ANNULUS_21)
     q, seed = build_quiver(t), initial_seed(pair_from_surface(t))
@@ -190,7 +190,7 @@ def test_the_gap_check_is_signed(v, w):
 )
 def test_each_distinct_word_is_expanded_once_per_product(annulus, seeds, quivers, monkeypatch, v, w, outcome):
     from qcluster import skein_mult
-    from qcluster.cli import parse_string
+    from qcluster.strings import parse_string
 
     calls = []
     real = skein_mult.quantum_expansion
@@ -351,7 +351,7 @@ def test_the_lowest_terms_do_not_give_the_wheel_shift():
 
 def test_an_overlap_closed_by_a_connector_string(monkeypatch):
     from qcluster import strings
-    from qcluster.cli import parse_string
+    from qcluster.strings import parse_string
 
     t = load_surface(HEPTAGON_WITH_A_CYCLE)
     q, seed = build_quiver(t), initial_seed(pair_from_surface(t))
