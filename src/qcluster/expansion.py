@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 from .errors import InconsistentValuation, NotCompatible
 from .seeds import QuantumSeed
-from .snake import SnakeGraph, enumerate_matchings, label_snake, matching_to_submodule, minimal_matching
-from .strings import StringWord, dimension_vector
+from .snake import SnakeGraph, bijection_image, label_snake, minimal_matching
+from .strings import StringWord
 from .surface import Triangulation
 from .torus import QCoefficient, TorusElement
 from .valuation import compare_valuations
@@ -100,15 +100,19 @@ def graph_expansion(g: SnakeGraph, seed: QuantumSeed) -> ExpansionResult:
     values = compare_valuations(g)
     base_x = x_of_matching(g, minimal_matching(g))
     columns = tuple(zip(*seed.pair.b_tilde))  # one column of B per internal arc
-    n = t.n
+    labels = tuple(zip(g._label_masks, g.crossings))
+    arcs, n = w.vertices, t.n
 
     by_dim: dict = {}  # dimension vector -> x(minimal) + B dim
     by_exponent: dict = {}  # exponent -> {q-power: matchings}
     rows = []
-    for P in enumerate_matchings(g):
-        xp = x_of_matching(g, P)
-        indices = matching_to_submodule(g, P)
-        dim = dimension_vector(w, indices, n=n)
+    # The image's positions are range-checked, so dim counts them per arc.
+    for P, indices in bijection_image(g).items():
+        xp = tuple([(P & mask).bit_count() - c for mask, c in labels])
+        counts = [0] * n
+        for j in indices:
+            counts[arcs[j - 1] - 1] += 1
+        dim = tuple(counts)
         xs = by_dim.get(dim)
         if xs is None:
             xs = base_x

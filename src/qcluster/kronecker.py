@@ -27,7 +27,7 @@ from functools import cached_property
 from .errors import UnmatchedCase
 from .expansion import counted_element, uniform_d, x_of_matching
 from .seeds import QuantumSeed
-from .snake import SnakeGraph, enumerate_matchings, label_snake, matching_to_submodule
+from .snake import SnakeGraph, bijection_image, label_snake
 from .strings import Letter, StringWord, dimension_vector
 from .surface import Triangulation, build_quiver
 from .torus import TorusElement
@@ -60,8 +60,7 @@ class WeightedSnake:
         """
         v = valuation_v(self.graph)
         alpha_by_set, v_by_set = {}, {}
-        for P in enumerate_matchings(self.graph):
-            indices = matching_to_submodule(self.graph, P)
+        for P, indices in bijection_image(self.graph).items():
             alpha_by_set[indices] = alpha_of_set(self, indices)
             v_by_set[indices] = v[P]
         return alpha_by_set, v_by_set
@@ -116,9 +115,9 @@ def weighted_series(ws: WeightedSnake, seed: QuantumSeed) -> TorusElement:
     """r_s of the weighted snake's own graph."""
     d, g = uniform_d(seed), ws.graph
     counts: dict = {}  # exponent -> {q-power: matchings}
-    for P in enumerate_matchings(g):
+    for P, indices in bijection_image(g).items():
         powers = counts.setdefault(x_of_matching(g, P), {})
-        twice = d * alpha_of_set(ws, matching_to_submodule(g, P))
+        twice = d * alpha_of_set(ws, indices)
         powers[twice] = powers.get(twice, 0) + 1
     return counted_element(g.triangulation.m, counts)
 

@@ -62,6 +62,7 @@ __all__ = [
     "twist",
     "enclosed_tiles",
     "matching_to_submodule",
+    "bijection_image",
     "canonical_submodules",
     "check_bijection",
 ]
@@ -173,6 +174,7 @@ class SnakeGraph:
         # Word-side valuation tables, built by `valuation` on first use.
         self._window_counts: dict | None = None
         self._crossing_positions: dict | None = None
+        self._end_sides: list | None = None
         self._window_bytes: tuple | None = None
         self._omega_prime_rows: dict = {}
 
@@ -430,8 +432,9 @@ def enclosed_tiles(g: SnakeGraph, P: int) -> frozenset:
     return frozenset(out)
 
 
-def _bijection_image(g: SnakeGraph) -> dict:
-    """Each matching's enclosed tiles, checked canonical; built once per graph."""
+def bijection_image(g: SnakeGraph) -> dict:
+    """Each matching's enclosed tiles, checked canonical; built once per graph
+    in enumerate_matchings order and shared, so loops read it, not change it."""
     if g._image is None:
         image = {}
         for P in enumerate_matchings(g):
@@ -446,7 +449,7 @@ def _bijection_image(g: SnakeGraph) -> dict:
 
 
 def matching_to_submodule(g: SnakeGraph, P: int) -> frozenset:
-    indices = _bijection_image(g).get(P)
+    indices = bijection_image(g).get(P)
     if indices is None:
         raise BijectionViolation(f"{sorted(g.edges(P))} is not a perfect matching of the graph")
     return indices
@@ -461,7 +464,7 @@ def canonical_submodules(g: SnakeGraph) -> list:
 
 def check_bijection(g: SnakeGraph) -> dict:
     """Verify matchings <-> canonical index sets; return the dictionary."""
-    image = _bijection_image(g)
+    image = bijection_image(g)
     if len(image) != len(enumerate_matchings(g)):
         raise BijectionViolation("duplicate matchings")
     if len(set(image.values())) != len(image):

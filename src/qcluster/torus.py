@@ -368,14 +368,20 @@ class TorusElement:
         return hash((self.rank, frozenset((g, c) for g, c in self.terms.items())))
 
     def __add__(self, other: "TorusElement") -> "TorusElement":
+        """Both operands are validated elements of one rank: only shared keys
+        are added, and a key whose sum is zero is dropped."""
         self._check_rank(other)
         out = dict(self.terms)
         for g, c in other.terms.items():
-            out[g] = out.get(g, QCoefficient.zero()) + c
-        return TorusElement(self.rank, out)
+            total = out[g] + c if g in out else c
+            if total.is_zero():
+                del out[g]
+            else:
+                out[g] = total
+        return TorusElement._wrap(self.rank, out)
 
     def __neg__(self) -> "TorusElement":
-        return TorusElement(self.rank, {g: -c for g, c in self.terms.items()})
+        return TorusElement._wrap(self.rank, {g: -c for g, c in self.terms.items()})
 
     def __sub__(self, other: "TorusElement") -> "TorusElement":
         return self + (-other)

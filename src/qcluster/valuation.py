@@ -23,8 +23,10 @@ below live on it as long as it does.  Two routes to the same integer:
   also counts the glued edges that N splits and the free sides of the
   two end tiles, each end by whether its position is in N.
   n_module reads an index set only at positions j-1, j and j+1, so each
-  graph tabulates it once per word arc, position and window pattern
-  (8 patterns), and keeps the positions crossing each arc.  The rows
+  graph tabulates it per word arc, position and window pattern (8
+  patterns), calling it only where a row can be nonzero, and keeps the
+  positions crossing each arc; n_module reads the end triangles' free
+  sides from a list stored once per graph.  The rows
   of omega_prime (its value at every position) are filled for many
   index sets at once: each set is one fixed-width lane of a Python
   int.  The low byte of each lane of the packed masks shifted by an
@@ -70,9 +72,9 @@ from .errors import (
 )
 from .snake import (
     SnakeGraph,
+    bijection_image,
     canonical_submodules,
     enumerate_matchings,
-    matching_to_submodule,
     maximal_matching,
     minimal_matching,
 )
@@ -158,6 +160,21 @@ _BIG_ENDIAN = sys.byteorder == "big"
 _SIGN = bytes(pattern >> 1 & 1 for pattern in range(8)) * 32
 
 
+def _end_sides(g: SnakeGraph) -> list:
+    """(end, k, ccw) per free side k of an end tile's outer triangle, once per
+    graph: end is 1 or d, ccw whether k is the ccw flank of the end diagonal.
+    A triangle's sides are distinct; when d = 1 both end triangles count."""
+    if g._end_sides is None:
+        t, arcs = g.triangulation, g.word.vertices
+        g._end_sides = [
+            (end, k, t.ccw_flank(tri, arcs[end - 1]) == k)
+            for end, tri in ((1, g.tile(1).tri_in), (g.d, g.tile(g.d).tri_out))
+            for k in t.triangles[tri]
+            if k != arcs[end - 1]
+        ]
+    return g._end_sides
+
+
 def n_module(g: SnakeGraph, k: int, j: int, indices) -> tuple:
     """Counts (n, n_plus, n_minus) of arc k at position j for an index set N.
 
@@ -166,10 +183,11 @@ def n_module(g: SnakeGraph, k: int, j: int, indices) -> tuple:
     n_minus = [j-1 in N] == (letter j-1 is direct) when j > 1.  The
     plain part counts the glued edge after tile j when it carries k and
     N splits j from j+1, and, at the end positions 1 and d, a free side
-    k of the end tile's outer triangle: [end in N] == (k is the ccw
-    flank of the end diagonal).  All contributions accumulate.
+    k of the end tile's outer triangle (from _end_sides, stored once per
+    graph): [end in N] == (k is the ccw flank of the end diagonal).  All
+    contributions accumulate.
     """
-    w, t = g.word, g.triangulation
+    w = g.word
     indices = frozenset(indices)
     arcs, letters, d = w.vertices, w.letters, w.d
     if not 1 <= j <= d:
@@ -187,10 +205,9 @@ def n_module(g: SnakeGraph, k: int, j: int, indices) -> tuple:
             n_minus = int((j - 1 in indices) == letters[j - 2].direct)
     if j < d and g.glue_label(j) == k and (j in indices) != (j + 1 in indices):
         plain += 1
-    for end, tri in ((1, g.tile(1).tri_in), (d, g.tile(d).tri_out)):
-        diag = arcs[end - 1]
-        if j == end and k != diag and k in t.triangles[tri]:
-            plain += (end in indices) == (t.ccw_flank(tri, diag) == k)
+    for end, side, ccw in _end_sides(g):
+        if j == end and k == side:
+            plain += (end in indices) == ccw
     return n_plus + n_minus + plain, n_plus, n_minus
 
 
@@ -201,22 +218,28 @@ def _window(j: int, pattern: int) -> frozenset:
 
 def _window_counts(g: SnakeGraph) -> dict:
     """n_module per word arc, position and window pattern, built once per graph,
-    with each arc's crossings as (index, M_minus - M_plus) in word order."""
+    with each arc's crossings as (index, M_minus - M_plus) in word order.  Only
+    rows that can be nonzero call n_module: arc k at a position crossing it, at
+    a glue edge it labels or as an end triangle's free side; others share a zero row.
+    """
     if g._window_counts is None:
+        arcs, d = g.word.vertices, g.d
         positions: dict = {}
-        for p, k in enumerate(g.word.vertices):
+        for p, k in enumerate(arcs):
             positions.setdefault(k, []).append(p)
         g._crossing_positions = {
             k: [(p, 2 * seen - len(ps) + 1) for seen, p in enumerate(ps)]
             for k, ps in positions.items()
         }
-        g._window_counts = {
-            k: [
-                tuple(n_module(g, k, j, _window(j, pattern)) for pattern in range(8))
-                for j in range(1, g.d + 1)
-            ]
-            for k in positions
-        }
+        live = {(k, p + 1) for p, k in enumerate(arcs)}
+        live.update((g.glue_label(j), j) for j in range(1, d))
+        live.update((k, end) for end, k, _ in _end_sides(g))
+        table = {k: [((0, 0, 0),) * 8] * d for k in positions}
+        windows = [[_window(j, pattern) for pattern in range(8)] for j in range(1, d + 1)]
+        for k, j in live:
+            if k in table:
+                table[k][j - 1] = tuple(n_module(g, k, j, N) for N in windows[j - 1])
+        g._window_counts = table
     return g._window_counts
 
 
@@ -408,9 +431,13 @@ def compare_valuations(g: SnakeGraph) -> dict:
     if g._compared is None:
         v_match = valuation_v(g)
         v_word = valuation_v_gamma(g)
-        table = {}
+        table, image = {}, bijection_image(g)
         for P, val in v_match.items():
-            indices = matching_to_submodule(g, P)
+            indices = image.get(P)
+            if indices is None:
+                raise BijectionViolation(
+                    f"{sorted(g.edges(P))} is not a perfect matching of the graph"
+                )
             word_val = v_word.get(indices)
             if word_val is None:
                 raise BijectionViolation(

@@ -45,7 +45,7 @@ from conftest import ANNULUS_21, WHEEL3, make_word
 def submodule_to_matching(g, indices: frozenset) -> int:
     """Inverse of matching_to_submodule, searched in the bijection image."""
     indices = frozenset(indices)
-    found = [P for P, image in snake._bijection_image(g).items() if image == indices]
+    found = [P for P, image in snake.bijection_image(g).items() if image == indices]
     if len(found) != 1:
         raise BijectionViolation(
             f"index set {sorted(indices)} does not match exactly one matching"

@@ -11,9 +11,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qcluster.errors import (
+    AmbiguousSolution,
     DivisionByZero,
     NonExactDivision,
     NonPositiveD,
+    NoSolution,
     NotCompatible,
     NotNormalizable,
     NotSkew,
@@ -21,9 +23,11 @@ from qcluster.errors import (
     QClusterError,
     RankMismatch,
 )
-from qcluster.seeds import mutate_lambda, mutate_matrix
+from qcluster.seeds import initial_seed, mutate_lambda, mutate_matrix
 from qcluster import torus
-from qcluster.surface import load_surface, pair_from_surface
+from qcluster.skein_mult import count_extensions, multiply_and_certify
+from qcluster.strings import enumerate_strings
+from qcluster.surface import build_quiver, load_surface, pair_from_surface
 from qcluster.torus import (
     CompatiblePair,
     QCoefficient,
@@ -610,6 +614,112 @@ def test_adopted_kernel_results_are_well_formed(a, c, t):
     for x in (product, div_exact_right(product, c, PAIR3), product.shifted(t), a.shifted(t)):
         assert well_formed(x, 3)
     assert a.shifted(0) is a
+
+
+# -- sums ------------------------------------------------------------------
+
+
+def reference_sum(a, b):
+    """a + b as the validating constructor builds it: every key of both, then
+    the constructor drops the zero sums and checks each key's rank."""
+    out = dict(a.terms)
+    for g, c in b.terms.items():
+        out[g] = out.get(g, QCoefficient.zero()) + c
+    return TorusElement(a.rank, out)
+
+
+def reference_neg(a):
+    return TorusElement(a.rank, {g: -c for g, c in a.terms.items()})
+
+
+def snapshot(x):
+    return x.rank, {g: dict(c.coeffs) for g, c in x.terms.items()}
+
+
+@st.composite
+def overlapping_pairs(draw):
+    """(a, b) where b holds some of a's keys: with a's coefficient negated
+    (cancelled), with another coefficient, or not at all, plus keys of its own."""
+    a = draw(elements)
+    terms = draw(st.dictionaries(vectors, term_coefficients, max_size=3))
+    for g, c in a.terms.items():
+        choice = draw(st.sampled_from(("absent", "cancel", "other")))
+        if choice == "absent":
+            terms.pop(g, None)
+        else:
+            terms[g] = -c if choice == "cancel" else draw(term_coefficients)
+    return a, TorusElement(3, terms)
+
+
+@given(st.one_of(st.tuples(elements, elements), overlapping_pairs()))
+def test_sums_equal_the_validating_reference_and_leave_the_operands(pair):
+    a, b = pair
+    before = snapshot(a), snapshot(b)
+    sums = (
+        (a + b, reference_sum(a, b)),
+        (a - b, reference_sum(a, reference_neg(b))),
+        (-a, reference_neg(a)),
+    )
+    for result, want in sums:
+        assert result == want
+        assert well_formed(result, 3)
+    assert (snapshot(a), snapshot(b)) == before
+
+
+@given(elements)
+def test_an_element_minus_itself_is_zero_with_no_stored_term(a):
+    for zero in (a + (-a), a - a, -a + a):
+        assert zero.is_zero() and zero.terms == {} and zero.rank == 3
+
+
+def test_a_partial_cancellation_drops_exactly_the_cancelled_keys():
+    q = QCoefficient
+    a = TorusElement(3, {(1, 0, 0): q({0: 1}), (0, 1, 0): q({0: 2, 2: 1}), (0, 0, 1): q({-2: 3})})
+    b = TorusElement(3, {(1, 0, 0): q({0: -1}), (0, 1, 0): q({0: -2}), (1, 1, 1): q({4: 5})})
+    total = a + b
+    assert total.terms == {(0, 1, 0): q({2: 1}), (0, 0, 1): q({-2: 3}), (1, 1, 1): q({4: 5})}
+    assert (b + a).terms == total.terms
+
+
+@pytest.mark.parametrize("op", ("add", "sub"))
+def test_a_sum_of_two_ranks_still_raises(op):
+    unit, zero = TorusElement.unit, TorusElement.zero
+    for left, right in ((unit(2), unit(3)), (zero(2), zero(3))):
+        with pytest.raises(RankMismatch, match="rank mismatch: 2 vs 3"):
+            left + right if op == "add" else left - right
+
+
+def test_the_annulus_skein_residuals_equal_the_validating_reference(surfaces, monkeypatch):
+    """Every difference skein-multiply takes on the annulus's single-extension
+    products of strings of at most 7 vertices (the residuals it tries for M2),
+    against the reference, as a difference and as a sum."""
+    t = surfaces["annulus"]
+    q, seed = build_quiver(t), initial_seed(pair_from_surface(t))
+    seen = []
+    sub = TorusElement.__sub__
+
+    def recording_sub(a, b):
+        seen.append((a, b, snapshot(a), snapshot(b)))
+        return sub(a, b)
+
+    monkeypatch.setattr(TorusElement, "__sub__", recording_sub)
+    words, outcomes = enumerate_strings(q, 7), []
+    for v in words:
+        for w in words:
+            if count_extensions(v, w, q) == 1:
+                try:
+                    outcomes.append(multiply_and_certify(v, w, t, seed).identity_verified)
+                except (NoSolution, AmbiguousSolution) as error:
+                    outcomes.append(type(error).__name__)
+    monkeypatch.undo()
+    assert (len(outcomes), outcomes.count(True), outcomes.count("NoSolution")) == (32, 30, 2)
+    assert len(seen) == 32
+    # some residuals cancel keys, so the sums drop terms
+    assert any(len((a - b).terms) < len(a.terms.keys() | b.terms.keys()) for a, b, *_ in seen)
+    for a, b, before_a, before_b in seen:
+        assert (snapshot(a), snapshot(b)) == (before_a, before_b)
+        assert a - b == reference_sum(a, reference_neg(b))
+        assert a + b == reference_sum(a, b)
 
 
 @given(elements, elements, vectors, twists)

@@ -306,15 +306,23 @@ def test_no_glue_edge_follows_the_last_tile(g1_graph):
 
 
 def test_the_g7_expansion_tabulates_each_window_once(monkeypatch, annulus, seeds):
-    # at most 8 window patterns per word arc and position, for the one graph
+    # 8 window patterns per row (word arc, position) of the full table that
+    # is nonzero somewhere, once for the one graph: 17 of G_7's 30 rows
+    w = family_word(annulus, 7, "G")
+    g = label_snake(w, annulus)
+    nonzero = sum(
+        any(n_module(g, k, j, valuation._window(j, p)) != (0, 0, 0) for p in range(8))
+        for k in set(w.vertices)
+        for j in range(1, w.d + 1)
+    )
+    assert nonzero == 17
     calls = []
     real = valuation.n_module
     monkeypatch.setattr(
         valuation, "n_module", lambda *args, **kw: calls.append(args) or real(*args, **kw)
     )
-    w = family_word(annulus, 7, "G")
     quantum_expansion(w, annulus, seeds["annulus"])
-    assert 0 < len(calls) <= 8 * w.d * len(set(w.vertices))
+    assert len(calls) == 8 * nonzero
 
 
 class Untouchable:

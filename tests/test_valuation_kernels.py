@@ -1,16 +1,19 @@
 """The valuation kernels against the forms they replaced.
 
 reference_omega, reference_valuation_v, reference_valuation_v_gamma,
-reference_is_canonical_submodule and reference_omega_prime_row are the
-code that ran before each tile got one twist row, the word-side walk was
-keyed by masks, the submodule test read the word's arrow masks and the
-omega_prime rows of all index sets were filled at once.  The per-tile
+reference_is_canonical_submodule, reference_omega_prime_row and
+reference_n_module are the code that ran before each tile got one twist
+row, the word-side walk was keyed by masks, the submodule test read the
+word's arrow masks, the omega_prime rows of all index sets were filled at
+once and the window table called n_module only where a row can be
+nonzero.  The per-tile
 tables the old omega read (opposite pairs, the masks of the diagonal's
 edges before and after a tile, and (m_minus, m_plus)) are rebuilt here
 from the graph's public geometry, as the graph used to build them.
 """
 from __future__ import annotations
 
+import random
 from collections import deque
 from itertools import accumulate
 from operator import getitem, itemgetter
@@ -43,6 +46,7 @@ from qcluster.valuation import m_pm, omega, omega_prime, valuation_v, valuation_
 
 from conftest import ANNULUS_21, SURFACES, WHEEL3
 from test_strings import ANNULUS_31
+from test_surface import random_polygon
 
 
 # -- the replaced forms ----------------------------------------------------
@@ -181,6 +185,26 @@ def reference_omega_prime_row(g, indices, mask):
             value = big_plus - big_minus + m_minus_plus
             values[p] = value if mask >> p + 1 & 1 else -value
     return tuple(values)
+
+
+def reference_n_module(g, k, j, indices):
+    """n_module as it was, scanning the end tiles' outer triangles on every call."""
+    w, t = g.word, g.triangulation
+    indices = frozenset(indices)
+    arcs, letters, d = w.vertices, w.letters, w.d
+    n_plus = n_minus = plain = 0
+    if arcs[j - 1] == k:
+        if j < d:
+            n_plus = int((j + 1 in indices) != letters[j - 1].direct)
+        if j > 1:
+            n_minus = int((j - 1 in indices) == letters[j - 2].direct)
+    if j < d and g.glue_label(j) == k and (j in indices) != (j + 1 in indices):
+        plain += 1
+    for end, tri in ((1, g.tile(1).tri_in), (d, g.tile(d).tri_out)):
+        diag = arcs[end - 1]
+        if j == end and k != diag and k in t.triangles[tri]:
+            plain += (end in indices) == (t.ccw_flank(tri, diag) == k)
+    return n_plus + n_minus + plain, n_plus, n_minus
 
 
 # -- the corpus ------------------------------------------------------------
@@ -420,3 +444,55 @@ def test_a_set_passed_alone_gets_the_row_of_the_batch(annulus):
         assert alone._omega_prime_rows == {N: batch._omega_prime_rows[N]}
         fresh = label_snake(w, annulus)
         assert [omega_prime(fresh, j, N) for j in range(1, w.d + 1)] == list(alone._omega_prime_rows[N])
+
+
+# -- the window table, called only where a row can be nonzero ----------------
+
+
+def full_window_table(g, counts):
+    """counts(g, k, j, window) for every word arc, position and pattern."""
+    return {
+        k: [
+            tuple(counts(g, k, j, valuation._window(j, p)) for p in range(8))
+            for j in range(1, g.d + 1)
+        ]
+        for k in dict.fromkeys(g.word.vertices)
+    }
+
+
+def reference_crossing_positions(w):
+    """Per word arc, its positions (0-based) with how many more crossings of
+    it come before than after."""
+    out = {}
+    for k in dict.fromkeys(w.vertices):
+        ps = [p for p, arc in enumerate(w.vertices) if arc == k]
+        out[k] = [(p, seen - (len(ps) - 1 - seen)) for seen, p in enumerate(ps)]
+    return out
+
+
+def test_the_sparse_window_table_equals_the_full_one(surfaces):
+    """Every string of at most 7 vertices on the bundled surfaces,
+    ANNULUS_21, ANNULUS_31, WHEEL3 and seeded 10- to 16-gons, the
+    one-vertex words (both end triangles at one position) among them; and
+    n_module of every arc, word arc or not, against the scanning form."""
+    corpus = [surfaces[name] for name in SURFACES]
+    corpus += [load_surface(data) for data in (ANNULUS_21, ANNULUS_31, WHEEL3)]
+    corpus += [load_surface(random_polygon(n, random.Random(n))) for n in range(10, 17)]
+    graphs = single = 0
+    for t in corpus:
+        for w in every_string(build_quiver(t), 7):
+            g = label_snake(w, t)
+            sparse = valuation._window_counts(g)
+            assert sparse == full_window_table(g, valuation.n_module), str(w)
+            assert sparse == full_window_table(g, reference_n_module), str(w)
+            assert g._crossing_positions == reference_crossing_positions(w), str(w)
+            # every arc, not only the word's: a free side of an end triangle
+            for k in range(1, t.m + 1):
+                for j in range(1, w.d + 1):
+                    for p in range(8):
+                        N = valuation._window(j, p)
+                        want = reference_n_module(g, k, j, N)
+                        assert valuation.n_module(g, k, j, N) == want, (str(w), k, j, p)
+            graphs += 1
+            single += w.d == 1
+    assert (graphs, single) == (490, 88)
