@@ -18,7 +18,6 @@ of `enumerate_strings` for any number of worker processes.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 
 from .errors import InvalidMutation
@@ -87,6 +86,9 @@ def verify_surface(t, max_length: int, jobs: int = 1):
     words = enumerate_strings(quiver, max_length)
     check = partial(check_word, t, seed)
     if jobs > 1:
+        # Imported here: a serial run need not load multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(check, words))
     else:

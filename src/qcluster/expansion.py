@@ -27,7 +27,6 @@ __all__ = [
     "ExpansionTerm",
     "ExpansionResult",
     "uniform_d",
-    "weight_exponent",
     "x_of_matching",
     "counted_element",
     "quantum_expansion",
@@ -59,13 +58,10 @@ def uniform_d(seed: QuantumSeed) -> int:
     return ds.pop()
 
 
-def weight_exponent(g: SnakeGraph, P: int) -> tuple:
-    """Matched edges per label: one popcount per label mask."""
-    return tuple((P & mask).bit_count() for mask in g._label_masks)
-
-
 def x_of_matching(g: SnakeGraph, P: int) -> tuple:
-    return tuple(a - b for a, b in zip(weight_exponent(g, P), g.crossings))
+    """The exponent of matching P: per arc, its matched edges carrying the
+    arc (one popcount of the label mask) minus the word's crossings of it."""
+    return tuple([(P & mask).bit_count() - c for mask, c in zip(g._label_masks, g.crossings)])
 
 
 def counted_element(rank: int, counts: dict) -> TorusElement:
@@ -100,7 +96,6 @@ def graph_expansion(g: SnakeGraph, seed: QuantumSeed) -> ExpansionResult:
     values = compare_valuations(g)
     base_x = x_of_matching(g, minimal_matching(g))
     columns = tuple(zip(*seed.pair.b_tilde))  # one column of B per internal arc
-    labels = tuple(zip(g._label_masks, g.crossings))
     arcs, n = w.vertices, t.n
 
     by_dim: dict = {}  # dimension vector -> x(minimal) + B dim
@@ -108,7 +103,7 @@ def graph_expansion(g: SnakeGraph, seed: QuantumSeed) -> ExpansionResult:
     rows = []
     # The image's positions are range-checked, so dim counts them per arc.
     for P, indices in bijection_image(g).items():
-        xp = tuple([(P & mask).bit_count() - c for mask, c in labels])
+        xp = x_of_matching(g, P)
         counts = [0] * n
         for j in indices:
             counts[arcs[j - 1] - 1] += 1

@@ -132,14 +132,9 @@ def recursion_checks(ws: WeightedSnake) -> list:
     """Check the four twist-set recursions at the level of ws; return failures.
 
     ws is G_s or H_s; the levels the rows read are built here.  Each set of
-    G_s, then of H_s, is checked against its row, for alpha and for v (v's
-    step is negated on H_s); a set lacking what its row needs is not compared:
-
-        row          N in  last in N  also needs                      restriction              alpha step
-        drop last    G_s   2s+1: no   -                               N in H_s                 -u
-        keep last    G_s   2s+1: yes  2s in N                         N - {2s, 2s+1} in G_s-1  -u + w + 1
-        H keep last  H_s   2s: yes    -                               N - {2s} in G_s-1        -s + w
-        H drop last  H_s   2s: no     2s-1 not in N; N = {} if s = 1  N in H_s-1               -u + w
+    G_s, then of H_s, is checked against its row of the module docstring's
+    rule table, for alpha and for v (v's step is negated on H_s); a set
+    lacking what its row needs is not compared.
     """
     s = ws.s
     if s < 1:

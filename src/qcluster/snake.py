@@ -68,6 +68,13 @@ __all__ = [
 ]
 
 _SIDES = ("S", "E", "N", "W")
+# Each side's two corners, as offsets from its tile's lower-left corner.
+_CORNERS = {
+    "S": ((0, 0), (1, 0)),
+    "E": ((1, 0), (1, 1)),
+    "N": ((0, 1), (1, 1)),
+    "W": ((0, 0), (0, 1)),
+}
 
 
 def snake_shape(w: StringWord) -> tuple:
@@ -172,8 +179,6 @@ class SnakeGraph:
         self._minimal = sum(b for b, cls in glue_free if cls == "cw")
         self._maximal = sum(b for b, cls in glue_free if cls == "ccw")
         # Word-side valuation tables, built by `valuation` on first use.
-        self._window_counts: dict | None = None
-        self._crossing_positions: dict | None = None
         self._end_sides: list | None = None
         self._window_bytes: tuple | None = None
         self._omega_prime_rows: dict = {}
@@ -214,14 +219,8 @@ class SnakeGraph:
     def edge_endpoints(self, e) -> tuple:
         j, side = e
         t = self.tile(j)
-        x, y = t.x, t.y
-        if side == "S":
-            return ((x, y), (x + 1, y))
-        if side == "N":
-            return ((x, y + 1), (x + 1, y + 1))
-        if side == "W":
-            return ((x, y), (x, y + 1))
-        return ((x + 1, y), (x + 1, y + 1))
+        (ax, ay), (bx, by) = _CORNERS[side]
+        return ((t.x + ax, t.y + ay), (t.x + bx, t.y + by))
 
     def vertices(self) -> list:
         return list(self._points)
@@ -387,29 +386,18 @@ def maximal_matching(g: SnakeGraph) -> int:
     return g._maximal
 
 
-def _twist_pairs(g: SnakeGraph, P: int, j: int) -> tuple | None:
-    """(pair in P, other pair) when P meets tile j in exactly one opposite pair."""
-    ccw, cw = g._twist_rows[g._slot(j)][:2]
-    held = P & (ccw | cw)
-    if held == ccw:
-        return ccw, cw
-    if held == cw:
-        return cw, ccw
-    return None
-
-
 def can_twist(g: SnakeGraph, P: int, j: int) -> bool:
-    return _twist_pairs(g, P, j) is not None
+    """Whether P meets tile j in exactly one of its opposite pairs."""
+    ccw, cw, both = g._twist_rows[g._slot(j)][:3]
+    return (P & both) in (ccw, cw)
 
 
 def twist(g: SnakeGraph, P: int, j: int) -> int:
     """Flip the matching on tile j between its two opposite side pairs."""
-    pairs = _twist_pairs(g, P, j)
-    if pairs is None:
+    if not can_twist(g, P, j):
         sides = sorted(s for e, s in g.tile_edges(j) if e in g.edges(P))
         raise CannotTwist(f"matching meets tile {j} in sides {sides}")
-    held, other = pairs
-    return P ^ (held | other)
+    return P ^ g._twist_rows[j - 1][2]
 
 
 def enclosed_tiles(g: SnakeGraph, P: int) -> frozenset:

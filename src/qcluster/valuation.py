@@ -22,11 +22,14 @@ below live on it as long as it does.  Two routes to the same integer:
   n_minus = [j-1 in N] == (letter j-1 is direct) for j > 1.  Each arc
   also counts the glued edges that N splits and the free sides of the
   two end tiles, each end by whether its position is in N.
-  n_module reads an index set only at positions j-1, j and j+1, so each
-  graph tabulates it per word arc, position and window pattern (8
-  patterns), calling it only where a row can be nonzero, and keeps the
-  positions crossing each arc; n_module reads the end triangles' free
-  sides from a list stored once per graph.  The rows
+  n_module reads an index set only at positions j-1, j and j+1, so it is
+  tabulated per word arc, position and window pattern (8 patterns),
+  called only where a row can be nonzero: at a position crossing the
+  row's arc when d > 1 (a one-vertex word has no letter, so that row is
+  zero), at a glue edge the arc labels, or at an end triangle's free
+  side, read from a list stored once per graph.  The table and each
+  arc's crossings are read into translate tables once per graph, the
+  one cached build of the window table.  The rows
   of omega_prime (its value at every position) are filled for many
   index sets at once: each set is one fixed-width lane of a Python
   int.  The low byte of each lane of the packed masks shifted by an
@@ -49,10 +52,9 @@ below live on it as long as it does.  Two routes to the same integer:
 
 compare_valuations matches the two routes through the bijection and
 keeps the agreed table on the graph, where the expansion reads it.
-m_pm and n_module are the per-position counts the tables hold: the
-window table is built from n_module, and the tests check the twist
-rows' m_minus - m_plus against m_pm, the rows against an edge scan and
-the window table against a sum over positions of n_module.
+n_module is the per-position count the window table holds; the tests
+check the twist rows against an edge scan and a count of the word's
+diagonals, and the window table against a sum over positions of n_module.
 """
 
 from __future__ import annotations
@@ -80,7 +82,6 @@ from .snake import (
 )
 
 __all__ = [
-    "m_pm",
     "omega",
     "valuation_v",
     "n_module",
@@ -91,12 +92,6 @@ __all__ = [
 
 
 # -- matching side -----------------------------------------------------
-
-
-def m_pm(g: SnakeGraph, s: int, tau: int) -> tuple:
-    """Occurrences of tau as a diagonal before and after tile s."""
-    diagonals, slot = [tile.diagonal for tile in g.tiles], g._slot(s)
-    return diagonals[:slot].count(tau), diagonals[slot + 1 :].count(tau)
 
 
 def omega(g: SnakeGraph, s: int, P: int) -> int:
@@ -216,31 +211,29 @@ def _window(j: int, pattern: int) -> frozenset:
     return frozenset(j - 1 + b for b in range(3) if pattern >> b & 1)
 
 
-def _window_counts(g: SnakeGraph) -> dict:
-    """n_module per word arc, position and window pattern, built once per graph,
-    with each arc's crossings as (index, M_minus - M_plus) in word order.  Only
-    rows that can be nonzero call n_module: arc k at a position crossing it, at
-    a glue edge it labels or as an end triangle's free side; others share a zero row.
+def _window_counts(g: SnakeGraph) -> tuple:
+    """(table, crossings): n_module per word arc, position and window pattern,
+    and each arc's crossings as (index, M_minus - M_plus) in word order.  Only
+    rows that can be nonzero call n_module: arc k at a position crossing it
+    when d > 1, at a glue edge it labels or as an end triangle's free side;
+    others share a zero row.  _window_bytes reads it once per graph.
     """
-    if g._window_counts is None:
-        arcs, d = g.word.vertices, g.d
-        positions: dict = {}
-        for p, k in enumerate(arcs):
-            positions.setdefault(k, []).append(p)
-        g._crossing_positions = {
-            k: [(p, 2 * seen - len(ps) + 1) for seen, p in enumerate(ps)]
-            for k, ps in positions.items()
-        }
-        live = {(k, p + 1) for p, k in enumerate(arcs)}
-        live.update((g.glue_label(j), j) for j in range(1, d))
-        live.update((k, end) for end, k, _ in _end_sides(g))
-        table = {k: [((0, 0, 0),) * 8] * d for k in positions}
-        windows = [[_window(j, pattern) for pattern in range(8)] for j in range(1, d + 1)]
-        for k, j in live:
-            if k in table:
-                table[k][j - 1] = tuple(n_module(g, k, j, N) for N in windows[j - 1])
-        g._window_counts = table
-    return g._window_counts
+    arcs, d = g.word.vertices, g.d
+    positions: dict = {}
+    for p, k in enumerate(arcs):
+        positions.setdefault(k, []).append(p)
+    crossings = {
+        k: [(p, 2 * seen - len(ps) + 1) for seen, p in enumerate(ps)] for k, ps in positions.items()
+    }
+    live = {(k, p + 1) for p, k in enumerate(arcs)} if d > 1 else set()
+    live.update((g.glue_label(j), j) for j in range(1, d))
+    live.update((k, end) for end, k, _ in _end_sides(g))
+    table = {k: [((0, 0, 0),) * 8] * d for k in positions}
+    windows = [[_window(j, pattern) for pattern in range(8)] for j in range(1, d + 1)]
+    for k, j in live:
+        if k in table:
+            table[k][j - 1] = tuple(n_module(g, k, j, N) for N in windows[j - 1])
+    return table, crossings
 
 
 def _index_mask(g: SnakeGraph, indices: frozenset) -> int:
@@ -274,7 +267,7 @@ def _row_tables(row: tuple) -> tuple:
 
 
 def _window_bytes(g: SnakeGraph) -> tuple:
-    """The window table as translate tables, read from it once per graph.
+    """The window table as translate tables, built once per graph.
 
     Per word arc: the table of n at each index, and per crossing (index,
     its signed table, M_minus - M_plus - bias).  Also the width in bytes of
@@ -284,14 +277,14 @@ def _window_bytes(g: SnakeGraph) -> tuple:
     |M_minus - M_plus| < d.
     """
     if g._window_bytes is None:
-        c, arcs = 0, []
-        for k, rows in _window_counts(g).items():
+        (table, crossings), c, arcs = _window_counts(g), 0, []
+        for k, rows in table.items():
             tables = [_row_tables(row) for row in rows]
             c = max(c, *[largest for *_, largest in tables])
             arcs.append(
                 (
                     [plain for plain, *_ in tables],
-                    [(p, tables[p][1], m - tables[p][2]) for p, m in g._crossing_positions[k]],
+                    [(p, tables[p][1], m - tables[p][2]) for p, m in crossings[k]],
                 )
             )
         g._window_bytes = 1 << (((g.d + 1) * (c + 1)).bit_length() // 8).bit_length(), arcs

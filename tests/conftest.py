@@ -70,6 +70,13 @@ def square(surfaces):
     return surfaces["square"]
 
 
+def m_pm(g, s, tau):
+    """Occurrences of tau as a diagonal before and after tile s: the
+    reference the twist rows' m_minus - m_plus is checked against."""
+    diagonals, slot = [tile.diagonal for tile in g.tiles], g._slot(s)
+    return diagonals[:slot].count(tau), diagonals[slot + 1 :].count(tau)
+
+
 def write_malformed(path, content):
     """Put ``content`` at ``path``: text, raw bytes, or (None) a directory."""
     if content is None:

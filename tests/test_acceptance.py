@@ -52,7 +52,6 @@ from qcluster.torus import (
     torus_mul,
 )
 from qcluster.valuation import (
-    m_pm,
     n_module,
     omega,
     omega_prime,
@@ -60,7 +59,7 @@ from qcluster.valuation import (
     valuation_v_gamma,
 )
 
-from conftest import make_word
+from conftest import m_pm, make_word
 from test_expansion import oracle_compare
 from test_snake import submodule_to_matching
 from test_valuation import big_counts, n_pm

@@ -2,6 +2,9 @@
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -216,3 +219,17 @@ def test_the_package_exports_exactly_the_module_export_lists():
     modules = {path.stem for path in MODULES}
     public = {name for name in vars(qcluster) if not name.startswith("_")} - modules
     assert public == listed
+
+
+def test_the_command_line_loads_no_worker_pool():
+    """Only ``verify --jobs`` above 1 starts worker processes, so importing
+    the command line leaves the pool's modules unloaded."""
+    probe = (
+        "import sys, qcluster.cli; "
+        "print([m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules])"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(qcluster.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env
+    ).stdout
+    assert out.strip() == "[]"

@@ -36,7 +36,6 @@ from qcluster.strings import (
 from qcluster.surface import build_quiver, load_surface
 from qcluster.valuation import (
     compare_valuations,
-    m_pm,
     n_module,
     omega,
     omega_prime,
@@ -44,7 +43,7 @@ from qcluster.valuation import (
     valuation_v_gamma,
 )
 
-from conftest import SURFACES, WHEEL3
+from conftest import SURFACES, WHEEL3, m_pm
 from test_matching_masks import _toggle_keeps_canonical
 from test_snake import submodule_to_matching
 from test_strings import scan_canonical_submodules
@@ -305,24 +304,45 @@ def test_no_glue_edge_follows_the_last_tile(g1_graph):
         g1_graph.glue_label(3)
 
 
-def test_the_g7_expansion_tabulates_each_window_once(monkeypatch, annulus, seeds):
-    # 8 window patterns per row (word arc, position) of the full table that
-    # is nonzero somewhere, once for the one graph: 17 of G_7's 30 rows
-    w = family_word(annulus, 7, "G")
-    g = label_snake(w, annulus)
-    nonzero = sum(
+def nonzero_window_rows(g):
+    """The rows (word arc, position) of the full window table that are nonzero somewhere."""
+    return sum(
         any(n_module(g, k, j, valuation._window(j, p)) != (0, 0, 0) for p in range(8))
-        for k in set(w.vertices)
-        for j in range(1, w.d + 1)
+        for k in set(g.word.vertices)
+        for j in range(1, g.d + 1)
     )
-    assert nonzero == 17
+
+
+def n_module_calls(monkeypatch, w, t, seed):
+    """How often one expansion of w calls n_module."""
     calls = []
     real = valuation.n_module
-    monkeypatch.setattr(
-        valuation, "n_module", lambda *args, **kw: calls.append(args) or real(*args, **kw)
-    )
-    quantum_expansion(w, annulus, seeds["annulus"])
-    assert len(calls) == 8 * nonzero
+    with monkeypatch.context() as patched:
+        patched.setattr(
+            valuation, "n_module", lambda *args, **kw: calls.append(args) or real(*args, **kw)
+        )
+        quantum_expansion(w, t, seed)
+    return len(calls)
+
+
+def test_the_g7_expansion_tabulates_each_window_once(monkeypatch, surfaces, quivers, seeds):
+    # 8 window patterns per row (word arc, position) of the full table that
+    # is nonzero somewhere, once for the one graph: 17 of G_7's 30 rows
+    annulus = surfaces["annulus"]
+    w = family_word(annulus, 7, "G")
+    nonzero = nonzero_window_rows(label_snake(w, annulus))
+    assert nonzero == 17
+    assert n_module_calls(monkeypatch, w, annulus, seeds["annulus"]) == 8 * nonzero
+    # and every one-vertex word, whose own arc's row is zero: it has no
+    # letter to give n_plus or n_minus, and its end sides skip the diagonal
+    words = 0
+    for name in SURFACES:
+        t = surfaces[name]
+        for w in enumerate_strings(quivers[name], 1):
+            nonzero = nonzero_window_rows(label_snake(w, t))
+            assert n_module_calls(monkeypatch, w, t, seeds[name]) == 8 * nonzero, (name, str(w))
+            words += 1
+    assert words == 8
 
 
 class Untouchable:

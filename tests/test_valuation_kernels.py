@@ -42,9 +42,9 @@ from qcluster.strings import (
     trivial_word,
 )
 from qcluster.surface import build_quiver, load_surface
-from qcluster.valuation import m_pm, omega, omega_prime, valuation_v, valuation_v_gamma
+from qcluster.valuation import omega, omega_prime, valuation_v, valuation_v_gamma
 
-from conftest import ANNULUS_21, SURFACES, WHEEL3
+from conftest import ANNULUS_21, SURFACES, WHEEL3, m_pm
 from test_strings import ANNULUS_31
 from test_surface import random_polygon
 
@@ -174,11 +174,12 @@ def reference_omega_prime_row(g, indices, mask):
     per-set row builder, returning the row instead of storing it)."""
     patterns = [mask >> p & 7 for p in range(g.d)]
     values = [0] * g.d
-    for k, table in valuation._window_counts(g).items():
-        cells = list(map(getitem, table, patterns))
+    table, crossings = valuation._window_counts(g)
+    for k, rows in table.items():
+        cells = list(map(getitem, rows, patterns))
         before = list(accumulate(map(itemgetter(0), cells), initial=0))
         total = before[-1]
-        for p, m_minus_plus in g._crossing_positions[k]:
+        for p, m_minus_plus in crossings[k]:
             n, n_plus, n_minus = cells[p]
             big_plus = n_plus + total - before[p] - n
             big_minus = n_minus + before[p]
@@ -482,10 +483,10 @@ def test_the_sparse_window_table_equals_the_full_one(surfaces):
     for t in corpus:
         for w in every_string(build_quiver(t), 7):
             g = label_snake(w, t)
-            sparse = valuation._window_counts(g)
+            sparse, crossings = valuation._window_counts(g)
             assert sparse == full_window_table(g, valuation.n_module), str(w)
             assert sparse == full_window_table(g, reference_n_module), str(w)
-            assert g._crossing_positions == reference_crossing_positions(w), str(w)
+            assert crossings == reference_crossing_positions(w), str(w)
             # every arc, not only the word's: a free side of an end triangle
             for k in range(1, t.m + 1):
                 for j in range(1, w.d + 1):
