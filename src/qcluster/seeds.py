@@ -3,9 +3,10 @@
 A seed is a compatible pair together with the current cluster, each
 variable expressed in the ambient quantum torus of the initial seed.
 Mutation in direction k follows the usual exchange pattern: the two
-exchange products are formed from the columns of the exchange matrix,
-bar-normalized against the current commutation matrix, and the old
-variable is divided out on the right.
+exchange sides are the bar-invariant cluster monomials of the positive and
+negative parts of column k of the exchange matrix, and the old variable is
+divided out on the right.  ``_exchange_term`` states that whole rule; the
+torus only multiplies the factors it is given.
 
 Compatibility is proved once per surface, by ``check_compatible`` inside
 ``pair_from_surface``.  Mutation then carries d forward: mutating a
@@ -29,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .errors import InvalidMutation, NonExactDivision, NotCompatible
-from .torus import CompatiblePair, TorusElement, _packed_cluster_monomial, _packed_sum, bar, div_exact_right
+from .torus import CompatiblePair, TorusElement, _packed_product, _packed_sum, bar, div_exact_right
 
 __all__ = [
     "QuantumSeed",
@@ -49,6 +50,13 @@ _MUTATION_LIMIT = 12  # longest sequence mutation_sequence accepts
 
 def _pos(x: int) -> int:
     return x if x > 0 else 0
+
+
+def _slot(k: int, n: int) -> int:
+    """The 0-based slot of mutation direction ``k``; only 1..n are directions."""
+    if not 1 <= k <= n:
+        raise InvalidMutation(f"direction {k} outside 1..{n}")
+    return k - 1
 
 
 @dataclass(frozen=True)
@@ -81,10 +89,7 @@ def mutate_matrix(b: list, k: int) -> list:
     both factors have the same sign, so only the support of column k
     times the support of row k is read.
     """
-    n = len(b[0])
-    kk = k - 1
-    if not 0 <= kk < n:
-        raise InvalidMutation(f"direction {k} outside 1..{n}")
+    kk = _slot(k, len(b[0]))
     out = [list(row) for row in b]
     out[kk] = [-y for y in b[kk]]
     row_k = [(j, y) for j, y in enumerate(b[kk]) if y and j != kk]
@@ -103,10 +108,7 @@ def mutate_lambda(lam: list, b: list, k: int) -> list:
     Only row and column k change: lam[i][k] becomes -lam[i][k] plus
     b[l][k] lam[i][l] over the positive entries of column k of b.
     """
-    n = len(b[0])
-    kk = k - 1
-    if not 0 <= kk < n:
-        raise InvalidMutation(f"direction {k} outside 1..{n}")
+    kk = _slot(k, len(b[0]))
     positive = [(l, x) for l, row in enumerate(b) if (x := row[kk]) > 0]
     out = [list(row) for row in lam]
     for i, row in enumerate(lam):
@@ -117,39 +119,43 @@ def mutate_lambda(lam: list, b: list, k: int) -> list:
     return out
 
 
-def _exchange_term(seed: QuantumSeed, k: int, exponents: list):
-    """The cluster monomial of one exchange side, shifted for the old variable, packed.
+def _exchange_term(seed: QuantumSeed, kk: int, exponents: list):
+    """One exchange side: its bar-invariant cluster monomial, shifted for the old variable, packed.
 
-    ``exponents`` has a zero in slot k; the shift accounts for normalizing
-    the monomial with the old variable's inverse appended, using the
-    current commutation matrix.
+    The factors are ``seed.cluster[i]`` repeated a_i times, in index order,
+    with product M.  Under the current commutation matrix lam, x_i x_j =
+    q^(lam_ij) x_j x_i; bar fixes each x_i and reverses products, so bar(M)
+    = q^(-S) M for S = sum_{i<j} a_i a_j lam_ij, and the prefactor makes
+    q^(-S/2) M bar-invariant (Berenstein-Zelevinsky 2005).  Slot ``kk`` of
+    ``exponents`` is zero; the shift q^(lambda_k/2), lambda_k = sum_i a_i
+    lam_ik, normalizes M with the old variable's inverse appended.
     """
-    lam_k = sum(e * row[k - 1] for e, row in zip(exponents, seed.pair.lam))
-    return _packed_cluster_monomial(exponents, seed.cluster, seed.pair, seed.base_pair, lam_k)
+    lam = seed.pair.lam
+    twice = sum(a * row[kk] for a, row in zip(exponents, lam))
+    support = [i for i, a in enumerate(exponents) if a]
+    for s, i in enumerate(support):
+        for j in support[s + 1 :]:
+            twice -= exponents[i] * exponents[j] * lam[i][j]
+    factors = [seed.cluster[i] for i in support for _ in range(exponents[i])]
+    return _packed_product(factors or [TorusElement.unit(seed.m)], seed.base_pair, twice)
 
 
 def mutate_seed(seed: QuantumSeed, k: int) -> QuantumSeed:
     """Mutate in direction k (1-based); involutive, diagonal-preserving.
 
-    The exchange numerator stays packed from the product to the division:
-    each side's last product of two multi-term factors (a square, such as
-    x^2, visits each unordered term pair once) is summed into one packed
-    layout without being unpacked, its prefactor and shift move each key's
-    lowest exponent, and ``div_exact_right`` starts its remainder from that
-    numerator with no pack step.
+    The two sides of the exchange numerator are summed packed, and
+    ``div_exact_right`` starts its remainder from that sum with no pack step.
 
     The new pair keeps ``seed.pair.d`` unchecked: mutation preserves
     compatibility with the same d (Berenstein-Zelevinsky 2005), which
     ``test_mutation_keeps_the_pair_compatible_with_the_same_d`` tests.
     """
-    if not 1 <= k <= seed.n:
-        raise InvalidMutation(f"direction {k} outside 1..{seed.n}")
+    kk = _slot(k, seed.n)
     b, lam = seed.pair.b_tilde, seed.pair.lam
-    kk = k - 1
     plus = [_pos(b[i][kk]) for i in range(seed.m)]
     minus = [_pos(-b[i][kk]) for i in range(seed.m)]
     plus[kk] = minus[kk] = 0
-    numerator = _packed_sum(_exchange_term(seed, k, plus), _exchange_term(seed, k, minus))
+    numerator = _packed_sum(_exchange_term(seed, kk, plus), _exchange_term(seed, kk, minus))
     try:
         new_var = div_exact_right(numerator, seed.cluster[kk], seed.base_pair)
     except NonExactDivision as exc:
@@ -177,8 +183,10 @@ def mutation_sequence(seed: QuantumSeed, ks) -> QuantumSeed:
     if len(ks) > _MUTATION_LIMIT:
         raise InvalidMutation(f"sequence of {len(ks)} mutations exceeds limit {_MUTATION_LIMIT}")
     for step, k in enumerate(ks, 1):
-        if not 1 <= k <= seed.n:
-            raise InvalidMutation(f"step {step} of {len(ks)}: direction {k} outside 1..{seed.n}")
+        try:
+            _slot(k, seed.n)
+        except InvalidMutation as exc:
+            raise InvalidMutation(f"step {step} of {len(ks)}: {exc}") from None
     for k in ks:
         seed = mutate_seed(seed, k)
     return seed

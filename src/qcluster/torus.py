@@ -45,10 +45,11 @@ int)}`` with its stride, bits and bound, is what :func:`torus_mul` unpacks,
 each key once.  When one factor has a single term, each pair is multiplied
 on its own instead.
 
-Seed mutation never unpacks its exchange numerator.  Each side's last
-product of two multi-term factors stays packed, its normalizing q-power is
-added to each key's ``lo``, and the two sides are merged in one layout;
-the division takes that numerator as its remainder with no pack step.
+The torus knows no cluster rule: seed mutation gives each exchange side
+as factors and a q-power.  Their product, folded left to right, keeps a
+last product of two multi-term factors packed, the q-power added to each
+key's ``lo``; the two sides merge in one layout, and the division takes
+that numerator as its remainder with no pack step.
 
 Right division by an element ``c`` eliminates the leading term of the
 remainder in lex order.  Since the torus is a domain, every exponent of an
@@ -95,11 +96,9 @@ __all__ = [
     "CompatiblePair",
     "check_compatible",
     "torus_mul",
-    "torus_pow",
     "div_exact_right",
     "bar",
     "bar_normalize",
-    "cluster_monomial",
 ]
 
 
@@ -646,16 +645,23 @@ def torus_mul(a: TorusElement, b: TorusElement, pair: CompatiblePair) -> TorusEl
     return _unpacked(_mul_packed(a, b, pair))
 
 
-def torus_pow(a: TorusElement, k: int, pair: CompatiblePair) -> TorusElement:
-    """``a`` to the k-th power: the unit for k = 0, else k - 1 products starting from ``a``."""
-    if k < 0:
-        raise OutsideDomain("torus_pow only supports nonnegative powers")
-    if k == 0:
-        return TorusElement.unit(a.rank)
-    result = a
-    for _ in range(k - 1):
-        result = torus_mul(result, a, pair)
-    return result
+def _packed_product(factors: Sequence[TorusElement], pair: CompatiblePair, twice: int) -> _Packed:
+    """q^(twice/2) times the product of ``factors``, left to right, packed.
+
+    Every product but the last is an element.  A last product of two
+    multi-term factors stays packed; x^2 repeats one object, so it squares.
+    """
+    *first, last = factors
+    if not first:
+        return _packed(last, twice=twice)
+    left = first[0]
+    for x in first[1:]:
+        left = torus_mul(left, x, pair)
+    if len(left.terms) > 1 and len(last.terms) > 1:
+        return _mul_packed(left, last, pair, twice)
+    # A one-term side (x3 x4 on the annulus) takes torus_mul's per-pair branch, the
+    # only caller of QCoefficient.__mul__ on annulus_mutate: the tracer's torus.qcoeff_mul.
+    return _packed(torus_mul(left, last, pair), twice=twice)
 
 
 def div_exact_right(a: TorusElement | _Packed, c: TorusElement, pair: CompatiblePair) -> TorusElement:
@@ -800,64 +806,3 @@ def bar_normalize(a: TorusElement) -> tuple[int, TorusElement]:
                 raise NotNormalizable(f"coefficient at {g} is not palindromic")
     assert center is not None
     return center, a.shifted(-center)
-
-
-def cluster_monomial(
-    exponents: Sequence[int],
-    variables: Sequence[TorusElement],
-    pair: CompatiblePair,
-    *,
-    base_pair: CompatiblePair | None = None,
-) -> TorusElement:
-    """Bar-invariant monomial in quasi-commuting cluster variables.
-
-    ``pair`` carries the skew form under which the given variables
-    quasi-commute (the current seed's); ``base_pair`` is the ambient
-    torus the variables are expanded in, defaulting to ``pair`` (they
-    coincide at the initial seed).  The normalization prefactor is
-    q^(-1/2 sum_{i<j} a_i a_j lam(e_i, e_j)); with it, the result is
-    fixed by bar and independent of the chosen product order.
-    """
-    return _unpacked(_packed_cluster_monomial(exponents, variables, pair, base_pair or pair, 0))
-
-
-def _packed_cluster_monomial(
-    exponents: Sequence[int],
-    variables: Sequence[TorusElement],
-    pair: CompatiblePair,
-    base_pair: CompatiblePair,
-    twice: int,
-) -> _Packed:
-    """``q^(twice/2)`` times :func:`cluster_monomial`, packed.
-
-    Every product but the last is taken as an element.  A last product of
-    two factors of several terms each (x^2 is the square of x) stays packed;
-    otherwise the monomial is packed as it is.  The prefactor and ``twice``
-    are added to each key's ``lo``.
-    """
-    a = [int(x) for x in exponents]
-    if len(a) != len(variables):
-        raise RankMismatch("exponent/variable length mismatch")
-    if any(x < 0 for x in a):
-        raise OutsideDomain("cluster_monomial requires nonnegative exponents")
-    support = [i for i, x in enumerate(a) if x]
-    for s, i in enumerate(support):
-        row = pair.lam[i]
-        for j in support[s + 1 :]:
-            twice -= a[i] * a[j] * row[j]
-    if not support:
-        return _packed(TorusElement.unit(variables[0].rank if variables else pair.m), twice=twice)
-    *first, last = support
-    left, right = variables[last], None
-    if first:
-        left = torus_pow(variables[first[0]], a[first[0]], base_pair)
-        for i in first[1:]:
-            left = torus_mul(left, torus_pow(variables[i], a[i], base_pair), base_pair)
-        right = torus_pow(variables[last], a[last], base_pair)
-    elif a[last] > 1:
-        left, right = torus_pow(variables[last], a[last] - 1, base_pair), variables[last]
-    if right is None:
-        return _packed(left, twice=twice)
-    if len(left.terms) > 1 and len(right.terms) > 1:
-        return _mul_packed(left, right, base_pair, twice)
-    return _packed(torus_mul(left, right, base_pair), twice=twice)

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -211,6 +212,30 @@ def test_the_check_sees_an_unread_export():
     }
     readers = ["from qcluster.a import tested\n"]
     assert unread_exports(modules, readers) == ["a.unread"]
+
+
+def exports_without_a_caller(module: str, sources: dict, readme: str) -> list:
+    """Names in ``module``'s __all__ that no other source and no word of ``readme`` names.
+
+    ``sources`` maps a name to the source of a package module or a bench
+    file; the tests are not callers.
+    """
+    named = set(re.findall(r"\w+", readme)).union(
+        *(_mentions(ast.parse(source)) for name, source in sources.items() if name != module)
+    )
+    return [name for name in _export_list(ast.parse(sources[module])) if name not in named]
+
+
+def test_every_torus_export_has_a_caller_outside_the_tests():
+    root = Path(__file__).resolve().parents[1]
+    sources = {path.stem: path.read_text() for path in MODULES}
+    sources.update({str(path): path.read_text() for path in sorted((root / "bench").rglob("*.py"))})
+    assert exports_without_a_caller("torus", sources, (root / "README.md").read_text()) == []
+
+
+def test_the_check_sees_an_export_without_a_caller():
+    sources = {"a": "__all__ = ['run', 'helper', 'documented']\n", "b": "from .a import run\n"}
+    assert exports_without_a_caller("a", sources, "Call `documented(x)`.") == ["helper"]
 
 
 def test_the_package_exports_exactly_the_module_export_lists():

@@ -13,6 +13,7 @@ import random
 from dataclasses import replace
 from math import gcd
 from operator import add, mul
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -44,6 +45,7 @@ from test_surface import random_polygon
 from test_torus import PACKED_PAIRS, PAIR3, _same, packed_elements
 
 _pack, _unpack, _common_stride, _digit_bits = torus._pack, torus._unpack, torus._common_stride, torus._digit_bits
+mul_packed = torus._mul_packed
 
 
 # -- the unpacked pipeline -------------------------------------------------
@@ -167,10 +169,10 @@ def reference_div_exact_right(a, c, pair):
     return TorusElement._wrap(a.rank, quotient)
 
 
-def reference_torus_pow(a, k, pair):
-    result = a
-    for _ in range(k - 1):
-        result = reference_torus_mul(result, a, pair)
+def reference_product(factors, pair):
+    result, *rest = factors
+    for x in rest:
+        result = reference_torus_mul(result, x, pair)
     return result
 
 
@@ -188,9 +190,9 @@ def reference_cluster_monomial(exponents, variables, pair, base_pair):
         row = pair.lam[i]
         for j in support[s + 1 :]:
             twice -= a[i] * a[j] * row[j]
-    result = reference_torus_pow(variables[support[0]], a[support[0]], base_pair)
+    result = reference_product([variables[support[0]]] * a[support[0]], base_pair)
     for i in support[1:]:
-        result = reference_torus_mul(result, reference_torus_pow(variables[i], a[i], base_pair), base_pair)
+        result = reference_torus_mul(result, reference_product([variables[i]] * a[i], base_pair), base_pair)
     return result.shifted(twice)
 
 
@@ -262,16 +264,24 @@ def test_a_square_visits_each_unordered_pair_once(monkeypatch):
     assert len(calls) == 3 * 6 * 6
 
 
-@settings(deadline=None, max_examples=40)
+@pytest.mark.parametrize("shape", [(0,), (0, 1), (0, 0), (0, 2), (0, 0, 0), (0, 1, 1), (0, 1, 2), (2, 0, 1)])
+@settings(deadline=None, max_examples=15)
 @given(data=st.data())
-def test_a_packed_cluster_monomial_equals_the_unpacked_one(data):
-    # one to three factors, a square among them or not
-    variables = [data.draw(packed_elements(3)) for _ in range(3)]
-    exponents = data.draw(st.sampled_from([(0, 0, 0), (1, 0, 0), (0, 2, 0), (1, 1, 0), (2, 0, 1), (1, 1, 1)]))
+def test_a_packed_product_equals_the_reference_fold(shape, data):
+    # Factors drawn from x, y and a one-term z; a repeated index is the same
+    # object, so a last x * x is a square kept packed.
+    x, y = data.draw(packed_elements(3)), data.draw(packed_elements(3))
+    z = TorusElement.monomial(data.draw(st.tuples(*[st.integers(-1, 1)] * 3)), data.draw(st.integers(-3, 3)))
+    factors = [(x, y, z)[i] for i in shape]
     twice = data.draw(st.integers(min_value=-3, max_value=3))
-    packed = torus._packed_cluster_monomial(exponents, variables, PAIR3, PAIR3, twice)
-    want = reference_cluster_monomial(exponents, variables, PAIR3, PAIR3).shifted(twice)
-    assert torus._unpacked(packed) == want
+    squares = []
+    with mock.patch.object(torus, "_mul_packed", lambda a, b, *rest: squares.append(a is b) or mul_packed(a, b, *rest)):
+        packed = torus._packed_product(factors, PAIR3, twice)
+    assert torus._unpacked(packed) == reference_product(factors, PAIR3).shifted(twice)
+    if shape == (0, 0) and len(x.terms) > 1:
+        assert squares == [True]
+    if shape == (0, 2):
+        assert squares == []
 
 
 @pytest.mark.parametrize("name", PACKED_PAIRS)

@@ -14,6 +14,7 @@ from qcluster import torus
 from qcluster.cli import main
 from qcluster.errors import InvalidMutation, NonExactDivision, QClusterError
 from qcluster.seeds import (
+    _exchange_term,
     _poly_div_exact,
     _poly_mul,
     classical_initial_seed,
@@ -201,6 +202,33 @@ def test_mutated_variables_stay_bar_invariant_and_nonnegative(kron_seed):
         for x in seed.cluster:
             assert bar(x) == x
             assert x.coefficients_nonnegative()
+
+
+def exchange_sides(seed):
+    """Both exchange sides of every direction, unpacked, each without its shift q^(lambda_k/2)."""
+    for kk in range(seed.n):
+        column = [row[kk] for row in seed.pair.b_tilde]
+        for sign in (1, -1):
+            exponents = [max(sign * x, 0) if i != kk else 0 for i, x in enumerate(column)]
+            lam_k = sum(a * row[kk] for a, row in zip(exponents, seed.pair.lam))
+            yield torus._unpacked(_exchange_term(seed, kk, exponents)).shifted(-lam_k)
+
+
+def test_each_exchange_side_is_bar_invariant_without_its_shift(seeds):
+    # The prefactor alone makes each side's cluster monomial bar-invariant.
+    # It is 1 on every side of the annulus sequences and the pentagon; one
+    # step from the hexagon's initial seed, a side x_i x_j has lam_ij != 0.
+    visited = [seeds["annulus"]]
+    for name in ("pentagon", "hexagon"):
+        visited += [seeds[name]] + [mutate_seed(seeds[name], k) for k in range(1, seeds[name].n + 1)]
+    for start in (1, 2):
+        seed = seeds["annulus"]
+        for step in range(6):
+            seed = mutate_seed(seed, start if step % 2 == 0 else 3 - start)
+            visited.append(seed)
+    sides = [side for seed in visited for side in exchange_sides(seed)]
+    assert len(sides) == 3 * 2 * 2 + 4 * 3 * 2 + 13 * 2 * 2
+    assert all(bar(side) == side for side in sides)
 
 
 def test_matrix_mutation_is_frozen():

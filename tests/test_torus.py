@@ -35,10 +35,8 @@ from qcluster.torus import (
     bar,
     bar_normalize,
     check_compatible,
-    cluster_monomial,
     div_exact_right,
     torus_mul,
-    torus_pow,
 )
 
 # Torus products only read the commutation matrix, so a bare pair is enough.
@@ -141,21 +139,6 @@ def test_divide_exact_rejects_a_non_integral_quotient():
     assert QCoefficient({0: 2, 4: 6}).divide_exact(QCoefficient({0: 2})) == QCoefficient({0: 1, 4: 3})
     assert QCoefficient({0: 1, 4: 3}).divide_exact(QCoefficient({0: 2})) is None
     assert QCoefficient({0: 1, 2: 1}).divide_exact(QCoefficient({0: 1, 4: 1})) is None
-
-
-def test_torus_pow_matches_repeated_multiplication():
-    a = mono((1, -1, 0), twice=1) + mono((0, 0, 1))
-    acc = mono((0, 0, 0))
-    for k in range(4):
-        assert torus_pow(a, k, PAIR3) == acc
-        acc = torus_mul(acc, a, PAIR3)
-
-
-def test_cluster_monomial_is_bar_invariant():
-    x1, x2 = mono((1, 0)), mono((0, 1))
-    m = cluster_monomial((2, 3), (x1, x2), KRON_PAIR)
-    assert m == mono((2, 3))
-    assert bar(m) == m
 
 
 def test_check_compatible_returns_the_diagonal():
@@ -390,11 +373,6 @@ CONTRACT_VIOLATIONS = {
     "vector of the wrong length": (RankMismatch, ValueError, lambda: TorusElement(2, {(1,): QCoefficient.one()})),
     "rank mismatch": (RankMismatch, ValueError, lambda: mono((1, 0)) + mono((1, 0, 0))),
     "leading term of zero": (OutsideDomain, ValueError, lambda: TorusElement.zero(2).leading_vector()),
-    "negative power": (OutsideDomain, ValueError, lambda: torus_pow(mono((1, 0, 0)), -1, PAIR3)),
-    "exponents and variables differ in length": (
-        RankMismatch, ValueError, lambda: cluster_monomial([1, 1], [mono((1, 0, 0))], PAIR3)
-    ),
-    "negative exponent": (OutsideDomain, ValueError, lambda: cluster_monomial([-1], [mono((1, 0, 0))], PAIR3)),
     "coefficient division by zero": (
         DivisionByZero, ZeroDivisionError, lambda: QCoefficient.one().divide_exact(QCoefficient.zero())
     ),
@@ -591,13 +569,6 @@ def test_torus_product_matches_the_term_by_term_sum(a, b):
 @given(elements, elements)
 def test_right_division_recovers_the_left_factor(a, c):
     assert div_exact_right(torus_mul(a, c, PAIR3), c, PAIR3) == a
-
-
-@given(elements)
-def test_torus_pow_starts_from_its_base(a):
-    assert torus_pow(a, 0, PAIR3) == TorusElement.unit(3)
-    assert torus_pow(a, 1, PAIR3) == a
-    assert torus_pow(a, 2, PAIR3) == torus_mul(a, a, PAIR3)
 
 
 def well_formed(x, rank):
@@ -1002,7 +973,7 @@ def test_each_coefficient_is_packed_once_per_product(monkeypatch):
     assert _same(product, reference_torus_mul(a, b, PAIR3))
     # a square packs each coefficient once for both of its sides
     packs.clear()
-    square = torus_pow(a, 2, PAIR3)
+    square = torus_mul(a, a, PAIR3)
     assert len(packs) <= len(a.terms)
     assert _same(square, reference_torus_mul(a, a, PAIR3))
 
