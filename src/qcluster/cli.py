@@ -5,6 +5,9 @@ prints either human-readable text or structured JSON (--format).  This
 module only parses options and formats results: words are read by
 `strings.parse_string`, and verify formats the check records of
 `qcluster.checks`, whose order does not depend on the worker count.
+Text is printed in one write; structured output is written by `_json`,
+which prints expand's `ExpansionTerm` tuples as they are, one row
+template per term.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import click
 
 from .checks import verify_surface
 from .errors import QClusterError
-from .expansion import classical_specialization, quantum_expansion
+from .expansion import ExpansionTerm, classical_specialization, quantum_expansion
 from .kronecker import build_weighted, equality_check, recursion_checks, weighted_series
 from .seeds import initial_seed, mutation_sequence
 from .skein_mult import multiply_and_certify, relative_exponent_check
@@ -41,7 +44,8 @@ def _element_json(element) -> list:
 def _json(value) -> str:
     """json.dumps(value, indent=2, sort_keys=True), written directly for the
     ints, bools, strings, lists and string-keyed dicts the commands build;
-    any other value goes to the stdlib."""
+    any other value goes to the stdlib.  A tuple of `ExpansionTerm`s is
+    written as json.dumps writes the list of their `_asdict()` dicts."""
     pieces = []
     _write_json(value, "\n", pieces.append)
     return "".join(pieces)
@@ -70,6 +74,8 @@ def _write_json(value, indent: str, emit) -> None:
             _write_json(v, inner, emit)
             opening = "," + inner
         emit(indent + "}")
+    elif kind is tuple and {*map(type, value)} == {ExpansionTerm}:
+        _write_terms(value, indent, emit)
     elif kind is str:
         emit(encode_basestring_ascii(value))
     elif kind is int:
@@ -80,16 +86,39 @@ def _write_json(value, indent: str, emit) -> None:
         emit(json.dumps(value, indent=2, sort_keys=True).replace("\n", indent))
 
 
+def _write_terms(terms, indent: str, emit) -> None:
+    """Emit a tuple of ExpansionTerms as _write_json would the list of their
+    field dicts: one row per term from one template, keys in sorted order,
+    each int list joined once."""
+    inner = indent + "  "
+    row = inner + "  "
+    item = row + "  "
+    template = (
+        "{" + row + '"dim": %s,' + row + '"exponent": %s,'
+        + row + '"indices": %s,' + row + '"valuation": %d' + inner + "}"
+    )
+
+    def ints(xs) -> str:
+        return "[" + item + ("," + item).join(map(str, xs)) + row + "]" if xs else "[]"
+
+    opening = "[" + inner
+    for indices, dim, valuation, exponent in terms:
+        emit(opening + template % (ints(dim), ints(exponent), ints(indices), valuation))
+        opening = "," + inner
+    emit(indent + "]")
+
+
 def _emit(fmt: str, data, text_lines) -> None:
-    """Print data() as JSON or text_lines() line by line; only the chosen
-    form is built."""
+    """Print data() as JSON or text_lines() in one write; only the chosen
+    form is built, and no lines print nothing."""
     # Pass the stream: click.echo's default-stream cache would keep every
     # stream that replaced sys.stdout, and its contents, alive for good.
     if fmt == "structured":
         click.echo(_json(data()), file=sys.stdout)
     else:
-        for line in text_lines():
-            click.echo(line, file=sys.stdout)
+        lines = text_lines()
+        if lines:
+            click.echo("\n".join(lines), file=sys.stdout)
 
 
 surface_option = click.option(
@@ -164,19 +193,7 @@ def expand(surface, text, q1, fmt):
     classical = classical_specialization(result.element, n=t.n) if q1 else None
 
     def data():
-        out = {
-            "string": str(word),
-            "element": _element_json(result.element),
-            "terms": [
-                {
-                    "indices": list(term.indices),
-                    "dim": list(term.dim),
-                    "valuation": term.valuation,
-                    "exponent": list(term.exponent),
-                }
-                for term in result.terms
-            ],
-        }
+        out = {"string": str(word), "element": _element_json(result.element), "terms": result.terms}
         if q1:
             out["classical"] = {str(list(k)): v for k, v in sorted(classical.items())}
         return out

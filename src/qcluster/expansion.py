@@ -8,12 +8,15 @@ The expansion of the variable attached to a string is assembled twice:
   x(minimal) + B dim(N) and q-power d * v_gamma(N).
 
 Both routes must produce the identical torus element; the result keeps
-the per-term data for reporting.
+the per-term data for reporting, one `ExpansionTerm` NamedTuple per
+matching in (size, sorted indices) order, which `expand` prints as they
+are.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InconsistentValuation, NotCompatible
 from .seeds import QuantumSeed
@@ -35,8 +38,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ExpansionTerm:
+class ExpansionTerm(NamedTuple):
+    """One matching's term.  Being a tuple it is cheap to build, and it
+    also equals a plain tuple of the same four values."""
+
     indices: tuple  # sorted index set
     dim: tuple  # dimension vector over internal arcs
     valuation: int  # raw power (before scaling by d)

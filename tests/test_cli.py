@@ -13,13 +13,14 @@ from contextlib import redirect_stdout
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from qcluster import cli, snake, strings, valuation
 from qcluster import surface as surface_module
 from qcluster.cli import main
 from qcluster.errors import InvalidString, NotComposable, UnreachableSubmodule
+from qcluster.expansion import ExpansionTerm
 from qcluster.snake import enumerate_matchings, label_snake
 from qcluster.strings import enumerate_strings, parse_string, trivial_word
 
@@ -794,6 +795,28 @@ def test_the_structured_writer_on_empty_and_boolean_containers():
         assert cli._json(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
+BIG_INTS = st.integers() | st.integers(min_value=2**64).flatmap(lambda n: st.sampled_from([n, -n]))
+INT_TUPLES = st.lists(BIG_INTS, max_size=3).map(tuple)
+TERMS = st.lists(
+    st.builds(
+        ExpansionTerm,
+        indices=st.lists(st.integers(1, 40), max_size=3, unique=True).map(lambda xs: tuple(sorted(xs))),
+        dim=INT_TUPLES,
+        valuation=BIG_INTS,
+        exponent=INT_TUPLES,
+    ),
+    max_size=4,
+).map(tuple)
+
+
+@given(TERMS)
+@example((ExpansionTerm((), (), 0, ()), ExpansionTerm((3,), (-1,), -2**70, (2**64, -5, 0))))
+def test_the_term_rows_equal_the_stdlib_encoding_of_their_dicts(terms):
+    nested = {"string": "1", "element": [], "terms": terms}
+    as_dicts = dict(nested, terms=[term._asdict() for term in terms])
+    assert cli._json(nested) == json.dumps(as_dicts, indent=2, sort_keys=True)
+
+
 def structured_commands(tmp_path) -> list:
     """Every structured invocation the frozen-output tests above run with exit 0."""
     octagon = tmp_path / "octagon.json"
@@ -822,6 +845,29 @@ def test_structured_output_is_the_stdlib_encoding_of_itself(runner, tmp_path):
         res = runner.invoke(main, args + ["--format", "structured"])
         assert res.exit_code == 0, (args, res.output)
         assert json.dumps(json.loads(res.output), indent=2, sort_keys=True) + "\n" == res.output, args
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["expand", "-s", "annulus", "--string", "1 >a> 2 <b< 1"],
+        ["matchings", "-s", "annulus", "--string", "1 >a> 2 <b< 1"],
+        ["verify", "-s", "annulus", "--max-length", "4"],
+    ],
+)
+def test_text_output_is_one_write(runner, monkeypatch, args):
+    real = cli.click.echo
+    messages = []
+
+    def counted(message=None, **kwargs):
+        messages.append(message)
+        return real(message, **kwargs)
+
+    monkeypatch.setattr(cli.click, "echo", counted)
+    res = runner.invoke(main, args)
+    assert res.exit_code == 0, res.output
+    assert len(messages) == 1 and res.output == messages[0] + "\n"
+    assert res.output.count("\n") > 3
 
 
 # build_quiver calls per command; mutate reads no quiver at all.

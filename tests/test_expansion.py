@@ -61,6 +61,19 @@ def test_double_crossing_term_table(annulus, seeds, g1_word):
     }
 
 
+def test_an_expansion_term_is_a_value_type(annulus, seeds):
+    res = quantum_expansion(family_word(annulus, 3, "G"), annulus, seeds["annulus"])
+    assert type(res.terms) is tuple and {*map(type, res.terms)} == {ExpansionTerm}
+    keys = [(len(term.indices), term.indices) for term in res.terms]
+    assert all(a < b for a, b in zip(keys, keys[1:]))  # (size, indices) order, no ties
+    term = ExpansionTerm(indices=(1, 2), dim=(1, 1), valuation=-1, exponent=(-2, 1, 1, 1))
+    same = ExpansionTerm((1, 2), (1, 1), -1, (-2, 1, 1, 1))
+    assert term == same == ((1, 2), (1, 1), -1, (-2, 1, 1, 1))
+    assert hash(term) == hash(same) and len({term, same}) == 1
+    assert term != same._replace(valuation=1)
+    assert term._fields == ("indices", "dim", "valuation", "exponent")
+
+
 def test_pentagon_word_expansion_is_frozen(pentagon, seeds, quivers):
     w = make_word(quivers["pentagon"], (1, 2), [("a", False)])
     res = quantum_expansion(w, pentagon, seeds["pentagon"])
