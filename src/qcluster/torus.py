@@ -19,9 +19,10 @@ coefficient becomes one Python int whose base-``2^bits`` digits are its
 coefficients, read at a common stride (a divisor of every exponent gap),
 so the product of two such ints carries every coefficient of the product.
 Digits are 8, 16, 32 or 64 bits wide while the bound below fits in a
-machine word, and each is then one item of a stdlib ``array``.  Packing
-writes every digit, biased by ``2^(bits-1)``, into such an array, whose
-memory is read as an int once.  Unpacking adds the same bias to every
+machine word, and each is then one item of a stdlib ``array``.  A
+coefficient of at most 16 q-terms is packed as a sum of shifted digits;
+a longer one writes every digit, biased by ``2^(bits-1)``, into such an
+array, whose memory is read as an int once.  Unpacking adds the same bias to every
 digit, so no digit borrows, and reads the int's bytes back into an array
 whose items are the biased digits exactly; that needs every digit to lie
 strictly between -2^(bits-1) and 2^(bits-1).  Wider digits, in whole
@@ -30,16 +31,27 @@ one byte slice per digit instead.
 
 A torus product packs each coefficient once per call, and a square packs
 it once for both sides.  A first pass reads only exponents: the key
-``g + h`` of each term pair, the lowest q-exponent landing on each key,
-and one stride for the call, the gcd of every gap inside a coefficient and
-of every difference between the offsets ``lo_g + lo_h + L(g,h)`` of the
-pairs that share a key.  A square visits each unordered pair {i, j} once:
-(i, j) and (j, i) share the key and the packed product, and their offsets
-differ by 2 L(g_i, g_j).  At most min(|a|, |b|) pairs share a key, so no
-output coefficient exceeds max|a| * max|b| * (fewer q-terms) * min(|a|, |b|)
-in absolute value, and ``bits`` is that bound's bit length plus a sign
-bit, rounded up to a machine word or, above 64 bits, to whole bytes.  The
-second pass adds each pair's packed product, shifted to its offset, into
+``g + h`` of each term pair, its offset ``lo_g + lo_h + L(g,h)``, the
+lowest offset on each key, each key's bound and one stride for the call,
+the gcd of every gap inside a coefficient and of every difference between
+the offsets that share a key.  A square visits each unordered pair {i, j}
+once: (i, j) and (j, i) share the key and the packed product, and their
+offsets differ by 2 L(g_i, g_j).  A key's bound sums max|x| * max|y| *
+(fewer q-terms) over its pairs, both orders of a square counted; the
+largest is the product's bound, and ``bits`` is its bit length plus a
+sign bit, rounded up to a machine word or, above 64 bits, to whole bytes.
+
+When both factors have at least ``_LANE_TERMS`` terms, so that many pairs
+share a key, the first pass works on ints that live only inside the call.
+Each vector becomes one mixed-radix code over the sum of the factors'
+coordinate boxes: int order is lex order, and a pair's key is one
+addition.  The offsets come a row per term g of ``a``, from lanes: one
+int per coordinate k holds, in lane j, coordinate k of the twist row of
+term j of ``b``, so the sum of g_k times those ints holds the twists of g
+with every term of ``b`` at once, read out through the same array or
+byte path as a coefficient.  The lane width, like a digit's, comes from a
+bound.  Smaller products take each pair's key and twist on their own;
+either way the packed product is keyed by vectors.  The second pass adds each pair's packed product, shifted to its offset, into
 its key's int; a zero int drops the key.  That packed product, ``{g: (lo,
 int)}`` with its stride, bits and bound, is what :func:`torus_mul` unpacks,
 each key once.  When one factor has a single term, each pair is multiplied
@@ -57,15 +69,23 @@ exact quotient lies in the box ``[min_i(a) - min_i(c), max_i(a) - max_i(c)]``
 per coordinate; a step outside it proves the division inexact, and the
 strictly decreasing quotient exponents inside the finite box bound the
 number of steps.  The remainder stays packed, as (lowest exponent, int)
-per key, and ``c`` is packed once per layout.  Each step unpacks only the
-leading coefficient, divides it, packs the quotient coefficient and
-subtracts its packed product with each term of ``c``; a key whose lowest
-exponent drops is re-based by a shift.  A running bound on the remainder's
-coefficients, max|a| (or a packed numerator's bound) plus max|gamma| *
-max|c| * (fewer q-terms) per step, keeps every digit in range, so
-``int == 0`` is an exact zero test.  When the bound reaches the sign bit,
-or a quotient coefficient leaves the stride or a key's residue class, the
-remainder is laid out again with wider digits or a finer stride.  A
+per key, and ``c`` is packed once per layout.  Inside the call a key is
+the mixed-radix code of its vector over ``a``'s box, which holds every
+key the loop makes while the quotient stays in its box: the leading key
+is the largest int, the vector is read back from it only for the box
+test, and the key of g_b + h is one addition.  A step's offsets against
+the terms of ``c`` are a lane row once ``c`` has ``_LANE_TERMS`` terms,
+dot products before.  Each step unpacks only the leading coefficient,
+divides it, packs the quotient coefficient and subtracts its packed
+product with each term of ``c``, one dictionary probe per term; a key
+whose lowest exponent drops is re-based by a shift.  A running bound on
+the remainder's coefficients, max|a| (or a packed numerator's bound) plus
+max|gamma| * max|c| * (fewer q-terms) per step, keeps every digit in
+range, so ``int == 0`` is an exact zero test.  When the bound reaches the
+sign bit, or a quotient coefficient leaves the stride, the remainder is
+laid out again with wider digits or a finer stride, fine enough for every
+key the step meets; a pair that meets a key outside its residue class
+lays it out again at a stride fine enough for the rest of the step.  A
 numerator handed over packed keeps its layout unless the divisor needs a
 finer stride or wider digits.
 """
@@ -76,7 +96,8 @@ import sys
 from array import array
 from dataclasses import dataclass
 from math import gcd
-from operator import add, mul
+from itertools import chain, combinations_with_replacement, product, repeat
+from operator import add, mul, sub
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
@@ -144,7 +165,13 @@ def _common_stride(*polys: Mapping[int, int]) -> int:
 
 
 def _pack(coeffs: Mapping[int, int], lo: int, stride: int, bits: int) -> int:
-    """Evaluate sum c * x^((t - lo) / stride) at x = 2^bits from biased digits, in linear time."""
+    """Evaluate sum c * x^((t - lo) / stride) at x = 2^bits.
+
+    Up to 16 q-terms as a sum of shifts, which costs less than writing every
+    digit; beyond, from biased digits in linear time.
+    """
+    if len(coeffs) <= 16:
+        return sum([c << bits * ((t - lo) // stride) for t, c in coeffs.items()])
     half = 1 << (bits - 1)
     length = (max(coeffs) - lo) // stride + 1
     code = _LITTLE and _TYPECODES.get(bits)
@@ -163,16 +190,31 @@ def _pack(coeffs: Mapping[int, int], lo: int, stride: int, bits: int) -> int:
 
 def _unpack(value: int, lo: int, stride: int, bits: int, length: int) -> dict[int, int]:
     """Invert :func:`_pack` without its zeros; every digit must lie in (-2^(bits-1), 2^(bits-1))."""
-    width = bits // 8
     half = 1 << (bits - 1)
-    raw = (value + _bias(bits, length)).to_bytes(length * width, "little")
+    if -half < value < half:  # no digit above the lowest
+        return {lo: value} if value else {}
+    digits = _digits(value + _bias(bits, length), bits, length)
+    return {t: d - half for t, d in zip(range(lo, lo + stride * length, stride), digits) if d != half}
+
+
+def _digits(value: int, bits: int, length: int) -> Sequence[int]:
+    """The ``length`` lowest base-2^bits digits of ``value`` >= 0, lowest first: one array on a
+    little-endian host when ``bits`` is a machine word, else one byte slice per digit."""
+    width = bits // 8
+    raw = value.to_bytes(length * width, "little")
     code = _LITTLE and _TYPECODES.get(bits)
     if code:
-        digits = array(code, raw)
-    else:
-        from_bytes = int.from_bytes
-        digits = [from_bytes(raw[i : i + width], "little") for i in range(0, length * width, width)]
-    return {t: d - half for t, d in zip(range(lo, lo + stride * length, stride), digits) if d != half}
+        return array(code, raw)
+    from_bytes = int.from_bytes
+    return [from_bytes(raw[i : i + width], "little") for i in range(0, length * width, width)]
+
+
+def _lanes(values: Iterable[int], bits: int) -> int:
+    """The int whose base-2^bits digits are ``values``, each in [0, 2^bits), lowest first."""
+    code = _LITTLE and _TYPECODES.get(bits)
+    if code:
+        return int.from_bytes(array(code, values), "little")
+    return int.from_bytes(b"".join([v.to_bytes(bits // 8, "little") for v in values]), "little")
 
 
 class QCoefficient:
@@ -577,53 +619,168 @@ def _packed_sum(x: _Packed, y: _Packed) -> _Packed:
     return _Packed(x.rank, terms, stride, bits, bound)
 
 
+# Codes and lanes cost a fixed setup per call and save work per term pair.  A
+# divisor with fewer terms reads each twist as a dot product; a product whose
+# shorter factor has fewer takes each pair on its own, keyed by its vector.
+_LANE_TERMS = 8
+
+
+def _places(box: Sequence[tuple[int, int]]) -> list[int]:
+    """Place values of a mixed-radix code over ``box``, coordinate 0 the most significant.
+
+    The code ``sum_k x_k * place_k`` is one-to-one on the box, its int order is lex order,
+    and the code of ``g + h`` is the sum of the codes of ``g`` and ``h``.
+    """
+    places, place = [], 1
+    for lo, hi in reversed(box):
+        places.append(place)
+        place *= hi - lo + 1
+    places.reverse()
+    return places
+
+
+def _twists(terms: list, lows: list, pair: CompatiblePair, reach: Sequence[int] | None = None, span: int = 0):
+    """The offsets of a factor's terms h_j against a vector g, a row per call: ``(rows, shift)``.
+
+    ``rows(g, base)`` lists base + lows[j] - g . row(h_j) + shift over j, for
+    0 <= base <= span.  Without ``reach`` each item is a dot product with the
+    twist row of g, and ``shift`` is 0.  With it, |g_k| <= reach[k] and the
+    row is read from lanes: an int per coordinate k holds row(h_j)_k in lane
+    j, so sum_k g_k * lane_k holds every twist of g at once.  ``shift`` bounds
+    every |g . row(h_j)|, so no lane is negative, and the lane width, as
+    :func:`_digit_bits` gives it, holds the widest lane.
+    """
+    if reach is None:
+
+        def rows(g, base=0):
+            twist = pair.twist_row(g)  # g . row(h) = -h . row(g), lam being skew
+            return [base + lo + sum(map(mul, h, twist)) for lo, h in zip(lows, terms)]
+
+        return rows, 0
+    # row(h)_k = sum_l h_l lam_lk, so |row(h)_k| <= sum_l max|h_l| |lam_lk|.
+    cols, lam_cols, count, low = list(zip(*terms)), list(zip(*pair.lam)), len(terms), min(lows)
+    tops = [max(max(col), -min(col)) for col in cols]
+    cross = sum(r * sum(map(mul, tops, map(abs, column))) for r, column in zip(reach, lam_cols))
+    width = _digit_bits(max(span + max(lows) - low + 2 * cross, 2 * max(tops)))
+    ones = _bias(width, count) >> (width - 1)
+    coords = [_lanes(map(sub, col, repeat(min(col))), width) + min(col) * ones for col in cols]
+    lanes = [(k, sum(map(mul, column, coords))) for k, (r, column) in enumerate(zip(reach, lam_cols)) if r]
+    head = _lanes([lo - low + cross for lo in lows], width)
+
+    def rows(g, base=0):
+        return _digits(base * ones + head - sum(g[k] * lane for k, lane in lanes), width, count)
+
+    return rows, cross - low
+
+
+def _pairs(side_a: list, side_b: list, pair: CompatiblePair, square: bool):
+    """Each term pair (i, j) in order, from (vector, lowest q-exponent, max|coefficient|,
+    q-terms) per term: (i, j), its key g + h, its offsets and its bound.
+
+    The offset is lo_i + lo_j - g . row(h), one dot product per pair; a square
+    visits j >= i, and (j, i) sits 2 g . row(h) above (i, j) and doubles the bound.
+    """
+    side_b = [(h, lo, top, size, pair.twist_row(h)) for h, lo, top, size in side_b]
+    for i, (g, lo_g, top_g, size_g) in enumerate(side_a):
+        for j in range(i if square else 0, len(side_b)):
+            h, lo_h, top_h, size_h, row = side_b[j]
+            cross = sum(map(mul, g, row))
+            offset = lo_g + lo_h - cross
+            weight = top_g * top_h * (size_g if size_g < size_h else size_h)
+            if square and j > i:
+                yield (i, j), tuple(map(add, g, h)), offset, offset + 2 * cross, 2 * weight
+            else:
+                yield (i, j), tuple(map(add, g, h)), offset, offset, weight
+
+
 def _mul_packed(a: TorusElement, b: TorusElement, pair: CompatiblePair, twice: int = 0) -> _Packed:
     """q^(twice/2) times the product :func:`torus_mul` takes, each coefficient packed and none unpacked.
 
-    For a square (``a is b``) the pairs (i, j) and (j, i) share the key
-    g_i + g_j and the packed product, and their offsets are
-    lo_i + lo_j -/+ g_i . row(g_j), so each unordered pair is visited once.
+    For a square (``a is b``) the pairs (i, j) and (j, i) share the key g_i + g_j
+    and the packed product, and their offsets are lo_i + lo_j -/+ g_i . row(g_j),
+    so each unordered pair is visited once.  A key's bound sums max|x| * max|y| *
+    (fewer q-terms) over its pairs, both orders of a square counted.  Below
+    ``_LANE_TERMS`` terms in either factor :func:`_pairs` gives each pair; from it
+    on, keys are codes over the sum of the factors' boxes and the offsets come from
+    :func:`_twists`, a row per term of ``a``.
     """
-    rows_b = [pair.twist_row(h) for h in b.terms]
-    terms_b = list(b.terms)
-    coeffs_a = [cg.coeffs for cg in a.terms.values()]
-    coeffs_b = [ch.coeffs for ch in b.terms.values()]
-    lows_a, lows_b = [min(x) for x in coeffs_a], [min(x) for x in coeffs_b]
     square = a is b
-    stride = _common_stride(*coeffs_a, *coeffs_b)
-    # Pass 1, exponents only: each key's lowest offset and its pairs with their offsets.
-    keys: dict[tuple, list] = {}
-    for i, g in enumerate(a.terms):
-        base = lows_a[i] + twice
-        for j in range(i if square else 0, len(terms_b)):
-            cross = sum(map(mul, g, rows_b[j]))
-            offset = base + lows_b[j] - cross
-            offsets = (offset, offset + 2 * cross) if square and j > i else (offset,)
-            entry = keys.get(key := tuple(map(add, g, terms_b[j])))
-            if entry is None:
-                entry = keys[key] = [offset, []]
-            for offset in offsets:
-                stride = gcd(stride, offset - entry[0])
-                if offset < entry[0]:
-                    entry[0] = offset
-            entry[1].append((i, j, offsets))
+    terms_a, terms_b = list(a.terms), list(b.terms)
+    coeffs_a = [cg.coeffs for cg in a.terms.values()]
+    coeffs_b = coeffs_a if square else [ch.coeffs for ch in b.terms.values()]
+    lows_a = [min(x) for x in coeffs_a]
+    lows_b = lows_a if square else [min(x) for x in coeffs_b]
+    tops_a = [max(map(abs, x.values())) for x in coeffs_a]
+    tops_b = tops_a if square else [max(map(abs, x.values())) for x in coeffs_b]
+    sizes_a = [len(x) for x in coeffs_a]
+    sizes_b = sizes_a if square else [len(x) for x in coeffs_b]
+    stride = _common_stride(*coeffs_a, *([] if square else coeffs_b))
+    if min(len(terms_a), len(terms_b)) < _LANE_TERMS:
+        # Few pairs: each one's key and twist on its own.
+        coded, origin = False, twice
+        side_a, side_b = zip(terms_a, lows_a, tops_a, sizes_a), zip(terms_b, lows_b, tops_b, sizes_b)
+        walk = _pairs(list(side_a), list(side_b), pair, square)
+    else:
+        # Many pairs share a key: codes over the sum box, and a lane row of offsets per term of a.
+        coded = True
+        box_a = [(min(xs), max(xs)) for xs in zip(*terms_a)]
+        box_b = box_a if square else [(min(xs), max(xs)) for xs in zip(*terms_b)]
+        places = _places([(lo_a + lo_b, hi_a + hi_b) for (lo_a, hi_a), (lo_b, hi_b) in zip(box_a, box_b)])
+        codes_a = [sum(map(mul, g, places)) for g in terms_a]
+        codes_b = codes_a if square else [sum(map(mul, h, places)) for h in terms_b]
+        low = min(lows_a)
+        reach = [max(abs(lo), abs(hi)) for lo, hi in box_a]
+        rows, shift = _twists(terms_b, lows_b, pair, reach, max(lows_a) - low)
+        grid = [rows(g, lo - low) for g, lo in zip(terms_a, lows_a)]
+        origin = low + twice - shift
+        if square:
+            # (i, j) and (j, i) for j > i: one visit; the offset of (j, i) is in row j, column i
+            visits = combinations_with_replacement(range(len(terms_a)), 2)
+            keys_ij = [x + y for i, x in enumerate(codes_a) for y in codes_a[i:]]
+            offsets_ij = chain.from_iterable(row[i:] for i, row in enumerate(grid))
+            mirrors_ij = chain.from_iterable(column[i:] for i, column in enumerate(zip(*grid)))
+            weights = [
+                (1 if i == j else 2) * t * u * (s if s < v else v)
+                for i, (t, s) in enumerate(zip(tops_a, sizes_a))
+                for j, u, v in zip(range(i, len(terms_a)), tops_a[i:], sizes_a[i:])
+            ]
+        else:
+            visits = product(range(len(terms_a)), range(len(terms_b)))
+            keys_ij = [x + y for x in codes_a for y in codes_b]
+            offsets_ij = mirrors_ij = list(chain.from_iterable(grid))
+            weights = [t * u * (s if s < v else v) for t, s in zip(tops_a, sizes_a) for u, v in zip(tops_b, sizes_b)]
+        walk = zip(visits, keys_ij, offsets_ij, mirrors_ij, weights)
+    # Pass 1, exponents only: per key its lowest offset, its bound and its pairs.
+    keys: dict = {}
+    for (i, j), key, offset, mirror, weight in walk:
+        entry = keys.get(key)
+        if entry is None:
+            entry = keys[key] = [offset, 0, []]
+        lo = entry[0]
+        stride = gcd(stride, offset - lo, mirror - lo)
+        if offset < lo or mirror < lo:
+            entry[0] = min(offset, mirror)
+        entry[1] += weight
+        entry[2].append((i, j, offset, mirror))
+    bound = max(entry[1] for entry in keys.values())
     step = stride or 1
-    # At most min(|a|, |b|) pairs land on one key.
-    bound = max(max(map(abs, x.values())) for x in coeffs_a) * max(max(map(abs, x.values())) for x in coeffs_b)
-    bound *= min(max(map(len, coeffs_a)), max(map(len, coeffs_b))) * min(len(coeffs_a), len(coeffs_b))
     bits = _digit_bits(bound)
     # Pass 2: pack each coefficient once, sum packed products per key.
     packed_a = [_pack(x, lo, step, bits) for x, lo in zip(coeffs_a, lows_a)]
     packed_b = packed_a if square else [_pack(x, lo, step, bits) for x, lo in zip(coeffs_b, lows_b)]
     terms = {}
-    for key, (lo, pairs) in keys.items():
+    for key, (lo, _, pairs) in keys.items():
         acc = 0
-        for i, j, offsets in pairs:
-            product = packed_a[i] * packed_b[j]
-            for offset in offsets:
-                acc += product << bits * ((offset - lo) // step)
+        for i, j, offset, mirror in pairs:
+            product_ij = packed_a[i] * packed_b[j]
+            acc += product_ij << bits * ((offset - lo) // step)
+            if square and i != j:
+                acc += product_ij << bits * ((mirror - lo) // step)
         if acc:
-            terms[key] = (lo, acc)
+            if coded:
+                i, j, *_ = pairs[0]
+                key = tuple(map(add, terms_a[i], terms_b[j]))
+            terms[key] = (lo + origin, acc)
     return _Packed(a.rank, terms, stride, bits, bound)
 
 
@@ -686,42 +843,55 @@ def div_exact_right(a: TorusElement | _Packed, c: TorusElement, pair: Compatible
             return TorusElement.zero(a.rank)
         a._check_rank(c)
         a = _packed(a, c)
-    remainder = a.terms
-    if not remainder:
+    if not a.terms:
         return TorusElement.zero(a.rank)
-    box = [
-        (min(xs_a) - min(xs_c), max(xs_a) - max(xs_c))
-        for xs_a, xs_c in zip(zip(*remainder), zip(*c.terms))
-    ]
-    g_c = c.leading_vector()
+    box_a = [(min(xs), max(xs)) for xs in zip(*a.terms)]
+    box = [(lo - min(xs), hi - max(xs)) for (lo, hi), xs in zip(box_a, zip(*c.terms))]
+    # Every key the loop makes lies in a's box while the quotient stays in its box.
+    places = _places(box_a)
+    origin = sum(lo * place for (lo, _), place in zip(box_a, places))
+    lows_a = [lo for lo, _ in box_a]
+    free = [(k, place) for k, ((lo, hi), place) in enumerate(zip(box_a, places)) if lo < hi]
+    terms_c = list(c.terms)
+    coeffs_c = [ch.coeffs for ch in c.terms.values()]
+    lows_c = [min(x) for x in coeffs_c]
+    codes_c = [sum(map(mul, h, places)) for h in terms_c]
+    j_c = terms_c.index(c.leading_vector())
+    g_c, code_c, low_c = terms_c[j_c], codes_c[j_c], lows_c[j_c]
     gamma_c = c.terms[g_c]
-    # L(g, h) = -g . row(h): one twist row per term of c, for every step.
-    row_gc = pair.twist_row(g_c)
-    lows_c = [min(ch.coeffs) for ch in c.terms.values()]
-    terms_c = list(zip(c.terms, lows_c, map(pair.twist_row, c.terms)))
-    top_c = max(max(map(abs, ch.coeffs.values())) for ch in c.terms.values())
-    len_c = max(len(ch.coeffs) for ch in c.terms.values())
-    stride = gcd(a.stride, _common_stride(*[ch.coeffs for ch in c.terms.values()]))
+    reach = [max(abs(lo), abs(hi)) for lo, hi in box] if len(terms_c) >= _LANE_TERMS else None
+    rows, shift = _twists(terms_c, lows_c, pair, reach)
+    top_c = max(max(map(abs, x.values())) for x in coeffs_c)
+    len_c = max(map(len, coeffs_c))
+    stride = gcd(a.stride, _common_stride(*coeffs_c))
     # A running bound on every remainder coefficient keeps each packed digit exact.
     bound = max(top_c, a.bound)
     bits = _digit_bits(bound)
     _fit(a, stride, bits)
     stride = stride or 1
-    packed_c = [_pack(ch.coeffs, lo, stride, bits) for ch, lo in zip(c.terms.values(), lows_c)]
+    packed_c = [_pack(x, lo, stride, bits) for x, lo in zip(coeffs_c, lows_c)]
+    remainder = {sum(map(mul, g, places)): entry for g, entry in a.terms.items()}
     quotient: dict[tuple, QCoefficient] = {}
     while remainder:
-        g_a = max(remainder)
-        g_b = tuple(x - y for x, y in zip(g_a, g_c))
+        code_a = max(remainder)
+        rest, g_a = code_a - origin, list(lows_a)
+        for k, place in free:  # a coordinate that a's box pins reads 0
+            digit, rest = divmod(rest, place)
+            g_a[k] += digit
+        g_a = tuple(g_a)
+        g_b = tuple(map(sub, g_a, g_c))
         for i, (x, (lo, hi)) in enumerate(zip(g_b, box)):
             if not lo <= x <= hi:
                 raise NonExactDivision(
                     f"quotient exponent {g_b} needed for {g_a} has coordinate {i} = {x} "
                     f"outside [{lo}, {hi}]"
                 )
-        lo, packed = remainder[g_a]
+        lo, packed = remainder[code_a]
         lead = _unpack(packed, lo, stride, bits, packed.bit_length() // bits + 1)
+        # offsets[j] = lo_j - g_b . row(h_j) + shift, h_j the j-th term of c
+        offsets = rows(g_b)
         # (gamma_b X^g_b)(gamma_c X^g_c) must produce the current lead.
-        gamma_b = QCoefficient._wrap(lead).shifted(sum(map(mul, g_b, row_gc)))
+        gamma_b = QCoefficient._wrap(lead).shifted(low_c + shift - offsets[j_c])
         gamma_b = gamma_b.divide_exact(gamma_c)
         if gamma_b is None:
             raise NonExactDivision(f"coefficient at {g_a} is not divisible")
@@ -729,27 +899,32 @@ def div_exact_right(a: TorusElement | _Packed, c: TorusElement, pair: Compatible
         # remainder -= (gamma_b X^g_b) * c, one packed product per term of c.
         coeffs = gamma_b.coeffs
         lo_b = min(coeffs)
-        offsets = [
-            (tuple(map(add, g_b, h)), lo_b + lo_h - sum(map(mul, g_b, row))) for h, lo_h, row in terms_c
-        ]
-        new_stride = stride
-        for t in coeffs:
-            new_stride = gcd(new_stride, t - lo_b)
-        for key, offset in offsets:
-            if key in remainder:
-                new_stride = gcd(new_stride, offset - remainder[key][0])
+        base, code_b = lo_b - shift, code_a - code_c
+        new_stride = gcd(stride, *[t - lo_b for t in coeffs])
         bound += max(map(abs, coeffs.values())) * top_c * min(len(coeffs), len_c)
         new_bits = bits if bound < 1 << (bits - 1) else max(2 * bits, _digit_bits(bound))
         if (new_stride, new_bits) != (stride, bits):
+            # the layout changes anyway: refine it for every key's residue at once
+            new_stride = gcd(new_stride, *_residues(remainder, code_b, base, codes_c, offsets))
             _relayout(remainder, (stride, bits), (new_stride, new_bits))
             stride, bits = new_stride, new_bits
-            packed_c = [_pack(ch.coeffs, lo, stride, bits) for ch, lo in zip(c.terms.values(), lows_c)]
+            packed_c = [_pack(x, lo, stride, bits) for x, lo in zip(coeffs_c, lows_c)]
         packed_b = _pack(coeffs, lo_b, stride, bits)
-        for (key, offset), pc in zip(offsets, packed_c):
-            if key not in remainder:
+        for j, (code, offset, pc) in enumerate(zip(codes_c, offsets, packed_c)):
+            key, offset = code_b + code, base + offset
+            entry = remainder.get(key)
+            if entry is None:
                 remainder[key] = (offset, -(packed_b * pc))
                 continue
-            lo, packed = remainder[key]
+            lo, packed = entry
+            if (offset - lo) % stride:
+                # every earlier pair fit the old stride, so the rest set the new one
+                new_stride = gcd(stride, *_residues(remainder, code_b, base, codes_c[j:], offsets[j:]))
+                _relayout(remainder, (stride, bits), (new_stride, bits))
+                stride = new_stride
+                packed_c[:] = [_pack(x, lo, stride, bits) for x, lo in zip(coeffs_c, lows_c)]  # the loop reads it
+                packed_b, pc = _pack(coeffs, lo_b, stride, bits), packed_c[j]
+                lo, packed = remainder[key]
             if offset < lo:  # re-base the key at its new lowest exponent
                 packed, lo = packed << bits * ((lo - offset) // stride), offset
             packed -= packed_b * pc << bits * ((offset - lo) // stride)
@@ -758,6 +933,12 @@ def div_exact_right(a: TorusElement | _Packed, c: TorusElement, pair: Compatible
             else:
                 del remainder[key]
     return TorusElement._wrap(a.rank, quotient)
+
+
+def _residues(remainder: dict, code: int, base: int, codes: Sequence[int], offsets: Sequence[int]) -> list[int]:
+    """offset - lo for each key ``code + codes[j]`` the remainder holds, its offset ``base + offsets[j]``."""
+    keys = [code + other for other in codes]
+    return [base + offset - remainder[key][0] for key, offset in zip(keys, offsets) if key in remainder]
 
 
 def _fit(x: _Packed, stride: int, bits: int) -> None:

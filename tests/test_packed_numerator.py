@@ -252,16 +252,39 @@ def test_a_square_equals_the_ordered_pair_product(name, data):
 
 
 def test_a_square_visits_each_unordered_pair_once(monkeypatch):
-    # Each visited pair reads one twist, a dot product of rank-3 vectors.
+    # Each visited pair multiplies its two packed coefficients once.
     a = TorusElement(3, {(i, i % 2, 0): QCoefficient({0: i + 1, 2: -1}) for i in range(6)})
-    calls = []
-    real = torus.mul
-    monkeypatch.setattr(torus, "mul", lambda x, y: calls.append(1) or real(x, y))
+    visits = []
+
+    class Packed(int):
+        def __mul__(self, other):
+            visits.append(1)
+            return int(self) * other
+
+    real = torus._pack
+    monkeypatch.setattr(torus, "_pack", lambda *args: Packed(real(*args)))
     square = torus_mul(a, a, PAIR3)
-    assert len(calls) == 3 * 6 * 7 // 2
-    calls.clear()
+    assert len(visits) == 6 * 7 // 2
+    visits.clear()
     assert torus_mul(a, TorusElement(3, a.terms), PAIR3) == square
-    assert len(calls) == 3 * 6 * 6
+    assert len(visits) == 6 * 6
+
+
+@pytest.mark.parametrize("name", PACKED_PAIRS)
+@settings(deadline=None)
+@given(data=st.data())
+def test_each_key_bound_holds_its_coefficients_below_the_whole_product_bound(name, data):
+    # The bound before it was taken per key: max|a| * max|b| * (fewer
+    # q-terms) * min(|a|, |b|), for a product and for a square.
+    pair, rank = PACKED_PAIRS[name]
+    a, b = data.draw(packed_elements(rank)), data.draw(packed_elements(rank))
+    for x, y in ((a, b), (a, a)):
+        packed = mul_packed(x, y, pair)
+        top_x, top_y = (max(abs(v) for c in z.terms.values() for v in c.coeffs.values()) for z in (x, y))
+        size_x, size_y = (max(len(c.coeffs) for c in z.terms.values()) for z in (x, y))
+        assert packed.bound <= top_x * top_y * min(size_x, size_y) * min(len(x.terms), len(y.terms))
+        coefficients = [v for c in torus._unpacked(packed).terms.values() for v in c.coeffs.values()]
+        assert max(map(abs, coefficients), default=0) <= packed.bound
 
 
 @pytest.mark.parametrize("shape", [(0,), (0, 1), (0, 0), (0, 2), (0, 0, 0), (0, 1, 1), (0, 1, 2), (2, 0, 1)])

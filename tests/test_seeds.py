@@ -335,15 +335,22 @@ def test_annulus_mutation_matches_its_own_arc_variable(seeds):
 
 
 @pytest.mark.parametrize("start", (1, 2))
-def test_mutation_past_the_cli_cap_equals_the_classical_oracle(seeds, start):
-    # mutation_sequence stops at 12 steps; mutate_seed itself has no cap.
-    ks = [start if i % 2 == 0 else 3 - start for i in range(14)]
+def test_mutation_past_the_cli_cap_equals_the_classical_oracle(seeds, start, monkeypatch):
+    # mutation_sequence stops at 12 steps; mutate_seed itself has no cap.  By
+    # step 16 the exchange products need 64-bit digits, which no 12-step run does.
+    ks = [start if i % 2 == 0 else 3 - start for i in range(16)]
     seed = seeds["annulus"]
     initial = classical = classical_initial_seed([list(row) for row in seed.pair.b_tilde])
-    for k in ks:
+    widths, real = [], torus._mul_packed
+    monkeypatch.setattr(torus, "_mul_packed", lambda *args: widths.append((packed := real(*args)).bits) or packed)
+    for step, k in enumerate(ks, 1):
         seed = mutate_seed(seed, k)
         classical = classical_mutate(classical, k)
+        assert bar(seed.cluster[k - 1]) == seed.cluster[k - 1]
         assert [classical_specialization(x) for x in seed.cluster] == list(classical.cluster)
+        if step == 12:
+            assert max(widths) < 64
+    assert widths[-1] == 64
     assert list(classical_mutation_sequence(initial, ks).cluster) == list(classical.cluster)
 
 

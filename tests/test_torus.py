@@ -842,13 +842,20 @@ def packed_elements(draw, rank):
     """1 to 12 terms on a small box of vectors, so that many term pairs share a key.
 
     Hypothesis draws the shape: the number of terms, up to 8 q-terms per
-    coefficient, whether residues mod 4 mix inside a coefficient and
-    whether entries may lie far above 2^64.  A generator seeded by the
-    draw fills in vectors, exponents and signed entries.
+    coefficient, whether residues mod 4 mix inside a coefficient, whether
+    entries may lie far above 2^64, and whether the box is lopsided: its
+    first coordinate spans -40..40 and its last is pinned to one value, so
+    that a product's or a numerator's box has radix 1 there when both
+    factors are lopsided.  A generator seeded by the draw fills in vectors,
+    exponents and signed entries.
     """
     rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
     n_terms, q_terms = draw(st.integers(min_value=1, max_value=12)), draw(st.integers(min_value=1, max_value=8))
     mixed, big = draw(st.booleans()), draw(st.booleans())
+    spans = [(-1, 1)] * rank
+    if draw(st.booleans()):
+        pinned = draw(st.integers(min_value=-2, max_value=2))
+        spans = [(-40, 40)] + spans[1:-1] + [(pinned, pinned)]
 
     def entry():
         if big and rng.random() < 0.3:
@@ -857,7 +864,7 @@ def packed_elements(draw, rank):
 
     terms = {}
     for _ in range(n_terms):
-        vector = tuple(rng.randint(-1, 1) for _ in range(rank))
+        vector = tuple(rng.randint(lo, hi) for lo, hi in spans)
         residue = rng.randrange(4)
         slots = rng.sample(range(-4, 5), rng.randint(1, q_terms))
         terms[vector] = QCoefficient(
