@@ -19,11 +19,11 @@ coefficient becomes one Python int whose base-``2^bits`` digits are its
 coefficients, read at a common stride (a divisor of every exponent gap),
 so the product of two such ints carries every coefficient of the product.
 Digits are 8, 16, 32 or 64 bits wide while the bound below fits in a
-machine word, and each is then one item of a stdlib ``array``.  A
-coefficient of at most 16 q-terms is packed as a sum of shifted digits;
-a longer one writes every digit, biased by ``2^(bits-1)``, into such an
-array, whose memory is read as an int once.  Unpacking adds the same bias to every
-digit, so no digit borrows, and reads the int's bytes back into an array
+machine word, and each is then one item of a stdlib ``array``.  Packing
+writes every digit, biased by ``2^(bits-1)``, into such an array, whose
+memory is read as an int once; fewer than 32 q-terms cost less as a sum
+of shifted digits.  Unpacking adds the same bias to every digit, so no
+digit borrows, and reads the int's bytes back into an array
 whose items are the biased digits exactly; that needs every digit to lie
 strictly between -2^(bits-1) and 2^(bits-1).  Wider digits, in whole
 bytes, and every digit on a host that is not little-endian, go through
@@ -41,21 +41,22 @@ offsets differ by 2 L(g_i, g_j).  A key's bound sums max|x| * max|y| *
 largest is the product's bound, and ``bits`` is its bit length plus a
 sign bit, rounded up to a machine word or, above 64 bits, to whole bytes.
 
-When both factors have at least ``_LANE_TERMS`` terms, so that many pairs
-share a key, the first pass works on ints that live only inside the call.
-Each vector becomes one mixed-radix code over the sum of the factors'
-coordinate boxes: int order is lex order, and a pair's key is one
-addition.  The offsets come a row per term g of ``a``, from lanes: one
-int per coordinate k holds, in lane j, coordinate k of the twist row of
-term j of ``b``, so the sum of g_k times those ints holds the twists of g
-with every term of ``b`` at once, read out through the same array or
-byte path as a coefficient.  The lane width, like a digit's, comes from a
-bound.  Smaller products take each pair's key and twist on their own;
-either way the packed product is keyed by vectors.  The second pass adds each pair's packed product, shifted to its offset, into
-its key's int; a zero int drops the key.  That packed product, ``{g: (lo,
-int)}`` with its stride, bits and bound, is what :func:`torus_mul` unpacks,
-each key once.  When one factor has a single term, each pair is multiplied
-on its own instead.
+The first pass takes a row of offsets per term g of ``a``.  Once ``b``
+has ``_LANE_TERMS`` terms the row is read from lanes: one int per
+coordinate k holds, in lane j, coordinate k of the twist row of term j
+of ``b``, so the sum of g_k times those ints holds the twists of g with
+every term of ``b`` at once, read out through the same array or byte
+path as a coefficient, and the lane width, like a digit's, comes from a
+bound.  A shorter ``b`` gives each twist as a dot product.  Once both
+factors have ``_LANE_TERMS`` terms, many pairs share a key, and each
+vector becomes one mixed-radix code over a cube that holds every key: a
+pair's key is one addition, and the code lives only inside the call.
+Smaller products key each pair by its vector.  The second pass adds each
+pair's packed product, shifted to its offset, into its key's int; a zero
+int drops the key.  That packed product, ``{g: (lo, int)}`` with its
+stride, bits and bound, is what :func:`torus_mul` unpacks, each key
+once.  When one factor has a single term, each pair is multiplied on its
+own instead.
 
 The torus knows no cluster rule: seed mutation gives each exchange side
 as factors and a q-power.  Their product, folded left to right, keeps a
@@ -64,30 +65,28 @@ key's ``lo``; the two sides merge in one layout, and the division takes
 that numerator as its remainder with no pack step.
 
 Right division by an element ``c`` eliminates the leading term of the
-remainder in lex order.  Since the torus is a domain, every exponent of an
-exact quotient lies in the box ``[min_i(a) - min_i(c), max_i(a) - max_i(c)]``
-per coordinate; a step outside it proves the division inexact, and the
-strictly decreasing quotient exponents inside the finite box bound the
-number of steps.  The remainder stays packed, as (lowest exponent, int)
-per key, and ``c`` is packed once per layout.  Inside the call a key is
-the mixed-radix code of its vector over ``a``'s box, which holds every
-key the loop makes while the quotient stays in its box: the leading key
-is the largest int, the vector is read back from it only for the box
-test, and the key of g_b + h is one addition.  A step's offsets against
-the terms of ``c`` are a lane row once ``c`` has ``_LANE_TERMS`` terms,
-dot products before.  Each step unpacks only the leading coefficient,
-divides it, packs the quotient coefficient and subtracts its packed
-product with each term of ``c``, one dictionary probe per term; a key
-whose lowest exponent drops is re-based by a shift.  A running bound on
-the remainder's coefficients, max|a| (or a packed numerator's bound) plus
+remainder in lex order.  Since the torus is a domain, every exponent of
+an exact quotient lies in the box ``[min_i(a) - min_i(c), max_i(a) -
+max_i(c)]`` per coordinate; a step outside it proves the division
+inexact, and the strictly decreasing quotient exponents inside the
+finite box bound the number of steps.  The remainder stays packed, as
+(lowest exponent, int) per key, and ``c`` is packed once per layout.
+Inside the call a key is the mixed-radix code of its vector over ``a``'s
+box, which holds every key the loop makes while the quotient stays in
+its box: the leading key is the largest int, the vector is read back
+from it only for the box test, and the key of g_b + h is one addition.
+A step's offsets against the terms of ``c`` are one row, read as for a
+product.  Each step unpacks only the leading coefficient, divides it,
+packs the quotient coefficient and subtracts its packed product with
+each term of ``c``, one dictionary probe per term; a key whose lowest
+exponent drops is re-based by a shift.  A running bound on the
+remainder's coefficients, max|a| (or a packed numerator's bound) plus
 max|gamma| * max|c| * (fewer q-terms) per step, keeps every digit in
-range, so ``int == 0`` is an exact zero test.  When the bound reaches the
-sign bit, or a quotient coefficient leaves the stride, the remainder is
-laid out again with wider digits or a finer stride, fine enough for every
-key the step meets; a pair that meets a key outside its residue class
-lays it out again at a stride fine enough for the rest of the step.  A
-numerator handed over packed keeps its layout unless the divisor needs a
-finer stride or wider digits.
+range, so ``int == 0`` is an exact zero test.  When the bound reaches
+the sign bit, or a quotient coefficient leaves the stride or a key's
+residue class, the remainder is laid out again with wider digits or a
+finer stride.  A numerator handed over packed keeps its layout unless
+the divisor needs a finer stride or wider digits.
 """
 
 from __future__ import annotations
@@ -165,12 +164,12 @@ def _common_stride(*polys: Mapping[int, int]) -> int:
 
 
 def _pack(coeffs: Mapping[int, int], lo: int, stride: int, bits: int) -> int:
-    """Evaluate sum c * x^((t - lo) / stride) at x = 2^bits.
+    """Evaluate sum c * x^((t - lo) / stride) at x = 2^bits from biased digits, in linear time.
 
-    Up to 16 q-terms as a sum of shifts, which costs less than writing every
-    digit; beyond, from biased digits in linear time.
+    Below 32 q-terms a sum of shifted digits costs less (measured 0.4-0.96 of the
+    digit array at 8 to 64 bits) and is taken instead.
     """
-    if len(coeffs) <= 16:
+    if len(coeffs) < 32:
         return sum([c << bits * ((t - lo) // stride) for t, c in coeffs.items()])
     half = 1 << (bits - 1)
     length = (max(coeffs) - lo) // stride + 1
@@ -620,8 +619,11 @@ def _packed_sum(x: _Packed, y: _Packed) -> _Packed:
 
 
 # Codes and lanes cost a fixed setup per call and save work per term pair.  A
-# divisor with fewer terms reads each twist as a dot product; a product whose
-# shorter factor has fewer takes each pair on its own, keyed by its vector.
+# factor with fewer terms gives each twist as a dot product, and a product with
+# a factor that short keys each pair by its vector.  Measured on the benchmark's
+# calls: taking codes and lanes for every call slows the polygon divisions by
+# 84% and the skein products by 9%, never taking them slows twelve annulus
+# mutation steps by 27%, and every cut from 4 to 16 terms is within 4%.
 _LANE_TERMS = 8
 
 
@@ -639,26 +641,28 @@ def _places(box: Sequence[tuple[int, int]]) -> list[int]:
     return places
 
 
-def _twists(terms: list, lows: list, pair: CompatiblePair, reach: Sequence[int] | None = None, span: int = 0):
+def _twists(terms: list, lows: list, pair: CompatiblePair, gs: Iterable[Sequence[int]], span: int = 0):
     """The offsets of a factor's terms h_j against a vector g, a row per call: ``(rows, shift)``.
 
     ``rows(g, base)`` lists base + lows[j] - g . row(h_j) + shift over j, for
-    0 <= base <= span.  Without ``reach`` each item is a dot product with the
-    twist row of g, and ``shift`` is 0.  With it, |g_k| <= reach[k] and the
-    row is read from lanes: an int per coordinate k holds row(h_j)_k in lane
-    j, so sum_k g_k * lane_k holds every twist of g at once.  ``shift`` bounds
-    every |g . row(h_j)|, so no lane is negative, and the lane width, as
-    :func:`_digit_bits` gives it, holds the widest lane.
+    0 <= base <= span and each |g_k| at most the largest |g_k| over ``gs``.
+    Below ``_LANE_TERMS`` terms each item is a dot product with row(h_j), and
+    ``shift`` is 0.  From it on the row is read from lanes: an int per
+    coordinate k holds row(h_j)_k in lane j, so sum_k g_k * lane_k holds every
+    twist of g at once.  ``shift`` bounds every |g . row(h_j)|, so no lane is
+    negative, and the lane width, as :func:`_digit_bits` gives it, holds the
+    widest lane.
     """
-    if reach is None:
+    if len(terms) < _LANE_TERMS:
+        twists = [pair.twist_row(h) for h in terms]
 
         def rows(g, base=0):
-            twist = pair.twist_row(g)  # g . row(h) = -h . row(g), lam being skew
-            return [base + lo + sum(map(mul, h, twist)) for lo, h in zip(lows, terms)]
+            return [base + lo - sum(map(mul, g, row)) for lo, row in zip(lows, twists)]
 
         return rows, 0
     # row(h)_k = sum_l h_l lam_lk, so |row(h)_k| <= sum_l max|h_l| |lam_lk|.
     cols, lam_cols, count, low = list(zip(*terms)), list(zip(*pair.lam)), len(terms), min(lows)
+    reach = [max(map(abs, col)) for col in zip(*gs)]
     tops = [max(max(col), -min(col)) for col in cols]
     cross = sum(r * sum(map(mul, tops, map(abs, column))) for r, column in zip(reach, lam_cols))
     width = _digit_bits(max(span + max(lows) - low + 2 * cross, 2 * max(tops)))
@@ -673,22 +677,21 @@ def _twists(terms: list, lows: list, pair: CompatiblePair, reach: Sequence[int] 
     return rows, cross - low
 
 
-def _pairs(side_a: list, side_b: list, pair: CompatiblePair, square: bool):
-    """Each term pair (i, j) in order, from (vector, lowest q-exponent, max|coefficient|,
-    q-terms) per term: (i, j), its key g + h, its offsets and its bound.
+def _pairs(side_a: Iterable, side_b: list, rows, low: int, shift: int, square: bool):
+    """Each term pair (i, j) in turn, from (vector, lowest q-exponent, max|coefficient|, q-terms)
+    per term: (i, j), its key g + h, its offset and that of (j, i), and its bound.
 
-    The offset is lo_i + lo_j - g . row(h), one dot product per pair; a square
-    visits j >= i, and (j, i) sits 2 g . row(h) above (i, j) and doubles the bound.
+    Offsets come from ``rows`` of :func:`_twists`, row i at base lo_i - ``low``, so
+    they count from ``low - shift``.  A square visits j >= i: (j, i) lies 2 L(g, h)
+    above (i, j), and the pair's bound counts both orders.
     """
-    side_b = [(h, lo, top, size, pair.twist_row(h)) for h, lo, top, size in side_b]
     for i, (g, lo_g, top_g, size_g) in enumerate(side_a):
+        row = rows(g, lo_g - low)
         for j in range(i if square else 0, len(side_b)):
-            h, lo_h, top_h, size_h, row = side_b[j]
-            cross = sum(map(mul, g, row))
-            offset = lo_g + lo_h - cross
-            weight = top_g * top_h * (size_g if size_g < size_h else size_h)
+            h, lo_h, top_h, size_h = side_b[j]
+            offset, weight = row[j], top_g * top_h * (size_g if size_g < size_h else size_h)
             if square and j > i:
-                yield (i, j), tuple(map(add, g, h)), offset, offset + 2 * cross, 2 * weight
+                yield (i, j), tuple(map(add, g, h)), offset, 2 * (lo_g + lo_h - low + shift) - offset, 2 * weight
             else:
                 yield (i, j), tuple(map(add, g, h)), offset, offset, weight
 
@@ -699,10 +702,11 @@ def _mul_packed(a: TorusElement, b: TorusElement, pair: CompatiblePair, twice: i
     For a square (``a is b``) the pairs (i, j) and (j, i) share the key g_i + g_j
     and the packed product, and their offsets are lo_i + lo_j -/+ g_i . row(g_j),
     so each unordered pair is visited once.  A key's bound sums max|x| * max|y| *
-    (fewer q-terms) over its pairs, both orders of a square counted.  Below
-    ``_LANE_TERMS`` terms in either factor :func:`_pairs` gives each pair; from it
-    on, keys are codes over the sum of the factors' boxes and the offsets come from
-    :func:`_twists`, a row per term of ``a``.
+    (fewer q-terms) over its pairs, both orders of a square counted.  The offsets
+    come from :func:`_twists`, a row per term of ``a``.  Below ``_LANE_TERMS``
+    terms in either factor :func:`_pairs` keys each pair by its vector; from it on,
+    keys are codes over a cube that holds every key, one addition per pair.  The
+    packed product is keyed by vectors either way.
     """
     square = a is b
     terms_a, terms_b = list(a.terms), list(b.terms)
@@ -715,40 +719,35 @@ def _mul_packed(a: TorusElement, b: TorusElement, pair: CompatiblePair, twice: i
     sizes_a = [len(x) for x in coeffs_a]
     sizes_b = sizes_a if square else [len(x) for x in coeffs_b]
     stride = _common_stride(*coeffs_a, *([] if square else coeffs_b))
+    low = min(lows_a)
+    rows, shift = _twists(terms_b, lows_b, pair, terms_a, max(lows_a) - low)
     if min(len(terms_a), len(terms_b)) < _LANE_TERMS:
-        # Few pairs: each one's key and twist on its own.
-        coded, origin = False, twice
-        side_a, side_b = zip(terms_a, lows_a, tops_a, sizes_a), zip(terms_b, lows_b, tops_b, sizes_b)
-        walk = _pairs(list(side_a), list(side_b), pair, square)
+        # Few pairs share a key: each pair keyed by its vector, its offsets read as they come.
+        side_a, side_b = zip(terms_a, lows_a, tops_a, sizes_a), list(zip(terms_b, lows_b, tops_b, sizes_b))
+        walk = _pairs(side_a, side_b, rows, low, shift, square)
     else:
-        # Many pairs share a key: codes over the sum box, and a lane row of offsets per term of a.
-        coded = True
-        box_a = [(min(xs), max(xs)) for xs in zip(*terms_a)]
-        box_b = box_a if square else [(min(xs), max(xs)) for xs in zip(*terms_b)]
-        places = _places([(lo_a + lo_b, hi_a + hi_b) for (lo_a, hi_a), (lo_b, hi_b) in zip(box_a, box_b)])
+        # Many pairs share a key: codes over the cube [-top, top]^rank, which holds every key.
+        top_a = max(map(abs, chain.from_iterable(terms_a)))
+        top = top_a + (top_a if square else max(map(abs, chain.from_iterable(terms_b))))
+        places = _places([(-top, top)] * a.rank)
         codes_a = [sum(map(mul, g, places)) for g in terms_a]
         codes_b = codes_a if square else [sum(map(mul, h, places)) for h in terms_b]
-        low = min(lows_a)
-        reach = [max(abs(lo), abs(hi)) for lo, hi in box_a]
-        rows, shift = _twists(terms_b, lows_b, pair, reach, max(lows_a) - low)
+        keys_ij = (x + y for i, x in enumerate(codes_a) for y in codes_b[i if square else 0 :])
         grid = [rows(g, lo - low) for g, lo in zip(terms_a, lows_a)]
-        origin = low + twice - shift
         if square:
             # (i, j) and (j, i) for j > i: one visit; the offset of (j, i) is in row j, column i
             visits = combinations_with_replacement(range(len(terms_a)), 2)
-            keys_ij = [x + y for i, x in enumerate(codes_a) for y in codes_a[i:]]
             offsets_ij = chain.from_iterable(row[i:] for i, row in enumerate(grid))
             mirrors_ij = chain.from_iterable(column[i:] for i, column in enumerate(zip(*grid)))
-            weights = [
+            weights = (
                 (1 if i == j else 2) * t * u * (s if s < v else v)
                 for i, (t, s) in enumerate(zip(tops_a, sizes_a))
                 for j, u, v in zip(range(i, len(terms_a)), tops_a[i:], sizes_a[i:])
-            ]
+            )
         else:
             visits = product(range(len(terms_a)), range(len(terms_b)))
-            keys_ij = [x + y for x in codes_a for y in codes_b]
             offsets_ij = mirrors_ij = list(chain.from_iterable(grid))
-            weights = [t * u * (s if s < v else v) for t, s in zip(tops_a, sizes_a) for u, v in zip(tops_b, sizes_b)]
+            weights = (t * u * (s if s < v else v) for t, s in zip(tops_a, sizes_a) for u, v in zip(tops_b, sizes_b))
         walk = zip(visits, keys_ij, offsets_ij, mirrors_ij, weights)
     # Pass 1, exponents only: per key its lowest offset, its bound and its pairs.
     keys: dict = {}
@@ -768,7 +767,7 @@ def _mul_packed(a: TorusElement, b: TorusElement, pair: CompatiblePair, twice: i
     # Pass 2: pack each coefficient once, sum packed products per key.
     packed_a = [_pack(x, lo, step, bits) for x, lo in zip(coeffs_a, lows_a)]
     packed_b = packed_a if square else [_pack(x, lo, step, bits) for x, lo in zip(coeffs_b, lows_b)]
-    terms = {}
+    origin, terms = low + twice - shift, {}
     for key, (lo, _, pairs) in keys.items():
         acc = 0
         for i, j, offset, mirror in pairs:
@@ -777,9 +776,8 @@ def _mul_packed(a: TorusElement, b: TorusElement, pair: CompatiblePair, twice: i
             if square and i != j:
                 acc += product_ij << bits * ((mirror - lo) // step)
         if acc:
-            if coded:
-                i, j, *_ = pairs[0]
-                key = tuple(map(add, terms_a[i], terms_b[j]))
+            if type(key) is int:  # a code: the vector of its first pair
+                key = tuple(map(add, terms_a[pairs[0][0]], terms_b[pairs[0][1]]))
             terms[key] = (lo + origin, acc)
     return _Packed(a.rank, terms, stride, bits, bound)
 
@@ -859,8 +857,7 @@ def div_exact_right(a: TorusElement | _Packed, c: TorusElement, pair: Compatible
     j_c = terms_c.index(c.leading_vector())
     g_c, code_c, low_c = terms_c[j_c], codes_c[j_c], lows_c[j_c]
     gamma_c = c.terms[g_c]
-    reach = [max(abs(lo), abs(hi)) for lo, hi in box] if len(terms_c) >= _LANE_TERMS else None
-    rows, shift = _twists(terms_c, lows_c, pair, reach)
+    rows, shift = _twists(terms_c, lows_c, pair, list(zip(*box)))
     top_c = max(max(map(abs, x.values())) for x in coeffs_c)
     len_c = max(map(len, coeffs_c))
     stride = gcd(a.stride, _common_stride(*coeffs_c))
@@ -899,32 +896,24 @@ def div_exact_right(a: TorusElement | _Packed, c: TorusElement, pair: Compatible
         # remainder -= (gamma_b X^g_b) * c, one packed product per term of c.
         coeffs = gamma_b.coeffs
         lo_b = min(coeffs)
-        base, code_b = lo_b - shift, code_a - code_c
-        new_stride = gcd(stride, *[t - lo_b for t in coeffs])
+        base, keys = lo_b - shift, [code_a - code_c + code for code in codes_c]
+        entries = [remainder.get(key) for key in keys]
+        residues = [base + offset - entry[0] for offset, entry in zip(offsets, entries) if entry]
+        new_stride = gcd(stride, *[t - lo_b for t in coeffs], *residues)
         bound += max(map(abs, coeffs.values())) * top_c * min(len(coeffs), len_c)
         new_bits = bits if bound < 1 << (bits - 1) else max(2 * bits, _digit_bits(bound))
         if (new_stride, new_bits) != (stride, bits):
-            # the layout changes anyway: refine it for every key's residue at once
-            new_stride = gcd(new_stride, *_residues(remainder, code_b, base, codes_c, offsets))
             _relayout(remainder, (stride, bits), (new_stride, new_bits))
             stride, bits = new_stride, new_bits
             packed_c = [_pack(x, lo, stride, bits) for x, lo in zip(coeffs_c, lows_c)]
+            entries = [remainder.get(key) for key in keys]
         packed_b = _pack(coeffs, lo_b, stride, bits)
-        for j, (code, offset, pc) in enumerate(zip(codes_c, offsets, packed_c)):
-            key, offset = code_b + code, base + offset
-            entry = remainder.get(key)
+        for key, entry, offset, pc in zip(keys, entries, offsets, packed_c):
+            offset += base
             if entry is None:
                 remainder[key] = (offset, -(packed_b * pc))
                 continue
             lo, packed = entry
-            if (offset - lo) % stride:
-                # every earlier pair fit the old stride, so the rest set the new one
-                new_stride = gcd(stride, *_residues(remainder, code_b, base, codes_c[j:], offsets[j:]))
-                _relayout(remainder, (stride, bits), (new_stride, bits))
-                stride = new_stride
-                packed_c[:] = [_pack(x, lo, stride, bits) for x, lo in zip(coeffs_c, lows_c)]  # the loop reads it
-                packed_b, pc = _pack(coeffs, lo_b, stride, bits), packed_c[j]
-                lo, packed = remainder[key]
             if offset < lo:  # re-base the key at its new lowest exponent
                 packed, lo = packed << bits * ((lo - offset) // stride), offset
             packed -= packed_b * pc << bits * ((offset - lo) // stride)
@@ -933,12 +922,6 @@ def div_exact_right(a: TorusElement | _Packed, c: TorusElement, pair: Compatible
             else:
                 del remainder[key]
     return TorusElement._wrap(a.rank, quotient)
-
-
-def _residues(remainder: dict, code: int, base: int, codes: Sequence[int], offsets: Sequence[int]) -> list[int]:
-    """offset - lo for each key ``code + codes[j]`` the remainder holds, its offset ``base + offsets[j]``."""
-    keys = [code + other for other in codes]
-    return [base + offset - remainder[key][0] for key, offset in zip(keys, offsets) if key in remainder]
 
 
 def _fit(x: _Packed, stride: int, bits: int) -> None:

@@ -251,9 +251,11 @@ def test_a_square_equals_the_ordered_pair_product(name, data):
     assert _same(torus_mul(a, b, pair), reference_torus_mul(a, b, pair))
 
 
-def test_a_square_visits_each_unordered_pair_once(monkeypatch):
-    # Each visited pair multiplies its two packed coefficients once.
-    a = TorusElement(3, {(i, i % 2, 0): QCoefficient({0: i + 1, 2: -1}) for i in range(6)})
+@pytest.mark.parametrize("n", [6, 9])
+def test_a_square_visits_each_unordered_pair_once(monkeypatch, n):
+    # Each visited pair multiplies its two packed coefficients once; from
+    # torus._LANE_TERMS terms on, the twists are read from lanes.
+    a = TorusElement(3, {(i, i % 2, 0): QCoefficient({0: i + 1, 2: -1}) for i in range(n)})
     visits = []
 
     class Packed(int):
@@ -264,10 +266,10 @@ def test_a_square_visits_each_unordered_pair_once(monkeypatch):
     real = torus._pack
     monkeypatch.setattr(torus, "_pack", lambda *args: Packed(real(*args)))
     square = torus_mul(a, a, PAIR3)
-    assert len(visits) == 6 * 7 // 2
+    assert len(visits) == n * (n + 1) // 2
     visits.clear()
     assert torus_mul(a, TorusElement(3, a.terms), PAIR3) == square
-    assert len(visits) == 6 * 6
+    assert len(visits) == n * n
 
 
 @pytest.mark.parametrize("name", PACKED_PAIRS)
