@@ -5,9 +5,11 @@ prints either human-readable text or structured JSON (--format).  This
 module only parses options and formats results: words are read by
 `strings.parse_string`, and verify formats the check records of
 `qcluster.checks`, whose order does not depend on the worker count.
-Text is printed in one write; structured output is written by `_json`,
-which prints expand's `ExpansionTerm` tuples as they are, one row
-template per term.
+Text is printed in one write; structured output is written by `_json`.
+The commands hand it their results as they are: `TorusElement`s and
+expand's `ExpansionTerm` tuples, each printed one row per term from one
+template; a dimension vector or exponent that recurs among the terms is
+joined once per call.
 """
 
 from __future__ import annotations
@@ -27,25 +29,15 @@ from .skein_mult import multiply_and_certify, relative_exponent_check
 from .snake import enumerate_matchings, label_snake, matching_to_submodule
 from .strings import parse_string
 from .surface import build_quiver, check_gentle, load_surface, pair_from_surface
+from .torus import TorusElement
 from .valuation import valuation_v, valuation_v_gamma
-
-def _element_json(element) -> list:
-    out = []
-    for g, coeff in sorted(element.terms.items(), reverse=True):
-        out.append(
-            {
-                "exponent": list(g),
-                "coefficient": [[t, c] for t, c in sorted(coeff.coeffs.items())],
-            }
-        )
-    return out
-
 
 def _json(value) -> str:
     """json.dumps(value, indent=2, sort_keys=True), written directly for the
     ints, bools, strings, lists and string-keyed dicts the commands build;
-    any other value goes to the stdlib.  A tuple of `ExpansionTerm`s is
-    written as json.dumps writes the list of their `_asdict()` dicts."""
+    any other value goes to the stdlib.  A `TorusElement` is written as
+    json.dumps writes the list of its term dicts, and a tuple of
+    `ExpansionTerm`s as it writes the list of their `_asdict()` dicts."""
     pieces = []
     _write_json(value, "\n", pieces.append)
     return "".join(pieces)
@@ -53,13 +45,14 @@ def _json(value) -> str:
 
 def _write_json(value, indent: str, emit) -> None:
     """Emit value's pieces; indent is the newline and indentation of the
-    line value starts on.  Small pieces keep the peak memory of a long
-    output at the stdlib's."""
+    line value starts on.  Elements and term tuples go to their row
+    writers, which emit one piece per term.  Small pieces keep the peak
+    memory of a long output at the stdlib's."""
     inner = indent + "  "
     kind = type(value)
     if kind is list and value:
         if {*map(type, value)} == {int}:  # no bools: their repr is not JSON's
-            emit("[" + inner + repr(value)[1:-1].replace(", ", "," + inner) + indent + "]")
+            emit(_ints(value, indent))
             return
         opening = "[" + inner
         for x in value:
@@ -74,6 +67,8 @@ def _write_json(value, indent: str, emit) -> None:
             _write_json(v, inner, emit)
             opening = "," + inner
         emit(indent + "}")
+    elif kind is TorusElement:
+        _write_element(value, indent, emit)
     elif kind is tuple and {*map(type, value)} == {ExpansionTerm}:
         _write_terms(value, indent, emit)
     elif kind is str:
@@ -86,24 +81,59 @@ def _write_json(value, indent: str, emit) -> None:
         emit(json.dumps(value, indent=2, sort_keys=True).replace("\n", indent))
 
 
+def _ints(xs, indent: str) -> str:
+    """A sequence of ints as json.dumps writes it on a line indented by indent."""
+    if not xs:
+        return "[]"
+    inner = indent + "  "
+    return "[" + inner + ("," + inner).join(map(str, xs)) + indent + "]"
+
+
 def _write_terms(terms, indent: str, emit) -> None:
     """Emit a tuple of ExpansionTerms as _write_json would the list of their
-    field dicts: one row per term from one template, keys in sorted order,
-    each int list joined once."""
+    field dicts: one row per term from one template, keys in sorted order.
+    Dimension vectors and exponents sit at one indentation, so one cache
+    joins each distinct tuple of either once per call."""
     inner = indent + "  "
     row = inner + "  "
-    item = row + "  "
     template = (
         "{" + row + '"dim": %s,' + row + '"exponent": %s,'
         + row + '"indices": %s,' + row + '"valuation": %d' + inner + "}"
     )
+    joined = {}
 
-    def ints(xs) -> str:
-        return "[" + item + ("," + item).join(map(str, xs)) + row + "]" if xs else "[]"
+    def shared(xs) -> str:
+        text = joined.get(xs)
+        if text is None:
+            text = joined[xs] = _ints(xs, row)
+        return text
 
     opening = "[" + inner
     for indices, dim, valuation, exponent in terms:
-        emit(opening + template % (ints(dim), ints(exponent), ints(indices), valuation))
+        emit(opening + template % (shared(dim), shared(exponent), _ints(indices, row), valuation))
+        opening = "," + inner
+    emit(indent + "]")
+
+
+def _write_element(element: TorusElement, indent: str, emit) -> None:
+    """Emit a TorusElement as _write_json would the list of its term dicts
+    {"coefficient": [[t, c], ...], "exponent": g}: one row per term from
+    one template, terms in descending exponent order and each term's q-terms
+    in ascending t."""
+    if not element.terms:
+        emit("[]")
+        return
+    inner = indent + "  "
+    row = inner + "  "
+    item = row + "  "
+    cell = item + "  "
+    pair = "[" + cell + "%d," + cell + "%d" + item + "]"
+    template = "{" + row + '"coefficient": [' + item + "%s" + row + "]," + row + '"exponent": %s' + inner + "}"
+    terms = element.terms
+    opening = "[" + inner
+    for g in sorted(terms, reverse=True):
+        pairs = ("," + item).join([pair % tc for tc in sorted(terms[g].coeffs.items())])
+        emit(opening + template % (pairs, _ints(g, row)))
         opening = "," + inner
     emit(indent + "]")
 
@@ -193,7 +223,7 @@ def expand(surface, text, q1, fmt):
     classical = classical_specialization(result.element, n=t.n) if q1 else None
 
     def data():
-        out = {"string": str(word), "element": _element_json(result.element), "terms": result.terms}
+        out = {"string": str(word), "element": result.element, "terms": result.terms}
         if q1:
             out["classical"] = {str(list(k)): v for k, v in sorted(classical.items())}
         return out
@@ -288,7 +318,7 @@ def mutate(surface, seq, fmt):
         fmt,
         lambda: {
             "sequence": directions,
-            "cluster": {str(i + 1): _element_json(seed.cluster[i]) for i in range(seed.n)},
+            "cluster": {str(i + 1): seed.cluster[i] for i in range(seed.n)},
             "b_tilde": [list(r) for r in seed.pair.b_tilde],
             "lambda": [list(r) for r in seed.pair.lam],
         },
@@ -318,7 +348,7 @@ def kronecker(surface, level, family, check, fmt):
             "s": level,
             "word": str(ws.graph.word),
             "alphas": list(ws.alphas),
-            "series": _element_json(series),
+            "series": series,
             "equality": equal,
         }
         if check:
@@ -365,8 +395,8 @@ def skein_multiply(surface, v_text, w_text, fmt):
             "s1_twice": cert.s1_twice,
             "s2_twice": cert.s2_twice,
             "lambda_twice": cert.s1_twice + cert.s2_twice,
-            "m1": _element_json(cert.m1),
-            "m2": _element_json(cert.m2),
+            "m1": cert.m1,
+            "m2": cert.m2,
             "m2_source": cert.m2_source,
             "identity_verified": cert.identity_verified,
             "gap_twice": cert.relative_twice,

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .errors import InvalidMutation, NonExactDivision, NotCompatible
-from .torus import CompatiblePair, TorusElement, _packed_product, _packed_sum, bar, div_exact_right
+from .torus import CompatiblePair, TorusElement, _packed_product, _packed_sum, div_exact_right, is_bar_invariant
 
 __all__ = [
     "QuantumSeed",
@@ -162,7 +162,7 @@ def mutate_seed(seed: QuantumSeed, k: int) -> QuantumSeed:
         raise NonExactDivision(
             f"exchange numerator not right-divisible by variable {k}: {exc}"
         ) from exc
-    if bar(new_var) != new_var:
+    if not is_bar_invariant(new_var):
         raise NotCompatible(f"mutated variable {k} is not bar-invariant")
 
     new_b = tuple(map(tuple, mutate_matrix(b, k)))

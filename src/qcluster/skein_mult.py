@@ -35,7 +35,7 @@ from .expansion import quantum_expansion
 from .seeds import QuantumSeed
 from .strings import Extension, SmoothingFactor, StringWord, all_extensions
 from .surface import QuiverWithRelations, Triangulation, build_quiver
-from .torus import TorusElement, bar, bar_normalize, torus_mul
+from .torus import TorusElement, bar_normalize, is_bar_invariant, torus_mul
 
 __all__ = [
     "MultiplicationCertificate",
@@ -165,7 +165,7 @@ def multiply_and_certify(
         )
     s1_twice, m1, s2_twice, m2 = next(iter(solutions))
     left, right = v, w
-    if s1_twice < s2_twice and bar(xv) == xv and bar(xw) == xw:
+    if s1_twice < s2_twice and is_bar_invariant(xv) and is_bar_invariant(xw):
         # The reversed product of bar-invariant factors is the bar conjugate,
         # so it resolves with the mirrored shifts; report the order that puts
         # M1 on top.

@@ -87,6 +87,9 @@ the sign bit, or a quotient coefficient leaves the stride or a key's
 residue class, the remainder is laid out again with wider digits or a
 finer stride.  A numerator handed over packed keeps its layout unless
 the divisor needs a finer stride or wider digits.
+
+:func:`bar` builds the conjugate; :func:`is_bar_invariant` answers
+``bar(a) == a`` without it, reading each coefficient against itself.
 """
 
 from __future__ import annotations
@@ -118,6 +121,7 @@ __all__ = [
     "torus_mul",
     "div_exact_right",
     "bar",
+    "is_bar_invariant",
     "bar_normalize",
 ]
 
@@ -945,6 +949,17 @@ def bar(a: TorusElement) -> TorusElement:
     It reverses products: bar(ab) = bar(b) bar(a).
     """
     return TorusElement(a.rank, {g: c.bar() for g, c in a.terms.items()})
+
+
+def is_bar_invariant(a: TorusElement) -> bool:
+    """Whether ``bar(a) == a``, read in place: every coefficient has c[-t] == c[t]."""
+    for coeff in a.terms.values():
+        coeffs = coeff.coeffs
+        get = coeffs.get
+        for t, value in coeffs.items():
+            if get(-t) != value:
+                return False
+    return True
 
 
 def bar_normalize(a: TorusElement) -> tuple[int, TorusElement]:

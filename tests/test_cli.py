@@ -23,6 +23,7 @@ from qcluster.errors import InvalidString, NotComposable, UnreachableSubmodule
 from qcluster.expansion import ExpansionTerm
 from qcluster.snake import enumerate_matchings, label_snake
 from qcluster.strings import enumerate_strings, parse_string, trivial_word
+from qcluster.torus import QCoefficient, TorusElement
 
 from conftest import ANNULUS_21, write_malformed
 from test_surface import random_polygon
@@ -814,6 +815,84 @@ TERMS = st.lists(
 def test_the_term_rows_equal_the_stdlib_encoding_of_their_dicts(terms):
     nested = {"string": "1", "element": [], "terms": terms}
     as_dicts = dict(nested, terms=[term._asdict() for term in terms])
+    assert cli._json(nested) == json.dumps(as_dicts, indent=2, sort_keys=True)
+
+
+# A few tuples for every dim and exponent, so rows share them, and a dim
+# of one row is often the exponent of another.
+SHARED_TUPLES = st.lists(INT_TUPLES, min_size=1, max_size=3, unique=True).flatmap(
+    lambda pool: st.lists(
+        st.builds(ExpansionTerm, indices=st.just((1,)), dim=st.sampled_from(pool), valuation=BIG_INTS, exponent=st.sampled_from(pool)),
+        max_size=6,
+    ).map(tuple)
+)
+
+
+@given(SHARED_TUPLES)
+@example(
+    (
+        ExpansionTerm((1,), (1, 0), 2, (0, 1)),
+        ExpansionTerm((2,), (1, 0), 1, (1, 0)),
+        ExpansionTerm((1, 2), (0, 1), 0, (2**64, -1)),
+        ExpansionTerm((1, 3), (), -1, (0, 1)),
+    )
+)
+def test_term_rows_that_share_a_list_equal_the_stdlib_encoding(terms):
+    nested = {"string": "1", "terms": terms}
+    as_dicts = dict(nested, terms=[term._asdict() for term in terms])
+    assert cli._json(nested) == json.dumps(as_dicts, indent=2, sort_keys=True)
+
+
+def element_json(element) -> list:
+    """The dict form an element's rows encode: terms in descending exponent
+    order, each term's [t, c] pairs in ascending t."""
+    out = []
+    for g, coeff in sorted(element.terms.items(), reverse=True):
+        out.append(
+            {
+                "exponent": list(g),
+                "coefficient": [[t, c] for t, c in sorted(coeff.coeffs.items())],
+            }
+        )
+    return out
+
+
+def torus_elements(rank):
+    """Elements of one rank: negative exponents, coefficients far beyond
+    2^64 of both signs, one-term elements and the zero element."""
+    coefficient = st.dictionaries(st.integers(-9, 9), BIG_INTS.filter(bool), min_size=1, max_size=4)
+    vector = st.tuples(*[st.integers(-4, 4)] * rank)
+    return st.dictionaries(vector, coefficient.map(QCoefficient), max_size=4).map(
+        lambda terms: TorusElement(rank, terms)
+    )
+
+
+ELEMENT_GROUPS = st.integers(1, 5).flatmap(lambda rank: st.lists(torus_elements(rank), min_size=5, max_size=5))
+
+
+@given(ELEMENT_GROUPS)
+@example(
+    [
+        TorusElement(2),
+        TorusElement.monomial((-3, 0), -5, -2**70),
+        TorusElement(2, {(0, -1): QCoefficient({-2: 2**64, 0: 1, 4: -2**65})}),
+        TorusElement.unit(2),
+        TorusElement(2, {(1, 0): QCoefficient({1: 1}), (-1, 2): QCoefficient({-1: 1, 1: 1})}),
+    ]
+)
+def test_element_rows_equal_the_stdlib_encoding_of_their_dicts(elements):
+    # Nested as expand, mutate, kronecker and skein-multiply nest them.
+    first, second, third, fourth, fifth = elements
+    nested = {
+        "element": first,
+        "terms": (),
+        "cluster": {"1": second, "2": third, "10": first},
+        "series": fourth,
+        "m1": fifth,
+        "m2": first,
+    }
+    as_dicts = dict(nested, terms=[], cluster={k: element_json(v) for k, v in nested["cluster"].items()})
+    as_dicts.update({key: element_json(nested[key]) for key in ("element", "series", "m1", "m2")})
     assert cli._json(nested) == json.dumps(as_dicts, indent=2, sort_keys=True)
 
 

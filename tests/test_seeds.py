@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from qcluster import torus
 from qcluster.cli import main
-from qcluster.errors import InvalidMutation, NonExactDivision, QClusterError
+from qcluster.errors import InvalidMutation, NonExactDivision, NotCompatible, QClusterError
 from qcluster.seeds import (
     _exchange_term,
     _poly_div_exact,
@@ -202,6 +202,13 @@ def test_mutated_variables_stay_bar_invariant_and_nonnegative(kron_seed):
         for x in seed.cluster:
             assert bar(x) == x
             assert x.coefficients_nonnegative()
+
+
+def test_a_mutated_variable_that_is_not_bar_invariant_is_refused(kron_seed, monkeypatch):
+    lopsided = element(2, [((1, -1), {0: 1, 2: 1})])
+    monkeypatch.setattr("qcluster.seeds.div_exact_right", lambda numerator, c, pair: lopsided)
+    with pytest.raises(NotCompatible, match=r"^mutated variable 2 is not bar-invariant$"):
+        mutate_seed(kron_seed, 2)
 
 
 def exchange_sides(seed):

@@ -587,6 +587,35 @@ def test_adopted_kernel_results_are_well_formed(a, c, t):
     assert a.shifted(0) is a
 
 
+# -- bar invariance ------------------------------------------------------
+
+bar_symmetric = elements.map(lambda x: x + bar(x))
+
+
+@given(st.one_of(elements, bar_symmetric, st.builds(lambda x, y: x + y, bar_symmetric, elements)))
+def test_bar_invariance_read_in_place_equals_the_conjugate_comparison(x):
+    assert torus.is_bar_invariant(x) == (bar(x) == x)
+
+
+@pytest.mark.parametrize(
+    "x, invariant",
+    [
+        (TorusElement.zero(3), True),
+        (TorusElement(3, {(0, -1, 2): QCoefficient({-2: 2**70, 0: -1, 2: 2**70})}), True),
+        # a q-term at t with none at -t
+        (TorusElement(3, {(0, 0, 0): QCoefficient({0: 1, 2: 5})}), False),
+        # values at t and -t that differ, on the second term only
+        (
+            TorusElement(3, {(1, 0, 0): QCoefficient({-1: 1, 1: 1}), (0, 1, 0): QCoefficient({-3: 2**70, 3: -2**70})}),
+            False,
+        ),
+    ],
+)
+def test_bar_invariance_cases(x, invariant):
+    assert torus.is_bar_invariant(x) is invariant
+    assert (bar(x) == x) is invariant
+
+
 # -- sums ------------------------------------------------------------------
 
 
