@@ -9,8 +9,8 @@ The expansion of the variable attached to a string is assembled twice:
 
 Both routes must produce the identical torus element; the result keeps
 the per-term data for reporting, one `ExpansionTerm` NamedTuple per
-matching in (size, sorted indices) order, which `expand` prints as they
-are.
+matching, each placed at its set's index in the canonical generator,
+whose order is (size, sorted indices); `expand` prints them as they are.
 """
 
 from __future__ import annotations
@@ -18,9 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import InconsistentValuation, NotCompatible
+from .errors import BijectionViolation, InconsistentValuation, NotCompatible
 from .seeds import QuantumSeed
-from .snake import SnakeGraph, bijection_image, label_snake, minimal_matching
+from .snake import SnakeGraph, bijection_image, canonical_submodules, label_snake, minimal_matching
 from .strings import StringWord
 from .surface import Triangulation
 from .torus import QCoefficient, TorusElement
@@ -94,7 +94,8 @@ def graph_expansion(g: SnakeGraph, seed: QuantumSeed) -> ExpansionResult:
     (compare_valuations), so each route runs once per graph.  The
     expected exponent x(minimal) + B dim is built once per dimension
     vector and compared with every matching's; counted_element sums the
-    element once per distinct exponent.
+    element once per distinct exponent.  Each term row goes to its set's
+    index in the canonical generator, so the rows need no sort.
     """
     d = uniform_d(seed)
     w, t = g.word, g.triangulation
@@ -105,9 +106,13 @@ def graph_expansion(g: SnakeGraph, seed: QuantumSeed) -> ExpansionResult:
 
     by_dim: dict = {}  # dimension vector -> x(minimal) + B dim
     by_exponent: dict = {}  # exponent -> {q-power: matchings}
-    rows = []
+    image, canonical = bijection_image(g), canonical_submodules(g)
+    if len(image) != len(canonical):  # compare_valuations reached every canonical set
+        raise BijectionViolation("matching-to-submodule map is not injective")
+    slot = {N: i for i, N in enumerate(canonical)}
+    rows = [None] * len(canonical)
     # The image's positions are range-checked, so dim counts them per arc.
-    for P, indices in bijection_image(g).items():
+    for P, indices in image.items():
         xp = x_of_matching(g, P)
         counts = [0] * n
         for j in indices:
@@ -128,13 +133,11 @@ def graph_expansion(g: SnakeGraph, seed: QuantumSeed) -> ExpansionResult:
         v = values[indices]
         powers = by_exponent.setdefault(xp, {})
         powers[d * v] = powers.get(d * v, 0) + 1
-        key = tuple(sorted(indices))
-        rows.append((len(key), key, dim, v, xp))
-    rows.sort()  # by (size, sorted indices), which no two matchings share
+        rows[slot[indices]] = ExpansionTerm(tuple(sorted(indices)), dim, v, xp)
     return ExpansionResult(
         word=w,
         element=counted_element(t.m, by_exponent),
-        terms=tuple(ExpansionTerm(key, dim, v, xp) for _, key, dim, v, xp in rows),
+        terms=tuple(rows),
         denominator=g.crossings,
     )
 

@@ -24,27 +24,30 @@ Conventions (fixed once, checked by the test suite):
   shared side; a glued flank whose class does not own that side means an
   incoherently oriented triangulation.
 
-The glue sides of every tile and the edge table (each tile's four edge
-ids, each edge's (tile, side) pairs, the sorted lattice points) are
-fixed when the graph is built, with the word's crossing counts per arc
-(g.crossings).  Every geometry query reads them; callers read the edge
-table through tile_edges(j) and edge_sides(e).
+One pass over the tiles builds the graph's tables, with the word's
+crossing counts per arc (g.crossings); no query re-derives them.  A tile
+names its own sides in sorted order, all but its in-glue side (named by
+the tile below), so the edge ids come out sorted; callers read the edge
+table through tile_edges(j) and edge_sides(e).  Lattice points are
+numbered along the snake: tile 1's corners are 0..3, tile j adds 2j, 2j+1.
 
 A matching is an int mask over the graph's sorted edge ids (bit i: the
 i-th edge id is matched); ``g.edges(P)`` gives the edge ids of mask P.
-The mask tables (each lattice point's edges, one mask per label, each
-tile's twist row and west edge) are built with the edge table, so a
-twist is an XOR and a label count a popcount.  So are the extremal
-matchings: the glue-free edges of the cw (minimal) or ccw (maximal)
-flank class, checked to be perfect matchings.  A twist row holds all a
-twist at its tile reads: the two opposite pairs and their union, the
-edges carrying the tile's diagonal before and after it, and
-m_minus - m_plus.
+The same pass builds the mask tables (each lattice point's edges, each
+edge's endpoints, one mask per label, each tile's twist row, glue label
+and west edge, row by row), so a twist is an XOR and a label count a
+popcount.  So are the extremal matchings: the glue-free edges of the cw
+(minimal) or ccw (maximal) flank class, checked to be perfect matchings.
+A twist row holds all a twist at its tile reads: the two opposite pairs
+and their union, the edges carrying the tile's diagonal before and after
+it, and m_minus - m_plus.  Matchings are sorted by edge ids with one
+bytes key per mask: its little-endian bytes with their bits reversed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from types import MappingProxyType
+from typing import NamedTuple
 
 from .errors import BijectionViolation, CannotTwist, InvalidSurface, NotCrossingSequence, UnmatchedCase
 from .strings import StringWord, dimension_vector, enumerate_canonical_submodules, is_canonical_submodule
@@ -68,13 +71,17 @@ __all__ = [
 ]
 
 _SIDES = ("S", "E", "N", "W")
-# Each side's two corners, as offsets from its tile's lower-left corner.
-_CORNERS = {
-    "S": ((0, 0), (1, 0)),
-    "E": ((1, 0), (1, 1)),
-    "N": ((0, 1), (1, 1)),
-    "W": ((0, 0), (0, 1)),
-}
+_SORTED_SIDES = ("E", "N", "S", "W")  # a tile's own edge ids (j, side), in order
+# Each side's two corners, as corner numbers c: offset (c & 1, c >> 1) from
+# the tile's lower-left corner.
+_SIDE_CORNERS = {"S": (0, 1), "E": (1, 3), "N": (2, 3), "W": (0, 2)}
+# Each side's flank class on even and on odd tiles, shared read-only by the tiles.
+_FLANK_CLASSES = tuple(
+    MappingProxyType({"S": sn, "E": ew, "N": sn, "W": ew}) for sn, ew in (("cw", "ccw"), ("ccw", "cw"))
+)
+# Each byte with its bits in reverse order: a mask's little-endian bytes
+# translated through it compare as the mask's bits read from bit 0 up.
+_BIT_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
 def snake_shape(w: StringWord) -> tuple:
@@ -90,8 +97,7 @@ def snake_shape(w: StringWord) -> tuple:
     return tuple(steps)
 
 
-@dataclass(frozen=True)
-class Tile:
+class Tile(NamedTuple):
     index: int  # 1-based
     diagonal: int
     x: int
@@ -99,7 +105,7 @@ class Tile:
     tri_in: int
     tri_out: int
     labels: dict  # side -> arc id
-    flank_class: dict  # side -> "ccw" | "cw"
+    flank_class: MappingProxyType  # side -> "ccw" | "cw"
     in_glue_side: str | None
     out_glue_side: str | None
 
@@ -120,64 +126,63 @@ class SnakeGraph:
         self._image: dict | None = None
         self._canonical: list | None = None
         self._compared: dict | None = None
-        # The edge table, read by every geometry query: each tile's side ->
-        # edge id, each edge id -> its (tile, side) pairs in tile order, and
-        # the sorted lattice points.  Bit i of a matching is edge id i.
-        self._tile_edges: list = []
-        incidence: dict = {}
-        for j, tile in enumerate(tiles, start=1):
-            ids = {s: (j, s) for s in _SIDES}
-            if tile.in_glue_side is not None:
-                ids[tile.in_glue_side] = (j - 1, tiles[j - 2].out_glue_side)
-            for side, e in ids.items():
-                incidence.setdefault(e, []).append((j, side))
-            self._tile_edges.append(ids)
-        self._edge_sides = {e: tuple(incidence[e]) for e in sorted(incidence)}
-        self._edges = tuple(self._edge_sides)
-        bit = {e: 1 << i for i, e in enumerate(self._edges)}
-        ends = {e: self.edge_endpoints(e) for e in self._edges}
-        self._points = sorted({p for pair in ends.values() for p in pair})
-        at = {p: i for i, p in enumerate(self._points)}
-        # Mask tables: each lattice point's (endpoint mask, edge bit) pairs,
-        # one mask per label, and per tile its twist row and its west edge.
-        self._point_options: list = [[] for _ in self._points]
+        # The one pass over the tiles (module docstring).  Per edge id its
+        # (tile, side) pairs and endpoint mask; per lattice point its
+        # (endpoint mask, edge bit) options.
+        self._edge_sides: dict = {}
+        self._edge_ends: list = []
+        self._point_options: list = [[] for _ in range(2 * self.d + 2)]
         self._label_masks = [0] * t.m
-        named = [0] * len(tiles)  # per tile, the edges named after it (their first tile)
-        for e, (a, b) in ends.items():
-            option = ((1 << at[a]) | (1 << at[b]), bit[e])
-            self._point_options[at[a]].append(option)
-            self._point_options[at[b]].append(option)
-            self._label_masks[self.edge_label(e) - 1] |= bit[e]
-            named[e[0] - 1] |= bit[e]
+        self._glue_labels: list = []
+        self._west_rows: list = []  # per row of tiles, its (tile, west edge bit) pairs
+        corners, out_glue, free, pairs = (0, 1, 2, 3), None, {"ccw": 0, "cw": 0}, []
+        for j, tile in enumerate(tiles, start=1):
+            labels, classes, in_side = tile.labels, tile.flank_class, tile.in_glue_side
+            if in_side == "W":
+                corners = (corners[1], 2 * j, corners[3], 2 * j + 1)
+            elif in_side == "S":
+                corners = (corners[2], corners[3], 2 * j, 2 * j + 1)
+            # the tile below's out-glue (edge id, bit), read before E or N (sorted first) resets it
+            first, in_glue, pair = len(self._edge_ends), out_glue, {"ccw": 0, "cw": 0}
+            for side in _SORTED_SIDES:
+                if side == in_side:
+                    e, bit = in_glue
+                    self._edge_sides[e] += ((j, side),)
+                else:
+                    bit = 1 << len(self._edge_ends)
+                    a, b = (corners[c] for c in _SIDE_CORNERS[side])
+                    ends = 1 << a | 1 << b
+                    self._edge_ends.append(ends)
+                    self._point_options[a].append((ends, bit))
+                    self._point_options[b].append((ends, bit))
+                    self._edge_sides[j, side] = ((j, side),)
+                    self._label_masks[labels[side] - 1] |= bit
+                    if side == tile.out_glue_side:
+                        out_glue = (j, side), bit
+                        self._glue_labels.append(labels[side])
+                    else:  # the glue-free edges: cw ones are minimal, ccw maximal
+                        free[classes[side]] |= bit
+                pair[classes[side]] |= bit
+                if side == "W":
+                    if j == 1 or tile.y != tiles[j - 2].y:
+                        self._west_rows.append([])
+                    self._west_rows[-1].append((j, bit))
+            pairs.append((pair["ccw"], pair["cw"], first, tile.diagonal))
+        self._edges = tuple(self._edge_sides)
+        self._minimal, self._maximal = free["cw"], free["ccw"]
         # Each tile's twist row (ccw, cw, ccw | cw, before, after, m): its two
         # opposite pairs and their union, the edges carrying its diagonal
         # before and after it, and m_minus - m_plus, how many more times the
         # word crosses that diagonal before the tile than after it.  A tile's
         # sides are the other sides of the two triangles at its diagonal, so
         # no edge of tile j carries its diagonal: the edges that do lie before
-        # it (named after an earlier tile) or after it.
-        diagonals = [tile.diagonal for tile in tiles]
-        self._twist_rows, earlier = [], 0
-        for slot, (tile, ids, own) in enumerate(zip(tiles, self._tile_edges, named)):
-            ccw, cw = (
-                sum(bit[e] for s, e in ids.items() if tile.flank_class[s] == cls)
-                for cls in ("ccw", "cw")
-            )
-            k = tile.diagonal
-            tau = self._label_masks[k - 1]
-            m = diagonals[:slot].count(k) - diagonals[slot + 1 :].count(k)
-            self._twist_rows.append((ccw, cw, ccw | cw, tau & earlier, tau & ~earlier, m))
-            earlier |= own
-        self._west_bits = [bit[ids["W"]] for ids in self._tile_edges]
-        # The extremal matchings: the glue-free edges of flank class cw
-        # (minimal) and ccw (maximal); label_snake checks both are perfect.
-        glue_free = [
-            (bit[e], tiles[j - 1].flank_class[side])
-            for e, ((j, side), *glued) in self._edge_sides.items()
-            if not glued
-        ]
-        self._minimal = sum(b for b, cls in glue_free if cls == "cw")
-        self._maximal = sum(b for b, cls in glue_free if cls == "ccw")
+        # it (named after an earlier tile: the bits below its first) or after it.
+        self._twist_rows, seen = [], {}
+        for ccw, cw, first, k in pairs:
+            tau, before = self._label_masks[k - 1], seen.get(k, 0)
+            seen[k] = before + 1
+            m = 2 * before + 1 - self.crossings[k - 1]
+            self._twist_rows.append((ccw, cw, ccw | cw, tau & ((1 << first) - 1), tau >> first << first, m))
         # Word-side valuation tables, built by `valuation` on first use.
         self._end_sides: list | None = None
         self._window_bytes: tuple | None = None
@@ -196,7 +201,11 @@ class SnakeGraph:
 
     def tile_edges(self, j: int) -> list:
         """Tile j's (edge id, side) pairs; a glue edge is named after the lower tile."""
-        return [(e, s) for s, e in self._tile_edges[self._slot(j)].items()]
+        tile = self.tiles[self._slot(j)]
+        return [
+            ((j - 1, self.tiles[j - 2].out_glue_side) if s == tile.in_glue_side else (j, s), s)
+            for s in _SIDES
+        ]
 
     def all_edges(self) -> list:
         return list(self._edges)
@@ -213,116 +222,96 @@ class SnakeGraph:
         """Label of the edge shared by tiles j and j+1."""
         if j == self.d:
             raise UnmatchedCase(f"tile {j} is the last tile; glue edges follow tiles 1..{j - 1}")
-        t = self.tile(j)
-        return t.labels[t.out_glue_side]
+        return self._glue_labels[self._slot(j)]
 
     def edge_endpoints(self, e) -> tuple:
         j, side = e
         t = self.tile(j)
-        (ax, ay), (bx, by) = _CORNERS[side]
-        return ((t.x + ax, t.y + ay), (t.x + bx, t.y + by))
+        return tuple((t.x + (c & 1), t.y + (c >> 1)) for c in _SIDE_CORNERS[side])
 
     def vertices(self) -> list:
-        return list(self._points)
+        """The lattice points, sorted."""
+        return sorted({p for e in self._edges for p in self.edge_endpoints(e)})
 
     def edges(self, P: int) -> frozenset:
         """The edge ids of matching mask P."""
         return frozenset(e for i, e in enumerate(self._edges) if P >> i & 1)
 
 
-def _entry_exit_triangles(w: StringWord, t: Triangulation, j: int) -> tuple:
-    """(entry triangle, exit triangle) indices for tile j."""
-    d = w.d
-    if d == 1:
-        tri1, tri2 = t.triangles_at(w.vertices[0])
-        return tri1, tri2
-    if j == 1:
-        out = w.letters[0].arrow.triangle
-        return t.other_triangle_at(w.vertices[0], out), out
-    if j == d:
-        inn = w.letters[d - 2].arrow.triangle
-        return inn, t.other_triangle_at(w.vertices[d - 1], inn)
-    return w.letters[j - 2].arrow.triangle, w.letters[j - 1].arrow.triangle
+def _crossed_triangles(w: StringWord, t: Triangulation) -> list:
+    """The triangles the curve passes through, in order: tile j enters from
+    the (j-1)-th (from 0) and exits into the j-th."""
+    mid = [letter.arrow.triangle for letter in w.letters]
+    if not mid:
+        return t.triangles_at(w.vertices[0])
+    return [t.other_triangle_at(w.vertices[0], mid[0]), *mid, t.other_triangle_at(w.vertices[-1], mid[-1])]
 
 
 def label_snake(w: StringWord, t: Triangulation) -> SnakeGraph:
     """Build the labeled snake graph of a string's crossing sequence."""
+    arcs, triangles = w.vertices, t.triangles
     for p, letter in enumerate(w.letters, start=1):
-        tri = t.triangles[letter.arrow.triangle]
-        if w.vertices[p - 1] not in tri or w.vertices[p] not in tri:
+        index = letter.arrow.triangle
+        if not 0 <= index < len(triangles):
+            raise NotCrossingSequence(
+                f"letter {p} ({letter}) names triangle {index}, but the surface "
+                f"has {len(triangles)} triangles"
+            )
+        tri = triangles[index]
+        if arcs[p - 1] not in tri or arcs[p] not in tri:
             raise NotCrossingSequence(
                 f"letter {p} lives in triangle {tri}, which misses "
-                f"{w.vertices[p - 1]} or {w.vertices[p]}"
+                f"{arcs[p - 1]} or {arcs[p]}"
             )
     for p in range(len(w.letters) - 1):
         if w.letters[p].arrow.triangle == w.letters[p + 1].arrow.triangle:
-            raise NotCrossingSequence(
-                f"letters {p + 1} and {p + 2} cross inside one triangle"
-            )
-    for v in w.vertices:
+            raise NotCrossingSequence(f"letters {p + 1} and {p + 2} cross inside one triangle")
+    for v in arcs:
         if not t.is_internal(v):
             raise NotCrossingSequence(f"crossed arc {v} is not internal")
 
-    shape = snake_shape(w)
+    shape, path = snake_shape(w), _crossed_triangles(w, t)
+    d = len(arcs)
     tiles = []
     x = y = 0
-    for j in range(1, w.d + 1):
-        diag = w.vertices[j - 1]
-        tri_in, tri_out = _entry_exit_triangles(w, t, j)
-        # each class's (entry flank, exit flank) and (south/east, north/west) pair
-        flanks = {
-            "ccw": (t.ccw_flank(tri_in, diag), t.ccw_flank(tri_out, diag)),
-            "cw": (t.cw_flank(tri_in, diag), t.cw_flank(tri_out, diag)),
-        }
-        sn, ew = ("S", "N"), ("E", "W")
-        slot_pair = {"ccw": sn, "cw": ew} if j % 2 == 1 else {"ccw": ew, "cw": sn}
+    for j in range(1, d + 1):
+        diag, tri_in, tri_out = arcs[j - 1], path[j - 1], path[j]
+        # each class's (entry flank, exit flank)
+        ccw = t.ccw_flank(tri_in, diag), t.ccw_flank(tri_out, diag)
+        cw = t.cw_flank(tri_in, diag), t.cw_flank(tri_out, diag)
+        # odd tiles put the ccw class on south/north and cw on east/west
+        classes = _FLANK_CLASSES[j % 2]
+        sn, ew = (ccw, cw) if j % 2 else (cw, ccw)
         glued = []  # (class, label, side) of the flanks a gluing pins
         in_glue_side = out_glue_side = None
         if j > 1:
             in_glue_side = "W" if shape[j - 2] == "R" else "S"
-            prev_diag = w.vertices[j - 2]
-            cls = "ccw" if flanks["ccw"][0] != prev_diag else "cw"
-            if flanks[cls][0] == prev_diag:
-                raise NotCrossingSequence(
-                    f"tile {j}: both entry flanks equal the previous arc {prev_diag}"
-                )
-            glued.append((cls, flanks[cls][0], in_glue_side))
-        if j < w.d:
+            prev_diag = arcs[j - 2]
+            cls, label = ("ccw", ccw[0]) if ccw[0] != prev_diag else ("cw", cw[0])
+            if label == prev_diag:
+                raise NotCrossingSequence(f"tile {j}: both entry flanks equal the previous arc {prev_diag}")
+            glued.append((cls, label, in_glue_side))
+        if j < d:
             out_glue_side = "E" if shape[j - 1] == "R" else "N"
-            cls = "ccw" if flanks["ccw"][1] != w.vertices[j] else "cw"
-            glued.append((cls, flanks[cls][1], out_glue_side))
+            cls, label = ("ccw", ccw[1]) if ccw[1] != arcs[j] else ("cw", cw[1])
+            glued.append((cls, label, out_glue_side))
         for cls, label, side in glued:
-            if side not in slot_pair[cls]:
+            if classes[side] != cls:
                 raise InvalidSurface(
                     f"tile {j}: {cls} flank {label} forced onto slot {side}; "
                     "the triangulation is not coherently oriented"
                 )
-        # the exit flank takes south/east, or N when a gluing pins S or N
-        labels, classes = {}, {}
-        for cls, (exit_slot, entry_slot) in slot_pair.items():
-            if exit_slot == "S" and (in_glue_side == "S" or out_glue_side == "N"):
-                exit_slot, entry_slot = entry_slot, exit_slot
-            labels[entry_slot], labels[exit_slot] = flanks[cls]
-            classes[entry_slot] = classes[exit_slot] = cls
+        # each class's exit flank takes south/east and its entry flank
+        # north/west, except that the exit flank takes N when a gluing pins S or N
+        if in_glue_side == "S" or out_glue_side == "N":
+            labels = {"S": sn[0], "E": ew[1], "N": sn[1], "W": ew[0]}
+        else:
+            labels = {"S": sn[1], "E": ew[1], "N": sn[0], "W": ew[0]}
         tiles.append(
-            Tile(
-                index=j,
-                diagonal=diag,
-                x=x,
-                y=y,
-                tri_in=tri_in,
-                tri_out=tri_out,
-                labels=labels,
-                flank_class=classes,
-                in_glue_side=in_glue_side,
-                out_glue_side=out_glue_side,
-            )
+            Tile(index=j, diagonal=diag, x=x, y=y, tri_in=tri_in, tri_out=tri_out, labels=labels,
+                 flank_class=classes, in_glue_side=in_glue_side, out_glue_side=out_glue_side)
         )
-        if j < w.d:
-            if shape[j - 1] == "R":
-                x += 1
-            else:
-                y += 1
+        x, y = (x + 1, y) if out_glue_side == "E" else (x, y + 1)
     g = SnakeGraph(w, t, shape, tiles)
     _check_glue_coherence(g)
     _check_extremal_matchings(g)
@@ -330,19 +319,21 @@ def label_snake(w: StringWord, t: Triangulation) -> SnakeGraph:
 
 
 def _check_glue_coherence(g: SnakeGraph) -> None:
-    for j in range(1, g.d):
-        low, high = g.tile(j), g.tile(j + 1)
-        shared = g.triangulation.third_side(low.tri_out, low.diagonal, high.diagonal)
+    t = g.triangulation
+    for j, (low, high) in enumerate(zip(g.tiles, g.tiles[1:]), start=1):
+        shared = t.third_side(low.tri_out, low.diagonal, high.diagonal)
         if low.labels[low.out_glue_side] != shared or high.labels[high.in_glue_side] != shared:
-            raise InvalidSurface(
-                f"glue edge between tiles {j} and {j + 1} mislabeled"
-            )
+            raise InvalidSurface(f"glue edge between tiles {j} and {j + 1} mislabeled")
 
 
 def _check_extremal_matchings(g: SnakeGraph) -> None:
-    points = g.vertices()
+    """Each extremal matching has one endpoint per lattice point: its n
+    endpoint bits sum to the mask of all n points, which no sum of n powers
+    of two reaches when one repeats."""
+    points = len(g._point_options)
     for name, m in (("minimal", g._minimal), ("maximal", g._maximal)):
-        if sorted(p for e in g.edges(m) for p in g.edge_endpoints(e)) != points:
+        ends = sum(ends for i, ends in enumerate(g._edge_ends) if m >> i & 1)
+        if ends != (1 << points) - 1 or 2 * m.bit_count() != points:
             raise BijectionViolation(f"the {name} matching misses or repeats a lattice point")
 
 
@@ -358,7 +349,8 @@ def enumerate_matchings(g: SnakeGraph) -> list:
     """
     if g._matchings is not None:
         return g._matchings
-    options, full = g._point_options, (1 << len(g._points)) - 1
+    options = g._point_options
+    full = (1 << len(options)) - 1
     results = []
     stack = [(0, 0)]
     while stack:
@@ -370,9 +362,12 @@ def enumerate_matchings(g: SnakeGraph) -> list:
             if not covered & ends:
                 stack.append((covered | ends, chosen | e))
     # Sorted edge-id tuples compare at their first difference, the lowest
-    # bit where two masks differ: the mask holding it comes first.
-    width = len(g._edges)
-    g._matchings = sorted(results, key=lambda P: f"{P:0{width}b}"[::-1], reverse=True)
+    # bit where two masks differ: the mask holding it comes first.  Bytes
+    # with their bits reversed compare at that bit too.
+    size = (len(g._edges) + 7) // 8
+    g._matchings = sorted(
+        results, key=lambda P: P.to_bytes(size, "little").translate(_BIT_REVERSED), reverse=True
+    )
     return g._matchings
 
 
@@ -410,13 +405,12 @@ def enclosed_tiles(g: SnakeGraph, P: int) -> frozenset:
     """
     diff = P ^ g._minimal
     out = []
-    row, inside = None, False
-    for tile, west in zip(g.tiles, g._west_bits):
-        if tile.y != row:
-            row, inside = tile.y, False
-        inside ^= diff & west != 0
-        if inside:
-            out.append(tile.index)
+    for row in g._west_rows:
+        inside = False
+        for j, west in row:
+            inside ^= diff & west != 0
+            if inside:
+                out.append(j)
     return frozenset(out)
 
 

@@ -63,6 +63,9 @@ class Triangulation:
         self.triangles = [tuple(t) for t in triangles]
         self.lam = lam
         self.name = name
+        # The surface context, fixed once: the internal-arc count here, and
+        # each arc's triangles in file order once the triangles are checked.
+        self.n = sum(1 for a in arcs if a.kind == "internal")
         self._validate()
 
     # -- basic queries ------------------------------------------------
@@ -71,20 +74,15 @@ class Triangulation:
     def m(self) -> int:
         return len(self.arcs)
 
-    @property
-    def n(self) -> int:
-        return sum(1 for a in self.arcs if a.kind == "internal")
-
     def is_internal(self, arc: int) -> bool:
-        return arc <= self.n
+        return 1 <= arc <= self.n
 
     def triangles_at(self, arc: int) -> list[int]:
         """Indices of triangles having ``arc`` as a side, in file order."""
-        return [i for i, t in enumerate(self.triangles) if arc in t]
+        return list(self._triangles_at.get(arc, ()))
 
     def other_triangle_at(self, arc: int, not_this: int) -> int:
-        tris = self.triangles_at(arc)
-        others = [i for i in tris if i != not_this]
+        others = [i for i in self._triangles_at.get(arc, ()) if i != not_this]
         if len(others) != 1:
             raise InvalidSurface(f"arc {arc} does not flank exactly one triangle besides {not_this}")
         return others[0]
@@ -125,8 +123,9 @@ class Triangulation:
             for s in t:
                 if not 1 <= s <= self.m:
                     raise InvalidSurface(f"triangle {i} uses unknown arc {s}")
+        self._triangles_at = {a.id: [i for i, t in enumerate(self.triangles) if a.id in t] for a in self.arcs}
         for a in self.arcs:
-            count = len(self.triangles_at(a.id))
+            count = len(self._triangles_at[a.id])
             want = 2 if a.kind == "internal" else 1
             if count != want:
                 raise InvalidSurface(

@@ -27,9 +27,10 @@ below live on it as long as it does.  Two routes to the same integer:
   called only where a row can be nonzero: at a position crossing the
   row's arc when d > 1 (a one-vertex word has no letter, so that row is
   zero), at a glue edge the arc labels, or at an end triangle's free
-  side, read from a list stored once per graph.  The table and each
-  arc's crossings are read into translate tables once per graph, the
-  one cached build of the window table.  The rows
+  side.  The glue labels and each position's end sides are lists built
+  once per graph, and each position's eight windows are built once.
+  The table and each arc's crossings are read into translate tables
+  once per graph, the one cached build of the window table.  The rows
   of omega_prime (its value at every position) are filled for many
   index sets at once: each set is one fixed-width lane of a Python
   int.  The low byte of each lane of the packed masks shifted by an
@@ -47,8 +48,8 @@ below live on it as long as it does.  Two routes to the same integer:
   taken, returned or used as keys of a kept table; their int masks
   (bit j for position j) only find subsets and fill omega_prime rows
   inside one call.  This route reads the word, the triangulation and
-  the tiles' labels and triangles, never a matching or a table the
-  matching route built.
+  the tiles' labels (the glue labels as the graph lists them) and
+  triangles, never a matching or a table the matching route built.
 
 compare_valuations matches the two routes through the bijection and
 keeps the agreed table on the graph, where the expansion reads it.
@@ -156,17 +157,17 @@ _SIGN = bytes(pattern >> 1 & 1 for pattern in range(8)) * 32
 
 
 def _end_sides(g: SnakeGraph) -> list:
-    """(end, k, ccw) per free side k of an end tile's outer triangle, once per
-    graph: end is 1 or d, ccw whether k is the ccw flank of the end diagonal.
-    A triangle's sides are distinct; when d = 1 both end triangles count."""
+    """Per position, (k, ccw) for each free side k of an end tile's outer
+    triangle there, once per graph: ccw whether k is the ccw flank of the end
+    diagonal.  Only positions 1 and d have any.  A triangle's sides are
+    distinct; when d = 1 both end triangles count at position 1."""
     if g._end_sides is None:
-        t, arcs = g.triangulation, g.word.vertices
-        g._end_sides = [
-            (end, k, t.ccw_flank(tri, arcs[end - 1]) == k)
-            for end, tri in ((1, g.tile(1).tri_in), (g.d, g.tile(g.d).tri_out))
-            for k in t.triangles[tri]
-            if k != arcs[end - 1]
-        ]
+        t, arcs, d = g.triangulation, g.word.vertices, g.d
+        sides = [()] * d
+        for end, tri in ((1, g.tiles[0].tri_in), (d, g.tiles[-1].tri_out)):
+            diag = arcs[end - 1]
+            sides[end - 1] += tuple((k, t.ccw_flank(tri, diag) == k) for k in t.triangles[tri] if k != diag)
+        g._end_sides = sides
     return g._end_sides
 
 
@@ -177,14 +178,14 @@ def n_module(g: SnakeGraph, k: int, j: int, indices) -> tuple:
     n_plus = [j+1 in N] != (letter j is direct) when j < d, and
     n_minus = [j-1 in N] == (letter j-1 is direct) when j > 1.  The
     plain part counts the glued edge after tile j when it carries k and
-    N splits j from j+1, and, at the end positions 1 and d, a free side
-    k of the end tile's outer triangle (from _end_sides, stored once per
-    graph): [end in N] == (k is the ccw flank of the end diagonal).  All
-    contributions accumulate.
+    N splits j from j+1 (the graph's glue labels), and, at the end
+    positions 1 and d, a free side k of the end tile's outer triangle
+    (from _end_sides, stored once per graph): [j in N] == (k is the ccw
+    flank of the end diagonal).  All contributions accumulate.
     """
     w = g.word
     indices = frozenset(indices)
-    arcs, letters, d = w.vertices, w.letters, w.d
+    arcs, letters, d = w.vertices, w.letters, g.d
     if not 1 <= j <= d:
         raise UnmatchedCase(f"position {j} outside 1..{d}")
     n_plus = n_minus = plain = 0
@@ -198,17 +199,19 @@ def n_module(g: SnakeGraph, k: int, j: int, indices) -> tuple:
             n_plus = int((j + 1 in indices) != letters[j - 1].direct)
         if j > 1:
             n_minus = int((j - 1 in indices) == letters[j - 2].direct)
-    if j < d and g.glue_label(j) == k and (j in indices) != (j + 1 in indices):
+    if j < d and g._glue_labels[j - 1] == k and (j in indices) != (j + 1 in indices):
         plain += 1
-    for end, side, ccw in _end_sides(g):
-        if j == end and k == side:
-            plain += (end in indices) == ccw
+    for side, ccw in (g._end_sides or _end_sides(g))[j - 1]:
+        if side == k:
+            plain += (j in indices) == ccw
     return n_plus + n_minus + plain, n_plus, n_minus
 
 
-def _window(j: int, pattern: int) -> frozenset:
-    """The positions among j-1, j, j+1 that the bits of pattern select."""
-    return frozenset(j - 1 + b for b in range(3) if pattern >> b & 1)
+def _windows(j: int) -> tuple:
+    """The eight index sets among j-1, j, j+1: pattern bit b selects j-1+b."""
+    low, mid, high = frozenset((j - 1,)), frozenset((j,)), frozenset((j + 1,))
+    pair = low | mid
+    return frozenset(), low, mid, pair, high, low | high, mid | high, pair | high
 
 
 def _window_counts(g: SnakeGraph) -> tuple:
@@ -216,7 +219,8 @@ def _window_counts(g: SnakeGraph) -> tuple:
     and each arc's crossings as (index, M_minus - M_plus) in word order.  Only
     rows that can be nonzero call n_module: arc k at a position crossing it
     when d > 1, at a glue edge it labels or as an end triangle's free side;
-    others share a zero row.  _window_bytes reads it once per graph.
+    others share a zero row.  Each position with such a row builds its
+    windows once.  _window_bytes reads the table once per graph.
     """
     arcs, d = g.word.vertices, g.d
     positions: dict = {}
@@ -225,14 +229,13 @@ def _window_counts(g: SnakeGraph) -> tuple:
     crossings = {
         k: [(p, 2 * seen - len(ps) + 1) for seen, p in enumerate(ps)] for k, ps in positions.items()
     }
-    live = {(k, p + 1) for p, k in enumerate(arcs)} if d > 1 else set()
-    live.update((g.glue_label(j), j) for j in range(1, d))
-    live.update((k, end) for end, k, _ in _end_sides(g))
     table = {k: [((0, 0, 0),) * 8] * d for k in positions}
-    windows = [[_window(j, pattern) for pattern in range(8)] for j in range(1, d + 1)]
-    for k, j in live:
-        if k in table:
-            table[k][j - 1] = tuple(n_module(g, k, j, N) for N in windows[j - 1])
+    for p, sides in enumerate(_end_sides(g)):
+        # the arcs whose row can be nonzero at position p + 1
+        live = {k for k, _ in sides}.union(g._glue_labels[p : p + 1], arcs[p : p + 1] if d > 1 else ())
+        windows = _windows(p + 1)
+        for k in live & table.keys():
+            table[k][p] = tuple([n_module(g, k, p + 1, N) for N in windows])
     return table, crossings
 
 

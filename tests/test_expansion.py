@@ -14,10 +14,12 @@ from qcluster.expansion import (
     uniform_d,
     x_of_matching,
 )
-from qcluster.errors import InconsistentValuation, InvalidMutation, NotCompatible
+from qcluster.errors import BijectionViolation, InconsistentValuation, InvalidMutation, NotCompatible
 from qcluster.kronecker import family_word
 from qcluster.seeds import QuantumSeed, initial_seed, mutation_sequence
 from qcluster.snake import (
+    bijection_image,
+    canonical_submodules,
     enumerate_matchings,
     label_snake,
     matching_to_submodule,
@@ -294,6 +296,16 @@ def test_an_exponent_the_dimension_vector_does_not_give_is_inconsistent(annulus,
         graph_expansion(g, changed)
     # the unchanged seed expands the same graph
     assert graph_expansion(g, seed).element == reference_graph_expansion(g, seed).element
+
+
+def test_term_rows_take_the_canonical_generator_order(annulus, seeds):
+    g = label_snake(family_word(annulus, 3, "G"), annulus)
+    terms = graph_expansion(g, seeds["annulus"]).terms
+    assert [frozenset(term.indices) for term in terms] == canonical_submodules(g)
+    # a second matching on one index set leaves the rows one slot short
+    g._image = {**bijection_image(g), -1: frozenset()}
+    with pytest.raises(BijectionViolation, match="^matching-to-submodule map is not injective$"):
+        graph_expansion(g, seeds["annulus"])
 
 
 def test_the_element_is_summed_once_per_monomial(monkeypatch, annulus, seeds):

@@ -6,6 +6,9 @@ ran before matchings became int masks.  They read only the graph's
 public geometry, so the comparisons go through ``g.edges``.
 reference_valuation_v_gamma is also the breadth-first search that
 valuation_v_gamma ran before its one pass over the generated sets.
+reference_graph_tables and the functions after it are the graph's
+tables, matching order, window table and term rows as they were built
+before one pass over the tiles built the tables.
 """
 from __future__ import annotations
 
@@ -19,9 +22,12 @@ from click.testing import CliRunner
 
 from qcluster import valuation
 from qcluster.cli import main
-from qcluster.errors import CannotTwist, InconsistentValuation, UnreachableSubmodule
+from qcluster.errors import CannotTwist, InconsistentValuation, QClusterError, UnreachableSubmodule
+from qcluster.expansion import graph_expansion, x_of_matching
 from qcluster.kronecker import family_word
+from qcluster.seeds import initial_seed
 from qcluster.snake import (
+    bijection_image,
     can_twist,
     enclosed_tiles,
     enumerate_matchings,
@@ -29,8 +35,8 @@ from qcluster.snake import (
     minimal_matching,
     twist,
 )
-from qcluster.strings import enumerate_canonical_submodules, enumerate_strings
-from qcluster.surface import build_quiver, load_surface
+from qcluster.strings import dimension_vector, enumerate_canonical_submodules, enumerate_strings
+from qcluster.surface import build_quiver, load_surface, pair_from_surface
 from qcluster.valuation import (
     compare_valuations,
     omega,
@@ -39,7 +45,14 @@ from qcluster.valuation import (
     valuation_v_gamma,
 )
 
-from conftest import ANNULUS_21, SURFACES, m_pm
+from conftest import ANNULUS_21, SURFACES, WHEEL3, m_pm
+from test_strings import ANNULUS_31
+from test_valuation_kernels import (
+    every_string,
+    full_window_table,
+    reference_crossing_positions,
+    reference_n_module,
+)
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -215,6 +228,181 @@ def reference_valuation_v_gamma(g):
     if values[full] != 0:
         raise InconsistentValuation(f"full index set has valuation {values[full]}, want 0")
     return values
+
+
+# -- the graph's tables as built through the per-edge queries ---------------
+
+# Each side's two corners, as offsets from its tile's lower-left corner.
+CORNERS = {"S": ((0, 0), (1, 0)), "E": ((1, 0), (1, 1)), "N": ((0, 1), (1, 1)), "W": ((0, 0), (0, 1))}
+
+
+def reference_graph_tables(g):
+    """SnakeGraph's tables as its constructor built them, through per-edge
+    queries (a tile's side -> edge id, an edge's endpoints and label) that
+    read only the tiles: the edge table, the sorted lattice points and each
+    one's (endpoint mask, edge bit) options, the label masks, twist rows,
+    west edges, glue labels and extremal matchings."""
+    tiles = g.tiles
+
+    def endpoints(e):
+        j, side = e
+        (ax, ay), (bx, by) = CORNERS[side]
+        x, y = tiles[j - 1].x, tiles[j - 1].y
+        return ((x + ax, y + ay), (x + bx, y + by))
+
+    tile_edges, incidence = [], {}
+    for j, tile in enumerate(tiles, start=1):
+        ids = {s: (j, s) for s in ("S", "E", "N", "W")}
+        if tile.in_glue_side is not None:
+            ids[tile.in_glue_side] = (j - 1, tiles[j - 2].out_glue_side)
+        for side, e in ids.items():
+            incidence.setdefault(e, []).append((j, side))
+        tile_edges.append(ids)
+    edge_sides = {e: tuple(incidence[e]) for e in sorted(incidence)}
+    bit = {e: 1 << i for i, e in enumerate(edge_sides)}
+    ends = {e: endpoints(e) for e in edge_sides}
+    points = sorted({p for pair in ends.values() for p in pair})
+    at = {p: i for i, p in enumerate(points)}
+    options = [[] for _ in points]
+    label_masks = [0] * g.triangulation.m
+    named = [0] * len(tiles)  # per tile, the edges named after it
+    for e, (a, b) in ends.items():
+        option = ((1 << at[a]) | (1 << at[b]), bit[e])
+        options[at[a]].append(option)
+        options[at[b]].append(option)
+        label_masks[tiles[e[0] - 1].labels[e[1]] - 1] |= bit[e]
+        named[e[0] - 1] |= bit[e]
+    diagonals = [tile.diagonal for tile in tiles]
+    twist_rows, earlier = [], 0
+    for slot, (tile, ids, own) in enumerate(zip(tiles, tile_edges, named)):
+        ccw, cw = (
+            sum(bit[e] for s, e in ids.items() if tile.flank_class[s] == cls) for cls in ("ccw", "cw")
+        )
+        k = tile.diagonal
+        tau = label_masks[k - 1]
+        m = diagonals[:slot].count(k) - diagonals[slot + 1 :].count(k)
+        twist_rows.append((ccw, cw, ccw | cw, tau & earlier, tau & ~earlier, m))
+        earlier |= own
+    glue_free = [
+        (bit[e], tiles[j - 1].flank_class[side]) for e, ((j, side), *glued) in edge_sides.items() if not glued
+    ]
+    return {
+        "tile_edges": [[(e, s) for s, e in ids.items()] for ids in tile_edges],
+        "edge_sides": edge_sides,
+        "ends": [ends[e] for e in edge_sides],
+        "points": points,
+        "options": options,
+        "label_masks": label_masks,
+        "twist_rows": twist_rows,
+        "west_bits": [bit[ids["W"]] for ids in tile_edges],
+        "glue_labels": [tile.labels[tile.out_glue_side] for tile in tiles[:-1]],
+        "minimal": sum(b for b, cls in glue_free if cls == "cw"),
+        "maximal": sum(b for b, cls in glue_free if cls == "ccw"),
+    }
+
+
+def reference_matching_order(tables):
+    """enumerate_matchings over the reference options, sorted by a binary string per mask."""
+    options, full = tables["options"], (1 << len(tables["points"])) - 1
+    results, stack = [], [(0, 0)]
+    while stack:
+        covered, chosen = stack.pop()
+        if covered == full:
+            results.append(chosen)
+            continue
+        for ends, e in options[(~covered & (covered + 1)).bit_length() - 1]:
+            if not covered & ends:
+                stack.append((covered | ends, chosen | e))
+    width = len(tables["edge_sides"])
+    return sorted(results, key=lambda P: f"{P:0{width}b}"[::-1], reverse=True)
+
+
+def reference_window_bytes(g):
+    """_window_bytes over the full window table, one plain table per position."""
+    table, crossings = full_window_table(g, reference_n_module), reference_crossing_positions(g.word)
+    c, arcs = 0, []
+    for k, rows in table.items():
+        tables = [valuation._row_tables(row) for row in rows]
+        c = max(c, *[largest for *_, largest in tables])
+        signed = [(p, tables[p][1], m - tables[p][2]) for p, m in crossings[k]]
+        arcs.append(([plain for plain, *_ in tables], signed))
+    return 1 << (((g.d + 1) * (c + 1)).bit_length() // 8).bit_length(), arcs
+
+
+def reference_terms(g):
+    """graph_expansion's term rows, gathered in matching order and sorted by
+    (size, sorted indices)."""
+    values, rows = compare_valuations(g), []
+    for P, indices in bijection_image(g).items():
+        key = tuple(sorted(indices))
+        dim = dimension_vector(g.word, indices, n=g.triangulation.n)
+        rows.append((len(key), key, dim, values[indices], x_of_matching(g, P)))
+    return tuple((key, dim, v, xp) for _, key, dim, v, xp in sorted(rows))
+
+
+def point_coordinates(g, ends):
+    """Each of the graph's point numbers -> its lattice point: the one point
+    that the reference endpoints of every edge at that number share."""
+    found = {}
+    for mask, pair in zip(g._edge_ends, ends):
+        for a in (i for i in range(mask.bit_length()) if mask >> i & 1):
+            found[a] = found.get(a, set(pair)) & set(pair)
+    assert all(len(points) == 1 for points in found.values())
+    return {a: points.pop() for a, points in found.items()}
+
+
+def located(options, where):
+    """(endpoint mask, edge bit) options with each mask as the set of its points."""
+    return [(frozenset(where[i] for i in range(ends.bit_length()) if ends >> i & 1), e) for ends, e in options]
+
+
+def outcome(build):
+    """build(), or the type and message of the QClusterError it raises."""
+    try:
+        return build()
+    except QClusterError as exc:
+        return type(exc), str(exc)
+
+
+def test_the_one_pass_tables_equal_the_per_edge_construction(surfaces):
+    """Every string of at most 7 vertices on the bundled surfaces, ANNULUS_21,
+    ANNULUS_31 and WHEEL3.  The graph numbers its lattice points along the
+    snake, where the reference numbered them in sorted order, so point
+    options and endpoint masks are compared through the points' coordinates."""
+    graphs = failed = 0
+    corpus = [surfaces[name] for name in SURFACES] + [load_surface(d) for d in (ANNULUS_21, ANNULUS_31, WHEEL3)]
+    for t in corpus:
+        seed = initial_seed(pair_from_surface(t))
+        for w in every_string(build_quiver(t), 7):
+            g = label_snake(w, t)
+            ref = reference_graph_tables(g)
+            assert [g.tile_edges(j) for j in range(1, g.d + 1)] == ref["tile_edges"], str(w)
+            assert g._edge_sides == ref["edge_sides"] and list(g._edge_sides) == list(ref["edge_sides"])
+            assert g.all_edges() == list(ref["edge_sides"]) and g.vertices() == ref["points"]
+            coord = point_coordinates(g, ref["ends"])
+            assert sorted(coord) == list(range(len(ref["points"]))) == list(range(len(g._point_options)))
+            assert {coord[a]: located(opts, coord) for a, opts in enumerate(g._point_options)} == {
+                ref["points"][a]: located(opts, ref["points"]) for a, opts in enumerate(ref["options"])
+            }, str(w)
+            edge_ends = located([(ends, 0) for ends in g._edge_ends], coord)
+            assert edge_ends == [(frozenset(pair), 0) for pair in ref["ends"]]
+            assert g._label_masks == ref["label_masks"] and g._twist_rows == ref["twist_rows"], str(w)
+            rows = [[(tile.index, west)] for tile, west in zip(g.tiles, ref["west_bits"])]
+            for j in range(len(rows) - 1, 0, -1):  # join the tiles of one row, as enclosed_tiles walked them
+                if g.tiles[j].y == g.tiles[j - 1].y:
+                    rows[j - 1] += rows.pop(j)
+            assert g._west_rows == rows, str(w)
+            assert g._glue_labels == ref["glue_labels"]
+            assert [g.glue_label(j) for j in range(1, g.d)] == ref["glue_labels"]
+            assert (g._minimal, g._maximal) == (ref["minimal"], ref["maximal"])
+            assert enumerate_matchings(g) == reference_matching_order(ref), str(w)
+            assert valuation._window_bytes(g) == reference_window_bytes(g), str(w)
+            got = outcome(lambda: graph_expansion(g, seed).terms)
+            assert got == outcome(lambda: reference_terms(g)), str(w)
+            graphs += 1
+            failed += isinstance(got[0], type)
+    # 10 ANNULUS_31 strings raise InconsistentValuation on both sides (CHANGES.md FOUND, ROADMAP item 9)
+    assert (graphs, failed) == (97, 10)
 
 
 # -- the corpus ------------------------------------------------------------

@@ -15,7 +15,7 @@ from qcluster.errors import UnmatchedCase
 from qcluster.snake import label_snake
 from qcluster.strings import enumerate_strings, is_canonical_submodule
 from qcluster.surface import build_quiver, load_surface
-from qcluster.valuation import _window, n_module
+from qcluster.valuation import _windows, n_module
 
 from conftest import ANNULUS_21, SURFACES, WHEEL3
 from test_surface import random_polygon
@@ -59,7 +59,7 @@ def reference_n_module(g, k, j, indices):
             else:
                 n_minus = 0 if inside(d - 1) else 1
 
-    if j <= d - 1 and g.glue_label(j) == k:
+    if j <= d - 1 and g.tile(j).labels[g.tile(j).out_glue_side] == k:  # the tiles, not the glue list
         if inside(j) != inside(j + 1):
             plain += 1
     if j == 1:
@@ -140,7 +140,8 @@ def window_cells(corpus):
         for arc in t.arcs:
             for j in range(1, w.d + 1):
                 for pattern in range(8):
-                    window = _window(j, pattern)
+                    window = _windows(j)[pattern]
+                    assert window == frozenset(j - 1 + b for b in range(3) if pattern >> b & 1)
                     got = n_module(g, arc.id, j, window)
                     assert got == reference_n_module(g, arc.id, j, window), (
                         str(w), arc.id, j, sorted(window)

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -15,7 +16,7 @@ from qcluster.errors import (
     NotCrossingSequence,
     QClusterError,
 )
-from qcluster.expansion import x_of_matching
+from qcluster.expansion import quantum_expansion, x_of_matching
 from qcluster.kronecker import family_word
 from qcluster.snake import (
     can_twist,
@@ -34,6 +35,7 @@ from qcluster.strings import (
     StringWord,
     enumerate_canonical_submodules,
     enumerate_strings,
+    parse_string,
     trivial_word,
 )
 
@@ -151,6 +153,37 @@ def test_label_snake_rejects_non_crossing_words(hexagon, quivers):
         label_snake(bad, hexagon)
 
 
+@pytest.mark.parametrize(
+    "text, name, letter",
+    [("2 <b< 3", "square", "letter 1 (<b<)"), ("1 >a> 2 <b< 3", "annulus", "letter 2 (<b<)")],
+)
+def test_a_word_naming_a_triangle_the_surface_lacks_is_not_a_crossing_sequence(
+    quivers, surfaces, seeds, text, name, letter
+):
+    # hexagon words whose letters name triangle 2; square and annulus have two
+    w, t = parse_string(text, quivers["hexagon"]), surfaces[name]
+    message = re.escape(f"{letter} names triangle 2, but the surface has 2 triangles")
+    with pytest.raises(NotCrossingSequence, match=message):
+        label_snake(w, t)
+    with pytest.raises(NotCrossingSequence, match=message):
+        quantum_expansion(w, t, seeds[name])
+
+
+@pytest.mark.parametrize("arc", [0, -1, 5])
+def test_a_one_vertex_word_on_no_internal_arc_is_not_a_crossing_sequence(annulus, arc):
+    with pytest.raises(NotCrossingSequence, match=f"^crossed arc {arc} is not internal$"):
+        label_snake(StringWord((arc,), ()), annulus)
+
+
+def test_a_negative_triangle_index_is_not_read_from_the_end(annulus, g1_word):
+    # index -1 would read the annulus's last triangle, which holds arcs 1 and 2
+    first = g1_word.letters[0]
+    wrong = replace(first, arrow=replace(first.arrow, triangle=-1))
+    w = StringWord(g1_word.vertices, (wrong, *g1_word.letters[1:]))
+    with pytest.raises(NotCrossingSequence, match=re.escape("letter 1 (>a>) names triangle -1")):
+        label_snake(w, annulus)
+
+
 def slot_by_slot_tiles(w, t):
     """The slot-by-slot flank placement that the class rule replaced: the reference.
 
@@ -163,7 +196,7 @@ def slot_by_slot_tiles(w, t):
     x = y = 0
     for j in range(1, w.d + 1):
         diag = w.vertices[j - 1]
-        tri_in, tri_out = snake._entry_exit_triangles(w, t, j)
+        tri_in, tri_out = snake._crossed_triangles(w, t)[j - 1 : j + 1]
         alpha = t.ccw_flank(tri_in, diag)
         beta = t.cw_flank(tri_in, diag)
         gamma = t.ccw_flank(tri_out, diag)

@@ -171,6 +171,27 @@ def test_pentagon_lambda_couples_the_two_internal_arcs(surfaces):
     assert pair.lam[1][0] == -1
 
 
+def test_the_surface_context_equals_a_scan_of_the_triangles(surfaces):
+    """n and each arc's triangles are fixed at construction; triangles_at
+    still hands out a fresh list in file order."""
+    corpus = list(surfaces.values()) + [load_surface(d) for d in (ANNULUS_21, WHEEL3, HEPTAGON_WITH_A_CYCLE)]
+    for t in corpus:
+        assert t.n == sum(1 for a in t.arcs if a.kind == "internal")
+        for arc in range(-1, t.m + 2):
+            scan = [i for i, tri in enumerate(t.triangles) if arc in tri]
+            got = t.triangles_at(arc)
+            assert got == scan, (t.name, arc)
+            got.append(99)
+            assert t.triangles_at(arc) == scan
+            for tri in scan:
+                if t.is_internal(arc):
+                    assert t.other_triangle_at(arc, tri) == next(i for i in scan if i != tri)
+                else:
+                    message = f"^arc {arc} does not flank exactly one triangle besides {tri}$"
+                    with pytest.raises(InvalidSurface, match=message):
+                        t.other_triangle_at(arc, tri)
+
+
 def test_load_surface_accepts_a_dict():
     t = load_surface(WHEEL3)
     assert t.n == 3

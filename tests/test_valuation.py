@@ -307,7 +307,7 @@ def test_no_glue_edge_follows_the_last_tile(g1_graph):
 def nonzero_window_rows(g):
     """The rows (word arc, position) of the full window table that are nonzero somewhere."""
     return sum(
-        any(n_module(g, k, j, valuation._window(j, p)) != (0, 0, 0) for p in range(8))
+        any(n_module(g, k, j, valuation._windows(j)[p]) != (0, 0, 0) for p in range(8))
         for k in set(g.word.vertices)
         for j in range(1, g.d + 1)
     )
@@ -360,7 +360,7 @@ def test_the_word_route_reads_no_matching_side_cache(annulus):
     expected = valuation_v_gamma(label_snake(w, annulus))
     g = label_snake(w, annulus)
     matching_side = ("_matchings", "_minimal", "_maximal", "_image", "_compared")
-    mask_tables = ("_point_options", "_label_masks", "_twist_rows", "_west_bits")
+    mask_tables = ("_point_options", "_edge_ends", "_label_masks", "_twist_rows", "_west_rows")
     for cache in matching_side + mask_tables:
         setattr(g, cache, Untouchable())
     assert valuation_v_gamma(g) == expected

@@ -199,7 +199,8 @@ def reference_n_module(g, k, j, indices):
             n_plus = int((j + 1 in indices) != letters[j - 1].direct)
         if j > 1:
             n_minus = int((j - 1 in indices) == letters[j - 2].direct)
-    if j < d and g.glue_label(j) == k and (j in indices) != (j + 1 in indices):
+    glued = j < d and g.tile(j).labels[g.tile(j).out_glue_side] == k  # the tiles, not the glue list
+    if glued and (j in indices) != (j + 1 in indices):
         plain += 1
     for end, tri in ((1, g.tile(1).tri_in), (d, g.tile(d).tri_out)):
         diag = arcs[end - 1]
@@ -454,7 +455,7 @@ def full_window_table(g, counts):
     """counts(g, k, j, window) for every word arc, position and pattern."""
     return {
         k: [
-            tuple(counts(g, k, j, valuation._window(j, p)) for p in range(8))
+            tuple(counts(g, k, j, valuation._windows(j)[p]) for p in range(8))
             for j in range(1, g.d + 1)
         ]
         for k in dict.fromkeys(g.word.vertices)
@@ -491,7 +492,7 @@ def test_the_sparse_window_table_equals_the_full_one(surfaces):
             for k in range(1, t.m + 1):
                 for j in range(1, w.d + 1):
                     for p in range(8):
-                        N = valuation._window(j, p)
+                        N = valuation._windows(j)[p]
                         want = reference_n_module(g, k, j, N)
                         assert valuation.n_module(g, k, j, N) == want, (str(w), k, j, p)
             graphs += 1
