@@ -27,7 +27,7 @@ from .kronecker import build_weighted, equality_check, recursion_checks, weighte
 from .seeds import initial_seed, mutation_sequence
 from .skein_mult import multiply_and_certify, relative_exponent_check
 from .snake import enumerate_matchings, label_snake, matching_to_submodule
-from .strings import parse_string
+from .strings import parse_string, positions
 from .surface import build_quiver, check_gentle, load_surface, pair_from_surface
 from .torus import TorusElement
 from .valuation import valuation_v, valuation_v_gamma
@@ -37,7 +37,8 @@ def _json(value) -> str:
     ints, bools, strings, lists and string-keyed dicts the commands build;
     any other value goes to the stdlib.  A `TorusElement` is written as
     json.dumps writes the list of its term dicts, and a tuple of
-    `ExpansionTerm`s as it writes the list of their `_asdict()` dicts."""
+    `ExpansionTerm`s as it writes the list of their `_asdict()` dicts,
+    each index set mask as its sorted positions."""
     pieces = []
     _write_json(value, "\n", pieces.append)
     return "".join(pieces)
@@ -110,7 +111,7 @@ def _write_terms(terms, indent: str, emit) -> None:
 
     opening = "[" + inner
     for indices, dim, valuation, exponent in terms:
-        emit(opening + template % (shared(dim), shared(exponent), _ints(indices, row), valuation))
+        emit(opening + template % (shared(dim), shared(exponent), _ints(positions(indices), row), valuation))
         opening = "," + inner
     emit(indent + "]")
 
@@ -233,7 +234,7 @@ def expand(surface, text, q1, fmt):
         if q1:
             lines.append("q=1, boundary=1: " + _classical_str(classical))
         return lines + [
-            f"  term {list(term.indices)}: dim={list(term.dim)} v={term.valuation} exp={list(term.exponent)}"
+            f"  term {positions(term.indices)}: dim={list(term.dim)} v={term.valuation} exp={list(term.exponent)}"
             for term in result.terms
         ]
 
@@ -267,7 +268,7 @@ def matchings(surface, text, fmt):
         rows.append(
             {
                 "edges": sorted([list(e) for e in g.edges(P)]),
-                "enclosed": sorted(matching_to_submodule(g, P)),
+                "enclosed": positions(matching_to_submodule(g, P)),
                 "valuation": vals[P],
             }
         )
@@ -293,7 +294,7 @@ def submodules(surface, text, fmt):
     word = parse_string(text, quiver)
     # the walk's table lists the canonical sets in the generator's order
     vals = valuation_v_gamma(label_snake(word, t))
-    rows = [{"indices": sorted(N), "valuation": v} for N, v in vals.items()]
+    rows = [{"indices": positions(N), "valuation": v} for N, v in vals.items()]
     _emit(
         fmt,
         lambda: {"string": str(word), "submodules": rows},

@@ -10,7 +10,8 @@ The expansion of the variable attached to a string is assembled twice:
 Both routes must produce the identical torus element; the result keeps
 the per-term data for reporting, one `ExpansionTerm` NamedTuple per
 matching, each placed at its set's index in the canonical generator,
-whose order is (size, sorted indices); `expand` prints them as they are.
+whose order is (size, sorted positions); `expand` prints them in that
+order, each index set mask as its sorted positions.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import NamedTuple
 from .errors import BijectionViolation, InconsistentValuation, NotCompatible
 from .seeds import QuantumSeed
 from .snake import SnakeGraph, bijection_image, canonical_submodules, label_snake, minimal_matching
-from .strings import StringWord
+from .strings import StringWord, positions
 from .surface import Triangulation
 from .torus import QCoefficient, TorusElement
 from .valuation import compare_valuations
@@ -40,9 +41,10 @@ __all__ = [
 
 class ExpansionTerm(NamedTuple):
     """One matching's term.  Being a tuple it is cheap to build, and it
-    also equals a plain tuple of the same four values."""
+    also equals a plain tuple of the same four values.  The index set is
+    a mask, as everywhere in the package; printing lists its positions."""
 
-    indices: tuple  # sorted index set
+    indices: int  # index set: bit j set for each position j
     dim: tuple  # dimension vector over internal arcs
     valuation: int  # raw power (before scaling by d)
     exponent: tuple  # lattice vector of the torus monomial
@@ -91,11 +93,11 @@ def graph_expansion(g: SnakeGraph, seed: QuantumSeed) -> ExpansionResult:
     """quantum_expansion of the snake graph's word, reading its tables.
 
     The q-powers come from the valuation table both routes agreed on
-    (compare_valuations), so each route runs once per graph.  The
-    expected exponent x(minimal) + B dim is built once per dimension
-    vector and compared with every matching's; counted_element sums the
-    element once per distinct exponent.  Each term row goes to its set's
-    index in the canonical generator, so the rows need no sort.
+    (compare_valuations), so each route runs once per graph.  A dimension
+    vector is one popcount per internal arc, and x(minimal) + B dim is built
+    once per dimension vector and compared with every matching's exponent;
+    counted_element sums the element once per distinct exponent.  Each term
+    row goes to its set's index in the canonical generator: no sort.
     """
     d = uniform_d(seed)
     w, t = g.word, g.triangulation
@@ -103,6 +105,9 @@ def graph_expansion(g: SnakeGraph, seed: QuantumSeed) -> ExpansionResult:
     base_x = x_of_matching(g, minimal_matching(g))
     columns = tuple(zip(*seed.pair.b_tilde))  # one column of B per internal arc
     arcs, n = w.vertices, t.n
+    arc_masks = [0] * n  # per internal arc, the mask of the positions crossing it
+    for p, arc in enumerate(arcs, start=1):
+        arc_masks[arc - 1] |= 1 << p
 
     by_dim: dict = {}  # dimension vector -> x(minimal) + B dim
     by_exponent: dict = {}  # exponent -> {q-power: matchings}
@@ -111,13 +116,9 @@ def graph_expansion(g: SnakeGraph, seed: QuantumSeed) -> ExpansionResult:
         raise BijectionViolation("matching-to-submodule map is not injective")
     slot = {N: i for i, N in enumerate(canonical)}
     rows = [None] * len(canonical)
-    # The image's positions are range-checked, so dim counts them per arc.
     for P, indices in image.items():
         xp = x_of_matching(g, P)
-        counts = [0] * n
-        for j in indices:
-            counts[arcs[j - 1] - 1] += 1
-        dim = tuple(counts)
+        dim = tuple([(indices & mask).bit_count() for mask in arc_masks])
         xs = by_dim.get(dim)
         if xs is None:
             xs = base_x
@@ -127,13 +128,13 @@ def graph_expansion(g: SnakeGraph, seed: QuantumSeed) -> ExpansionResult:
             by_dim[dim] = xs
         if xs != xp:
             raise InconsistentValuation(
-                f"exponent mismatch on {sorted(indices)}: weights give {xp}, "
+                f"exponent mismatch on {positions(indices)}: weights give {xp}, "
                 f"dimension vector gives {xs}"
             )
         v = values[indices]
         powers = by_exponent.setdefault(xp, {})
         powers[d * v] = powers.get(d * v, 0) + 1
-        rows[slot[indices]] = ExpansionTerm(tuple(sorted(indices)), dim, v, xp)
+        rows[slot[indices]] = ExpansionTerm(indices, dim, v, xp)
     return ExpansionResult(
         word=w,
         element=counted_element(t.m, by_exponent),

@@ -28,7 +28,7 @@ from .errors import UnmatchedCase
 from .expansion import counted_element, uniform_d, x_of_matching
 from .seeds import QuantumSeed
 from .snake import SnakeGraph, bijection_image, label_snake
-from .strings import Letter, StringWord, dimension_vector
+from .strings import Letter, StringWord, dimension_vector, positions
 from .surface import Triangulation, build_quiver
 from .torus import TorusElement
 from .valuation import valuation_v
@@ -37,7 +37,6 @@ __all__ = [
     "WeightedSnake",
     "family_word",
     "build_weighted",
-    "alpha_of_set",
     "r_s",
     "weighted_series",
     "equality_check",
@@ -54,20 +53,20 @@ class WeightedSnake:
 
     @cached_property
     def tables(self) -> tuple:
-        """(alpha table, valuation table), each index set -> integer.
+        """(alpha table, valuation table), each index set mask -> integer.
 
         Read once per weighted snake from the graph's bijection image.
         """
         v = valuation_v(self.graph)
         alpha_by_set, v_by_set = {}, {}
         for P, indices in bijection_image(self.graph).items():
-            alpha_by_set[indices] = alpha_of_set(self, indices)
+            alpha_by_set[indices] = _alpha_of_set(self, indices)
             v_by_set[indices] = v[P]
         return alpha_by_set, v_by_set
 
     @cached_property
     def dims(self) -> dict:
-        """Each index set of the tables -> its dimension vector (u, w), taken once."""
+        """Each index set mask of the tables -> its dimension vector (u, w), taken once."""
         return {N: dimension_vector(self.graph.word, N, n=2) for N in self.tables[0]}
 
 
@@ -102,8 +101,8 @@ def build_weighted(t: Triangulation, s: int, family: str = "G") -> WeightedSnake
     return WeightedSnake(family, s, label_snake(word, t), alphas)
 
 
-def alpha_of_set(ws: WeightedSnake, indices) -> int:
-    return sum(ws.alphas[j - 1] for j in indices)
+def _alpha_of_set(ws: WeightedSnake, indices: int) -> int:
+    return sum([ws.alphas[j - 1] for j in positions(indices)])
 
 
 def r_s(t: Triangulation, s: int, seed: QuantumSeed, family: str = "G") -> TorusElement:
@@ -117,7 +116,7 @@ def weighted_series(ws: WeightedSnake, seed: QuantumSeed) -> TorusElement:
     counts: dict = {}  # exponent -> {q-power: matchings}
     for P, indices in bijection_image(g).items():
         powers = counts.setdefault(x_of_matching(g, P), {})
-        twice = d * alpha_of_set(ws, indices)
+        twice = d * _alpha_of_set(ws, indices)
         powers[twice] = powers.get(twice, 0) + 1
     return counted_element(g.triangulation.m, counts)
 
@@ -150,35 +149,35 @@ def recursion_checks(ws: WeightedSnake) -> list:
         name = f"{level.family}{s}"
         for N, (u, w) in level.dims.items():
             broken, missing = None, "does not restrict to"
-            if level is g_s and last not in N:
-                rule, cut, into, step, missing = "drop last", (), f"H{s}", -u, "missing from"
+            if level is g_s and not N >> last & 1:
+                rule, cut, into, step, missing = "drop last", 0, f"H{s}", -u, "missing from"
             elif level is g_s:
-                rule, cut, into, step = "keep last", (last - 1, last), f"G{s - 1}", -u + w + 1
-                broken = last - 1 not in N and f"contains {last} without {last - 1}"
-            elif last in N:
-                rule, cut, into, step = "H keep last", (last,), f"G{s - 1}", -s + w
+                rule, cut, into, step = "keep last", 3 << last - 1, f"G{s - 1}", -u + w + 1
+                broken = not N >> last - 1 & 1 and f"contains {last} without {last - 1}"
+            elif N >> last & 1:
+                rule, cut, into, step = "H keep last", 1 << last, f"G{s - 1}", -s + w
             else:
-                rule, cut, into, step = "H drop last", (), f"H{s - 1}", -u + w
-                broken = last - 1 in N and f"contains {last - 1} without {last}"
+                rule, cut, into, step = "H drop last", 0, f"H{s - 1}", -u + w
+                broken = N >> last - 1 & 1 and f"contains {last - 1} without {last}"
                 broken = broken or (s == 1 and N and "should be empty without tile 2")
             if broken:
-                failures.append(f"{name} set {sorted(N)} {broken}")
+                failures.append(f"{name} set {positions(N)} {broken}")
                 continue
             if into not in levels:  # H_0: the empty set of H_1 has no recursion
                 continue
-            smaller = N.difference(cut)
+            smaller = N & ~cut
             if smaller not in levels[into][0]:
-                failures.append(f"{name} set {sorted(N)} {missing} {into}")
+                failures.append(f"{name} set {positions(N)} {missing} {into}")
                 continue
             changes = zip(("alpha", "valuation"), levels[name], levels[into], (step, sign * step))
             for kind, table, before, change in changes:
                 if table[N] != before[smaller] + change:
-                    failures.append(f"{kind} recursion ({rule}) fails at {sorted(N)}")
-    anchors = ((f"G{s}", frozenset({2 * s, 2 * s + 1}), 1), (f"H{s}", frozenset({2 * s}), s - 1))
+                    failures.append(f"{kind} recursion ({rule}) fails at {positions(N)}")
+    anchors = ((f"G{s}", 3 << 2 * s, 1), (f"H{s}", 1 << 2 * s, s - 1))
     for name, anchor, want in anchors:
         values = levels[name][1]
         if anchor not in values:
-            failures.append(f"anchor set {sorted(anchor)} missing from {name}")
+            failures.append(f"anchor set {positions(anchor)} missing from {name}")
         elif values[anchor] != want:
-            failures.append(f"anchor valuation of {sorted(anchor)} in {name} is {values[anchor]}, want {want}")
+            failures.append(f"anchor valuation of {positions(anchor)} in {name} is {values[anchor]}, want {want}")
     return failures

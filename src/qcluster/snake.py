@@ -33,6 +33,8 @@ numbered along the snake: tile 1's corners are 0..3, tile j adds 2j, 2j+1.
 
 A matching is an int mask over the graph's sorted edge ids (bit i: the
 i-th edge id is matched); ``g.edges(P)`` gives the edge ids of mask P.
+The tiles a matching encloses are an index set, an int mask with bit j
+for tile j, as the word's canonical submodules are.
 The same pass builds the mask tables (each lattice point's edges, each
 edge's endpoints, one mask per label, each tile's twist row, glue label
 and west edge, row by row), so a twist is an XOR and a label count a
@@ -41,7 +43,7 @@ popcount.  So are the extremal matchings: the glue-free edges of the cw
 A twist row holds all a twist at its tile reads: the two opposite pairs
 and their union, the edges carrying the tile's diagonal before and after
 it, and m_minus - m_plus.  Matchings are sorted by edge ids with one
-bytes key per mask: its little-endian bytes with their bits reversed.
+bytes key per mask (strings.sort_masks).
 """
 
 from __future__ import annotations
@@ -51,12 +53,12 @@ from typing import NamedTuple
 
 from .errors import BijectionViolation, CannotTwist, InvalidSurface, NotCrossingSequence, UnmatchedCase
 from .strings import StringWord, dimension_vector, enumerate_canonical_submodules, is_canonical_submodule
+from .strings import positions, sort_masks
 from .surface import Triangulation
 
 __all__ = [
     "Tile",
     "SnakeGraph",
-    "snake_shape",
     "label_snake",
     "enumerate_matchings",
     "minimal_matching",
@@ -79,12 +81,9 @@ _SIDE_CORNERS = {"S": (0, 1), "E": (1, 3), "N": (2, 3), "W": (0, 2)}
 _FLANK_CLASSES = tuple(
     MappingProxyType({"S": sn, "E": ew, "N": sn, "W": ew}) for sn, ew in (("cw", "ccw"), ("ccw", "cw"))
 )
-# Each byte with its bits in reverse order: a mask's little-endian bytes
-# translated through it compare as the mask's bits read from bit 0 up.
-_BIT_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
-def snake_shape(w: StringWord) -> tuple:
+def _snake_shape(w: StringWord) -> tuple:
     """Sequence of steps "R"/"U" between consecutive tiles."""
     steps = []
     for p, letter in enumerate(w.letters):
@@ -270,7 +269,7 @@ def label_snake(w: StringWord, t: Triangulation) -> SnakeGraph:
         if not t.is_internal(v):
             raise NotCrossingSequence(f"crossed arc {v} is not internal")
 
-    shape, path = snake_shape(w), _crossed_triangles(w, t)
+    shape, path = _snake_shape(w), _crossed_triangles(w, t)
     d = len(arcs)
     tiles = []
     x = y = 0
@@ -361,13 +360,7 @@ def enumerate_matchings(g: SnakeGraph) -> list:
         for ends, e in options[(~covered & (covered + 1)).bit_length() - 1]:
             if not covered & ends:
                 stack.append((covered | ends, chosen | e))
-    # Sorted edge-id tuples compare at their first difference, the lowest
-    # bit where two masks differ: the mask holding it comes first.  Bytes
-    # with their bits reversed compare at that bit too.
-    size = (len(g._edges) + 7) // 8
-    g._matchings = sorted(
-        results, key=lambda P: P.to_bytes(size, "little").translate(_BIT_REVERSED), reverse=True
-    )
+    g._matchings = sort_masks(results, len(g._edges))
     return g._matchings
 
 
@@ -395,8 +388,9 @@ def twist(g: SnakeGraph, P: int, j: int) -> int:
     return P ^ g._twist_rows[j - 1][2]
 
 
-def enclosed_tiles(g: SnakeGraph, P: int) -> frozenset:
-    """Tiles inside the symmetric difference of P with the minimal matching.
+def enclosed_tiles(g: SnakeGraph, P: int) -> int:
+    """Tiles inside the symmetric difference of P with the minimal matching,
+    as an index set: bit j set for each enclosed tile j.
 
     A tile is enclosed when a leftward ray from it crosses the
     difference cycle an odd number of times.  The vertical edges such a
@@ -404,14 +398,14 @@ def enclosed_tiles(g: SnakeGraph, P: int) -> frozenset:
     walk along each row toggles at every west edge in the difference.
     """
     diff = P ^ g._minimal
-    out = []
+    out = 0
     for row in g._west_rows:
         inside = False
         for j, west in row:
             inside ^= diff & west != 0
             if inside:
-                out.append(j)
-    return frozenset(out)
+                out |= 1 << j
+    return out
 
 
 def bijection_image(g: SnakeGraph) -> dict:
@@ -423,14 +417,14 @@ def bijection_image(g: SnakeGraph) -> dict:
             indices = enclosed_tiles(g, P)
             if not is_canonical_submodule(g.word, indices):
                 raise BijectionViolation(
-                    f"enclosed tiles {sorted(indices)} are not a submodule index set"
+                    f"enclosed tiles {positions(indices)} are not a submodule index set"
                 )
             image[P] = indices
         g._image = image
     return g._image
 
 
-def matching_to_submodule(g: SnakeGraph, P: int) -> frozenset:
+def matching_to_submodule(g: SnakeGraph, P: int) -> int:
     indices = bijection_image(g).get(P)
     if indices is None:
         raise BijectionViolation(f"{sorted(g.edges(P))} is not a perfect matching of the graph")

@@ -13,9 +13,11 @@ is direct, p+1 -> p when it is inverse.  An index set N spans a
 submodule exactly when N lies in 1..d and no arrow of the word leaves
 N.  In runs: every maximal run [i, j] of N has a direct letter entering
 it on the left (or i = 1) and an inverse letter on the right (or
-j = d), the form the generator of canonical sets builds from.  Index
-sets are frozensets throughout, and an extension's smoothing factors are
-SmoothingFactor values of kind string, arc, unit or open.
+j = d), the form the generator of canonical sets builds from.  An index
+set is an int mask throughout, bit p set for each position p (bit 0 is
+never set); `positions` lists a mask's positions where text is printed.
+An extension's smoothing factors are SmoothingFactor values of kind
+string, arc, unit or open.
 
 An overlap extension is a common substring crossed in opposite fashion.
 Three facts of _overlap_extensions trim its search: one length per start
@@ -25,7 +27,6 @@ pair, two orientations of four, no relation check at a single vertex.
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -45,10 +46,11 @@ __all__ = [
     "StringWord",
     "SmoothingFactor",
     "Extension",
-    "trivial_word",
     "validate_string",
-    "is_valid_string",
     "parse_string",
+    "positions",
+    "sort_masks",
+    "check_positions",
     "is_canonical_submodule",
     "enumerate_canonical_submodules",
     "dimension_vector",
@@ -135,7 +137,7 @@ def _word_sort_key(w: StringWord):
     )
 
 
-def trivial_word(vertex: int) -> StringWord:
+def _trivial_word(vertex: int) -> StringWord:
     return StringWord((vertex,), ())
 
 
@@ -172,7 +174,7 @@ def validate_string(w: StringWord, q: QuiverWithRelations) -> None:
             )
 
 
-def is_valid_string(w: StringWord, q: QuiverWithRelations) -> bool:
+def _is_valid_string(w: StringWord, q: QuiverWithRelations) -> bool:
     try:
         validate_string(w, q)
     except InvalidString:
@@ -230,64 +232,79 @@ def parse_string(text: str, quiver: QuiverWithRelations) -> StringWord:
     return word
 
 
-def is_canonical_submodule(w: StringWord, indices) -> bool:
+def positions(mask: int) -> list:
+    """The positions of an index set, ascending: the bits set in its mask."""
+    return [p for p in range(mask.bit_length()) if mask >> p & 1]
+
+
+# Each byte with its bits in reverse order: a mask's little-endian bytes
+# translated through it compare as the mask's bits read from bit 0 up.
+_BIT_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+def sort_masks(masks: list, width: int) -> list:
+    """Sort masks of at most width bits in place and return them; masks of one
+    popcount take the order of the sorted lists of their set bits.  Those
+    compare at the lowest bit where two masks differ (its holder first), as
+    bit-reversed bytes do."""
+    size = (width + 7) // 8
+    masks.sort(key=lambda m: m.to_bytes(size, "little").translate(_BIT_REVERSED), reverse=True)
+    return masks
+
+
+def check_positions(mask: int, d: int) -> None:
+    """Raise UnmatchedCase naming position 0, or else the highest past d, unless N lies in 1..d."""
+    if mask & 1 or mask >> d + 1:
+        raise UnmatchedCase(f"position {0 if mask & 1 else mask.bit_length() - 1} outside 1..{d}")
+
+
+def is_canonical_submodule(w: StringWord, mask: int) -> bool:
     """Whether the index set spans a submodule of M(w): a set of positions
     1..d that no arrow of the word leaves.
 
-    With bit p of N for position p, a direct letter p leaves N when p is
-    in N and p + 1 is not, an inverse one when p + 1 is in N and p is not:
-    two mask tests against the word's arrow masks.
+    With bit p of the mask for position p, a direct letter p leaves N when
+    p is in N and p + 1 is not, an inverse one when p + 1 is in N and p is
+    not: two mask tests against the word's arrow masks.
     """
-    mask, d = 0, w.d
-    for p in indices:
-        if not 1 <= p <= d:
-            return False
-        mask |= 1 << p
+    if mask & 1 or mask >> w.d + 1:
+        return False
     above = mask >> 1  # bit p: position p + 1
     direct, inverse = w._arrow_masks
     return not (mask & ~above & direct or above & ~mask & inverse)
 
 
-def _canonical_index_sets(w: StringWord) -> list:
-    """Every index set whose runs satisfy the run conditions, as sorted tuples.
+def enumerate_canonical_submodules(w: StringWord) -> list:
+    """All submodule index sets as masks, ordered by (size, sorted positions).
 
-    A run may open at p when p = 1 or letter p-1 is direct, and close at
-    p when p = d or letter p is inverse; the next run opens two or more
-    positions after the close.  Each set is built once, run by run.
+    The sets come straight from the run conditions, so the work grows with
+    the output, not with 2^d.  A run may open at p when p = 1 or letter
+    p-1 is direct, and close at p when p = d or letter p is inverse; the
+    next run opens two or more positions after the close, which is two
+    past the set's highest bit.  Sorted as sort_masks sorts, then stably
+    by size, they take the order of a scan over itertools.combinations.
+    Each set is checked by is_canonical_submodule.
     """
     d = w.d
-    opens = [p for p in range(1, d + 1) if p == 1 or w.letters[p - 2].direct]
-    closes = [p for p in range(1, d + 1) if p == d or not w.letters[p - 1].direct]
-    found = []
-    stack = [((), 1)]
+    direct, inverse = w._arrow_masks
+    opens, closes = direct << 1 | 2, inverse | 1 << d  # bit p: a run may open, close at p
+    later = [[]] * (d + 3)  # later[a]: every run opening at a or after
+    for a in range(d, 0, -1):
+        later[a] = later[a + 1] + [(2 << b) - (1 << a) for b in range(a, d + 1) if opens >> a & closes >> b & 1]
+    found, stack = [], [0]
     while stack:
-        prefix, start = stack.pop()
-        found.append(prefix)
-        for a in opens[bisect_left(opens, start) :]:
-            for b in closes[bisect_left(closes, a) :]:
-                stack.append((prefix + tuple(range(a, b + 1)), b + 2))
-    return found
-
-
-def enumerate_canonical_submodules(w: StringWord) -> list:
-    """All submodule index sets as frozensets, smallest first.
-
-    The sets come straight from the run conditions, so the work grows
-    with the output, not with 2^d.  They are ordered by (size, sorted
-    tuple), the order of a scan over itertools.combinations, and each
-    one is checked by is_canonical_submodule.
-    """
-    found = []
-    for combo in sorted(_canonical_index_sets(w), key=lambda c: (len(c), c)):
-        if not is_canonical_submodule(w, combo):
+        mask = stack.pop()
+        found.append(mask)
+        stack += map(mask.__or__, later[mask.bit_length() + 1])
+    sort_masks(found, d + 1).sort(key=int.bit_count)
+    for mask in found:
+        if not is_canonical_submodule(w, mask):
             raise NonCanonicalSubmodule(
-                f"generated index set {list(combo)} breaks the run conditions of {w}"
+                f"generated index set {positions(mask)} breaks the run conditions of {w}"
             )
-        found.append(frozenset(combo))
     return found
 
 
-def dimension_vector(w: StringWord, indices=None, *, n: int) -> tuple:
+def dimension_vector(w: StringWord, indices: int | None = None, *, n: int) -> tuple:
     """Counts of each quiver vertex among the selected positions.
 
     Entry k-1 counts positions p in the index set with v_p = k, for
@@ -295,13 +312,10 @@ def dimension_vector(w: StringWord, indices=None, *, n: int) -> tuple:
     position outside 1..d is an UnmatchedCase.
     """
     if indices is None:
-        indices = range(1, w.d + 1)
-    elif indices:
-        low, high = min(indices), max(indices)
-        if low < 1 or high > w.d:
-            raise UnmatchedCase(f"position {low if low < 1 else high} outside 1..{w.d}")
+        indices = (2 << w.d) - 2
+    check_positions(indices, w.d)
     dim = [0] * n
-    for p in indices:
+    for p in positions(indices):
         dim[w.vertices[p - 1] - 1] += 1
     return tuple(dim)
 
@@ -325,8 +339,8 @@ def _truncate(w: StringWord, which: str) -> StringWord:
     end, direct = _CUTS[which]
     cuts = [p for p, letter in enumerate(w.letters, start=1) if letter.direct == direct]
     if end == "head":
-        return w.sub(cuts[0] + 1, w.d) if cuts else trivial_word(w.vertices[-1])
-    return w.sub(1, cuts[-1]) if cuts else trivial_word(w.vertices[0])
+        return w.sub(cuts[0] + 1, w.d) if cuts else _trivial_word(w.vertices[-1])
+    return w.sub(1, cuts[-1]) if cuts else _trivial_word(w.vertices[0])
 
 
 # -- extensions and smoothing factors ---------------------------------
@@ -386,13 +400,13 @@ def _arrow_extensions(v: StringWord, w: StringWord, q: QuiverWithRelations) -> l
     t = q.triangulation
     for a in q.arrows_between(v.vertices[0], w.vertices[-1]):
         u1 = concat(w, Letter(a, False), v)
-        if not is_valid_string(u1, q):
+        if not _is_valid_string(u1, q):
             continue
         third = t.third_side(a.triangle, a.source, a.target)
         u2_options = (
             SmoothingFactor("arc", arc=third),
-            SmoothingFactor("string", word=trivial_word(a.source)),
-            SmoothingFactor("string", word=trivial_word(a.target)),
+            SmoothingFactor("string", word=_trivial_word(a.source)),
+            SmoothingFactor("string", word=_trivial_word(a.target)),
             SmoothingFactor("unit"),
         )
         if not v.is_trivial:
@@ -432,7 +446,7 @@ def _connector_factor(q: QuiverWithRelations, left: StringWord, right: StringWor
     candidates = []
     for f in q.arrows_between(right.vertices[0], left.vertices[-1]):
         joined = concat(left, Letter(f, False), right)
-        if is_valid_string(joined, q):
+        if _is_valid_string(joined, q):
             candidates.append(joined)
     if len(candidates) > 1:
         raise AmbiguousConnector(
@@ -501,7 +515,7 @@ def _overlap_extensions(v: StringWord, w: StringWord, q: QuiverWithRelations) ->
         # u1 is v through m, then w after it; u2 is w through m, then v after it
         u1 = StringWord(v.vertices[:ev] + w.vertices[ew:], v.letters[: ev - 1] + w.letters[ew - 1 :])
         u2 = StringWord(w.vertices[:ew] + v.vertices[ev:], w.letters[: ew - 1] + v.letters[ev - 1 :])
-        if not (is_valid_string(u1, q) and is_valid_string(u2, q)):
+        if not (_is_valid_string(u1, q) and _is_valid_string(u2, q)):
             continue
         if b is not None and d is not None:
             u3 = _connector_factor(q, v.sub(1, sv - 1), w.sub(1, sw - 1))
@@ -568,9 +582,9 @@ def enumerate_strings(q: QuiverWithRelations, max_vertices: int) -> list:
         for letter in steps:
             nxt = letter.endpoints()[1]
             candidate = StringWord(word.vertices + (nxt,), word.letters + (letter,))
-            if is_valid_string(candidate, q):
+            if _is_valid_string(candidate, q):
                 extend(candidate)
 
     for v in sorted(q.vertices):
-        extend(trivial_word(v))
+        extend(_trivial_word(v))
     return [found[k] for k in sorted(found)]

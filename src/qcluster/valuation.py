@@ -44,12 +44,12 @@ below live on it as long as it does.  Two routes to the same integer:
   table and d give.  valuation_v_gamma fills the rows of all canonical
   index sets in one call, then takes the sets in the generator's
   order, smallest first, and values each from its canonical subsets
-  one position smaller.  Index sets are frozensets wherever they are
-  taken, returned or used as keys of a kept table; their int masks
-  (bit j for position j) only find subsets and fill omega_prime rows
-  inside one call.  This route reads the word, the triangulation and
-  the tiles' labels (the glue labels as the graph lists them) and
-  triangles, never a matching or a table the matching route built.
+  one position smaller.  An index set is an int mask (bit j for
+  position j) wherever it is taken, returned or used as a key, so a
+  subset is one cleared bit and a window one shift.  This route reads
+  the word, the triangulation and the tiles' labels (the glue labels as
+  the graph lists them) and triangles, never a matching or a table the
+  matching route built.
 
 compare_valuations matches the two routes through the bijection and
 keeps the agreed table on the graph, where the expansion reads it.
@@ -81,6 +81,7 @@ from .snake import (
     maximal_matching,
     minimal_matching,
 )
+from .strings import check_positions, positions
 
 __all__ = [
     "omega",
@@ -171,8 +172,8 @@ def _end_sides(g: SnakeGraph) -> list:
     return g._end_sides
 
 
-def n_module(g: SnakeGraph, k: int, j: int, indices) -> tuple:
-    """Counts (n, n_plus, n_minus) of arc k at position j for an index set N.
+def n_module(g: SnakeGraph, k: int, j: int, indices: int) -> tuple:
+    """Counts (n, n_plus, n_minus) of arc k at position j for an index set mask N.
 
     The signed parts appear only when position j crosses arc k itself:
     n_plus = [j+1 in N] != (letter j is direct) when j < d, and
@@ -181,13 +182,15 @@ def n_module(g: SnakeGraph, k: int, j: int, indices) -> tuple:
     N splits j from j+1 (the graph's glue labels), and, at the end
     positions 1 and d, a free side k of the end tile's outer triangle
     (from _end_sides, stored once per graph): [j in N] == (k is the ccw
-    flank of the end diagonal).  All contributions accumulate.
+    flank of the end diagonal).  All contributions accumulate.  A
+    position of N outside 1..d is an UnmatchedCase.
     """
     w = g.word
-    indices = frozenset(indices)
     arcs, letters, d = w.vertices, w.letters, g.d
     if not 1 <= j <= d:
         raise UnmatchedCase(f"position {j} outside 1..{d}")
+    if indices & 1 or indices >> d + 1:
+        check_positions(indices, d)
     n_plus = n_minus = plain = 0
     if arcs[j - 1] == k:
         # The paper's cases by the directions of letters j-1 and j:
@@ -196,22 +199,23 @@ def n_module(g: SnakeGraph, k: int, j: int, indices) -> tuple:
         # [j+1 not in N], [j-1 not in N]; direct-inverse [j+1 in N],
         # [j-1 in N]; the word ends keep only the side that has a letter.
         if j < d:
-            n_plus = int((j + 1 in indices) != letters[j - 1].direct)
+            n_plus = int(indices >> j + 1 & 1 != letters[j - 1].direct)
         if j > 1:
-            n_minus = int((j - 1 in indices) == letters[j - 2].direct)
-    if j < d and g._glue_labels[j - 1] == k and (j in indices) != (j + 1 in indices):
+            n_minus = int(indices >> j - 1 & 1 == letters[j - 2].direct)
+    if j < d and g._glue_labels[j - 1] == k and (indices >> j ^ indices >> j + 1) & 1:
         plain += 1
     for side, ccw in (g._end_sides or _end_sides(g))[j - 1]:
         if side == k:
-            plain += (j in indices) == ccw
+            plain += indices >> j & 1 == ccw
     return n_plus + n_minus + plain, n_plus, n_minus
 
 
-def _windows(j: int) -> tuple:
-    """The eight index sets among j-1, j, j+1: pattern bit b selects j-1+b."""
-    low, mid, high = frozenset((j - 1,)), frozenset((j,)), frozenset((j + 1,))
-    pair = low | mid
-    return frozenset(), low, mid, pair, high, low | high, mid | high, pair | high
+def _windows(j: int, d: int) -> tuple:
+    """The eight index sets among j-1, j, j+1 inside 1..d: pattern bit b
+    selects j-1+b.  n_module never reads position 0 or d + 1, so a pattern
+    naming one of them counts as the same pattern without it."""
+    inside = (2 << d) - 2
+    return tuple([pattern << j - 1 & inside for pattern in range(8)])
 
 
 def _window_counts(g: SnakeGraph) -> tuple:
@@ -233,21 +237,10 @@ def _window_counts(g: SnakeGraph) -> tuple:
     for p, sides in enumerate(_end_sides(g)):
         # the arcs whose row can be nonzero at position p + 1
         live = {k for k, _ in sides}.union(g._glue_labels[p : p + 1], arcs[p : p + 1] if d > 1 else ())
-        windows = _windows(p + 1)
+        windows = _windows(p + 1, d)
         for k in live & table.keys():
             table[k][p] = tuple([n_module(g, k, p + 1, N) for N in windows])
     return table, crossings
-
-
-def _index_mask(g: SnakeGraph, indices: frozenset) -> int:
-    """The index set as an int with bit j set for each position j; a
-    position outside 1..d is an UnmatchedCase."""
-    mask, d = 0, g.d
-    for j in indices:
-        if not 1 <= j <= d:
-            raise UnmatchedCase(f"index set {sorted(indices)} has a position outside 1..{d}")
-        mask |= 1 << j
-    return mask
 
 
 @lru_cache(maxsize=256)
@@ -294,9 +287,9 @@ def _window_bytes(g: SnakeGraph) -> tuple:
     return g._window_bytes
 
 
-def _omega_prime_rows(g: SnakeGraph, sets: list) -> list:
+def _omega_prime_rows(g: SnakeGraph, masks: list) -> None:
     """omega_prime at every position for every given index set at once,
-    stored on the graph; returns the sets' masks in order.
+    stored on the graph by mask.
 
     Each set is one fixed-width lane of a Python int.  The window patterns
     of all sets at an index are the low bytes of the packed masks shifted by
@@ -306,7 +299,6 @@ def _omega_prime_rows(g: SnakeGraph, sets: list) -> list:
     exact, and half a lane added to every lane makes each one nonnegative
     for the sign selection and the decode.
     """
-    masks = [_index_mask(g, N) for N in sets]
     width, arcs = _window_bytes(g)
     d, count = g.d, len(masks)
     # Mask lanes hold bits 0..d+1, so each index's window j-1, j, j+1 (bits
@@ -336,11 +328,10 @@ def _omega_prime_rows(g: SnakeGraph, sets: list) -> list:
             if _BIG_ENDIAN:
                 column.byteswap()
             columns[p] = column
-    g._omega_prime_rows.update(zip(sets, zip(*columns)))
-    return masks
+    g._omega_prime_rows.update(zip(masks, zip(*columns)))
 
 
-def omega_prime(g: SnakeGraph, j: int, indices) -> int:
+def omega_prime(g: SnakeGraph, j: int, indices: int) -> int:
     """Word-side form of the twist increment at position j.
 
     Equals sign * (N_plus - M_plus - N_minus + M_minus) for the arc k
@@ -350,9 +341,9 @@ def omega_prime(g: SnakeGraph, j: int, indices) -> int:
     """
     if not 1 <= j <= g.d:
         raise UnmatchedCase(f"position {j} outside 1..{g.d}")
-    indices = frozenset(indices)
     row = g._omega_prime_rows.get(indices)
     if row is None:
+        check_positions(indices, g.d)
         _omega_prime_rows(g, [indices])
         row = g._omega_prime_rows[indices]
     return row[j - 1]
@@ -365,10 +356,9 @@ def valuation_v_gamma(g: SnakeGraph) -> dict:
     smallest first, starting from the empty set at 0: each set N takes
     values[N - {j}] - omega_prime(j, N - {j}) from every canonical set
     one position smaller, each step checked from both of its ends and
-    all of N's steps checked to agree.  The table keeps that order.
-    The omega_prime rows of all the sets are filled before the pass,
-    which keys the sets it has valued by their masks, so N's subsets
-    are found by clearing one bit.
+    all of N's steps checked to agree.  The table is keyed by mask and
+    keeps that order.  The omega_prime rows of all the sets are filled
+    before the pass, and N's subsets are found by clearing one bit.
 
     Every nonempty canonical set has such a subset, so the smaller sets
     are all in the table when N is reached.  A run of one position can
@@ -379,16 +369,17 @@ def valuation_v_gamma(g: SnakeGraph) -> dict:
     letter i + 1, and the position i + 1 between them can go: the run
     closes at i and reopens at i + 2.
     """
-    values, by_mask = {}, {}
+    values = {}
     sets = canonical_submodules(g)
-    for N, mask in zip(sets, _omega_prime_rows(g, sets)):
-        found = None if mask else 0
-        rest = mask
+    _omega_prime_rows(g, sets)
+    for N in sets:
+        found = None if N else 0
+        rest = N
         while rest:
             bit = rest & -rest  # the positions of N in increasing order
             rest ^= bit
-            smaller = by_mask.get(mask ^ bit)
-            if smaller is None:
+            smaller = N ^ bit
+            if smaller not in values:
                 continue
             j = bit.bit_length() - 1
             step = omega_prime(g, j, smaller)
@@ -404,13 +395,12 @@ def valuation_v_gamma(g: SnakeGraph) -> dict:
                 raise InconsistentValuation(f"index step at {j} gives {here}, stored {found}")
         if found is None:
             raise UnreachableSubmodule(
-                f"no canonical index set one position smaller than {sorted(N)}"
+                f"no canonical index set one position smaller than {positions(N)}"
             )
         values[N] = found
-        by_mask[mask] = N
-    full = frozenset(range(1, g.d + 1))
+    full = (2 << g.d) - 2
     if full not in values:
-        raise UnreachableSubmodule(f"the full index set {sorted(full)} was not generated")
+        raise UnreachableSubmodule(f"the full index set {positions(full)} was not generated")
     if values[full] != 0:
         raise InconsistentValuation(f"full index set has valuation {values[full]}, want 0")
     return values
@@ -419,7 +409,7 @@ def valuation_v_gamma(g: SnakeGraph) -> dict:
 def compare_valuations(g: SnakeGraph) -> dict:
     """v on matchings vs the word-side valuation, matched through the bijection.
 
-    The agreed table (index set -> valuation) is kept on the graph; a
+    The agreed table (index set mask -> valuation) is kept on the graph; a
     disagreement raises and keeps nothing.  The two tables must also
     hold the same index sets: a matching's set with no word-side value,
     or a word-side set no matching reaches, is a BijectionViolation.
@@ -437,11 +427,11 @@ def compare_valuations(g: SnakeGraph) -> dict:
             word_val = v_word.get(indices)
             if word_val is None:
                 raise BijectionViolation(
-                    f"matched index set {sorted(indices)} has no word-side valuation"
+                    f"matched index set {positions(indices)} has no word-side valuation"
                 )
             if word_val != val:
                 raise InconsistentValuation(
-                    f"valuations disagree on {sorted(indices)}: {val} vs {word_val}"
+                    f"valuations disagree on {positions(indices)}: {val} vs {word_val}"
                 )
             table[indices] = val
         if len(table) != len(v_word):

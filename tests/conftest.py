@@ -77,6 +77,20 @@ def m_pm(g, s, tau):
     return diagonals[:slot].count(tau), diagonals[slot + 1 :].count(tau)
 
 
+def mask_of(positions) -> int:
+    """An index set as qcluster holds it: bit j set for each position j.
+    A negative position has no bit, so it raises ValueError."""
+    mask = 0
+    for j in positions:
+        mask |= 1 << j
+    return mask
+
+
+def positions_of(mask: int) -> list:
+    """The sorted positions of an index-set mask."""
+    return [j for j in range(mask.bit_length()) if mask >> j & 1]
+
+
 def write_malformed(path, content):
     """Put ``content`` at ``path``: text, raw bytes, or (None) a directory."""
     if content is None:

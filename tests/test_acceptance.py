@@ -40,8 +40,8 @@ from qcluster.strings import (
     dimension_vector,
     enumerate_canonical_submodules,
     enumerate_strings,
-    trivial_word,
 )
+from qcluster.strings import _trivial_word as trivial_word
 from qcluster.surface import b_matrix
 from qcluster.torus import (
     CompatiblePair,
@@ -59,7 +59,7 @@ from qcluster.valuation import (
     valuation_v_gamma,
 )
 
-from conftest import m_pm, make_word
+from conftest import m_pm, make_word, mask_of
 from test_expansion import oracle_compare
 from test_snake import submodule_to_matching
 from test_valuation import big_counts, n_pm
@@ -275,10 +275,10 @@ def test_criterion_08_weighted_matching_series_of_the_annulus_families(
         assert recursion_checks(build_weighted(annulus, s, "G")) == []
     for s in (1, 2, 3):
         vg = valuation_v_gamma(label_snake(family_word(annulus, s, "G"), annulus))
-        assert vg[frozenset({2 * s, 2 * s + 1})] == 1
+        assert vg[mask_of({2 * s, 2 * s + 1})] == 1
     for s in (2, 3, 4):
         vh = valuation_v_gamma(label_snake(family_word(annulus, s, "H"), annulus))
-        assert vh[frozenset({2 * s})] == s - 1
+        assert vh[mask_of({2 * s})] == s - 1
     for s in range(1, 5):
         for family in ("G", "H"):
             assert r_s(annulus, s, seeds["annulus"], family) == quantum_expansion(

@@ -22,10 +22,11 @@ from qcluster.cli import main
 from qcluster.errors import InvalidString, NotComposable, UnreachableSubmodule
 from qcluster.expansion import ExpansionTerm
 from qcluster.snake import enumerate_matchings, label_snake
-from qcluster.strings import enumerate_strings, parse_string, trivial_word
+from qcluster.strings import _trivial_word as trivial_word
+from qcluster.strings import enumerate_strings, parse_string
 from qcluster.torus import QCoefficient, TorusElement
 
-from conftest import ANNULUS_21, write_malformed
+from conftest import ANNULUS_21, mask_of, positions_of, write_malformed
 from test_surface import random_polygon
 
 
@@ -796,12 +797,17 @@ def test_the_structured_writer_on_empty_and_boolean_containers():
         assert cli._json(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
+def term_dict(term) -> dict:
+    """The dict a term row encodes: its fields, the index set as sorted positions."""
+    return dict(term._asdict(), indices=positions_of(term.indices))
+
+
 BIG_INTS = st.integers() | st.integers(min_value=2**64).flatmap(lambda n: st.sampled_from([n, -n]))
 INT_TUPLES = st.lists(BIG_INTS, max_size=3).map(tuple)
 TERMS = st.lists(
     st.builds(
         ExpansionTerm,
-        indices=st.lists(st.integers(1, 40), max_size=3, unique=True).map(lambda xs: tuple(sorted(xs))),
+        indices=st.lists(st.integers(1, 40), max_size=3, unique=True).map(mask_of),
         dim=INT_TUPLES,
         valuation=BIG_INTS,
         exponent=INT_TUPLES,
@@ -811,10 +817,10 @@ TERMS = st.lists(
 
 
 @given(TERMS)
-@example((ExpansionTerm((), (), 0, ()), ExpansionTerm((3,), (-1,), -2**70, (2**64, -5, 0))))
+@example((ExpansionTerm(mask_of(()), (), 0, ()), ExpansionTerm(mask_of((3,)), (-1,), -2**70, (2**64, -5, 0))))
 def test_the_term_rows_equal_the_stdlib_encoding_of_their_dicts(terms):
     nested = {"string": "1", "element": [], "terms": terms}
-    as_dicts = dict(nested, terms=[term._asdict() for term in terms])
+    as_dicts = dict(nested, terms=[term_dict(term) for term in terms])
     assert cli._json(nested) == json.dumps(as_dicts, indent=2, sort_keys=True)
 
 
@@ -822,7 +828,7 @@ def test_the_term_rows_equal_the_stdlib_encoding_of_their_dicts(terms):
 # of one row is often the exponent of another.
 SHARED_TUPLES = st.lists(INT_TUPLES, min_size=1, max_size=3, unique=True).flatmap(
     lambda pool: st.lists(
-        st.builds(ExpansionTerm, indices=st.just((1,)), dim=st.sampled_from(pool), valuation=BIG_INTS, exponent=st.sampled_from(pool)),
+        st.builds(ExpansionTerm, indices=st.just(mask_of((1,))), dim=st.sampled_from(pool), valuation=BIG_INTS, exponent=st.sampled_from(pool)),
         max_size=6,
     ).map(tuple)
 )
@@ -831,15 +837,15 @@ SHARED_TUPLES = st.lists(INT_TUPLES, min_size=1, max_size=3, unique=True).flatma
 @given(SHARED_TUPLES)
 @example(
     (
-        ExpansionTerm((1,), (1, 0), 2, (0, 1)),
-        ExpansionTerm((2,), (1, 0), 1, (1, 0)),
-        ExpansionTerm((1, 2), (0, 1), 0, (2**64, -1)),
-        ExpansionTerm((1, 3), (), -1, (0, 1)),
+        ExpansionTerm(mask_of((1,)), (1, 0), 2, (0, 1)),
+        ExpansionTerm(mask_of((2,)), (1, 0), 1, (1, 0)),
+        ExpansionTerm(mask_of((1, 2)), (0, 1), 0, (2**64, -1)),
+        ExpansionTerm(mask_of((1, 3)), (), -1, (0, 1)),
     )
 )
 def test_term_rows_that_share_a_list_equal_the_stdlib_encoding(terms):
     nested = {"string": "1", "terms": terms}
-    as_dicts = dict(nested, terms=[term._asdict() for term in terms])
+    as_dicts = dict(nested, terms=[term_dict(term) for term in terms])
     assert cli._json(nested) == json.dumps(as_dicts, indent=2, sort_keys=True)
 
 

@@ -25,12 +25,13 @@ from qcluster.snake import (
     matching_to_submodule,
     minimal_matching,
 )
-from qcluster.strings import StringWord, dimension_vector, enumerate_strings, trivial_word
+from qcluster.strings import StringWord, dimension_vector, enumerate_strings
+from qcluster.strings import _trivial_word as trivial_word
 from qcluster.surface import Triangulation, b_matrix, build_quiver, load_surface, pair_from_surface
 from qcluster.torus import CompatiblePair, QCoefficient, TorusElement, bar
 from qcluster.valuation import compare_valuations
 
-from conftest import ANNULUS_21, SURFACES, make_word
+from conftest import ANNULUS_21, SURFACES, make_word, mask_of, positions_of
 
 
 def element(rank, rows):
@@ -53,7 +54,7 @@ def test_double_crossing_expansion_is_frozen(annulus, seeds, g1_word):
 
 def test_double_crossing_term_table(annulus, seeds, g1_word):
     res = quantum_expansion(g1_word, annulus, seeds["annulus"])
-    table = {term.indices: (term.dim, term.valuation, term.exponent) for term in res.terms}
+    table = {tuple(positions_of(term.indices)): (term.dim, term.valuation, term.exponent) for term in res.terms}
     assert table == {
         (): ((0, 0), 0, (0, -1, 1, 1)),
         (2,): ((0, 1), 0, (-2, -1, 2, 2)),
@@ -66,11 +67,11 @@ def test_double_crossing_term_table(annulus, seeds, g1_word):
 def test_an_expansion_term_is_a_value_type(annulus, seeds):
     res = quantum_expansion(family_word(annulus, 3, "G"), annulus, seeds["annulus"])
     assert type(res.terms) is tuple and {*map(type, res.terms)} == {ExpansionTerm}
-    keys = [(len(term.indices), term.indices) for term in res.terms]
+    keys = [(len(positions_of(term.indices)), positions_of(term.indices)) for term in res.terms]
     assert all(a < b for a, b in zip(keys, keys[1:]))  # (size, indices) order, no ties
-    term = ExpansionTerm(indices=(1, 2), dim=(1, 1), valuation=-1, exponent=(-2, 1, 1, 1))
-    same = ExpansionTerm((1, 2), (1, 1), -1, (-2, 1, 1, 1))
-    assert term == same == ((1, 2), (1, 1), -1, (-2, 1, 1, 1))
+    term = ExpansionTerm(indices=mask_of((1, 2)), dim=(1, 1), valuation=-1, exponent=(-2, 1, 1, 1))
+    same = ExpansionTerm(mask_of((1, 2)), (1, 1), -1, (-2, 1, 1, 1))
+    assert term == same == (mask_of((1, 2)), (1, 1), -1, (-2, 1, 1, 1))
     assert hash(term) == hash(same) and len({term, same}) == 1
     assert term != same._replace(valuation=1)
     assert term._fields == ("indices", "dim", "valuation", "exponent")
@@ -247,19 +248,19 @@ def reference_graph_expansion(g, seed):
         xs = tuple(a + c for a, c in zip(base_x, shift))
         if xs != xp:
             raise InconsistentValuation(
-                f"exponent mismatch on {sorted(indices)}: weights give {xp}, "
+                f"exponent mismatch on {positions_of(indices)}: weights give {xp}, "
                 f"dimension vector gives {xs}"
             )
         by_matching = by_matching + TorusElement.monomial(xp, q_twice=d * values[indices])
         terms.append(
             ExpansionTerm(
-                indices=tuple(sorted(indices)),
+                indices=indices,
                 dim=dim,
                 valuation=values[indices],
                 exponent=xp,
             )
         )
-    terms.sort(key=lambda term: (len(term.indices), term.indices))
+    terms.sort(key=lambda term: (len(positions_of(term.indices)), positions_of(term.indices)))
     return ExpansionResult(word=w, element=by_matching, terms=tuple(terms), denominator=cross)
 
 
@@ -301,9 +302,9 @@ def test_an_exponent_the_dimension_vector_does_not_give_is_inconsistent(annulus,
 def test_term_rows_take_the_canonical_generator_order(annulus, seeds):
     g = label_snake(family_word(annulus, 3, "G"), annulus)
     terms = graph_expansion(g, seeds["annulus"]).terms
-    assert [frozenset(term.indices) for term in terms] == canonical_submodules(g)
+    assert [term.indices for term in terms] == canonical_submodules(g)
     # a second matching on one index set leaves the rows one slot short
-    g._image = {**bijection_image(g), -1: frozenset()}
+    g._image = {**bijection_image(g), -1: mask_of(())}
     with pytest.raises(BijectionViolation, match="^matching-to-submodule map is not injective$"):
         graph_expansion(g, seeds["annulus"])
 

@@ -226,11 +226,12 @@ def exports_without_a_caller(module: str, sources: dict, readme: str) -> list:
     return [name for name in _export_list(ast.parse(sources[module])) if name not in named]
 
 
-def test_every_torus_export_has_a_caller_outside_the_tests():
+@pytest.mark.parametrize("module", ["torus", "snake", "strings", "valuation", "kronecker"])
+def test_every_export_has_a_caller_outside_the_tests(module):
     root = Path(__file__).resolve().parents[1]
     sources = {path.stem: path.read_text() for path in MODULES}
     sources.update({str(path): path.read_text() for path in sorted((root / "bench").rglob("*.py"))})
-    assert exports_without_a_caller("torus", sources, (root / "README.md").read_text()) == []
+    assert exports_without_a_caller(module, sources, (root / "README.md").read_text()) == []
 
 
 def test_the_check_sees_an_export_without_a_caller():
@@ -244,6 +245,31 @@ def test_the_package_exports_exactly_the_module_export_lists():
     modules = {path.stem for path in MODULES}
     public = {name for name in vars(qcluster) if not name.startswith("_")} - modules
     assert public == listed
+
+
+def declared_floor(pyproject: str) -> tuple:
+    """The (major, minor) of pyproject.toml's requires-python lower bound."""
+    major, minor = re.search(r'requires-python\s*=\s*">=\s*(\d+)\.(\d+)', pyproject).groups()
+    return int(major), int(minor)
+
+
+def test_every_python_file_parses_at_the_declared_floor():
+    """Every .py file under src/, tests/ and bench/ parses with the grammar of
+    the oldest Python that pyproject.toml accepts, which CI runs on."""
+    root = Path(__file__).resolve().parents[1]
+    floor = declared_floor((root / "pyproject.toml").read_text())
+    assert floor == (3, 10)
+    paths = [path for folder in ("src", "tests", "bench") for path in sorted((root / folder).rglob("*.py"))]
+    assert len(paths) > 30
+    for path in paths:
+        ast.parse(path.read_text(), filename=str(path), feature_version=floor)
+
+
+def test_the_floor_check_sees_newer_syntax():
+    assert declared_floor('requires-python = ">=3.10"\n') == (3, 10)
+    for source in ("try:\n    pass\nexcept* ValueError:\n    pass\n", "def f[T](x: T):\n    pass\n"):
+        with pytest.raises(SyntaxError):
+            ast.parse(source, feature_version=(3, 10))
 
 
 def test_the_command_line_loads_no_worker_pool():

@@ -9,8 +9,8 @@ import pytest
 from qcluster import kronecker
 from qcluster.errors import UnmatchedCase
 from qcluster.expansion import quantum_expansion, uniform_d, x_of_matching
+from qcluster.kronecker import _alpha_of_set as alpha_of_set
 from qcluster.kronecker import (
-    alpha_of_set,
     build_weighted,
     equality_check,
     family_word,
@@ -24,9 +24,12 @@ from qcluster.snake import (
     maximal_matching,
     minimal_matching,
 )
-from qcluster.strings import dimension_vector, trivial_word
+from qcluster.strings import _trivial_word as trivial_word
+from qcluster.strings import dimension_vector
 from qcluster.torus import QCoefficient, TorusElement
 from qcluster.valuation import valuation_v, valuation_v_gamma
+
+from conftest import mask_of, positions_of
 
 
 def element(rank, rows):
@@ -52,7 +55,7 @@ def test_alpha_weights_are_frozen(annulus):
 
 def test_alpha_table_of_the_even_family(annulus):
     ws = build_weighted(annulus, 2, "H")
-    assert ws.tables[0] == {
+    assert {frozenset(positions_of(N)): a for N, a in ws.tables[0].items()} == {
         frozenset(): 0,
         frozenset({2}): 1,
         frozenset({4}): -1,
@@ -62,7 +65,7 @@ def test_alpha_table_of_the_even_family(annulus):
         frozenset({2, 3, 4}): 1,
         frozenset({1, 2, 3, 4}): 0,
     }
-    assert alpha_of_set(ws, {2, 3, 4}) == 1
+    assert alpha_of_set(ws, mask_of({2, 3, 4})) == 1
 
 
 def test_alpha_matches_valuation_per_dimension(annulus):
@@ -108,11 +111,11 @@ def test_anchor_valuations(annulus):
     # the final two tiles of the odd family always carry valuation one
     for s in (1, 2, 3):
         vg = valuation_v_gamma(label_snake(family_word(annulus, s, "G"), annulus))
-        assert vg[frozenset({2 * s, 2 * s + 1})] == 1
+        assert vg[mask_of({2 * s, 2 * s + 1})] == 1
     # the last tile of the even family carries one less than the level
     for s in (2, 3, 4):
         vh = valuation_v_gamma(label_snake(family_word(annulus, s, "H"), annulus))
-        assert vh[frozenset({2 * s})] == s - 1
+        assert vh[mask_of({2 * s})] == s - 1
 
 
 def test_weighted_series_of_the_odd_family_is_frozen(annulus, seeds):
@@ -204,10 +207,16 @@ def reference_equality_check(ws):
     )
 
 
+def position_tables(level):
+    """A weighted snake's (alpha, valuation) tables keyed by position sets."""
+    return tuple({frozenset(positions_of(N)): x for N, x in table.items()} for table in level.tables)
+
+
 def reference_recursion_checks(ws):
     """The recursion checks as written before the rule table: each
-    recursion twice, once for alpha and once for v.  Levels are built
-    through kronecker.build_weighted, as the checks under test build them."""
+    recursion twice, once for alpha and once for v, over position sets.
+    Levels are built through kronecker.build_weighted, as the checks under
+    test build them."""
     build_weighted = kronecker.build_weighted
     s = ws.s
     if s < 1:
@@ -215,16 +224,16 @@ def reference_recursion_checks(ws):
     t = ws.graph.triangulation
     other = build_weighted(t, s, "H" if ws.family == "G" else "G")
     g_s, h_s = (ws, other) if ws.family == "G" else (other, ws)
-    a_gs, v_gs = g_s.tables
-    a_hs, v_hs = h_s.tables
-    a_gp, v_gp = build_weighted(t, s - 1, "G").tables
+    a_gs, v_gs = position_tables(g_s)
+    a_hs, v_hs = position_tables(h_s)
+    a_gp, v_gp = position_tables(build_weighted(t, s - 1, "G"))
     if s >= 2:
-        a_hp, v_hp = build_weighted(t, s - 1, "H").tables
+        a_hp, v_hp = position_tables(build_weighted(t, s - 1, "H"))
     failures = []
 
     last_g = 2 * s + 1
     for indices in a_gs:
-        u, w_count = dimension_vector(g_s.graph.word, indices, n=2)
+        u, w_count = dimension_vector(g_s.graph.word, mask_of(indices), n=2)
         if last_g not in indices:
             # same set inside the one-tile-shorter family
             if indices not in a_hs:
@@ -252,7 +261,7 @@ def reference_recursion_checks(ws):
 
     last_h = 2 * s
     for indices in a_hs:
-        u, w_count = dimension_vector(h_s.graph.word, indices, n=2)
+        u, w_count = dimension_vector(h_s.graph.word, mask_of(indices), n=2)
         if last_h in indices:
             smaller = frozenset(indices - {last_h})
             if smaller not in a_gp:
@@ -308,7 +317,7 @@ def corrupted(ws, rng):
         elif edit == "value" and sets:
             values[rng.choice(sets)] += rng.choice((-1, 1))
         elif edit == "add":
-            N = frozenset(j for j in range(1, ws.graph.d + 1) if rng.random() < 0.5)
+            N = mask_of(j for j in range(1, ws.graph.d + 1) if rng.random() < 0.5)
             alphas[N], values[N] = rng.randint(-3, 3), rng.randint(-3, 3)
     copy = replace(ws)
     copy.__dict__["tables"] = (alphas, values)

@@ -13,6 +13,7 @@ before one pass over the tiles built the tables.
 from __future__ import annotations
 
 import sys
+from bisect import bisect_left
 from collections import deque
 from pathlib import Path
 from unittest.mock import patch
@@ -45,7 +46,7 @@ from qcluster.valuation import (
     valuation_v_gamma,
 )
 
-from conftest import ANNULUS_21, SURFACES, WHEEL3, m_pm
+from conftest import ANNULUS_21, SURFACES, WHEEL3, m_pm, mask_of, positions_of
 from test_strings import ANNULUS_31
 from test_valuation_kernels import (
     every_string,
@@ -192,7 +193,8 @@ def _toggle_keeps_canonical(w, N, j):
 
 def reference_valuation_v_gamma(g):
     """The breadth-first containment walk that evaluated every step from
-    both endpoints, deciding each toggle by _toggle_keeps_canonical."""
+    both endpoints, deciding each toggle by _toggle_keeps_canonical.  It
+    walks position sets, and its table is keyed by their masks."""
     d = g.d
     values = {frozenset(): 0}
     queue = deque([frozenset()])
@@ -205,8 +207,8 @@ def reference_valuation_v_gamma(g):
                 bigger, smaller = N, N - {j}
             else:
                 bigger, smaller = N | {j}, N
-            step = omega_prime(g, j, smaller)
-            back = omega_prime(g, j, bigger)
+            step = omega_prime(g, j, mask_of(smaller))
+            back = omega_prime(g, j, mask_of(bigger))
             if step != -back:
                 raise InconsistentValuation(f"asymmetric step at position {j}: {step} vs -({back})")
             other = bigger if N == smaller else smaller
@@ -219,7 +221,7 @@ def reference_valuation_v_gamma(g):
             else:
                 values[other] = val
                 queue.append(other)
-    canonical = set(enumerate_canonical_submodules(g.word))
+    canonical = {frozenset(positions_of(N)) for N in enumerate_canonical_submodules(g.word)}
     if set(values) != canonical:
         raise UnreachableSubmodule(
             f"single-index steps reach {len(values)} of {len(canonical)} index sets"
@@ -227,7 +229,7 @@ def reference_valuation_v_gamma(g):
     full = frozenset(range(1, d + 1))
     if values[full] != 0:
         raise InconsistentValuation(f"full index set has valuation {values[full]}, want 0")
-    return values
+    return {mask_of(N): value for N, value in values.items()}
 
 
 # -- the graph's tables as built through the per-edge queries ---------------
@@ -334,10 +336,10 @@ def reference_terms(g):
     (size, sorted indices)."""
     values, rows = compare_valuations(g), []
     for P, indices in bijection_image(g).items():
-        key = tuple(sorted(indices))
+        key = tuple(positions_of(indices))
         dim = dimension_vector(g.word, indices, n=g.triangulation.n)
-        rows.append((len(key), key, dim, values[indices], x_of_matching(g, P)))
-    return tuple((key, dim, v, xp) for _, key, dim, v, xp in sorted(rows))
+        rows.append((len(key), key, indices, dim, values[indices], x_of_matching(g, P)))
+    return tuple((indices, dim, v, xp) for _, _, indices, dim, v, xp in sorted(rows))
 
 
 def point_coordinates(g, ends):
@@ -405,6 +407,47 @@ def test_the_one_pass_tables_equal_the_per_edge_construction(surfaces):
     assert (graphs, failed) == (97, 10)
 
 
+# -- the generator's order against the tuple generator ----------------------
+
+
+def reference_canonical_index_sets(w):
+    """Every index set whose runs satisfy the run conditions, as sorted tuples,
+    in the (size, sorted tuple) order: the generator before index sets became
+    masks.  A run may open at p when p = 1 or letter p-1 is direct, and close
+    at p when p = d or letter p is inverse; the next run opens two or more
+    positions after the close."""
+    d = w.d
+    opens = [p for p in range(1, d + 1) if p == 1 or w.letters[p - 2].direct]
+    closes = [p for p in range(1, d + 1) if p == d or not w.letters[p - 1].direct]
+    found = []
+    stack = [((), 1)]
+    while stack:
+        prefix, start = stack.pop()
+        found.append(prefix)
+        for a in opens[bisect_left(opens, start) :]:
+            for b in closes[bisect_left(closes, a) :]:
+                stack.append((prefix + tuple(range(a, b + 1)), b + 2))
+    return sorted(found, key=lambda c: (len(c), c))
+
+
+def test_the_mask_generator_lists_the_tuple_generators_sets_in_order(surfaces):
+    """Every string of at most 7 vertices on the bundled surfaces, ANNULUS_21,
+    ANNULUS_31 and WHEEL3; then G_1..G_9 and H_1..H_9, whose masks span two
+    bytes from d = 8 on, where a bit-reversed sort key meets the byte order."""
+    corpus = [surfaces[name] for name in SURFACES] + [load_surface(d) for d in (ANNULUS_21, ANNULUS_31, WHEEL3)]
+    words = [w for t in corpus for w in every_string(build_quiver(t), 7)]
+    annulus = surfaces["annulus"]
+    words += [family_word(annulus, s, family) for family in "GH" for s in range(1, 10)]
+    sets = 0
+    for w in words:
+        got = enumerate_canonical_submodules(w)
+        assert [tuple(positions_of(N)) for N in got] == reference_canonical_index_sets(w), str(w)
+        assert got == [mask_of(c) for c in reference_canonical_index_sets(w)]
+        sets += len(got)
+    assert (len(words), max(w.d for w in words)) == (115, 19)
+    assert sets > 10000
+
+
 # -- the corpus ------------------------------------------------------------
 
 
@@ -440,7 +483,7 @@ def test_mask_twists_enclosures_and_valuations_equal_the_frozenset_forms(mask_co
         assert valuation_v_gamma(g) == reference_valuation_v_gamma(g), str(w)
         for P in enumerate_matchings(g):
             edges = g.edges(P)
-            assert enclosed_tiles(g, P) == reference_enclosed_tiles(g, edges)
+            assert enclosed_tiles(g, P) == mask_of(reference_enclosed_tiles(g, edges))
             for s in range(1, g.d + 1):
                 pairs = reference_twist_pairs(g, edges, s)
                 assert can_twist(g, P, s) == (pairs is not None)

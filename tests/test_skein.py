@@ -10,7 +10,7 @@ from qcluster.skein_mult import (
     multiply_and_certify,
     relative_exponent_check,
 )
-from qcluster.strings import trivial_word
+from qcluster.strings import _trivial_word as trivial_word
 from qcluster.torus import QCoefficient, TorusElement, torus_mul
 
 from conftest import ANNULUS_21, HEPTAGON_WITH_A_CYCLE, WHEEL3, make_word

@@ -27,30 +27,29 @@ from qcluster.snake import (
     matching_to_submodule,
     maximal_matching,
     minimal_matching,
-    snake_shape,
     twist,
 )
+from qcluster.snake import _snake_shape as snake_shape
 from qcluster.strings import (
     Letter,
     StringWord,
     enumerate_canonical_submodules,
     enumerate_strings,
     parse_string,
-    trivial_word,
 )
+from qcluster.strings import _trivial_word as trivial_word
 
 from qcluster.surface import Triangulation, build_quiver, load_surface
 
-from conftest import ANNULUS_21, WHEEL3, make_word
+from conftest import ANNULUS_21, WHEEL3, make_word, mask_of, positions_of
 
 
-def submodule_to_matching(g, indices: frozenset) -> int:
+def submodule_to_matching(g, indices: int) -> int:
     """Inverse of matching_to_submodule, searched in the bijection image."""
-    indices = frozenset(indices)
     found = [P for P, image in snake.bijection_image(g).items() if image == indices]
     if len(found) != 1:
         raise BijectionViolation(
-            f"index set {sorted(indices)} does not match exactly one matching"
+            f"index set {positions_of(indices)} does not match exactly one matching"
         )
     return found[0]
 
@@ -430,11 +429,11 @@ def test_twist_requires_two_parallel_edges(g1_graph):
 
 def test_enclosed_tiles_of_the_double_crossing(g1_graph):
     expected = {
-        frozenset({(1, "W"), (2, "N"), (2, "S"), (3, "E")}): frozenset(),
-        frozenset({(1, "E"), (1, "W"), (2, "E"), (3, "E")}): frozenset({2}),
-        frozenset({(1, "E"), (1, "W"), (3, "N"), (3, "S")}): frozenset({2, 3}),
-        frozenset({(1, "N"), (1, "S"), (2, "E"), (3, "E")}): frozenset({1, 2}),
-        frozenset({(1, "N"), (1, "S"), (3, "N"), (3, "S")}): frozenset({1, 2, 3}),
+        frozenset({(1, "W"), (2, "N"), (2, "S"), (3, "E")}): mask_of(()),
+        frozenset({(1, "E"), (1, "W"), (2, "E"), (3, "E")}): mask_of({2}),
+        frozenset({(1, "E"), (1, "W"), (3, "N"), (3, "S")}): mask_of({2, 3}),
+        frozenset({(1, "N"), (1, "S"), (2, "E"), (3, "E")}): mask_of({1, 2}),
+        frozenset({(1, "N"), (1, "S"), (3, "N"), (3, "S")}): mask_of({1, 2, 3}),
     }
     got = {g1_graph.edges(P): enclosed_tiles(g1_graph, P) for P in enumerate_matchings(g1_graph)}
     assert got == expected
@@ -467,7 +466,7 @@ def test_the_row_walk_encloses_the_tiles_the_rays_do(quivers, surfaces, annulus)
     checked = 0
     for g in graphs:
         for P in enumerate_matchings(g):
-            assert enclosed_tiles(g, P) == ray_cast_enclosed_tiles(g, P)
+            assert enclosed_tiles(g, P) == mask_of(ray_cast_enclosed_tiles(g, P))
             checked += 1
     assert checked > 4000
 
@@ -487,8 +486,8 @@ def test_a_set_that_is_not_a_perfect_matching_has_no_submodule(g1_graph):
 
 def test_bijection_table_of_the_double_crossing(g1_graph):
     table = {g1_graph.edges(P): N for P, N in check_bijection(g1_graph).items()}
-    assert table[frozenset({(1, "W"), (2, "N"), (2, "S"), (3, "E")})] == frozenset()
-    assert table[frozenset({(1, "N"), (1, "S"), (3, "N"), (3, "S")})] == frozenset(
+    assert table[frozenset({(1, "W"), (2, "N"), (2, "S"), (3, "E")})] == mask_of(())
+    assert table[frozenset({(1, "N"), (1, "S"), (3, "N"), (3, "S")})] == mask_of(
         {1, 2, 3}
     )
     assert len(table) == 5

@@ -23,14 +23,19 @@ from qcluster.strings import (
     enumerate_canonical_submodules,
     enumerate_strings,
     is_canonical_submodule,
-    is_valid_string,
-    trivial_word,
     validate_string,
 )
+from qcluster.strings import _is_valid_string as is_valid_string
+from qcluster.strings import _trivial_word as trivial_word
 from qcluster.kronecker import family_word
 from qcluster.surface import build_quiver, load_surface
 
-from conftest import ANNULUS_21, HEPTAGON_WITH_A_CYCLE, SURFACES, WHEEL3, make_word
+from conftest import ANNULUS_21, HEPTAGON_WITH_A_CYCLE, SURFACES, WHEEL3, make_word, mask_of, positions_of
+
+
+def position_sets(masks) -> set:
+    """Index-set masks as frozensets of their positions."""
+    return {frozenset(positions_of(N)) for N in masks}
 
 
 def test_trivial_word_is_a_lone_vertex():
@@ -86,7 +91,7 @@ def test_validate_rejects_paths_through_a_relation():
 
 
 def test_canonical_submodules_of_the_double_crossing(g1_word):
-    got = set(enumerate_canonical_submodules(g1_word))
+    got = position_sets(enumerate_canonical_submodules(g1_word))
     assert got == {
         frozenset(),
         frozenset({2}),
@@ -100,7 +105,7 @@ def test_canonical_submodules_of_the_longer_family_word(quivers):
     w = make_word(
         quivers["annulus"], (1, 2, 1, 2), [("a", True), ("b", False), ("a", True)]
     )
-    got = set(enumerate_canonical_submodules(w))
+    got = position_sets(enumerate_canonical_submodules(w))
     assert got == {
         frozenset(),
         frozenset({2}),
@@ -132,7 +137,7 @@ def closure_oracle(w):
 def test_canonical_sets_agree_with_the_closure_oracle(quivers):
     for name in ("annulus", "pentagon", "hexagon"):
         for w in enumerate_strings(quivers[name], 6):
-            got = set(enumerate_canonical_submodules(w))
+            got = position_sets(enumerate_canonical_submodules(w))
             assert got == closure_oracle(w), w.vertices
 
 
@@ -141,8 +146,8 @@ def scan_canonical_submodules(w):
     found = []
     for r in range(w.d + 1):
         for combo in itertools.combinations(range(1, w.d + 1), r):
-            if is_canonical_submodule(w, combo):
-                found.append(frozenset(combo))
+            if is_canonical_submodule(w, mask_of(combo)):
+                found.append(mask_of(combo))
     return found
 
 
@@ -156,9 +161,10 @@ def test_generated_submodules_equal_the_subset_scan_in_order(surfaces, quivers):
 
 
 def test_a_generated_set_that_breaks_the_run_conditions_is_an_error(monkeypatch, g1_word):
-    # letter 2 is inverse, so a run may not open at position 3
-    monkeypatch.setattr(strings, "_canonical_index_sets", lambda w: [(), (3,)])
-    with pytest.raises(NonCanonicalSubmodule, match=r"\[3\]"):
+    # a check that refuses the generated set {2, 3} names it
+    real = strings.is_canonical_submodule
+    monkeypatch.setattr(strings, "is_canonical_submodule", lambda w, N: N != mask_of({2, 3}) and real(w, N))
+    with pytest.raises(NonCanonicalSubmodule, match=r"^generated index set \[2, 3\] breaks"):
         enumerate_canonical_submodules(g1_word)
 
 
@@ -177,14 +183,18 @@ def test_each_generated_set_is_checked_once(monkeypatch, surfaces):
 def test_is_canonical_submodule_matches_the_enumeration(g1_word):
     members = set(enumerate_canonical_submodules(g1_word))
     for r in range(1 << g1_word.d):
-        s = frozenset(i + 1 for i in range(g1_word.d) if r >> i & 1)
+        s = mask_of(i + 1 for i in range(g1_word.d) if r >> i & 1)
         assert is_canonical_submodule(g1_word, s) == (s in members)
 
 
 @pytest.mark.parametrize("position", [0, -1, 4])
 def test_a_position_outside_the_word_is_not_canonical(g1_word, position):
-    assert not is_canonical_submodule(g1_word, {position})
-    assert not is_canonical_submodule(g1_word, {1, 2, 3, position})
+    if position < 0:  # no bit stands for a negative position, so no mask holds one
+        with pytest.raises(ValueError):
+            mask_of({position})
+        return
+    assert not is_canonical_submodule(g1_word, mask_of({position}))
+    assert not is_canonical_submodule(g1_word, mask_of({1, 2, 3, position}))
 
 
 def truncations(w: StringWord) -> dict:
@@ -263,7 +273,7 @@ def test_the_cut_rule_gives_the_four_drop_functions(corpus_words):
 
 def test_dimension_vector_counts_vertex_visits(g1_word):
     assert dimension_vector(g1_word, n=2) == (2, 1)
-    assert dimension_vector(g1_word, frozenset({2}), n=2) == (0, 1)
+    assert dimension_vector(g1_word, mask_of({2}), n=2) == (0, 1)
     assert dimension_vector(g1_word, None, n=4) == (2, 1, 0, 0)
     # the length is the caller's quiver size, never guessed from the word
     assert dimension_vector(trivial_word(1), n=2) == (1, 0)
@@ -275,8 +285,12 @@ def test_dimension_vector_counts_vertex_visits(g1_word):
 def test_dimension_vector_rejects_a_position_outside_the_word(g1_word, position):
     # G_1 has d = 3; 0 and -1 once wrapped round to the last vertices
     for indices in ({position}, {1, position}):
+        if position < 0:  # no bit stands for a negative position, so no mask holds one
+            with pytest.raises(ValueError):
+                mask_of(indices)
+            continue
         with pytest.raises(UnmatchedCase, match=f"position {position} outside 1..3"):
-            dimension_vector(g1_word, indices, n=2)
+            dimension_vector(g1_word, mask_of(indices), n=2)
 
 
 def test_enumerate_strings_counts_are_frozen(quivers):

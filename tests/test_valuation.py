@@ -43,7 +43,7 @@ from qcluster.valuation import (
     valuation_v_gamma,
 )
 
-from conftest import SURFACES, WHEEL3, m_pm
+from conftest import SURFACES, WHEEL3, m_pm, mask_of, positions_of
 from test_matching_masks import _toggle_keeps_canonical
 from test_snake import submodule_to_matching
 from test_strings import scan_canonical_submodules
@@ -105,7 +105,7 @@ def test_valuation_table_of_the_double_crossing(g1_graph):
 
 def test_module_side_valuation_of_the_double_crossing(g1_graph):
     vg = valuation_v_gamma(g1_graph)
-    assert vg == {
+    assert {frozenset(positions_of(N)): v for N, v in vg.items()} == {
         frozenset(): 0,
         frozenset({2}): 0,
         frozenset({1, 2}): -1,
@@ -116,7 +116,7 @@ def test_module_side_valuation_of_the_double_crossing(g1_graph):
 
 def test_module_side_valuation_of_the_longer_family_word(annulus):
     vg = valuation_v_gamma(label_snake(family_word(annulus, 2, "H"), annulus))
-    assert vg == {
+    assert {frozenset(positions_of(N)): v for N, v in vg.items()} == {
         frozenset(): 0,
         frozenset({2}): -1,
         frozenset({4}): 1,
@@ -228,14 +228,14 @@ def test_big_counts_match_the_edge_scans_at_the_diagonal(quivers, surfaces):
 
 
 def test_big_counts_frozen_sample(annulus, g1_word, g1_graph):
-    assert big_counts(g1_graph, 1, 1, frozenset({2})) == (
+    assert big_counts(g1_graph, 1, 1, mask_of({2})) == (
         0,
         1,
         0,
         0,
     )
     assert m_pm(g1_graph, 1, 1) == (0, 1)
-    P = submodule_to_matching(g1_graph, frozenset({2}))
+    P = submodule_to_matching(g1_graph, mask_of({2}))
     assert n_pm(g1_graph, 1, P, 1) == (0, 0)
 
 
@@ -251,7 +251,7 @@ def test_n_module_reads_an_index_set_only_in_its_window(short_words, surfaces, d
     first = data.draw(st.sets(st.sampled_from(positions)))
     outside = data.draw(st.sets(st.sampled_from(positions)))
     second = (first & window) | (outside - window)
-    assert n_module(g, k, j, first) == n_module(g, k, j, second)
+    assert n_module(g, k, j, mask_of(first)) == n_module(g, k, j, mask_of(second))
 
 
 def test_omega_prime_equals_the_big_counts_at_every_position(short_words, surfaces):
@@ -263,10 +263,10 @@ def test_omega_prime_equals_the_big_counts_at_every_position(short_words, surfac
             for j in range(1, w.d + 1):
                 k = w.vertices[j - 1]
                 m_minus, m_plus, n_minus, n_plus = big_counts(g, k, j, N)
-                sign = 1 if j in N else -1
+                sign = 1 if j in positions_of(N) else -1
                 assert omega_prime(g, j, N) == sign * (
                     n_plus - m_plus - n_minus + m_minus
-                ), (str(w), sorted(N), j)
+                ), (str(w), positions_of(N), j)
                 checked += 1
     assert checked > 500
 
@@ -274,13 +274,17 @@ def test_omega_prime_equals_the_big_counts_at_every_position(short_words, surfac
 def test_omega_prime_rejects_a_position_outside_the_word(g1_graph):
     for j in (0, 4):
         with pytest.raises(UnmatchedCase, match=f"position {j} outside 1..3"):
-            omega_prime(g1_graph, j, frozenset({2}))
+            omega_prime(g1_graph, j, mask_of({2}))
 
 
 @pytest.mark.parametrize("position", [0, -1, 4])
 def test_omega_prime_rejects_an_index_set_outside_the_word(g1_graph, position):
-    with pytest.raises(UnmatchedCase, match="has a position outside 1..3"):
-        omega_prime(g1_graph, 1, frozenset({2, position}))
+    if position < 0:  # no bit stands for a negative position, so no mask holds one
+        with pytest.raises(ValueError):
+            mask_of({2, position})
+        return
+    with pytest.raises(UnmatchedCase, match=f"^position {position} outside 1..3$"):
+        omega_prime(g1_graph, 1, mask_of({2, position}))
 
 
 @pytest.mark.parametrize("j", [0, -1, 4])
@@ -307,7 +311,7 @@ def test_no_glue_edge_follows_the_last_tile(g1_graph):
 def nonzero_window_rows(g):
     """The rows (word arc, position) of the full window table that are nonzero somewhere."""
     return sum(
-        any(n_module(g, k, j, valuation._windows(j)[p]) != (0, 0, 0) for p in range(8))
+        any(n_module(g, k, j, valuation._windows(j, g.d)[p]) != (0, 0, 0) for p in range(8))
         for k in set(g.word.vertices)
         for j in range(1, g.d + 1)
     )
@@ -384,11 +388,11 @@ def test_a_failed_comparison_keeps_no_table(monkeypatch, annulus):
 def test_the_toggle_rule_agrees_with_the_run_conditions(corpus_words):
     steps = 0
     for _, w in corpus_words:
-        for N in enumerate_canonical_submodules(w):
+        for N in map(frozenset, map(positions_of, enumerate_canonical_submodules(w))):
             for j in range(1, w.d + 1):
                 toggled = N ^ {j}
                 keeps = _toggle_keeps_canonical(w, N, j)
-                assert keeps == is_canonical_submodule(w, toggled)
+                assert keeps == is_canonical_submodule(w, mask_of(toggled))
                 steps += keeps
     assert steps > 10000
 
@@ -402,8 +406,8 @@ def test_every_canonical_set_has_a_canonical_subset_one_position_smaller(corpus_
     for w in words:
         scanned = set(scan_canonical_submodules(w))
         assert scanned == set(enumerate_canonical_submodules(w)), str(w)
-        for N in scanned - {frozenset()}:
-            assert any(N - {j} in scanned for j in N), (str(w), sorted(N))
+        for N in map(frozenset, map(positions_of, scanned - {mask_of(())})):
+            assert any(mask_of(N - {j}) in scanned for j in N), (str(w), sorted(N))
         sets += len(scanned)
     assert sets == 11280
 

@@ -35,16 +35,17 @@ from qcluster.snake import (
 from qcluster.strings import (
     Letter,
     StringWord,
+    dimension_vector,
     enumerate_canonical_submodules,
     enumerate_strings,
     is_canonical_submodule,
-    is_valid_string,
-    trivial_word,
 )
+from qcluster.strings import _is_valid_string as is_valid_string
+from qcluster.strings import _trivial_word as trivial_word
 from qcluster.surface import build_quiver, load_surface
 from qcluster.valuation import omega, omega_prime, valuation_v, valuation_v_gamma
 
-from conftest import ANNULUS_21, SURFACES, WHEEL3, m_pm
+from conftest import ANNULUS_21, SURFACES, WHEEL3, m_pm, mask_of, positions_of
 from test_strings import ANNULUS_31
 from test_surface import random_polygon
 
@@ -130,16 +131,17 @@ def reference_valuation_v(g, tables=None):
 
 
 def reference_valuation_v_gamma(g):
+    """The walk over position sets; its table is keyed by their masks."""
     values = {}
-    for N in canonical_submodules(g):
+    for N in (frozenset(positions_of(mask)) for mask in canonical_submodules(g)):
         found = None if N else 0
         for j in sorted(N):
             smaller = N - {j}
             below = values.get(smaller)
             if below is None:
                 continue
-            step = omega_prime(g, j, smaller)
-            back = omega_prime(g, j, N)
+            step = omega_prime(g, j, mask_of(smaller))
+            back = omega_prime(g, j, mask_of(N))
             if step != -back:
                 raise InconsistentValuation(f"asymmetric step at position {j}: {step} vs -({back})")
             here = below - step
@@ -155,7 +157,7 @@ def reference_valuation_v_gamma(g):
         raise UnreachableSubmodule(f"the full index set {sorted(full)} was not generated")
     if values[full] != 0:
         raise InconsistentValuation(f"full index set has valuation {values[full]}, want 0")
-    return values
+    return {mask_of(N): value for N, value in values.items()}
 
 
 def reference_is_canonical_submodule(w, indices):
@@ -169,9 +171,9 @@ def reference_is_canonical_submodule(w, indices):
     return True
 
 
-def reference_omega_prime_row(g, indices, mask):
-    """omega_prime at every position for one index set and its mask (the
-    per-set row builder, returning the row instead of storing it)."""
+def reference_omega_prime_row(g, mask):
+    """omega_prime at every position for one index set's mask (the per-set
+    row builder, returning the row instead of storing it)."""
     patterns = [mask >> p & 7 for p in range(g.d)]
     values = [0] * g.d
     table, crossings = valuation._window_counts(g)
@@ -189,9 +191,10 @@ def reference_omega_prime_row(g, indices, mask):
 
 
 def reference_n_module(g, k, j, indices):
-    """n_module as it was, scanning the end tiles' outer triangles on every call."""
+    """n_module as it was, scanning the end tiles' outer triangles on every
+    call; the index set comes as a mask and is read as its positions."""
     w, t = g.word, g.triangulation
-    indices = frozenset(indices)
+    indices = frozenset(positions_of(indices))
     arcs, letters, d = w.vertices, w.letters, w.d
     n_plus = n_minus = plain = 0
     if arcs[j - 1] == k:
@@ -268,14 +271,19 @@ def test_valuation_v_gamma_equals_the_replaced_walk(kernel_corpus):
 
 def test_the_mask_submodule_test_equals_the_letter_scan(kernel_corpus):
     """Every canonical set, and each with one position from -1..d+1 toggled,
-    given as a frozenset, a tuple, a list with a repeat and an iterator."""
+    given to mask_of as a frozenset, a tuple, a list with a repeat and an
+    iterator.  No bit stands for position -1, so mask_of refuses it."""
     checked = 0
     for _, w in kernel_corpus:
-        for N in enumerate_canonical_submodules(w):
+        for N in map(frozenset, map(positions_of, enumerate_canonical_submodules(w))):
             for toggled in [N] + [N ^ {j} for j in range(-1, w.d + 2)]:
+                if -1 in toggled:
+                    with pytest.raises(ValueError):
+                        mask_of(toggled)
+                    continue
                 want = reference_is_canonical_submodule(w, toggled)
                 forms = (toggled, tuple(sorted(toggled)), sorted(toggled) * 2, iter(sorted(toggled)))
-                assert [is_canonical_submodule(w, form) for form in forms] == [want] * 4
+                assert [is_canonical_submodule(w, mask_of(form)) for form in forms] == [want] * 4
                 checked += 1
     assert checked > 100000
 
@@ -284,15 +292,31 @@ def test_the_mask_submodule_test_equals_the_letter_scan(kernel_corpus):
 def test_the_mask_submodule_test_equals_the_letter_scan_on_drawn_sets(kernel_corpus, data):
     _, w = data.draw(st.sampled_from(kernel_corpus))
     N = data.draw(st.sets(st.integers(-1, w.d + 1)) | st.sets(st.sampled_from([-1, 0, w.d + 1])))
-    assert is_canonical_submodule(w, N) == reference_is_canonical_submodule(w, N)
+    if -1 in N:  # no bit stands for position -1
+        with pytest.raises(ValueError):
+            mask_of(N)
+        return
+    assert is_canonical_submodule(w, mask_of(N)) == reference_is_canonical_submodule(w, N)
 
 
-@pytest.mark.parametrize("position", [-1, 0, 4])
-def test_an_index_set_outside_the_word_is_refused_before_any_shift(annulus, g1_word, position):
-    g = label_snake(g1_word, annulus)
-    assert not is_canonical_submodule(g1_word, [2, position])
-    with pytest.raises(UnmatchedCase, match="has a position outside 1..3"):
-        valuation._index_mask(g, frozenset({2, position}))
+@pytest.mark.parametrize("positions", [{0}, {2, 0}, {4}, {2, 4}, {0, 9}, {1, 2, 3, 9}])
+@pytest.mark.parametrize("function", ["is_canonical_submodule", "omega_prime", "n_module", "dimension_vector"])
+def test_a_mask_with_bit_0_or_a_bit_past_d_is_outside_the_contract(annulus, g1_word, function, positions):
+    """is_canonical_submodule refuses such a mask; omega_prime, n_module and
+    dimension_vector raise, naming position 0 or else the highest position."""
+    g, mask = label_snake(g1_word, annulus), mask_of(positions)
+    named = 0 if 0 in positions else max(positions)
+    if function == "is_canonical_submodule":
+        assert is_canonical_submodule(g1_word, mask) is False
+        return
+    calls = {
+        "omega_prime": lambda: omega_prime(g, 1, mask),
+        "n_module": lambda: valuation.n_module(g, 1, 1, mask),
+        "dimension_vector": lambda: dimension_vector(g1_word, mask, n=2),
+    }
+    with pytest.raises(UnmatchedCase, match=f"^position {named} outside 1..3$"):
+        calls[function]()
+    assert mask not in g._omega_prime_rows
 
 
 # -- a corrupted twist row is caught as before -------------------------------
@@ -390,12 +414,10 @@ def every_string(q, max_vertices):
 
 
 def assert_rows_match(g, sets):
-    """The batch rows of sets equal the per-set rows, and the returned masks
-    are the sets' masks in order."""
-    masks = valuation._omega_prime_rows(g, sets)
-    assert masks == [valuation._index_mask(g, N) for N in sets]
-    for N, mask in zip(sets, masks):
-        assert g._omega_prime_rows[N] == reference_omega_prime_row(g, N, mask), sorted(N)
+    """The batch rows of index-set masks equal the per-set rows."""
+    valuation._omega_prime_rows(g, sets)
+    for N in sets:
+        assert g._omega_prime_rows[N] == reference_omega_prime_row(g, N), positions_of(N)
 
 
 def test_the_batch_rows_equal_the_per_set_rows_on_every_short_string(surfaces):
@@ -433,7 +455,7 @@ def test_the_batch_rows_equal_the_per_set_rows_on_drawn_sets_of_g40(g40, data):
     positions = st.integers(1, g40.d)
     drawn = data.draw(st.lists(st.frozensets(positions) | st.frozensets(positions, min_size=70), max_size=30))
     assert valuation._window_bytes(g40)[0] == 2
-    assert_rows_match(g40, [frozenset(), frozenset(range(1, g40.d + 1))] + drawn)
+    assert_rows_match(g40, [mask_of(N) for N in [frozenset(), frozenset(range(1, g40.d + 1))] + drawn])
 
 
 def test_a_set_passed_alone_gets_the_row_of_the_batch(annulus):
@@ -442,7 +464,7 @@ def test_a_set_passed_alone_gets_the_row_of_the_batch(annulus):
     valuation._omega_prime_rows(batch, canonical_submodules(batch))
     for N in canonical_submodules(batch):
         alone = label_snake(w, annulus)
-        assert valuation._omega_prime_rows(alone, [N]) == [valuation._index_mask(alone, N)]
+        valuation._omega_prime_rows(alone, [N])
         assert alone._omega_prime_rows == {N: batch._omega_prime_rows[N]}
         fresh = label_snake(w, annulus)
         assert [omega_prime(fresh, j, N) for j in range(1, w.d + 1)] == list(alone._omega_prime_rows[N])
@@ -455,7 +477,7 @@ def full_window_table(g, counts):
     """counts(g, k, j, window) for every word arc, position and pattern."""
     return {
         k: [
-            tuple(counts(g, k, j, valuation._windows(j)[p]) for p in range(8))
+            tuple(counts(g, k, j, valuation._windows(j, g.d)[p]) for p in range(8))
             for j in range(1, g.d + 1)
         ]
         for k in dict.fromkeys(g.word.vertices)
@@ -492,7 +514,7 @@ def test_the_sparse_window_table_equals_the_full_one(surfaces):
             for k in range(1, t.m + 1):
                 for j in range(1, w.d + 1):
                     for p in range(8):
-                        N = valuation._windows(j)[p]
+                        N = valuation._windows(j, g.d)[p]
                         want = reference_n_module(g, k, j, N)
                         assert valuation.n_module(g, k, j, N) == want, (str(w), k, j, p)
             graphs += 1
