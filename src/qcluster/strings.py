@@ -309,11 +309,14 @@ def dimension_vector(w: StringWord, indices: int | None = None, *, n: int) -> tu
 
     Entry k-1 counts positions p in the index set with v_p = k, for
     k = 1..n.  With indices=None the whole module is measured.  A
-    position outside 1..d is an UnmatchedCase.
+    position outside 1..d, or a vertex of the word outside 1..n, is an
+    UnmatchedCase.
     """
     if indices is None:
         indices = (2 << w.d) - 2
     check_positions(indices, w.d)
+    if (top := max(w.vertices)) > n:
+        raise UnmatchedCase(f"vertex {top} outside 1..{n}")
     dim = [0] * n
     for p in positions(indices):
         dim[w.vertices[p - 1] - 1] += 1

@@ -70,23 +70,32 @@ an exact quotient lies in the box ``[min_i(a) - min_i(c), max_i(a) -
 max_i(c)]`` per coordinate; a step outside it proves the division
 inexact, and the strictly decreasing quotient exponents inside the
 finite box bound the number of steps.  The remainder stays packed, as
-(lowest exponent, int) per key, and ``c`` is packed once per layout.
+(base exponent, int) per key, and ``c`` is packed once per layout.
 Inside the call a key is the mixed-radix code of its vector over ``a``'s
 box, which holds every key the loop makes while the quotient stays in
 its box: the leading key is the largest int, the vector is read back
 from it only for the box test, and the key of g_b + h is one addition.
 A step's offsets against the terms of ``c`` are one row, read as for a
-product.  Each step unpacks only the leading coefficient, divides it,
-packs the quotient coefficient and subtracts its packed product with
-each term of ``c``, one dictionary probe per term; a key whose lowest
-exponent drops is re-based by a shift.  A running bound on the
-remainder's coefficients, max|a| (or a packed numerator's bound) plus
-max|gamma| * max|c| * (fewer q-terms) per step, keeps every digit in
-range, so ``int == 0`` is an exact zero test.  When the bound reaches
-the sign bit, or a quotient coefficient leaves the stride or a key's
-residue class, the remainder is laid out again with wider digits or a
-finer stride.  A numerator handed over packed keeps its layout unless
-the divisor needs a finer stride or wider digits.
+product.  Each step unpacks only the leading coefficient and subtracts
+the quotient coefficient's packed product with each term of ``c``, one
+dictionary probe per term; a key whose lowest exponent drops is re-based
+by a shift.  Quantum cluster variables are pointed (Berenstein-Zelevinsky
+2005), and each divisor that mutation hands over on the bundled surfaces
+leads in lex order with one q-power of coefficient 1.  Against a lead
++-q^t, decided once per call, the quotient coefficient is the
+remainder's lead shifted and signed, so its packed int is the lead's own
+int, negated for -1, read from a shifted ``lo``; nothing is divided or
+packed.  Any other lead is divided and the quotient coefficient packed.
+A running bound on the remainder's coefficients, max|a| (or a packed
+numerator's bound) plus max|gamma| * max|c| * (fewer q-terms) per step,
+keeps every digit in range, so ``int == 0`` is an exact zero test.  When
+the bound reaches the sign bit, or a quotient coefficient leaves the
+stride or a key's residue class, the remainder is laid out again with
+wider digits or a finer stride.  Machine-word digits widened at the same
+stride are read as an array of biased digits and written as a wider
+one, each key keeping its ``lo``; other relayouts unpack and repack each
+key.  A numerator handed over packed keeps its layout unless the divisor
+needs a finer stride or wider digits.
 
 :func:`bar` builds the conjugate; :func:`is_bar_invariant` answers
 ``bar(a) == a`` without it, reading each coefficient against itself.
@@ -843,8 +852,9 @@ def div_exact_right(a: TorusElement | _Packed, c: TorusElement, pair: Compatible
     if isinstance(a, TorusElement):
         if a.is_zero():
             return TorusElement.zero(a.rank)
-        a._check_rank(c)
         a = _packed(a, c)
+    if a.rank != c.rank:
+        raise RankMismatch(f"rank mismatch: {a.rank} vs {c.rank}")
     if not a.terms:
         return TorusElement.zero(a.rank)
     box_a = [(min(xs), max(xs)) for xs in zip(*a.terms)]
@@ -861,6 +871,10 @@ def div_exact_right(a: TorusElement | _Packed, c: TorusElement, pair: Compatible
     j_c = terms_c.index(c.leading_vector())
     g_c, code_c, low_c = terms_c[j_c], codes_c[j_c], lows_c[j_c]
     gamma_c = c.terms[g_c]
+    # A pointed divisor leads with sign * q^(low_c/2), sign = +-1: each quotient
+    # coefficient is then the remainder's lead, shifted and signed.
+    sign = gamma_c.coeffs[low_c] if len(gamma_c.coeffs) == 1 else 0
+    unit = sign in (1, -1)
     rows, shift = _twists(terms_c, lows_c, pair, list(zip(*box)))
     top_c = max(max(map(abs, x.values())) for x in coeffs_c)
     len_c = max(map(len, coeffs_c))
@@ -892,18 +906,23 @@ def div_exact_right(a: TorusElement | _Packed, c: TorusElement, pair: Compatible
         # offsets[j] = lo_j - g_b . row(h_j) + shift, h_j the j-th term of c
         offsets = rows(g_b)
         # (gamma_b X^g_b)(gamma_c X^g_c) must produce the current lead.
-        gamma_b = QCoefficient._wrap(lead).shifted(low_c + shift - offsets[j_c])
-        gamma_b = gamma_b.divide_exact(gamma_c)
-        if gamma_b is None:
-            raise NonExactDivision(f"coefficient at {g_a} is not divisible")
-        quotient[g_b] = gamma_b
+        twice = shift - offsets[j_c]
+        if unit:  # gamma_b = sign * q^(twice/2) * lead: packed, sign times the lead's int from lo + twice
+            coeffs = {t + twice: sign * x for t, x in lead.items()}
+            lo_b, stride_b = lo + twice, stride
+        else:
+            gamma_b = QCoefficient._wrap(lead).shifted(low_c + twice).divide_exact(gamma_c)
+            if gamma_b is None:
+                raise NonExactDivision(f"coefficient at {g_a} is not divisible")
+            coeffs = gamma_b.coeffs
+            lo_b = min(coeffs)
+            stride_b = gcd(stride, *[t - lo_b for t in coeffs])
+        quotient[g_b] = QCoefficient._wrap(coeffs)
         # remainder -= (gamma_b X^g_b) * c, one packed product per term of c.
-        coeffs = gamma_b.coeffs
-        lo_b = min(coeffs)
         base, keys = lo_b - shift, [code_a - code_c + code for code in codes_c]
         entries = [remainder.get(key) for key in keys]
         residues = [base + offset - entry[0] for offset, entry in zip(offsets, entries) if entry]
-        new_stride = gcd(stride, *[t - lo_b for t in coeffs], *residues)
+        new_stride = gcd(stride_b, *residues)
         bound += max(map(abs, coeffs.values())) * top_c * min(len(coeffs), len_c)
         new_bits = bits if bound < 1 << (bits - 1) else max(2 * bits, _digit_bits(bound))
         if (new_stride, new_bits) != (stride, bits):
@@ -911,7 +930,11 @@ def div_exact_right(a: TorusElement | _Packed, c: TorusElement, pair: Compatible
             stride, bits = new_stride, new_bits
             packed_c = [_pack(x, lo, stride, bits) for x, lo in zip(coeffs_c, lows_c)]
             entries = [remainder.get(key) for key in keys]
-        packed_b = _pack(coeffs, lo_b, stride, bits)
+            packed_b = _pack(coeffs, lo_b, stride, bits)
+        elif unit:
+            packed_b = packed if sign == 1 else -packed
+        else:
+            packed_b = _pack(coeffs, lo_b, stride, bits)
         for key, entry, offset, pc in zip(keys, entries, offsets, packed_c):
             offset += base
             if entry is None:
@@ -935,8 +958,21 @@ def _fit(x: _Packed, stride: int, bits: int) -> None:
 
 
 def _relayout(remainder: dict, old: tuple[int, int], new: tuple[int, int]) -> None:
-    """Repack every packed coefficient from layout ``old`` to ``new`` (stride, bits), in place."""
+    """Repack every packed coefficient from layout ``old`` to ``new`` (stride, bits), in place.
+
+    Machine-word digits widened at an unchanged stride are converted as arrays:
+    each biased digit d + 2^(bits-1) becomes an item of the wider array, whose
+    int less 2^(bits-1) per digit is the coefficient, from the same ``lo``.
+    """
     (stride, bits), (new_stride, new_bits) = old, new
+    code = _LITTLE and stride == new_stride and bits < new_bits and _TYPECODES.get(new_bits)
+    if code:
+        for key, (lo, packed) in remainder.items():
+            length = packed.bit_length() // bits + 1
+            digits = array(code, _digits(packed + _bias(bits, length), bits, length))
+            bias = _bias(new_bits, length) >> (new_bits - bits)
+            remainder[key] = (lo, int.from_bytes(digits, "little") - bias)
+        return
     for key, (lo, packed) in remainder.items():
         coeffs = _unpack(packed, lo, stride or 1, bits, packed.bit_length() // bits + 1)
         lo = min(coeffs)

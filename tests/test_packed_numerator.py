@@ -365,6 +365,22 @@ def test_both_annulus_sequences_equal_the_unpacked_pipeline_to_step_18(start):
         seed = new
 
 
+def test_no_coefficient_is_divided_along_both_12_step_annulus_sequences(monkeypatch):
+    # every divisor is a cluster variable, whose lex-leading coefficient is 1 q^t
+    calls = []
+    real = QCoefficient.divide_exact
+    monkeypatch.setattr(QCoefficient, "divide_exact", lambda self, other: calls.append(other) or real(self, other))
+    for start in (1, 2):
+        seed = initial_seed(pair_from_surface(load_surface("annulus")))
+        for step in range(12):
+            seed = mutate_seed(seed, start if step % 2 == 0 else 3 - start)
+    assert calls == []
+    # the count sees a lead that is not +-q^t
+    two = TorusElement(3, {(1, 0, 0): QCoefficient({0: 2})})
+    assert div_exact_right(torus_mul(two, two, PAIR3), two, PAIR3) == two
+    assert calls == [QCoefficient({0: 2})]
+
+
 def _surfaces():
     rng = random.Random(26)
     yield from SURFACES

@@ -293,6 +293,13 @@ def test_dimension_vector_rejects_a_position_outside_the_word(g1_word, position)
             dimension_vector(g1_word, mask_of(indices), n=2)
 
 
+@pytest.mark.parametrize("indices", [None, {1}, {2}, {1, 2, 3}])
+def test_dimension_vector_rejects_a_vertex_outside_the_quiver(g1_word, indices):
+    # G_1 visits vertex 2, so n = 1 leaves no entry for it, even when no chosen position is at 2
+    with pytest.raises(UnmatchedCase, match=r"^vertex 2 outside 1\.\.1$"):
+        dimension_vector(g1_word, None if indices is None else mask_of(indices), n=1)
+
+
 def test_enumerate_strings_counts_are_frozen(quivers):
     assert len(enumerate_strings(quivers["annulus"], 7)) == 9
     assert len(enumerate_strings(quivers["pentagon"], 7)) == 3

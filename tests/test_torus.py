@@ -982,6 +982,19 @@ def test_division_refines_the_stride_when_a_residue_does_not_fit(monkeypatch):
     assert layouts[0] == ((4, 8), (1, 8))
 
 
+def test_division_by_a_unit_lead_refines_the_stride_when_a_residue_does_not_fit(monkeypatch):
+    layouts = _recording_relayout(monkeypatch)
+    # c leads with X^(1,0), coefficient 1, so no quotient coefficient is divided.  The
+    # first, 1 X^(1,1), times X^(0,0) lands on the residue 0 at X^(1,1), where a holds
+    # q^(1/2) + q^(5/2).
+    b = flat({(1, 1): {0: 1}, (1, 0): {0: -1}, (0, 1): {1: 1, 5: 1}})
+    c = flat({(1, 0): {0: 1}, (0, 1): {0: 1}, (0, 0): {0: 1}})
+    a = torus_mul(b, c, FLAT2)
+    assert _same(div_exact_right(a, c, FLAT2), reference_div_exact_right(a, c, FLAT2))
+    assert div_exact_right(a, c, FLAT2) == b
+    assert layouts[0] == ((4, 8), (1, 8))
+
+
 def test_division_widens_the_digits_when_the_bound_reaches_the_sign_bit(monkeypatch):
     layouts = _recording_relayout(monkeypatch)
     # max|a| = 2^70 gets 72-bit digits; the first step adds 2^68 * 4 to the
@@ -1058,3 +1071,94 @@ def test_the_byte_path_equals_the_per_pair_forms(test, name, monkeypatch):
     monkeypatch.setattr(torus, "_LITTLE", False)
     monkeypatch.setattr(torus, "array", None)
     test(name)
+
+
+# -- division by a pointed divisor, and relayouts that widen digits --
+
+
+def _with_lead(c, lead):
+    """``c`` with its lex-leading coefficient replaced by ``lead``."""
+    return TorusElement(c.rank, {**c.terms, c.leading_vector(): QCoefficient(lead)})
+
+
+# Each kind of leading coefficient for the divisor, as a function of a q-exponent t.
+DIVISOR_LEADS = {
+    "q^t": lambda t: {t: 1},
+    "-q^t": lambda t: {t: -1},
+    "3 q^t": lambda t: {t: 3},
+    "-2 q^t": lambda t: {t: -2},
+    "multi-term": lambda t: {t: 1, t + 4: -2},
+}
+
+
+@pytest.mark.parametrize("lead", DIVISOR_LEADS)
+@pytest.mark.parametrize("packed", (False, True), ids=("element", "packed"))
+@pytest.mark.parametrize("name", PACKED_PAIRS)
+@settings(deadline=None, max_examples=25)
+@given(data=st.data())
+def test_division_by_each_kind_of_lead_equals_the_per_pair_division(name, packed, lead, data):
+    pair, rank = PACKED_PAIRS[name]
+    a, c, extra = (data.draw(packed_elements(rank)) for _ in range(3))
+    c = _with_lead(c, DIVISOR_LEADS[lead](data.draw(st.integers(min_value=-6, max_value=6))))
+    product = reference_torus_mul(a, c, pair)
+    for numerator in (product, product + extra):
+        if numerator.is_zero():
+            continue
+        given = torus._packed(numerator) if packed else numerator
+        got = _division_outcome(div_exact_right, given, c, pair)
+        assert got == _division_outcome(reference_div_exact_right, numerator, c, pair)
+    assert div_exact_right(torus._packed(product) if packed else product, c, pair) == a
+
+
+def test_a_packed_numerator_of_another_rank_is_refused():
+    # zip would cut the rank-4 box down to rank 3 and return a rank-3 quotient
+    numerator = torus._packed(mono((1, 0, 0, 0)) + mono((0, 1, 1, 0), twice=1))
+    with pytest.raises(RankMismatch, match="^rank mismatch: 4 vs 3$"):
+        div_exact_right(numerator, mono((1, 0, 0)), PAIR3)
+
+
+def _relayout_cases():
+    """(stride, bits) before and after: each machine-word widening, a byte-path one, finer strides."""
+    yield (4, 8), (4, 16)
+    yield (4, 16), (4, 32)
+    yield (4, 32), (4, 64)
+    yield (4, 72), (4, 144)
+    yield (4, 64), (4, 128)
+    yield (4, 16), (2, 16)
+    yield (4, 8), (2, 32)
+
+
+@pytest.mark.parametrize("little", (True, False), ids=("native", "byte path"))
+@pytest.mark.parametrize("old, new", list(_relayout_cases()))
+def test_a_relayout_equals_unpacking_and_repacking_each_key(old, new, little, monkeypatch):
+    monkeypatch.setattr(torus, "_LITTLE", little)
+    (stride, bits), (new_stride, new_bits) = old, new
+    rng, top = random.Random(bits), (1 << (bits - 1)) - 1
+    shapes = [
+        {0: top},  # one digit
+        {0: -top},
+        {-8: top, 0: -top, 12: 1, 16: -1},  # an empty digit between, negative top digit
+        {4 * i: rng.choice((top, -top, rng.randint(-top, top))) for i in range(40)},  # the array pack
+    ]
+    remainder = {}
+    for key, coeffs in enumerate(shapes):
+        # lo may sit below the lowest exponent, as the division leaves it
+        lo = min(coeffs) - stride * (key % 2)
+        remainder[key] = (lo, torus._pack(coeffs, lo, stride, bits))
+    repacked = {}
+    for key, (lo, packed) in remainder.items():
+        coeffs = torus._unpack(packed, lo, stride, bits, packed.bit_length() // bits + 1)
+        repacked[key] = (min(coeffs), torus._pack(coeffs, min(coeffs), new_stride, new_bits))
+    kept = dict(remainder)
+    torus._relayout(remainder, old, new)
+
+    def read(layout):
+        return {
+            key: torus._unpack(packed, lo, new_stride, new_bits, packed.bit_length() // new_bits + 1)
+            for key, (lo, packed) in layout.items()
+        }
+
+    assert read(remainder) == read(repacked) == dict(enumerate(shapes))
+    if little and stride == new_stride and new_bits <= 64:
+        # widened as an array: every key keeps its lo
+        assert {key: lo for key, (lo, _) in remainder.items()} == {key: lo for key, (lo, _) in kept.items()}
