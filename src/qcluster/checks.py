@@ -74,7 +74,7 @@ def _check_expansion(g, seed):
 def verify_surface(t, max_length: int, jobs: int = 1):
     """(pair, words, results): the surface's pair, the strings of at most
     max_length vertices and one `check_word` result per string; jobs > 1
-    checks the strings in that many worker processes."""
+    checks the strings in that many worker processes, at most one per string."""
     quiver = build_quiver(t)
     check_gentle(quiver)
     pair = pair_from_surface(t)
@@ -85,6 +85,8 @@ def verify_surface(t, max_length: int, jobs: int = 1):
             raise InvalidMutation(f"mutation at {k} is not an involution")
     words = enumerate_strings(quiver, max_length)
     check = partial(check_word, t, seed)
+    # The pool starts every worker at once under fork, so none beyond one per string.
+    jobs = min(jobs, len(words))
     if jobs > 1:
         # Imported here: a serial run need not load multiprocessing.
         from concurrent.futures import ProcessPoolExecutor

@@ -62,7 +62,7 @@ class RankMismatch(QClusterError, ValueError):
 
 
 class OutsideDomain(QClusterError, ValueError):
-    """A torus operation got a negative power, or zero where it needs a leading term."""
+    """A torus operation needs a leading term and got zero."""
 
 
 class DivisionByZero(QClusterError, ZeroDivisionError):

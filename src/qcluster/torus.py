@@ -19,19 +19,21 @@ coefficient becomes one Python int whose base-``2^bits`` digits are its
 coefficients, read at a common stride (a divisor of every exponent gap),
 so the product of two such ints carries every coefficient of the product.
 Digits are 8, 16, 32 or 64 bits wide while the bound below fits in a
-machine word, and each is then one item of a stdlib ``array``.  Packing
-writes every digit, biased by ``2^(bits-1)``, into such an array, whose
-memory is read as an int once; fewer than 32 q-terms cost less as a sum
-of shifted digits.  Unpacking adds the same bias to every digit, so no
-digit borrows, and reads the int's bytes back into an array
-whose items are the biased digits exactly; that needs every digit to lie
-strictly between -2^(bits-1) and 2^(bits-1).  Wider digits, in whole
-bytes, and every digit on a host that is not little-endian, go through
-one byte slice per digit instead.
+machine word, and each is then one item of a stdlib ``array``.  Every
+digit array is written by :func:`_lanes`, whose memory is read as an int
+once, and read by :func:`_digits`.  Packing writes every digit biased by
+``2^(bits-1)`` and subtracts that bias per digit; fewer than 32 q-terms
+cost less as a sum of shifted digits.  Unpacking adds the same bias to
+every digit, so no digit borrows, and reads the int's bytes back into an
+array whose items are the biased digits exactly; that needs every digit
+to lie strictly between -2^(bits-1) and 2^(bits-1).  Wider digits, in
+whole bytes, and every digit on a host that is not little-endian, go
+through one byte slice per digit instead.
 
 A torus product packs each coefficient once per call, and a square packs
 it once for both sides.  A first pass reads only exponents: the key
-``g + h`` of each term pair, its offset ``lo_g + lo_h + L(g,h)``, the
+``g + h`` of each term pair, as the sum of two mixed-radix codes over a
+cube that holds every key, its offset ``lo_g + lo_h + L(g,h)``, the
 lowest offset on each key, each key's bound and one stride for the call,
 the gcd of every gap inside a coefficient and of every difference between
 the offsets that share a key.  A square visits each unordered pair {i, j}
@@ -47,16 +49,13 @@ coordinate k holds, in lane j, coordinate k of the twist row of term j
 of ``b``, so the sum of g_k times those ints holds the twists of g with
 every term of ``b`` at once, read out through the same array or byte
 path as a coefficient, and the lane width, like a digit's, comes from a
-bound.  A shorter ``b`` gives each twist as a dot product.  Once both
-factors have ``_LANE_TERMS`` terms, many pairs share a key, and each
-vector becomes one mixed-radix code over a cube that holds every key: a
-pair's key is one addition, and the code lives only inside the call.
-Smaller products key each pair by its vector.  The second pass adds each
-pair's packed product, shifted to its offset, into its key's int; a zero
-int drops the key.  That packed product, ``{g: (lo, int)}`` with its
-stride, bits and bound, is what :func:`torus_mul` unpacks, each key
-once.  When one factor has a single term, each pair is multiplied on its
-own instead.
+bound.  A shorter ``b`` gives each twist as a dot product.  A pair's key
+is one addition of codes, and a code lives only inside the call.  The
+second pass adds each pair's packed product, shifted to its offset, into
+its key's int; a zero int drops the key, and a kept key is a vector
+again.  That packed product, ``{g: (lo, int)}`` with its stride, bits
+and bound, is what :func:`torus_mul` unpacks, each key once.  When one
+factor has a single term, each pair is multiplied on its own instead.
 
 The torus knows no cluster rule: seed mutation gives each exchange side
 as factors and a q-power.  Their product, folded left to right, keeps a
@@ -91,11 +90,11 @@ numerator's bound) plus max|gamma| * max|c| * (fewer q-terms) per step,
 keeps every digit in range, so ``int == 0`` is an exact zero test.  When
 the bound reaches the sign bit, or a quotient coefficient leaves the
 stride or a key's residue class, the remainder is laid out again with
-wider digits or a finer stride.  Machine-word digits widened at the same
-stride are read as an array of biased digits and written as a wider
-one, each key keeping its ``lo``; other relayouts unpack and repack each
-key.  A numerator handed over packed keeps its layout unless the divisor
-needs a finer stride or wider digits.
+wider digits or a finer stride.  Digits widened at the same stride, of
+any width, are read as biased digits and written wider, each key keeping
+its ``lo``; a changed stride unpacks and repacks each key.  A numerator
+handed over packed keeps its layout unless the divisor needs a finer
+stride or wider digits.
 
 :func:`bar` builds the conjugate; :func:`is_bar_invariant` answers
 ``bar(a) == a`` without it, reading each coefficient against itself.
@@ -107,7 +106,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from math import gcd
-from itertools import chain, combinations_with_replacement, product, repeat
+from itertools import chain, repeat
 from operator import add, mul, sub
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -177,27 +176,20 @@ def _common_stride(*polys: Mapping[int, int]) -> int:
 
 
 def _pack(coeffs: Mapping[int, int], lo: int, stride: int, bits: int) -> int:
-    """Evaluate sum c * x^((t - lo) / stride) at x = 2^bits from biased digits, in linear time.
+    """Evaluate sum c * x^((t - lo) / stride) at x = 2^bits, in linear time.
 
-    Below 32 q-terms a sum of shifted digits costs less (measured 0.4-0.96 of the
-    digit array at 8 to 64 bits) and is taken instead.
+    From 32 q-terms on, the biased digits c + 2^(bits-1) go through :func:`_lanes`;
+    below it a sum of shifted digits costs less (measured 0.4-0.96 of the digit
+    array at 8 to 64 bits) and is taken instead.
     """
     if len(coeffs) < 32:
         return sum([c << bits * ((t - lo) // stride) for t, c in coeffs.items()])
     half = 1 << (bits - 1)
     length = (max(coeffs) - lo) // stride + 1
-    code = _LITTLE and _TYPECODES.get(bits)
-    if code:
-        digits = array(code, [half]) * length
-        for t, c in coeffs.items():
-            digits[(t - lo) // stride] = c + half
-    else:
-        width = bits // 8
-        raw = [half.to_bytes(width, "little")] * length
-        for t, c in coeffs.items():
-            raw[(t - lo) // stride] = (c + half).to_bytes(width, "little")
-        digits = b"".join(raw)
-    return int.from_bytes(digits, "little") - _bias(bits, length)
+    digits = [half] * length
+    for t, c in coeffs.items():
+        digits[(t - lo) // stride] = c + half
+    return _lanes(digits, bits) - _bias(bits, length)
 
 
 def _unpack(value: int, lo: int, stride: int, bits: int, length: int) -> dict[int, int]:
@@ -631,12 +623,12 @@ def _packed_sum(x: _Packed, y: _Packed) -> _Packed:
     return _Packed(x.rank, terms, stride, bits, bound)
 
 
-# Codes and lanes cost a fixed setup per call and save work per term pair.  A
-# factor with fewer terms gives each twist as a dot product, and a product with
-# a factor that short keys each pair by its vector.  Measured on the benchmark's
-# calls: taking codes and lanes for every call slows the polygon divisions by
-# 84% and the skein products by 9%, never taking them slows twelve annulus
-# mutation steps by 27%, and every cut from 4 to 16 terms is within 4%.
+# Lanes cost a fixed setup per call and save work per term.  A factor with fewer
+# terms gives each twist as a dot product.  Measured on one pass of the
+# benchmark's recorded products and divisions, best of 25 rounds: lanes on every
+# call slow the polygon divisions by 121-129% and the skein products by 14-15%,
+# no lanes slow twelve annulus mutation steps by 24-25%, and every cut from 4 to
+# 16 terms is within 4% of this one.
 _LANE_TERMS = 8
 
 
@@ -690,36 +682,17 @@ def _twists(terms: list, lows: list, pair: CompatiblePair, gs: Iterable[Sequence
     return rows, cross - low
 
 
-def _pairs(side_a: Iterable, side_b: list, rows, low: int, shift: int, square: bool):
-    """Each term pair (i, j) in turn, from (vector, lowest q-exponent, max|coefficient|, q-terms)
-    per term: (i, j), its key g + h, its offset and that of (j, i), and its bound.
-
-    Offsets come from ``rows`` of :func:`_twists`, row i at base lo_i - ``low``, so
-    they count from ``low - shift``.  A square visits j >= i: (j, i) lies 2 L(g, h)
-    above (i, j), and the pair's bound counts both orders.
-    """
-    for i, (g, lo_g, top_g, size_g) in enumerate(side_a):
-        row = rows(g, lo_g - low)
-        for j in range(i if square else 0, len(side_b)):
-            h, lo_h, top_h, size_h = side_b[j]
-            offset, weight = row[j], top_g * top_h * (size_g if size_g < size_h else size_h)
-            if square and j > i:
-                yield (i, j), tuple(map(add, g, h)), offset, 2 * (lo_g + lo_h - low + shift) - offset, 2 * weight
-            else:
-                yield (i, j), tuple(map(add, g, h)), offset, offset, weight
-
-
 def _mul_packed(a: TorusElement, b: TorusElement, pair: CompatiblePair, twice: int = 0) -> _Packed:
     """q^(twice/2) times the product :func:`torus_mul` takes, each coefficient packed and none unpacked.
 
-    For a square (``a is b``) the pairs (i, j) and (j, i) share the key g_i + g_j
-    and the packed product, and their offsets are lo_i + lo_j -/+ g_i . row(g_j),
-    so each unordered pair is visited once.  A key's bound sums max|x| * max|y| *
-    (fewer q-terms) over its pairs, both orders of a square counted.  The offsets
-    come from :func:`_twists`, a row per term of ``a``.  Below ``_LANE_TERMS``
-    terms in either factor :func:`_pairs` keys each pair by its vector; from it on,
-    keys are codes over a cube that holds every key, one addition per pair.  The
-    packed product is keyed by vectors either way.
+    A pass over the term pairs reads only exponents.  A pair's key is the sum of
+    its terms' mixed-radix codes over the cube [-top, top]^rank, which holds every
+    key, and its offset lo_i + lo_j - g_i . row(g_j) comes from :func:`_twists`, a
+    row per term of ``a``.  For a square (``a is b``) the pairs (i, j) and (j, i)
+    share the key and the packed product, and the offset of (j, i) mirrors that
+    of (i, j) about lo_i + lo_j, so each unordered pair is visited once.  A key's
+    bound sums max|x| * max|y| * (fewer q-terms) over its pairs, both orders of a
+    square counted.  The packed product is keyed by vectors.
     """
     square = a is b
     terms_a, terms_b = list(a.terms), list(b.terms)
@@ -734,46 +707,31 @@ def _mul_packed(a: TorusElement, b: TorusElement, pair: CompatiblePair, twice: i
     stride = _common_stride(*coeffs_a, *([] if square else coeffs_b))
     low = min(lows_a)
     rows, shift = _twists(terms_b, lows_b, pair, terms_a, max(lows_a) - low)
-    if min(len(terms_a), len(terms_b)) < _LANE_TERMS:
-        # Few pairs share a key: each pair keyed by its vector, its offsets read as they come.
-        side_a, side_b = zip(terms_a, lows_a, tops_a, sizes_a), list(zip(terms_b, lows_b, tops_b, sizes_b))
-        walk = _pairs(side_a, side_b, rows, low, shift, square)
-    else:
-        # Many pairs share a key: codes over the cube [-top, top]^rank, which holds every key.
-        top_a = max(map(abs, chain.from_iterable(terms_a)))
-        top = top_a + (top_a if square else max(map(abs, chain.from_iterable(terms_b))))
-        places = _places([(-top, top)] * a.rank)
-        codes_a = [sum(map(mul, g, places)) for g in terms_a]
-        codes_b = codes_a if square else [sum(map(mul, h, places)) for h in terms_b]
-        keys_ij = (x + y for i, x in enumerate(codes_a) for y in codes_b[i if square else 0 :])
-        grid = [rows(g, lo - low) for g, lo in zip(terms_a, lows_a)]
-        if square:
-            # (i, j) and (j, i) for j > i: one visit; the offset of (j, i) is in row j, column i
-            visits = combinations_with_replacement(range(len(terms_a)), 2)
-            offsets_ij = chain.from_iterable(row[i:] for i, row in enumerate(grid))
-            mirrors_ij = chain.from_iterable(column[i:] for i, column in enumerate(zip(*grid)))
-            weights = (
-                (1 if i == j else 2) * t * u * (s if s < v else v)
-                for i, (t, s) in enumerate(zip(tops_a, sizes_a))
-                for j, u, v in zip(range(i, len(terms_a)), tops_a[i:], sizes_a[i:])
-            )
-        else:
-            visits = product(range(len(terms_a)), range(len(terms_b)))
-            offsets_ij = mirrors_ij = list(chain.from_iterable(grid))
-            weights = (t * u * (s if s < v else v) for t, s in zip(tops_a, sizes_a) for u, v in zip(tops_b, sizes_b))
-        walk = zip(visits, keys_ij, offsets_ij, mirrors_ij, weights)
+    top_a = max(map(abs, chain.from_iterable(terms_a)))
+    top = top_a + (top_a if square else max(map(abs, chain.from_iterable(terms_b))))
+    places = _places([(-top, top)] * a.rank)
+    codes_a = [sum(map(mul, g, places)) for g in terms_a]
+    side_b = list(zip(codes_a if square else [sum(map(mul, h, places)) for h in terms_b], lows_b, tops_b, sizes_b))
     # Pass 1, exponents only: per key its lowest offset, its bound and its pairs.
     keys: dict = {}
-    for (i, j), key, offset, mirror, weight in walk:
-        entry = keys.get(key)
-        if entry is None:
-            entry = keys[key] = [offset, 0, []]
-        lo = entry[0]
-        stride = gcd(stride, offset - lo, mirror - lo)
-        if offset < lo or mirror < lo:
-            entry[0] = min(offset, mirror)
-        entry[1] += weight
-        entry[2].append((i, j, offset, mirror))
+    for i, (g, code_g, lo_g, top_g, size_g) in enumerate(zip(terms_a, codes_a, lows_a, tops_a, sizes_a)):
+        row = rows(g, lo_g - low)
+        for j in range(i if square else 0, len(side_b)):
+            code_h, lo_h, top_h, size_h = side_b[j]
+            offset, weight = row[j], top_g * top_h * (size_g if size_g < size_h else size_h)
+            if square and j > i:  # (j, i): 2 L(g, h) above (i, j), on the same key
+                mirror, weight = 2 * (lo_g + lo_h - low + shift) - offset, 2 * weight
+            else:
+                mirror = offset
+            entry = keys.get(code_g + code_h)
+            if entry is None:
+                entry = keys[code_g + code_h] = [offset, 0, []]
+            lo = entry[0]
+            stride = gcd(stride, offset - lo, mirror - lo)
+            if offset < lo or mirror < lo:
+                entry[0] = min(offset, mirror)
+            entry[1] += weight
+            entry[2].append((i, j, offset, mirror))
     bound = max(entry[1] for entry in keys.values())
     step = stride or 1
     bits = _digit_bits(bound)
@@ -781,17 +739,15 @@ def _mul_packed(a: TorusElement, b: TorusElement, pair: CompatiblePair, twice: i
     packed_a = [_pack(x, lo, step, bits) for x, lo in zip(coeffs_a, lows_a)]
     packed_b = packed_a if square else [_pack(x, lo, step, bits) for x, lo in zip(coeffs_b, lows_b)]
     origin, terms = low + twice - shift, {}
-    for key, (lo, _, pairs) in keys.items():
+    for lo, _, pairs in keys.values():
         acc = 0
         for i, j, offset, mirror in pairs:
             product_ij = packed_a[i] * packed_b[j]
             acc += product_ij << bits * ((offset - lo) // step)
             if square and i != j:
                 acc += product_ij << bits * ((mirror - lo) // step)
-        if acc:
-            if type(key) is int:  # a code: the vector of its first pair
-                key = tuple(map(add, terms_a[pairs[0][0]], terms_b[pairs[0][1]]))
-            terms[key] = (lo + origin, acc)
+        if acc:  # the key's vector: that of its first pair
+            terms[tuple(map(add, terms_a[pairs[0][0]], terms_b[pairs[0][1]]))] = (lo + origin, acc)
     return _Packed(a.rank, terms, stride, bits, bound)
 
 
@@ -960,18 +916,17 @@ def _fit(x: _Packed, stride: int, bits: int) -> None:
 def _relayout(remainder: dict, old: tuple[int, int], new: tuple[int, int]) -> None:
     """Repack every packed coefficient from layout ``old`` to ``new`` (stride, bits), in place.
 
-    Machine-word digits widened at an unchanged stride are converted as arrays:
-    each biased digit d + 2^(bits-1) becomes an item of the wider array, whose
-    int less 2^(bits-1) per digit is the coefficient, from the same ``lo``.
+    Digits widened at an unchanged stride are converted, each key keeping its
+    ``lo``: the biased digits d + 2^(bits-1) that :func:`_digits` reads go
+    through :func:`_lanes` at the new width, and 2^(bits-1) less per digit is
+    the coefficient.  Any other relayout unpacks and repacks each key.
     """
     (stride, bits), (new_stride, new_bits) = old, new
-    code = _LITTLE and stride == new_stride and bits < new_bits and _TYPECODES.get(new_bits)
-    if code:
+    if stride == new_stride and bits < new_bits:
         for key, (lo, packed) in remainder.items():
             length = packed.bit_length() // bits + 1
-            digits = array(code, _digits(packed + _bias(bits, length), bits, length))
-            bias = _bias(new_bits, length) >> (new_bits - bits)
-            remainder[key] = (lo, int.from_bytes(digits, "little") - bias)
+            digits = _digits(packed + _bias(bits, length), bits, length)
+            remainder[key] = (lo, _lanes(digits, new_bits) - (_bias(new_bits, length) >> (new_bits - bits)))
         return
     for key, (lo, packed) in remainder.items():
         coeffs = _unpack(packed, lo, stride or 1, bits, packed.bit_length() // bits + 1)

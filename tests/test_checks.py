@@ -1,6 +1,8 @@
 """The check records of qcluster.checks, read without the command line."""
 from __future__ import annotations
 
+import concurrent.futures
+
 import pytest
 from click.testing import CliRunner
 
@@ -32,6 +34,48 @@ def test_the_results_do_not_depend_on_the_worker_count(annulus):
     pair, words, results = serial
     assert [text for text, _ in results] == [str(word) for word in words]
     assert list(pair.d) == [2, 2] and failing(results) == []
+
+
+def _recording_pool(monkeypatch) -> list:
+    """Replace ProcessPoolExecutor by a pool that maps in this process; return its max_workers list."""
+    made = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    return made
+
+
+@pytest.mark.parametrize("jobs", [2, 4, 64])
+def test_the_pool_starts_at_most_one_worker_per_string(annulus, monkeypatch, jobs):
+    # under fork the pool starts every worker up front, so jobs beyond the strings would idle
+    made = _recording_pool(monkeypatch)
+    serial = verify_surface(annulus, 2)
+    assert made == [] and len(serial[1]) == 4
+    assert verify_surface(annulus, 2, jobs=jobs) == serial
+    assert made == [min(jobs, 4)]
+
+
+@pytest.mark.parametrize("strings", [0, 1])
+def test_one_string_or_none_is_checked_without_a_pool(annulus, monkeypatch, strings):
+    made = _recording_pool(monkeypatch)
+    real = checks.enumerate_strings
+    monkeypatch.setattr(checks, "enumerate_strings", lambda quiver, n: real(quiver, n)[:strings])
+    serial = verify_surface(annulus, 2)
+    assert len(serial[1]) == strings
+    assert verify_surface(annulus, 2, jobs=8) == serial
+    assert made == []
 
 
 def test_the_k_delta_strings_of_annulus_21_fail_their_expansion_record():
